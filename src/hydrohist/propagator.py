@@ -9,8 +9,10 @@ kT).  Three mutually consistent descriptions are implemented:
       dW/dt = -(p/M) dW/dq + 2*gamma d(p W)/dp + 2*M*gamma*kT d^2W/dp^2
 
   solved either analytically (Gaussian transition kernel) or numerically
-  (operator splitting: flux-limited upwind advection in q, Chang-Cooper
-  flux discretization of the Ornstein-Uhlenbeck momentum sector);
+  (Strang splitting: explicit flux-limited upwind advection in q, and the
+  Ornstein-Uhlenbeck momentum sector in the Chang-Cooper flux
+  discretization, stepped implicitly with Crank-Nicolson so that only the
+  advection Courant limit bounds dt);
 
 - the position-basis master equation with kinetic, dissipation
   (-gamma (x-y)(d_x - d_y) rho) and decoherence (-2 M gamma kT (x-y)^2 rho)
@@ -38,6 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.interpolate import RectBivariateSpline
+from scipy.linalg import solve_banded
 
 from .errors import (
     DivergenceError,
@@ -271,75 +274,155 @@ def propagate_analytic(w0: WignerGrid, t, params: QbmParams,
 
 
 def fokker_planck_dt_bound(w: WignerGrid, params: QbmParams) -> float:
-    """Stability bound 0.4 * min(dq*M/p_max, dp^2/(2 M gamma kT), 1/(4 gamma))."""
+    """Step bound 0.4 * min(dq*M/p_max, 1/(4 gamma)).
+
+    The first term is the Courant limit of the explicit q advection.  The
+    momentum sector is solved implicitly (Crank-Nicolson) and has no
+    diffusive stability limit; the second term keeps the damping
+    exp(-2 gamma dt) resolved within one step.
+    """
     p_max = max(abs(w.p_min), abs(w.p_max))
     adv = w.dq * params.M / p_max if p_max > 0 else np.inf
-    diff = w.dp ** 2 / (2.0 * params.M * params.gamma * params.kT)
     drift = 1.0 / (4.0 * params.gamma)
-    return 0.4 * min(adv, diff, drift)
+    return 0.4 * min(adv, drift)
 
 
-def _advect_q(vals, p, dq, dt, M, periodic):
-    """Conservative flux-limited (van Leer) upwind advection, velocity p/M per column."""
-    v = p / M  # (n_p,)
-    c = v * dt / dq
-    n = vals.shape[0]
-    if periodic:
-        wm = np.roll(vals, 1, axis=0)
-        wp = np.roll(vals, -1, axis=0)
+class _FokkerPlanckBuffers:
+    """State and scratch arrays of one Fokker-Planck integration.
+
+    W(q_i, p_j) lives in rows 1..n_q of a padded array with one ghost row
+    below and two above.  The ghost rows stay zero (no flux through the q
+    boundary) or, for periodic q, are copied from the opposite edge before
+    each advection.
+    """
+
+    def __init__(self, values, periodic):
+        n, m = values.shape
+        self.periodic = periodic
+        self.padded = np.zeros((n + 3, m))
+        self.values = self.padded[1:n + 1]
+        self.values[...] = values
+        self.diff = np.empty((n + 2, m))
+        self.absdiff = np.empty((n + 2, m))
+        self.slope = np.empty((n + 1, m))
+        self.face = np.empty((n + 1, m))
+        self.work = np.empty((n + 1, m))
+        self.finite = np.empty((n, m), dtype=bool)
+
+    def fill_ghosts(self):
+        """Copy the edge rows into the ghost rows of a periodic grid."""
+        if self.periodic:
+            n = self.values.shape[0]
+            self.padded[0] = self.padded[n]
+            self.padded[n + 1:] = self.padded[1:3]
+
+
+def _advect_q(buf: _FokkerPlanckBuffers, c):
+    """Conservative flux-limited (van Leer) upwind step in q, in place.
+
+    c[j] = (p_j / M) dt / dq is the Courant number of momentum column j;
+    c must be ascending, as the momentum axis is.
+    """
+    pad, d, ad = buf.padded, buf.diff, buf.absdiff
+    s, f, tmp = buf.slope, buf.face, buf.work
+    n = buf.values.shape[0]
+    buf.fill_ghosts()
+    np.subtract(pad[1:], pad[:-1], out=d)        # d[k] = W_k - W_{k-1}
+    np.abs(d, out=ad)
+    # limited slope s[k] = (d_k |d_k+1| + |d_k| d_k+1) / (|d_k| + |d_k+1|)
+    np.multiply(d[:-1], ad[1:], out=s)
+    np.multiply(ad[:-1], d[1:], out=tmp)
+    s += tmp
+    np.add(ad[:-1], ad[1:], out=tmp)
+    tmp += 1e-300                                # s = 0 where both vanish
+    s /= tmp
+
+    # f[i + 1] = dt/dq * flux through face i+1/2 = c W_up + kappa s_up, with
+    # the upwind cell i (c >= 0) or i + 1 (c < 0)
+    kappa = 0.5 * np.abs(c) * (1.0 - np.abs(c))
+    j0 = int(np.searchsorted(c, 0.0))
+    for cols, rows in ((slice(j0, None), 0), (slice(None, j0), 1)):
+        np.multiply(pad[1 + rows:n + 1 + rows, cols], c[cols], out=f[1:, cols])
+        np.multiply(s[rows:n + rows, cols], kappa[cols], out=tmp[:n, cols])
+        f[1:, cols] += tmp[:n, cols]
+    if buf.periodic:
+        f[0] = f[n]
     else:
-        wm = np.vstack([np.zeros_like(vals[:1]), vals[:-1]])
-        wp = np.vstack([vals[1:], np.zeros_like(vals[:1])])
-
-    dwm = vals - wm          # W_i - W_{i-1}
-    dwp = wp - vals          # W_{i+1} - W_i
-
-    def limited(num, den):
-        r = np.divide(num, den, out=np.zeros_like(num), where=np.abs(den) > 1e-300)
-        return (r + np.abs(r)) / (1.0 + np.abs(r))
-
-    # face i+1/2 flux, upwind side chosen by sign of v
-    pos = c >= 0
-    phi_pos = limited(dwm, dwp)
-    f_pos = vals + 0.5 * (1.0 - c) * phi_pos * dwp
-    if periodic:
-        dwpp = np.roll(dwp, -1, axis=0)
-    else:
-        dwpp = np.vstack([dwp[1:], np.zeros_like(dwp[:1])])
-    phi_neg = limited(dwpp, dwp)
-    f_neg = wp - 0.5 * (1.0 + c) * phi_neg * dwp
-    face = np.where(pos[None, :], f_pos, f_neg) * v[None, :]  # flux at i+1/2
-
-    if periodic:
-        face_m = np.roll(face, 1, axis=0)
-    else:
-        # zero flux through the domain boundary
-        face[-1, :] = 0.0
-        face_m = np.vstack([np.zeros_like(face[:1]), face[:-1]])
-    return vals - dt / dq * (face - face_m)
+        f[0] = 0.0
+        f[n] = 0.0
+    np.subtract(f[1:], f[:-1], out=tmp[:n])
+    buf.values -= tmp[:n]
 
 
-def _chang_cooper_p(vals, p, dp, dt, params: QbmParams):
-    """Explicit Chang-Cooper step of dW/dt = d/dp[2 g p W + 2 M g kT dW/dp]."""
+def _chang_cooper_operator(p, dp, dt, params: QbmParams):
+    """Crank-Nicolson form of the Chang-Cooper momentum sector.
+
+    dW/dt = d/dp[2 g p W + 2 M g kT dW/dp] is discretized as
+    dW_j/dt = (F_j+1/2 - F_j-1/2) / dp with the face flux
+    F = drift ((1 - delta) W_j+1 + delta W_j) + diff (W_j+1 - W_j) / dp and
+    delta = 1/w - 1/(e^w - 1), w = drift dp / diff, which vanishes on the
+    discrete Maxwellian.  Returns the weights (upper, lower) of W_j+1 and
+    W_j in (dt/2) F / dp, and I - (dt/2) d/dp F in the banded storage of
+    scipy.linalg.solve_banded((1, 1), ...).
+    """
     g, M, kT = params.gamma, params.M, params.kT
     diff = 2.0 * M * g * kT
-    p_face = 0.5 * (p[1:] + p[:-1])          # interior faces
-    drift = 2.0 * g * p_face
+    drift = g * (p[1:] + p[:-1])             # 2 g p at interior faces
     wpe = drift * dp / diff
-    # delta = 1/w - 1/(e^w - 1), -> 1/2 as w -> 0
+    # delta -> 1/2 as w -> 0
     small = np.abs(wpe) < 1e-8
     safe = np.where(small, 1.0, wpe)
     delta = np.where(
         small, 0.5 - wpe / 12.0, 1.0 / safe - 1.0 / np.expm1(safe)
     )
-    wl = vals[:, :-1]
-    wr = vals[:, 1:]
-    flux = drift[None, :] * ((1.0 - delta)[None, :] * wr + delta[None, :] * wl) \
-        + diff * (wr - wl) / dp
-    out = vals.copy()
-    out[:, :-1] += dt / dp * flux
-    out[:, 1:] -= dt / dp * flux
-    return out
+    h = 0.5 * dt / dp
+    upper = h * (drift * (1.0 - delta) + diff / dp)
+    lower = h * (drift * delta - diff / dp)
+    ab = np.zeros((3, p.size))
+    ab[0, 1:] = -upper
+    ab[1] = 1.0
+    ab[1, :-1] -= lower
+    ab[1, 1:] += upper
+    ab[2, :-1] = lower
+    return upper, lower, ab
+
+
+def _momentum_step(buf: _FokkerPlanckBuffers, upper, lower, ab):
+    """(I - dt/2 L) W' = (I + dt/2 L) W along p for every q row, in place."""
+    w = buf.values
+    m = w.shape[1]
+    flux = buf.face[:-1, :m - 1]
+    tmp = buf.work[:-1, :m - 1]
+    np.multiply(w[:, 1:], upper, out=flux)
+    np.multiply(w[:, :-1], lower, out=tmp)
+    flux += tmp
+    w[:, :-1] += flux
+    w[:, 1:] -= flux
+    # w.T is Fortran-ordered (n_p, n_q): one banded solve, n_q right-hand
+    # sides, written back into w unless scipy had to copy
+    x = solve_banded((1, 1), ab, w.T, overwrite_b=True, check_finite=False)
+    if not np.shares_memory(x, w):
+        w[...] = x.T
+
+
+def _integrate_fokker_planck(w: WignerGrid, dt, n_steps, params: QbmParams,
+                             periodic_q: bool) -> WignerGrid:
+    """n_steps Strang steps A(dt/2) C(dt) A(dt/2), adjacent half-advections merged.
+
+    A is the q advection and C the momentum sector, so the product is
+    A(dt/2) [C(dt) A(dt)]^(n-1) C(dt) A(dt/2).
+    """
+    buf = _FokkerPlanckBuffers(w.values, periodic_q)
+    c = w.p * dt / (params.M * w.dq)
+    momentum = _chang_cooper_operator(w.p, w.dp, dt, params)
+    _advect_q(buf, 0.5 * c)
+    for k in range(n_steps):
+        _momentum_step(buf, *momentum)
+        _advect_q(buf, c if k < n_steps - 1 else 0.5 * c)
+        if not np.isfinite(buf.values, out=buf.finite).all():
+            raise DivergenceError(
+                "Fokker-Planck step produced non-finite values")
+    return w.with_values(buf.values)
 
 
 def step_fokker_planck(w: WignerGrid, dt, params: QbmParams,
@@ -350,12 +433,7 @@ def step_fokker_planck(w: WignerGrid, dt, params: QbmParams,
         raise StepSizeError(
             f"dt = {dt:.3e} exceeds the stability bound {bound:.3e}"
         )
-    vals = _advect_q(w.values, w.p, w.dq, 0.5 * dt, params.M, periodic_q)
-    vals = _chang_cooper_p(vals, w.p, w.dp, dt, params)
-    vals = _advect_q(vals, w.p, w.dq, 0.5 * dt, params.M, periodic_q)
-    if not np.all(np.isfinite(vals)):
-        raise DivergenceError("Fokker-Planck step produced non-finite values")
-    return w.with_values(vals)
+    return _integrate_fokker_planck(w, dt, 1, params, periodic_q)
 
 
 def evolve_fokker_planck(w0: WignerGrid, t, params: QbmParams, dt=None,
@@ -374,10 +452,7 @@ def evolve_fokker_planck(w0: WignerGrid, t, params: QbmParams, dt=None,
         raise StepSizeError(
             f"effective dt = {dt_eff:.3e} exceeds the stability bound {bound:.3e}"
         )
-    w = w0
-    for _ in range(n_steps):
-        w = step_fokker_planck(w, dt_eff, params, periodic_q=periodic_q)
-    return w
+    return _integrate_fokker_planck(w0, dt_eff, n_steps, params, periodic_q)
 
 
 # --- master equation --------------------------------------------------------
@@ -479,13 +554,8 @@ def diffusion_coefficient(params: QbmParams) -> float:
     return params.kT / (2.0 * params.M * params.gamma)
 
 
-def fit_diffusion(times, marginals, params: QbmParams,
-                  with_transient: bool = False) -> DiffusionFit:
-    """Least-squares slope of var_q(t); slope = 2 D_fit.
-
-    with_transient adds a 1/t basis column, removing the O(1/t) covariance
-    transient of the truncated long-time kernel from the slope estimate.
-    """
+def fit_diffusion(times, marginals, params: QbmParams) -> DiffusionFit:
+    """Least-squares slope of var_q(t); slope = 2 D_fit."""
     times = np.asarray(times, dtype=float)
     if len(times) < 4:
         raise FitQualityError("need at least 4 time samples")
@@ -495,10 +565,7 @@ def fit_diffusion(times, marginals, params: QbmParams,
     var = np.array([m.variance() for m in marginals])
     if np.any(np.diff(var) <= 0):
         raise FitQualityError("variance series is not strictly increasing")
-    cols = [times, np.ones_like(times)]
-    if with_transient:
-        cols.append(1.0 / times)
-    a = np.column_stack(cols)
+    a = np.column_stack([times, np.ones_like(times)])
     coef, *_ = np.linalg.lstsq(a, var, rcond=None)
     d_fit = 0.5 * coef[0]
     return DiffusionFit(d_fit, diffusion_coefficient(params),

@@ -1,0 +1,26 @@
+"""Smoke test: the demos run to completion.
+
+hydrodynamic_peaking.py is left out: it takes about 7 s on its own, most of
+it in the dense histories engine, and joins this list once that engine works
+on diagonal projectors as masks.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+@pytest.mark.parametrize("demo", ["diffusion_emergence.py",
+                                  "occupation_fluctuations.py",
+                                  "decoherent_histories.py"])
+def test_demo_exits_cleanly(demo, tmp_path):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, str(ROOT / "demos" / demo)],
+                          cwd=tmp_path, env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr

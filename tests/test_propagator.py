@@ -178,6 +178,77 @@ class TestFokkerPlanck:
         with pytest.raises(StepSizeError):
             pr.step_fokker_planck(w0, 2.0 * bound, UNIT)
 
+    @pytest.mark.parametrize("periodic", [True, False])
+    def test_advection_matches_reference(self, periodic):
+        rng = np.random.default_rng(7)
+        vals = rng.random((40, 25))
+        vals[:5] = 0.0                  # flat region: zero slopes
+        vals[20] = vals[21]
+        c = np.linspace(-0.4, 0.4, 25)  # Courant numbers, both directions
+        buf = pr._FokkerPlanckBuffers(vals, periodic)
+        pr._advect_q(buf, c)
+        want = _reference_advect(vals, c, periodic)
+        assert np.max(np.abs(buf.values - want)) < 1e-14
+
+    def test_periodic_translation_invariant(self):
+        # on a periodic q axis, shifting the initial state by half the
+        # period shifts the evolved state by the same amount
+        w0 = ps.gaussian_wigner(-10, 10, 80, -6, 6, 48, mean_q=8.0,
+                                var_q=0.5, var_p=0.5)
+        shifted = w0.with_values(np.roll(w0.values, 40, axis=0))
+        wt = pr.evolve_fokker_planck(w0, 1.0, UNIT, periodic_q=True)
+        ws = pr.evolve_fokker_planck(shifted, 1.0, UNIT, periodic_q=True)
+        assert np.max(np.abs(np.roll(wt.values, 40, axis=0) - ws.values)) < 1e-13
+
+    def test_default_dt_converged(self):
+        w0 = ps.gaussian_wigner(-18, 18, 160, -6, 6, 96, var_q=0.25, var_p=0.5)
+        bound = pr.fokker_planck_dt_bound(w0, UNIT)
+        w_default = pr.evolve_fokker_planck(w0, 2.0, UNIT)
+        w_fine = pr.evolve_fokker_planck(w0, 2.0, UNIT, dt=bound / 4)
+        assert ps.l1_distance(w_default, w_fine) < 2e-3
+
+    def test_single_step_matches_evolve(self):
+        w0 = ps.gaussian_wigner(-18, 18, 160, -6, 6, 96, var_q=0.25, var_p=0.5)
+        t = 0.9 * pr.fokker_planck_dt_bound(w0, UNIT)
+        w_step = pr.step_fokker_planck(w0, t, UNIT)
+        w_evolve = pr.evolve_fokker_planck(w0, t, UNIT, dt=t)
+        assert np.array_equal(w_step.values, w_evolve.values)
+
+    def test_step_beyond_explicit_diffusion_limit(self):
+        # three times the bound 0.4 dp^2 / (2 M gamma kT) of an explicit
+        # momentum step; the implicit step stays finite and conservative
+        w0 = ps.gaussian_wigner(-18, 18, 160, -6, 6, 96, var_q=0.25, var_p=0.5)
+        dt = 3.0 * 0.4 * w0.dp ** 2 / 2.0
+        assert dt < pr.fokker_planck_dt_bound(w0, UNIT)
+        wt = pr.step_fokker_planck(w0, dt, UNIT)
+        assert np.all(np.isfinite(wt.values))
+        assert wt.integral() == pytest.approx(w0.integral(), abs=1e-8)
+
+
+def _reference_advect(vals, c, periodic):
+    """Van Leer upwind step in q built from shifted copies of the array."""
+    def shift(a, k):  # out[i] = a[i - k]
+        if periodic:
+            return np.roll(a, k, axis=0)
+        out = np.zeros_like(a)
+        if k > 0:
+            out[k:] = a[:-k]
+        else:
+            out[:k] = a[-k:]
+        return out
+
+    def limited(num, den):  # phi(num / den) * den, van Leer phi
+        r = np.divide(num, den, out=np.zeros_like(num), where=den != 0)
+        return (r + np.abs(r)) / (1.0 + np.abs(r)) * den
+
+    wm, wp, wpp = shift(vals, 1), shift(vals, -1), shift(vals, -2)
+    f_pos = vals + 0.5 * (1.0 - c) * limited(vals - wm, wp - vals)
+    f_neg = wp - 0.5 * (1.0 + c) * limited(wpp - wp, wp - vals)
+    face = c * np.where(c >= 0, f_pos, f_neg)   # dt/dq * flux at i+1/2
+    if not periodic:
+        face[-1] = 0.0
+    return vals - (face - shift(face, 1))
+
 
 class TestMasterEquation:
     def setup_method(self):
