@@ -6,14 +6,17 @@ module builds
 
 - collective observables: number, momentum and energy density per bin, with
   symmetrized ordering for the non-diagonal ones;
-- projectors: exact occupation / spectral-window projectors and Gaussian
-  quasi-projectors (2 pi sigma^2)^(-1/2) exp(-(A - a)^2 / 2 sigma^2);
+- projectors: exact occupation projectors as boolean basis masks (they are
+  diagonal 0/1), spectral-window projectors and Gaussian quasi-projectors
+  (2 pi sigma^2)^(-1/2) exp(-(A - a)^2 / 2 sigma^2) as matrices;
 - the decoherence functional of a multi-time history,
 
       D(a, a') = Tr[ P_{a_n}(t_n) ... P_{a_1}(t_1) rho P_{a'_1}(t_1) ... P_{a'_n}(t_n) ],
 
   with Heisenberg projectors generated by a Hamiltonian and, optionally, a
-  per-particle position dephasing map interleaved with the unitary steps;
+  per-particle position dephasing map interleaved with the unitary steps,
+  from projected chains of rho = L L^dag without dephasing and from
+  damp-then-rotate branch-pair matrices with it;
 - consistency diagnostics: the off-diagonal ratio epsilon and the bound
   |D(a,a')|^2 <= p(a) p(a'), which any decoherence functional satisfies;
 - Gaussian-history probabilities and their peak structure: the exact
@@ -270,23 +273,21 @@ def window_projector(a_op, interval) -> np.ndarray:
 
 
 def occupation_projector(space: ToyHilbert, nbar) -> np.ndarray:
-    """Projector onto the simultaneous eigenspace n(b) = nbar_b for all bins."""
+    """Projector onto the simultaneous eigenspace n(b) = nbar_b for all bins,
+    as a ``(dim,)`` boolean basis mask (``np.diag(mask)`` is the matrix)."""
     nbar = np.asarray(nbar, dtype=int)
     if nbar.shape != (space.B,) or nbar.sum() != space.N:
         raise ValueError("occupation vector must have B entries summing to N")
-    hit = np.all(space.occupation_table() == nbar[None, :], axis=1)
-    return np.diag(hit.astype(complex))
+    return np.all(space.occupation_table() == nbar[None, :], axis=1)
 
 
 def occupation_family(space: ToyHilbert):
-    """Exhaustive exact projector family over all occupation vectors."""
-    table = space.occupation_table()
-    vectors = np.unique(table, axis=0)
-    fam = []
-    for nbar in vectors:
-        hit = np.all(table == nbar[None, :], axis=1)
-        fam.append((tuple(int(v) for v in nbar), np.diag(hit.astype(complex))))
-    return fam
+    """Exhaustive exact projector family over all occupation vectors, as
+    (occupation tuple, boolean basis mask) pairs; the masks partition the basis."""
+    vectors, inverse = np.unique(space.occupation_table(), axis=0,
+                                 return_inverse=True)
+    return [(tuple(int(v) for v in nbar), inverse.ravel() == k)
+            for k, nbar in enumerate(vectors)]
 
 
 def gaussian_occupation_family(space: ToyHilbert, b: int, centers, sigma):
@@ -300,7 +301,11 @@ def gaussian_occupation_family(space: ToyHilbert, b: int, centers, sigma):
 
 @dataclass(frozen=True)
 class ProjectorFamily:
-    """Labeled alternatives at one time: a list of (label, operator) pairs."""
+    """Labeled alternatives at one time: a list of (label, operator) pairs.
+
+    An operator is either a ``(dim,)`` boolean basis mask (a diagonal 0/1
+    projector) or a ``(dim, dim)`` matrix.
+    """
 
     members: tuple
 
@@ -318,6 +323,27 @@ class ProjectorFamily:
         return tuple(m[1] for m in self.members)
 
 
+def _checked_family(family, dim, time):
+    """The family with matrices as complex arrays; its masks must be disjoint,
+    as the final-time contraction of both engines relies on it."""
+    members, covered = [], np.zeros(dim, dtype=bool)
+    for label, op in family.members:
+        op = np.asarray(op)
+        if op.shape == (dim,) and op.dtype == bool:
+            if np.any(covered & op):
+                raise ValueError(f"mask {label!r} at t = {time} overlaps "
+                                 "another mask of its family")
+            covered |= op
+        elif op.shape == (dim, dim):
+            op = op.astype(complex, copy=False)
+        else:
+            raise ValueError(
+                f"projector {label!r} at t = {time} is neither a ({dim},) "
+                f"boolean mask nor a ({dim}, {dim}) matrix: {op.dtype} {op.shape}")
+        members.append((label, op))
+    return ProjectorFamily(tuple(members))
+
+
 @dataclass(frozen=True)
 class HistorySpec:
     """Times, per-time projector families, Hamiltonian, optional dephasing.
@@ -325,7 +351,8 @@ class HistorySpec:
     ``slots[k]`` is the list of families at time ``times[k]``; when several
     families share a time their projectors must commute pairwise (checked to
     a relative sup-norm tolerance of 1e-6) and the effective alternative is
-    their product.
+    their product.  Each member must be a ``(dim,)`` boolean mask or a
+    ``(dim, dim)`` matrix, and the masks of one family must be disjoint.
     """
 
     space: ToyHilbert
@@ -344,9 +371,11 @@ class HistorySpec:
         if len(self.slots) != len(t):
             raise ValueError("need one projector slot per time")
         slots = tuple(
-            tuple(f if isinstance(f, ProjectorFamily) else ProjectorFamily(tuple(f))
+            tuple(_checked_family(f if isinstance(f, ProjectorFamily)
+                                  else ProjectorFamily(tuple(f)),
+                                  self.space.dim, time)
                   for f in slot)
-            for slot in self.slots
+            for slot, time in zip(self.slots, t)
         )
         h = np.asarray(self.hamiltonian, dtype=complex)
         if h.shape != (self.space.dim, self.space.dim):
@@ -391,10 +420,29 @@ class BoundReport:
     worst_pair: tuple
 
 
+_ALL = slice(None)  # row/column selector of a block that spans the basis
+
+
+def _is_mask(op):
+    return op.ndim == 1
+
+
+def _rows(op):
+    """The basis rows a projector keeps: its mask, or all for a matrix."""
+    return op if _is_mask(op) else _ALL
+
+
+def _as_matrix(op):
+    return np.diag(op.astype(complex)) if _is_mask(op) else op
+
+
 def _check_slot_commutation(slot, time):
     """All projectors of distinct families at one time must commute."""
     for i, j in itertools.combinations(range(len(slot)), 2):
         for (la, a), (lb, b) in itertools.product(slot[i].members, slot[j].members):
+            if _is_mask(a) and _is_mask(b):
+                continue
+            a, b = _as_matrix(a), _as_matrix(b)
             comm = a @ b - b @ a
             scale = max(np.max(np.abs(a)) * np.max(np.abs(b)), 1e-300)
             if np.max(np.abs(comm)) > COMMUTATION_TOL * scale:
@@ -406,7 +454,11 @@ def _check_slot_commutation(slot, time):
 
 
 def _effective_alternatives(slot, time):
-    """Cartesian product across families; labels are flattened tuples."""
+    """Cartesian product across families; labels are flattened tuples.
+
+    Masks combine by AND; a mask combined with a matrix becomes its diagonal
+    matrix.
+    """
     _check_slot_commutation(slot, time)
     alts = []
     for combo in itertools.product(*(f.members for f in slot)):
@@ -415,7 +467,10 @@ def _effective_alternatives(slot, time):
             label = label[0]
         op = combo[0][1]
         for _, other in combo[1:]:
-            op = op @ other
+            if _is_mask(op) and _is_mask(other):
+                op = op & other
+            else:
+                op = _as_matrix(op) @ _as_matrix(other)
         alts.append((label, op))
     return alts
 
@@ -431,233 +486,170 @@ def _unitary(h, dt):
     return expm(-1j * h * dt)
 
 
+def _damp_rotate(rows, cols, m, u, damp, substeps):
+    """Evolve the (rows, cols) block M of a matrix zero elsewhere by substeps
+    M -> U (M o damp) U^dag.  Returns factors (A, B) of the result A @ B^dag,
+    so that a caller needing only its diagonal need not form it."""
+    for _ in range(substeps - 1):
+        m = u[:, rows] @ (m * damp[rows][:, cols]) @ u[:, cols].conj().T
+        rows = cols = _ALL
+    return u[:, rows] @ (m * damp[rows][:, cols]), u[:, cols]
+
+
 def _evolve_density(mat, h, t0, t1, space, rate, substeps):
     """rho(t0) -> rho(t1): unitary steps interleaved with dephasing damps."""
-    dt = t1 - t0
-    if dt == 0:
+    if t1 == t0:
         return mat
-    if rate == 0:
-        u = _unitary(h, dt)
-        return u @ mat @ u.conj().T
-    sub = dt / substeps
-    u = _unitary(h, sub)
-    mask = _dephasing_mask(space, rate, sub)
-    for _ in range(substeps):
-        mat = u @ (mat * mask) @ u.conj().T
-    return mat
+    sub = (t1 - t0) / substeps
+    a, b = _damp_rotate(_ALL, _ALL, mat, _unitary(h, sub),
+                        _dephasing_mask(space, rate, sub), substeps)
+    return a @ b.conj().T
+
+
+def _chain_functional(rho, history, levels):
+    """Undephased D(a, a') = Tr(Y_a Y_a'^dag), Y_a = P_{a_n} U_n ... P_{a_1} U_1 L.
+
+    rho = L L^dag, with L the eigenvectors scaled by sqrt(w), w > 1e-14.  A
+    chain projected by a mask keeps only the mask's rows.  If the final level
+    is all masks, D is block-diagonal: the block of final c is the Gram matrix
+    of the prefix chains restricted to c's rows.
+    """
+    if isinstance(rho, StateVector):
+        l_fac = rho.amplitudes[:, None]
+    else:
+        w, v = np.linalg.eigh(rho.matrix)
+        keep = w > 1e-14
+        l_fac = v[:, keep] * np.sqrt(w[keep])
+    steps = np.diff((0.0,) + history.times)
+    *inner, final = levels
+    chains = [(_ALL, l_fac)]  # (rows, Y[rows]) per label prefix
+    for dt, ops in zip(steps, inner):
+        u = _unitary(history.hamiltonian, dt)
+        nxt = []
+        for rows, y in chains:
+            uy = u[:, rows] @ y
+            nxt += [(_rows(op), uy[op] if _is_mask(op) else op @ uy)
+                    for op in ops]
+        chains = nxt
+    u = _unitary(history.hamiltonian, steps[-1])
+    if all(_is_mask(op) for op in final):
+        n_pre, n = len(chains), len(final)
+        out = np.zeros((n_pre, n, n_pre, n), dtype=complex)
+        for c, mask in enumerate(final):
+            u_c = u[mask]
+            flat = np.array([(u_c[:, rows] @ y).ravel() for rows, y in chains])
+            out[:, c, :, c] = flat @ flat.conj().T
+        return out.reshape(n_pre * n, n_pre * n)
+    flat = []
+    for rows, y in chains:
+        uy = u[:, rows] @ y
+        flat += [(uy * op[:, None] if _is_mask(op) else op @ uy).ravel()
+                 for op in final]
+    flat = np.array(flat)
+    return flat @ flat.conj().T
+
+
+def _project(m, left, right):
+    """P_left M P_right^dag as a block (rows, cols, matrix)."""
+    m = m[left] if _is_mask(left) else left @ m
+    m = m[:, right] if _is_mask(right) else m @ right.conj().T
+    return _rows(left), _rows(right), m
+
+
+def _trace_pair(m, left, right):
+    """Tr(P_left M P_right^dag)."""
+    lm = m * left[:, None] if _is_mask(left) else left @ m
+    return np.sum(np.diagonal(lm)[right]) if _is_mask(right) else np.vdot(right, lm)
+
+
+def _branch_pair_functional(rho_m, history, levels):
+    """Dephased D(a, a') from the branch-pair matrices P_a E(...) P_a'^dag.
+
+    E is ``dephasing_substeps`` damp-then-rotate steps per interval.  Only
+    prefix pairs p <= q are evolved (D is Hermitian).  If the final level is
+    all masks, D(p c, q c) sums the evolved pair's diagonal over mask c.
+    """
+    space, h = history.space, history.hamiltonian
+    rate, substeps = history.dephasing_rate, history.dephasing_substeps
+    final = levels[-1]
+    weights = (np.array(final, dtype=float)
+               if all(_is_mask(op) for op in final) else None)
+    pairs = {(0, 0): (_ALL, _ALL, rho_m)}
+    for k, (dt, ops) in enumerate(zip(np.diff((0.0,) + history.times), levels)):
+        last, n = k == len(levels) - 1, len(ops)
+        if dt > 0:
+            u = _unitary(h, dt / substeps)
+            damp = _dephasing_mask(space, rate, dt / substeps)
+        nxt = {}
+        for (p, q), (rows, cols, m) in pairs.items():
+            if dt > 0:  # else this is the first time, t = 0, and m is rho
+                a, b = _damp_rotate(rows, cols, m, u, damp, substeps)
+                if last and weights is not None:
+                    sums = weights @ np.einsum("ij,ij->i", a, b.conj())
+                    nxt.update(((p * n + c, q * n + c), v)
+                               for c, v in enumerate(sums))
+                    continue
+                m = a @ b.conj().T
+            step = _trace_pair if last else _project
+            for l, r in itertools.product(range(n), repeat=2):
+                if p * n + l <= q * n + r:
+                    nxt[(p * n + l, q * n + r)] = step(m, ops[l], ops[r])
+        pairs = nxt
+    size = math.prod(map(len, levels))
+    out = np.zeros((size, size), dtype=complex)
+    out[tuple(np.array(list(pairs)).T)] = list(pairs.values())
+    return out + np.triu(out, 1).conj().T
 
 
 def decoherence_functional(rho, history: HistorySpec) -> DecoherenceMatrix:
     """Evaluate D(a, a') for every pair of history labels.
 
-    ``rho`` may be a StateVector (fast pure-state chains when there is no
-    dephasing) or a DensityOperator (branch-pair evolution).
+    ``rho`` may be a StateVector or a DensityOperator.  Without dephasing D
+    is a Gram matrix of projected chains; the dephasing map is a damping of
+    rho, not a unitary chain, so with it branch-pair matrices are evolved.
     """
     alts = [_effective_alternatives(slot, t)
             for slot, t in zip(history.slots, history.times)]
-    labels = [tuple(lab for lab, _ in level) for level in alts]
-    catalog = list(itertools.product(*labels))
-    n_times = len(history.times)
-
-    pure = isinstance(rho, StateVector) and history.dephasing_rate == 0.0
-    if pure:
-        h = history.hamiltonian
-        vecs = {(): rho.amplitudes}
-        t_prev = 0.0
-        for k in range(n_times):
-            u = _unitary(h, history.times[k] - t_prev)
-            t_prev = history.times[k]
-            nxt = {}
-            for prefix, v in vecs.items():
-                uv = u @ v
-                for lab, op in alts[k]:
-                    nxt[prefix + (lab,)] = op @ uv
-            vecs = nxt
-        chain = [vecs[lab] for lab in catalog]
-        mat = np.array([[np.vdot(cj, ci) for cj in chain] for ci in chain])
-        return DecoherenceMatrix(tuple(catalog), mat)
-
-    if isinstance(rho, StateVector):
-        rho = to_density(rho)
-
-    if n_times == 2:
-        if history.dephasing_rate == 0.0:
-            if _diagonal_disjoint(alts[1]):
-                return _two_time_mixed_fast(rho, history, alts, catalog)
-            return _two_time_mixed_dense(rho, history, alts, catalog)
-        if (history.dephasing_substeps == 1 and _diagonal_disjoint(alts[0])
-                and _diagonal_disjoint(alts[1])):
-            return _two_time_diagonal_dephased(rho, history, alts, catalog)
-
-    mats = {((), ()): rho.matrix}
-    t_prev = 0.0
-    for k in range(n_times):
-        evolved = {}
-        for key, m in mats.items():
-            evolved[key] = _evolve_density(
-                m, history.hamiltonian, t_prev, history.times[k],
-                history.space, history.dephasing_rate,
-                history.dephasing_substeps,
-            )
-        t_prev = history.times[k]
-        nxt = {}
-        for (pl, pr), m in evolved.items():
-            for (ll, opl), (lr, opr) in itertools.product(alts[k], alts[k]):
-                nxt[(pl + (ll,), pr + (lr,))] = opl @ m @ opr.conj().T
-        mats = nxt
-    size = len(catalog)
-    out = np.empty((size, size), dtype=complex)
-    for i, li in enumerate(catalog):
-        for j, lj in enumerate(catalog):
-            out[i, j] = np.trace(mats[(li, lj)])
-    out = 0.5 * (out + out.conj().T)
-    return DecoherenceMatrix(tuple(catalog), out)
-
-
-def _diagonal_disjoint(level):
-    """True when the alternatives are disjoint diagonal 0/1 projectors."""
-    masks = []
-    for _, op in level:
-        d = np.diag(op)
-        if np.max(np.abs(op - np.diag(d))) > 1e-14:
-            return False
-        r = np.real(d)
-        if np.max(np.abs(d - r)) > 1e-14 or not np.all(
-                (np.abs(r) < 1e-14) | (np.abs(r - 1.0) < 1e-14)):
-            return False
-        masks.append(r > 0.5)
-    total = np.sum(masks, axis=0)
-    return bool(np.all(total <= 1))
-
-
-def _two_time_mixed_fast(rho, history, alts, catalog):
-    """Two-time mixed-state functional when the final projectors are exact
-    diagonal bins.
-
-    Cross-final entries vanish exactly (the trace restricts to the
-    intersection of the two final supports); same-final entries reduce to
-    masked row sums of Y_a Y_a'^dag with Y_a = U2 P_a U1 L, rho = L L^dag.
-    This avoids materializing every branch-pair matrix.
-    """
-    w, v = np.linalg.eigh(rho.matrix)
-    keep = w > 1e-14
-    l_fac = v[:, keep] * np.sqrt(w[keep])
-    t1, t2 = history.times
-    u1 = _unitary(history.hamiltonian, t1)
-    u12 = _unitary(history.hamiltonian, t2 - t1)
-    w1 = u1 @ l_fac
-    ys = [u12 @ (op @ w1) for _, op in alts[0]]
-    masks = [np.real(np.diag(op)) > 0.5 for _, op in alts[1]]
-    n1, n2 = len(alts[0]), len(alts[1])
-    out = np.zeros((len(catalog), len(catalog)), dtype=complex)
-    index = {lab: i for i, lab in enumerate(catalog)}
-    for a in range(n1):
-        for b in range(a, n1):
-            s = np.sum(ys[a] * ys[b].conj(), axis=1)  # diag(Y_a Y_b^dag)
-            for c in range(n2):
-                val = np.sum(s[masks[c]])
-                la = (alts[0][a][0], alts[1][c][0])
-                lb = (alts[0][b][0], alts[1][c][0])
-                out[index[la], index[lb]] = val
-                out[index[lb], index[la]] = np.conj(val)
-    return DecoherenceMatrix(tuple(catalog), out)
-
-
-def _two_time_diagonal_dephased(rho, history, alts, catalog):
-    """Two-time functional with dephasing when both levels are diagonal bins.
-
-    With a single damp-then-rotate substep over [t1, t2], the branch matrix
-    P_a rho' P_b is a row/column block of the damped matrix, so every entry
-    reduces to block products with the interval unitary; cross-final entries
-    vanish exactly as in the undamped diagonal case.
-    """
-    t1, t2 = history.times
-    rate = history.dephasing_rate
-    rho1 = _evolve_density(rho.matrix, history.hamiltonian, 0.0, t1,
-                           history.space, rate, history.dephasing_substeps)
-    zm = rho1 * _dephasing_mask(history.space, rate, t2 - t1)
-    u12 = _unitary(history.hamiltonian, t2 - t1)
-    idx0 = [np.flatnonzero(np.real(np.diag(op)) > 0.5) for _, op in alts[0]]
-    masks1 = [np.real(np.diag(op)) > 0.5 for _, op in alts[1]]
-    n1 = len(alts[0])
-    out = np.zeros((len(catalog), len(catalog)), dtype=complex)
-    index = {lab: i for i, lab in enumerate(catalog)}
-    for a in range(n1):
-        ua = u12[:, idx0[a]]
-        for b in range(a, n1):
-            block = zm[np.ix_(idx0[a], idx0[b])]
-            diag = np.sum((ua @ block) * u12[:, idx0[b]].conj(), axis=1)
-            for c, mask in enumerate(masks1):
-                val = np.sum(diag[mask])
-                la = (alts[0][a][0], alts[1][c][0])
-                lb = (alts[0][b][0], alts[1][c][0])
-                out[index[la], index[lb]] = val
-                out[index[lb], index[la]] = np.conj(val)
-    return DecoherenceMatrix(tuple(catalog), out)
-
-
-def _two_time_mixed_dense(rho, history, alts, catalog):
-    """Two-time mixed-state functional for arbitrary (e.g. smeared) operators.
-
-    Entries are formed one branch pair at a time from
-    T_ab = (U12 P_a U1) rho (U12 P_b U1)^dag, so memory stays at a handful
-    of dim x dim matrices instead of one per pair of label chains.
-    """
-    t1, t2 = history.times
-    u1 = _unitary(history.hamiltonian, t1)
-    u12 = _unitary(history.hamiltonian, t2 - t1)
-    chains = [u12 @ (op @ u1) for _, op in alts[0]]
-    rows = [c @ rho.matrix for c in chains]
-    # trace(P_c T P_d^dag) = sum over elements of (P_d^dag P_c) * T^T
-    finals = [op for _, op in alts[1]]
-    cross = [[d.conj().T @ c for c in finals] for d in finals]
-    n1, n2 = len(alts[0]), len(alts[1])
-    out = np.empty((len(catalog), len(catalog)), dtype=complex)
-    index = {lab: i for i, lab in enumerate(catalog)}
-    for a in range(n1):
-        for b in range(a, n1):
-            t_ab = rows[a] @ chains[b].conj().T
-            tt = t_ab.T
-            for c in range(n2):
-                for d in range(n2):
-                    val = np.sum(cross[d][c] * tt)
-                    la = (alts[0][a][0], alts[1][c][0])
-                    lb = (alts[0][b][0], alts[1][d][0])
-                    out[index[la], index[lb]] = val
-                    out[index[lb], index[la]] = np.conj(val)
-    out = 0.5 * (out + out.conj().T)
-    return DecoherenceMatrix(tuple(catalog), out)
+    catalog = list(itertools.product(*([lab for lab, _ in lev] for lev in alts)))
+    levels = [[op for _, op in lev] for lev in alts]
+    if history.dephasing_rate == 0.0:
+        mat = _chain_functional(rho, history, levels)
+    else:
+        mat = _branch_pair_functional(_as_density_matrix(rho), history, levels)
+    return DecoherenceMatrix(tuple(catalog), mat)
 
 
 def consistency_epsilon(dmat: DecoherenceMatrix) -> float:
     """max over a != a' of |D(a,a')| / sqrt(p(a) p(a')), skipping empty rows."""
     p = dmat.probabilities()
-    live = p > 1e-300
-    if np.count_nonzero(live) < np.size(p):
+    live = np.flatnonzero(p > 1e-300)
+    if live.size < p.size:
         warnings.warn(
-            f"{np.size(p) - np.count_nonzero(live)} zero-probability histories "
+            f"{p.size - live.size} zero-probability histories "
             "excluded from epsilon", stacklevel=2)
-    idx = np.flatnonzero(live)
-    eps = 0.0
-    for i, j in itertools.combinations(idx, 2):
-        eps = max(eps, abs(dmat.matrix[i, j]) / math.sqrt(p[i] * p[j]))
-    return eps
+    i, j = live[np.array(np.triu_indices(live.size, 1))]
+    d = dmat.matrix[i, j]
+    return float(np.max(np.hypot(d.real, d.imag) / np.sqrt(p[i] * p[j]),
+                        initial=0.0))
 
 
 def check_dh_bound(dmat: DecoherenceMatrix, slack: float = 1e-10) -> BoundReport:
-    """Verify |D(a,a')|^2 <= p(a) p(a') + slack for every pair."""
+    """Verify |D(a,a')|^2 <= p(a) p(a') + slack for every pair.
+
+    ``worst_pair`` is the first pair, in row-major a < a' order, with the
+    largest excess.
+    """
     p = dmat.probabilities()
-    worst = -np.inf
-    pair = None
-    n = len(p)
-    for i in range(n):
-        for j in range(i + 1, n):
-            excess = abs(dmat.matrix[i, j]) ** 2 - p[i] * p[j]
-            if excess > worst:
-                worst = excess
-                pair = (dmat.labels[i], dmat.labels[j])
-    return BoundReport(ok=bool(worst <= slack), worst_excess=float(worst),
-                       worst_pair=pair)
+    i, j = np.triu_indices(p.size, 1)
+    if i.size == 0:
+        return BoundReport(ok=True, worst_excess=-np.inf, worst_pair=None)
+    d = dmat.matrix[i, j]
+    # hypot and float_power reproduce the scalar abs(d) ** 2 bit for bit
+    excess = np.float_power(np.hypot(d.real, d.imag), 2) - p[i] * p[j]
+    k = int(np.argmax(excess))
+    return BoundReport(ok=bool(excess[k] <= slack),
+                       worst_excess=float(excess[k]),
+                       worst_pair=(dmat.labels[i[k]], dmat.labels[j[k]]))
 
 
 # --- Gaussian history probabilities ----------------------------------------

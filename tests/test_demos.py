@@ -1,9 +1,4 @@
-"""Smoke test: the demos run to completion.
-
-hydrodynamic_peaking.py is left out: it takes about 7 s on its own, most of
-it in the dense histories engine, and joins this list once that engine works
-on diagonal projectors as masks.
-"""
+"""Smoke test: the demos run to completion."""
 
 import os
 import subprocess
@@ -17,7 +12,8 @@ ROOT = Path(__file__).resolve().parents[1]
 
 @pytest.mark.parametrize("demo", ["diffusion_emergence.py",
                                   "occupation_fluctuations.py",
-                                  "decoherent_histories.py"])
+                                  "decoherent_histories.py",
+                                  "hydrodynamic_peaking.py"])
 def test_demo_exits_cleanly(demo, tmp_path):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run([sys.executable, str(ROOT / "demos" / demo)],

@@ -1,3 +1,5 @@
+import functools
+import itertools
 import warnings
 
 import numpy as np
@@ -18,6 +20,35 @@ def random_pure(rng, d):
     v = rng.normal(size=d) + 1j * rng.normal(size=d)
     v /= np.linalg.norm(v)
     return v
+
+
+def dense_reference(rho_m, spec):
+    """D(a, a') = Tr(C_a rho C_a'^dag) from dense projector products and
+    explicit damp-then-rotate substeps, one matrix per pair of label chains."""
+    d = spec.space.digits() * spec.space.dx
+    dist2 = np.sum((d[:, None, :] - d[None, :, :]) ** 2, axis=2)
+    mats, t_prev = {((), ()): rho_m}, 0.0
+    for t, slot in zip(spec.times, spec.slots):
+        sub = (t - t_prev) / spec.dephasing_substeps
+        u = expm(-1j * spec.hamiltonian * sub)
+        damp = np.exp(-spec.dephasing_rate * sub * dist2)
+        level = []
+        for combo in itertools.product(*(f.members for f in slot)):
+            labels = tuple(lab for lab, _ in combo)
+            ops = [np.diag(op.astype(complex)) if op.ndim == 1 else op
+                   for _, op in combo]
+            level.append((labels if len(slot) > 1 else labels[0],
+                          functools.reduce(np.matmul, ops)))
+        nxt = {}
+        for (pl, pr), m in mats.items():
+            for _ in range(spec.dephasing_substeps):
+                m = u @ (m * damp) @ u.conj().T
+            for (ll, opl), (lr, opr) in itertools.product(level, level):
+                nxt[(pl + (ll,), pr + (lr,))] = opl @ m @ opr.conj().T
+        mats, t_prev = nxt, t
+    catalog = list(dict.fromkeys(a for a, _ in mats))
+    return catalog, np.array([[np.trace(mats[(a, b)]) for b in catalog]
+                              for a in catalog])
 
 
 class TestToyHilbert:
@@ -141,8 +172,8 @@ class TestProjectors:
     def test_occupation_projectors_complete(self):
         hs = hi.ToyHilbert(B=3, N=3)
         fam = hi.occupation_family(hs)
-        acc = sum(op for _, op in fam)
-        assert np.allclose(acc, np.eye(hs.dim))
+        acc = sum(mask.astype(int) for _, mask in fam)
+        assert np.allclose(acc, np.ones(hs.dim))
 
     def test_occupation_probability_is_multinomial(self):
         # quantum probabilities equal the classical multinomial law
@@ -152,8 +183,8 @@ class TestProjectors:
             psi = random_pure(rng, b)
             st = hi.product_state(hs, psi)
             p = np.abs(psi) ** 2
-            for lab, op in hi.occupation_family(hs):
-                quantum = np.real(st.amplitudes.conj() @ op @ st.amplitudes)
+            for lab, mask in hi.occupation_family(hs):
+                quantum = np.sum(np.abs(st.amplitudes[mask]) ** 2)
                 classical = multinomial.pmf(lab, n=n, p=p)
                 assert quantum == pytest.approx(classical, abs=1e-10)
 
@@ -234,6 +265,20 @@ class TestDecoherenceFunctional:
         d = hi.decoherence_functional(st, spec)
         assert d.probabilities().sum() == pytest.approx(1.0, abs=1e-10)
 
+    def test_wrong_shape_member_rejected(self):
+        short = [("short", np.ones(self.hs.dim - 1, dtype=bool))]
+        counts = [("counts", np.ones(self.hs.dim, dtype=int))]
+        for fam in (short, counts):
+            with pytest.raises(ValueError, match=r"'(short|counts)' at t = 1\.0"):
+                hi.HistorySpec(self.hs, (0.5, 1.0), ([self.fam], [fam]),
+                               self.h_kin)
+
+    def test_overlapping_masks_rejected(self):
+        both = self.fam[0][1] | self.fam[1][1]
+        fam = self.fam + [("both", both)]
+        with pytest.raises(ValueError, match=r"'both' at t = 0\.5 overlaps"):
+            hi.HistorySpec(self.hs, (0.5,), ([fam],), self.h_kin)
+
     def test_dephasing_reduces_epsilon(self):
         st = hi.superposition_state(self.hs, self.psi, self.chi)
         rho = hi.to_density(st)
@@ -269,6 +314,59 @@ class TestDecoherenceFunctional:
         assert eps[0] > eps[1] > eps[2]
 
 
+class TestEnginesMatchDenseReference:
+    """Chain (no dephasing) and branch-pair (dephasing) engines against
+    dense_reference, to 1e-12."""
+
+    RATES = ((0.0, 1), (0.9, 1), (0.9, 3))  # (dephasing rate, substeps)
+
+    def setup_method(self):
+        self.hs = hi.ToyHilbert(B=2, N=3)
+        rng = np.random.default_rng(17)
+        self.ham = random_hermitian(rng, self.hs.dim)
+        thin = rng.normal(size=(8, 3)) + 1j * rng.normal(size=(8, 3))
+        wide = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
+        self.states = {"pure": hi.StateVector(self.hs, random_pure(rng, 8))}
+        for name, a in (("rank-3", thin), ("full-rank", wide)):
+            m = a @ a.conj().T
+            self.states[name] = hi.DensityOperator(self.hs,
+                                                   m / np.trace(m).real)
+
+    def check(self, state, times, slots, rate, substeps):
+        rho = self.states[state]
+        spec = hi.HistorySpec(self.hs, times, slots, self.ham,
+                              dephasing_rate=rate, dephasing_substeps=substeps)
+        d = hi.decoherence_functional(rho, spec)
+        rho_m = (np.outer(rho.amplitudes, rho.amplitudes.conj())
+                 if isinstance(rho, hi.StateVector) else rho.matrix)
+        catalog, want = dense_reference(rho_m, spec)
+        assert list(d.labels) == catalog
+        assert np.max(np.abs(d.matrix - want)) < 1e-12
+
+    @pytest.mark.parametrize("state", ["pure", "rank-3", "full-rank"])
+    @pytest.mark.parametrize("times", [(0.0,), (0.7,), (0.0, 0.6),
+                                       (0.3, 0.8, 1.5)])
+    def test_occupation_histories(self, state, times):
+        masks = hi.occupation_family(self.hs)
+        dense = [(lab, np.diag(m.astype(complex))) for lab, m in masks]
+        for fam, (rate, substeps) in itertools.product((masks, dense),
+                                                       self.RATES):
+            self.check(state, times, tuple([fam] for _ in times), rate,
+                       substeps)
+
+    @pytest.mark.parametrize("state", ["pure", "full-rank"])
+    def test_two_family_slots(self, state):
+        occ = hi.occupation_family(self.hs)
+        first = [(b, self.hs.digits()[:, 0] == b) for b in range(2)]
+        n0 = hi.number_density_operator(self.hs, 0)
+        window = [(k, hi.window_projector(n0, (2 * k - 0.5, 2 * k + 1.5)))
+                  for k in range(2)]
+        for slots, (rate, substeps) in itertools.product(
+                (([occ, first], [first, occ]), ([occ, window], [window, occ])),
+                self.RATES):
+            self.check(state, (0.4, 1.1), slots, rate, substeps)
+
+
 class TestConsistencyMeasures:
     def test_exactly_decoherent_epsilon_zero(self):
         d = hi.DecoherenceMatrix(("a", "b"), np.diag([0.7, 0.3]).astype(complex))
@@ -290,6 +388,50 @@ class TestConsistencyMeasures:
         rep = hi.check_dh_bound(d)
         assert not rep.ok
         assert rep.worst_excess == pytest.approx(0.36 - 0.25)
+
+    def test_vectorized_measures_match_pair_loops(self):
+        # the pair loops the vectorized forms replaced, kept as the reference
+        def loop_epsilon(dmat):
+            p = dmat.probabilities()
+            eps = 0.0
+            for i, j in itertools.combinations(np.flatnonzero(p > 1e-300), 2):
+                eps = max(eps, abs(dmat.matrix[i, j]) / np.sqrt(p[i] * p[j]))
+            return eps
+
+        def loop_bound(dmat, slack):
+            p = dmat.probabilities()
+            worst, pair = -np.inf, None
+            for i, j in itertools.combinations(range(len(p)), 2):
+                excess = abs(dmat.matrix[i, j]) ** 2 - p[i] * p[j]
+                if excess > worst:
+                    worst, pair = excess, (dmat.labels[i], dmat.labels[j])
+            return worst <= slack, worst, pair
+
+        rng = np.random.default_rng(8)
+        for n, dead in ((1, 0), (2, 0), (7, 2), (40, 5)):
+            a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+            m = random_hermitian(rng, n) if n > 5 else a @ a.conj().T
+            np.fill_diagonal(m, np.abs(np.diag(m)))
+            m[:dead] = m[:, :dead] = 0.0
+            d = hi.DecoherenceMatrix(tuple(f"h{k}" for k in range(n)), m)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                assert hi.consistency_epsilon(d) == loop_epsilon(d)
+            rep = hi.check_dh_bound(d, slack=1e-3)
+            assert (rep.ok, rep.worst_excess, rep.worst_pair) == loop_bound(
+                d, 1e-3)
+
+    def test_bound_ties_pick_first_pair(self):
+        m = np.full((3, 3), 0.1, dtype=complex)
+        np.fill_diagonal(m, 1.0 / 3.0)
+        d = hi.DecoherenceMatrix(("a", "b", "c"), m)
+        assert hi.check_dh_bound(d).worst_pair == ("a", "b")
+
+    def test_single_history(self):
+        d = hi.DecoherenceMatrix(("a",), np.ones((1, 1), complex))
+        assert hi.consistency_epsilon(d) == 0.0
+        rep = hi.check_dh_bound(d)
+        assert rep.ok and rep.worst_excess == -np.inf and rep.worst_pair is None
 
 
 class TestEhrenfestSingleTime:
