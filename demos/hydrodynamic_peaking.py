@@ -51,8 +51,7 @@ for rate in (0.0, 60.0):
                                        dephasing_rate=rate)
     print(f"  monitoring rate {rate:5.1f}: epsilon = {rep.epsilon:.4f}, "
           f"on-trajectory fraction = {rep.on_trajectory_fraction:.3f}")
-rep = le.local_equilibrium_peaking(beta, mubar, u, 6, (0.0, 0.1),
-                                   dephasing_rate=60.0)
+# rep is the monitored (rate 60) report from the last pass of the loop
 print("  mean-field trajectory (per-bin occupations):")
 for t, occ in zip((0.0, 0.1), rep.mean_trajectory):
     print(f"    t = {t:.1f}: " + ", ".join(f"{x:.2f}" for x in occ))

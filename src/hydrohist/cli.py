@@ -1,8 +1,8 @@
 """Command-line front end for the scenario runner.
 
 Commands: ``run <config>``, ``list``, ``validate <config>``.  Exit status is
-0 when every metric passes, 1 when a tolerance fails, and 2 for
-configuration problems.
+0 when every metric passes, 1 when a tolerance fails, 2 for
+configuration problems and 3 when a scenario run fails with an error.
 """
 
 from __future__ import annotations
@@ -10,12 +10,13 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, ScenarioError
 from .scenarios import list_scenarios, load_config, run_scenario
 
 EXIT_PASS = 0
 EXIT_TOLERANCE = 1
 EXIT_CONFIG = 2
+EXIT_SCENARIO = 3
 
 
 def _build_parser():
@@ -48,7 +49,11 @@ def _cmd_run(args):
     except ConfigurationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    report = run_scenario(config, output_dir=args.out)
+    try:
+        report = run_scenario(config, output_dir=args.out)
+    except ScenarioError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_SCENARIO
     if not args.quiet:
         for m in report.metrics:
             verdict = "pass" if m.passed else "FAIL"

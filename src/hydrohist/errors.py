@@ -35,3 +35,7 @@ class UndefinedFluctuationError(HydrohistError):
 
 class ConfigurationError(HydrohistError):
     """A scenario configuration is malformed or inconsistent."""
+
+
+class ScenarioError(HydrohistError):
+    """A scenario runner failed; the original exception is the __cause__."""

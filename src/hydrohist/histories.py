@@ -39,6 +39,7 @@ import numpy as np
 from scipy.linalg import expm
 
 from .errors import ConfigurationError, DimensionCapError
+from .phase_space import position_dephasing
 
 __all__ = [
     "ToyHilbert",
@@ -476,10 +477,10 @@ def _effective_alternatives(slot, time):
 
 
 def _dephasing_mask(space: ToyHilbert, rate, dt):
-    """Elementwise damping exp(-rate dt sum_k (x_ak - x_bk)^2) in bin units."""
-    d = space.digits().astype(float) * space.dx
-    dist2 = np.sum((d[:, None, :] - d[None, :, :]) ** 2, axis=2)
-    return np.exp(-rate * dt * dist2)
+    """Position dephasing factor over dt; particle k of basis state a sits at
+    digits[a, k] * dx."""
+    return position_dephasing(space.digits().astype(float) * space.dx,
+                              rate, dt)
 
 
 def _unitary(h, dt):

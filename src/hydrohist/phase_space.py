@@ -1,8 +1,9 @@
 """Single-particle phase-space representations.
 
 Wigner quasi-distributions on rectangular (q, p) lattices, position-basis
-density matrices rho(x, y), the Fourier map between the two (hbar = 1), and
-the marginals / moments used everywhere else in the package.
+density matrices rho(x, y), the Fourier map between the two (hbar = 1), the
+position-dephasing factor shared by the master equation and the histories,
+and the marginals / moments used everywhere else in the package.
 
 Conventions: values[i, j] samples W at (q_i, p_j); all integrals are
 trapezoidal; the density matrix is related to the Wigner function by
@@ -27,6 +28,7 @@ from .errors import DegenerateStateError, ResolutionError
 __all__ = [
     "WignerGrid",
     "DensityMatrix",
+    "position_dephasing",
     "Marginal",
     "gaussian_wigner",
     "normalize",
@@ -139,6 +141,19 @@ class DensityMatrix:
 
     def with_kernel(self, kernel):
         return replace(self, kernel=kernel)
+
+
+def position_dephasing(coords, rate, dt):
+    """Elementwise factor exp(-rate dt sum_k (x_ak - x_bk)^2) on rho[a, b].
+
+    ``coords`` is a (dim, k) array of the k position coordinates of each
+    basis state.  The factor solves d rho/dt = -rate |x_a - x_b|^2 rho
+    exactly over dt: position monitoring damps off-diagonals and leaves the
+    diagonal, hence the trace, unchanged.
+    """
+    # one (dim, dim, k) temporary: numpy squares the difference in place
+    dist2 = np.sum((coords[:, None, :] - coords[None, :, :]) ** 2, axis=2)
+    return np.exp(-(rate * dt) * dist2)
 
 
 @dataclass(frozen=True)

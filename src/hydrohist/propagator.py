@@ -11,12 +11,15 @@ kT).  Three mutually consistent descriptions are implemented:
   solved either analytically (Gaussian transition kernel) or numerically
   (Strang splitting: explicit flux-limited upwind advection in q, and the
   Ornstein-Uhlenbeck momentum sector in the Chang-Cooper flux
-  discretization, stepped implicitly with Crank-Nicolson so that only the
-  advection Courant limit bounds dt);
+  discretization, stepped with its exact propagator exp(dt L), which is
+  nonnegative and mass-conserving for any dt, so that only the advection
+  Courant limit bounds dt);
 
 - the position-basis master equation with kinetic, dissipation
   (-gamma (x-y)(d_x - d_y) rho) and decoherence (-2 M gamma kT (x-y)^2 rho)
-  terms, stepped with explicit RK4;
+  terms, Strang split: the decoherence term is applied as its exact
+  elementwise factor and the kinetic and dissipation terms are stepped
+  with explicit RK4;
 
 - the diffusive limit: D = kT / (2 M gamma), the constitutive relation
   <p>(q) = -(kT / 2 gamma) df/dq, and a least-squares diffusion-constant fit.
@@ -40,7 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.interpolate import RectBivariateSpline
-from scipy.linalg import solve_banded
+from scipy.linalg import expm
 
 from .errors import (
     DivergenceError,
@@ -54,6 +57,7 @@ from .phase_space import (
     check_domain_coverage,
     moments,
     normalize,
+    position_dephasing,
     position_marginal,
 )
 
@@ -277,9 +281,9 @@ def fokker_planck_dt_bound(w: WignerGrid, params: QbmParams) -> float:
     """Step bound 0.4 * min(dq*M/p_max, 1/(4 gamma)).
 
     The first term is the Courant limit of the explicit q advection.  The
-    momentum sector is solved implicitly (Crank-Nicolson) and has no
+    momentum sector is stepped with its exact propagator and has no
     diffusive stability limit; the second term keeps the damping
-    exp(-2 gamma dt) resolved within one step.
+    exp(-2 gamma dt) resolved within one splitting step.
     """
     p_max = max(abs(w.p_min), abs(w.p_max))
     adv = w.dq * params.M / p_max if p_max > 0 else np.inf
@@ -354,16 +358,19 @@ def _advect_q(buf: _FokkerPlanckBuffers, c):
     buf.values -= tmp[:n]
 
 
-def _chang_cooper_operator(p, dp, dt, params: QbmParams):
-    """Crank-Nicolson form of the Chang-Cooper momentum sector.
+def _momentum_propagator(p, dp, dt, params: QbmParams):
+    """Exact propagator exp(dt L) of the Chang-Cooper momentum sector, transposed.
 
     dW/dt = d/dp[2 g p W + 2 M g kT dW/dp] is discretized as
     dW_j/dt = (F_j+1/2 - F_j-1/2) / dp with the face flux
     F = drift ((1 - delta) W_j+1 + delta W_j) + diff (W_j+1 - W_j) / dp and
     delta = 1/w - 1/(e^w - 1), w = drift dp / diff, which vanishes on the
-    discrete Maxwellian.  Returns the weights (upper, lower) of W_j+1 and
-    W_j in (dt/2) F / dp, and I - (dt/2) d/dp F in the banded storage of
-    scipy.linalg.solve_banded((1, 1), ...).
+    discrete Maxwellian.  The off-diagonal weights of L, (diff/dp^2) w e^w /
+    (e^w - 1) and (diff/dp^2) w / (e^w - 1), are positive for every w and
+    the columns of L sum to zero, so exp(dt L) is a nonnegative,
+    mass-conserving matrix for any dt: W stays nonnegative and the discrete
+    Maxwellian stays fixed.  Transposed so that W @ exp(dt L)^T steps every
+    q row at once.
     """
     g, M, kT = params.gamma, params.M, params.kT
     diff = 2.0 * M * g * kT
@@ -375,34 +382,24 @@ def _chang_cooper_operator(p, dp, dt, params: QbmParams):
     delta = np.where(
         small, 0.5 - wpe / 12.0, 1.0 / safe - 1.0 / np.expm1(safe)
     )
-    h = 0.5 * dt / dp
-    upper = h * (drift * (1.0 - delta) + diff / dp)
-    lower = h * (drift * delta - diff / dp)
-    ab = np.zeros((3, p.size))
-    ab[0, 1:] = -upper
-    ab[1] = 1.0
-    ab[1, :-1] -= lower
-    ab[1, 1:] += upper
-    ab[2, :-1] = lower
-    return upper, lower, ab
+    upper = (drift * (1.0 - delta) + diff / dp) / dp   # weight of W_j+1
+    lower = (drift * delta - diff / dp) / dp           # weight of W_j
+    # face j+1/2 flux f = upper W_j+1 + lower W_j enters cell j, leaves j+1
+    j = np.arange(p.size - 1)
+    gen = np.zeros((p.size, p.size))
+    gen[j, j + 1] = upper
+    gen[j + 1, j] = -lower
+    gen[j, j] += lower
+    gen[j + 1, j + 1] -= upper
+    return np.ascontiguousarray(expm(dt * gen).T)
 
 
-def _momentum_step(buf: _FokkerPlanckBuffers, upper, lower, ab):
-    """(I - dt/2 L) W' = (I + dt/2 L) W along p for every q row, in place."""
+def _momentum_step(buf: _FokkerPlanckBuffers, propagator_t):
+    """W <- W exp(dt L)^T along p for every q row, in place."""
     w = buf.values
-    m = w.shape[1]
-    flux = buf.face[:-1, :m - 1]
-    tmp = buf.work[:-1, :m - 1]
-    np.multiply(w[:, 1:], upper, out=flux)
-    np.multiply(w[:, :-1], lower, out=tmp)
-    flux += tmp
-    w[:, :-1] += flux
-    w[:, 1:] -= flux
-    # w.T is Fortran-ordered (n_p, n_q): one banded solve, n_q right-hand
-    # sides, written back into w unless scipy had to copy
-    x = solve_banded((1, 1), ab, w.T, overwrite_b=True, check_finite=False)
-    if not np.shares_memory(x, w):
-        w[...] = x.T
+    out = buf.work[:w.shape[0]]
+    np.matmul(w, propagator_t, out=out)
+    w[...] = out
 
 
 def _integrate_fokker_planck(w: WignerGrid, dt, n_steps, params: QbmParams,
@@ -414,10 +411,10 @@ def _integrate_fokker_planck(w: WignerGrid, dt, n_steps, params: QbmParams,
     """
     buf = _FokkerPlanckBuffers(w.values, periodic_q)
     c = w.p * dt / (params.M * w.dq)
-    momentum = _chang_cooper_operator(w.p, w.dp, dt, params)
+    momentum = _momentum_propagator(w.p, w.dp, dt, params)
     _advect_q(buf, 0.5 * c)
     for k in range(n_steps):
-        _momentum_step(buf, *momentum)
+        _momentum_step(buf, momentum)
         _advect_q(buf, c if k < n_steps - 1 else 0.5 * c)
         if not np.isfinite(buf.values, out=buf.finite).all():
             raise DivergenceError(
@@ -458,79 +455,118 @@ def evolve_fokker_planck(w0: WignerGrid, t, params: QbmParams, dt=None,
 # --- master equation --------------------------------------------------------
 
 
+def _generator_coefficients(x, dx, params: QbmParams):
+    """Weights (c+, c-) of the kinetic and dissipation terms.
+
+    With zero padding and N, S, E, W = rho[i+1, j], rho[i-1, j],
+    rho[i, j+1], rho[i, j-1], the kinetic term i/(2M) (d_x^2 - d_y^2) rho
+    is i/(2M dx^2) (N + S - E - W) and the dissipation term
+    -gamma (x - y)(d_x - d_y) rho is -gamma (x - y)/(2 dx) (N - S - E + W),
+    so together they are c+ (N - E) + c- (S - W).
+    """
+    kinetic = 1j / (2.0 * params.M * dx ** 2)
+    dissipation = -params.gamma * (x[:, None] - x[None, :]) / (2.0 * dx)
+    return kinetic + dissipation, kinetic - dissipation
+
+
+def _kinetic_dissipation(padded, c_plus, c_minus, out, tmp):
+    """Kinetic plus dissipation terms of the kernel padded[1:-1, 1:-1] into out.
+
+    The border of ``padded`` must be zero: the kernel vanishes outside the
+    lattice.
+    """
+    np.subtract(padded[2:, 1:-1], padded[1:-1, 2:], out=out)
+    out *= c_plus
+    np.subtract(padded[:-2, 1:-1], padded[1:-1, :-2], out=tmp)
+    tmp *= c_minus
+    out += tmp
+    return out
+
+
+def _decoherence_rate(params: QbmParams) -> float:
+    """2 M gamma kT: the master equation's (x - y)^2 rho coefficient."""
+    return 2.0 * params.M * params.gamma * params.kT
+
+
 def master_equation_rhs(rho: DensityMatrix, params: QbmParams) -> np.ndarray:
     """Generator of the position-basis master equation (hbar = 1), symmetrized."""
-    x = rho.x
-    dx = rho.dx
-    ker = rho.kernel
-    # centered second difference with zero padding (kernel vanishes at edges)
-    d2 = (np.roll(ker, -1, axis=0) + np.roll(ker, 1, axis=0) - 2 * ker)
-    d2[0, :] = ker[1, :] - 2 * ker[0, :]
-    d2[-1, :] = ker[-2, :] - 2 * ker[-1, :]
-    d2y = (np.roll(ker, -1, axis=1) + np.roll(ker, 1, axis=1) - 2 * ker)
-    d2y[:, 0] = ker[:, 1] - 2 * ker[:, 0]
-    d2y[:, -1] = ker[:, -2] - 2 * ker[:, -1]
-    kinetic = 1j / (2.0 * params.M) * (d2 - d2y) / dx ** 2
-
-    d1 = 0.5 * (np.roll(ker, -1, axis=0) - np.roll(ker, 1, axis=0))
-    d1[0, :] = 0.5 * ker[1, :]
-    d1[-1, :] = -0.5 * ker[-2, :]
-    d1y = 0.5 * (np.roll(ker, -1, axis=1) - np.roll(ker, 1, axis=1))
-    d1y[:, 0] = 0.5 * ker[:, 1]
-    d1y[:, -1] = -0.5 * ker[:, -2]
-    sep = x[:, None] - x[None, :]
-    dissipation = -params.gamma * sep * (d1 - d1y) / dx
-    decoherence = -2.0 * params.M * params.gamma * params.kT * sep ** 2 * ker
-    rhs = kinetic + dissipation + decoherence
+    n, x = rho.n_x, rho.x
+    padded = np.zeros((n + 2, n + 2), dtype=complex)
+    padded[1:-1, 1:-1] = rho.kernel
+    c_plus, c_minus = _generator_coefficients(x, rho.dx, params)
+    rhs = _kinetic_dissipation(padded, c_plus, c_minus,
+                               np.empty((n, n), dtype=complex),
+                               np.empty((n, n), dtype=complex))
+    rhs -= _decoherence_rate(params) * (x[:, None] - x[None, :]) ** 2 * rho.kernel
     return 0.5 * (rhs + rhs.conj().T)
 
 
 def master_dt_bound(rho: DensityMatrix, params: QbmParams) -> float:
-    """RK4 stability estimate from the three generator terms' spectral scales."""
+    """RK4 stability estimate from the kinetic and dissipation spectral scales.
+
+    The decoherence term is applied as an exact elementwise factor and does
+    not limit the step.
+    """
     span = rho.x_max - rho.x_min
     dx = rho.dx
     kinetic = 4.0 / (params.M * dx ** 2)
     dissipation = 2.0 * params.gamma * span / dx
-    decoherence = 2.0 * params.M * params.gamma * params.kT * span ** 2
-    return 0.8 * 2.78 / (kinetic + dissipation + decoherence)
+    return 0.8 * 2.78 / (kinetic + dissipation)
+
+
+def _integrate_master_equation(rho: DensityMatrix, dt, n_steps,
+                               params: QbmParams) -> DensityMatrix:
+    """n_steps Strang steps D(dt/2) RK(dt) D(dt/2), adjacent half-damps merged.
+
+    D is the exact decoherence factor exp(-2 M gamma kT (x - y)^2 dt) and RK
+    one RK4 step of the kinetic and dissipation terms, so the product is
+    D(dt/2) [RK(dt) D(dt)]^(n-1) RK(dt) D(dt/2).
+    """
+    n, x = rho.n_x, rho.x
+    rate = _decoherence_rate(params)
+    full = position_dephasing(x[:, None], rate, dt)
+    half = position_dephasing(x[:, None], rate, 0.5 * dt)
+    c_plus, c_minus = _generator_coefficients(x, rho.dx, params)
+    padded = np.zeros((n + 2, n + 2), dtype=complex)
+    stage = padded[1:-1, 1:-1]
+    ker = rho.kernel * half
+    k, acc, tmp = (np.empty((n, n), dtype=complex) for _ in range(3))
+    finite = np.empty((n, n), dtype=bool)
+    for step in range(n_steps):
+        # RK4: ker += dt/6 (k1 + 2 k2 + 2 k3 + k4)
+        stage[...] = ker
+        np.copyto(acc, _kinetic_dissipation(padded, c_plus, c_minus, k, tmp))
+        for frac, weight in ((0.5, 2.0), (0.5, 2.0), (1.0, 1.0)):
+            np.multiply(k, frac * dt, out=stage)
+            stage += ker
+            _kinetic_dissipation(padded, c_plus, c_minus, k, tmp)
+            np.multiply(k, weight, out=tmp)
+            acc += tmp
+        acc *= dt / 6.0
+        ker += acc
+        ker *= full if step < n_steps - 1 else half
+        np.conjugate(ker.T, out=tmp)
+        ker += tmp
+        ker *= 0.5
+        if not np.isfinite(ker, out=finite).all():
+            raise DivergenceError(
+                "master-equation step produced non-finite values")
+    return rho.with_kernel(ker)
 
 
 def step_master_equation(rho: DensityMatrix, dt, params: QbmParams) -> DensityMatrix:
-    """One RK4 step; Hermiticity enforced by symmetrizing the generator output."""
+    """One step: exact half-damp, RK4 kinetic and dissipation step, half-damp."""
     bound = master_dt_bound(rho, params)
     if dt > bound * (1 + 1e-12):
         raise StepSizeError(
             f"dt = {dt:.3e} exceeds the stability bound {bound:.3e}"
         )
-
-    def rhs(kernel):
-        # RK4 stages are not density matrices; bypass invariant checks
-        return master_equation_rhs(_raw(rho, kernel), params)
-
-    k1 = rhs(rho.kernel)
-    k2 = rhs(rho.kernel + 0.5 * dt * k1)
-    k3 = rhs(rho.kernel + 0.5 * dt * k2)
-    k4 = rhs(rho.kernel + dt * k3)
-    ker = rho.kernel + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
-    ker = 0.5 * (ker + ker.conj().T)
-    if not np.all(np.isfinite(ker)):
-        raise DivergenceError("master-equation step produced non-finite values")
-    return rho.with_kernel(ker)
-
-
-def _raw(rho: DensityMatrix, kernel):
-    """Internal stage evaluation without re-validating invariants."""
-    obj = object.__new__(DensityMatrix)
-    object.__setattr__(obj, "x_min", rho.x_min)
-    object.__setattr__(obj, "x_max", rho.x_max)
-    object.__setattr__(obj, "n_x", rho.n_x)
-    object.__setattr__(obj, "kernel", kernel)
-    object.__setattr__(obj, "tol", rho.tol)
-    return obj
+    return _integrate_master_equation(rho, dt, 1, params)
 
 
 def evolve_master_equation(rho0: DensityMatrix, t, params: QbmParams,
                            dt=None) -> DensityMatrix:
+    """Compose steps to time t; dt defaults to the stability bound."""
     if t < 0:
         raise ValueError("t must be nonnegative")
     if t == 0:
@@ -540,10 +576,11 @@ def evolve_master_equation(rho0: DensityMatrix, t, params: QbmParams,
         dt = bound
     n_steps = max(1, int(math.ceil(t / dt - 1e-12)))
     dt_eff = t / n_steps
-    rho = rho0
-    for _ in range(n_steps):
-        rho = step_master_equation(rho, dt_eff, params)
-    return rho
+    if dt_eff > bound * (1 + 1e-12):
+        raise StepSizeError(
+            f"effective dt = {dt_eff:.3e} exceeds the stability bound {bound:.3e}"
+        )
+    return _integrate_master_equation(rho0, dt_eff, n_steps, params)
 
 
 # --- diffusive-limit diagnostics -------------------------------------------

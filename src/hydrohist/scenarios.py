@@ -27,7 +27,7 @@ from . import histories as hist
 from . import local_equilibrium as le
 from . import phase_space as ps
 from . import propagator as pr
-from .errors import ConfigurationError
+from .errors import ConfigurationError, ScenarioError
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -580,8 +580,9 @@ def run_scenario(config: ScenarioConfig, output_dir=None) -> RunReport:
     except ConfigurationError:
         raise
     except Exception as exc:
-        raise type(exc)(
-            f"scenario {config.scenario!r} failed: {exc}") from exc
+        raise ScenarioError(
+            f"scenario {config.scenario!r} failed: "
+            f"{type(exc).__name__}: {exc}") from exc
     report = RunReport(
         scenario=config.scenario,
         params=config.params,

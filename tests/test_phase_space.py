@@ -164,3 +164,23 @@ class TestSerialization:
         desc = ps.save_wigner_descriptor(w, tmp_path / "grid.json", data)
         assert desc["shape"] == [32, 32]
         assert desc["extents"]["q_min"] == -6
+
+
+class TestPositionDephasing:
+    def test_matches_pairwise_loop(self):
+        rng = np.random.default_rng(3)
+        coords = rng.normal(size=(7, 3))
+        got = ps.position_dephasing(coords, 0.8, 0.3)
+        for a in range(7):
+            for b in range(7):
+                d2 = sum((coords[a, k] - coords[b, k]) ** 2 for k in range(3))
+                assert got[a, b] == pytest.approx(np.exp(-0.8 * 0.3 * d2),
+                                                  rel=1e-14)
+        assert np.array_equal(np.diag(got), np.ones(7))
+
+    def test_factors_compose_over_time(self):
+        # the factor is the exact solution of d rho/dt = -rate d^2 rho
+        x = np.linspace(-3, 3, 9)[:, None]
+        half = ps.position_dephasing(x, 2.0, 0.05)
+        full = ps.position_dephasing(x, 2.0, 0.1)
+        assert np.allclose(half * half, full, rtol=1e-14, atol=0)

@@ -4,6 +4,7 @@ from scipy.integrate import solve_ivp
 
 from hydrohist import phase_space as ps
 from hydrohist import propagator as pr
+from hydrohist import scenarios as sc
 from hydrohist.errors import FitQualityError, ResolutionError, StepSizeError
 
 UNIT = pr.QbmParams(M=1.0, gamma=1.0, kT=1.0)
@@ -224,6 +225,19 @@ class TestFokkerPlanck:
         assert np.all(np.isfinite(wt.values))
         assert wt.integral() == pytest.approx(w0.integral(), abs=1e-8)
 
+    def test_sharp_state_stays_nonnegative(self):
+        # a momentum width below one cell at dt 2 M gamma kT / dp^2 near 10,
+        # ten times the step at which a Crank-Nicolson momentum step is
+        # still sure to keep W nonnegative
+        params = pr.QbmParams(M=1.0, gamma=5.0, kT=1.0)
+        w0 = ps.gaussian_wigner(-12, 12, 81, -6, 6, 86, var_q=0.5,
+                                var_p=0.005)
+        dt = pr.fokker_planck_dt_bound(w0, params)
+        assert dt * 2.0 * params.gamma / w0.dp ** 2 > 9.5
+        for t in (dt, 5 * dt, 0.5):
+            wt = pr.evolve_fokker_planck(w0, t, params)
+            assert wt.values.min() >= -1e-10 * wt.values.max()
+
 
 def _reference_advect(vals, c, periodic):
     """Van Leer upwind step in q built from shifted copies of the array."""
@@ -312,6 +326,62 @@ class TestMasterEquation:
         bound = pr.master_dt_bound(rho0, self.params)
         with pytest.raises(StepSizeError):
             pr.step_master_equation(rho0, 2.0 * bound, self.params)
+
+    def test_matches_fine_step_reference(self):
+        # unsplit RK4 over the full public generator at a quarter of the
+        # step bound that includes the decoherence rate
+        rho0 = self.cat_state()
+        t = 0.25
+        n_steps = int(np.ceil(t / (0.25 * _full_generator_dt_bound(
+            rho0, self.params))))
+        h = t / n_steps
+        ker = rho0.kernel
+
+        def rhs(k):
+            return pr.master_equation_rhs(rho0.with_kernel(k), self.params)
+
+        for _ in range(n_steps):
+            k1 = rhs(ker)
+            k2 = rhs(ker + 0.5 * h * k1)
+            k3 = rhs(ker + 0.5 * h * k2)
+            k4 = rhs(ker + h * k3)
+            ker = ker + h / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
+        want = ps.density_to_wigner(rho0.with_kernel(ker))
+        got = ps.density_to_wigner(
+            pr.evolve_master_equation(rho0, t, self.params))
+        assert ps.l1_distance(want, got) < 1e-3
+
+    def test_single_step_matches_evolve(self):
+        rho0 = self.cat_state()
+        t = 0.9 * pr.master_dt_bound(rho0, self.params)
+        rho_step = pr.step_master_equation(rho0, t, self.params)
+        rho_evolve = pr.evolve_master_equation(rho0, t, self.params, dt=t)
+        assert np.array_equal(rho_step.kernel, rho_evolve.kernel)
+
+    def test_oracle_compare_step_count(self):
+        # the exact decoherence factor takes the (x - y)^2 rate out of the
+        # RK4 bound: 547 steps become 187 on the oracle-compare grid
+        spec = sc.SCENARIOS["oracle-compare"]
+        p, g = spec["params"], spec["grid"]
+        params = pr.QbmParams(p["M"], p["gamma"], p["kT"])
+        x = np.linspace(-g["master_x_max"], g["master_x_max"],
+                        g["master_n_x"])
+        psi = np.exp(-x ** 2 / 4.0)
+        psi /= np.sqrt(np.trapezoid(psi ** 2, x))
+        rho0 = ps.DensityMatrix(x[0], x[-1], x.size, np.outer(psi, psi))
+        t = p["t_master"]
+        assert np.ceil(t / pr.master_dt_bound(rho0, params)) == 187
+        assert np.ceil(t / _full_generator_dt_bound(rho0, params)) == 547
+
+
+def _full_generator_dt_bound(rho, params):
+    """RK4 step bound of the full master-equation generator, decoherence
+    rate 2 M gamma kT (x_max - x_min)^2 included."""
+    span = rho.x_max - rho.x_min
+    kinetic = 4.0 / (params.M * rho.dx ** 2)
+    dissipation = 2.0 * params.gamma * span / rho.dx
+    decoherence = 2.0 * params.M * params.gamma * params.kT * span ** 2
+    return 0.8 * 2.78 / (kinetic + dissipation + decoherence)
 
 
 class TestDiffusionDiagnostics:

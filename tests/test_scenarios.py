@@ -5,13 +5,26 @@ import pytest
 
 from hydrohist import cli
 from hydrohist import scenarios as sc
-from hydrohist.errors import ConfigurationError
+from hydrohist.errors import ConfigurationError, ScenarioError
 
 
 def write_config(tmp_path, body, name="config.json"):
     path = tmp_path / name
     path.write_text(body if isinstance(body, str) else json.dumps(body))
     return path
+
+
+class TwoArgumentError(Exception):
+    """An exception whose constructor needs more than a message, like
+    numpy's out-of-memory error."""
+
+    def __init__(self, message, dtype):
+        super().__init__(message)
+        self.dtype = dtype
+
+
+def raise_two_argument_error(config):
+    raise TwoArgumentError("unable to allocate", "complex128")
 
 
 def minimal(scenario, **extra):
@@ -164,6 +177,17 @@ class TestRunScenario:
         with pytest.raises(Exception, match="scenario 'diffusion'"):
             sc.run_scenario(cfg, output_dir=tmp_path)
 
+    def test_runner_error_chained_as_scenario_error(self, tmp_path,
+                                                    monkeypatch):
+        monkeypatch.setitem(sc._RUNNERS, "variance-scaling",
+                            raise_two_argument_error)
+        cfg = sc.validate_config(minimal("variance-scaling"))
+        with pytest.raises(ScenarioError,
+                           match="scenario 'variance-scaling'.*allocate") as info:
+            sc.run_scenario(cfg, output_dir=tmp_path)
+        assert isinstance(info.value.__cause__, TwoArgumentError)
+        assert info.value.__cause__.dtype == "complex128"
+
 
 class TestCli:
     def test_list(self, capsys):
@@ -201,6 +225,13 @@ class TestCli:
         code = cli.main(["run", str(path), "--out", str(tmp_path / "o")])
         assert code == 1
         assert "FAIL" in capsys.readouterr().out
+
+    def test_run_error_exit_three(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setitem(sc._RUNNERS, "variance-scaling",
+                            raise_two_argument_error)
+        path = write_config(tmp_path, minimal("variance-scaling"))
+        assert cli.main(["run", str(path), "--out", str(tmp_path / "o")]) == 3
+        assert "scenario 'variance-scaling'" in capsys.readouterr().err
 
     def test_run_missing_seed_exit_two(self, tmp_path, capsys):
         path = write_config(tmp_path, minimal("ehrenfest"))
