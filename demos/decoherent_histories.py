@@ -14,6 +14,7 @@ import warnings
 import numpy as np
 
 from hydrohist import histories as hist
+from hydrohist import phase_space as ps
 
 # (i) conserved coarse graining: off-diagonals at machine precision
 space = hist.ToyHilbert(B=3, N=2)
@@ -71,8 +72,5 @@ for rate in (0.0, 1.0, 4.0, 16.0):
         eps = hist.consistency_epsilon(hist.decoherence_functional(rho, sp))
     print(f"{rate:8.1f} {eps:12.4e}")
 
-with open("histories_demo.csv", "w") as fh:
-    fh.write("N,epsilon\n")
-    for n, eps in rows:
-        fh.write(f"{n},{eps!r}\n")
+ps.write_csv("histories_demo.csv", ["N", "epsilon"], rows)
 print("wrote histories_demo.csv")

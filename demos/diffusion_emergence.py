@@ -41,8 +41,6 @@ maxw /= np.trapezoid(maxw, dx=marg.spacing)
 print(f"momentum marginal vs Maxwellian at t = {t_cur:.0f}: sup distance = "
       f"{np.max(np.abs(f - maxw)):.2e}")
 
-with open("diffusion_demo.csv", "w") as fh:
-    fh.write("t,var_q_kernel,var_q_integrator\n")
-    for row in rows:
-        fh.write(",".join(repr(float(v)) for v in row) + "\n")
+ps.write_csv("diffusion_demo.csv", ["t", "var_q_kernel", "var_q_integrator"],
+             rows)
 print("wrote diffusion_demo.csv")

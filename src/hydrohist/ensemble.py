@@ -18,16 +18,15 @@ checked here per bin against the discrete gradient of the number density.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
 from scipy.interpolate import RectBivariateSpline
 from scipy.stats import multinomial
 
 from .errors import DimensionCapError, UndefinedFluctuationError
-from .phase_space import Marginal, WignerGrid, position_marginal
+from .phase_space import (Marginal, WignerGrid, bin_integrals,
+                          position_marginal, write_csv)
 from .propagator import QbmParams
 
 __all__ = [
@@ -170,9 +169,7 @@ def _window_moments(density: Marginal, window: SmearingWindow):
     q = density.grid
     f = density.samples
     if window.shape == "tophat":
-        cum = np.concatenate([[0.0], cumulative_trapezoid(f, q)])
-        at = np.interp(window.edges, q, cum)
-        p = np.diff(at)
+        p = bin_integrals(f, q, window.edges)
         return p, p.copy()
     # gaussian windows: <w> and <w^2> by direct quadrature
     p1 = np.empty(window.n_bins)
@@ -270,9 +267,8 @@ def mean_momentum_density(ens: ProductEnsemble,
     """<g_b> = N * (bin integral of int dp p W(p,q))."""
     w = ens.wigner()
     current = np.trapezoid(w.values * w.p[None, :], dx=w.dp, axis=1)
-    cum = np.concatenate([[0.0], cumulative_trapezoid(current, w.q)])
-    at = np.interp(window.edges, w.q, cum)
-    return DensityField(window.centers, window.widths, ens.N * np.diff(at))
+    return DensityField(window.centers, window.widths,
+                        ens.N * bin_integrals(current, w.q, window.edges))
 
 
 def constitutive_residual(ens: ProductEnsemble, window: SmearingWindow,
@@ -297,17 +293,9 @@ def mean_phase_space_density(ens: ProductEnsemble, q_lo, q_hi, p_lo, p_hi):
 
 def save_density_field_csv(fieldv: DensityField, path):
     """CSV columns: bin_center, bin_width, value[, variance]."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        has_var = fieldv.variances is not None
-        header = ["bin_center", "bin_width", "value"]
-        if has_var:
-            header.append("variance")
-        writer.writerow(header)
-        for i in range(len(fieldv.centers)):
-            row = [repr(float(fieldv.centers[i])),
-                   repr(float(fieldv.widths[i])),
-                   repr(float(fieldv.values[i]))]
-            if has_var:
-                row.append(repr(float(fieldv.variances[i])))
-            writer.writerow(row)
+    columns = [fieldv.centers, fieldv.widths, fieldv.values]
+    header = ["bin_center", "bin_width", "value"]
+    if fieldv.variances is not None:
+        columns.append(fieldv.variances)
+        header.append("variance")
+    write_csv(path, header, zip(*columns))

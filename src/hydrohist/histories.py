@@ -28,7 +28,6 @@ module builds
 
 from __future__ import annotations
 
-import csv
 import itertools
 import json
 import math
@@ -39,7 +38,7 @@ import numpy as np
 from scipy.linalg import expm
 
 from .errors import ConfigurationError, DimensionCapError
-from .phase_space import position_dephasing
+from .phase_space import atomic_write, position_dephasing, write_csv
 
 __all__ = [
     "ToyHilbert",
@@ -823,19 +822,15 @@ def save_decoherence_json(dmat: DecoherenceMatrix, path):
         "probabilities": dmat.probabilities().tolist(),
         "epsilon": eps,
     }
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2)
+    atomic_write(path, json.dumps(payload, indent=2))
     return payload
 
 
 def save_probability_scan_csv(grids, values, path):
     """CSV rows: one center per time column, then the probability."""
-    values = np.asarray(values)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([f"center_{k}" for k in range(len(grids))]
-                        + ["probability"])
-        for idx in itertools.product(*(range(len(g)) for g in grids)):
-            row = [repr(float(grids[k][i])) for k, i in enumerate(idx)]
-            row.append(repr(float(values[idx])))
-            writer.writerow(row)
+    grids = [np.asarray(g, dtype=float) for g in grids]
+    values = np.asarray(values, dtype=float)
+    rows = ([*(g[i] for g, i in zip(grids, idx)), values[idx]]
+            for idx in itertools.product(*(range(len(g)) for g in grids)))
+    write_csv(path, [f"center_{k}" for k in range(len(grids))]
+              + ["probability"], rows)

@@ -22,7 +22,6 @@ trajectory.
 
 from __future__ import annotations
 
-import csv
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -32,7 +31,7 @@ from scipy.linalg import expm
 
 from . import histories as hist
 from .errors import ResolutionError
-from .phase_space import WignerGrid, normalize
+from .phase_space import WignerGrid, bin_integrals, normalize, write_csv
 
 __all__ = [
     "LocalEquilibriumProfile",
@@ -176,12 +175,8 @@ def gibbs_tensor_power(rho1: hist.DensityOperator, n: int) -> hist.DensityOperat
 
 def _bin_integrals(w: WignerGrid, edges, moment_values):
     """Integrals over q-bins of int dp moment(p) W(p, q), per bin."""
-    from scipy.integrate import cumulative_trapezoid
-
     line = np.trapezoid(w.values * moment_values[None, :], dx=w.dp, axis=1)
-    cum = np.concatenate([[0.0], cumulative_trapezoid(line, w.q)])
-    at = np.interp(edges, w.q, cum)
-    return np.diff(at)
+    return bin_integrals(line, w.q, edges)
 
 
 def hydro_averages(w1: WignerGrid, n_particles, edges,
@@ -308,21 +303,11 @@ def save_hydro_series_csv(times, fields, residuals, path):
 
     Residuals exist only at interior times/bins; other rows carry blanks.
     """
-    res_n, res_g, res_h = residuals
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "bin", "n", "g", "h",
-                         "residual_n", "residual_g", "residual_h"])
-        for it, (t, f) in enumerate(zip(times, fields)):
-            for b in range(len(f.centers)):
-                row = [repr(float(t)), repr(float(f.centers[b])),
-                       repr(float(f.n[b])), repr(float(f.g[b])),
-                       repr(float(f.h[b]))]
-                interior = 0 < it < len(times) - 1 and 0 < b < len(f.centers) - 1
-                if interior:
-                    row += [repr(float(res_n[it - 1, b - 1])),
-                            repr(float(res_g[it - 1, b - 1])),
-                            repr(float(res_h[it - 1, b - 1]))]
-                else:
-                    row += ["", "", ""]
-                writer.writerow(row)
+    rows = []
+    for it, (t, f) in enumerate(zip(times, fields)):
+        for b in range(len(f.centers)):
+            interior = 0 < it < len(times) - 1 and 0 < b < len(f.centers) - 1
+            res = [r[it - 1, b - 1] if interior else None for r in residuals]
+            rows.append([float(t), f.centers[b], f.n[b], f.g[b], f.h[b], *res])
+    write_csv(path, ["t", "bin", "n", "g", "h",
+                     "residual_n", "residual_g", "residual_h"], rows)

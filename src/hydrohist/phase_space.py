@@ -17,10 +17,13 @@ from __future__ import annotations
 
 import csv
 import json
+import os
 import warnings
 from dataclasses import dataclass, field, replace
+from pathlib import Path
 
 import numpy as np
+from scipy.integrate import cumulative_trapezoid
 from scipy.interpolate import RectBivariateSpline
 
 from .errors import DegenerateStateError, ResolutionError
@@ -39,6 +42,9 @@ __all__ = [
     "density_to_wigner",
     "conjugate_momentum_axis",
     "l1_distance",
+    "bin_integrals",
+    "atomic_write",
+    "write_csv",
     "save_wigner_csv",
     "load_wigner_csv",
     "save_wigner_descriptor",
@@ -151,8 +157,12 @@ def position_dephasing(coords, rate, dt):
     exactly over dt: position monitoring damps off-diagonals and leaves the
     diagonal, hence the trace, unchanged.
     """
-    # one (dim, dim, k) temporary: numpy squares the difference in place
-    dist2 = np.sum((coords[:, None, :] - coords[None, :, :]) ** 2, axis=2)
+    # accumulate one coordinate at a time: no (dim, dim, k) temporary
+    dist2 = np.zeros((coords.shape[0], coords.shape[0]))
+    for k in range(coords.shape[1]):
+        d = np.subtract.outer(coords[:, k], coords[:, k])
+        d *= d
+        dist2 += d
     return np.exp(-(rate * dt) * dist2)
 
 
@@ -256,7 +266,6 @@ def conjugate_momentum_axis(x_min, x_max, n_x):
     Returns (p_min, p_max, n_p) with spacing 2*pi / (n_x * dx).
     """
     dx = (x_max - x_min) / (n_x - 1)
-    dp = 2 * np.pi / (n_x * dx)
     k = np.fft.fftshift(np.fft.fftfreq(n_x, d=dx)) * 2 * np.pi
     return float(k[0]), float(k[-1]), n_x
 
@@ -342,6 +351,16 @@ def l1_distance(a: WignerGrid, b: WignerGrid) -> float:
     return _trapz2(np.abs(a.values - bv), a.dq, a.dp)
 
 
+def bin_integrals(line, x, edges):
+    """Integrals of the line density sampled on x over the bins between edges.
+
+    Trapezoidal running integral of ``line``, linearly interpolated at the
+    edges and differenced.
+    """
+    cum = np.concatenate([[0.0], cumulative_trapezoid(line, x)])
+    return np.diff(np.interp(edges, x, cum))
+
+
 def check_domain_coverage(w: WignerGrid, threshold=1e-3):
     """Warn when a non-negligible fraction of mass sits near the grid boundary."""
     edge = (
@@ -362,25 +381,62 @@ def check_domain_coverage(w: WignerGrid, threshold=1e-3):
 # --- serialization ---------------------------------------------------------
 
 
+def atomic_write(path, text):
+    """Write text to path through a temporary file beside it and os.replace.
+
+    Readers see the old file or the complete new one, never a partial write;
+    line endings are written as given.
+    """
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        tmp.write_text(text, encoding="utf-8", newline="")
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
+def _csv_cell(v):
+    if isinstance(v, str):
+        if set(v) & set(',"\r\n'):
+            raise ValueError(f"CSV cell {v!r} needs quoting")
+        return v
+    if isinstance(v, (float, np.floating)):
+        return repr(float(v))
+    if isinstance(v, (int, np.integer)):
+        return str(int(v))
+    if v is None:
+        return ""
+    raise TypeError(f"cannot write a {type(v).__name__} CSV cell")
+
+
+def write_csv(path, header, rows):
+    """Write a header row and data rows as CSV, atomically.
+
+    Every artifact of the package goes through here.  Cells: floats (Python
+    or numpy) as repr(float(v)), which reads back exactly; ints as
+    str(int(v)); None as an empty cell; str unchanged (no quoting, so a str
+    cell may not hold a comma, quote or line break).  Every line ends in \\n.
+    """
+    lines = [",".join(map(_csv_cell, header))]
+    lines.extend(",".join(map(_csv_cell, row)) for row in rows)
+    atomic_write(path, "\n".join(lines) + "\n")
+
+
+_WIGNER_HEADER = ["q_min", "q_max", "n_q", "p_min", "p_max", "n_p"]
+
+
 def save_wigner_csv(w: WignerGrid, path):
     """CSV with one metadata header row followed by row-major values."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["q_min", "q_max", "n_q", "p_min", "p_max", "n_p"]
-        )
-        writer.writerow(
-            [repr(w.q_min), repr(w.q_max), w.n_q, repr(w.p_min), repr(w.p_max), w.n_p]
-        )
-        for row in w.values:
-            writer.writerow([repr(float(v)) for v in row])
+    meta = [w.q_min, w.q_max, w.n_q, w.p_min, w.p_max, w.n_p]
+    write_csv(path, _WIGNER_HEADER, [meta, *w.values])
 
 
 def load_wigner_csv(path) -> WignerGrid:
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader)
-        if header[:6] != ["q_min", "q_max", "n_q", "p_min", "p_max", "n_p"]:
+        if header[:6] != _WIGNER_HEADER:
             raise ValueError(f"{path}: unrecognized header {header}")
         meta = next(reader)
         q_min, q_max = float(meta[0]), float(meta[1])
@@ -403,6 +459,5 @@ def save_wigner_descriptor(w: WignerGrid, json_path, data_file):
         "shape": [w.n_q, w.n_p],
         "data-file": str(data_file),
     }
-    with open(json_path, "w") as fh:
-        json.dump(desc, fh, indent=2)
+    atomic_write(json_path, json.dumps(desc, indent=2))
     return desc

@@ -24,15 +24,15 @@ kT).  Three mutually consistent descriptions are implemented:
 - the diffusive limit: D = kT / (2 M gamma), the constitutive relation
   <p>(q) = -(kT / 2 gamma) df/dq, and a least-squares diffusion-constant fit.
 
-The analytic propagator defaults to the exact Gaussian kernel of the Kramers
+The analytic propagator applies the exact Gaussian kernel of the Kramers
 equation (mean from the damped classical path, covariance from the moment
 ODEs).  The truncated long-time coefficient forms
 
     alpha -> 1/(2 M kT),  beta -> M gamma/(2 kT t),  eps -> -1/(2 kT t)
 
-are exposed as well (mode="longtime"); they reproduce the exact kernel only
-up to O(1/gamma t) corrections in the covariance, which is too crude for the
-tight oracle comparisons, hence the exact default.
+are exposed by ``longtime_coefficients``; they reproduce the exact kernel
+only up to O(1/gamma t) corrections in the covariance, which is too crude
+for the tight oracle comparisons, so the propagator does not use them.
 """
 
 from __future__ import annotations
@@ -199,12 +199,9 @@ def kernel_covariance(params: QbmParams, t):
     return np.array([[s_qq, s_qp], [s_qp, s_pp]])
 
 
-def propagate_analytic(w0: WignerGrid, t, params: QbmParams,
-                       mode: str = "exact") -> WignerGrid:
-    """Apply the Gaussian transition kernel to w0 by Fourier resampling.
+def propagate_analytic(w0: WignerGrid, t, params: QbmParams) -> WignerGrid:
+    """Apply the exact Gaussian transition kernel to w0 by Fourier resampling.
 
-    mode="exact" uses the exact kernel mean/covariance; mode="longtime" uses
-    the truncated asymptotic coefficients (gamma*t >= 3 enforced by warning).
     The output lives on the input lattice; a ResolutionError is raised when
     the evolved state cannot fit in the domain.
     """
@@ -212,15 +209,8 @@ def propagate_analytic(w0: WignerGrid, t, params: QbmParams,
         raise ValueError("t must be nonnegative")
     if t == 0.0:
         return w0.with_values(w0.values)
-    if mode not in ("exact", "longtime"):
-        raise ValueError(f"unknown mode {mode!r}")
-    if mode == "exact":
-        a = kernel_mean_map(params, t)
-        sigma = kernel_covariance(params, t)
-    else:
-        coeff = longtime_coefficients(params, t)
-        sigma = coeff.covariance()
-        a = np.array([[1.0, 1.0 / (2.0 * params.M * params.gamma)], [0.0, 0.0]])
+    a = kernel_mean_map(params, t)
+    sigma = kernel_covariance(params, t)
 
     mq, mp, vq, vp, cqp = moments(w0)
     cov0 = np.array([[vq, cqp], [cqp, vp]])
@@ -272,6 +262,30 @@ def propagate_analytic(w0: WignerGrid, t, params: QbmParams,
     out = WignerGrid(w0.q_min, w0.q_max, nq, w0.p_min, w0.p_max, np_, vals)
     check_domain_coverage(out)
     return normalize(out)
+
+
+# --- step control -----------------------------------------------------------
+
+
+def _step_plan(t, dt, bound, name="effective dt"):
+    """(n_steps, dt_eff) of equal steps no longer than dt covering t >= 0.
+
+    n_steps is 0 at t = 0.  dt defaults to ``bound``; a StepSizeError naming
+    ``name`` is raised when dt_eff exceeds it.
+    """
+    if t < 0:
+        raise ValueError("t must be nonnegative")
+    if t == 0:
+        return 0, 0.0
+    if dt is None:
+        dt = bound
+    n_steps = max(1, int(math.ceil(t / dt - 1e-12)))
+    dt_eff = t / n_steps
+    if dt_eff > bound * (1 + 1e-12):
+        raise StepSizeError(
+            f"{name} = {dt_eff:.3e} exceeds the stability bound {bound:.3e}"
+        )
+    return n_steps, dt_eff
 
 
 # --- Fokker-Planck integrator ----------------------------------------------
@@ -425,30 +439,16 @@ def _integrate_fokker_planck(w: WignerGrid, dt, n_steps, params: QbmParams,
 def step_fokker_planck(w: WignerGrid, dt, params: QbmParams,
                        periodic_q: bool = False) -> WignerGrid:
     """One Strang-split step (advect dt/2, momentum sector dt, advect dt/2)."""
-    bound = fokker_planck_dt_bound(w, params)
-    if dt > bound * (1 + 1e-12):
-        raise StepSizeError(
-            f"dt = {dt:.3e} exceeds the stability bound {bound:.3e}"
-        )
-    return _integrate_fokker_planck(w, dt, 1, params, periodic_q)
+    n_steps, dt = _step_plan(dt, dt, fokker_planck_dt_bound(w, params), "dt")
+    return _integrate_fokker_planck(w, dt, n_steps, params, periodic_q)
 
 
 def evolve_fokker_planck(w0: WignerGrid, t, params: QbmParams, dt=None,
                          periodic_q: bool = False) -> WignerGrid:
     """Compose steps to time t; dt defaults to the stability bound."""
-    if t < 0:
-        raise ValueError("t must be nonnegative")
-    if t == 0:
+    n_steps, dt_eff = _step_plan(t, dt, fokker_planck_dt_bound(w0, params))
+    if n_steps == 0:
         return w0.with_values(w0.values)
-    bound = fokker_planck_dt_bound(w0, params)
-    if dt is None:
-        dt = bound
-    n_steps = max(1, int(math.ceil(t / dt - 1e-12)))
-    dt_eff = t / n_steps
-    if dt_eff > bound * (1 + 1e-12):
-        raise StepSizeError(
-            f"effective dt = {dt_eff:.3e} exceeds the stability bound {bound:.3e}"
-        )
     return _integrate_fokker_planck(w0, dt_eff, n_steps, params, periodic_q)
 
 
@@ -556,30 +556,16 @@ def _integrate_master_equation(rho: DensityMatrix, dt, n_steps,
 
 def step_master_equation(rho: DensityMatrix, dt, params: QbmParams) -> DensityMatrix:
     """One step: exact half-damp, RK4 kinetic and dissipation step, half-damp."""
-    bound = master_dt_bound(rho, params)
-    if dt > bound * (1 + 1e-12):
-        raise StepSizeError(
-            f"dt = {dt:.3e} exceeds the stability bound {bound:.3e}"
-        )
-    return _integrate_master_equation(rho, dt, 1, params)
+    n_steps, dt = _step_plan(dt, dt, master_dt_bound(rho, params), "dt")
+    return _integrate_master_equation(rho, dt, n_steps, params)
 
 
 def evolve_master_equation(rho0: DensityMatrix, t, params: QbmParams,
                            dt=None) -> DensityMatrix:
     """Compose steps to time t; dt defaults to the stability bound."""
-    if t < 0:
-        raise ValueError("t must be nonnegative")
-    if t == 0:
+    n_steps, dt_eff = _step_plan(t, dt, master_dt_bound(rho0, params))
+    if n_steps == 0:
         return rho0
-    bound = master_dt_bound(rho0, params)
-    if dt is None:
-        dt = bound
-    n_steps = max(1, int(math.ceil(t / dt - 1e-12)))
-    dt_eff = t / n_steps
-    if dt_eff > bound * (1 + 1e-12):
-        raise StepSizeError(
-            f"effective dt = {dt_eff:.3e} exceeds the stability bound {bound:.3e}"
-        )
     return _integrate_master_equation(rho0, dt_eff, n_steps, params)
 
 

@@ -11,10 +11,8 @@ line front end in ``hydrohist.cli`` is a thin wrapper around
 
 from __future__ import annotations
 
-import io
 import json
 import math
-import os
 import time
 import warnings
 from dataclasses import dataclass, field
@@ -287,22 +285,6 @@ def list_scenarios():
     return [(name, SCENARIOS[name]["description"]) for name in SCENARIOS]
 
 
-def _atomic_write(path: Path, text: str):
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text)
-    os.replace(tmp, path)
-
-
-def _csv_text(header, rows):
-    buf = io.StringIO()
-    buf.write(",".join(header) + "\n")
-    for row in rows:
-        buf.write(",".join(repr(float(v)) if isinstance(v, (int, float,
-                                                            np.floating))
-                           else str(v) for v in row) + "\n")
-    return buf.getvalue()
-
-
 def _metric(config, name, value):
     thr = config.threshold(name)
     if name in _LOWER_BOUNDED:
@@ -338,7 +320,7 @@ def _run_diffusion(config):
     ]
     rows = [(t, ma.variance(), mf.variance())
             for t, ma, mf in zip(times, marg_an, marg_fp)]
-    art = {"diffusion.csv": _csv_text(
+    art = {"diffusion.csv": (
         ["t", "var_q_analytic", "var_q_fokker_planck"], rows)}
     notes = [f"D_fit integrator = {fit_fp.D_fit!r}, "
              f"exact kernel = {fit_an.D_fit!r}, "
@@ -360,7 +342,7 @@ def _run_maxwellization(config):
     maxw /= np.trapezoid(maxw, dx=marg.spacing)
     sup = float(np.max(np.abs(f - maxw)))
     metrics = [_metric(config, "sup_distance", sup)]
-    art = {"maxwellization.csv": _csv_text(
+    art = {"maxwellization.csv": (
         ["p", "marginal", "maxwellian"], zip(grid_p, f, maxw))}
     return metrics, art, []
 
@@ -394,7 +376,7 @@ def _run_oracle_compare(config):
                ps.position_marginal(w_an).samples,
                ps.position_marginal(w_fp).samples,
                ps.position_marginal(w_fp1).samples)
-    art = {"oracle_compare.csv": _csv_text(
+    art = {"oracle_compare.csv": (
         ["q", "kernel_t_kernel", "integrator_t_kernel",
          "integrator_t_master"], rows)}
     return metrics, art, []
@@ -422,7 +404,7 @@ def _run_variance_scaling(config):
         _metric(config, "closed_form_deviation", worst),
         _metric(config, "slope_deviation", abs(slope + 1.0)),
     ]
-    art = {"variance_scaling.csv": _csv_text(
+    art = {"variance_scaling.csv": (
         ["N", "relative_fluctuation", "closed_form"], rows)}
     return metrics, art, [f"log-log slope = {float(slope)!r}"]
 
@@ -453,7 +435,7 @@ def _run_histories_nscaling(config):
         _metric(config, "epsilon8_over_epsilon1",
                 eps[p["N_max"]] / eps[1]),
     ]
-    art = {"histories_nscaling.csv": _csv_text(["N", "epsilon"], rows)}
+    art = {"histories_nscaling.csv": (["N", "epsilon"], rows)}
     return metrics, art, [f"fitted epsilon(N) ratio r = {ratio!r}"]
 
 
@@ -497,7 +479,7 @@ def _run_ehrenfest(config):
             f"precondition violated: sigma = {factor!r} * spread, but the "
             "asymptotic Gaussian form requires sigma to dominate the "
             "observable spread (sigma_factor >> 1)")
-    art = {"ehrenfest.csv": _csv_text(
+    art = {"ehrenfest.csv": (
         ["instance", "max_relative_error", "argmax_deviation_in_sigma"],
         rows)}
     return metrics, art, notes
@@ -531,7 +513,7 @@ def _run_conserved_decoherence(config):
         worst = max(worst, m)
         rows.append((len(times), m))
     metrics = [_metric(config, "max_offdiagonal", worst)]
-    art = {"conserved_decoherence.csv": _csv_text(
+    art = {"conserved_decoherence.csv": (
         ["n_times", "max_offdiagonal"], rows)}
     return metrics, art, []
 
@@ -552,7 +534,7 @@ def _run_local_equilibrium_peaking(config):
     rows = [("|".join(map(str, lab[0])), "|".join(map(str, lab[1])), prob)
             for (lab, prob) in sorted(rep.probabilities.items(),
                                       key=lambda kv: -kv[1])[:50]]
-    art = {"peaking.csv": _csv_text(
+    art = {"peaking.csv": (
         ["occupations_t1", "occupations_t2", "probability"], rows)}
     notes = [f"mean-field trajectory: {rep.mean_trajectory!r}"]
     return metrics, art, notes
@@ -595,7 +577,7 @@ def run_scenario(config: ScenarioConfig, output_dir=None) -> RunReport:
         artifacts=tuple(sorted(artifacts)),
     )
     out.mkdir(parents=True, exist_ok=True)
-    for name, text in artifacts.items():
-        _atomic_write(out / name, text)
-    _atomic_write(out / f"{config.scenario}-report.json", report.to_json())
+    for name, (header, rows) in artifacts.items():
+        ps.write_csv(out / name, header, rows)
+    ps.atomic_write(out / f"{config.scenario}-report.json", report.to_json())
     return report

@@ -1,7 +1,13 @@
+import csv
+
 import numpy as np
 import pytest
 
+from hydrohist import ensemble as en
+from hydrohist import histories as hi
+from hydrohist import local_equilibrium as le
 from hydrohist import phase_space as ps
+from hydrohist import scenarios as sc
 from hydrohist.errors import DegenerateStateError, ResolutionError
 
 
@@ -157,6 +163,15 @@ class TestSerialization:
         assert np.array_equal(w.values, w2.values)
         assert (w.q_min, w.q_max, w.n_q) == (w2.q_min, w2.q_max, w2.n_q)
 
+    def test_csv_round_trip_numpy_extents(self, tmp_path):
+        # numpy scalar extents are written as plain numbers, not their repr
+        w = ps.gaussian_wigner(np.float64(-6), np.float64(6), 16, -6, 6, 16)
+        path = tmp_path / "grid.csv"
+        ps.save_wigner_csv(w, path)
+        w2 = ps.load_wigner_csv(path)
+        assert (w2.q_min, w2.q_max) == (-6.0, 6.0)
+        assert np.array_equal(w.values, w2.values)
+
     def test_descriptor(self, tmp_path):
         w = ps.gaussian_wigner(-6, 6, 32, -6, 6, 32)
         data = tmp_path / "grid.csv"
@@ -164,6 +179,86 @@ class TestSerialization:
         desc = ps.save_wigner_descriptor(w, tmp_path / "grid.json", data)
         assert desc["shape"] == [32, 32]
         assert desc["extents"]["q_min"] == -6
+
+
+def _wigner_csv(tmp_path):
+    path = tmp_path / "grid.csv"
+    ps.save_wigner_csv(ps.gaussian_wigner(-6, 6, 16, -6, 6, 16), path)
+    return path, ["q_min", "q_max", "n_q", "p_min", "p_max", "n_p"]
+
+
+def _density_field_csv(tmp_path):
+    path = tmp_path / "field.csv"
+    ens = en.ProductEnsemble(100, ps.gaussian_wigner(-6, 6, 32, -6, 6, 32))
+    en.save_density_field_csv(
+        en.number_density_variance(ens, en.SmearingWindow([-6, -1, 1, 6])),
+        path)
+    return path, ["bin_center", "bin_width", "value", "variance"]
+
+
+def _probability_scan_csv(tmp_path):
+    path = tmp_path / "scan.csv"
+    hi.save_probability_scan_csv([np.array([0, 1]), np.array([2.0, 3.0])],
+                                 np.arange(4).reshape(2, 2), path)
+    return path, ["center_0", "center_1", "probability"]
+
+
+def _hydro_series_csv(tmp_path):
+    path = tmp_path / "series.csv"
+    q = np.linspace(-8, 8, 64)
+    prof = le.LocalEquilibriumProfile(q, np.exp(-q ** 2 / 8), np.zeros(64),
+                                      np.ones(64))
+    w = le.build_w1(prof, -8, 8, 49)
+    times = [0.0, 0.1, 0.2]
+    fields = [le.hydro_averages(le.evolve_free(w, t), 3,
+                                np.linspace(-6, 6, 5)) for t in times]
+    res = le.continuity_residual(times, fields)
+    le.save_hydro_series_csv(times, fields, res, path)
+    return path, ["t", "bin", "n", "g", "h",
+                  "residual_n", "residual_g", "residual_h"]
+
+
+def _scenario_csv(tmp_path):
+    cfg = sc.validate_config({"schema_version": 1,
+                              "scenario": "variance-scaling"})
+    sc.run_scenario(cfg, tmp_path)
+    return (tmp_path / "variance_scaling.csv",
+            ["N", "relative_fluctuation", "closed_form"])
+
+
+class TestWriteCsv:
+    @pytest.mark.parametrize("make", [_wigner_csv, _density_field_csv,
+                                      _probability_scan_csv,
+                                      _hydro_series_csv, _scenario_csv])
+    def test_one_format_for_every_artifact(self, tmp_path, make):
+        path, header = make(tmp_path)
+        raw = path.read_bytes()
+        assert b"\r" not in raw and raw.endswith(b"\n")
+        with open(path, newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == header
+        if make is _wigner_csv:
+            # header and metadata rows are 6 wide, value rows n_p = 16 wide
+            assert [len(row) for row in rows[:2]] == [6, 6]
+            assert {len(row) for row in rows[2:]} == {16}
+        else:
+            assert {len(row) for row in rows} == {len(header)}
+        assert not list(tmp_path.glob("*.tmp"))
+        if make is _scenario_csv:
+            assert rows[1][0] == "100"
+
+    def test_cell_rule(self, tmp_path):
+        path = tmp_path / "cells.csv"
+        ps.write_csv(path, ["a", "b", "c", "d", "e", "f"],
+                     [[0.1, np.float64(2.0), 3, np.int64(4), None, "x|y"]])
+        assert path.read_text() == "a,b,c,d,e,f\n0.1,2.0,3,4,,x|y\n"
+
+    def test_rejects_cells_that_need_quoting(self, tmp_path):
+        with pytest.raises(ValueError):
+            ps.write_csv(tmp_path / "bad.csv", ["a"], [["1,2"]])
+        with pytest.raises(TypeError):
+            ps.write_csv(tmp_path / "bad.csv", ["a"], [[1j]])
+        assert not list(tmp_path.iterdir())
 
 
 class TestPositionDephasing:
@@ -177,6 +272,13 @@ class TestPositionDephasing:
                 assert got[a, b] == pytest.approx(np.exp(-0.8 * 0.3 * d2),
                                                   rel=1e-14)
         assert np.array_equal(np.diag(got), np.ones(7))
+
+    def test_matches_broadcast_formula_bitwise(self):
+        # B=2 bins, N=8 particles on the histories toy space (dx = 1)
+        coords = hi.ToyHilbert(B=2, N=8).digits().astype(float)
+        dist2 = np.sum((coords[:, None, :] - coords[None, :, :]) ** 2, axis=2)
+        assert np.array_equal(ps.position_dephasing(coords, 1.3, 0.2),
+                              np.exp(-(1.3 * 0.2) * dist2))
 
     def test_factors_compose_over_time(self):
         # the factor is the exact solution of d rho/dt = -rate d^2 rho

@@ -119,24 +119,10 @@ class TestPropagateAnalytic:
         wt = pr.propagate_analytic(self.w0, 5.0, UNIT)
         assert wt.integral() == pytest.approx(1.0, abs=1e-9)
 
-    def test_longtime_mode_matches_coefficients(self):
-        t = 10.0
-        wt = pr.propagate_analytic(self.w0, t, UNIT, mode="longtime")
-        cov = pr.longtime_coefficients(UNIT, t).covariance()
-        _, _, vq, vp, cqp = ps.moments(wt)
-        # longtime mean map resets p to 0 and adds the terminal drift in q
-        assert vq == pytest.approx(cov[0, 0] + 0.25 + 0.25 * 0.5, rel=5e-3)
-        assert vp == pytest.approx(cov[1, 1], rel=5e-3)
-        assert cqp == pytest.approx(cov[0, 1], rel=5e-3)
-
     def test_domain_overflow_raises(self):
         small = ps.gaussian_wigner(-4, 4, 64, -4, 4, 64, var_q=0.25, var_p=0.5)
         with pytest.raises(ResolutionError):
             pr.propagate_analytic(small, 20.0, UNIT)
-
-    def test_unknown_mode(self):
-        with pytest.raises(ValueError):
-            pr.propagate_analytic(self.w0, 1.0, UNIT, mode="bogus")
 
 
 class TestFokkerPlanck:
