@@ -3,12 +3,11 @@
 The N-particle phase-space distribution is a product of identical
 one-particle Wigner functions, so every coarse-grained density is a sum of
 independent one-particle contributions.  Binned number densities follow a
-multinomial law: with p_b the one-particle mass in bin b,
+multinomial law: with p_b the one-particle mass in top-hat bin b,
 
-    <n_b> = N p_b,      Var n_b = N (<w_b^2> - <w_b>^2),
+    <n_b> = N p_b,      Var n_b = N p_b (1 - p_b),
 
-which for a top-hat window (w^2 = w) is the binomial N p_b (1 - p_b), and
-the relative fluctuation (1/N)(1 - p_b)/p_b decays as 1/N.  The momentum
+and the relative fluctuation (1/N)(1 - p_b)/p_b decays as 1/N.  The momentum
 density carries the constitutive relation of the diffusive regime,
 
     <g(x)> = -N (kT / 2 gamma) d<f>/dx,
@@ -48,6 +47,10 @@ __all__ = [
 #: exact multinomial enumeration is limited to this many particles / bins
 ENUMERATION_N_CAP = 12
 ENUMERATION_BIN_CAP = 6
+#: multinomial draws of a sampled occupation distribution
+OCCUPATION_SAMPLES = 20000
+#: uncovered one-particle mass above which an "elsewhere" bin is added
+ELSEWHERE_MASS_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -89,14 +92,9 @@ class ProductEnsemble:
 
 @dataclass(frozen=True)
 class SmearingWindow:
-    """Disjoint ordered position bins; top-hat by default.
-
-    shape="gaussian" replaces each indicator with a normalized-height
-    Gaussian of std = width/2 centered on the bin (for smoothness studies).
-    """
+    """Disjoint ordered top-hat position bins."""
 
     edges: np.ndarray
-    shape: str = "tophat"
 
     def __post_init__(self):
         e = np.asarray(self.edges, dtype=float)
@@ -104,8 +102,6 @@ class SmearingWindow:
             raise ValueError("need at least two bin edges")
         if np.any(np.diff(e) <= 0):
             raise ValueError("bin edges must be strictly increasing")
-        if self.shape not in ("tophat", "gaussian"):
-            raise ValueError("shape must be 'tophat' or 'gaussian'")
         e = e.copy()
         e.flags.writeable = False
         object.__setattr__(self, "edges", e)
@@ -164,28 +160,10 @@ class OccupationDistribution:
         return self.probabilities @ (self.vectors - m) ** 2
 
 
-def _window_moments(density: Marginal, window: SmearingWindow):
-    """Per-bin (<w_b>, <w_b^2>) against the one-particle position density."""
-    q = density.grid
-    f = density.samples
-    if window.shape == "tophat":
-        p = bin_integrals(f, q, window.edges)
-        return p, p.copy()
-    # gaussian windows: <w> and <w^2> by direct quadrature
-    p1 = np.empty(window.n_bins)
-    p2 = np.empty(window.n_bins)
-    for b in range(window.n_bins):
-        s = window.widths[b] / 2.0
-        w = np.exp(-((q - window.centers[b]) ** 2) / (2 * s * s))
-        p1[b] = np.trapezoid(f * w, q)
-        p2[b] = np.trapezoid(f * w * w, q)
-    return p1, p2
-
-
 def bin_probabilities(ens: ProductEnsemble, window: SmearingWindow):
-    """One-particle mass per bin (top-hat) or smeared weight (gaussian)."""
-    p, _ = _window_moments(ens.position_density(), window)
-    return p
+    """One-particle mass p_b per bin."""
+    density = ens.position_density()
+    return bin_integrals(density.samples, density.grid, window.edges)
 
 
 def mean_number_density(ens: ProductEnsemble, window: SmearingWindow) -> DensityField:
@@ -196,22 +174,22 @@ def mean_number_density(ens: ProductEnsemble, window: SmearingWindow) -> Density
 
 def number_density_variance(ens: ProductEnsemble,
                             window: SmearingWindow) -> DensityField:
-    """Var n_b = N (<w^2> - <w>^2); binomial N p (1-p) for top-hat bins."""
-    p1, p2 = _window_moments(ens.position_density(), window)
-    var = ens.N * (p2 - p1 ** 2)
-    return DensityField(window.centers, window.widths, ens.N * p1, variances=var)
+    """Binomial Var n_b = N (p_b - p_b^2) per bin."""
+    p = bin_probabilities(ens, window)
+    var = ens.N * (p - p ** 2)
+    return DensityField(window.centers, window.widths, ens.N * p, variances=var)
 
 
 def relative_fluctuation(ens: ProductEnsemble,
                          window: SmearingWindow) -> DensityField:
-    """Var n_b / <n_b>^2 = (1/N)(<w^2> - <w>^2)/<w>^2; 1/N scaling."""
-    p1, p2 = _window_moments(ens.position_density(), window)
-    if np.any(p1 <= 0):
-        bad = np.flatnonzero(p1 <= 0)
+    """Var n_b / <n_b>^2 = (1/N)(p - p^2)/p^2; 1/N scaling."""
+    p = bin_probabilities(ens, window)
+    if np.any(p <= 0):
+        bad = np.flatnonzero(p <= 0)
         raise UndefinedFluctuationError(
             f"bins {bad.tolist()} carry no one-particle mass"
         )
-    rel = (p2 - p1 ** 2) / (ens.N * p1 ** 2)
+    rel = (p - p ** 2) / (ens.N * p ** 2)
     return DensityField(window.centers, window.widths, rel)
 
 
@@ -226,8 +204,7 @@ def _compositions(n, k):
 
 
 def occupation_distribution(ens: ProductEnsemble, window: SmearingWindow,
-                            rng=None, n_samples: int = 20000,
-                            mass_tol: float = 1e-9) -> OccupationDistribution:
+                            rng=None) -> OccupationDistribution:
     """Multinomial law over per-bin occupation vectors.
 
     Bins not covering the full one-particle mass are padded with an
@@ -236,10 +213,8 @@ def occupation_distribution(ens: ProductEnsemble, window: SmearingWindow,
     multinomial sampling, with standard errors on the empirical frequencies.
     """
     p = bin_probabilities(ens, window)
-    if window.shape != "tophat":
-        raise ValueError("occupation counting needs top-hat (indicator) bins")
     rest = 1.0 - p.sum()
-    if rest > mass_tol:
+    if rest > ELSEWHERE_MASS_TOL:
         p = np.append(p, rest)
     p = np.clip(p, 0.0, None)
     p = p / p.sum()
@@ -254,10 +229,10 @@ def occupation_distribution(ens: ProductEnsemble, window: SmearingWindow,
             f"exact enumeration capped at N <= {ENUMERATION_N_CAP}, "
             f"{ENUMERATION_BIN_CAP} bins; pass a seeded generator for sampling"
         )
-    draws = rng.multinomial(ens.N, p, size=n_samples)
+    draws = rng.multinomial(ens.N, p, size=OCCUPATION_SAMPLES)
     vectors, counts = np.unique(draws, axis=0, return_counts=True)
-    probs = counts / n_samples
-    se = np.sqrt(probs * (1.0 - probs) / n_samples)
+    probs = counts / OCCUPATION_SAMPLES
+    se = np.sqrt(probs * (1.0 - probs) / OCCUPATION_SAMPLES)
     return OccupationDistribution(vectors, probs, p, ens.N, exact=False,
                                   std_errors=se)
 

@@ -76,6 +76,7 @@ __all__ = [
 
 DEFAULT_DIM_CAP = 2 ** 16
 COMMUTATION_TOL = 1e-6
+HERMITICITY_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -85,16 +86,15 @@ class ToyHilbert:
     B: int
     N: int
     dx: float = 1.0
-    cap: int = DEFAULT_DIM_CAP
 
     def __post_init__(self):
         if self.B < 2 or self.N < 1:
             raise ValueError("need B >= 2 bins and N >= 1 particles")
         if self.dx <= 0:
             raise ValueError("dx must be positive")
-        if self.B ** self.N > self.cap:
+        if self.B ** self.N > DEFAULT_DIM_CAP:
             raise DimensionCapError(
-                f"B^N = {self.B ** self.N} exceeds the cap {self.cap}"
+                f"B^N = {self.B ** self.N} exceeds the cap {DEFAULT_DIM_CAP}"
             )
 
     @property
@@ -140,13 +140,12 @@ class StateVector:
 class DensityOperator:
     space: ToyHilbert
     matrix: np.ndarray = field(repr=False)
-    tol: float = 1e-8
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=complex)
         if m.shape != (self.space.dim, self.space.dim):
             raise ValueError("density matrix has the wrong shape")
-        if np.max(np.abs(m - m.conj().T)) > 100 * self.tol:
+        if np.max(np.abs(m - m.conj().T)) > 100 * HERMITICITY_TOL:
             raise ValueError("density matrix is not Hermitian")
         tr = np.real(np.trace(m))
         if abs(tr - 1.0) > 1e-6:
@@ -722,13 +721,13 @@ def multi_time_prob(rho, a_op, times, centers, sigma, h) -> float:
     return float(np.real(np.trace(p_final @ inner)))
 
 
-def _center_grids(rho_m, a_t, sigma, spacing_factor=0.1, half_width_sigmas=4.0):
+def _center_grids(rho_m, a_t, sigma):
+    """Spacing sigma/10 over <A(t)> +/- 4 sigma at each time."""
     grids = []
     for at in a_t:
         mean, _ = _mean_and_spread(rho_m, at)
-        half = half_width_sigmas * sigma
-        grids.append(np.arange(mean - half, mean + half + 1e-12,
-                               spacing_factor * sigma))
+        half = 4.0 * sigma
+        grids.append(np.arange(mean - half, mean + half + 1e-12, 0.1 * sigma))
     return grids
 
 

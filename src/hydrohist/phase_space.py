@@ -50,8 +50,10 @@ __all__ = [
     "save_wigner_descriptor",
 ]
 
-#: default tolerance for normalization / hermiticity checks
+#: tolerance of the Hermiticity (DensityMatrix) and negativity (Marginal) checks
 DEFAULT_TOL = 1e-6
+#: boundary mass above which check_domain_coverage warns
+COVERAGE_THRESHOLD = 1e-3
 
 
 def _trapz2(values, dq, dp):
@@ -115,7 +117,6 @@ class DensityMatrix:
     x_max: float
     n_x: int
     kernel: np.ndarray = field(repr=False)
-    tol: float = DEFAULT_TOL
 
     def __post_init__(self):
         if not self.x_min < self.x_max:
@@ -125,7 +126,7 @@ class DensityMatrix:
             raise ValueError("kernel must be square of shape (n_x, n_x)")
         herm = np.max(np.abs(ker - ker.conj().T))
         scale = max(np.max(np.abs(ker)), 1e-300)
-        if herm > 100 * self.tol * scale:
+        if herm > 100 * DEFAULT_TOL * scale:
             raise ValueError(f"kernel is not Hermitian (deviation {herm:.3e})")
         tr = float(np.real(np.sum(np.diag(ker))) * self.dx)
         if abs(tr - 1.0) > 1e-3:
@@ -174,13 +175,12 @@ class Marginal:
     samples: np.ndarray = field(repr=False)
     spacing: float
     origin: float = 0.0
-    tol: float = DEFAULT_TOL
 
     def __post_init__(self):
         if self.axis not in ("position", "momentum"):
             raise ValueError("axis must be 'position' or 'momentum'")
         s = np.asarray(self.samples, dtype=float)
-        if np.min(s) < -100 * self.tol * max(np.max(np.abs(s)), 1e-300):
+        if np.min(s) < -100 * DEFAULT_TOL * max(np.max(np.abs(s)), 1e-300):
             raise ValueError("marginal has significantly negative samples")
         total = float(np.trapezoid(s, dx=self.spacing))
         if abs(total - 1.0) > 1e-3:
@@ -227,8 +227,8 @@ def normalize(w: WignerGrid) -> WignerGrid:
     return w.with_values(w.values / total)
 
 
-def _check_normalized(w, tol=1e-3):
-    if abs(w.integral() - 1.0) > tol:
+def _check_normalized(w):
+    if abs(w.integral() - 1.0) > 1e-3:
         raise ValueError("operation requires a normalized WignerGrid")
 
 
@@ -361,7 +361,7 @@ def bin_integrals(line, x, edges):
     return np.diff(np.interp(edges, x, cum))
 
 
-def check_domain_coverage(w: WignerGrid, threshold=1e-3):
+def check_domain_coverage(w: WignerGrid):
     """Warn when a non-negligible fraction of mass sits near the grid boundary."""
     edge = (
         np.trapezoid(np.abs(w.values[0, :]) + np.abs(w.values[-1, :]), dx=w.dp)
@@ -369,7 +369,7 @@ def check_domain_coverage(w: WignerGrid, threshold=1e-3):
         + np.trapezoid(np.abs(w.values[:, 0]) + np.abs(w.values[:, -1]), dx=w.dq)
         * (w.p_max - w.p_min)
     )
-    if edge > threshold:
+    if edge > COVERAGE_THRESHOLD:
         warnings.warn(
             f"grid boundary carries non-negligible mass ({edge:.2e}); "
             "consider enlarging the domain",
@@ -448,7 +448,11 @@ def load_wigner_csv(path) -> WignerGrid:
 
 
 def save_wigner_descriptor(w: WignerGrid, json_path, data_file):
-    """JSON descriptor pointing at a CSV data file."""
+    """JSON descriptor pointing at a CSV data file.
+
+    ``data-file`` is stored relative to the descriptor's own directory, so
+    the pair can be moved or read from any working directory.
+    """
     desc = {
         "extents": {
             "q_min": w.q_min,
@@ -457,7 +461,7 @@ def save_wigner_descriptor(w: WignerGrid, json_path, data_file):
             "p_max": w.p_max,
         },
         "shape": [w.n_q, w.n_p],
-        "data-file": str(data_file),
+        "data-file": os.path.relpath(data_file, Path(json_path).parent),
     }
     atomic_write(json_path, json.dumps(desc, indent=2))
     return desc

@@ -19,7 +19,11 @@ kT).  Three mutually consistent descriptions are implemented:
   (-gamma (x-y)(d_x - d_y) rho) and decoherence (-2 M gamma kT (x-y)^2 rho)
   terms, Strang split: the decoherence term is applied as its exact
   elementwise factor and the kinetic and dissipation terms are stepped
-  with explicit RK4;
+  with explicit RK4.  The step is a linear map on the raw kernel, so it
+  also evolves kernels that are neither Hermitian nor of unit trace, such
+  as the off-diagonal blocks P rho P' of a history; it commutes with the
+  conjugate transpose in floating point, so a Hermitian kernel stays
+  Hermitian by construction, not by a projection;
 
 - the diffusive limit: D = kT / (2 M gamma), the constitutive relation
   <p>(q) = -(kT / 2 gamma) df/dq, and a least-squares diffusion-constant fit.
@@ -72,11 +76,9 @@ __all__ = [
     "kernel_covariance",
     "propagate_analytic",
     "fokker_planck_dt_bound",
-    "step_fokker_planck",
     "evolve_fokker_planck",
     "master_equation_rhs",
     "master_dt_bound",
-    "step_master_equation",
     "evolve_master_equation",
     "diffusion_coefficient",
     "fit_diffusion",
@@ -129,14 +131,10 @@ class DiffusionFit:
     D_fit: float
     D_theory: float
     fit_window: tuple
-    relative_error: float = None
 
-    def __post_init__(self):
-        object.__setattr__(
-            self,
-            "relative_error",
-            abs(self.D_fit - self.D_theory) / self.D_theory,
-        )
+    @property
+    def relative_error(self):
+        return abs(self.D_fit - self.D_theory) / self.D_theory
 
 
 @dataclass(frozen=True)
@@ -267,11 +265,11 @@ def propagate_analytic(w0: WignerGrid, t, params: QbmParams) -> WignerGrid:
 # --- step control -----------------------------------------------------------
 
 
-def _step_plan(t, dt, bound, name="effective dt"):
+def _step_plan(t, dt, bound):
     """(n_steps, dt_eff) of equal steps no longer than dt covering t >= 0.
 
-    n_steps is 0 at t = 0.  dt defaults to ``bound``; a StepSizeError naming
-    ``name`` is raised when dt_eff exceeds it.
+    n_steps is 0 at t = 0.  dt defaults to ``bound``; a StepSizeError is
+    raised when dt_eff exceeds it.
     """
     if t < 0:
         raise ValueError("t must be nonnegative")
@@ -283,7 +281,8 @@ def _step_plan(t, dt, bound, name="effective dt"):
     dt_eff = t / n_steps
     if dt_eff > bound * (1 + 1e-12):
         raise StepSizeError(
-            f"{name} = {dt_eff:.3e} exceeds the stability bound {bound:.3e}"
+            f"effective dt = {dt_eff:.3e} exceeds the stability bound "
+            f"{bound:.3e}"
         )
     return n_steps, dt_eff
 
@@ -408,14 +407,6 @@ def _momentum_propagator(p, dp, dt, params: QbmParams):
     return np.ascontiguousarray(expm(dt * gen).T)
 
 
-def _momentum_step(buf: _FokkerPlanckBuffers, propagator_t):
-    """W <- W exp(dt L)^T along p for every q row, in place."""
-    w = buf.values
-    out = buf.work[:w.shape[0]]
-    np.matmul(w, propagator_t, out=out)
-    w[...] = out
-
-
 def _integrate_fokker_planck(w: WignerGrid, dt, n_steps, params: QbmParams,
                              periodic_q: bool) -> WignerGrid:
     """n_steps Strang steps A(dt/2) C(dt) A(dt/2), adjacent half-advections merged.
@@ -426,21 +417,16 @@ def _integrate_fokker_planck(w: WignerGrid, dt, n_steps, params: QbmParams,
     buf = _FokkerPlanckBuffers(w.values, periodic_q)
     c = w.p * dt / (params.M * w.dq)
     momentum = _momentum_propagator(w.p, w.dp, dt, params)
+    out = buf.work[:w.n_q]
     _advect_q(buf, 0.5 * c)
     for k in range(n_steps):
-        _momentum_step(buf, momentum)
+        np.matmul(buf.values, momentum, out=out)
+        buf.values[...] = out
         _advect_q(buf, c if k < n_steps - 1 else 0.5 * c)
         if not np.isfinite(buf.values, out=buf.finite).all():
             raise DivergenceError(
                 "Fokker-Planck step produced non-finite values")
     return w.with_values(buf.values)
-
-
-def step_fokker_planck(w: WignerGrid, dt, params: QbmParams,
-                       periodic_q: bool = False) -> WignerGrid:
-    """One Strang-split step (advect dt/2, momentum sector dt, advect dt/2)."""
-    n_steps, dt = _step_plan(dt, dt, fokker_planck_dt_bound(w, params), "dt")
-    return _integrate_fokker_planck(w, dt, n_steps, params, periodic_q)
 
 
 def evolve_fokker_planck(w0: WignerGrid, t, params: QbmParams, dt=None,
@@ -514,22 +500,23 @@ def master_dt_bound(rho: DensityMatrix, params: QbmParams) -> float:
     return 0.8 * 2.78 / (kinetic + dissipation)
 
 
-def _integrate_master_equation(rho: DensityMatrix, dt, n_steps,
-                               params: QbmParams) -> DensityMatrix:
+def _integrate_master_equation(kernel, x, dx, dt, n_steps,
+                               params: QbmParams) -> np.ndarray:
     """n_steps Strang steps D(dt/2) RK(dt) D(dt/2), adjacent half-damps merged.
 
     D is the exact decoherence factor exp(-2 M gamma kT (x - y)^2 dt) and RK
     one RK4 step of the kinetic and dissipation terms, so the product is
-    D(dt/2) [RK(dt) D(dt)]^(n-1) RK(dt) D(dt/2).
+    D(dt/2) [RK(dt) D(dt)]^(n-1) RK(dt) D(dt/2).  The map is linear in the
+    (n, n) kernel on the lattice x; the kernel may be any complex matrix.
     """
-    n, x = rho.n_x, rho.x
+    n = x.size
     rate = _decoherence_rate(params)
     full = position_dephasing(x[:, None], rate, dt)
     half = position_dephasing(x[:, None], rate, 0.5 * dt)
-    c_plus, c_minus = _generator_coefficients(x, rho.dx, params)
+    c_plus, c_minus = _generator_coefficients(x, dx, params)
     padded = np.zeros((n + 2, n + 2), dtype=complex)
     stage = padded[1:-1, 1:-1]
-    ker = rho.kernel * half
+    ker = kernel * half
     k, acc, tmp = (np.empty((n, n), dtype=complex) for _ in range(3))
     finite = np.empty((n, n), dtype=bool)
     for step in range(n_steps):
@@ -545,19 +532,10 @@ def _integrate_master_equation(rho: DensityMatrix, dt, n_steps,
         acc *= dt / 6.0
         ker += acc
         ker *= full if step < n_steps - 1 else half
-        np.conjugate(ker.T, out=tmp)
-        ker += tmp
-        ker *= 0.5
         if not np.isfinite(ker, out=finite).all():
             raise DivergenceError(
                 "master-equation step produced non-finite values")
-    return rho.with_kernel(ker)
-
-
-def step_master_equation(rho: DensityMatrix, dt, params: QbmParams) -> DensityMatrix:
-    """One step: exact half-damp, RK4 kinetic and dissipation step, half-damp."""
-    n_steps, dt = _step_plan(dt, dt, master_dt_bound(rho, params), "dt")
-    return _integrate_master_equation(rho, dt, n_steps, params)
+    return ker
 
 
 def evolve_master_equation(rho0: DensityMatrix, t, params: QbmParams,
@@ -566,7 +544,8 @@ def evolve_master_equation(rho0: DensityMatrix, t, params: QbmParams,
     n_steps, dt_eff = _step_plan(t, dt, master_dt_bound(rho0, params))
     if n_steps == 0:
         return rho0
-    return _integrate_master_equation(rho0, dt_eff, n_steps, params)
+    return rho0.with_kernel(_integrate_master_equation(
+        rho0.kernel, rho0.x, rho0.dx, dt_eff, n_steps, params))
 
 
 # --- diffusive-limit diagnostics -------------------------------------------

@@ -203,6 +203,21 @@ class RunReport:
         }, indent=2)
 
 
+def _is_number(v):
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _has_default_type(value, default):
+    """A value may stand where ``default`` does: an int where the default is
+    an int, an int or float where it is a float, a list of numbers where it
+    is a list; a bool is never a number."""
+    if isinstance(default, list):
+        return isinstance(value, list) and all(map(_is_number, value))
+    if isinstance(default, float):
+        return _is_number(value)
+    return type(value) is type(default)
+
+
 def _reject_duplicates(pairs):
     seen = {}
     for key, value in pairs:
@@ -262,10 +277,14 @@ def validate_config(raw: dict) -> ScenarioConfig:
             raise ConfigurationError(
                 f"unknown {section} keys for scenario {name!r}: "
                 f"{', '.join(sorted(bad))}")
+        for key, value in override.items():
+            if not _has_default_type(value, defaults[key]):
+                raise ConfigurationError(
+                    f"{section}.{key} must have the type of its default "
+                    f"{defaults[key]!r}, got {value!r}")
         defaults.update(override)
     for key in ("M", "gamma", "kT"):
-        if key in params and not (isinstance(params[key], (int, float))
-                                  and params[key] > 0):
+        if key in params and not params[key] > 0:
             raise ConfigurationError(f"{key} must be positive")
     seed = raw.get("seed")
     if seed is not None and (not isinstance(seed, int) or seed < 0

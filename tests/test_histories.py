@@ -524,6 +524,28 @@ class TestEhrenfestMultiTime:
         for p, mu in zip(peak, self.means):
             assert abs(p - mu) <= self.sigma / 10 + 1e-9
 
+    @pytest.mark.parametrize("state", ["pure", "mixed"])
+    def test_scan_values_match_chain_formula(self, state):
+        # every scanned value is the dense chain probability at its centers
+        rng = np.random.default_rng(12)
+        if state == "pure":
+            rho = self.rho
+        else:
+            vs = [random_pure(rng, 8) for _ in range(3)]
+            rho = sum(w * np.outer(v, v.conj())
+                      for w, v in zip((0.5, 0.3, 0.2), vs))
+        times, sigma = self.times[:2], 3.0
+        _, grids, vals = hi.argmax_scan(rho, self.a, times, sigma, self.h)
+        picks = zip(rng.integers(0, len(grids[0]), 30),
+                    rng.integers(0, len(grids[1]), 30))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            for i, j in picks:
+                want = hi.multi_time_prob(rho, self.a, times,
+                                          (grids[0][i], grids[1][j]),
+                                          sigma, self.h)
+                assert vals[i, j] == pytest.approx(want, rel=1e-12, abs=0)
+
     def test_conserved_observable_factorizes(self):
         # [H, A] = 0: the multi-time probability equals the single-time one
         rng = np.random.default_rng(8)

@@ -1,4 +1,5 @@
 import csv
+import json
 
 import numpy as np
 import pytest
@@ -179,6 +180,22 @@ class TestSerialization:
         desc = ps.save_wigner_descriptor(w, tmp_path / "grid.json", data)
         assert desc["shape"] == [32, 32]
         assert desc["extents"]["q_min"] == -6
+
+    def test_descriptor_data_file_relative_to_descriptor(self, tmp_path,
+                                                         monkeypatch):
+        # saved from the parent directory, read back from elsewhere
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "out").mkdir()
+        w = ps.gaussian_wigner(-6, 6, 16, -6, 6, 16)
+        ps.save_wigner_csv(w, "out/grid.csv")
+        ps.save_wigner_descriptor(w, "out/grid.json", "out/grid.csv")
+        (tmp_path / "elsewhere").mkdir()
+        monkeypatch.chdir(tmp_path / "elsewhere")
+        json_path = tmp_path / "out" / "grid.json"
+        desc = json.loads(json_path.read_text())
+        assert desc["data-file"] == "grid.csv"
+        back = ps.load_wigner_csv(json_path.parent / desc["data-file"])
+        assert np.array_equal(back.values, w.values)
 
 
 def _wigner_csv(tmp_path):

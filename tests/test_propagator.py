@@ -163,7 +163,7 @@ class TestFokkerPlanck:
         w0 = ps.gaussian_wigner(-18, 18, 160, -6, 6, 96)
         bound = pr.fokker_planck_dt_bound(w0, UNIT)
         with pytest.raises(StepSizeError):
-            pr.step_fokker_planck(w0, 2.0 * bound, UNIT)
+            pr.evolve_fokker_planck(w0, 2.0 * bound, UNIT, dt=2.0 * bound)
 
     @pytest.mark.parametrize("periodic", [True, False])
     def test_advection_matches_reference(self, periodic):
@@ -194,20 +194,13 @@ class TestFokkerPlanck:
         w_fine = pr.evolve_fokker_planck(w0, 2.0, UNIT, dt=bound / 4)
         assert ps.l1_distance(w_default, w_fine) < 2e-3
 
-    def test_single_step_matches_evolve(self):
-        w0 = ps.gaussian_wigner(-18, 18, 160, -6, 6, 96, var_q=0.25, var_p=0.5)
-        t = 0.9 * pr.fokker_planck_dt_bound(w0, UNIT)
-        w_step = pr.step_fokker_planck(w0, t, UNIT)
-        w_evolve = pr.evolve_fokker_planck(w0, t, UNIT, dt=t)
-        assert np.array_equal(w_step.values, w_evolve.values)
-
     def test_step_beyond_explicit_diffusion_limit(self):
         # three times the bound 0.4 dp^2 / (2 M gamma kT) of an explicit
         # momentum step; the implicit step stays finite and conservative
         w0 = ps.gaussian_wigner(-18, 18, 160, -6, 6, 96, var_q=0.25, var_p=0.5)
         dt = 3.0 * 0.4 * w0.dp ** 2 / 2.0
         assert dt < pr.fokker_planck_dt_bound(w0, UNIT)
-        wt = pr.step_fokker_planck(w0, dt, UNIT)
+        wt = pr.evolve_fokker_planck(w0, dt, UNIT, dt=dt)
         assert np.all(np.isfinite(wt.values))
         assert wt.integral() == pytest.approx(w0.integral(), abs=1e-8)
 
@@ -311,7 +304,8 @@ class TestMasterEquation:
         rho0 = self.cat_state()
         bound = pr.master_dt_bound(rho0, self.params)
         with pytest.raises(StepSizeError):
-            pr.step_master_equation(rho0, 2.0 * bound, self.params)
+            pr.evolve_master_equation(rho0, 2.0 * bound, self.params,
+                                      dt=2.0 * bound)
 
     def test_matches_fine_step_reference(self):
         # unsplit RK4 over the full public generator at a quarter of the
@@ -337,12 +331,53 @@ class TestMasterEquation:
             pr.evolve_master_equation(rho0, t, self.params))
         assert ps.l1_distance(want, got) < 1e-3
 
-    def test_single_step_matches_evolve(self):
+    def test_linear_on_off_diagonal_block(self):
+        # an off-diagonal block X = P_L rho P_R is neither Hermitian nor of
+        # unit trace; the map must act on it as on H1 + i H2 with
+        # H1 = (X + X^dag)/2 and H2 = (X - X^dag)/2i Hermitian
+        spec = sc.SCENARIOS["oracle-compare"]
+        p, g = spec["params"], spec["grid"]
+        params = pr.QbmParams(p["M"], p["gamma"], p["kT"])
+        x_max, n_x = g["master_x_max"], g["master_n_x"]
+        p0, p1, n_p = ps.conjugate_momentum_axis(-x_max, x_max, n_x)
+        rho = ps.wigner_to_density(ps.gaussian_wigner(
+            -x_max, x_max, n_x, p0, p1, n_p, mean_q=-0.5, mean_p=1.0,
+            var_q=1.0, var_p=0.5))
+        left = rho.x < 0
+        block = rho.kernel * np.outer(left, ~left)
+        h1 = 0.5 * (block + block.conj().T)
+        h2 = (block - block.conj().T) / 2j
+        n_steps, dt = pr._step_plan(p["t_master"], None,
+                                    pr.master_dt_bound(rho, params))
+
+        def evolve(k):
+            return pr._integrate_master_equation(k, rho.x, rho.dx, dt,
+                                                 n_steps, params)
+
+        got = evolve(block)
+        want = evolve(h1) + 1j * evolve(h2)
+        assert np.max(np.abs(got - want)) < 1e-13 * np.max(np.abs(want))
+        assert np.max(np.abs(got)) > 1e-3 * np.max(np.abs(block))
+
+    def test_exactly_hermitian_stays_exactly_hermitian(self):
+        # the step commutes with the conjugate transpose in floating point,
+        # so no projection is needed to keep a Hermitian kernel Hermitian
         rho0 = self.cat_state()
-        t = 0.9 * pr.master_dt_bound(rho0, self.params)
-        rho_step = pr.step_master_equation(rho0, t, self.params)
-        rho_evolve = pr.evolve_master_equation(rho0, t, self.params, dt=t)
-        assert np.array_equal(rho_step.kernel, rho_evolve.kernel)
+        n_steps, dt = pr._step_plan(0.25, None,
+                                    pr.master_dt_bound(rho0, self.params))
+        rng = np.random.default_rng(5)
+        a = rng.standard_normal((self.n, self.n)) \
+            + 1j * rng.standard_normal((self.n, self.n))
+        herm = a + a.conj().T
+        psi = np.exp(-(self.x - 1.0) ** 2 + 2j * self.x) \
+            + np.exp(-(self.x + 1.5) ** 2 / 2.0 - 1j * self.x)
+        cat = np.outer(psi, psi.conj())
+        cat = 0.5 * (cat + cat.conj().T)
+        for kernel in (herm, cat):
+            assert np.array_equal(kernel, kernel.conj().T)
+            k = pr._integrate_master_equation(kernel, rho0.x, rho0.dx, dt,
+                                              n_steps, self.params)
+            assert np.array_equal(k, k.conj().T)
 
     def test_oracle_compare_step_count(self):
         # the exact decoherence factor takes the (x - y)^2 rate out of the

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,6 +7,8 @@ import pytest
 from hydrohist import cli
 from hydrohist import scenarios as sc
 from hydrohist.errors import ConfigurationError, ScenarioError
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def write_config(tmp_path, body, name="config.json"):
@@ -54,6 +57,44 @@ class TestLoadConfig:
         raw = minimal("diffusion", params={"gamma": 0})
         with pytest.raises(ConfigurationError, match="gamma must be positive"):
             sc.load_config(write_config(tmp_path, raw))
+
+    @pytest.mark.parametrize("scenario, section, key, value", [
+        ("histories-nscaling", "params", "N_max", "8"),
+        ("histories-nscaling", "params", "N_max", 8.0),
+        ("histories-nscaling", "params", "N_max", True),
+        ("histories-nscaling", "params", "sigma", False),
+        ("histories-nscaling", "params", "sigma", None),
+        ("histories-nscaling", "params", "overlap", [0.8]),
+        ("diffusion", "grid", "n_q", 481.5),
+        ("conserved-decoherence", "params", "times2", [0.4, 1.1, "x"]),
+        ("conserved-decoherence", "params", "times2", [0.4, True]),
+        ("conserved-decoherence", "params", "times2", 0.4),
+    ])
+    def test_parameter_type_must_match_default(self, tmp_path, scenario,
+                                               section, key, value):
+        raw = minimal(scenario, **{section: {key: value}})
+        with pytest.raises(ConfigurationError, match=f"{section}.{key} must"):
+            sc.load_config(write_config(tmp_path, raw))
+
+    @pytest.mark.parametrize("name, params", [
+        ("diffusion", {"gamma": 2, "t_end": 12, "n_times": 6}),
+        ("maxwellization", {"var_p0": 0.3}),
+        ("variance-scaling", {"N_values": [10, 100], "var_q": 1.2}),
+        ("conserved-decoherence", {"times2": [0.2, 1], "times3": [0.3, 0.8,
+                                                                  1.5]}),
+        ("local-equilibrium-peaking", {"beta": 3.1, "mubar": [5, 0.0, 0.0],
+                                       "dephasing_rate": 70.5}),
+        ("histories-nscaling", {"overlap": 0.7, "sigma": 0.9}),
+    ])
+    def test_numeric_overrides_accepted(self, tmp_path, name, params):
+        cfg = sc.load_config(write_config(tmp_path, minimal(name,
+                                                            params=params)))
+        assert all(cfg.params[k] == v for k, v in params.items())
+
+    @pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.json")),
+                             ids=lambda p: p.name)
+    def test_shipped_configs_validate(self, path):
+        assert sc.load_config(path).scenario == path.stem
 
     def test_duplicate_key_rejected(self, tmp_path):
         body = '{"schema_version": 1, "scenario": "diffusion", ' \
@@ -199,6 +240,12 @@ class TestCli:
         path = write_config(tmp_path, minimal("variance-scaling"))
         assert cli.main(["validate", str(path)]) == 0
         assert "valid" in capsys.readouterr().out
+
+    def test_validate_wrong_parameter_type_exit_two(self, tmp_path, capsys):
+        path = write_config(tmp_path, minimal("histories-nscaling",
+                                              params={"N_max": "8"}))
+        assert cli.main(["validate", str(path)]) == 2
+        assert "params.N_max" in capsys.readouterr().err
 
     def test_validate_bad(self, tmp_path, capsys):
         path = write_config(tmp_path, minimal("warp-drive"))
