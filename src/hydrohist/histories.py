@@ -1,8 +1,7 @@
 """Exact decoherent-histories computations on finite toy Hilbert spaces.
 
 One particle lives on B position bins; N distinguishable particles span the
-B^N tensor-product space (dense linear algebra, so B^N is capped).  The
-module builds
+B^N tensor-product space.  The module builds
 
 - collective observables: number, momentum and energy density per bin, with
   symmetrized ordering for the non-diagonal ones;
@@ -16,7 +15,13 @@ module builds
   with Heisenberg projectors generated by a Hamiltonian and, optionally, a
   per-particle position dephasing map interleaved with the unitary steps,
   from projected chains of rho = L L^dag without dephasing and from
-  damp-then-rotate branch-pair matrices with it;
+  damp-then-rotate branch-pair matrices with it (the dense engines: dense
+  linear algebra on the B^N space, so B^N is capped);
+- the two-time occupation decoherence functional of a product state
+  rho1^(x N) under a one-body Hamiltonian and per-particle dephasing, from
+  one-particle objects only: a one-particle tensor d1[b, b', c] and a dynamic
+  program over particles for the coefficients of (sum d1 x_b x'_b' y_c)^N
+  (the factorized engine, checked against the dense engines in the tests);
 - consistency diagnostics: the off-diagonal ratio epsilon and the bound
   |D(a,a')|^2 <= p(a) p(a'), which any decoherence functional satisfies;
 - Gaussian-history probabilities and their peak structure: the exact
@@ -62,6 +67,7 @@ __all__ = [
     "occupation_family",
     "gaussian_occupation_family",
     "decoherence_functional",
+    "product_occupation_functional",
     "consistency_epsilon",
     "check_dh_bound",
     "single_time_prob_exact",
@@ -616,6 +622,99 @@ def decoherence_functional(rho, history: HistorySpec) -> DecoherenceMatrix:
     else:
         mat = _branch_pair_functional(_as_density_matrix(rho), history, levels)
     return DecoherenceMatrix(tuple(catalog), mat)
+
+
+def _compositions(n, b):
+    """Occupation vectors of n particles in b bins, lexicographically ordered
+    as ``occupation_family`` orders them."""
+    if b == 1:
+        return [(n,)]
+    return [(k,) + rest for k in range(n + 1)
+            for rest in _compositions(n - k, b - 1)]
+
+
+def _occupation_coefficients(d1, n):
+    """Coefficients of (sum_{b b' c} d1[b, b', c] x_b x'_b' y_c)^n.
+
+    The array is indexed by the first B - 1 exponents of x, then of x', then
+    of y; the last exponent of each follows from their sum being n.  One
+    particle at a time, each term shifts the array by its three bins and
+    adds it in.
+    """
+    b = d1.shape[0]
+    axes = 3 * (b - 1)
+    coef = np.zeros((n + 1,) * axes, dtype=complex)
+    coef[(0,) * axes] = 1.0
+    for k in range(n):  # after k particles no exponent exceeds k
+        held = (slice(0, k + 1),) * axes
+        old = coef[held].copy()
+        coef[held] = 0.0
+        for (i, j, c), d in np.ndenumerate(d1):
+            dst = list(held)
+            for group, bin_ in enumerate((i, j, c)):
+                if bin_ < b - 1:
+                    dst[group * (b - 1) + bin_] = slice(1, k + 2)
+            coef[tuple(dst)] += d * old
+    return coef
+
+
+def product_occupation_functional(rho1: DensityOperator, h1, n, times,
+                                  dephasing_rate=0.0) -> DecoherenceMatrix:
+    """Two-time occupation decoherence functional of the product state
+    rho1^(x n) under the one-body Hamiltonian ``h1``, from one-particle
+    objects only.
+
+    Each interval is one damp-then-rotate step (``dephasing_substeps=1`` of
+    the dense engines).  With the one-particle tensor
+
+        d1[b, b', c] = <c| E_{t2-t1}(|b><b| rho1(t1) |b'><b'|) |c>,
+
+    D((n1, n2), (n1', n2')) is delta(n2, n2') times the coefficient of
+    prod_b x_b^n1_b x'_b^n1'_b y_b^n2_b in (sum d1[b, b', c] x_b x'_b' y_c)^n:
+    the map, the state and the projectors all factorize over particles.
+    Labels and their order are those of ``decoherence_functional`` with
+    ``occupation_family`` at both times.  ``n`` is held to the same B^n cap
+    as the dense engines, since D has C(n + B - 1, B - 1)^4 entries.
+    """
+    space1 = rho1.space
+    if space1.N != 1:
+        raise ValueError("rho1 must be a one-particle state")
+    ToyHilbert(B=space1.B, N=n, dx=space1.dx)  # checks n and the cap
+    h1 = np.asarray(h1, dtype=complex)
+    if h1.shape != (space1.B, space1.B):
+        raise ValueError("one-particle Hamiltonian must be B x B")
+    if np.max(np.abs(h1 - h1.conj().T)) > 1e-10 * max(np.max(np.abs(h1)),
+                                                      1e-300):
+        raise ValueError("Hamiltonian must be Hermitian")
+    times = tuple(float(t) for t in times)
+    if len(times) != 2 or not 0.0 <= times[0] < times[1]:
+        raise ValueError("need exactly two times 0 <= t1 < t2")
+    t1, t2 = times
+    if dephasing_rate < 0:
+        raise ValueError("dephasing rate must be nonnegative")
+
+    r1 = _evolve_density(rho1.matrix, h1, 0.0, t1, space1, dephasing_rate, 1)
+    u = _unitary(h1, t2 - t1)
+    damp = _dephasing_mask(space1, dephasing_rate, t2 - t1)
+    bins = np.eye(space1.B, dtype=bool)
+    d1 = np.empty((space1.B,) * 3, dtype=complex)
+    for i, j in itertools.product(range(space1.B), repeat=2):
+        a, b = _damp_rotate(bins[i], bins[j], r1[bins[i]][:, bins[j]], u,
+                            damp, 1)
+        d1[i, j] = np.einsum("ij,ij->i", a, b.conj())
+
+    comps = _compositions(n, space1.B)
+    heads = np.ravel_multi_index(np.array(comps)[:, :-1].T,
+                                 (n + 1,) * (space1.B - 1))
+    size = (n + 1) ** (space1.B - 1)
+    coef = _occupation_coefficients(d1, n).reshape(size, size, size)
+    k = len(comps)
+    out = np.zeros((k, k, k, k), dtype=complex)  # (n1, n2, n1', n2')
+    same = np.arange(k)
+    block = coef[np.ix_(heads, heads, heads)]  # (n1, n1', n2)
+    out[:, same, :, same] = block.transpose(2, 0, 1)
+    labels = tuple(itertools.product(comps, repeat=2))
+    return DecoherenceMatrix(labels, out.reshape(k * k, k * k))
 
 
 def consistency_epsilon(dmat: DecoherenceMatrix) -> float:

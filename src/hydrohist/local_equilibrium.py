@@ -15,9 +15,9 @@ collisionless continuity equations
     dh/dt + d j_h/dx = 0,        j_h = int dp p^3 W / 2 m^2,
 
 with centered differences in time and space.  local_equilibrium_peaking runs
-the tensor-power Gibbs state through the histories engine and reports how
-sharply two-time occupation histories concentrate on the mean-field
-trajectory.
+the tensor-power Gibbs state through the factorized histories engine, which
+works from the one-particle state alone, and reports how sharply two-time
+occupation histories concentrate on the mean-field trajectory.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import expm
 
 from . import histories as hist
 from .errors import ResolutionError
@@ -255,22 +254,19 @@ def local_equilibrium_peaking(beta, mubar, u, n_particles, times,
 
     Reports the consistency epsilon and the fraction of diagonal probability
     carried by occupation trajectories within ``tolerance_units`` of the
-    bin-quantized mean-field trajectory at both times.  A positive
-    ``dephasing_rate`` couples the particles to a position-monitoring
-    environment; the mean trajectory uses the same dephased one-particle
-    dynamics (the product-form damping factorizes over particles).
+    bin-quantized mean-field trajectory at both times 0 <= t1 < t2.  A
+    positive ``dephasing_rate`` couples the particles to a
+    position-monitoring environment; the mean trajectory uses the same
+    dephased one-particle dynamics (the product-form damping factorizes over
+    particles).  The decoherence functional comes from
+    ``histories.product_occupation_functional``, which never forms the
+    B^N-dimensional space.
     """
     rho1 = one_particle_gibbs(beta, mubar, u, mass=mass, dx=dx)
-    rho = gibbs_tensor_power(rho1, n_particles)
-    space = rho.space
     p1 = hist.one_particle_momentum(rho1.space)
     kin1 = p1 @ p1 / (2.0 * mass)
-    ham = hist.lift_one_body(space, kin1)
-    fam = hist.occupation_family(space)
-    spec = hist.HistorySpec(space, tuple(times), ([fam], [fam]), ham,
-                            dephasing_rate=dephasing_rate,
-                            dephasing_substeps=1)
-    dmat = hist.decoherence_functional(rho, spec)
+    dmat = hist.product_occupation_functional(rho1, kin1, n_particles, times,
+                                              dephasing_rate)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         eps = hist.consistency_epsilon(dmat)

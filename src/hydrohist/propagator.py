@@ -475,7 +475,12 @@ def _decoherence_rate(params: QbmParams) -> float:
 
 
 def master_equation_rhs(rho: DensityMatrix, params: QbmParams) -> np.ndarray:
-    """Generator of the position-basis master equation (hbar = 1), symmetrized."""
+    """Generator of the position-basis master equation (hbar = 1).
+
+    Linear in the kernel, which may be any complex matrix: it is the
+    generator of the map ``evolve_master_equation`` integrates.  Only
+    ``n_x``, ``x``, ``dx`` and ``kernel`` of ``rho`` are read.
+    """
     n, x = rho.n_x, rho.x
     padded = np.zeros((n + 2, n + 2), dtype=complex)
     padded[1:-1, 1:-1] = rho.kernel
@@ -484,7 +489,7 @@ def master_equation_rhs(rho: DensityMatrix, params: QbmParams) -> np.ndarray:
                                np.empty((n, n), dtype=complex),
                                np.empty((n, n), dtype=complex))
     rhs -= _decoherence_rate(params) * (x[:, None] - x[None, :]) ** 2 * rho.kernel
-    return 0.5 * (rhs + rhs.conj().T)
+    return rhs
 
 
 def master_dt_bound(rho: DensityMatrix, params: QbmParams) -> float:

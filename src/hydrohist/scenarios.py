@@ -41,7 +41,9 @@ __all__ = [
 SCHEMA_VERSION = 1
 
 #: catalog: description (with the defining relation), parameter defaults,
-#: grid defaults, metric thresholds, and whether the scenario draws samples.
+#: grid defaults, metric thresholds, whether the scenario draws samples, and
+#: optional range checks on the merged parameters, as (predicate, message)
+#: pairs that ``validate_config`` applies.
 SCENARIOS = {
     "diffusion": {
         "description": (
@@ -56,6 +58,13 @@ SCENARIOS = {
         "thresholds": {"fokker_planck_relative_error": 0.05,
                        "analytic_relative_error": 1e-3},
         "sampling": False,
+        # fit_diffusion needs at least 4 samples of an increasing series
+        "ranges": (
+            (lambda p: p["n_times"] >= 4,
+             "params.n_times must be at least 4"),
+            (lambda p: p["t_start"] < p["t_end"],
+             "params.t_start must be less than params.t_end"),
+        ),
     },
     "maxwellization": {
         "description": (
@@ -146,6 +155,19 @@ SCENARIOS = {
         "grid": {},
         "thresholds": {"epsilon": 0.05, "on_trajectory_fraction": 0.9},
         "sampling": False,
+        "ranges": (
+            (lambda p: len(p["times"]) == 2
+             and 0 <= p["times"][0] < p["times"][1],
+             "params.times must be two times 0 <= t1 < t2"),
+            (lambda p: p["N"] >= 1, "params.N must be at least 1"),
+            (lambda p: len(p["mubar"]) >= 2,
+             "params.mubar must give at least 2 bins"),
+            (lambda p: p["beta"] > 0, "params.beta must be positive"),
+            (lambda p: p["dephasing_rate"] >= 0,
+             "params.dephasing_rate must be nonnegative"),
+            (lambda p: p["tolerance_units"] >= 0,
+             "params.tolerance_units must be nonnegative"),
+        ),
     },
 }
 
@@ -286,6 +308,9 @@ def validate_config(raw: dict) -> ScenarioConfig:
     for key in ("M", "gamma", "kT"):
         if key in params and not params[key] > 0:
             raise ConfigurationError(f"{key} must be positive")
+    for in_range, message in entry.get("ranges", ()):
+        if not in_range(params):
+            raise ConfigurationError(message)
     seed = raw.get("seed")
     if seed is not None and (not isinstance(seed, int) or seed < 0
                              or seed >= 2 ** 64):
@@ -537,6 +562,23 @@ def _run_conserved_decoherence(config):
     return metrics, art, []
 
 
+def _most_probable(probabilities, count=50):
+    """The ``count`` most probable labels, in tiers: in descending order, a
+    probability within 1e-12 (relative) of the one before it joins its tier,
+    and a tier lists its labels in ascending order.  Histories equal up to
+    rounding, such as mirror images, then keep one order whichever engine
+    computed them; rounding to fixed decimals would still split a tie that
+    straddles a rounding boundary."""
+    tiers, prev = [], None
+    for lab in sorted(probabilities, key=lambda lab: -probabilities[lab]):
+        p = probabilities[lab]
+        if prev is None or prev - p > 1e-12 * prev:
+            tiers.append([])
+        tiers[-1].append(lab)
+        prev = p
+    return [lab for tier in tiers for lab in sorted(tier)][:count]
+
+
 def _run_local_equilibrium_peaking(config):
     p = config.params
     mubar = np.asarray(p["mubar"], dtype=float)
@@ -550,9 +592,9 @@ def _run_local_equilibrium_peaking(config):
         _metric(config, "on_trajectory_fraction",
                 rep.on_trajectory_fraction),
     ]
-    rows = [("|".join(map(str, lab[0])), "|".join(map(str, lab[1])), prob)
-            for (lab, prob) in sorted(rep.probabilities.items(),
-                                      key=lambda kv: -kv[1])[:50]]
+    rows = [("|".join(map(str, lab[0])), "|".join(map(str, lab[1])),
+             rep.probabilities[lab])
+            for lab in _most_probable(rep.probabilities)]
     art = {"peaking.csv": (
         ["occupations_t1", "occupations_t2", "probability"], rows)}
     notes = [f"mean-field trajectory: {rep.mean_trajectory!r}"]

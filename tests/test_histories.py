@@ -1,5 +1,6 @@
 import functools
 import itertools
+import math
 import warnings
 
 import numpy as np
@@ -8,6 +9,8 @@ from scipy.linalg import expm
 from scipy.stats import multinomial
 
 from hydrohist import histories as hi
+from hydrohist import local_equilibrium as le
+from hydrohist import scenarios as sc
 from hydrohist.errors import ConfigurationError, DimensionCapError
 
 
@@ -365,6 +368,112 @@ class TestEnginesMatchDenseReference:
                 (([occ, first], [first, occ]), ([occ, window], [window, occ])),
                 self.RATES):
             self.check(state, (0.4, 1.1), slots, rate, substeps)
+
+
+#: one-particle Gibbs states (beta, mubar, u): the peaking scenario's, the
+#: same with a drift (which makes rho1 complex on B = 3), and a B = 2 state
+PRODUCT_STATES = {
+    "gibbs3": (3.0, (4.0, 0.0, 0.0), (0.0, 0.0, 0.0)),
+    "drift3": (3.0, (4.0, 0.0, 0.0), (0.5, -0.3, 0.2)),
+    "gibbs2": (2.0, (1.0, 0.0), (0.0, 0.0)),
+}
+PRODUCT_CASES = [("gibbs3", 1), ("gibbs3", 2), ("gibbs3", 4), ("gibbs3", 6),
+                 ("drift3", 4), ("gibbs2", 1), ("gibbs2", 5), ("gibbs2", 8)]
+
+
+def product_setup(state):
+    """rho1 and the kinetic one-body Hamiltonian p^2/2 of a product case."""
+    beta, mubar, u = PRODUCT_STATES[state]
+    rho1 = le.one_particle_gibbs(np.full(len(mubar), beta), np.array(mubar),
+                                 np.array(u))
+    p1 = hi.one_particle_momentum(rho1.space)
+    return rho1, p1 @ p1 / 2.0
+
+
+@functools.lru_cache(maxsize=None)
+def product_engines(state, n, rate, times):
+    """(dense, factorized) two-time occupation functionals of rho1^(x n);
+    cached because the N = 6 dense runs take about a second each."""
+    rho1, h1 = product_setup(state)
+    rho = le.gibbs_tensor_power(rho1, n)
+    fam = hi.occupation_family(rho.space)
+    spec = hi.HistorySpec(rho.space, times, ([fam], [fam]),
+                          hi.lift_one_body(rho.space, h1),
+                          dephasing_rate=rate, dephasing_substeps=1)
+    return (hi.decoherence_functional(rho, spec),
+            hi.product_occupation_functional(rho1, h1, n, times, rate))
+
+
+def quiet_epsilon(dmat):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        return hi.consistency_epsilon(dmat)
+
+
+class TestProductOccupationFunctional:
+    """The factorized engine against the dense engines on rho1^(x N)."""
+
+    @pytest.mark.parametrize("state, n", PRODUCT_CASES)
+    @pytest.mark.parametrize("rate", [0.0, 60.0])
+    @pytest.mark.parametrize("times", [(0.0, 0.1), (0.3, 0.5)])
+    def test_matches_dense_engine(self, state, n, rate, times):
+        dense, fact = product_engines(state, n, rate, times)
+        assert fact.labels == dense.labels
+        assert np.max(np.abs(fact.matrix - dense.matrix)) < 1e-12
+        assert quiet_epsilon(fact) == pytest.approx(quiet_epsilon(dense),
+                                                    rel=1e-12)
+
+    @pytest.mark.parametrize("state, n", PRODUCT_CASES)
+    @pytest.mark.parametrize("rate", [0.0, 60.0])
+    @pytest.mark.parametrize("times", [(0.0, 0.1), (0.3, 0.5)])
+    def test_normalized_with_multinomial_final_marginal(self, state, n, rate,
+                                                        times):
+        # summed over both t1 labels, interference terms included, D gives
+        # Tr(P_n2 rho(t2)): the multinomial law of the evolved diag(rho1)
+        rho1, h1 = product_setup(state)
+        d = hi.product_occupation_functional(rho1, h1, n, times, rate)
+        assert abs(np.sum(d.matrix) - 1.0) < 1e-12
+        k = math.isqrt(len(d.labels))
+        final = np.einsum("icjc->c", d.matrix.reshape(k, k, k, k))
+        r = rho1.matrix
+        for t0, t1 in ((0.0, times[0]), times):
+            r = hi._evolve_density(r, h1, t0, t1, rho1.space, rate, 1)
+        occ = [lab[1] for lab in d.labels[:k]]
+        want = multinomial.pmf(occ, n, np.real(np.diag(r)))
+        assert np.max(np.abs(final - want)) < 1e-12
+
+    def test_drift_makes_the_state_complex(self):
+        rho1, _ = product_setup("drift3")
+        assert np.max(np.abs(rho1.matrix.imag)) > 1e-3
+
+    @pytest.mark.parametrize("rate", [0.0, 60.0, 71.3])
+    def test_top_histories_rank_alike(self, rate):
+        # mirror-image histories tie up to rounding; the scenario's ranking
+        # must not depend on which engine broke the tie
+        ranks = [sc._most_probable(dict(zip(d.labels, d.probabilities())))
+                 for d in product_engines("gibbs3", 6, rate, (0.0, 0.1))]
+        assert len(ranks[0]) == 50
+        assert ranks[0] == ranks[1]
+
+    def test_input_checks(self):
+        rho1, h1 = product_setup("gibbs3")
+        with pytest.raises(ValueError, match="two times"):
+            hi.product_occupation_functional(rho1, h1, 2, (0.0, 0.1, 0.2))
+        with pytest.raises(ValueError, match="two times"):
+            hi.product_occupation_functional(rho1, h1, 2, (0.2, 0.1))
+        with pytest.raises(ValueError, match="two times"):
+            hi.product_occupation_functional(rho1, h1, 2, (-0.1, 0.1))
+        with pytest.raises(ValueError, match="N >= 1"):
+            hi.product_occupation_functional(rho1, h1, 0, (0.0, 0.1))
+        with pytest.raises(ValueError, match="nonnegative"):
+            hi.product_occupation_functional(rho1, h1, 2, (0.0, 0.1), -1.0)
+        with pytest.raises(ValueError, match="B x B"):
+            hi.product_occupation_functional(rho1, np.eye(2), 2, (0.0, 0.1))
+        with pytest.raises(ValueError, match="one-particle"):
+            hi.product_occupation_functional(le.gibbs_tensor_power(rho1, 2),
+                                             h1, 2, (0.0, 0.1))
+        with pytest.raises(DimensionCapError):
+            hi.product_occupation_functional(rho1, h1, 11, (0.0, 0.1))
 
 
 class TestConsistencyMeasures:

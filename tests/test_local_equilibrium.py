@@ -7,7 +7,7 @@ from scipy.stats import multinomial
 
 from hydrohist import histories as hist
 from hydrohist import local_equilibrium as le
-from hydrohist.errors import ResolutionError
+from hydrohist.errors import DimensionCapError, ResolutionError
 
 
 def flat_profile(nq=64, kt=1.0, u=0.0, q_lo=-8.0, q_hi=8.0):
@@ -272,6 +272,33 @@ class TestPeaking:
             m = probs @ frac
             spread[n] = probs @ (frac - m) ** 2
         assert spread[1] > 4.0 * spread[6]
+
+    def test_default_scenario_values(self):
+        # the values the dense engine gave at one BLAS thread, to 1e-12
+        rep = le.local_equilibrium_peaking(self.BETA, self.MUBAR, self.U, 6,
+                                           (0.0, 0.1), dephasing_rate=60.0)
+        assert rep.epsilon == pytest.approx(0.008586297398027042, rel=1e-12)
+        assert rep.on_trajectory_fraction == pytest.approx(
+            0.9099306360140949, abs=1e-12)
+
+    def test_never_builds_the_n_particle_space(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("dense N-particle path used")
+
+        for module, name in ((le, "gibbs_tensor_power"),
+                             (hist, "lift_one_body"),
+                             (hist, "occupation_family"),
+                             (hist, "HistorySpec"),
+                             (hist, "decoherence_functional")):
+            monkeypatch.setattr(module, name, forbidden)
+        rep = le.local_equilibrium_peaking(self.BETA, self.MUBAR, self.U, 6,
+                                           (0.0, 0.1), dephasing_rate=60.0)
+        assert len(rep.probabilities) == 28 ** 2
+
+    def test_dimension_cap_kept(self):
+        with pytest.raises(DimensionCapError):
+            le.local_equilibrium_peaking(self.BETA, self.MUBAR, self.U, 11,
+                                         (0.0, 0.1), dephasing_rate=60.0)
 
     def test_sharp_state_single_history(self):
         rep = le.local_equilibrium_peaking(np.full(3, 8.0),

@@ -1,3 +1,5 @@
+import types
+
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
@@ -330,6 +332,27 @@ class TestMasterEquation:
         got = ps.density_to_wigner(
             pr.evolve_master_equation(rho0, t, self.params))
         assert ps.l1_distance(want, got) < 1e-3
+
+    def test_generator_linear_on_off_diagonal_block(self):
+        # the public generator is the generator of the linear integrator:
+        # on X = P_L rho P_R it acts as on H1 + i H2, which a Hermitian
+        # projection of its output would break.  X is no DensityMatrix, so
+        # a plain holder passes it.
+        rho = self.cat_state()
+        left = rho.x < 0
+        block = rho.kernel * np.outer(left, ~left)
+        h1 = 0.5 * (block + block.conj().T)
+        h2 = (block - block.conj().T) / 2j
+
+        def rhs(k):
+            holder = types.SimpleNamespace(n_x=rho.n_x, x=rho.x, dx=rho.dx,
+                                           kernel=k)
+            return pr.master_equation_rhs(holder, self.params)
+
+        got = rhs(block)
+        want = rhs(h1) + 1j * rhs(h2)
+        assert np.max(np.abs(got - want)) < 1e-13 * np.max(np.abs(want))
+        assert np.max(np.abs(got)) > 1e-3 * np.max(np.abs(rhs(rho.kernel)))
 
     def test_linear_on_off_diagonal_block(self):
         # an off-diagonal block X = P_L rho P_R is neither Hermitian nor of

@@ -212,9 +212,12 @@ class TestRunScenario:
         assert any("precondition" in note for note in report.notes)
 
     def test_module_error_carries_scenario_context(self, tmp_path):
-        cfg = sc.validate_config(
-            minimal("diffusion", params={"t_start": 5.0, "t_end": 4.0,
-                                         "n_times": 4}))
+        # validate now rejects t_start > t_end, so the config is built
+        # directly to reach the module error inside the runner
+        entry = sc.SCENARIOS["diffusion"]
+        cfg = sc.ScenarioConfig(
+            "diffusion", dict(entry["params"], t_start=5.0, t_end=4.0,
+                              n_times=4), dict(entry["grid"]))
         with pytest.raises(Exception, match="scenario 'diffusion'"):
             sc.run_scenario(cfg, output_dir=tmp_path)
 
@@ -246,6 +249,36 @@ class TestCli:
                                               params={"N_max": "8"}))
         assert cli.main(["validate", str(path)]) == 2
         assert "params.N_max" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("scenario, params, message", [
+        pytest.param("local-equilibrium-peaking", {"times": [0.1, 0.0]},
+                     "params.times", id="peaking-times-decreasing"),
+        pytest.param("local-equilibrium-peaking", {"times": [0.0, 0.1, 0.2]},
+                     "params.times", id="peaking-three-times"),
+        pytest.param("local-equilibrium-peaking", {"times": [-0.1, 0.1]},
+                     "params.times", id="peaking-negative-time"),
+        pytest.param("local-equilibrium-peaking", {"N": 0}, "params.N",
+                     id="peaking-no-particles"),
+        pytest.param("local-equilibrium-peaking", {"mubar": [4.0]},
+                     "params.mubar", id="peaking-one-bin"),
+        pytest.param("local-equilibrium-peaking", {"beta": 0.0},
+                     "params.beta", id="peaking-zero-beta"),
+        pytest.param("local-equilibrium-peaking", {"dephasing_rate": -1.0},
+                     "params.dephasing_rate", id="peaking-negative-rate"),
+        pytest.param("local-equilibrium-peaking", {"tolerance_units": -1},
+                     "params.tolerance_units", id="peaking-negative-tube"),
+        pytest.param("diffusion", {"n_times": 2}, "params.n_times",
+                     id="diffusion-two-times"),
+        pytest.param("diffusion", {"t_start": 5.0, "t_end": 4.0},
+                     "params.t_start", id="diffusion-reversed-window"),
+        pytest.param("diffusion", {"t_start": 4.0, "t_end": 4.0},
+                     "params.t_start", id="diffusion-empty-window"),
+    ])
+    def test_validate_out_of_range_exit_two(self, tmp_path, capsys, scenario,
+                                            params, message):
+        path = write_config(tmp_path, minimal(scenario, params=params))
+        assert cli.main(["validate", str(path)]) == 2
+        assert message in capsys.readouterr().err
 
     def test_validate_bad(self, tmp_path, capsys):
         path = write_config(tmp_path, minimal("warp-drive"))
