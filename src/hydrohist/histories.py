@@ -349,6 +349,16 @@ def _checked_family(family, dim, time):
     return ProjectorFamily(tuple(members))
 
 
+def _checked_hamiltonian(h, dim):
+    """``h`` as a complex array, required to be a Hermitian dim x dim matrix."""
+    h = np.asarray(h, dtype=complex)
+    if h.shape != (dim, dim):
+        raise ValueError("Hamiltonian has the wrong shape")
+    if np.max(np.abs(h - h.conj().T)) > 1e-10 * max(np.max(np.abs(h)), 1e-300):
+        raise ValueError("Hamiltonian must be Hermitian")
+    return h
+
+
 @dataclass(frozen=True)
 class HistorySpec:
     """Times, per-time projector families, Hamiltonian, optional dephasing.
@@ -382,11 +392,7 @@ class HistorySpec:
                   for f in slot)
             for slot, time in zip(self.slots, t)
         )
-        h = np.asarray(self.hamiltonian, dtype=complex)
-        if h.shape != (self.space.dim, self.space.dim):
-            raise ValueError("Hamiltonian has the wrong shape")
-        if np.max(np.abs(h - h.conj().T)) > 1e-10 * max(np.max(np.abs(h)), 1e-300):
-            raise ValueError("Hamiltonian must be Hermitian")
+        h = _checked_hamiltonian(self.hamiltonian, self.space.dim)
         if self.dephasing_rate < 0:
             raise ValueError("dephasing rate must be nonnegative")
         object.__setattr__(self, "times", t)
@@ -680,12 +686,7 @@ def product_occupation_functional(rho1: DensityOperator, h1, n, times,
     if space1.N != 1:
         raise ValueError("rho1 must be a one-particle state")
     ToyHilbert(B=space1.B, N=n, dx=space1.dx)  # checks n and the cap
-    h1 = np.asarray(h1, dtype=complex)
-    if h1.shape != (space1.B, space1.B):
-        raise ValueError("one-particle Hamiltonian must be B x B")
-    if np.max(np.abs(h1 - h1.conj().T)) > 1e-10 * max(np.max(np.abs(h1)),
-                                                      1e-300):
-        raise ValueError("Hamiltonian must be Hermitian")
+    h1 = _checked_hamiltonian(h1, space1.B)
     times = tuple(float(t) for t in times)
     if len(times) != 2 or not 0.0 <= times[0] < times[1]:
         raise ValueError("need exactly two times 0 <= t1 < t2")

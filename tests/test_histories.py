@@ -467,7 +467,7 @@ class TestProductOccupationFunctional:
             hi.product_occupation_functional(rho1, h1, 0, (0.0, 0.1))
         with pytest.raises(ValueError, match="nonnegative"):
             hi.product_occupation_functional(rho1, h1, 2, (0.0, 0.1), -1.0)
-        with pytest.raises(ValueError, match="B x B"):
+        with pytest.raises(ValueError, match="wrong shape"):
             hi.product_occupation_functional(rho1, np.eye(2), 2, (0.0, 0.1))
         with pytest.raises(ValueError, match="one-particle"):
             hi.product_occupation_functional(le.gibbs_tensor_power(rho1, 2),
