@@ -642,25 +642,25 @@ def _compositions(n, b):
 def _occupation_coefficients(d1, n):
     """Coefficients of (sum_{b b' c} d1[b, b', c] x_b x'_b' y_c)^n.
 
-    The array is indexed by the first B - 1 exponents of x, then of x', then
-    of y; the last exponent of each follows from their sum being n.  One
-    particle at a time, each term shifts the array by its three bins and
-    adds it in.
+    The array is indexed by the compositions of n, in ``_compositions``
+    order, of the exponents of x, of x' and of y.  One particle at a time,
+    each term moves the coefficients of k particles to the compositions of
+    k + 1 that have one more particle in its three bins.
     """
     b = d1.shape[0]
-    axes = 3 * (b - 1)
-    coef = np.zeros((n + 1,) * axes, dtype=complex)
-    coef[(0,) * axes] = 1.0
-    for k in range(n):  # after k particles no exponent exceeds k
-        held = (slice(0, k + 1),) * axes
-        old = coef[held].copy()
-        coef[held] = 0.0
+    coef = np.ones((1, 1, 1), dtype=complex)
+    lower = _compositions(0, b)
+    for k in range(1, n + 1):
+        upper = _compositions(k, b)
+        index = {comp: i for i, comp in enumerate(upper)}
+        # shift[i, bin]: the composition lower[i] with one more in bin
+        shift = np.array([[index[comp[:bin_] + (comp[bin_] + 1,)
+                                 + comp[bin_ + 1:]] for bin_ in range(b)]
+                          for comp in lower])
+        nxt = np.zeros((len(upper),) * 3, dtype=complex)
         for (i, j, c), d in np.ndenumerate(d1):
-            dst = list(held)
-            for group, bin_ in enumerate((i, j, c)):
-                if bin_ < b - 1:
-                    dst[group * (b - 1) + bin_] = slice(1, k + 2)
-            coef[tuple(dst)] += d * old
+            nxt[np.ix_(shift[:, i], shift[:, j], shift[:, c])] += d * coef
+        coef, lower = nxt, upper
     return coef
 
 
@@ -679,8 +679,10 @@ def product_occupation_functional(rho1: DensityOperator, h1, n, times,
     prod_b x_b^n1_b x'_b^n1'_b y_b^n2_b in (sum d1[b, b', c] x_b x'_b' y_c)^n:
     the map, the state and the projectors all factorize over particles.
     Labels and their order are those of ``decoherence_functional`` with
-    ``occupation_family`` at both times.  ``n`` is held to the same B^n cap
-    as the dense engines, since D has C(n + B - 1, B - 1)^4 entries.
+    ``occupation_family`` at both times.  The dynamic program holds
+    C(n + B - 1, B - 1)^3 coefficients, fewer than D's C(n + B - 1, B - 1)^4;
+    ``n`` is held to the same B^n cap as the dense engines, since D grows
+    with it.
     """
     space1 = rho1.space
     if space1.N != 1:
@@ -705,15 +707,11 @@ def product_occupation_functional(rho1: DensityOperator, h1, n, times,
         d1[i, j] = np.einsum("ij,ij->i", a, b.conj())
 
     comps = _compositions(n, space1.B)
-    heads = np.ravel_multi_index(np.array(comps)[:, :-1].T,
-                                 (n + 1,) * (space1.B - 1))
-    size = (n + 1) ** (space1.B - 1)
-    coef = _occupation_coefficients(d1, n).reshape(size, size, size)
     k = len(comps)
     out = np.zeros((k, k, k, k), dtype=complex)  # (n1, n2, n1', n2')
     same = np.arange(k)
-    block = coef[np.ix_(heads, heads, heads)]  # (n1, n1', n2)
-    out[:, same, :, same] = block.transpose(2, 0, 1)
+    coef = _occupation_coefficients(d1, n)  # (n1, n1', n2)
+    out[:, same, :, same] = coef.transpose(2, 0, 1)
     labels = tuple(itertools.product(comps, repeat=2))
     return DecoherenceMatrix(labels, out.reshape(k * k, k * k))
 

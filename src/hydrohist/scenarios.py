@@ -40,6 +40,11 @@ __all__ = [
 
 SCHEMA_VERSION = 1
 
+#: range checks of the Brownian-motion parameters M, gamma and kT
+_QBM_RANGES = tuple((lambda p, key=key: p[key] > 0,
+                     f"params.{key} must be positive")
+                    for key in ("M", "gamma", "kT"))
+
 #: catalog: description (with the defining relation), parameter defaults,
 #: grid defaults, metric thresholds, whether the scenario draws samples, and
 #: optional range checks on the merged parameters, as (predicate, message)
@@ -59,7 +64,7 @@ SCENARIOS = {
                        "analytic_relative_error": 1e-3},
         "sampling": False,
         # fit_diffusion needs at least 4 samples of an increasing series
-        "ranges": (
+        "ranges": _QBM_RANGES + (
             (lambda p: p["n_times"] >= 4,
              "params.n_times must be at least 4"),
             (lambda p: p["t_start"] < p["t_end"],
@@ -77,6 +82,7 @@ SCENARIOS = {
                  "p_min": -6.0, "p_max": 6.0, "n_p": 97},
         "thresholds": {"sup_distance": 1e-2},
         "sampling": False,
+        "ranges": _QBM_RANGES,
     },
     "oracle-compare": {
         "description": (
@@ -93,6 +99,7 @@ SCENARIOS = {
         "thresholds": {"l1_kernel_vs_integrator": 1e-2,
                        "l1_master_vs_integrator": 1e-2},
         "sampling": False,
+        "ranges": _QBM_RANGES,
     },
     "variance-scaling": {
         "description": (
@@ -305,9 +312,6 @@ def validate_config(raw: dict) -> ScenarioConfig:
                     f"{section}.{key} must have the type of its default "
                     f"{defaults[key]!r}, got {value!r}")
         defaults.update(override)
-    for key in ("M", "gamma", "kT"):
-        if key in params and not params[key] > 0:
-            raise ConfigurationError(f"{key} must be positive")
     for in_range, message in entry.get("ranges", ()):
         if not in_range(params):
             raise ConfigurationError(message)
@@ -562,8 +566,8 @@ def _run_conserved_decoherence(config):
     return metrics, art, []
 
 
-def _most_probable(probabilities, count=50):
-    """The ``count`` most probable labels, in tiers: in descending order, a
+def _most_probable(probabilities):
+    """The 50 most probable labels, in tiers: in descending order, a
     probability within 1e-12 (relative) of the one before it joins its tier,
     and a tier lists its labels in ascending order.  Histories equal up to
     rounding, such as mirror images, then keep one order whichever engine
@@ -576,7 +580,7 @@ def _most_probable(probabilities, count=50):
             tiers.append([])
         tiers[-1].append(lab)
         prev = p
-    return [lab for tier in tiers for lab in sorted(tier)][:count]
+    return [lab for tier in tiers for lab in sorted(tier)][:50]
 
 
 def _run_local_equilibrium_peaking(config):

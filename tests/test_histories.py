@@ -371,14 +371,18 @@ class TestEnginesMatchDenseReference:
 
 
 #: one-particle Gibbs states (beta, mubar, u): the peaking scenario's, the
-#: same with a drift (which makes rho1 complex on B = 3), and a B = 2 state
+#: same with a drift (which makes rho1 complex on B = 3), a B = 2 state and
+#: a B = 6 state with a drift, where the dynamic program has many bins
 PRODUCT_STATES = {
     "gibbs3": (3.0, (4.0, 0.0, 0.0), (0.0, 0.0, 0.0)),
     "drift3": (3.0, (4.0, 0.0, 0.0), (0.5, -0.3, 0.2)),
     "gibbs2": (2.0, (1.0, 0.0), (0.0, 0.0)),
+    "drift6": (2.0, (3.0, 1.0, 0.0, 0.5, 0.0, 2.0),
+               (0.4, -0.2, 0.1, 0.0, -0.3, 0.2)),
 }
 PRODUCT_CASES = [("gibbs3", 1), ("gibbs3", 2), ("gibbs3", 4), ("gibbs3", 6),
-                 ("drift3", 4), ("gibbs2", 1), ("gibbs2", 5), ("gibbs2", 8)]
+                 ("drift3", 4), ("gibbs2", 1), ("gibbs2", 5), ("gibbs2", 8),
+                 ("drift6", 2)]
 
 
 def product_setup(state):
@@ -454,6 +458,15 @@ class TestProductOccupationFunctional:
                  for d in product_engines("gibbs3", 6, rate, (0.0, 0.1))]
         assert len(ranks[0]) == 50
         assert ranks[0] == ranks[1]
+
+    @pytest.mark.parametrize("b, n", [(3, 6), (6, 2), (8, 2), (5, 4)])
+    def test_dynamic_program_holds_compositions_only(self, b, n):
+        # one axis per composition of n, never (n + 1)^(B - 1) per group
+        k = math.comb(n + b - 1, b - 1)
+        d1 = np.ones((b,) * 3, dtype=complex) / b ** 3
+        coef = hi._occupation_coefficients(d1, n)
+        assert coef.shape == (k, k, k)
+        assert np.sum(coef) == pytest.approx(1.0, rel=1e-12)
 
     def test_input_checks(self):
         rho1, h1 = product_setup("gibbs3")
