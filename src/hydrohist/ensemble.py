@@ -24,6 +24,7 @@ from scipy.interpolate import RectBivariateSpline
 from scipy.stats import multinomial
 
 from .errors import DimensionCapError, UndefinedFluctuationError
+from .histories import _compositions
 from .phase_space import (Marginal, WignerGrid, bin_integrals,
                           position_marginal, write_csv)
 from .propagator import QbmParams
@@ -193,16 +194,6 @@ def relative_fluctuation(ens: ProductEnsemble,
     return DensityField(window.centers, window.widths, rel)
 
 
-def _compositions(n, k):
-    """All length-k nonnegative integer vectors summing to n."""
-    if k == 1:
-        yield (n,)
-        return
-    for head in range(n + 1):
-        for tail in _compositions(n - head, k - 1):
-            yield (head,) + tail
-
-
 def occupation_distribution(ens: ProductEnsemble, window: SmearingWindow,
                             rng=None) -> OccupationDistribution:
     """Multinomial law over per-bin occupation vectors.
@@ -221,7 +212,7 @@ def occupation_distribution(ens: ProductEnsemble, window: SmearingWindow,
     k = len(p)
     exact_ok = ens.N <= ENUMERATION_N_CAP and k <= ENUMERATION_BIN_CAP
     if exact_ok:
-        vectors = np.array(list(_compositions(ens.N, k)), dtype=int)
+        vectors = np.array(_compositions(ens.N, k), dtype=int)
         probs = multinomial.pmf(vectors, n=ens.N, p=p)
         return OccupationDistribution(vectors, probs, p, ens.N, exact=True)
     if rng is None:

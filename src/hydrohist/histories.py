@@ -250,15 +250,18 @@ def energy_density_operator(space: ToyHilbert, b: int, mass: float = 1.0) -> np.
 # --- projectors -------------------------------------------------------------
 
 
-def gaussian_quasi_projector(a_op, center, sigma) -> np.ndarray:
-    """(2 pi sigma^2)^(-1/2) exp(-(A - center)^2 / 2 sigma^2), spectrally."""
+def _gaussian_weights(x, center, sigma):
+    """(2 pi sigma^2)^(-1/2) exp(-(x - center)^2 / 2 sigma^2), elementwise."""
     if sigma <= 0:
         raise ValueError("sigma must be positive")
-    a_op = np.asarray(a_op, dtype=complex)
-    vals, vecs = np.linalg.eigh(a_op)
-    g = np.exp(-((vals - center) ** 2) / (2.0 * sigma ** 2))
-    g /= math.sqrt(2.0 * np.pi) * sigma
-    return (vecs * g) @ vecs.conj().T
+    g = np.exp(-((x - center) ** 2) / (2.0 * sigma ** 2))
+    return g / (math.sqrt(2.0 * np.pi) * sigma)
+
+
+def gaussian_quasi_projector(a_op, center, sigma) -> np.ndarray:
+    """(2 pi sigma^2)^(-1/2) exp(-(A - center)^2 / 2 sigma^2), spectrally."""
+    vals, vecs = np.linalg.eigh(np.asarray(a_op, dtype=complex))
+    return (vecs * _gaussian_weights(vals, center, sigma)) @ vecs.conj().T
 
 
 def window_projector(a_op, interval) -> np.ndarray:
@@ -296,9 +299,18 @@ def occupation_family(space: ToyHilbert):
 
 
 def gaussian_occupation_family(space: ToyHilbert, b: int, centers, sigma):
-    """Gaussian quasi-projectors of the bin-b number operator at given centers."""
-    n_op = number_density_operator(space, b)
-    return [(float(c), gaussian_quasi_projector(n_op, c, sigma)) for c in centers]
+    """Gaussian quasi-projectors of the bin-b number operator at given centers.
+
+    The operator is diagonal in the basis, with the bin-b occupation counts
+    as its spectrum, so each quasi-projector is the diagonal of their
+    Gaussian weights.
+    """
+    if not 0 <= b < space.B:
+        raise ValueError("bin index out of range")
+    counts = space.occupation_table()[:, b]
+    return [(float(c),
+             np.diag(_gaussian_weights(counts, c, sigma).astype(complex)))
+            for c in centers]
 
 
 # --- histories --------------------------------------------------------------
@@ -318,14 +330,6 @@ class ProjectorFamily:
         if len(self.members) == 0:
             raise ValueError("a projector family needs at least one member")
         object.__setattr__(self, "members", tuple(self.members))
-
-    @property
-    def labels(self):
-        return tuple(m[0] for m in self.members)
-
-    @property
-    def operators(self):
-        return tuple(m[1] for m in self.members)
 
 
 def _checked_family(family, dim, time):
@@ -849,22 +853,19 @@ def argmax_scan(rho, a_op, times, sigma, h):
 
     shape = tuple(len(g) for g in grids)
     total = np.zeros(shape)
-    norm = 1.0 / (math.sqrt(2.0 * np.pi) * sigma)
     for wj, psi in zip(weights, components.T):
         batch = psi[None, :]  # (n_chains, dim)
         for k, (at, grid) in enumerate(zip(a_t[:-1], grids[:-1])):
             vals, vecs = np.linalg.eigh(at)
             eig = batch @ vecs.conj()  # components in the A(t_k) eigenbasis
-            gauss = norm * np.exp(
-                -((vals[None, :] - grid[:, None]) ** 2) / (2 * sigma ** 2))
+            gauss = _gaussian_weights(vals[None, :], grid[:, None], sigma)
             # new batch: one chain per (old chain, center)
             eig = eig[:, None, :] * gauss[None, :, :]
             batch = (eig.reshape(-1, len(vals))) @ vecs.T
         # final time: the projector enters once, p = Re <v|P_n(c)|v>
         vals, vecs = np.linalg.eigh(a_t[-1])
         eig2 = np.abs(batch @ vecs.conj()) ** 2
-        gauss = norm * np.exp(
-            -((vals[None, :] - grids[-1][:, None]) ** 2) / (2 * sigma ** 2))
+        gauss = _gaussian_weights(vals[None, :], grids[-1][:, None], sigma)
         total += wj * (eig2 @ gauss.T).reshape(shape)
     best = np.unravel_index(np.argmax(total), shape)
     peak = tuple(float(grids[k][best[k]]) for k in range(len(grids)))

@@ -45,10 +45,31 @@ _QBM_RANGES = tuple((lambda p, key=key: p[key] > 0,
                      f"params.{key} must be positive")
                     for key in ("M", "gamma", "kT"))
 
+#: range checks of a phase-space grid, as ``WignerGrid`` requires them
+_GRID_RANGES = (
+    (lambda g: g["n_q"] >= 8, "grid.n_q must be at least 8"),
+    (lambda g: g["n_p"] >= 8, "grid.n_p must be at least 8"),
+    (lambda g: g["q_min"] < g["q_max"],
+     "grid.q_min must be less than grid.q_max"),
+    (lambda g: g["p_min"] < g["p_max"],
+     "grid.p_min must be less than grid.p_max"),
+)
+
+#: inner edges of the variance-scaling bins: the quartiles of a unit normal
+_QUARTILE = 0.6744897501960817
+
+
+def _history_times(times):
+    """Times a HistorySpec accepts: nonempty, nonnegative, increasing."""
+    return (len(times) >= 1 and times[0] >= 0
+            and all(a < b for a, b in zip(times, times[1:])))
+
+
 #: catalog: description (with the defining relation), parameter defaults,
 #: grid defaults, metric thresholds, whether the scenario draws samples, and
-#: optional range checks on the merged parameters, as (predicate, message)
-#: pairs that ``validate_config`` applies.
+#: optional range checks, as (predicate, message) pairs that
+#: ``validate_config`` applies to the merged parameters and grid (one
+#: mapping: no key is both a parameter and a grid key).
 SCENARIOS = {
     "diffusion": {
         "description": (
@@ -64,9 +85,11 @@ SCENARIOS = {
                        "analytic_relative_error": 1e-3},
         "sampling": False,
         # fit_diffusion needs at least 4 samples of an increasing series
-        "ranges": _QBM_RANGES + (
+        "ranges": _QBM_RANGES + _GRID_RANGES + (
             (lambda p: p["n_times"] >= 4,
              "params.n_times must be at least 4"),
+            (lambda p: p["t_start"] >= 0,
+             "params.t_start must be nonnegative"),
             (lambda p: p["t_start"] < p["t_end"],
              "params.t_start must be less than params.t_end"),
         ),
@@ -82,7 +105,10 @@ SCENARIOS = {
                  "p_min": -6.0, "p_max": 6.0, "n_p": 97},
         "thresholds": {"sup_distance": 1e-2},
         "sampling": False,
-        "ranges": _QBM_RANGES,
+        "ranges": _QBM_RANGES + _GRID_RANGES + (
+            (lambda p: p["t"] >= 0, "params.t must be nonnegative"),
+            (lambda p: p["var_p0"] > 0, "params.var_p0 must be positive"),
+        ),
     },
     "oracle-compare": {
         "description": (
@@ -99,7 +125,16 @@ SCENARIOS = {
         "thresholds": {"l1_kernel_vs_integrator": 1e-2,
                        "l1_master_vs_integrator": 1e-2},
         "sampling": False,
-        "ranges": _QBM_RANGES,
+        "ranges": _QBM_RANGES + _GRID_RANGES + (
+            (lambda p: p["t_kernel"] >= 0,
+             "params.t_kernel must be nonnegative"),
+            (lambda p: p["t_master"] >= 0,
+             "params.t_master must be nonnegative"),
+            (lambda g: g["master_n_x"] >= 8,
+             "grid.master_n_x must be at least 8"),
+            (lambda g: g["master_x_max"] > 0,
+             "grid.master_x_max must be positive"),
+        ),
     },
     "variance-scaling": {
         "description": (
@@ -113,6 +148,18 @@ SCENARIOS = {
         "thresholds": {"closed_form_deviation": 1e-12,
                        "slope_deviation": 0.01},
         "sampling": False,
+        # the slope fit needs two sizes; the bins need q_min < -q* < q* < q_max
+        "ranges": _GRID_RANGES + (
+            (lambda p: len(set(p["N_values"])) >= 2
+             and all(n >= 1 and float(n).is_integer() for n in p["N_values"]),
+             "params.N_values must hold at least two distinct positive "
+             "integers"),
+            (lambda p: p["var_q"] > 0, "params.var_q must be positive"),
+            (lambda p: p["var_p"] > 0, "params.var_p must be positive"),
+            (lambda g: g["q_min"] < -_QUARTILE and g["q_max"] > _QUARTILE,
+             "grid.q_min and grid.q_max must lie outside the inner bin "
+             f"edges +/-{_QUARTILE:.4f}"),
+        ),
     },
     "histories-nscaling": {
         "description": (
@@ -125,6 +172,14 @@ SCENARIOS = {
         "grid": {},
         "thresholds": {"geometric_ratio": 1.0, "epsilon8_over_epsilon1": 0.1},
         "sampling": False,
+        "ranges": (
+            (lambda p: p["N_max"] >= 2,
+             "params.N_max must be at least 2 for a fit"),
+            # at overlap -1 the two branches cancel
+            (lambda p: -1 < p["overlap"] <= 1,
+             "params.overlap must lie in (-1, 1]"),
+            (lambda p: p["sigma"] > 0, "params.sigma must be positive"),
+        ),
     },
     "ehrenfest": {
         "description": (
@@ -137,6 +192,12 @@ SCENARIOS = {
         "thresholds": {"max_relative_error": 0.02,
                        "argmax_deviation_in_sigma": 0.1},
         "sampling": True,
+        "ranges": (
+            (lambda p: p["dim"] >= 2, "params.dim must be at least 2"),
+            (lambda p: p["n_seeds"] >= 1, "params.n_seeds must be at least 1"),
+            (lambda p: p["sigma_factor"] > 0,
+             "params.sigma_factor must be positive"),
+        ),
     },
     "conserved-decoherence": {
         "description": (
@@ -148,6 +209,14 @@ SCENARIOS = {
         "grid": {},
         "thresholds": {"max_offdiagonal": 1e-12},
         "sampling": False,
+        "ranges": (
+            (lambda p: p["bins"] >= 2, "params.bins must be at least 2"),
+            (lambda p: p["N"] >= 1, "params.N must be at least 1"),
+            (lambda p: _history_times(p["times2"]),
+             "params.times2 must be nonempty, nonnegative and increasing"),
+            (lambda p: _history_times(p["times3"]),
+             "params.times3 must be nonempty, nonnegative and increasing"),
+        ),
     },
     "local-equilibrium-peaking": {
         "description": (
@@ -312,8 +381,9 @@ def validate_config(raw: dict) -> ScenarioConfig:
                     f"{section}.{key} must have the type of its default "
                     f"{defaults[key]!r}, got {value!r}")
         defaults.update(override)
+    merged = {**params, **grid}
     for in_range, message in entry.get("ranges", ()):
-        if not in_range(params):
+        if not in_range(merged):
             raise ConfigurationError(message)
     seed = raw.get("seed")
     if seed is not None and (not isinstance(seed, int) or seed < 0
@@ -435,8 +505,8 @@ def _run_variance_scaling(config):
     w = ps.gaussian_wigner(g["q_min"], g["q_max"], g["n_q"],
                            g["p_min"], g["p_max"], g["n_p"],
                            var_q=p["var_q"], var_p=p["var_p"])
-    window = en.SmearingWindow([g["q_min"], -0.6744897501960817,
-                                0.6744897501960817, g["q_max"]])
+    window = en.SmearingWindow([g["q_min"], -_QUARTILE, _QUARTILE,
+                                g["q_max"]])
     sizes = [int(n) for n in p["N_values"]]
     rel, rows, worst = [], [], 0.0
     for n in sizes:
@@ -506,11 +576,11 @@ def _run_ehrenfest(config):
         mean = float(np.real(v.conj() @ a @ v))
         spread = math.sqrt(float(np.real(v.conj() @ a @ a @ v)) - mean ** 2)
         sigma = factor * spread
-        err = max(
-            abs(hist.single_time_prob_exact(rho, a, c, sigma)
-                - hist.single_time_prob_asymptotic(rho, a, c, sigma))
-            / hist.single_time_prob_exact(rho, a, c, sigma)
-            for c in np.linspace(mean - 2 * sigma, mean + 2 * sigma, 17))
+        centers = np.linspace(mean - 2 * sigma, mean + 2 * sigma, 17)
+        exact = [hist.single_time_prob_exact(rho, a, c, sigma)
+                 for c in centers]
+        err = max(abs(e - hist.single_time_prob_asymptotic(rho, a, c, sigma))
+                  / e for c, e in zip(centers, exact))
         peak, _, _ = hist.argmax_scan(rho, a, (1.0,), sigma,
                                       np.zeros((dim, dim)))
         dev = abs(peak[0] - mean) / sigma
@@ -624,8 +694,6 @@ def run_scenario(config: ScenarioConfig, output_dir=None) -> RunReport:
                or Path("runs") / config.scenario)
     try:
         metrics, artifacts, notes = _RUNNERS[config.scenario](config)
-    except ConfigurationError:
-        raise
     except Exception as exc:
         raise ScenarioError(
             f"scenario {config.scenario!r} failed: "

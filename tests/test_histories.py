@@ -191,6 +191,25 @@ class TestProjectors:
                 classical = multinomial.pmf(lab, n=n, p=p)
                 assert quantum == pytest.approx(classical, abs=1e-10)
 
+    @pytest.mark.parametrize("b, n", [(2, 8), (3, 4)])
+    def test_gaussian_occupation_family_matches_spectral_route(self, b, n):
+        hs = hi.ToyHilbert(B=b, N=n)
+        centers = (0.3, 1.7, n * 0.64, n - 0.45)
+        for bin_ in range(b):
+            n_op = hi.number_density_operator(hs, bin_)
+            fam = hi.gaussian_occupation_family(hs, bin_, centers, 0.8)
+            assert [c for c, _ in fam] == list(centers)
+            for c, op in fam:
+                assert np.array_equal(
+                    op, hi.gaussian_quasi_projector(n_op, c, 0.8))
+
+    def test_gaussian_occupation_family_checks(self):
+        hs = hi.ToyHilbert(B=2, N=3)
+        with pytest.raises(ValueError, match="bin index"):
+            hi.gaussian_occupation_family(hs, 2, (1.0,), 1.0)
+        with pytest.raises(ValueError, match="sigma"):
+            hi.gaussian_occupation_family(hs, 0, (1.0,), 0.0)
+
     def test_occupation_vector_validated(self):
         hs = hi.ToyHilbert(B=2, N=3)
         with pytest.raises(ValueError):
@@ -645,6 +664,10 @@ class TestEhrenfestMultiTime:
                                            self.sigma, self.h)
         for p, mu in zip(peak, self.means):
             assert abs(p - mu) <= self.sigma / 10 + 1e-9
+
+    def test_argmax_scan_rejects_negative_sigma(self):
+        with pytest.raises(ValueError, match="sigma must be positive"):
+            hi.argmax_scan(self.rho, self.a, self.times, -self.sigma, self.h)
 
     @pytest.mark.parametrize("state", ["pure", "mixed"])
     def test_scan_values_match_chain_formula(self, state):

@@ -295,6 +295,23 @@ class TestPeaking:
                                            (0.0, 0.1), dephasing_rate=60.0)
         assert len(rep.probabilities) == 28 ** 2
 
+    @pytest.mark.parametrize("rate", [0.0, 60.0])
+    @pytest.mark.parametrize("times", [(0.0, 0.1), (0.3, 0.5)])
+    def test_trajectory_is_the_engines_final_mean(self, rate, times):
+        # N <n2> from the report equals sum_n2 n2 sum_{n1, n1'} Re D((n1, n2),
+        # (n1', n2)): the t2 marginal of the functional, interference included
+        n = 6
+        rep = le.local_equilibrium_peaking(self.BETA, self.MUBAR, self.U, n,
+                                           times, dephasing_rate=rate)
+        rho1 = le.one_particle_gibbs(self.BETA, self.MUBAR, self.U)
+        p1 = hist.one_particle_momentum(rho1.space)
+        d = hist.product_occupation_functional(rho1, p1 @ p1 / 2.0, n, times,
+                                               rate)
+        final = np.array([lab[1] for lab in d.labels])
+        same_final = np.all(final[:, None] == final[None, :], axis=2)
+        weight = np.real(d.matrix * same_final).sum(axis=1)
+        assert np.max(np.abs(weight @ final - rep.mean_trajectory[1])) < 1e-12
+
     def test_dimension_cap_kept(self):
         with pytest.raises(DimensionCapError):
             le.local_equilibrium_peaking(self.BETA, self.MUBAR, self.U, 11,

@@ -280,6 +280,92 @@ class TestCli:
         assert cli.main(["validate", str(path)]) == 2
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("scenario, params, grid, message", [
+        pytest.param("histories-nscaling", {"N_max": 1}, {}, "params.N_max",
+                     id="nscaling-one-point"),
+        pytest.param("histories-nscaling", {"overlap": 1.5}, {},
+                     "params.overlap", id="nscaling-overlap-above-one"),
+        pytest.param("histories-nscaling", {"overlap": -1.0}, {},
+                     "params.overlap", id="nscaling-cancelling-branches"),
+        pytest.param("histories-nscaling", {"sigma": 0.0}, {}, "params.sigma",
+                     id="nscaling-zero-sigma"),
+        pytest.param("ehrenfest", {"n_seeds": 0}, {}, "params.n_seeds",
+                     id="ehrenfest-no-instances"),
+        pytest.param("ehrenfest", {"dim": 1}, {}, "params.dim",
+                     id="ehrenfest-one-dimension"),
+        pytest.param("ehrenfest", {"sigma_factor": 0.0}, {},
+                     "params.sigma_factor", id="ehrenfest-zero-sigma"),
+        pytest.param("conserved-decoherence", {"bins": 1}, {}, "params.bins",
+                     id="conserved-one-bin"),
+        pytest.param("conserved-decoherence", {"N": 0}, {}, "params.N",
+                     id="conserved-no-particles"),
+        pytest.param("conserved-decoherence", {"times2": [1.1, 0.4]}, {},
+                     "params.times2", id="conserved-decreasing-times2"),
+        pytest.param("conserved-decoherence", {"times3": [-0.3, 0.8, 1.5]},
+                     {}, "params.times3", id="conserved-negative-times3"),
+        pytest.param("conserved-decoherence", {"times2": []}, {},
+                     "params.times2", id="conserved-no-times2"),
+        pytest.param("variance-scaling", {"N_values": [100]}, {},
+                     "params.N_values", id="variance-one-size"),
+        pytest.param("variance-scaling", {"N_values": [0, 10]}, {},
+                     "params.N_values", id="variance-zero-size"),
+        pytest.param("variance-scaling", {"N_values": [10.5, 100]}, {},
+                     "params.N_values", id="variance-fractional-size"),
+        pytest.param("variance-scaling", {"var_q": -1.0}, {}, "params.var_q",
+                     id="variance-negative-var-q"),
+        pytest.param("variance-scaling", {}, {"q_min": 1.0}, "grid.q_min",
+                     id="variance-bins-outside-grid"),
+        pytest.param("maxwellization", {"t": -1.0}, {}, "params.t",
+                     id="maxwellization-negative-time"),
+        pytest.param("maxwellization", {"var_p0": 0.0}, {}, "params.var_p0",
+                     id="maxwellization-zero-variance"),
+        pytest.param("oracle-compare", {"t_kernel": -1.0}, {},
+                     "params.t_kernel", id="oracle-negative-kernel-time"),
+        pytest.param("oracle-compare", {"t_master": -1.0}, {},
+                     "params.t_master", id="oracle-negative-master-time"),
+        pytest.param("oracle-compare", {}, {"master_n_x": 7},
+                     "grid.master_n_x", id="oracle-coarse-master-lattice"),
+        pytest.param("diffusion", {"t_start": -1.0}, {}, "params.t_start",
+                     id="diffusion-negative-start"),
+        pytest.param("diffusion", {}, {"n_q": 7}, "grid.n_q",
+                     id="diffusion-coarse-q"),
+        pytest.param("maxwellization", {}, {"n_p": 7}, "grid.n_p",
+                     id="maxwellization-coarse-p"),
+        pytest.param("variance-scaling", {}, {"n_q": 7}, "grid.n_q",
+                     id="variance-coarse-q"),
+        pytest.param("oracle-compare", {}, {"n_p": 7}, "grid.n_p",
+                     id="oracle-coarse-p"),
+        pytest.param("diffusion", {}, {"q_max": -70.0}, "grid.q_min",
+                     id="diffusion-reversed-q-extent"),
+        pytest.param("maxwellization", {}, {"p_min": 7.0}, "grid.p_min",
+                     id="maxwellization-reversed-p-extent"),
+    ])
+    def test_validate_out_of_range_before_run(self, tmp_path, capsys,
+                                              scenario, params, grid,
+                                              message):
+        # rejected at validate, so run stops with the config exit code
+        # before any work or output
+        raw = minimal(scenario, params=params, grid=grid, seed=5)
+        path = write_config(tmp_path, raw)
+        assert cli.main(["validate", str(path)]) == 2
+        assert message in capsys.readouterr().err
+        assert cli.main(["run", str(path), "--out", str(tmp_path / "o")]) == 2
+        assert not (tmp_path / "o").exists()
+
+    def test_range_checks_see_disjoint_params_and_grid(self):
+        for entry in sc.SCENARIOS.values():
+            assert not set(entry["params"]) & set(entry["grid"])
+
+    def test_edge_values_validate(self):
+        for scenario, params in (
+                ("histories-nscaling", {"N_max": 2, "overlap": -0.8}),
+                ("ehrenfest", {"dim": 2, "n_seeds": 1}),
+                ("conserved-decoherence", {"times2": [0.0], "N": 1}),
+                ("variance-scaling", {"N_values": [1, 10.0]}),
+                ("maxwellization", {"t": 0.0}),
+                ("oracle-compare", {"t_kernel": 0.0, "t_master": 0.0})):
+            sc.validate_config(minimal(scenario, params=params, seed=1))
+
     def test_validate_bad(self, tmp_path, capsys):
         path = write_config(tmp_path, minimal("warp-drive"))
         assert cli.main(["validate", str(path)]) == 2
@@ -312,6 +398,19 @@ class TestCli:
         path = write_config(tmp_path, minimal("variance-scaling"))
         assert cli.main(["run", str(path), "--out", str(tmp_path / "o")]) == 3
         assert "scenario 'variance-scaling'" in capsys.readouterr().err
+
+    def test_run_configuration_error_in_runner_exit_three(
+            self, tmp_path, capsys, monkeypatch):
+        # a ConfigurationError raised after validate is a crash of the run,
+        # not a bad config and not a tolerance miss
+        def raise_configuration_error(config):
+            raise ConfigurationError("projectors do not commute")
+
+        monkeypatch.setitem(sc._RUNNERS, "variance-scaling",
+                            raise_configuration_error)
+        path = write_config(tmp_path, minimal("variance-scaling"))
+        assert cli.main(["run", str(path), "--out", str(tmp_path / "o")]) == 3
+        assert "ConfigurationError" in capsys.readouterr().err
 
     def test_run_missing_seed_exit_two(self, tmp_path, capsys):
         path = write_config(tmp_path, minimal("ehrenfest"))
