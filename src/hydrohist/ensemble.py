@@ -17,15 +17,14 @@ checked here per bin against the discrete gradient of the number density.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import RectBivariateSpline
-from scipy.stats import multinomial
 
 from .errors import DimensionCapError, UndefinedFluctuationError
 from .histories import _compositions
-from .phase_space import (Marginal, WignerGrid, bin_integrals,
+from .phase_space import (Marginal, WignerGrid, _bicubic, bin_integrals,
                           position_marginal, write_csv)
 from .propagator import QbmParams
 
@@ -213,7 +212,10 @@ def occupation_distribution(ens: ProductEnsemble, window: SmearingWindow,
     exact_ok = ens.N <= ENUMERATION_N_CAP and k <= ENUMERATION_BIN_CAP
     if exact_ok:
         vectors = np.array(_compositions(ens.N, k), dtype=int)
-        probs = multinomial.pmf(vectors, n=ens.N, p=p)
+        # N! / prod n_b!, an exact integer in int64 for N <= 12
+        fact = np.array([math.factorial(n) for n in range(ens.N + 1)])
+        coef = math.factorial(ens.N) // fact[vectors].prod(axis=1)
+        probs = coef * np.prod(p ** vectors, axis=1)
         return OccupationDistribution(vectors, probs, p, ens.N, exact=True)
     if rng is None:
         raise DimensionCapError(
@@ -253,7 +255,7 @@ def mean_phase_space_density(ens: ProductEnsemble, q_lo, q_hi, p_lo, p_hi):
     if not (w.q_min <= q_lo < q_hi <= w.q_max
             and w.p_min <= p_lo < p_hi <= w.p_max):
         raise ValueError("cell must lie within the grid extents")
-    sp = RectBivariateSpline(w.q, w.p, w.values, kx=3, ky=3)
+    sp = _bicubic(w.q, w.p, w.values)
     return ens.N * float(sp.integral(q_lo, q_hi, p_lo, p_hi))
 
 

@@ -840,6 +840,8 @@ def argmax_scan(rho, a_op, times, sigma, h):
     scan expands chains level by level in the eigenbasis of each A(t), so the
     cost is (grid size)^n vector operations, not matrix products.
     """
+    if not sigma > 0:
+        raise ValueError("sigma must be positive")
     times = tuple(float(t) for t in times)
     rho_m = _as_density_matrix(rho)
     a_t = _heisenberg_ops(a_op, h, times)

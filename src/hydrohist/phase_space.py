@@ -23,8 +23,6 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
-from scipy.interpolate import RectBivariateSpline
 
 from .errors import DegenerateStateError, ResolutionError
 
@@ -58,6 +56,17 @@ COVERAGE_THRESHOLD = 1e-3
 
 def _trapz2(values, dq, dp):
     return float(np.trapezoid(np.trapezoid(values, dx=dp, axis=1), dx=dq))
+
+
+def _bicubic(x, y, values):
+    """Bicubic interpolating spline of values[i, j] sampled at (x_i, y_j).
+
+    scipy.interpolate is imported on the first call, so that importing the
+    package (and every run that needs no spline) does not pay for it.
+    """
+    from scipy.interpolate import RectBivariateSpline
+
+    return RectBivariateSpline(x, y, values, kx=3, ky=3)
 
 
 @dataclass(frozen=True)
@@ -289,7 +298,7 @@ def wigner_to_density(w: WignerGrid) -> DensityMatrix:
             f"(dp * L = {dp * length:.3f} > 2*pi); refine or widen the p lattice"
         )
     # W sampled on the half-spacing lattice of midpoints (x_a + x_b)/2
-    spline = RectBivariateSpline(w.q, w.p, w.values, kx=3, ky=3)
+    spline = _bicubic(w.q, w.p, w.values)
     q_half = w.q_min + 0.5 * dq * np.arange(2 * n - 1)
     w_half = spline(q_half, w.p)  # (2n-1, n_p)
 
@@ -312,8 +321,8 @@ def density_to_wigner(rho: DensityMatrix) -> WignerGrid:
     n = rho.n_x
     dx = rho.dx
     x = rho.x
-    re = RectBivariateSpline(x, x, rho.kernel.real, kx=3, ky=3)
-    im = RectBivariateSpline(x, x, rho.kernel.imag, kx=3, ky=3)
+    re = _bicubic(x, x, rho.kernel.real)
+    im = _bicubic(x, x, rho.kernel.imag)
 
     m = np.arange(n) - n // 2
     r = m * dx
@@ -340,7 +349,7 @@ def l1_distance(a: WignerGrid, b: WignerGrid) -> float:
        (b.q_min, b.q_max, b.n_q, b.p_min, b.p_max, b.n_p):
         bv = b.values
     else:
-        spline = RectBivariateSpline(b.q, b.p, b.values, kx=3, ky=3)
+        spline = _bicubic(b.q, b.p, b.values)
         qc = np.clip(a.q, b.q_min, b.q_max)
         pc = np.clip(a.p, b.p_min, b.p_max)
         bv = spline(qc, pc)
@@ -357,7 +366,9 @@ def bin_integrals(line, x, edges):
     Trapezoidal running integral of ``line``, linearly interpolated at the
     edges and differenced.
     """
-    cum = np.concatenate([[0.0], cumulative_trapezoid(line, x)])
+    line, x = np.asarray(line), np.asarray(x)
+    steps = np.diff(x) * (line[1:] + line[:-1]) / 2.0
+    cum = np.concatenate([[0.0], np.cumsum(steps)])
     return np.diff(np.interp(edges, x, cum))
 
 

@@ -46,7 +46,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import RectBivariateSpline
 from scipy.linalg import expm
 
 from .errors import (
@@ -58,6 +57,7 @@ from .errors import (
 from .phase_space import (
     DensityMatrix,
     WignerGrid,
+    _bicubic,
     check_domain_coverage,
     moments,
     normalize,
@@ -233,8 +233,8 @@ def propagate_analytic(w0: WignerGrid, t, params: QbmParams) -> WignerGrid:
     kq_s = np.fft.fftshift(kq)
     kp_s = np.fft.fftshift(kp)
     ft_s = np.fft.fftshift(ft)
-    sp_re = RectBivariateSpline(kq_s, kp_s, ft_s.real, kx=3, ky=3)
-    sp_im = RectBivariateSpline(kq_s, kp_s, ft_s.imag, kx=3, ky=3)
+    sp_re = _bicubic(kq_s, kp_s, ft_s.real)
+    sp_im = _bicubic(kq_s, kp_s, ft_s.imag)
 
     kqg = kq_s[:, None] + 0.0 * kp_s[None, :]
     kpg = 0.0 * kq_s[:, None] + kp_s[None, :]

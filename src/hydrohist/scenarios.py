@@ -688,10 +688,21 @@ _RUNNERS = {
 
 
 def run_scenario(config: ScenarioConfig, output_dir=None) -> RunReport:
-    """Execute a scenario, write its artifacts and return the run report."""
+    """Execute a scenario, write its artifacts and return the run report.
+
+    The output directory is created before the runner starts.  A failure of
+    the runner, of that directory or of an artifact write raises
+    ScenarioError with the original exception as its cause.
+    """
     start = time.perf_counter()
     out = Path(output_dir or config.output_dir
                or Path("runs") / config.scenario)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ScenarioError(
+            f"scenario {config.scenario!r}: cannot create output "
+            f"directory: {exc}") from exc
     try:
         metrics, artifacts, notes = _RUNNERS[config.scenario](config)
     except Exception as exc:
@@ -709,8 +720,13 @@ def run_scenario(config: ScenarioConfig, output_dir=None) -> RunReport:
         notes=tuple(notes),
         artifacts=tuple(sorted(artifacts)),
     )
-    out.mkdir(parents=True, exist_ok=True)
-    for name, (header, rows) in artifacts.items():
-        ps.write_csv(out / name, header, rows)
-    ps.atomic_write(out / f"{config.scenario}-report.json", report.to_json())
+    try:
+        for name, (header, rows) in artifacts.items():
+            ps.write_csv(out / name, header, rows)
+        ps.atomic_write(out / f"{config.scenario}-report.json",
+                        report.to_json())
+    except OSError as exc:
+        raise ScenarioError(
+            f"scenario {config.scenario!r}: cannot write artifacts: "
+            f"{exc}") from exc
     return report

@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -157,6 +158,30 @@ class TestOccupationDistribution:
         od = en.occupation_distribution(ens, win)
         assert od.vectors.shape[1] == 2
         assert od.bin_probabilities.sum() == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("n", [1, 5, 12])
+    @pytest.mark.parametrize("k", [2, 4, 6])
+    def test_exact_law_matches_closed_form(self, n, k, monkeypatch):
+        # oracle: N! / prod n_b! * prod p_b^n_b in Python integers and
+        # floats; bin 1 is empty, so a vector that fills it must read 0
+        rng = np.random.default_rng(100 * n + k)
+        p = rng.uniform(0.1, 1.0, k)
+        p[1] = 0.0
+        p /= p.sum()
+        monkeypatch.setattr(en, "bin_probabilities", lambda ens, window: p)
+        od = en.occupation_distribution(
+            en.ProductEnsemble(n, standard_state()), three_bins())
+        assert od.exact
+        pb = od.bin_probabilities
+        assert pb.shape == (k,) and pb[1] == 0.0
+        assert len(od.vectors) == math.comb(n + k - 1, k - 1)
+        for vec, got in zip(od.vectors, od.probabilities):
+            coef = math.factorial(n) // math.prod(
+                math.factorial(int(nb)) for nb in vec)
+            want = coef * math.prod(float(q) ** int(nb)
+                                    for q, nb in zip(pb, vec))
+            assert got == pytest.approx(want, rel=1e-14, abs=0.0)
+        assert abs(od.probabilities.sum() - 1.0) < 1e-12
 
     def test_cap_requires_sampler(self):
         ens = en.ProductEnsemble(50, standard_state())

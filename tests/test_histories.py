@@ -669,6 +669,16 @@ class TestEhrenfestMultiTime:
         with pytest.raises(ValueError, match="sigma must be positive"):
             hi.argmax_scan(self.rho, self.a, self.times, -self.sigma, self.h)
 
+    @pytest.mark.parametrize("sigma", [0.0, -1.0])
+    def test_argmax_scan_checks_sigma_before_grids(self, sigma, monkeypatch):
+        # sigma = 0 would be a zero grid step, so the check comes first
+        def no_grids(*args):
+            raise AssertionError("center grids built for a bad sigma")
+
+        monkeypatch.setattr(hi, "_center_grids", no_grids)
+        with pytest.raises(ValueError, match="sigma must be positive"):
+            hi.argmax_scan(self.rho, self.a, self.times, sigma, self.h)
+
     @pytest.mark.parametrize("state", ["pure", "mixed"])
     def test_scan_values_match_chain_formula(self, state):
         # every scanned value is the dense chain probability at its centers

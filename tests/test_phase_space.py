@@ -107,6 +107,30 @@ class TestMoments:
             assert abs(a - b) <= 0.01 * max(abs(b), 1e-12)
 
 
+class TestBinIntegrals:
+    def test_matches_hand_written_trapezoid(self):
+        # non-uniform grid; edges both on and between the samples
+        rng = np.random.default_rng(4)
+        x = np.cumsum(rng.uniform(0.05, 0.4, 40))
+        line = np.sin(x) + 1.5
+        edges = [x[0], x[5], 0.5 * (x[11] + x[12]), x[30] - 0.01, x[-1]]
+
+        cum = [0.0]
+        for i in range(len(x) - 1):
+            cum.append(cum[-1] + 0.5 * (x[i + 1] - x[i])
+                       * (line[i] + line[i + 1]))
+
+        def running(e):
+            i = min(int(np.searchsorted(x, e, side="right")) - 1, len(x) - 2)
+            t = (e - x[i]) / (x[i + 1] - x[i])
+            return cum[i] + t * (cum[i + 1] - cum[i])
+
+        want = [running(b) - running(a) for a, b in zip(edges, edges[1:])]
+        got = ps.bin_integrals(line, x, edges)
+        assert got == pytest.approx(want, rel=1e-13, abs=0.0)
+        assert got.sum() == pytest.approx(cum[-1], rel=1e-13)
+
+
 class TestWignerDensityTransform:
     def setup_method(self):
         self.n = 128

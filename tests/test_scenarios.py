@@ -412,6 +412,31 @@ class TestCli:
         assert cli.main(["run", str(path), "--out", str(tmp_path / "o")]) == 3
         assert "ConfigurationError" in capsys.readouterr().err
 
+    def test_run_out_is_a_file_exit_three_before_running(
+            self, tmp_path, capsys, monkeypatch):
+        calls = []
+        monkeypatch.setitem(sc._RUNNERS, "variance-scaling",
+                            lambda config: calls.append(config))
+        path = write_config(tmp_path, minimal("variance-scaling"))
+        afile = tmp_path / "afile"
+        afile.write_text("not a directory")
+        assert cli.main(["run", str(path), "--out", str(afile)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "output directory" in err
+        assert calls == []
+        assert afile.read_text() == "not a directory"
+
+    def test_run_artifact_write_error_exit_three(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        # a directory where the report file should go makes the write fail
+        (out / "variance-scaling-report.json").mkdir(parents=True)
+        path = write_config(tmp_path, minimal("variance-scaling"))
+        assert cli.main(["run", str(path), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "cannot write artifacts" in err
+
     def test_run_missing_seed_exit_two(self, tmp_path, capsys):
         path = write_config(tmp_path, minimal("ehrenfest"))
         assert cli.main(["run", str(path)]) == 2
