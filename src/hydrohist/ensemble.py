@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import DimensionCapError, UndefinedFluctuationError
 from .histories import _compositions
-from .phase_space import (Marginal, WignerGrid, _bicubic, bin_integrals,
+from .phase_space import (Marginal, WignerGrid, bin_integrals,
                           position_marginal, write_csv)
 from .propagator import QbmParams
 
@@ -40,7 +40,6 @@ __all__ = [
     "occupation_distribution",
     "mean_momentum_density",
     "constitutive_residual",
-    "mean_phase_space_density",
     "save_density_field_csv",
 ]
 
@@ -247,16 +246,6 @@ def constitutive_residual(ens: ProductEnsemble, window: SmearingWindow,
     grad = np.gradient(n, window.centers)
     expected = -params.kT / (2.0 * params.gamma) * grad
     return DensityField(window.centers, window.widths, g - expected)
-
-
-def mean_phase_space_density(ens: ProductEnsemble, q_lo, q_hi, p_lo, p_hi):
-    """Expected particle count in the phase-space cell [q_lo,q_hi]x[p_lo,p_hi]."""
-    w = ens.wigner()
-    if not (w.q_min <= q_lo < q_hi <= w.q_max
-            and w.p_min <= p_lo < p_hi <= w.p_max):
-        raise ValueError("cell must lie within the grid extents")
-    sp = _bicubic(w.q, w.p, w.values)
-    return ens.N * float(sp.integral(q_lo, q_hi, p_lo, p_hi))
 
 
 def save_density_field_csv(fieldv: DensityField, path):

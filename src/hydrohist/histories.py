@@ -3,8 +3,8 @@
 One particle lives on B position bins; N distinguishable particles span the
 B^N tensor-product space.  The module builds
 
-- collective observables: number, momentum and energy density per bin, with
-  symmetrized ordering for the non-diagonal ones;
+- collective observables: the number density per bin and one-body operators
+  (such as the lattice momentum) summed over particles;
 - projectors: exact occupation projectors as boolean basis masks (they are
   diagonal 0/1), spectral-window projectors and Gaussian quasi-projectors
   (2 pi sigma^2)^(-1/2) exp(-(A - a)^2 / 2 sigma^2) as matrices;
@@ -34,7 +34,6 @@ B^N tensor-product space.  The module builds
 from __future__ import annotations
 
 import itertools
-import json
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -43,7 +42,7 @@ import numpy as np
 from scipy.linalg import expm
 
 from .errors import ConfigurationError, DimensionCapError
-from .phase_space import atomic_write, position_dephasing, write_csv
+from .phase_space import position_dephasing
 
 __all__ = [
     "ToyHilbert",
@@ -59,8 +58,6 @@ __all__ = [
     "one_particle_momentum",
     "lift_one_body",
     "number_density_operator",
-    "momentum_density_operator",
-    "energy_density_operator",
     "gaussian_quasi_projector",
     "window_projector",
     "occupation_projector",
@@ -75,9 +72,6 @@ __all__ = [
     "multi_time_prob",
     "argmax_scan",
     "complement_pair_consistency",
-    "apply_dephasing",
-    "save_decoherence_json",
-    "save_probability_scan_csv",
 ]
 
 DEFAULT_DIM_CAP = 2 ** 16
@@ -96,7 +90,7 @@ class ToyHilbert:
     def __post_init__(self):
         if self.B < 2 or self.N < 1:
             raise ValueError("need B >= 2 bins and N >= 1 particles")
-        if self.dx <= 0:
+        if not self.dx > 0:
             raise ValueError("dx must be positive")
         if self.B ** self.N > DEFAULT_DIM_CAP:
             raise DimensionCapError(
@@ -226,33 +220,12 @@ def number_density_operator(space: ToyHilbert, b: int) -> np.ndarray:
     return np.diag(space.occupation_table()[:, b].astype(complex))
 
 
-def momentum_density_operator(space: ToyHilbert, b: int) -> np.ndarray:
-    """g(b): symmetrized per-particle (|b><b| p + p |b><b|)/2, summed."""
-    if not 0 <= b < space.B:
-        raise ValueError("bin index out of range")
-    p = one_particle_momentum(space)
-    pi = np.zeros((space.B, space.B), dtype=complex)
-    pi[b, b] = 1.0
-    return lift_one_body(space, 0.5 * (pi @ p + p @ pi))
-
-
-def energy_density_operator(space: ToyHilbert, b: int, mass: float = 1.0) -> np.ndarray:
-    """h(b): symmetrized per-particle (|b><b| h + h |b><b|)/2 with h = p^2/2m."""
-    if not 0 <= b < space.B:
-        raise ValueError("bin index out of range")
-    p = one_particle_momentum(space)
-    h1 = p @ p / (2.0 * mass)
-    pi = np.zeros((space.B, space.B), dtype=complex)
-    pi[b, b] = 1.0
-    return lift_one_body(space, 0.5 * (pi @ h1 + h1 @ pi))
-
-
 # --- projectors -------------------------------------------------------------
 
 
 def _gaussian_weights(x, center, sigma):
     """(2 pi sigma^2)^(-1/2) exp(-(x - center)^2 / 2 sigma^2), elementwise."""
-    if sigma <= 0:
+    if not sigma > 0:
         raise ValueError("sigma must be positive")
     g = np.exp(-((x - center) ** 2) / (2.0 * sigma ** 2))
     return g / (math.sqrt(2.0 * np.pi) * sigma)
@@ -383,9 +356,9 @@ class HistorySpec:
 
     def __post_init__(self):
         t = tuple(float(x) for x in self.times)
-        if len(t) == 0 or any(b <= a for a, b in zip(t, t[1:])):
+        if len(t) == 0 or not all(b > a for a, b in zip(t, t[1:])):
             raise ValueError("times must be nonempty and strictly increasing")
-        if t[0] < 0:
+        if not t[0] >= 0:
             raise ValueError("times must be nonnegative")
         if len(self.slots) != len(t):
             raise ValueError("need one projector slot per time")
@@ -397,7 +370,7 @@ class HistorySpec:
             for slot, time in zip(self.slots, t)
         )
         h = _checked_hamiltonian(self.hamiltonian, self.space.dim)
-        if self.dephasing_rate < 0:
+        if not self.dephasing_rate >= 0:
             raise ValueError("dephasing rate must be nonnegative")
         object.__setattr__(self, "times", t)
         object.__setattr__(self, "slots", slots)
@@ -697,7 +670,7 @@ def product_occupation_functional(rho1: DensityOperator, h1, n, times,
     if len(times) != 2 or not 0.0 <= times[0] < times[1]:
         raise ValueError("need exactly two times 0 <= t1 < t2")
     t1, t2 = times
-    if dephasing_rate < 0:
+    if not dephasing_rate >= 0:
         raise ValueError("dephasing rate must be nonnegative")
 
     r1 = _evolve_density(rho1.matrix, h1, 0.0, t1, space1, dephasing_rate, 1)
@@ -896,41 +869,3 @@ def complement_pair_consistency(rho, a_op, times, tube_width, h):
     p_bar = float(np.real(np.trace(c_comp @ rho_m @ c_comp.conj().T)))
     off = complex(np.trace(c_tube @ rho_m @ c_comp.conj().T))
     return p, p_bar, off
-
-
-def apply_dephasing(rho: DensityOperator, rate, dt) -> DensityOperator:
-    """Damp position off-diagonals by exp(-rate d^2 dt); trace preserved."""
-    if rate < 0 or dt < 0:
-        raise ValueError("rate and dt must be nonnegative")
-    mask = _dephasing_mask(rho.space, rate, dt)
-    return DensityOperator(rho.space, rho.matrix * mask)
-
-
-# --- serialization ----------------------------------------------------------
-
-
-def save_decoherence_json(dmat: DecoherenceMatrix, path):
-    """JSON payload: labels, real/imag parts, probabilities, epsilon."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        eps = consistency_epsilon(dmat)
-    payload = {
-        "labels": [list(lab) if isinstance(lab, tuple) else lab
-                   for lab in dmat.labels],
-        "real": np.real(dmat.matrix).tolist(),
-        "imag": np.imag(dmat.matrix).tolist(),
-        "probabilities": dmat.probabilities().tolist(),
-        "epsilon": eps,
-    }
-    atomic_write(path, json.dumps(payload, indent=2))
-    return payload
-
-
-def save_probability_scan_csv(grids, values, path):
-    """CSV rows: one center per time column, then the probability."""
-    grids = [np.asarray(g, dtype=float) for g in grids]
-    values = np.asarray(values, dtype=float)
-    rows = ([*(g[i] for g, i in zip(grids, idx)), values[idx]]
-            for idx in itertools.product(*(range(len(g)) for g in grids)))
-    write_csv(path, [f"center_{k}" for k in range(len(grids))]
-              + ["probability"], rows)

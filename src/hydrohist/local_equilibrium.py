@@ -66,13 +66,13 @@ class LocalEquilibriumProfile:
             raise ValueError("profile arrays must share one 1D shape")
         if len(q) < 8:
             raise ValueError("need at least 8 lattice points")
-        if np.any(np.diff(q) <= 0):
+        if not np.all(np.diff(q) > 0):
             raise ValueError("q lattice must be strictly increasing")
-        if np.any(kt <= 0):
+        if not np.all(kt > 0):
             raise ValueError("kT must be positive everywhere")
-        if np.any(f < 0):
+        if not np.all(f >= 0):
             raise ValueError("f must be nonnegative")
-        if self.mass <= 0:
+        if not self.mass > 0:
             raise ValueError("mass must be positive")
         for name, arr in (("f", f), ("u", u), ("kT", kt)):
             scale = np.max(np.abs(arr))
@@ -146,7 +146,7 @@ def one_particle_gibbs(beta, mubar, u, mass: float = 1.0, dx: float = 1.0):
     u = np.asarray(u, dtype=float)
     if not (beta.shape == mubar.shape == u.shape) or beta.ndim != 1:
         raise ValueError("beta, mubar and u must share one 1D shape")
-    if np.any(beta <= 0):
+    if not np.all(beta > 0):
         raise ValueError("beta must be positive everywhere")
     b = len(beta)
     space = hist.ToyHilbert(B=b, N=1, dx=dx)

@@ -216,7 +216,7 @@ def gaussian_wigner(q_min, q_max, n_q, p_min, p_max, n_p,
                     mean_q=0.0, mean_p=0.0, var_q=1.0, var_p=1.0, cov_qp=0.0):
     """Normalized correlated-Gaussian Wigner grid (test fixture and initial data)."""
     det = var_q * var_p - cov_qp ** 2
-    if det <= 0:
+    if not det > 0:
         raise ValueError("covariance matrix must be positive definite")
     q = np.linspace(q_min, q_max, n_q)[:, None]
     p = np.linspace(p_min, p_max, n_p)[None, :]
@@ -282,9 +282,10 @@ def conjugate_momentum_axis(x_min, x_max, n_x):
 def wigner_to_density(w: WignerGrid) -> DensityMatrix:
     """rho(x, y) = int dp exp(i p (x - y)) W(p, (x + y)/2) on the q lattice.
 
-    W is evaluated at midpoint coordinates with a cubic spline; the p integral
-    is trapezoidal.  Raises ResolutionError when the momentum lattice is too
-    coarse to resolve the oscillatory kernel across the spatial domain.
+    W at the midpoints between grid rows is the band-limited (Fourier)
+    interpolant along q; the p integral is trapezoidal.  Raises
+    ResolutionError when the momentum lattice is too coarse to resolve the
+    oscillatory kernel across the spatial domain.
     """
     _check_normalized(w)
     n = w.n_q
@@ -297,10 +298,13 @@ def wigner_to_density(w: WignerGrid) -> DensityMatrix:
             "momentum lattice too coarse/narrow for the spatial extent "
             f"(dp * L = {dp * length:.3f} > 2*pi); refine or widen the p lattice"
         )
-    # W sampled on the half-spacing lattice of midpoints (x_a + x_b)/2
-    spline = _bicubic(w.q, w.p, w.values)
-    q_half = w.q_min + 0.5 * dq * np.arange(2 * n - 1)
-    w_half = spline(q_half, w.p)  # (2n-1, n_p)
+    # W on the half-spacing lattice of midpoints (x_a + x_b)/2: the grid rows,
+    # and between them a band-limited half-step shift along q
+    k = 2 * np.pi * np.fft.rfftfreq(n, d=dq)
+    w_half = np.empty((2 * n - 1, w.n_p))  # (2n-1, n_p)
+    w_half[0::2] = w.values
+    w_half[1::2] = np.fft.irfft(np.fft.rfft(w.values, axis=0)
+                                * np.exp(0.5j * k * dq)[:, None], n, axis=0)[:-1]
 
     tw = np.full(w.n_p, dp)
     tw[0] *= 0.5

@@ -57,7 +57,6 @@ from .errors import (
 from .phase_space import (
     DensityMatrix,
     WignerGrid,
-    _bicubic,
     check_domain_coverage,
     moments,
     normalize,
@@ -96,7 +95,7 @@ class QbmParams:
 
     def __post_init__(self):
         for name in ("M", "gamma", "kT"):
-            if getattr(self, name) <= 0:
+            if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be strictly positive")
 
 
@@ -110,9 +109,9 @@ class PropagatorCoefficients:
     t: float
 
     def __post_init__(self):
-        if self.alpha <= 0 or self.beta <= 0:
+        if not (self.alpha > 0 and self.beta > 0):
             raise ValueError("alpha and beta must be positive")
-        if 4 * self.alpha * self.beta - self.epsilon ** 2 <= 0:
+        if not 4 * self.alpha * self.beta - self.epsilon ** 2 > 0:
             raise ValueError("coefficients do not define a normalizable Gaussian")
 
     def covariance(self):
@@ -150,7 +149,7 @@ class ConstitutiveResidual:
 
 def classical_path(q0, p0, t, params: QbmParams):
     """Damped classical trajectory (q_cl, p_cl) at time t >= 0."""
-    if np.any(np.asarray(t) < 0):
+    if not np.all(np.asarray(t) >= 0):
         raise ValueError("t must be nonnegative")
     decay = np.exp(-2.0 * params.gamma * t)
     q_cl = q0 + p0 / (2.0 * params.M * params.gamma) * (1.0 - decay)
@@ -160,7 +159,7 @@ def classical_path(q0, p0, t, params: QbmParams):
 
 def longtime_coefficients(params: QbmParams, t) -> PropagatorCoefficients:
     """Asymptotic kernel coefficients, valid for gamma*t >> 1."""
-    if t <= 0:
+    if not t > 0:
         raise ValueError("t must be positive")
     if params.gamma * t < 3:
         warnings.warn(
@@ -198,12 +197,15 @@ def kernel_covariance(params: QbmParams, t):
 
 
 def propagate_analytic(w0: WignerGrid, t, params: QbmParams) -> WignerGrid:
-    """Apply the exact Gaussian transition kernel to w0 by Fourier resampling.
+    """Apply the exact Gaussian transition kernel to w0 in Fourier space.
 
-    The output lives on the input lattice; a ResolutionError is raised when
-    the evolved state cannot fit in the domain.
+    The discrete characteristic function of w0 is evaluated exactly at the
+    sheared frequencies A^T k, multiplied by the kernel's Gaussian factor
+    and transformed back.  The output lives on the input lattice; a
+    ResolutionError is raised when the evolved state cannot fit in the
+    domain.
     """
-    if t < 0:
+    if not t >= 0:
         raise ValueError("t must be nonnegative")
     if t == 0.0:
         return w0.with_values(w0.values)
@@ -220,43 +222,24 @@ def propagate_analytic(w0: WignerGrid, t, params: QbmParams) -> WignerGrid:
         )
 
     nq, np_ = w0.n_q, w0.n_p
-    dq, dp = w0.dq, w0.dp
-    kq = 2 * np.pi * np.fft.fftfreq(nq, d=dq)
-    kp = 2 * np.pi * np.fft.fftfreq(np_, d=dp)
+    kq = 2 * np.pi * np.fft.fftfreq(nq, d=w0.dq)[:, None]
+    kp = 2 * np.pi * np.fft.fftfreq(np_, d=w0.dp)[None, :]
+    p = w0.p[:, None]
 
-    # characteristic function of w0 with absolute-coordinate phases
-    ft = np.fft.fft2(w0.values) * dq * dp
-    ft *= np.exp(-1j * kq * w0.q_min)[:, None]
-    ft *= np.exp(-1j * kp * w0.p_min)[None, :]
+    # characteristic function of w0 at the sheared frequencies
+    # A^T k = (kq, A01 kq + A11 kp): an FFT along q, then the exact sum over
+    # p_j, which factorizes as exp(-i A01 kq p_j) exp(-i A11 kp p_j).  The
+    # quadrature weight dq dp and the q-origin phases exp(-/+ i kq q_min)
+    # cancel between this transform and the inverse one, since q is not
+    # sheared.
+    ft = np.fft.fft(w0.values, axis=0)
+    ft *= np.exp(-1j * a[0, 1] * kq * p.T)
+    ft = ft @ np.exp(-1j * a[1, 1] * p * kp)
 
-    # spline of the (shifted, monotone-k) spectrum for resampling at A^T k
-    kq_s = np.fft.fftshift(kq)
-    kp_s = np.fft.fftshift(kp)
-    ft_s = np.fft.fftshift(ft)
-    sp_re = _bicubic(kq_s, kp_s, ft_s.real)
-    sp_im = _bicubic(kq_s, kp_s, ft_s.imag)
-
-    kqg = kq_s[:, None] + 0.0 * kp_s[None, :]
-    kpg = 0.0 * kq_s[:, None] + kp_s[None, :]
-    # (A^T k)_q = kq + 0, (A^T k)_p = A[0,1]*kq + A[1,1]*kp
-    tq = kqg
-    tp = a[0, 1] * kqg + a[1, 1] * kpg
-    inside = (tp >= kp_s[0]) & (tp <= kp_s[-1])
-    tpc = np.clip(tp, kp_s[0], kp_s[-1])
-    ft0 = sp_re.ev(tq, tpc) + 1j * sp_im.ev(tq, tpc)
-    ft0[~inside] = 0.0
-
-    quad = (
-        sigma[0, 0] * kqg ** 2
-        + 2.0 * sigma[0, 1] * kqg * kpg
-        + sigma[1, 1] * kpg ** 2
-    )
-    ft_t = ft0 * np.exp(-0.5 * quad)
-
-    ft_t = np.fft.ifftshift(ft_t)
-    ft_t *= np.exp(1j * kq * w0.q_min)[:, None]
-    ft_t *= np.exp(1j * kp * w0.p_min)[None, :]
-    vals = np.fft.ifft2(ft_t).real / (dq * dp)
+    ft *= np.exp(-0.5 * (sigma[0, 0] * kq ** 2 + 2.0 * sigma[0, 1] * kq * kp
+                         + sigma[1, 1] * kp ** 2))
+    ft *= np.exp(1j * kp * w0.p_min)
+    vals = np.fft.ifft2(ft).real
     out = WignerGrid(w0.q_min, w0.q_max, nq, w0.p_min, w0.p_max, np_, vals)
     check_domain_coverage(out)
     return normalize(out)
@@ -271,7 +254,7 @@ def _step_plan(t, dt, bound):
     n_steps is 0 at t = 0.  dt defaults to ``bound``; a StepSizeError is
     raised when dt_eff exceeds it.
     """
-    if t < 0:
+    if not t >= 0:
         raise ValueError("t must be nonnegative")
     if t == 0:
         return 0, 0.0
@@ -574,7 +557,7 @@ def fit_diffusion(times, marginals, params: QbmParams) -> DiffusionFit:
         raise FitQualityError("variance series is not strictly increasing")
     a = np.column_stack([times, np.ones_like(times)])
     coef, *_ = np.linalg.lstsq(a, var, rcond=None)
-    d_fit = 0.5 * coef[0]
+    d_fit = 0.5 * float(coef[0])
     return DiffusionFit(d_fit, diffusion_coefficient(params),
                         (float(times[0]), float(times[-1])))
 

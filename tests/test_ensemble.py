@@ -229,40 +229,6 @@ class TestMomentumDensity:
         assert np.allclose(2 * g1.values, g2.values)
 
 
-class TestPhaseSpaceDensity:
-    def test_full_domain_is_n(self):
-        ens = en.ProductEnsemble(100, standard_state())
-        val = en.mean_phase_space_density(ens, -12, 12, -6, 6)
-        assert val == pytest.approx(100.0, rel=1e-6)
-
-    def test_half_domain_symmetry(self):
-        ens = en.ProductEnsemble(100, standard_state())
-        val = en.mean_phase_space_density(ens, -12, 0, -6, 6)
-        assert val == pytest.approx(50.0, rel=1e-6)
-
-    def test_cell_outside_grid_rejected(self):
-        ens = en.ProductEnsemble(100, standard_state())
-        with pytest.raises(ValueError):
-            en.mean_phase_space_density(ens, -20, 0, -6, 6)
-
-    def test_time_series_matches_direct_quadrature(self):
-        # grid spacings 0.2 and 0.125 so the cell edges sit on grid nodes
-        w0 = ps.gaussian_wigner(-18, 18, 181, -6, 6, 97, var_q=0.25, var_p=0.5)
-        cell = (-2.0, 2.0, -1.0, 1.0)
-        wt = w0
-        for _ in range(3):
-            wt = pr.evolve_fokker_planck(wt, 0.5, UNIT)
-            ens = en.ProductEnsemble(40, wt)
-            val = en.mean_phase_space_density(ens, *cell)
-            qi = (wt.q >= cell[0]) & (wt.q <= cell[1])
-            pi = (wt.p >= cell[2]) & (wt.p <= cell[3])
-            direct = 40 * np.trapezoid(
-                np.trapezoid(wt.values[np.ix_(qi, pi)], dx=wt.dp, axis=1),
-                dx=wt.dq,
-            )
-            assert val == pytest.approx(direct, rel=5e-3)
-
-
 class TestSerialization:
     def test_csv_round_trip(self, tmp_path):
         ens = en.ProductEnsemble(100, standard_state())

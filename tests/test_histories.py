@@ -125,18 +125,6 @@ class TestDensityOperators:
         assert np.linalg.norm(dev) / 6 == pytest.approx(
             np.sqrt(p * (1 - p) / 6), abs=1e-12)
 
-    def test_momentum_density_hermitian(self):
-        hs = hi.ToyHilbert(B=4, N=2)
-        g = hi.momentum_density_operator(hs, 1)
-        assert np.max(np.abs(g - g.conj().T)) < 1e-12
-
-    def test_energy_density_sums_to_total_kinetic(self):
-        hs = hi.ToyHilbert(B=4, N=2)
-        p1 = hi.one_particle_momentum(hs)
-        total = sum(hi.energy_density_operator(hs, b, mass=2.0)
-                    for b in range(4))
-        expected = hi.lift_one_body(hs, p1 @ p1 / 4.0)
-        assert np.max(np.abs(total - expected)) < 1e-10
 
 
 class TestProjectors:
@@ -738,50 +726,3 @@ class TestEhrenfestMultiTime:
             self.rho, self.a, self.times, width, self.h)
         assert p == pytest.approx(1.0, abs=1e-12)
         assert p_bar == pytest.approx(0.0, abs=1e-12)
-
-
-class TestDephasingMap:
-    def test_zero_rate_identity(self):
-        hs = hi.ToyHilbert(B=2, N=3)
-        st = hi.superposition_state(hs, np.array([1.0, 0.0], complex),
-                                    np.array([0.6, 0.8], complex))
-        rho = hi.to_density(st)
-        out = hi.apply_dephasing(rho, 0.0, 1.0)
-        assert np.allclose(out.matrix, rho.matrix)
-
-    def test_diagonal_state_unchanged(self):
-        hs = hi.ToyHilbert(B=2, N=2)
-        diag = np.diag([0.4, 0.3, 0.2, 0.1]).astype(complex)
-        rho = hi.DensityOperator(hs, diag)
-        out = hi.apply_dephasing(rho, 3.0, 1.0)
-        assert np.allclose(out.matrix, diag)
-
-    def test_trace_preserved(self):
-        hs = hi.ToyHilbert(B=3, N=2)
-        rng = np.random.default_rng(1)
-        v = random_pure(rng, hs.dim)
-        rho = hi.DensityOperator(hs, np.outer(v, v.conj()))
-        out = hi.apply_dephasing(rho, 1.5, 0.7)
-        assert np.real(np.trace(out.matrix)) == pytest.approx(1.0, abs=1e-12)
-
-
-class TestSerialization:
-    def test_decoherence_json(self, tmp_path):
-        hs = hi.ToyHilbert(B=2, N=3)
-        st = hi.product_state(hs, np.array([0.6, 0.8], complex))
-        fam = hi.occupation_family(hs)
-        p1 = hi.one_particle_momentum(hs)
-        spec = hi.HistorySpec(hs, (0.5, 1.0), ([fam], [fam]),
-                              hi.lift_one_body(hs, p1 @ p1 / 2))
-        d = hi.decoherence_functional(st, spec)
-        payload = hi.save_decoherence_json(d, tmp_path / "d.json")
-        assert len(payload["labels"]) == 16
-        assert sum(payload["probabilities"]) == pytest.approx(1.0, abs=1e-8)
-
-    def test_probability_scan_csv(self, tmp_path):
-        grids = [np.array([0.0, 1.0]), np.array([2.0, 3.0])]
-        vals = np.arange(4.0).reshape(2, 2)
-        hi.save_probability_scan_csv(grids, vals, tmp_path / "scan.csv")
-        rows = (tmp_path / "scan.csv").read_text().strip().split("\n")
-        assert rows[0] == "center_0,center_1,probability"
-        assert len(rows) == 5

@@ -43,3 +43,15 @@ def test_spline_loaded_on_first_use():
     before, distance, after = out.split()
     assert before == "False" and after == "True"
     assert 0.0 <= float(distance) < 1e-2
+
+
+def test_exact_transforms_load_no_spline():
+    out = run_fresh(
+        "from hydrohist import phase_space as ps, propagator as pr\n"
+        "w = ps.gaussian_wigner(-10, 10, 64,\n"
+        "                       *ps.conjugate_momentum_axis(-10, 10, 64))\n"
+        "wt = pr.propagate_analytic(w, 1.0, pr.QbmParams(1.0, 1.0, 1.0))\n"
+        "print(ps.wigner_to_density(wt).trace())\n"
+        "print('scipy.interpolate' in sys.modules)\n")
+    trace, loaded = out.split()
+    assert abs(float(trace) - 1.0) < 1e-9 and loaded == "False"

@@ -163,6 +163,23 @@ class TestWignerDensityTransform:
         w2 = ps.density_to_wigner(rho)
         assert abs(w2.integral() - 1.0) < 1e-6
 
+    @pytest.mark.parametrize("n", [127, 128])
+    def test_gaussian_matches_closed_form(self, n):
+        # uncorrelated Gaussian W: rho(x, y) = f((x + y)/2)
+        # * exp(i mean_p (x - y) - var_p (x - y)^2 / 2), f the position marginal
+        mean_q, mean_p, var_q, var_p = 0.4, 0.7, 1.3, 0.8
+        w = ps.gaussian_wigner(
+            self.x_min, self.x_max, n,
+            *ps.conjugate_momentum_axis(self.x_min, self.x_max, n),
+            mean_q=mean_q, mean_p=mean_p, var_q=var_q, var_p=var_p)
+        rho = ps.wigner_to_density(w)
+        r = np.subtract.outer(w.q, w.q)
+        c = 0.5 * np.add.outer(w.q, w.q)
+        f = np.exp(-(c - mean_q) ** 2 / (2 * var_q)) / np.sqrt(2 * np.pi * var_q)
+        exact = f * np.exp(1j * mean_p * r - 0.5 * var_p * r ** 2)
+        near = np.abs(r) <= 0.25 * (self.x_max - self.x_min)
+        assert np.max(np.abs(rho.kernel - exact)[near]) <= 1e-12
+
     def test_pure_state_rank_one(self):
         # minimal-uncertainty wave packet: var_q * var_p = 1/4 (hbar = 1)
         w = ps.gaussian_wigner(-8, 8, 160, -5, 5, 160, var_q=0.5, var_p=0.5)
@@ -237,13 +254,6 @@ def _density_field_csv(tmp_path):
     return path, ["bin_center", "bin_width", "value", "variance"]
 
 
-def _probability_scan_csv(tmp_path):
-    path = tmp_path / "scan.csv"
-    hi.save_probability_scan_csv([np.array([0, 1]), np.array([2.0, 3.0])],
-                                 np.arange(4).reshape(2, 2), path)
-    return path, ["center_0", "center_1", "probability"]
-
-
 def _hydro_series_csv(tmp_path):
     path = tmp_path / "series.csv"
     q = np.linspace(-8, 8, 64)
@@ -269,7 +279,6 @@ def _scenario_csv(tmp_path):
 
 class TestWriteCsv:
     @pytest.mark.parametrize("make", [_wigner_csv, _density_field_csv,
-                                      _probability_scan_csv,
                                       _hydro_series_csv, _scenario_csv])
     def test_one_format_for_every_artifact(self, tmp_path, make):
         path, header = make(tmp_path)

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
+from hydrohist import histories as hist
+from hydrohist import local_equilibrium as le
 from hydrohist import phase_space as ps
 from hydrohist import propagator as pr
 from hydrohist import scenarios as sc
@@ -120,6 +122,26 @@ class TestPropagateAnalytic:
     def test_mass_preserved(self):
         wt = pr.propagate_analytic(self.w0, 5.0, UNIT)
         assert wt.integral() == pytest.approx(1.0, abs=1e-9)
+
+    @pytest.mark.parametrize("grid, t", [
+        ((-25, 25, 256, -6, 6, 128), 1.0),
+        ((-25, 25, 256, -6, 6, 128), 10.0),
+        ((-18, 18, 160, -6, 6, 96), 2.0),
+    ])
+    def test_matches_closed_form(self, grid, t):
+        # the kernel maps a Gaussian with mean m0 and covariance C0 to the
+        # Gaussian with mean A m0 and covariance A C0 A^T + Sigma
+        m0, cov0 = np.array([0.3, 0.5]), np.diag([0.25, 0.5])
+        w0 = ps.gaussian_wigner(*grid, mean_q=m0[0], mean_p=m0[1],
+                                var_q=cov0[0, 0], var_p=cov0[1, 1])
+        a = pr.kernel_mean_map(UNIT, t)
+        mean = a @ m0
+        cov = a @ cov0 @ a.T + pr.kernel_covariance(UNIT, t)
+        exact = ps.gaussian_wigner(*grid, mean_q=mean[0], mean_p=mean[1],
+                                   var_q=cov[0, 0], var_p=cov[1, 1],
+                                   cov_qp=cov[0, 1])
+        wt = pr.propagate_analytic(w0, t, UNIT)
+        assert ps.l1_distance(wt, exact) <= 1e-7
 
     def test_domain_overflow_raises(self):
         small = ps.gaussian_wigner(-4, 4, 64, -4, 4, 64, var_q=0.25, var_p=0.5)
@@ -484,3 +506,42 @@ class TestParams:
             pr.QbmParams(M=0.0, gamma=1.0, kT=1.0)
         with pytest.raises(ValueError):
             pr.QbmParams(M=1.0, gamma=-1.0, kT=1.0)
+
+
+NAN = float("nan")
+TWO_BINS = hist.ToyHilbert(B=2, N=1)
+LATTICE = np.linspace(-4.0, 4.0, 8)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: pr.QbmParams(M=NAN, gamma=1.0, kT=1.0),
+    lambda: pr.QbmParams(M=1.0, gamma=1.0, kT=NAN),
+    lambda: pr.PropagatorCoefficients(NAN, 1.0, 0.0, 1.0),
+    lambda: pr.classical_path(0.0, 1.0, NAN, UNIT),
+    lambda: pr.longtime_coefficients(UNIT, NAN),
+    lambda: pr.propagate_analytic(ps.gaussian_wigner(-8, 8, 32, -4, 4, 32),
+                                  NAN, UNIT),
+    lambda: ps.gaussian_wigner(-8, 8, 32, -4, 4, 32, var_q=NAN),
+    lambda: hist.gaussian_quasi_projector(np.diag([0.0, 1.0, 2.0]), 1.0, NAN),
+    lambda: hist.ToyHilbert(B=2, N=1, dx=NAN),
+    lambda: hist.HistorySpec(TWO_BINS, (1.0,),
+                             ([hist.occupation_family(TWO_BINS)],),
+                             np.zeros((2, 2)), dephasing_rate=NAN),
+    lambda: hist.product_occupation_functional(
+        hist.DensityOperator(TWO_BINS, np.eye(2) / 2), np.zeros((2, 2)), 2,
+        (0.5, 1.0), dephasing_rate=NAN),
+    lambda: le.one_particle_gibbs([1.0, NAN, 1.0], [0.0] * 3, [0.0] * 3),
+    lambda: le.LocalEquilibriumProfile(LATTICE, np.ones(8), np.zeros(8),
+                                       np.full(8, NAN)),
+    lambda: le.LocalEquilibriumProfile(LATTICE, np.ones(8), np.zeros(8),
+                                       np.ones(8), mass=NAN),
+], ids=["M", "kT", "alpha", "classical_path_t", "longtime_t",
+        "propagate_analytic_t", "gaussian_wigner_var",
+        "quasi_projector_sigma", "toy_dx", "spec_dephasing",
+        "product_dephasing", "gibbs_beta", "profile_kT", "profile_mass"])
+def test_nan_parameter_rejected(call):
+    # every positivity check is written "not x > 0", which NaN fails; the
+    # check raises, not a later failure such as LinAlgError on NaN entries
+    with pytest.raises(ValueError) as info:
+        call()
+    assert info.type is ValueError

@@ -93,8 +93,12 @@ class TestLoadConfig:
 
     @pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.json")),
                              ids=lambda p: p.name)
-    def test_shipped_configs_validate(self, path):
-        assert sc.load_config(path).scenario == path.stem
+    def test_shipped_configs_validate(self, path, tmp_path):
+        cfg = sc.load_config(path)
+        assert cfg.scenario == path.stem
+        # report notes are read by people: plain numbers, no numpy reprs
+        notes = sc.run_scenario(cfg, tmp_path).notes
+        assert not [note for note in notes if "np." in note]
 
     def test_duplicate_key_rejected(self, tmp_path):
         body = '{"schema_version": 1, "scenario": "diffusion", ' \
