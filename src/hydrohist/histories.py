@@ -20,8 +20,9 @@ B^N tensor-product space.  The module builds
 - the two-time occupation decoherence functional of a product state
   rho1^(x N) under a one-body Hamiltonian and per-particle dephasing, from
   one-particle objects only: a one-particle tensor d1[b, b', c] and a dynamic
-  program over particles for the coefficients of (sum d1 x_b x'_b' y_c)^N
-  (the factorized engine, checked against the dense engines in the tests);
+  program over particles for the coefficients of (sum d1 x_b x'_b' y_c)^N,
+  kept as the blocks of D in an OccupationFunctional (the factorized
+  engine, checked against the dense engines in the tests);
 - consistency diagnostics: the off-diagonal ratio epsilon and the bound
   |D(a,a')|^2 <= p(a) p(a'), which any decoherence functional satisfies;
 - Gaussian-history probabilities and their peak structure: the exact
@@ -51,6 +52,7 @@ __all__ = [
     "ProjectorFamily",
     "HistorySpec",
     "DecoherenceMatrix",
+    "OccupationFunctional",
     "BoundReport",
     "product_state",
     "superposition_state",
@@ -402,6 +404,69 @@ class DecoherenceMatrix:
 
 
 @dataclass(frozen=True)
+class OccupationFunctional:
+    """Two-time occupation decoherence functional held as its n2 blocks.
+
+    D((n1, n2), (n1', n2')) = delta(n2, n2') coef[n1, n1', n2], with every
+    axis of ``coef`` indexed by ``comps``.  ``labels`` are the (n1, n2)
+    pairs in ``itertools.product(comps, repeat=2)`` order, the catalog of
+    ``decoherence_functional`` with ``occupation_family`` at both times.
+    Probabilities and epsilon are read off the blocks in O(C^3), with C =
+    len(comps); ``to_dense`` builds the (C^2, C^2) DecoherenceMatrix.
+    """
+
+    comps: tuple
+    coef: np.ndarray = field(repr=False)
+    labels: tuple = field(init=False, repr=False)
+
+    def __post_init__(self):
+        comps = tuple(tuple(c) for c in self.comps)
+        c = np.asarray(self.coef, dtype=complex)
+        if c.shape != (len(comps),) * 3:
+            raise ValueError("coefficient shape must match the compositions")
+        # DecoherenceMatrix's checks: D is zero outside the blocks, so the
+        # blocks alone decide both
+        herm = c.conj().transpose(1, 0, 2)
+        if np.max(np.abs(c - herm)) > 1e-8 * max(np.max(np.abs(c)), 1e-300):
+            raise ValueError("decoherence matrix must be Hermitian")
+        if np.min(np.real(np.einsum("iic->ic", c))) < -1e-10:
+            raise ValueError("diagonal entries must be nonnegative")
+        c = c.copy()
+        c.flags.writeable = False
+        object.__setattr__(self, "comps", comps)
+        object.__setattr__(self, "coef", c)
+        object.__setattr__(self, "labels",
+                           tuple(itertools.product(comps, repeat=2)))
+
+    def _block_probabilities(self):
+        """p[n1, n2] = Re coef[n1, n1, n2], clipped at zero."""
+        return np.clip(np.real(np.einsum("iic->ic", self.coef)), 0.0, None)
+
+    def probabilities(self):
+        return self._block_probabilities().ravel()
+
+    def epsilon(self) -> float:
+        """``consistency_epsilon`` of the functional, skipping empty rows
+        silently: the largest |D(a, a')| / sqrt(p(a) p(a')) over live pairs
+        a < a' in the same n2 block, since D vanishes between blocks."""
+        p = self._block_probabilities()
+        i, j = np.triu_indices(len(self.comps), 1)
+        pair, c = np.nonzero((p[i] > 1e-300) & (p[j] > 1e-300))
+        i, j = i[pair], j[pair]
+        d = self.coef[i, j, c]
+        return float(np.max(np.hypot(d.real, d.imag)
+                            / np.sqrt(p[i, c] * p[j, c]), initial=0.0))
+
+    def to_dense(self) -> DecoherenceMatrix:
+        """The full (C^2, C^2) decoherence matrix, for oracle checks."""
+        k = len(self.comps)
+        out = np.zeros((k, k, k, k), dtype=complex)  # (n1, n2, n1', n2')
+        same = np.arange(k)
+        out[:, same, :, same] = self.coef.transpose(2, 0, 1)
+        return DecoherenceMatrix(self.labels, out.reshape(k * k, k * k))
+
+
+@dataclass(frozen=True)
 class BoundReport:
     ok: bool
     worst_excess: float
@@ -642,7 +707,7 @@ def _occupation_coefficients(d1, n):
 
 
 def product_occupation_functional(rho1: DensityOperator, h1, n, times,
-                                  dephasing_rate=0.0) -> DecoherenceMatrix:
+                                  dephasing_rate=0.0) -> OccupationFunctional:
     """Two-time occupation decoherence functional of the product state
     rho1^(x n) under the one-body Hamiltonian ``h1``, from one-particle
     objects only.
@@ -656,10 +721,10 @@ def product_occupation_functional(rho1: DensityOperator, h1, n, times,
     prod_b x_b^n1_b x'_b^n1'_b y_b^n2_b in (sum d1[b, b', c] x_b x'_b' y_c)^n:
     the map, the state and the projectors all factorize over particles.
     Labels and their order are those of ``decoherence_functional`` with
-    ``occupation_family`` at both times.  The dynamic program holds
-    C(n + B - 1, B - 1)^3 coefficients, fewer than D's C(n + B - 1, B - 1)^4;
-    ``n`` is held to the same B^n cap as the dense engines, since D grows
-    with it.
+    ``occupation_family`` at both times.  The result keeps the dynamic
+    program's C(n + B - 1, B - 1)^3 coefficients as the n2 blocks of D and
+    never forms D's C(n + B - 1, B - 1)^4 entries (``to_dense`` does, for
+    oracle checks).  ``n`` is still held to the dense engines' B^n cap.
     """
     space1 = rho1.space
     if space1.N != 1:
@@ -683,14 +748,8 @@ def product_occupation_functional(rho1: DensityOperator, h1, n, times,
                             damp, 1)
         d1[i, j] = np.einsum("ij,ij->i", a, b.conj())
 
-    comps = _compositions(n, space1.B)
-    k = len(comps)
-    out = np.zeros((k, k, k, k), dtype=complex)  # (n1, n2, n1', n2')
-    same = np.arange(k)
-    coef = _occupation_coefficients(d1, n)  # (n1, n1', n2)
-    out[:, same, :, same] = coef.transpose(2, 0, 1)
-    labels = tuple(itertools.product(comps, repeat=2))
-    return DecoherenceMatrix(labels, out.reshape(k * k, k * k))
+    return OccupationFunctional(_compositions(n, space1.B),
+                                _occupation_coefficients(d1, n))
 
 
 def consistency_epsilon(dmat: DecoherenceMatrix) -> float:

@@ -204,9 +204,9 @@ def evolve_free(w: WignerGrid, t, mass: float = 1.0) -> WignerGrid:
         raise ResolutionError(
             "free-streaming shear exceeds the domain length; shorten t or "
             "enlarge the grid")
-    k = 2.0 * np.pi * np.fft.fftfreq(w.n_q, d=w.dq)
+    k = 2.0 * np.pi * np.fft.rfftfreq(w.n_q, d=w.dq)
     shift = np.exp(-1j * k[:, None] * (w.p[None, :] * t / mass))
-    vals = np.real(np.fft.ifft(np.fft.fft(w.values, axis=0) * shift, axis=0))
+    vals = np.fft.irfft(np.fft.rfft(w.values, axis=0) * shift, w.n_q, axis=0)
     return w.with_values(vals)
 
 
@@ -258,18 +258,15 @@ def local_equilibrium_peaking(beta, mubar, u, n_particles, times,
     positive ``dephasing_rate`` couples the particles to a
     position-monitoring environment; the mean trajectory uses the same
     dephased one-particle dynamics (the product-form damping factorizes over
-    particles).  The decoherence functional comes from
+    particles).  Probabilities and epsilon are read off the n2 blocks of
     ``histories.product_occupation_functional``, which never forms the
-    B^N-dimensional space.
+    B^N-dimensional space or the dense decoherence matrix.
     """
     rho1 = one_particle_gibbs(beta, mubar, u, mass=mass, dx=dx)
     p1 = hist.one_particle_momentum(rho1.space)
     kin1 = p1 @ p1 / (2.0 * mass)
-    dmat = hist.product_occupation_functional(rho1, kin1, n_particles, times,
+    func = hist.product_occupation_functional(rho1, kin1, n_particles, times,
                                               dephasing_rate)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        eps = hist.consistency_epsilon(dmat)
 
     # mean-field trajectory: the one-particle state evolved over the
     # engine's intervals, 0 -> t1 -> t2, one damp-then-rotate step each
@@ -279,18 +276,18 @@ def local_equilibrium_peaking(beta, mubar, u, n_particles, times,
                                    dephasing_rate, 1)
         t_prev = t
         mean_traj.append(n_particles * np.real(np.diag(r_t)))
-    probs = dmat.probabilities()
+    probs = func.probabilities()
     # labels (n1, n2) within tolerance_units of the trajectory in every bin;
     # the built-in sum adds in label order (np.sum would add pairwise)
-    inside = np.all(np.abs(np.array(dmat.labels) - np.array(mean_traj))
+    inside = np.all(np.abs(np.array(func.labels) - np.array(mean_traj))
                     <= tolerance_units, axis=(1, 2))
     on = sum(probs[inside])
     total = probs.sum()
     return PeakingReport(
-        epsilon=float(eps),
+        epsilon=func.epsilon(),
         on_trajectory_fraction=float(on / total),
         mean_trajectory=tuple(tuple(float(x) for x in m) for m in mean_traj),
-        probabilities={lab: float(p) for lab, p in zip(dmat.labels, probs)},
+        probabilities={lab: float(p) for lab, p in zip(func.labels, probs)},
     )
 
 

@@ -238,6 +238,12 @@ SCENARIOS = {
             (lambda p: p["N"] >= 1, "params.N must be at least 1"),
             (lambda p: len(p["mubar"]) >= 2,
              "params.mubar must give at least 2 bins"),
+            # the engine's B^N cap; with B >= 2, N past log2 of the cap
+            # fails before the power is formed
+            (lambda p: p["N"] < hist.DEFAULT_DIM_CAP.bit_length()
+             and len(p["mubar"]) ** p["N"] <= hist.DEFAULT_DIM_CAP,
+             "params.N and params.mubar must keep len(mubar)**N within "
+             f"the cap {hist.DEFAULT_DIM_CAP}"),
             (lambda p: p["beta"] > 0, "params.beta must be positive"),
             (lambda p: p["dephasing_rate"] >= 0,
              "params.dephasing_rate must be nonnegative"),

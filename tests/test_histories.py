@@ -430,9 +430,21 @@ class TestProductOccupationFunctional:
     def test_matches_dense_engine(self, state, n, rate, times):
         dense, fact = product_engines(state, n, rate, times)
         assert fact.labels == dense.labels
-        assert np.max(np.abs(fact.matrix - dense.matrix)) < 1e-12
-        assert quiet_epsilon(fact) == pytest.approx(quiet_epsilon(dense),
-                                                    rel=1e-12)
+        got = fact.to_dense()
+        assert np.max(np.abs(got.matrix - dense.matrix)) < 1e-12
+        assert quiet_epsilon(got) == pytest.approx(quiet_epsilon(dense),
+                                                   rel=1e-12)
+
+    @pytest.mark.parametrize("state, n", PRODUCT_CASES)
+    @pytest.mark.parametrize("rate", [0.0, 60.0])
+    @pytest.mark.parametrize("times", [(0.0, 0.1), (0.3, 0.5)])
+    def test_blocks_read_as_the_dense_matrix(self, state, n, rate, times):
+        # probabilities and epsilon off the n2 blocks are those of the
+        # dense matrix the blocks stand for, bit for bit
+        _, fact = product_engines(state, n, rate, times)
+        dense = fact.to_dense()
+        assert fact.epsilon() == quiet_epsilon(dense)
+        assert np.array_equal(fact.probabilities(), dense.probabilities())
 
     @pytest.mark.parametrize("state, n", PRODUCT_CASES)
     @pytest.mark.parametrize("rate", [0.0, 60.0])
@@ -442,7 +454,8 @@ class TestProductOccupationFunctional:
         # summed over both t1 labels, interference terms included, D gives
         # Tr(P_n2 rho(t2)): the multinomial law of the evolved diag(rho1)
         rho1, h1 = product_setup(state)
-        d = hi.product_occupation_functional(rho1, h1, n, times, rate)
+        d = hi.product_occupation_functional(rho1, h1, n, times,
+                                             rate).to_dense()
         assert abs(np.sum(d.matrix) - 1.0) < 1e-12
         k = math.isqrt(len(d.labels))
         final = np.einsum("icjc->c", d.matrix.reshape(k, k, k, k))
@@ -452,6 +465,40 @@ class TestProductOccupationFunctional:
         occ = [lab[1] for lab in d.labels[:k]]
         want = multinomial.pmf(occ, n, np.real(np.diag(r)))
         assert np.max(np.abs(final - want)) < 1e-12
+
+    @staticmethod
+    def dense_of(coef):
+        """The dense matrix that n2 blocks stand for, entry by entry."""
+        k = coef.shape[0]
+        dense = np.zeros((k * k, k * k), dtype=complex)
+        for (a, (i, c)), (b, (j, c2)) in itertools.product(
+                enumerate(itertools.product(range(k), repeat=2)), repeat=2):
+            if c == c2:
+                dense[a, b] = coef[i, j, c]
+        return dense
+
+    def test_to_dense_places_the_blocks(self):
+        fact = product_engines("drift3", 2, 60.0, (0.0, 0.1))[1]
+        assert np.array_equal(fact.to_dense().matrix,
+                              self.dense_of(fact.coef))
+
+    @pytest.mark.parametrize("entry, value, message", [
+        ((0, 1, 2), 1.0, "Hermitian"),
+        ((3, 3, 1), -1e-6, "nonnegative"),
+    ])
+    def test_checks_are_the_dense_matrix_checks(self, entry, value, message):
+        fact = product_engines("drift3", 2, 60.0, (0.0, 0.1))[1]
+        coef = fact.coef.copy()
+        coef[entry] = value
+        with pytest.raises(ValueError, match=message):
+            hi.OccupationFunctional(fact.comps, coef)
+        with pytest.raises(ValueError, match=message):
+            hi.DecoherenceMatrix(fact.labels, self.dense_of(coef))
+
+    def test_coefficients_must_fit_the_compositions(self):
+        fact = product_engines("gibbs3", 2, 0.0, (0.0, 0.1))[1]
+        with pytest.raises(ValueError, match="compositions"):
+            hi.OccupationFunctional(fact.comps[:-1], fact.coef)
 
     def test_drift_makes_the_state_complex(self):
         rho1, _ = product_setup("drift3")

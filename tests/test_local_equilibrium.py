@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -180,6 +181,19 @@ class TestEvolveFree:
             mean = np.trapezoid(dens * grid.q, dx=grid.dq)
             assert mean == pytest.approx(want, abs=1e-4)
 
+    @pytest.mark.parametrize("n_q", [128, 129])
+    def test_matches_complex_fft_shift(self, n_q):
+        # the real-FFT shift is the complex one, Nyquist bin included
+        w = le.build_w1(flat_profile(nq=n_q, u=0.3, q_lo=-16, q_hi=16),
+                        -8, 8, 65)
+        t = 1.3
+        k = 2.0 * np.pi * np.fft.fftfreq(w.n_q, d=w.dq)
+        shift = np.exp(-1j * k[:, None] * (w.p[None, :] * t))
+        want = np.real(np.fft.ifft(np.fft.fft(w.values, axis=0) * shift,
+                                   axis=0))
+        got = le.evolve_free(w, t).values
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
     def test_excessive_shear_rejected(self):
         w = le.build_w1(flat_profile(), -8, 8, 65)
         with pytest.raises(ResolutionError):
@@ -289,7 +303,9 @@ class TestPeaking:
                              (hist, "lift_one_body"),
                              (hist, "occupation_family"),
                              (hist, "HistorySpec"),
-                             (hist, "decoherence_functional")):
+                             (hist, "decoherence_functional"),
+                             (hist, "DecoherenceMatrix"),
+                             (hist, "consistency_epsilon")):
             monkeypatch.setattr(module, name, forbidden)
         rep = le.local_equilibrium_peaking(self.BETA, self.MUBAR, self.U, 6,
                                            (0.0, 0.1), dephasing_rate=60.0)
@@ -306,11 +322,25 @@ class TestPeaking:
         rho1 = le.one_particle_gibbs(self.BETA, self.MUBAR, self.U)
         p1 = hist.one_particle_momentum(rho1.space)
         d = hist.product_occupation_functional(rho1, p1 @ p1 / 2.0, n, times,
-                                               rate)
+                                               rate).to_dense()
         final = np.array([lab[1] for lab in d.labels])
         same_final = np.all(final[:, None] == final[None, :], axis=2)
         weight = np.real(d.matrix * same_final).sum(axis=1)
         assert np.max(np.abs(weight @ final - rep.mean_trajectory[1])) < 1e-12
+
+    def test_large_n_without_the_dense_matrix(self):
+        # at N = 10 the dense D is 4356^2 complex entries (304 MB); the
+        # blocks it is read from are 66^3 (4.6 MB)
+        tracemalloc.start()
+        try:
+            rep = le.local_equilibrium_peaking(self.BETA, self.MUBAR, self.U,
+                                               10, (0.0, 0.1),
+                                               dephasing_rate=60.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(rep.probabilities) == 66 ** 2
+        assert peak < 64 * 2 ** 20
 
     def test_dimension_cap_kept(self):
         with pytest.raises(DimensionCapError):

@@ -265,6 +265,13 @@ class TestCli:
                      id="peaking-no-particles"),
         pytest.param("local-equilibrium-peaking", {"mubar": [4.0]},
                      "params.mubar", id="peaking-one-bin"),
+        pytest.param("local-equilibrium-peaking", {"N": 11}, "params.N",
+                     id="peaking-past-dimension-cap"),
+        pytest.param("local-equilibrium-peaking",
+                     {"mubar": [4.0, 0.0], "N": 17}, "params.N",
+                     id="peaking-two-bins-past-dimension-cap"),
+        pytest.param("local-equilibrium-peaking", {"N": 10 ** 12},
+                     "params.N", id="peaking-huge-N"),
         pytest.param("local-equilibrium-peaking", {"beta": 0.0},
                      "params.beta", id="peaking-zero-beta"),
         pytest.param("local-equilibrium-peaking", {"dephasing_rate": -1.0},
@@ -367,7 +374,10 @@ class TestCli:
                 ("conserved-decoherence", {"times2": [0.0], "N": 1}),
                 ("variance-scaling", {"N_values": [1, 10.0]}),
                 ("maxwellization", {"t": 0.0}),
-                ("oracle-compare", {"t_kernel": 0.0, "t_master": 0.0})):
+                ("oracle-compare", {"t_kernel": 0.0, "t_master": 0.0}),
+                ("local-equilibrium-peaking", {"N": 10}),
+                ("local-equilibrium-peaking", {"mubar": [4.0, 0.0], "N": 11}),
+                ("local-equilibrium-peaking", {"mubar": [4.0, 0.0], "N": 16})):
             sc.validate_config(minimal(scenario, params=params, seed=1))
 
     def test_validate_bad(self, tmp_path, capsys):
