@@ -5,9 +5,12 @@ B^N tensor-product space.  The module builds
 
 - collective observables: the number density per bin and one-body operators
   (such as the lattice momentum) summed over particles;
-- projectors: exact occupation projectors as boolean basis masks (they are
-  diagonal 0/1), spectral-window projectors and Gaussian quasi-projectors
-  (2 pi sigma^2)^(-1/2) exp(-(A - a)^2 / 2 sigma^2) as matrices;
+- projectors: a projector diagonal in the basis is its diagonal, a real
+  ``(dim,)`` vector: exact occupation projectors are boolean masks (the 0/1
+  case) and Gaussian quasi-projectors of a bin's occupation count are weight
+  vectors; spectral-window projectors and Gaussian quasi-projectors
+  (2 pi sigma^2)^(-1/2) exp(-(A - a)^2 / 2 sigma^2) of other observables
+  are matrices;
 - the decoherence functional of a multi-time history,
 
       D(a, a') = Tr[ P_{a_n}(t_n) ... P_{a_1}(t_1) rho P_{a'_1}(t_1) ... P_{a'_n}(t_n) ],
@@ -42,7 +45,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import expm
 
-from .errors import ConfigurationError, DimensionCapError
+from .errors import DimensionCapError
 from .phase_space import position_dephasing
 
 __all__ = [
@@ -77,7 +80,6 @@ __all__ = [
 ]
 
 DEFAULT_DIM_CAP = 2 ** 16
-COMMUTATION_TOL = 1e-6
 HERMITICITY_TOL = 1e-8
 
 
@@ -277,15 +279,13 @@ def gaussian_occupation_family(space: ToyHilbert, b: int, centers, sigma):
     """Gaussian quasi-projectors of the bin-b number operator at given centers.
 
     The operator is diagonal in the basis, with the bin-b occupation counts
-    as its spectrum, so each quasi-projector is the diagonal of their
-    Gaussian weights.
+    as its spectrum, so each quasi-projector is diagonal too: the ``(dim,)``
+    vector of their Gaussian weights.
     """
     if not 0 <= b < space.B:
         raise ValueError("bin index out of range")
     counts = space.occupation_table()[:, b]
-    return [(float(c),
-             np.diag(_gaussian_weights(counts, c, sigma).astype(complex)))
-            for c in centers]
+    return [(float(c), _gaussian_weights(counts, c, sigma)) for c in centers]
 
 
 # --- histories --------------------------------------------------------------
@@ -295,8 +295,9 @@ def gaussian_occupation_family(space: ToyHilbert, b: int, centers, sigma):
 class ProjectorFamily:
     """Labeled alternatives at one time: a list of (label, operator) pairs.
 
-    An operator is either a ``(dim,)`` boolean basis mask (a diagonal 0/1
-    projector) or a ``(dim, dim)`` matrix.
+    An operator is either the diagonal of a projector diagonal in the basis,
+    a ``(dim,)`` boolean mask (the 0/1 case) or float weight vector, or a
+    ``(dim, dim)`` matrix.
     """
 
     members: tuple
@@ -308,22 +309,18 @@ class ProjectorFamily:
 
 
 def _checked_family(family, dim, time):
-    """The family with matrices as complex arrays; its masks must be disjoint,
-    as the final-time contraction of both engines relies on it."""
-    members, covered = [], np.zeros(dim, dtype=bool)
+    """The family with matrices as complex arrays."""
+    members = []
     for label, op in family.members:
         op = np.asarray(op)
-        if op.shape == (dim,) and op.dtype == bool:
-            if np.any(covered & op):
-                raise ValueError(f"mask {label!r} at t = {time} overlaps "
-                                 "another mask of its family")
-            covered |= op
-        elif op.shape == (dim, dim):
+        if op.shape == (dim, dim):
             op = op.astype(complex, copy=False)
-        else:
+        elif op.shape != (dim,) or not (op.dtype == bool or
+                                        np.issubdtype(op.dtype, np.floating)):
             raise ValueError(
                 f"projector {label!r} at t = {time} is neither a ({dim},) "
-                f"boolean mask nor a ({dim}, {dim}) matrix: {op.dtype} {op.shape}")
+                f"boolean mask or float weight vector nor a ({dim}, {dim}) "
+                f"matrix: {op.dtype} {op.shape}")
         members.append((label, op))
     return ProjectorFamily(tuple(members))
 
@@ -342,11 +339,10 @@ def _checked_hamiltonian(h, dim):
 class HistorySpec:
     """Times, per-time projector families, Hamiltonian, optional dephasing.
 
-    ``slots[k]`` is the list of families at time ``times[k]``; when several
-    families share a time their projectors must commute pairwise (checked to
-    a relative sup-norm tolerance of 1e-6) and the effective alternative is
-    their product.  Each member must be a ``(dim,)`` boolean mask or a
-    ``(dim, dim)`` matrix, and the masks of one family must be disjoint.
+    ``slots[k]`` is a one-element list holding the family at ``times[k]``.
+    Each member must be a ``(dim,)`` boolean mask or float weight vector (a
+    diagonal projector) or a ``(dim, dim)`` matrix.  With dephasing, each
+    interval is ``dephasing_substeps`` damp-then-rotate steps.
     """
 
     space: ToyHilbert
@@ -364,6 +360,8 @@ class HistorySpec:
             raise ValueError("times must be nonnegative")
         if len(self.slots) != len(t):
             raise ValueError("need one projector slot per time")
+        if any(len(slot) != 1 for slot in self.slots):
+            raise ValueError("each slot must hold exactly one projector family")
         slots = tuple(
             tuple(_checked_family(f if isinstance(f, ProjectorFamily)
                                   else ProjectorFamily(tuple(f)),
@@ -374,6 +372,9 @@ class HistorySpec:
         h = _checked_hamiltonian(self.hamiltonian, self.space.dim)
         if not self.dephasing_rate >= 0:
             raise ValueError("dephasing rate must be nonnegative")
+        substeps = self.dephasing_substeps
+        if not isinstance(substeps, (int, np.integer)) or substeps < 1:
+            raise ValueError("dephasing_substeps must be an integer >= 1")
         object.__setattr__(self, "times", t)
         object.__setattr__(self, "slots", slots)
         object.__setattr__(self, "hamiltonian", h)
@@ -476,56 +477,28 @@ class BoundReport:
 _ALL = slice(None)  # row/column selector of a block that spans the basis
 
 
-def _is_mask(op):
+def _is_diagonal(op):
     return op.ndim == 1
 
 
-def _rows(op):
-    """The basis rows a projector keeps: its mask, or all for a matrix."""
-    return op if _is_mask(op) else _ALL
+def _keep(op, m, axis=0):
+    """diag(op) applied along ``axis`` of m, keeping only the rows (axis 0)
+    or columns (axis 1) where op is nonzero: (the kept rows, the block).
+    A boolean mask, the 0/1 case, only selects."""
+    kept = op if op.dtype == bool else op != 0
+    block = m[(_ALL,) * axis + (kept,)]
+    if op.dtype != bool:
+        block = block * np.expand_dims(op[kept],
+                                       tuple(range(axis + 1, m.ndim)))
+    return kept, block
 
 
-def _as_matrix(op):
-    return np.diag(op.astype(complex)) if _is_mask(op) else op
-
-
-def _check_slot_commutation(slot, time):
-    """All projectors of distinct families at one time must commute."""
-    for i, j in itertools.combinations(range(len(slot)), 2):
-        for (la, a), (lb, b) in itertools.product(slot[i].members, slot[j].members):
-            if _is_mask(a) and _is_mask(b):
-                continue
-            a, b = _as_matrix(a), _as_matrix(b)
-            comm = a @ b - b @ a
-            scale = max(np.max(np.abs(a)) * np.max(np.abs(b)), 1e-300)
-            if np.max(np.abs(comm)) > COMMUTATION_TOL * scale:
-                raise ConfigurationError(
-                    f"projectors {la!r} and {lb!r} at t = {time} do not "
-                    f"commute (relative sup-norm "
-                    f"{np.max(np.abs(comm)) / scale:.2e})"
-                )
-
-
-def _effective_alternatives(slot, time):
-    """Cartesian product across families; labels are flattened tuples.
-
-    Masks combine by AND; a mask combined with a matrix becomes its diagonal
-    matrix.
-    """
-    _check_slot_commutation(slot, time)
-    alts = []
-    for combo in itertools.product(*(f.members for f in slot)):
-        label = tuple(m[0] for m in combo)
-        if len(slot) == 1:
-            label = label[0]
-        op = combo[0][1]
-        for _, other in combo[1:]:
-            if _is_mask(op) and _is_mask(other):
-                op = op & other
-            else:
-                op = _as_matrix(op) @ _as_matrix(other)
-        alts.append((label, op))
-    return alts
+def _disjoint_diagonals(ops):
+    """Whether every projector is diagonal and no basis row is weighted by
+    two of them, so that D vanishes between distinct final alternatives and
+    each of its blocks weights the rows by w^2 (w for 0/1 masks)."""
+    return (all(_is_diagonal(op) for op in ops)
+            and np.max(np.count_nonzero(ops, axis=0)) <= 1)
 
 
 def _dephasing_mask(space: ToyHilbert, rate, dt):
@@ -563,9 +536,9 @@ def _chain_functional(rho, history, levels):
     """Undephased D(a, a') = Tr(Y_a Y_a'^dag), Y_a = P_{a_n} U_n ... P_{a_1} U_1 L.
 
     rho = L L^dag, with L the eigenvectors scaled by sqrt(w), w > 1e-14.  A
-    chain projected by a mask keeps only the mask's rows.  If the final level
-    is all masks, D is block-diagonal: the block of final c is the Gram matrix
-    of the prefix chains restricted to c's rows.
+    chain projected by a diagonal keeps only its nonzero rows, scaled.  If
+    the final level is disjoint diagonals, D is block-diagonal: the block of
+    final c is the Gram matrix of the prefix chains on c's rows, scaled.
     """
     if isinstance(rho, StateVector):
         l_fac = rho.amplitudes[:, None]
@@ -581,22 +554,22 @@ def _chain_functional(rho, history, levels):
         nxt = []
         for rows, y in chains:
             uy = u[:, rows] @ y
-            nxt += [(_rows(op), uy[op] if _is_mask(op) else op @ uy)
+            nxt += [_keep(op, uy) if _is_diagonal(op) else (_ALL, op @ uy)
                     for op in ops]
         chains = nxt
     u = _unitary(history.hamiltonian, steps[-1])
-    if all(_is_mask(op) for op in final):
+    if _disjoint_diagonals(final):
         n_pre, n = len(chains), len(final)
         out = np.zeros((n_pre, n, n_pre, n), dtype=complex)
-        for c, mask in enumerate(final):
-            u_c = u[mask]
+        for c, op in enumerate(final):
+            u_c = _keep(op, u)[1]
             flat = np.array([(u_c[:, rows] @ y).ravel() for rows, y in chains])
             out[:, c, :, c] = flat @ flat.conj().T
         return out.reshape(n_pre * n, n_pre * n)
     flat = []
     for rows, y in chains:
         uy = u[:, rows] @ y
-        flat += [(uy * op[:, None] if _is_mask(op) else op @ uy).ravel()
+        flat += [(uy * op[:, None] if _is_diagonal(op) else op @ uy).ravel()
                  for op in final]
     flat = np.array(flat)
     return flat @ flat.conj().T
@@ -604,15 +577,18 @@ def _chain_functional(rho, history, levels):
 
 def _project(m, left, right):
     """P_left M P_right^dag as a block (rows, cols, matrix)."""
-    m = m[left] if _is_mask(left) else left @ m
-    m = m[:, right] if _is_mask(right) else m @ right.conj().T
-    return _rows(left), _rows(right), m
+    rows, m = _keep(left, m) if _is_diagonal(left) else (_ALL, left @ m)
+    cols, m = (_keep(right, m, 1) if _is_diagonal(right)
+               else (_ALL, m @ right.conj().T))
+    return rows, cols, m
 
 
 def _trace_pair(m, left, right):
     """Tr(P_left M P_right^dag)."""
-    lm = m * left[:, None] if _is_mask(left) else left @ m
-    return np.sum(np.diagonal(lm)[right]) if _is_mask(right) else np.vdot(right, lm)
+    lm = m * left[:, None] if _is_diagonal(left) else left @ m
+    if _is_diagonal(right):
+        return np.sum(_keep(right, np.diagonal(lm))[1])
+    return np.vdot(right, lm)
 
 
 def _branch_pair_functional(rho_m, history, levels):
@@ -620,13 +596,14 @@ def _branch_pair_functional(rho_m, history, levels):
 
     E is ``dephasing_substeps`` damp-then-rotate steps per interval.  Only
     prefix pairs p <= q are evolved (D is Hermitian).  If the final level is
-    all masks, D(p c, q c) sums the evolved pair's diagonal over mask c.
+    disjoint diagonals w_c, D(p c, q c) sums the evolved pair's diagonal
+    weighted by w_c^2.
     """
     space, h = history.space, history.hamiltonian
     rate, substeps = history.dephasing_rate, history.dephasing_substeps
     final = levels[-1]
-    weights = (np.array(final, dtype=float)
-               if all(_is_mask(op) for op in final) else None)
+    weights = (np.array(final, dtype=float) ** 2
+               if _disjoint_diagonals(final) else None)
     pairs = {(0, 0): (_ALL, _ALL, rho_m)}
     for k, (dt, ops) in enumerate(zip(np.diff((0.0,) + history.times), levels)):
         last, n = k == len(levels) - 1, len(ops)
@@ -661,10 +638,9 @@ def decoherence_functional(rho, history: HistorySpec) -> DecoherenceMatrix:
     is a Gram matrix of projected chains; the dephasing map is a damping of
     rho, not a unitary chain, so with it branch-pair matrices are evolved.
     """
-    alts = [_effective_alternatives(slot, t)
-            for slot, t in zip(history.slots, history.times)]
-    catalog = list(itertools.product(*([lab for lab, _ in lev] for lev in alts)))
-    levels = [[op for _, op in lev] for lev in alts]
+    families = [family.members for (family,) in history.slots]
+    catalog = list(itertools.product(*([lab for lab, _ in f] for f in families)))
+    levels = [[op for _, op in f] for f in families]
     if history.dephasing_rate == 0.0:
         mat = _chain_functional(rho, history, levels)
     else:

@@ -65,6 +65,15 @@ def _history_times(times):
             and all(a < b for a, b in zip(times, times[1:])))
 
 
+def _dim_cap_rule(bins, n_key, what):
+    """Range check of the histories engines' B^N cap, with B = bins(p) >= 2
+    bins and N = p[n_key] particles; an N past log2 of the cap fails before
+    the power is formed."""
+    cap = hist.DEFAULT_DIM_CAP
+    return (lambda p: p[n_key] < cap.bit_length() and bins(p) ** p[n_key] <= cap,
+            f"params.{n_key} must keep {what} within the cap {cap}")
+
+
 #: catalog: description (with the defining relation), parameter defaults,
 #: grid defaults, metric thresholds, whether the scenario draws samples, and
 #: optional range checks, as (predicate, message) pairs that
@@ -179,6 +188,7 @@ SCENARIOS = {
             (lambda p: -1 < p["overlap"] <= 1,
              "params.overlap must lie in (-1, 1]"),
             (lambda p: p["sigma"] > 0, "params.sigma must be positive"),
+            _dim_cap_rule(lambda p: 2, "N_max", "2**N_max"),
         ),
     },
     "ehrenfest": {
@@ -212,6 +222,7 @@ SCENARIOS = {
         "ranges": (
             (lambda p: p["bins"] >= 2, "params.bins must be at least 2"),
             (lambda p: p["N"] >= 1, "params.N must be at least 1"),
+            _dim_cap_rule(lambda p: p["bins"], "N", "bins**N"),
             (lambda p: _history_times(p["times2"]),
              "params.times2 must be nonempty, nonnegative and increasing"),
             (lambda p: _history_times(p["times3"]),
@@ -238,12 +249,7 @@ SCENARIOS = {
             (lambda p: p["N"] >= 1, "params.N must be at least 1"),
             (lambda p: len(p["mubar"]) >= 2,
              "params.mubar must give at least 2 bins"),
-            # the engine's B^N cap; with B >= 2, N past log2 of the cap
-            # fails before the power is formed
-            (lambda p: p["N"] < hist.DEFAULT_DIM_CAP.bit_length()
-             and len(p["mubar"]) ** p["N"] <= hist.DEFAULT_DIM_CAP,
-             "params.N and params.mubar must keep len(mubar)**N within "
-             f"the cap {hist.DEFAULT_DIM_CAP}"),
+            _dim_cap_rule(lambda p: len(p["mubar"]), "N", "len(mubar)**N"),
             (lambda p: p["beta"] > 0, "params.beta must be positive"),
             (lambda p: p["dephasing_rate"] >= 0,
              "params.dephasing_rate must be nonnegative"),

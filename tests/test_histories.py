@@ -11,7 +11,7 @@ from scipy.stats import multinomial
 from hydrohist import histories as hi
 from hydrohist import local_equilibrium as le
 from hydrohist import scenarios as sc
-from hydrohist.errors import ConfigurationError, DimensionCapError
+from hydrohist.errors import DimensionCapError
 
 
 def random_hermitian(rng, d):
@@ -35,13 +35,9 @@ def dense_reference(rho_m, spec):
         sub = (t - t_prev) / spec.dephasing_substeps
         u = expm(-1j * spec.hamiltonian * sub)
         damp = np.exp(-spec.dephasing_rate * sub * dist2)
-        level = []
-        for combo in itertools.product(*(f.members for f in slot)):
-            labels = tuple(lab for lab, _ in combo)
-            ops = [np.diag(op.astype(complex)) if op.ndim == 1 else op
-                   for _, op in combo]
-            level.append((labels if len(slot) > 1 else labels[0],
-                          functools.reduce(np.matmul, ops)))
+        (family,) = slot
+        level = [(lab, np.diag(op.astype(complex)) if op.ndim == 1 else op)
+                 for lab, op in family.members]
         nxt = {}
         for (pl, pr), m in mats.items():
             for _ in range(spec.dephasing_substeps):
@@ -189,7 +185,7 @@ class TestProjectors:
             assert [c for c, _ in fam] == list(centers)
             for c, op in fam:
                 assert np.array_equal(
-                    op, hi.gaussian_quasi_projector(n_op, c, 0.8))
+                    np.diag(op), hi.gaussian_quasi_projector(n_op, c, 0.8))
 
     def test_gaussian_occupation_family_checks(self):
         hs = hi.ToyHilbert(B=2, N=3)
@@ -254,26 +250,17 @@ class TestDecoherenceFunctional:
         d = hi.decoherence_functional(st, spec)
         assert hi.check_dh_bound(d).ok
 
-    def test_noncommuting_families_rejected(self):
-        p1 = hi.one_particle_momentum(self.hs)
-        g_fam = [(0, hi.gaussian_quasi_projector(
-            hi.lift_one_body(self.hs, p1), 0.0, 1.0))]
-        with pytest.raises(ConfigurationError):
-            spec = hi.HistorySpec(self.hs, (1.0,), ([self.fam, g_fam],),
-                                  self.h_kin)
-            st = hi.product_state(self.hs, self.psi)
-            hi.decoherence_functional(st, spec)
+    def test_one_family_per_slot(self):
+        for slot in ([], [self.fam, self.fam]):
+            with pytest.raises(ValueError, match="exactly one"):
+                hi.HistorySpec(self.hs, (0.5, 1.0), ([self.fam], slot),
+                               self.h_kin)
 
-    def test_commuting_families_combine(self):
-        # two diagonal families at one time multiply into joint alternatives
-        n0 = hi.number_density_operator(self.hs, 0)
-        fam_a = [(lo, hi.window_projector(n0, (lo - 0.5, lo + 0.5)))
-                 for lo in (0.0, 1.0, 2.0, 3.0, 4.0)]
-        st = hi.product_state(self.hs, self.psi)
-        spec = hi.HistorySpec(self.hs, (1.0,), ([self.fam, fam_a],),
-                              self.h_kin)
-        d = hi.decoherence_functional(st, spec)
-        assert d.probabilities().sum() == pytest.approx(1.0, abs=1e-10)
+    @pytest.mark.parametrize("substeps", [0, -2, 2.5])
+    def test_dephasing_substeps_must_be_a_positive_integer(self, substeps):
+        with pytest.raises(ValueError, match="dephasing_substeps"):
+            hi.HistorySpec(self.hs, (0.5,), ([self.fam],), self.h_kin,
+                           dephasing_rate=1.0, dephasing_substeps=substeps)
 
     def test_wrong_shape_member_rejected(self):
         short = [("short", np.ones(self.hs.dim - 1, dtype=bool))]
@@ -282,12 +269,6 @@ class TestDecoherenceFunctional:
             with pytest.raises(ValueError, match=r"'(short|counts)' at t = 1\.0"):
                 hi.HistorySpec(self.hs, (0.5, 1.0), ([self.fam], [fam]),
                                self.h_kin)
-
-    def test_overlapping_masks_rejected(self):
-        both = self.fam[0][1] | self.fam[1][1]
-        fam = self.fam + [("both", both)]
-        with pytest.raises(ValueError, match=r"'both' at t = 0\.5 overlaps"):
-            hi.HistorySpec(self.hs, (0.5,), ([fam],), self.h_kin)
 
     def test_dephasing_reduces_epsilon(self):
         st = hi.superposition_state(self.hs, self.psi, self.chi)
@@ -364,17 +345,31 @@ class TestEnginesMatchDenseReference:
             self.check(state, times, tuple([fam] for _ in times), rate,
                        substeps)
 
+    def weight_families(self):
+        """Gaussian quasi-projectors (every row weighted by every member),
+        disjoint weights that are not 0/1 (the block contraction, which
+        weights by w^2), overlapping masks, and a weight vector, a mask and
+        a matrix in one family."""
+        masks = hi.occupation_family(self.hs)
+        scale = np.random.default_rng(5).uniform(0.2, 0.9, self.hs.dim)
+        return {
+            "gaussian": hi.gaussian_occupation_family(
+                self.hs, 0, (0.4, 1.5, 2.2), 0.7),
+            "disjoint-weights": [(lab, m * scale) for lab, m in masks],
+            "overlapping-masks": masks + [("both", masks[0][1] | masks[1][1])],
+            "mixed": [("w", masks[0][1] * 0.5), ("m", masks[1][1]),
+                      ("P", np.diag(masks[2][1].astype(complex)))],
+        }
+
     @pytest.mark.parametrize("state", ["pure", "full-rank"])
-    def test_two_family_slots(self, state):
-        occ = hi.occupation_family(self.hs)
-        first = [(b, self.hs.digits()[:, 0] == b) for b in range(2)]
-        n0 = hi.number_density_operator(self.hs, 0)
-        window = [(k, hi.window_projector(n0, (2 * k - 0.5, 2 * k + 1.5)))
-                  for k in range(2)]
-        for slots, (rate, substeps) in itertools.product(
-                (([occ, first], [first, occ]), ([occ, window], [window, occ])),
-                self.RATES):
-            self.check(state, (0.4, 1.1), slots, rate, substeps)
+    @pytest.mark.parametrize("family", ["gaussian", "disjoint-weights",
+                                        "overlapping-masks", "mixed"])
+    def test_weight_vector_families(self, state, family):
+        fam = self.weight_families()[family]
+        for times, (rate, substeps) in itertools.product(
+                ((0.7,), (0.4, 1.1), (0.0, 0.6, 1.3)), self.RATES):
+            self.check(state, times, tuple([fam] for _ in times), rate,
+                       substeps)
 
 
 #: one-particle Gibbs states (beta, mubar, u): the peaking scenario's, the

@@ -272,6 +272,12 @@ class TestCli:
                      id="peaking-two-bins-past-dimension-cap"),
         pytest.param("local-equilibrium-peaking", {"N": 10 ** 12},
                      "params.N", id="peaking-huge-N"),
+        pytest.param("conserved-decoherence", {"bins": 3, "N": 11},
+                     "params.N", id="conserved-past-dimension-cap"),
+        pytest.param("conserved-decoherence", {"bins": 2, "N": 10 ** 12},
+                     "params.N", id="conserved-huge-N"),
+        pytest.param("histories-nscaling", {"N_max": 17}, "params.N_max",
+                     id="nscaling-past-dimension-cap"),
         pytest.param("local-equilibrium-peaking", {"beta": 0.0},
                      "params.beta", id="peaking-zero-beta"),
         pytest.param("local-equilibrium-peaking", {"dephasing_rate": -1.0},
