@@ -57,7 +57,8 @@ def _cmd_run(args):
     if not args.quiet:
         for m in report.metrics:
             verdict = "pass" if m.passed else "FAIL"
-            print(f"{report.scenario}: {m.name} = {m.value:.6g} "
+            value = "n/a" if m.value is None else f"{m.value:.6g}"
+            print(f"{report.scenario}: {m.name} = {value} "
                   f"{m.comparator} {m.threshold:g} ... {verdict}")
         for note in report.notes:
             print(f"note: {note}")

@@ -15,7 +15,8 @@ B^N tensor-product space.  The module builds
 
       D(a, a') = Tr[ P_{a_n}(t_n) ... P_{a_1}(t_1) rho P_{a'_1}(t_1) ... P_{a'_n}(t_n) ],
 
-  with Heisenberg projectors generated by a Hamiltonian and, optionally, a
+  with Heisenberg projectors generated by a Hamiltonian, whose unitaries
+  are built from its spectrum, decomposed once, and, optionally, a
   per-particle position dephasing map interleaved with the unitary steps,
   from projected chains of rho = L L^dag without dephasing and from
   damp-then-rotate branch-pair matrices with it (the dense engines: dense
@@ -43,7 +44,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import expm
 
 from .errors import DimensionCapError
 from .phase_space import position_dephasing
@@ -335,6 +335,23 @@ def _checked_hamiltonian(h, dim):
     return h
 
 
+def _spectrum(h):
+    """(w, v) with h = v diag(w) v^dag for a Hermitian h; v is None when h is
+    diagonal, its own eigenbasis, and then no eigensolver runs."""
+    if np.count_nonzero(h) == np.count_nonzero(np.diagonal(h)):
+        return np.real(np.diagonal(h)).copy(), None
+    return np.linalg.eigh(h)
+
+
+def _unitary(spectrum, dt):
+    """exp(-i h dt) = v diag(exp(-i dt w)) v^dag from the spectrum (w, v)."""
+    w, v = spectrum
+    phase = np.exp(-1j * dt * w)
+    if v is None:
+        return np.diag(phase)
+    return (v * phase) @ v.conj().T
+
+
 @dataclass(frozen=True)
 class HistorySpec:
     """Times, per-time projector families, Hamiltonian, optional dephasing.
@@ -342,7 +359,8 @@ class HistorySpec:
     ``slots[k]`` is a one-element list holding the family at ``times[k]``.
     Each member must be a ``(dim,)`` boolean mask or float weight vector (a
     diagonal projector) or a ``(dim, dim)`` matrix.  With dephasing, each
-    interval is ``dephasing_substeps`` damp-then-rotate steps.
+    interval is ``dephasing_substeps`` damp-then-rotate steps.  ``spectrum``
+    is the Hamiltonian's (w, v), decomposed once here for every unitary.
     """
 
     space: ToyHilbert
@@ -351,6 +369,7 @@ class HistorySpec:
     hamiltonian: np.ndarray = field(repr=False)
     dephasing_rate: float = 0.0
     dephasing_substeps: int = 8
+    spectrum: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         t = tuple(float(x) for x in self.times)
@@ -378,6 +397,7 @@ class HistorySpec:
         object.__setattr__(self, "times", t)
         object.__setattr__(self, "slots", slots)
         object.__setattr__(self, "hamiltonian", h)
+        object.__setattr__(self, "spectrum", _spectrum(h))
 
 
 @dataclass(frozen=True)
@@ -508,10 +528,6 @@ def _dephasing_mask(space: ToyHilbert, rate, dt):
                               rate, dt)
 
 
-def _unitary(h, dt):
-    return expm(-1j * h * dt)
-
-
 def _damp_rotate(rows, cols, m, u, damp, substeps):
     """Evolve the (rows, cols) block M of a matrix zero elsewhere by substeps
     M -> U (M o damp) U^dag.  Returns factors (A, B) of the result A @ B^dag,
@@ -522,12 +538,13 @@ def _damp_rotate(rows, cols, m, u, damp, substeps):
     return u[:, rows] @ (m * damp[rows][:, cols]), u[:, cols]
 
 
-def _evolve_density(mat, h, t0, t1, space, rate, substeps):
-    """rho(t0) -> rho(t1): unitary steps interleaved with dephasing damps."""
+def _evolve_density(mat, spectrum, t0, t1, space, rate, substeps):
+    """rho(t0) -> rho(t1): unitary steps interleaved with dephasing damps,
+    under the Hamiltonian of the given ``_spectrum``."""
     if t1 == t0:
         return mat
     sub = (t1 - t0) / substeps
-    a, b = _damp_rotate(_ALL, _ALL, mat, _unitary(h, sub),
+    a, b = _damp_rotate(_ALL, _ALL, mat, _unitary(spectrum, sub),
                         _dephasing_mask(space, rate, sub), substeps)
     return a @ b.conj().T
 
@@ -550,14 +567,14 @@ def _chain_functional(rho, history, levels):
     *inner, final = levels
     chains = [(_ALL, l_fac)]  # (rows, Y[rows]) per label prefix
     for dt, ops in zip(steps, inner):
-        u = _unitary(history.hamiltonian, dt)
+        u = _unitary(history.spectrum, dt)
         nxt = []
         for rows, y in chains:
             uy = u[:, rows] @ y
             nxt += [_keep(op, uy) if _is_diagonal(op) else (_ALL, op @ uy)
                     for op in ops]
         chains = nxt
-    u = _unitary(history.hamiltonian, steps[-1])
+    u = _unitary(history.spectrum, steps[-1])
     if _disjoint_diagonals(final):
         n_pre, n = len(chains), len(final)
         out = np.zeros((n_pre, n, n_pre, n), dtype=complex)
@@ -599,7 +616,7 @@ def _branch_pair_functional(rho_m, history, levels):
     disjoint diagonals w_c, D(p c, q c) sums the evolved pair's diagonal
     weighted by w_c^2.
     """
-    space, h = history.space, history.hamiltonian
+    space = history.space
     rate, substeps = history.dephasing_rate, history.dephasing_substeps
     final = levels[-1]
     weights = (np.array(final, dtype=float) ** 2
@@ -608,7 +625,7 @@ def _branch_pair_functional(rho_m, history, levels):
     for k, (dt, ops) in enumerate(zip(np.diff((0.0,) + history.times), levels)):
         last, n = k == len(levels) - 1, len(ops)
         if dt > 0:
-            u = _unitary(h, dt / substeps)
+            u = _unitary(history.spectrum, dt / substeps)
             damp = _dephasing_mask(space, rate, dt / substeps)
         nxt = {}
         for (p, q), (rows, cols, m) in pairs.items():
@@ -706,7 +723,7 @@ def product_occupation_functional(rho1: DensityOperator, h1, n, times,
     if space1.N != 1:
         raise ValueError("rho1 must be a one-particle state")
     ToyHilbert(B=space1.B, N=n, dx=space1.dx)  # checks n and the cap
-    h1 = _checked_hamiltonian(h1, space1.B)
+    spectrum = _spectrum(_checked_hamiltonian(h1, space1.B))
     times = tuple(float(t) for t in times)
     if len(times) != 2 or not 0.0 <= times[0] < times[1]:
         raise ValueError("need exactly two times 0 <= t1 < t2")
@@ -714,8 +731,9 @@ def product_occupation_functional(rho1: DensityOperator, h1, n, times,
     if not dephasing_rate >= 0:
         raise ValueError("dephasing rate must be nonnegative")
 
-    r1 = _evolve_density(rho1.matrix, h1, 0.0, t1, space1, dephasing_rate, 1)
-    u = _unitary(h1, t2 - t1)
+    r1 = _evolve_density(rho1.matrix, spectrum, 0.0, t1, space1,
+                         dephasing_rate, 1)
+    u = _unitary(spectrum, t2 - t1)
     damp = _dephasing_mask(space1, dephasing_rate, t2 - t1)
     bins = np.eye(space1.B, dtype=bool)
     d1 = np.empty((space1.B,) * 3, dtype=complex)
@@ -795,10 +813,11 @@ def single_time_prob_asymptotic(rho, a_op, center, sigma) -> float:
 
 
 def _heisenberg_ops(a_op, h, times):
-    """A(t) = U^dag A U at each requested time."""
+    """A(t) = U^dag A U at each requested time, h decomposed once."""
+    spectrum = _spectrum(_checked_hamiltonian(h, len(a_op)))
     out = []
     for t in times:
-        u = _unitary(h, t)
+        u = _unitary(spectrum, t)
         out.append(u.conj().T @ a_op @ u)
     return out
 

@@ -270,9 +270,10 @@ def local_equilibrium_peaking(beta, mubar, u, n_particles, times,
 
     # mean-field trajectory: the one-particle state evolved over the
     # engine's intervals, 0 -> t1 -> t2, one damp-then-rotate step each
+    spectrum = hist._spectrum(kin1)
     mean_traj, r_t, t_prev = [], rho1.matrix, 0.0
     for t in times:
-        r_t = hist._evolve_density(r_t, kin1, t_prev, t, rho1.space,
+        r_t = hist._evolve_density(r_t, spectrum, t_prev, t, rho1.space,
                                    dephasing_rate, 1)
         t_prev = t
         mean_traj.append(n_particles * np.real(np.diag(r_t)))

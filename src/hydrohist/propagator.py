@@ -46,7 +46,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
 from .errors import (
     DivergenceError,
@@ -83,6 +82,14 @@ __all__ = [
     "fit_diffusion",
     "constitutive_check",
 ]
+
+#: fewest lattice spacings per input standard deviation, on each axis, for
+#: propagate_analytic.  The exact transforms shift samples band-limitedly, so
+#: their error is the input's spectral content past the Nyquist frequency,
+#: about exp(-(pi r)^2 / 2) for a Gaussian of r spacings: 1.5e-5 at r = 1.5.
+#: Against the closed-form W_t over t in [0.01, 3], the L1 error at r = 1.5
+#: was at most 7e-6, and at r = 1 it reached 9e-3.
+MIN_SPACINGS_PER_SIGMA = 1.5
 
 
 @dataclass(frozen=True)
@@ -202,8 +209,9 @@ def propagate_analytic(w0: WignerGrid, t, params: QbmParams) -> WignerGrid:
     The discrete characteristic function of w0 is evaluated exactly at the
     sheared frequencies A^T k, multiplied by the kernel's Gaussian factor
     and transformed back.  The output lives on the input lattice; a
-    ResolutionError is raised when the evolved state cannot fit in the
-    domain.
+    ResolutionError is raised when the input's standard deviation spans
+    fewer than MIN_SPACINGS_PER_SIGMA lattice spacings on either axis, or
+    when the evolved state cannot fit in the domain.
     """
     if not t >= 0:
         raise ValueError("t must be nonnegative")
@@ -213,6 +221,13 @@ def propagate_analytic(w0: WignerGrid, t, params: QbmParams) -> WignerGrid:
     sigma = kernel_covariance(params, t)
 
     mq, mp, vq, vp, cqp = moments(w0)
+    for axis, var, step in (("q", vq, w0.dq), ("p", vp, w0.dp)):
+        spacings = math.sqrt(max(var, 0.0)) / step
+        if not spacings >= MIN_SPACINGS_PER_SIGMA:
+            raise ResolutionError(
+                f"the input's {axis} standard deviation spans {spacings:.3g} "
+                f"lattice spacings, fewer than {MIN_SPACINGS_PER_SIGMA}; "
+                "refine the grid")
     cov0 = np.array([[vq, cqp], [cqp, vp]])
     cov = a @ cov0 @ a.T + sigma
     if 3.0 * math.sqrt(cov[0, 0]) > 0.5 * (w0.q_max - w0.q_min) or \
@@ -367,7 +382,13 @@ def _momentum_propagator(p, dp, dt, params: QbmParams):
     mass-conserving matrix for any dt: W stays nonnegative and the discrete
     Maxwellian stays fixed.  Transposed so that W @ exp(dt L)^T steps every
     q row at once.
+
+    scipy.linalg is imported on the first call, so that importing the
+    package (and every run that steps no momentum sector) does not pay for
+    it.
     """
+    from scipy.linalg import expm
+
     g, M, kT = params.gamma, params.M, params.kT
     diff = 2.0 * M * g * kT
     drift = g * (p[1:] + p[:-1])             # 2 g p at interior faces

@@ -55,6 +55,20 @@ _GRID_RANGES = (
      "grid.p_min must be less than grid.p_max"),
 )
 
+
+def _kernel_sampling_rule(var_p):
+    """Range check of the exact kernel's lattice spacing: the initial
+    Gaussian, var_q = 1 and var_p = var_p(config), spans at least
+    ``propagator.MIN_SPACINGS_PER_SIGMA`` spacings per standard deviation
+    on each axis; follows the grid checks, so n_q, n_p >= 8."""
+    r = pr.MIN_SPACINGS_PER_SIGMA
+    return (lambda g: r * (g["q_max"] - g["q_min"]) / (g["n_q"] - 1) <= 1.0
+            and r * (g["p_max"] - g["p_min"]) / (g["n_p"] - 1)
+            <= math.sqrt(var_p(g)),
+            f"grid spacing must be at most 1/{r} of the initial state's "
+            "standard deviation on each axis")
+
+
 #: inner edges of the variance-scaling bins: the quartiles of a unit normal
 _QUARTILE = 0.6744897501960817
 
@@ -95,6 +109,7 @@ SCENARIOS = {
         "sampling": False,
         # fit_diffusion needs at least 4 samples of an increasing series
         "ranges": _QBM_RANGES + _GRID_RANGES + (
+            _kernel_sampling_rule(lambda p: p["kT"] * p["M"]),
             (lambda p: p["n_times"] >= 4,
              "params.n_times must be at least 4"),
             (lambda p: p["t_start"] >= 0,
@@ -135,6 +150,7 @@ SCENARIOS = {
                        "l1_master_vs_integrator": 1e-2},
         "sampling": False,
         "ranges": _QBM_RANGES + _GRID_RANGES + (
+            _kernel_sampling_rule(lambda p: 0.5),
             (lambda p: p["t_kernel"] >= 0,
              "params.t_kernel must be nonnegative"),
             (lambda p: p["t_master"] >= 0,
@@ -416,7 +432,12 @@ def list_scenarios():
 
 
 def _metric(config, name, value):
+    """The metric checked against its threshold; a value of None, for a
+    metric the run could not compute (its notes say why), fails."""
     thr = config.threshold(name)
+    if value is None:
+        return MetricResult(name, None, thr,
+                            ">=" if name in _LOWER_BOUNDED else "<", False)
     if name in _LOWER_BOUNDED:
         return MetricResult(name, float(value), thr, ">=",
                             bool(value >= thr))
@@ -544,29 +565,42 @@ def _run_histories_nscaling(config):
     c = p["overlap"]
     psi = np.array([1.0, 0.0], complex)
     chi = np.array([c, math.sqrt(1.0 - c * c)], complex)
-    eps, rows = {}, []
+    eps, rows, notes = {}, [], []
     for n in range(1, p["N_max"] + 1):
-        space = hist.ToyHilbert(B=2, N=n)
-        state = hist.superposition_state(space, psi, chi)
-        fam = hist.gaussian_occupation_family(
-            space, 0, centers=(float(n), n * c * c), sigma=p["sigma"])
-        spec = hist.HistorySpec(space, (1.0,), ([fam],),
-                                np.zeros((space.dim, space.dim)))
-        dmat = hist.decoherence_functional(state, spec)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            space = hist.ToyHilbert(B=2, N=n)
+            state = hist.superposition_state(space, psi, chi)
+            fam = hist.gaussian_occupation_family(
+                space, 0, centers=(float(n), n * c * c), sigma=p["sigma"])
+            spec = hist.HistorySpec(space, (1.0,), ([fam],),
+                                    np.zeros((space.dim, space.dim)))
+            dmat = hist.decoherence_functional(state, spec)
             eps[n] = hist.consistency_epsilon(dmat)
+        notes += [f"N = {n}: {w.category.__name__}: {w.message}"
+                  for w in caught]
         rows.append((n, eps[n]))
-    ns = np.arange(1, p["N_max"] + 1)
-    slope = np.polyfit(ns, np.log([eps[n] for n in ns]), 1)[0]
-    ratio = math.exp(slope)
+    # log epsilon is fitted where the interference survives in floating point
+    fit = [n for n in eps if eps[n] > 0]
+    zero = [n for n in eps if n not in fit]
+    if zero:
+        notes.append(f"epsilon(N) = 0 at N = {zero}; the fit leaves those N "
+                     "out")
+    ratio = None
+    if len(fit) >= 2:
+        ratio = math.exp(np.polyfit(fit, np.log([eps[n] for n in fit]), 1)[0])
+        notes.append(f"fitted epsilon(N) ratio r = {ratio!r}")
+    else:
+        notes.append(f"epsilon(N) > 0 at {len(fit)} N only; no ratio to fit")
+    decay = eps[p["N_max"]] / eps[1] if eps[1] > 0 else None
+    if decay is None:
+        notes.append("epsilon(1) = 0; epsilon8_over_epsilon1 is undefined")
     metrics = [
         _metric(config, "geometric_ratio", ratio),
-        _metric(config, "epsilon8_over_epsilon1",
-                eps[p["N_max"]] / eps[1]),
+        _metric(config, "epsilon8_over_epsilon1", decay),
     ]
     art = {"histories_nscaling.csv": (["N", "epsilon"], rows)}
-    return metrics, art, [f"fitted epsilon(N) ratio r = {ratio!r}"]
+    return metrics, art, notes
 
 
 def _random_hermitian(rng, dim):

@@ -305,6 +305,59 @@ class TestDecoherenceFunctional:
         assert eps[0] > eps[1] > eps[2]
 
 
+def kinetic_hamiltonian(b, n):
+    """Collective p^2/2 on B bins and N particles, degenerate for N > 1."""
+    hs = hi.ToyHilbert(B=b, N=n)
+    p1 = hi.one_particle_momentum(hs)
+    return hi.lift_one_body(hs, p1 @ p1 / 2.0)
+
+
+class TestSpectralUnitary:
+    """exp(-i h dt) from the spectrum of h against scipy's expm."""
+
+    @pytest.mark.parametrize("h", [
+        kinetic_hamiltonian(2, 8),
+        random_hermitian(np.random.default_rng(3), 40),
+    ], ids=["kinetic-B2-N8", "random-hermitian"])
+    @pytest.mark.parametrize("dt", [0.1, 0.5, 1.7])
+    def test_matches_expm_and_is_unitary(self, h, dt):
+        u = hi._unitary(hi._spectrum(h), dt)
+        assert np.max(np.abs(u - expm(-1j * h * dt))) < 1e-12
+        assert np.max(np.abs(u @ u.conj().T - np.eye(len(h)))) < 1e-13
+
+    def test_diagonal_hamiltonian_runs_no_eigensolver(self):
+        hs = hi.ToyHilbert(B=3, N=3)
+        h = (0.7 * hi.number_density_operator(hs, 0)
+             - 1.3 * hi.number_density_operator(hs, 2))
+        w, v = hi._spectrum(h)
+        assert v is None and np.array_equal(w, np.real(np.diag(h)))
+        u = hi._unitary((w, v), 0.9)
+        assert np.array_equal(u, np.diag(np.exp(-1j * 0.9 * w)))
+        zero = hi._unitary(hi._spectrum(np.zeros((hs.dim, hs.dim))), 2.5)
+        assert np.array_equal(zero, np.eye(hs.dim))
+
+    @pytest.mark.parametrize("diagonal", [False, True])
+    def test_spec_spectrum_rebuilds_the_hamiltonian(self, diagonal):
+        hs = hi.ToyHilbert(B=2, N=4)
+        h = (hi.number_density_operator(hs, 1) if diagonal
+             else kinetic_hamiltonian(2, 4))
+        spec = hi.HistorySpec(hs, (1.0,), ([hi.occupation_family(hs)],), h)
+        w, v = spec.spectrum
+        assert (v is None) == diagonal
+        rebuilt = np.diag(w) if v is None else (v * w) @ v.conj().T
+        assert np.max(np.abs(rebuilt - spec.hamiltonian)) < 1e-12
+        with pytest.raises(TypeError):
+            hi.HistorySpec(hs, (1.0,), ([hi.occupation_family(hs)],), h,
+                           spectrum=spec.spectrum)
+
+    def test_heisenberg_route_needs_a_hermitian_hamiltonian(self):
+        # eigh reads one triangle only, so a non-Hermitian h must not pass
+        a_op = np.diag([0.0, 1.0, 2.0])
+        h = np.triu(np.ones((3, 3)))
+        with pytest.raises(ValueError, match="Hermitian"):
+            hi.multi_time_prob(np.eye(3) / 3, a_op, (0.5,), (1.0,), 1.0, h)
+
+
 class TestEnginesMatchDenseReference:
     """Chain (no dephasing) and branch-pair (dephasing) engines against
     dense_reference, to 1e-12."""
@@ -456,7 +509,8 @@ class TestProductOccupationFunctional:
         final = np.einsum("icjc->c", d.matrix.reshape(k, k, k, k))
         r = rho1.matrix
         for t0, t1 in ((0.0, times[0]), times):
-            r = hi._evolve_density(r, h1, t0, t1, rho1.space, rate, 1)
+            r = hi._evolve_density(r, hi._spectrum(h1), t0, t1,
+                                   rho1.space, rate, 1)
         occ = [lab[1] for lab in d.labels[:k]]
         want = multinomial.pmf(occ, n, np.real(np.diag(r)))
         assert np.max(np.abs(final - want)) < 1e-12

@@ -10,8 +10,9 @@ from pathlib import Path
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
-#: scipy subpackages no import of hydrohist may load
-DEFERRED = ("scipy.stats", "scipy.integrate", "scipy.interpolate")
+#: prints the sorted names of the loaded scipy modules
+LOADED_SCIPY = ("print(sorted(m for m in sys.modules\n"
+                "             if m == 'scipy' or m.startswith('scipy.')))\n")
 
 
 def run_fresh(code):
@@ -23,12 +24,23 @@ def run_fresh(code):
     return done.stdout
 
 
-def test_import_loads_no_deferred_scipy():
+def test_import_loads_no_scipy():
     out = run_fresh(
-        "import hydrohist.cli, hydrohist.local_equilibrium, "
-        "hydrohist.histories\n"
-        f"print(sorted(m for m in {DEFERRED!r} if m in sys.modules))\n")
+        "import hydrohist.cli, hydrohist.scenarios, hydrohist.histories, "
+        "hydrohist.local_equilibrium, hydrohist.propagator\n" + LOADED_SCIPY)
     assert out.strip() == "[]"
+
+
+def test_matrix_exponential_loaded_on_first_use():
+    out = run_fresh(
+        "from hydrohist import phase_space as ps, propagator as pr\n"
+        "w = ps.gaussian_wigner(-6, 6, 32, -4, 4, 24, var_q=1.0, var_p=1.0)\n"
+        "params = pr.QbmParams(1.0, 1.0, 1.0)\n"
+        + LOADED_SCIPY +
+        "print(pr.evolve_fokker_planck(w, 0.05, params).values.sum() > 0)\n"
+        "print('scipy.linalg' in sys.modules)\n")
+    before, stepped, after = out.split("\n")[:3]
+    assert before == "[]" and stepped == "True" and after == "True"
 
 
 def test_spline_loaded_on_first_use():

@@ -148,6 +148,29 @@ class TestPropagateAnalytic:
         with pytest.raises(ResolutionError):
             pr.propagate_analytic(small, 20.0, UNIT)
 
+    @pytest.mark.parametrize("grid, var", [
+        ((-20, 20, 64, -6, 6, 12), (1.0, 0.3)),  # dp about 2 sigma_p
+        ((-20, 20, 40, -6, 6, 64), (0.3, 1.0)),  # dq about 1.9 sigma_q
+    ])
+    def test_under_sampled_input_raises(self, grid, var):
+        # on the first grid the result was 1.35e-2 in L1 from W_t at t = 3
+        w0 = ps.gaussian_wigner(*grid, var_q=var[0], var_p=var[1])
+        with pytest.raises(ResolutionError, match="lattice spacings"):
+            pr.propagate_analytic(w0, 3.0, UNIT)
+
+    @pytest.mark.parametrize("t", [0.05, 0.2, 3.0])
+    def test_barely_admitted_input_stays_accurate(self, t):
+        # sigma_q spans 1.55 spacings; short times, which the kernel does
+        # not smooth, are the worst case
+        grid, cov0 = (-20, 20, 114, -6, 6, 96), np.diag([0.3, 1.0])
+        w0 = ps.gaussian_wigner(*grid, var_q=cov0[0, 0], var_p=cov0[1, 1])
+        a = pr.kernel_mean_map(UNIT, t)
+        cov = a @ cov0 @ a.T + pr.kernel_covariance(UNIT, t)
+        exact = ps.gaussian_wigner(*grid, var_q=cov[0, 0], var_p=cov[1, 1],
+                                   cov_qp=cov[0, 1])
+        wt = pr.propagate_analytic(w0, t, UNIT)
+        assert ps.l1_distance(wt, exact) <= 1e-5
+
 
 class TestFokkerPlanck:
     def test_thermal_state_stationary(self):

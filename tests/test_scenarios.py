@@ -185,6 +185,40 @@ class TestRunScenario:
         assert by_name["geometric_ratio"] < 1.0
         assert by_name["epsilon8_over_epsilon1"] < 0.1
 
+    @staticmethod
+    def strict_report(out, scenario):
+        """The report JSON, parsed with NaN and infinities rejected."""
+        def reject(token):
+            raise ValueError(f"report holds {token}")
+        return json.loads((out / f"{scenario}-report.json").read_text(),
+                          parse_constant=reject)
+
+    def test_histories_nscaling_fits_where_epsilon_survives(self, tmp_path):
+        # at sigma = 0.05, epsilon(8) underflows to exactly 0.0
+        path = write_config(tmp_path, minimal("histories-nscaling",
+                                              params={"sigma": 0.05}))
+        assert cli.main(["run", str(path), "--out", str(tmp_path),
+                         "--quiet"]) == 0
+        data = self.strict_report(tmp_path, "histories-nscaling")
+        assert 0.0 < data["metrics"][0]["value"] < 1.0
+        assert "epsilon(N) = 0 at N = [8]; the fit leaves those N out" \
+            in data["notes"]
+
+    def test_histories_nscaling_without_two_points_fails(self, tmp_path,
+                                                         capsys):
+        # at sigma = 0.01 one history per N has zero probability and
+        # epsilon vanishes for every N: the warnings become notes
+        path = write_config(tmp_path, minimal("histories-nscaling",
+                                              params={"sigma": 0.01}))
+        assert cli.main(["run", str(path), "--out", str(tmp_path)]) == 1
+        assert "geometric_ratio = n/a < 1 ... FAIL" in capsys.readouterr().out
+        data = self.strict_report(tmp_path, "histories-nscaling")
+        assert [(m["value"], m["passed"]) for m in data["metrics"]] == \
+            [(None, False), (None, False)]
+        assert any(note.startswith("N = 1: UserWarning: 1 zero-probability")
+                   for note in data["notes"])
+        assert "epsilon(N) > 0 at 0 N only; no ratio to fit" in data["notes"]
+
     def test_conserved_decoherence_passes(self, tmp_path):
         report, out = self.run(tmp_path, "conserved-decoherence")
         assert report.passed
@@ -356,6 +390,13 @@ class TestCli:
                      id="diffusion-reversed-q-extent"),
         pytest.param("maxwellization", {}, {"p_min": 7.0}, "grid.p_min",
                      id="maxwellization-reversed-p-extent"),
+        # propagate_analytic would raise ResolutionError in the runner
+        pytest.param("diffusion", {}, {"n_p": 8}, "grid spacing",
+                     id="diffusion-under-sampled-p"),
+        pytest.param("diffusion", {"kT": 0.05}, {}, "grid spacing",
+                     id="diffusion-cold-under-sampled-p"),
+        pytest.param("oracle-compare", {}, {"n_q": 40}, "grid spacing",
+                     id="oracle-under-sampled-q"),
     ])
     def test_validate_out_of_range_before_run(self, tmp_path, capsys,
                                               scenario, params, grid,
