@@ -74,6 +74,7 @@ __all__ = [
     "kernel_covariance",
     "propagate_analytic",
     "fokker_planck_dt_bound",
+    "fokker_planck_step_plan",
     "evolve_fokker_planck",
     "master_equation_rhs",
     "master_dt_bound",
@@ -288,27 +289,51 @@ def _step_plan(t, dt, bound):
 # --- Fokker-Planck integrator ----------------------------------------------
 
 
-def fokker_planck_dt_bound(w: WignerGrid, params: QbmParams) -> float:
-    """Step bound 0.4 * min(dq*M/p_max, 1/(4 gamma)).
-
-    The first term is the Courant limit of the explicit q advection.  The
-    momentum sector is stepped with its exact propagator and has no
-    diffusive stability limit; the second term keeps the damping
-    exp(-2 gamma dt) resolved within one splitting step.
-    """
+def _fokker_planck_limits(w: WignerGrid, params: QbmParams) -> dict:
+    """The two terms of fokker_planck_dt_bound, by name."""
     p_max = max(abs(w.p_min), abs(w.p_max))
-    adv = w.dq * params.M / p_max if p_max > 0 else np.inf
-    drift = 1.0 / (4.0 * params.gamma)
-    return 0.4 * min(adv, drift)
+    courant = 0.8 * w.dq * params.M / p_max if p_max > 0 else np.inf
+    return {"courant": courant, "damping": 0.1 / params.gamma}
+
+
+def fokker_planck_dt_bound(w: WignerGrid, params: QbmParams) -> float:
+    """Step bound min(0.8 dq M / p_max, 0.1 / gamma).
+
+    The first term holds the Courant number |c| = |p| dt / (M dq) of the
+    explicit q advection at 0.8.  The van Leer flux-limited upwind step is
+    total-variation diminishing, hence nonnegative, for |c| <= 1, and its
+    numerical diffusion shrinks as |c| -> 1.  The momentum sector is
+    stepped with its exact propagator and has no stability limit of its
+    own; the second term keeps the damping exp(-2 gamma dt) resolved within
+    one splitting step.
+    """
+    return min(_fokker_planck_limits(w, params).values())
+
+
+def fokker_planck_step_plan(w: WignerGrid, t, params: QbmParams, dt=None):
+    """(n_steps, dt_eff, limit) of ``evolve_fokker_planck(w, t, params, dt)``.
+
+    ``limit`` names the term of fokker_planck_dt_bound that binds,
+    ``"courant"`` or ``"damping"``.
+    """
+    limits = _fokker_planck_limits(w, params)
+    limit = min(limits, key=limits.get)
+    return (*_step_plan(t, dt, limits[limit]), limit)
 
 
 class _FokkerPlanckBuffers:
-    """State and scratch arrays of one Fokker-Planck integration.
+    """State, scratch and flux-coefficient arrays of one Fokker-Planck integration.
 
     W(q_i, p_j) lives in rows 1..n_q of a padded array with one ghost row
     below and two above.  The ghost rows stay zero (no flux through the q
     boundary) or, for periodic q, are copied from the opposite edge before
-    each advection.
+    each advection.  The flux coefficients of one Courant vector c are
+    contiguous (n_q, n_p) arrays, set by ``set_courant``: c_pos = max(c, 0)
+    and c_neg = min(c, 0), and kappa = |c| (1 - |c|) / 2 split the same way
+    into k_pos (c >= 0) and k_neg (c < 0).  Each column is zero in one
+    array of each pair.  diff and absdiff are scratch: an advection spends
+    them on slopes and then face fluxes, and between advections diff takes
+    the momentum step's product.
     """
 
     def __init__(self, values, periodic):
@@ -320,9 +345,18 @@ class _FokkerPlanckBuffers:
         self.diff = np.empty((n + 2, m))
         self.absdiff = np.empty((n + 2, m))
         self.slope = np.empty((n + 1, m))
-        self.face = np.empty((n + 1, m))
-        self.work = np.empty((n + 1, m))
         self.finite = np.empty((n, m), dtype=bool)
+        self.c_pos, self.c_neg, self.k_pos, self.k_neg = (
+            np.empty((n, m)) for _ in range(4))
+
+    def set_courant(self, c):
+        """Fill the flux coefficients of the column Courant numbers c."""
+        kappa = 0.5 * np.abs(c) * (1.0 - np.abs(c))
+        up = c >= 0
+        self.c_pos[...] = np.where(up, c, 0.0)
+        self.c_neg[...] = np.where(up, 0.0, c)
+        self.k_pos[...] = np.where(up, kappa, 0.0)
+        self.k_neg[...] = np.where(up, 0.0, kappa)
 
     def fill_ghosts(self):
         """Copy the edge rows into the ghost rows of a periodic grid."""
@@ -332,41 +366,45 @@ class _FokkerPlanckBuffers:
             self.padded[n + 1:] = self.padded[1:3]
 
 
-def _advect_q(buf: _FokkerPlanckBuffers, c):
+def _advect_q(buf: _FokkerPlanckBuffers):
     """Conservative flux-limited (van Leer) upwind step in q, in place.
 
-    c[j] = (p_j / M) dt / dq is the Courant number of momentum column j;
-    c must be ascending, as the momentum axis is.
+    The step uses the Courant numbers c[j] = (p_j / M) dt / dq last given
+    to ``buf.set_courant``; |c| <= 1 keeps it total-variation diminishing.
+    The flux of every column is formed with both upwind choices, one of
+    which has zero coefficients, so the arithmetic is contiguous over the
+    whole array and each column's result is that of its own upwind cell.
     """
-    pad, d, ad = buf.padded, buf.diff, buf.absdiff
-    s, f, tmp = buf.slope, buf.face, buf.work
+    pad, d, ad, s = buf.padded, buf.diff, buf.absdiff, buf.slope
     n = buf.values.shape[0]
     buf.fill_ghosts()
     np.subtract(pad[1:], pad[:-1], out=d)        # d[k] = W_k - W_{k-1}
     np.abs(d, out=ad)
-    # limited slope s[k] = (d_k |d_k+1| + |d_k| d_k+1) / (|d_k| + |d_k+1|)
+    # limited slope s[k] = (d_k |d_k+1| + |d_k| d_k+1) / (|d_k| + |d_k+1|);
+    # once s holds the first term, d[1:] is spent and holds the others
     np.multiply(d[:-1], ad[1:], out=s)
-    np.multiply(ad[:-1], d[1:], out=tmp)
-    s += tmp
-    np.add(ad[:-1], ad[1:], out=tmp)
-    tmp += 1e-300                                # s = 0 where both vanish
-    s /= tmp
+    d[1:] *= ad[:-1]
+    s += d[1:]
+    np.add(ad[:-1], ad[1:], out=d[1:])
+    d[1:] += 1e-300                              # s = 0 where both vanish
+    s /= d[1:]
 
     # f[i + 1] = dt/dq * flux through face i+1/2 = c W_up + kappa s_up, with
-    # the upwind cell i (c >= 0) or i + 1 (c < 0)
-    kappa = 0.5 * np.abs(c) * (1.0 - np.abs(c))
-    j0 = int(np.searchsorted(c, 0.0))
-    for cols, rows in ((slice(j0, None), 0), (slice(None, j0), 1)):
-        np.multiply(pad[1 + rows:n + 1 + rows, cols], c[cols], out=f[1:, cols])
-        np.multiply(s[rows:n + rows, cols], kappa[cols], out=tmp[:n, cols])
-        f[1:, cols] += tmp[:n, cols]
+    # the upwind cell i (c >= 0) or i + 1 (c < 0); f takes diff's rows and
+    # absdiff serves as scratch
+    f, scratch = d[:n + 1], ad[:n]
+    np.multiply(pad[1:n + 1], buf.c_pos, out=f[1:])
+    for term, coef in ((pad[2:n + 2], buf.c_neg), (s[:n], buf.k_pos),
+                       (s[1:], buf.k_neg)):
+        np.multiply(term, coef, out=scratch)
+        f[1:] += scratch
     if buf.periodic:
         f[0] = f[n]
     else:
         f[0] = 0.0
         f[n] = 0.0
-    np.subtract(f[1:], f[:-1], out=tmp[:n])
-    buf.values -= tmp[:n]
+    np.subtract(f[1:], f[:-1], out=scratch)
+    buf.values -= scratch
 
 
 def _momentum_propagator(p, dp, dt, params: QbmParams):
@@ -416,17 +454,24 @@ def _integrate_fokker_planck(w: WignerGrid, dt, n_steps, params: QbmParams,
     """n_steps Strang steps A(dt/2) C(dt) A(dt/2), adjacent half-advections merged.
 
     A is the q advection and C the momentum sector, so the product is
-    A(dt/2) [C(dt) A(dt)]^(n-1) C(dt) A(dt/2).
+    A(dt/2) [C(dt) A(dt)]^(n-1) C(dt) A(dt/2).  The flux coefficients are
+    set three times: for the first half-advection, the full ones and the
+    last half-advection.
     """
     buf = _FokkerPlanckBuffers(w.values, periodic_q)
     c = w.p * dt / (params.M * w.dq)
     momentum = _momentum_propagator(w.p, w.dp, dt, params)
-    out = buf.work[:w.n_q]
-    _advect_q(buf, 0.5 * c)
+    out = buf.diff[:w.n_q]                   # free between advections
+    buf.set_courant(0.5 * c)
+    _advect_q(buf)
     for k in range(n_steps):
         np.matmul(buf.values, momentum, out=out)
         buf.values[...] = out
-        _advect_q(buf, c if k < n_steps - 1 else 0.5 * c)
+        if k == n_steps - 1:
+            buf.set_courant(0.5 * c)
+        elif k == 0:
+            buf.set_courant(c)
+        _advect_q(buf)
         if not np.isfinite(buf.values, out=buf.finite).all():
             raise DivergenceError(
                 "Fokker-Planck step produced non-finite values")
@@ -436,7 +481,7 @@ def _integrate_fokker_planck(w: WignerGrid, dt, n_steps, params: QbmParams,
 def evolve_fokker_planck(w0: WignerGrid, t, params: QbmParams, dt=None,
                          periodic_q: bool = False) -> WignerGrid:
     """Compose steps to time t; dt defaults to the stability bound."""
-    n_steps, dt_eff = _step_plan(t, dt, fokker_planck_dt_bound(w0, params))
+    n_steps, dt_eff, _ = fokker_planck_step_plan(w0, t, params, dt)
     if n_steps == 0:
         return w0.with_values(w0.values)
     return _integrate_fokker_planck(w0, dt_eff, n_steps, params, periodic_q)

@@ -69,6 +69,33 @@ def _kernel_sampling_rule(var_p):
             "standard deviation on each axis")
 
 
+def _domain_rule(var_p, t):
+    """Range check of the q extent that ``propagator.propagate_analytic``
+    applies: 3 standard deviations of the position of the initial Gaussian,
+    var_q = 1 and var_p = var_p(config), evolved by the exact kernel to
+    t(config) fit in the grid's half-width; follows the checks of the
+    Brownian-motion parameters and of t >= 0."""
+    def fits(g):
+        params = pr.QbmParams(g["M"], g["gamma"], g["kT"])
+        shear = pr.kernel_mean_map(params, t(g))[0, 1]
+        var_q = (1.0 + shear ** 2 * var_p(g)
+                 + pr.kernel_covariance(params, t(g))[0, 0])
+        return 9.0 * var_q <= (0.5 * (g["q_max"] - g["q_min"])) ** 2
+    return (fits, "the q domain grid.q_min to grid.q_max must hold 3 "
+            "standard deviations of the evolved position on each side")
+
+
+def _fokker_planck_note(w0, durations, params):
+    """Report note: the step count and dt of the Fokker-Planck evolutions
+    of w0's grid over the given durations, and the term of the step bound
+    that limited dt."""
+    plans = [pr.fokker_planck_step_plan(w0, t, params) for t in durations]
+    steps = sum(n for n, _, _ in plans)
+    dt = max(dt for _, dt, _ in plans)
+    return (f"Fokker-Planck: {steps} steps of dt up to {dt:.6g}, limited by "
+            f"the {plans[0][2]} term of the step bound")
+
+
 #: inner edges of the variance-scaling bins: the quartiles of a unit normal
 _QUARTILE = 0.6744897501960817
 
@@ -116,6 +143,7 @@ SCENARIOS = {
              "params.t_start must be nonnegative"),
             (lambda p: p["t_start"] < p["t_end"],
              "params.t_start must be less than params.t_end"),
+            _domain_rule(lambda p: p["kT"] * p["M"], lambda p: p["t_end"]),
         ),
     },
     "maxwellization": {
@@ -132,6 +160,7 @@ SCENARIOS = {
         "ranges": _QBM_RANGES + _GRID_RANGES + (
             (lambda p: p["t"] >= 0, "params.t must be nonnegative"),
             (lambda p: p["var_p0"] > 0, "params.var_p0 must be positive"),
+            _domain_rule(lambda p: p["var_p0"], lambda p: p["t"]),
         ),
     },
     "oracle-compare": {
@@ -159,6 +188,8 @@ SCENARIOS = {
              "grid.master_n_x must be at least 8"),
             (lambda g: g["master_x_max"] > 0,
              "grid.master_x_max must be positive"),
+            _domain_rule(lambda p: 0.5,
+                         lambda p: max(p["t_kernel"], p["t_master"])),
         ),
     },
     "variance-scaling": {
@@ -454,11 +485,11 @@ def _run_diffusion(config):
                             g["p_min"], g["p_max"], g["n_p"],
                             var_q=1.0, var_p=p["kT"] * p["M"])
     times = np.linspace(p["t_start"], p["t_end"], p["n_times"])
+    durations = np.diff(times, prepend=0.0)
     marg_fp, marg_an = [], []
-    cur, t_cur = w0, 0.0
-    for t in times:
-        cur = pr.evolve_fokker_planck(cur, t - t_cur, params)
-        t_cur = t
+    cur = w0
+    for t, span in zip(times, durations):
+        cur = pr.evolve_fokker_planck(cur, span, params)
         marg_fp.append(ps.position_marginal(cur))
         marg_an.append(ps.position_marginal(pr.propagate_analytic(w0, t,
                                                                   params)))
@@ -475,7 +506,8 @@ def _run_diffusion(config):
         ["t", "var_q_analytic", "var_q_fokker_planck"], rows)}
     notes = [f"D_fit integrator = {fit_fp.D_fit!r}, "
              f"exact kernel = {fit_an.D_fit!r}, "
-             f"theory = {fit_fp.D_theory!r}"]
+             f"theory = {fit_fp.D_theory!r}",
+             _fokker_planck_note(w0, durations, params)]
     return metrics, art, notes
 
 
@@ -495,7 +527,7 @@ def _run_maxwellization(config):
     metrics = [_metric(config, "sup_distance", sup)]
     art = {"maxwellization.csv": (
         ["p", "marginal", "maxwellian"], zip(grid_p, f, maxw))}
-    return metrics, art, []
+    return metrics, art, [_fokker_planck_note(w0, [p["t"]], params)]
 
 
 def _run_oracle_compare(config):
@@ -530,7 +562,8 @@ def _run_oracle_compare(config):
     art = {"oracle_compare.csv": (
         ["q", "kernel_t_kernel", "integrator_t_kernel",
          "integrator_t_master"], rows)}
-    return metrics, art, []
+    return metrics, art, [_fokker_planck_note(
+        w0, [p["t_kernel"], p["t_master"]], params)]
 
 
 def _run_variance_scaling(config):

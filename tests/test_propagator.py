@@ -1,3 +1,4 @@
+import tracemalloc
 import types
 
 import numpy as np
@@ -214,15 +215,41 @@ class TestFokkerPlanck:
 
     @pytest.mark.parametrize("periodic", [True, False])
     def test_advection_matches_reference(self, periodic):
-        rng = np.random.default_rng(7)
-        vals = rng.random((40, 25))
-        vals[:5] = 0.0                  # flat region: zero slopes
-        vals[20] = vals[21]
-        c = np.linspace(-0.4, 0.4, 25)  # Courant numbers, both directions
-        buf = pr._FokkerPlanckBuffers(vals, periodic)
-        pr._advect_q(buf, c)
-        want = _reference_advect(vals, c, periodic)
-        assert np.max(np.abs(buf.values - want)) < 1e-14
+        # Courant numbers in both directions, up to the bound's 0.8, and an
+        # odd column count with a column at rest
+        for c in (np.linspace(-0.4, 0.4, 25), np.linspace(-0.8, 0.8, 25),
+                  np.arange(-8, 7) / 10):
+            rng = np.random.default_rng(7)
+            vals = rng.random((40, c.size))
+            vals[:5] = 0.0                  # flat region: zero slopes
+            vals[20] = vals[21]
+            buf = pr._FokkerPlanckBuffers(vals, periodic)
+            buf.set_courant(c)
+            pr._advect_q(buf)
+            want = _reference_advect(vals, c, periodic)
+            assert np.max(np.abs(buf.values - want)) < 1e-14
+
+    @pytest.mark.parametrize("periodic", [True, False])
+    @pytest.mark.parametrize("c_max", [0.8, 1.0])
+    def test_advection_total_variation_diminishing(self, periodic, c_max):
+        # up to |c| = 1 one step keeps W nonnegative and each column's
+        # mass, and on a periodic axis raises no column's total variation
+        rng = np.random.default_rng(11)
+        for _ in range(50):
+            vals = rng.random((33, 17)) ** 4
+            vals[rng.random(33) < 0.3] = 0.0
+            c = np.sort(rng.uniform(-c_max, c_max, 17))
+            c[[0, -1]] = -c_max, c_max
+            buf = pr._FokkerPlanckBuffers(vals, periodic)
+            buf.set_courant(c)
+            pr._advect_q(buf)
+            out = buf.values
+            assert out.min() >= 0.0
+            assert np.max(np.abs(out.sum(axis=0) - vals.sum(axis=0))) < 1e-12
+            if periodic:
+                def tv(a):
+                    return np.abs(a - np.roll(a, 1, axis=0)).sum(axis=0)
+                assert np.max(tv(out) - tv(vals)) < 1e-12
 
     def test_periodic_translation_invariant(self):
         # on a periodic q axis, shifting the initial state by half the
@@ -251,6 +278,34 @@ class TestFokkerPlanck:
         assert np.all(np.isfinite(wt.values))
         assert wt.integral() == pytest.approx(w0.integral(), abs=1e-8)
 
+    def test_dt_bound_terms(self):
+        w0 = ps.gaussian_wigner(-18, 18, 160, -6, 6, 96, var_q=0.25, var_p=0.5)
+        params = pr.QbmParams(M=2.0, gamma=0.5, kT=1.0)
+        courant = 0.8 * w0.dq * params.M / 6.0
+        assert pr.fokker_planck_dt_bound(w0, params) == pytest.approx(courant)
+        n_steps, dt, limit = pr.fokker_planck_step_plan(w0, 1.0, params)
+        assert (n_steps, limit) == (int(np.ceil(1.0 / courant)), "courant")
+        assert dt == pytest.approx(1.0 / n_steps)
+        assert pr.fokker_planck_step_plan(w0, 0.0, params)[:2] == (0, 0.0)
+        assert pr.fokker_planck_step_plan(w0, 1.0, params, dt=0.01)[0] == 100
+        params = pr.QbmParams(M=2.0, gamma=20.0, kT=1.0)
+        assert pr.fokker_planck_dt_bound(w0, params) == pytest.approx(0.005)
+        assert pr.fokker_planck_step_plan(w0, 1.0, params)[2] == "damping"
+
+    def test_steps_allocate_nothing(self):
+        # the traced peak does not grow with the step count: every step
+        # works in the integration's own buffers
+        w0 = ps.gaussian_wigner(-18, 18, 160, -6, 6, 96, var_q=0.25, var_p=0.5)
+        dt = pr.fokker_planck_dt_bound(w0, UNIT)
+        pr.evolve_fokker_planck(w0, 2 * dt, UNIT, dt=dt)  # loads scipy.linalg
+        peaks = []
+        for n_steps in (2, 20, 200):
+            tracemalloc.start()
+            pr.evolve_fokker_planck(w0, n_steps * dt, UNIT, dt=dt)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.stop()
+        assert max(peaks) - min(peaks) < 4096
+
     def test_sharp_state_stays_nonnegative(self):
         # a momentum width below one cell at dt 2 M gamma kT / dp^2 near 10,
         # ten times the step at which a Crank-Nicolson momentum step is
@@ -259,6 +314,8 @@ class TestFokkerPlanck:
         w0 = ps.gaussian_wigner(-12, 12, 81, -6, 6, 86, var_q=0.5,
                                 var_p=0.005)
         dt = pr.fokker_planck_dt_bound(w0, params)
+        assert dt == pytest.approx(0.1 / params.gamma)   # the damping term
+        assert pr.fokker_planck_step_plan(w0, 0.5, params)[2] == "damping"
         assert dt * 2.0 * params.gamma / w0.dp ** 2 > 9.5
         for t in (dt, 5 * dt, 0.5):
             wt = pr.evolve_fokker_planck(w0, t, params)

@@ -99,6 +99,18 @@ class TestLoadConfig:
         # report notes are read by people: plain numbers, no numpy reprs
         notes = sc.run_scenario(cfg, tmp_path).notes
         assert not [note for note in notes if "np." in note]
+        # the Fokker-Planck runs name their step count and binding limit
+        steps = {"diffusion": 300, "maxwellization": 150,
+                 "oracle-compare": 360}.get(cfg.scenario)
+        fp_notes = [note for note in notes if note.startswith("Fokker-Planck")]
+        if steps is None:
+            assert not fp_notes
+        else:
+            assert len(fp_notes) == 1
+            assert fp_notes[0].startswith(f"Fokker-Planck: {steps} steps of "
+                                          "dt up to ")
+            assert fp_notes[0].endswith("limited by the courant term of the "
+                                        "step bound")
 
     def test_duplicate_key_rejected(self, tmp_path):
         body = '{"schema_version": 1, "scenario": "diffusion", ' \
@@ -397,6 +409,15 @@ class TestCli:
                      id="diffusion-cold-under-sampled-p"),
         pytest.param("oracle-compare", {}, {"n_q": 40}, "grid spacing",
                      id="oracle-under-sampled-q"),
+        # the state would reach the q walls of the Fokker-Planck integrator
+        pytest.param("diffusion", {},
+                     {"q_min": -8.0, "q_max": 8.0, "n_q": 129}, "q domain",
+                     id="diffusion-small-q-domain"),
+        pytest.param("maxwellization", {},
+                     {"q_min": -4.0, "q_max": 4.0, "n_q": 65}, "q domain",
+                     id="maxwellization-small-q-domain"),
+        pytest.param("oracle-compare", {"t_master": 25.0}, {}, "q domain",
+                     id="oracle-small-q-domain-at-master-time"),
     ])
     def test_validate_out_of_range_before_run(self, tmp_path, capsys,
                                               scenario, params, grid,
@@ -421,6 +442,8 @@ class TestCli:
                 ("conserved-decoherence", {"times2": [0.0], "N": 1}),
                 ("variance-scaling", {"N_values": [1, 10.0]}),
                 ("maxwellization", {"t": 0.0}),
+                ("maxwellization", {"var_p0": 0.15}),
+                ("maxwellization", {"var_p0": 0.45}),
                 ("oracle-compare", {"t_kernel": 0.0, "t_master": 0.0}),
                 ("local-equilibrium-peaking", {"N": 10}),
                 ("local-equilibrium-peaking", {"mubar": [4.0, 0.0], "N": 11}),
