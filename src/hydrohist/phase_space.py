@@ -50,7 +50,8 @@ __all__ = [
 
 #: tolerance of the Hermiticity (DensityMatrix) and negativity (Marginal) checks
 DEFAULT_TOL = 1e-6
-#: boundary mass above which check_domain_coverage warns
+#: boundary mass above which check_domain_coverage warns and l1_distance
+#: refuses to resample a grid
 COVERAGE_THRESHOLD = 1e-3
 
 
@@ -58,15 +59,20 @@ def _trapz2(values, dq, dp):
     return float(np.trapezoid(np.trapezoid(values, dx=dp, axis=1), dx=dq))
 
 
-def _bicubic(x, y, values):
-    """Bicubic interpolating spline of values[i, j] sampled at (x_i, y_j).
-
-    scipy.interpolate is imported on the first call, so that importing the
-    package (and every run that needs no spline) does not pay for it.
-    """
-    from scipy.interpolate import RectBivariateSpline
-
-    return RectBivariateSpline(x, y, values, kx=3, ky=3)
+def _resample_matrix(x_min, x_max, n, y):
+    """(len(y), n) matrix of band-limited (periodic-sinc, Dirichlet) weights
+    taking n samples on [x_min, x_max] to the points y, the Nyquist term a
+    cosine for even n; rows of points outside [x_min, x_max] are zero."""
+    dx = (x_max - x_min) / (n - 1)
+    inside = (y >= x_min) & (y <= x_max)
+    # u = (y - x_j) / (n dx), |u| < 1 inside, so sinc(u) > 0
+    u = (y[inside, None] - (x_min + dx * np.arange(n))) / (n * dx)
+    weights = np.sinc(n * u) / np.sinc(u)
+    if n % 2 == 0:
+        weights *= np.cos(np.pi * u)
+    mat = np.zeros((y.size, n))
+    mat[inside] = weights
+    return mat
 
 
 @dataclass(frozen=True)
@@ -299,12 +305,11 @@ def wigner_to_density(w: WignerGrid) -> DensityMatrix:
             f"(dp * L = {dp * length:.3f} > 2*pi); refine or widen the p lattice"
         )
     # W on the half-spacing lattice of midpoints (x_a + x_b)/2: the grid rows,
-    # and between them a band-limited half-step shift along q
-    k = 2 * np.pi * np.fft.rfftfreq(n, d=dq)
+    # and between them their band-limited resample
     w_half = np.empty((2 * n - 1, w.n_p))  # (2n-1, n_p)
     w_half[0::2] = w.values
-    w_half[1::2] = np.fft.irfft(np.fft.rfft(w.values, axis=0)
-                                * np.exp(0.5j * k * dq)[:, None], n, axis=0)[:-1]
+    w_half[1::2] = _resample_matrix(w.q_min, w.q_max, n,
+                                    w.q[:-1] + 0.5 * dq) @ w.values
 
     tw = np.full(w.n_p, dp)
     tw[0] *= 0.5
@@ -321,23 +326,30 @@ def wigner_to_density(w: WignerGrid) -> DensityMatrix:
 
 
 def density_to_wigner(rho: DensityMatrix) -> WignerGrid:
-    """Inverse Fourier map onto the momentum lattice conjugate to the x lattice."""
+    """Inverse Fourier map onto the momentum lattice conjugate to the x lattice.
+
+    rho(x + r/2, x - r/2) at r = m dx is read off the lattice for even m and
+    off the band-limited resample of the kernel, half a step away, for odd m.
+    """
     n = rho.n_x
     dx = rho.dx
     x = rho.x
-    re = _bicubic(x, x, rho.kernel.real)
-    im = _bicubic(x, x, rho.kernel.imag)
+    # cut the aliased corners |a - b| ~ n of a kernel from the conjugate
+    # lattice first, or they ring into the band |a - b| <= n/2 that is read
+    band = n // 2 + 1
+    ker = np.triu(np.tril(rho.kernel, band), -band)
+    shifted = (_resample_matrix(rho.x_min, rho.x_max, n, x + 0.5 * dx) @ ker
+               @ _resample_matrix(rho.x_min, rho.x_max, n, x - 0.5 * dx).T)
 
-    m = np.arange(n) - n // 2
+    a = np.arange(n)
+    m = a - n // 2
     r = m * dx
-    qg = x[:, None] + 0.5 * r[None, :]
-    pg = x[:, None] - 0.5 * r[None, :]
-    inside = (qg >= rho.x_min) & (qg <= rho.x_max) & \
-             (pg >= rho.x_min) & (pg <= rho.x_max)
-    qc = np.clip(qg, rho.x_min, rho.x_max)
-    pc = np.clip(pg, rho.x_min, rho.x_max)
-    c = re.ev(qc, pc) + 1j * im.ev(qc, pc)
-    c[~inside] = 0.0
+    # rho(x_a + r/2, x_a - r/2) is ker[a + j, a - j] for m = 2j and
+    # shifted[a + j, a - j] for m = 2j + 1
+    rows, cols = a[:, None] + m // 2, a[:, None] - m // 2
+    inside = (np.minimum(rows, cols) >= 0) & (np.maximum(rows, cols) < n)
+    c = np.where(inside, np.stack([ker, shifted])[m % 2, rows % n, cols % n],
+                 0.0)
 
     p_min, p_max, n_p = conjugate_momentum_axis(rho.x_min, rho.x_max, n)
     p = np.linspace(p_min, p_max, n_p)
@@ -348,19 +360,23 @@ def density_to_wigner(rho: DensityMatrix) -> WignerGrid:
 
 
 def l1_distance(a: WignerGrid, b: WignerGrid) -> float:
-    """L1 distance between two grids; b is spline-resampled onto a's lattice."""
+    """L1 distance between two grids; b is resampled onto a's lattice.
+
+    The resample is band-limited (periodic) on b's lattice and zero outside
+    b's extent, so b must vanish at its edges: a ResolutionError is raised
+    when b's boundary carries more than COVERAGE_THRESHOLD of mass.
+    """
     if (a.q_min, a.q_max, a.n_q, a.p_min, a.p_max, a.n_p) == \
        (b.q_min, b.q_max, b.n_q, b.p_min, b.p_max, b.n_p):
         bv = b.values
     else:
-        spline = _bicubic(b.q, b.p, b.values)
-        qc = np.clip(a.q, b.q_min, b.q_max)
-        pc = np.clip(a.p, b.p_min, b.p_max)
-        bv = spline(qc, pc)
-        outside_q = (a.q < b.q_min) | (a.q > b.q_max)
-        outside_p = (a.p < b.p_min) | (a.p > b.p_max)
-        bv[outside_q, :] = 0.0
-        bv[:, outside_p] = 0.0
+        edge = _edge_mass(b)
+        if edge > COVERAGE_THRESHOLD:
+            raise ResolutionError(
+                f"grid boundary carries non-negligible mass ({edge:.2e}); "
+                "cannot resample it onto another lattice")
+        bv = (_resample_matrix(b.q_min, b.q_max, b.n_q, a.q) @ b.values
+              @ _resample_matrix(b.p_min, b.p_max, b.n_p, a.p).T)
     return _trapz2(np.abs(a.values - bv), a.dq, a.dp)
 
 
@@ -376,14 +392,19 @@ def bin_integrals(line, x, edges):
     return np.diff(np.interp(edges, x, cum))
 
 
-def check_domain_coverage(w: WignerGrid):
-    """Warn when a non-negligible fraction of mass sits near the grid boundary."""
-    edge = (
+def _edge_mass(w: WignerGrid):
+    """Boundary |W|, integrated along each edge times the extent across it."""
+    return float(
         np.trapezoid(np.abs(w.values[0, :]) + np.abs(w.values[-1, :]), dx=w.dp)
         * (w.q_max - w.q_min)
         + np.trapezoid(np.abs(w.values[:, 0]) + np.abs(w.values[:, -1]), dx=w.dq)
         * (w.p_max - w.p_min)
     )
+
+
+def check_domain_coverage(w: WignerGrid):
+    """Warn when a non-negligible fraction of mass sits near the grid boundary."""
+    edge = _edge_mass(w)
     if edge > COVERAGE_THRESHOLD:
         warnings.warn(
             f"grid boundary carries non-negligible mass ({edge:.2e}); "

@@ -30,13 +30,7 @@ kT).  Three mutually consistent descriptions are implemented:
 
 The analytic propagator applies the exact Gaussian kernel of the Kramers
 equation (mean from the damped classical path, covariance from the moment
-ODEs).  The truncated long-time coefficient forms
-
-    alpha -> 1/(2 M kT),  beta -> M gamma/(2 kT t),  eps -> -1/(2 kT t)
-
-are exposed by ``longtime_coefficients``; they reproduce the exact kernel
-only up to O(1/gamma t) corrections in the covariance, which is too crude
-for the tight oracle comparisons, so the propagator does not use them.
+ODEs).
 """
 
 from __future__ import annotations
@@ -65,11 +59,8 @@ from .phase_space import (
 
 __all__ = [
     "QbmParams",
-    "PropagatorCoefficients",
     "DiffusionFit",
     "ConstitutiveResidual",
-    "classical_path",
-    "longtime_coefficients",
     "kernel_mean_map",
     "kernel_covariance",
     "propagate_analytic",
@@ -91,6 +82,9 @@ __all__ = [
 #: Against the closed-form W_t over t in [0.01, 3], the L1 error at r = 1.5
 #: was at most 7e-6, and at r = 1 it reached 9e-3.
 MIN_SPACINGS_PER_SIGMA = 1.5
+#: gamma t below which kernel_covariance sums s_qq as a series (at 0.5 the
+#: closed form loses a factor 8 to cancellation; the series is converged)
+SERIES_GAMMA_T = 0.5
 
 
 @dataclass(frozen=True)
@@ -105,32 +99,6 @@ class QbmParams:
         for name in ("M", "gamma", "kT"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be strictly positive")
-
-
-@dataclass(frozen=True)
-class PropagatorCoefficients:
-    """Gaussian kernel exponent coefficients exp(-alpha dp^2 - beta dq^2 - eps dp dq)."""
-
-    alpha: float
-    beta: float
-    epsilon: float
-    t: float
-
-    def __post_init__(self):
-        if not (self.alpha > 0 and self.beta > 0):
-            raise ValueError("alpha and beta must be positive")
-        if not 4 * self.alpha * self.beta - self.epsilon ** 2 > 0:
-            raise ValueError("coefficients do not define a normalizable Gaussian")
-
-    def covariance(self):
-        """2x2 covariance of the kernel in (q, p) ordering."""
-        det = 4 * self.alpha * self.beta - self.epsilon ** 2
-        return np.array(
-            [
-                [2 * self.alpha / det, -self.epsilon / det],
-                [-self.epsilon / det, 2 * self.beta / det],
-            ]
-        )
 
 
 @dataclass(frozen=True)
@@ -155,32 +123,6 @@ class ConstitutiveResidual:
     relative_sup: float
 
 
-def classical_path(q0, p0, t, params: QbmParams):
-    """Damped classical trajectory (q_cl, p_cl) at time t >= 0."""
-    if not np.all(np.asarray(t) >= 0):
-        raise ValueError("t must be nonnegative")
-    decay = np.exp(-2.0 * params.gamma * t)
-    q_cl = q0 + p0 / (2.0 * params.M * params.gamma) * (1.0 - decay)
-    p_cl = p0 * decay
-    return q_cl, p_cl
-
-
-def longtime_coefficients(params: QbmParams, t) -> PropagatorCoefficients:
-    """Asymptotic kernel coefficients, valid for gamma*t >> 1."""
-    if not t > 0:
-        raise ValueError("t must be positive")
-    if params.gamma * t < 3:
-        warnings.warn(
-            f"gamma*t = {params.gamma * t:.2f} < 3: asymptotic coefficients "
-            "are unreliable at this time",
-            stacklevel=2,
-        )
-    alpha = 1.0 / (2.0 * params.M * params.kT)
-    beta = params.M * params.gamma / (2.0 * params.kT * t)
-    epsilon = -1.0 / (2.0 * params.kT * t)
-    return PropagatorCoefficients(alpha, beta, epsilon, t)
-
-
 def kernel_mean_map(params: QbmParams, t):
     """Linear map z -> A z taking (q0, p0) to the kernel mean (q_cl, p_cl)."""
     decay = math.exp(-2.0 * params.gamma * t)
@@ -194,13 +136,24 @@ def kernel_covariance(params: QbmParams, t):
     Solution of the second-moment ODEs of the Kramers equation from a point
     source:  d<p^2>/dt = -4 g <p^2> + 4 M g kT,  d<qp>/dt = <p^2>/M - 2 g <qp>,
     d<q^2>/dt = 2 <qp>/M.
+
+    s_qq = kT / (M g^2) (x - (1 - e^-2x) + (1 - e^-4x) / 4), x = g t, cancels
+    to O(x^3); below x = SERIES_GAMMA_T it is summed as its Taylor series
+    kT t^2 / M sum_{k >= 3} ((-2)^k - (-4)^k / 4) x^(k-2) / k!, whose
+    leading terms are kT / M ((4/3) g t^3 - 2 g^2 t^4).
     """
     g, M, kT = params.gamma, params.M, params.kT
-    e2 = math.exp(-2.0 * g * t)
-    e4 = math.exp(-4.0 * g * t)
-    s_pp = M * kT * (1.0 - e4)
-    s_qp = kT / (2.0 * g) * (1.0 - e2) ** 2
-    s_qq = kT / (M * g) * (t - (1.0 - e2) / g + (1.0 - e4) / (4.0 * g))
+    x = g * t
+    one_e2 = -math.expm1(-2.0 * x)           # 1 - e^-2x
+    one_e4 = -math.expm1(-4.0 * x)           # 1 - e^-4x
+    s_pp = M * kT * one_e4
+    s_qp = kT / (2.0 * g) * one_e2 ** 2
+    if x < SERIES_GAMMA_T:
+        series = sum(((-2.0) ** k - (-4.0) ** k / 4.0) / math.factorial(k)
+                     * x ** (k - 2) for k in range(3, 26))
+        s_qq = kT * t * t / M * series
+    else:
+        s_qq = kT / (M * g * g) * (x - one_e2 + one_e4 / 4.0)
     return np.array([[s_qq, s_qp], [s_qp, s_pp]])
 
 
@@ -420,13 +373,7 @@ def _momentum_propagator(p, dp, dt, params: QbmParams):
     mass-conserving matrix for any dt: W stays nonnegative and the discrete
     Maxwellian stays fixed.  Transposed so that W @ exp(dt L)^T steps every
     q row at once.
-
-    scipy.linalg is imported on the first call, so that importing the
-    package (and every run that steps no momentum sector) does not pay for
-    it.
     """
-    from scipy.linalg import expm
-
     g, M, kT = params.gamma, params.M, params.kT
     diff = 2.0 * M * g * kT
     drift = g * (p[1:] + p[:-1])             # 2 g p at interior faces
@@ -446,7 +393,32 @@ def _momentum_propagator(p, dp, dt, params: QbmParams):
     gen[j + 1, j] = -lower
     gen[j, j] += lower
     gen[j + 1, j + 1] -= upper
-    return np.ascontiguousarray(expm(dt * gen).T)
+    return np.ascontiguousarray(_nonnegative_expm(dt * gen).T)
+
+
+def _nonnegative_expm(gen):
+    """exp(gen) of a matrix with nonnegative off-diagonal entries.
+
+    Uniformized scaling and squaring: A = gen + alpha I, alpha =
+    max(-diag(gen)), is nonnegative and exp(gen) = (e^(-alpha/2^s)
+    exp(A/2^s))^(2^s), the inner exponential a 13-term Taylor series at
+    ||A/2^s||_1 < 0.5.  Every term is nonnegative, and the factor
+    e^(-alpha/2^s), taken before the squarings, keeps them bounded.
+    """
+    n = gen.shape[0]
+    alpha = max(-float(np.min(np.diag(gen))), 0.0)
+    a = gen + alpha * np.eye(n)
+    s = max(0, math.frexp(2.0 * float(np.max(np.sum(a, axis=0))))[1])
+    a /= 2.0 ** s
+    out = np.eye(n)
+    for k in range(12, 0, -1):                   # Horner: I + a (I + a/2 (...))
+        out = a @ out
+        out /= k
+        out.flat[::n + 1] += 1.0
+    out *= math.exp(-alpha / 2.0 ** s)
+    for _ in range(s):
+        out = out @ out
+    return out
 
 
 def _integrate_fokker_planck(w: WignerGrid, dt, n_steps, params: QbmParams,

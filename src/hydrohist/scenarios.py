@@ -69,20 +69,22 @@ def _kernel_sampling_rule(var_p):
             "standard deviation on each axis")
 
 
-def _domain_rule(var_p, t):
-    """Range check of the q extent that ``propagator.propagate_analytic``
-    applies: 3 standard deviations of the position of the initial Gaussian,
-    var_q = 1 and var_p = var_p(config), evolved by the exact kernel to
-    t(config) fit in the grid's half-width; follows the checks of the
-    Brownian-motion parameters and of t >= 0."""
+def _domain_rule(var_p, t, axis):
+    """Range check of the extent along ``axis`` ("q" or "p") that
+    ``propagator.propagate_analytic`` applies: 3 standard deviations of the
+    initial Gaussian, var_q = 1 and var_p = var_p(config), evolved by the
+    exact kernel to t(config) fit in the grid's half-width on that axis;
+    follows the checks of the Brownian-motion parameters and of t >= 0."""
     def fits(g):
         params = pr.QbmParams(g["M"], g["gamma"], g["kT"])
-        shear = pr.kernel_mean_map(params, t(g))[0, 1]
-        var_q = (1.0 + shear ** 2 * var_p(g)
-                 + pr.kernel_covariance(params, t(g))[0, 0])
-        return 9.0 * var_q <= (0.5 * (g["q_max"] - g["q_min"])) ** 2
-    return (fits, "the q domain grid.q_min to grid.q_max must hold 3 "
-            "standard deviations of the evolved position on each side")
+        a = pr.kernel_mean_map(params, t(g))
+        cov = (a @ np.diag([1.0, var_p(g)]) @ a.T
+               + pr.kernel_covariance(params, t(g)))
+        var = cov[0, 0] if axis == "q" else cov[1, 1]
+        return 9.0 * var <= (0.5 * (g[f"{axis}_max"] - g[f"{axis}_min"])) ** 2
+    name = "position" if axis == "q" else "momentum"
+    return (fits, f"the {axis} domain grid.{axis}_min to grid.{axis}_max must "
+            f"hold 3 standard deviations of the evolved {name} on each side")
 
 
 def _fokker_planck_note(w0, durations, params):
@@ -143,7 +145,8 @@ SCENARIOS = {
              "params.t_start must be nonnegative"),
             (lambda p: p["t_start"] < p["t_end"],
              "params.t_start must be less than params.t_end"),
-            _domain_rule(lambda p: p["kT"] * p["M"], lambda p: p["t_end"]),
+            *(_domain_rule(lambda p: p["kT"] * p["M"], lambda p: p["t_end"],
+                           axis) for axis in "qp"),
         ),
     },
     "maxwellization": {
@@ -160,7 +163,8 @@ SCENARIOS = {
         "ranges": _QBM_RANGES + _GRID_RANGES + (
             (lambda p: p["t"] >= 0, "params.t must be nonnegative"),
             (lambda p: p["var_p0"] > 0, "params.var_p0 must be positive"),
-            _domain_rule(lambda p: p["var_p0"], lambda p: p["t"]),
+            # the exact kernel never runs here: no p rule
+            _domain_rule(lambda p: p["var_p0"], lambda p: p["t"], "q"),
         ),
     },
     "oracle-compare": {
@@ -189,7 +193,8 @@ SCENARIOS = {
             (lambda g: g["master_x_max"] > 0,
              "grid.master_x_max must be positive"),
             _domain_rule(lambda p: 0.5,
-                         lambda p: max(p["t_kernel"], p["t_master"])),
+                         lambda p: max(p["t_kernel"], p["t_master"]), "q"),
+            _domain_rule(lambda p: 0.5, lambda p: p["t_kernel"], "p"),
         ),
     },
     "variance-scaling": {

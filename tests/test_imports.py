@@ -8,7 +8,9 @@ import subprocess
 import sys
 from pathlib import Path
 
-SRC = str(Path(__file__).resolve().parent.parent / "src")
+ROOT = Path(__file__).resolve().parent.parent
+SRC = str(ROOT / "src")
+CONFIGS = ROOT / "configs"
 
 #: prints the sorted names of the loaded scipy modules
 LOADED_SCIPY = ("print(sorted(m for m in sys.modules\n"
@@ -31,30 +33,17 @@ def test_import_loads_no_scipy():
     assert out.strip() == "[]"
 
 
-def test_matrix_exponential_loaded_on_first_use():
+def test_scenarios_run_without_scipy(tmp_path):
+    # a None entry in sys.modules makes every scipy import fail
+    configs = [str(CONFIGS / f"{name}.json")
+               for name in ("diffusion", "maxwellization", "oracle-compare")]
     out = run_fresh(
-        "from hydrohist import phase_space as ps, propagator as pr\n"
-        "w = ps.gaussian_wigner(-6, 6, 32, -4, 4, 24, var_q=1.0, var_p=1.0)\n"
-        "params = pr.QbmParams(1.0, 1.0, 1.0)\n"
-        + LOADED_SCIPY +
-        "print(pr.evolve_fokker_planck(w, 0.05, params).values.sum() > 0)\n"
-        "print('scipy.linalg' in sys.modules)\n")
-    before, stepped, after = out.split("\n")[:3]
-    assert before == "[]" and stepped == "True" and after == "True"
-
-
-def test_spline_loaded_on_first_use():
-    out = run_fresh(
-        "import numpy as np\n"
-        "from hydrohist import phase_space as ps\n"
-        "a = ps.gaussian_wigner(-6, 6, 48, -4, 4, 40, var_q=1.0, var_p=1.0)\n"
-        "b = ps.gaussian_wigner(-6, 6, 64, -4, 4, 48, var_q=1.0, var_p=1.0)\n"
-        "print('scipy.interpolate' in sys.modules)\n"
-        "print(ps.l1_distance(a, b))\n"
-        "print('scipy.interpolate' in sys.modules)\n")
-    before, distance, after = out.split()
-    assert before == "False" and after == "True"
-    assert 0.0 <= float(distance) < 1e-2
+        "sys.modules['scipy'] = None\n"
+        "from hydrohist import cli\n"
+        f"for config in {configs!r}:\n"
+        f"    print(cli.main(['run', config, '--out', {str(tmp_path)!r},\n"
+        "                    '--quiet']))\n")
+    assert out.split() == ["0", "0", "0"]
 
 
 def test_exact_transforms_load_no_spline():

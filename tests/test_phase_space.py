@@ -180,6 +180,28 @@ class TestWignerDensityTransform:
         near = np.abs(r) <= 0.25 * (self.x_max - self.x_min)
         assert np.max(np.abs(rho.kernel - exact)[near]) <= 1e-12
 
+    @pytest.mark.parametrize("n", [127, 128])
+    def test_density_to_wigner_matches_closed_form(self, n):
+        # correlated Gaussian W: given q = (x + y)/2, p is normal with mean
+        # mean_p + cov_qp (q - mean_q) / var_q and variance var_p - cov_qp^2
+        # / var_q, so rho(x, y) = f(q) exp(i mu(q) r - s2 r^2 / 2), r = x - y
+        mean_q, mean_p, var_q, var_p, cov_qp = 0.4, 0.7, 1.3, 0.8, 0.3
+        x = np.linspace(self.x_min, self.x_max, n)
+        r = np.subtract.outer(x, x)
+        c = 0.5 * np.add.outer(x, x)
+        f = np.exp(-(c - mean_q) ** 2 / (2 * var_q)) / np.sqrt(2 * np.pi * var_q)
+        mu = mean_p + cov_qp * (c - mean_q) / var_q
+        s2 = var_p - cov_qp ** 2 / var_q
+        rho = ps.DensityMatrix(self.x_min, self.x_max, n,
+                               f * np.exp(1j * mu * r - 0.5 * s2 * r ** 2))
+        w = ps.density_to_wigner(rho)
+        exact = ps.gaussian_wigner(
+            self.x_min, self.x_max, n,
+            *ps.conjugate_momentum_axis(self.x_min, self.x_max, n),
+            mean_q=mean_q, mean_p=mean_p, var_q=var_q, var_p=var_p,
+            cov_qp=cov_qp)
+        assert ps.l1_distance(exact, w) < 1e-9
+
     def test_pure_state_rank_one(self):
         # minimal-uncertainty wave packet: var_q * var_p = 1/4 (hbar = 1)
         w = ps.gaussian_wigner(-8, 8, 160, -5, 5, 160, var_q=0.5, var_p=0.5)
@@ -194,6 +216,43 @@ class TestWignerDensityTransform:
         w = ps.gaussian_wigner(-10, 10, 64, -6, 6, 16, var_p=2.0)
         with pytest.raises(ResolutionError):
             ps.wigner_to_density(w)
+
+
+@pytest.mark.parametrize("n", [15, 16])
+def test_resample_matrix_exact_on_trigonometric_polynomials(n):
+    # a trigonometric polynomial of period n dx below the Nyquist frequency
+    # is its own band-limited interpolant, at any point of the extent
+    x_min, x_max = -1.0, 2.0
+    x = np.linspace(x_min, x_max, n)
+    y = np.linspace(x_min, x_max, 50)
+
+    def f(z):
+        phase = 2 * np.pi * (z - x_min) / (n * (x[1] - x[0]))
+        return 1.0 + np.cos(3 * phase) + 0.5 * np.sin(phase + 0.3)
+
+    mat = ps._resample_matrix(x_min, x_max, n, y)
+    assert np.max(np.abs(mat @ f(x) - f(y))) < 1e-12
+    outside = ps._resample_matrix(x_min, x_max, n, np.array([-1.1, 2.1]))
+    assert not outside.any()
+
+
+class TestCrossGridDistance:
+    MASTER = (-10.0, 10.0, 128, *ps.conjugate_momentum_axis(-10.0, 10.0, 128))
+
+    def test_resampled_gaussian_matches_closed_form(self):
+        # the same Gaussian on the master-equation lattice and on the
+        # oracle-compare integrator lattice, which reaches past it in q
+        moments = dict(mean_q=0.3, mean_p=-0.2, var_q=1.3, var_p=0.6,
+                       cov_qp=0.3)
+        a = ps.gaussian_wigner(-14.0, 14.0, 225, -6.0, 6.0, 97, **moments)
+        b = ps.gaussian_wigner(*self.MASTER, **moments)
+        assert ps.l1_distance(a, b) < 1e-9
+
+    def test_edge_mass_raises(self):
+        a = ps.gaussian_wigner(-14.0, 14.0, 225, -6.0, 6.0, 97)
+        b = ps.gaussian_wigner(*self.MASTER, mean_q=8.0)
+        with pytest.raises(ResolutionError):
+            ps.l1_distance(a, b)
 
 
 class TestSerialization:

@@ -1,9 +1,11 @@
 import tracemalloc
 import types
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
+from scipy.linalg import expm
 
 from hydrohist import histories as hist
 from hydrohist import local_equilibrium as le
@@ -13,26 +15,6 @@ from hydrohist import scenarios as sc
 from hydrohist.errors import FitQualityError, ResolutionError, StepSizeError
 
 UNIT = pr.QbmParams(M=1.0, gamma=1.0, kT=1.0)
-
-
-class TestClassicalPath:
-    def test_momentum_decay(self):
-        q, p = pr.classical_path(0.0, 2.0, 1.0, UNIT)
-        assert p == pytest.approx(2.0 * np.exp(-2.0))
-
-    def test_terminal_displacement(self):
-        # q(inf) - q0 = p0 / (2 M gamma)
-        q, _ = pr.classical_path(1.0, 3.0, 50.0, UNIT)
-        assert q == pytest.approx(1.0 + 1.5)
-
-    def test_short_time_ballistic(self):
-        t = 1e-6
-        q, _ = pr.classical_path(0.0, 2.0, t, UNIT)
-        assert q == pytest.approx(2.0 * t, rel=1e-5)
-
-    def test_negative_time_rejected(self):
-        with pytest.raises(ValueError):
-            pr.classical_path(0.0, 1.0, -0.1, UNIT)
 
 
 class TestKernelCovariance:
@@ -62,42 +44,33 @@ class TestKernelCovariance:
         assert cov[0, 1] == pytest.approx(0.5, abs=1e-8)
         assert pr.kernel_covariance(UNIT, 5.0)[0, 0] == pytest.approx(4.25, abs=1e-4)
 
+    @pytest.mark.parametrize("gamma", np.logspace(-12, 1, 27))
+    def test_matches_fifty_digit_evaluation(self, gamma):
+        # the closed form evaluated in 50-digit decimals is exact to far
+        # below double precision even where it cancels to O((gamma t)^3)
+        for M, kT, t in ((1.0, 1.0, 5.0), (2.0, 1.3, 0.7), (0.5, 3.0, 20.0)):
+            with localcontext() as ctx:
+                ctx.prec = 50
+                g, m, k, s = map(Decimal, (float(gamma), M, kT, t))
+                e2, e4 = (-2 * g * s).exp(), (-4 * g * s).exp()
+                exact = (k / (m * g) * (s - (1 - e2) / g + (1 - e4) / (4 * g)),
+                         k / (2 * g) * (1 - e2) ** 2, m * k * (1 - e4))
+            cov = pr.kernel_covariance(pr.QbmParams(M, float(gamma), kT), t)
+            for got, want in zip((cov[0, 0], cov[0, 1], cov[1, 1]), exact):
+                assert got == pytest.approx(float(want), rel=1e-13, abs=0.0)
+
+    def test_small_gamma_t_leading_terms(self):
+        # s_qq = kT/M ((4/3) gamma t^3 - 2 gamma^2 t^4 + ...), here at t = 5
+        for gamma in (1e-12, 1e-8, 1e-4):
+            s_qq = pr.kernel_covariance(pr.QbmParams(1.0, gamma, 1.0), 5.0)[0, 0]
+            lead = 4.0 / 3.0 * gamma * 125.0 - 2.0 * gamma ** 2 * 625.0
+            assert s_qq == pytest.approx(lead, rel=1e-6)
+
     def test_mean_map_columns(self):
         a = pr.kernel_mean_map(UNIT, 10.0)
         assert a[0, 1] == pytest.approx(0.5, abs=1e-8)
         assert a[1, 1] == pytest.approx(np.exp(-20.0))
         assert a[0, 0] == 1.0 and a[1, 0] == 0.0
-
-
-class TestLongtimeCoefficients:
-    def test_frozen_values_t10(self):
-        c = pr.longtime_coefficients(UNIT, 10.0)
-        assert c.alpha == pytest.approx(0.5)
-        assert c.beta == pytest.approx(0.05)
-        assert c.epsilon == pytest.approx(-0.05)
-
-    def test_covariance_inverse(self):
-        c = pr.longtime_coefficients(UNIT, 10.0)
-        cov = c.covariance()
-        # exponent matrix is half the inverse covariance
-        inv = np.linalg.inv(cov)
-        assert inv[1, 1] == pytest.approx(2 * c.alpha)
-        assert inv[0, 0] == pytest.approx(2 * c.beta)
-        assert inv[0, 1] == pytest.approx(c.epsilon)
-
-    def test_early_time_warns(self):
-        with pytest.warns(UserWarning):
-            pr.longtime_coefficients(UNIT, 1.0)
-
-    def test_nonpositive_time_rejected(self):
-        with pytest.raises(ValueError):
-            pr.longtime_coefficients(UNIT, 0.0)
-
-    def test_matches_exact_asymptotically(self):
-        t = 200.0
-        cov_l = pr.longtime_coefficients(UNIT, t).covariance()
-        cov_e = pr.kernel_covariance(UNIT, t)
-        assert np.max(np.abs(cov_l - cov_e) / cov_e[0, 0]) < 1e-2
 
 
 class TestPropagateAnalytic:
@@ -297,7 +270,7 @@ class TestFokkerPlanck:
         # works in the integration's own buffers
         w0 = ps.gaussian_wigner(-18, 18, 160, -6, 6, 96, var_q=0.25, var_p=0.5)
         dt = pr.fokker_planck_dt_bound(w0, UNIT)
-        pr.evolve_fokker_planck(w0, 2 * dt, UNIT, dt=dt)  # loads scipy.linalg
+        pr.evolve_fokker_planck(w0, 2 * dt, UNIT, dt=dt)  # warm-up
         peaks = []
         for n_steps in (2, 20, 200):
             tracemalloc.start()
@@ -320,6 +293,33 @@ class TestFokkerPlanck:
         for t in (dt, 5 * dt, 0.5):
             wt = pr.evolve_fokker_planck(w0, t, params)
             assert wt.values.min() >= -1e-10 * wt.values.max()
+
+
+class TestMomentumPropagator:
+    @pytest.mark.parametrize("grid", [
+        (-60, 60, 481, -6, 6, 65),      # diffusion
+        (-30, 30, 241, -6, 6, 97),      # maxwellization
+        (-14, 14, 225, -6, 6, 97),      # oracle-compare
+    ])
+    def test_matches_scipy_expm(self, grid, monkeypatch):
+        w = ps.gaussian_wigner(*grid)
+        dt = pr.fokker_planck_dt_bound(w, UNIT)
+        for step in (dt, 0.5 * dt):
+            got = pr._momentum_propagator(w.p, w.dp, step, UNIT)
+            with monkeypatch.context() as m:
+                m.setattr(pr, "_nonnegative_expm", expm)
+                want = pr._momentum_propagator(w.p, w.dp, step, UNIT)
+            assert np.max(np.abs(got - want)) < 1e-13
+
+    def test_nonnegative_and_mass_conserving_on_wide_grid(self):
+        # p_max = 8 at kT = 0.5: here a symmetrized eigh route gives
+        # entries down to -5.7e-3
+        params = pr.QbmParams(M=1.0, gamma=1.0, kT=0.5)
+        p = np.linspace(-8.0, 8.0, 201)
+        for dt in (0.01, 0.025, 0.1, 1.0):
+            mat = pr._momentum_propagator(p, p[1] - p[0], dt, params)
+            assert mat.min() >= 0.0
+            assert np.max(np.abs(mat.sum(axis=1) - 1.0)) < 1e-12
 
 
 def _reference_advect(vals, c, periodic):
@@ -596,9 +596,6 @@ LATTICE = np.linspace(-4.0, 4.0, 8)
 @pytest.mark.parametrize("call", [
     lambda: pr.QbmParams(M=NAN, gamma=1.0, kT=1.0),
     lambda: pr.QbmParams(M=1.0, gamma=1.0, kT=NAN),
-    lambda: pr.PropagatorCoefficients(NAN, 1.0, 0.0, 1.0),
-    lambda: pr.classical_path(0.0, 1.0, NAN, UNIT),
-    lambda: pr.longtime_coefficients(UNIT, NAN),
     lambda: pr.propagate_analytic(ps.gaussian_wigner(-8, 8, 32, -4, 4, 32),
                                   NAN, UNIT),
     lambda: ps.gaussian_wigner(-8, 8, 32, -4, 4, 32, var_q=NAN),
@@ -615,8 +612,7 @@ LATTICE = np.linspace(-4.0, 4.0, 8)
                                        np.full(8, NAN)),
     lambda: le.LocalEquilibriumProfile(LATTICE, np.ones(8), np.zeros(8),
                                        np.ones(8), mass=NAN),
-], ids=["M", "kT", "alpha", "classical_path_t", "longtime_t",
-        "propagate_analytic_t", "gaussian_wigner_var",
+], ids=["M", "kT", "propagate_analytic_t", "gaussian_wigner_var",
         "quasi_projector_sigma", "toy_dx", "spec_dephasing",
         "product_dephasing", "gibbs_beta", "profile_kT", "profile_mass"])
 def test_nan_parameter_rejected(call):

@@ -336,6 +336,11 @@ class TestCli:
                      "params.t_start", id="diffusion-reversed-window"),
         pytest.param("diffusion", {"t_start": 4.0, "t_end": 4.0},
                      "params.t_start", id="diffusion-empty-window"),
+        # the exact kernel's evolved momentum would reach the p walls
+        pytest.param("diffusion", {"kT": 5.0}, "p domain",
+                     id="diffusion-hot-p-domain"),
+        pytest.param("oracle-compare", {"kT": 4.5}, "p domain",
+                     id="oracle-hot-p-domain"),
     ])
     def test_validate_out_of_range_exit_two(self, tmp_path, capsys, scenario,
                                             params, message):
@@ -444,6 +449,11 @@ class TestCli:
                 ("maxwellization", {"t": 0.0}),
                 ("maxwellization", {"var_p0": 0.15}),
                 ("maxwellization", {"var_p0": 0.45}),
+                # no exact kernel runs here, so no p domain rule
+                ("maxwellization", {"kT": 5.0}),
+                # s_qq at gamma = 1e-10, t = 5 is 1.7e-8, not the 1414 the
+                # cancelling closed form gave
+                ("maxwellization", {"gamma": 1e-10}),
                 ("oracle-compare", {"t_kernel": 0.0, "t_master": 0.0}),
                 ("local-equilibrium-peaking", {"N": 10}),
                 ("local-equilibrium-peaking", {"mubar": [4.0, 0.0], "N": 11}),
