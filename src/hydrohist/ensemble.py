@@ -24,8 +24,8 @@ import numpy as np
 
 from .errors import DimensionCapError, UndefinedFluctuationError
 from .histories import _compositions
-from .phase_space import (Marginal, WignerGrid, bin_integrals,
-                          position_marginal, write_csv)
+from .phase_space import (WignerGrid, bin_integrals, position_marginal,
+                          write_csv)
 from .propagator import QbmParams
 
 __all__ = [
@@ -46,47 +46,23 @@ __all__ = [
 #: exact multinomial enumeration is limited to this many particles / bins
 ENUMERATION_N_CAP = 12
 ENUMERATION_BIN_CAP = 6
-#: multinomial draws of a sampled occupation distribution
-OCCUPATION_SAMPLES = 20000
 #: uncovered one-particle mass above which an "elsewhere" bin is added
 ELSEWHERE_MASS_TOL = 1e-9
 
 
 @dataclass(frozen=True)
 class ProductEnsemble:
-    """N independent particles, each in the same one-particle state.
-
-    The state may be a WignerGrid or, for position-only work, a Marginal.
-    """
+    """N independent particles, each in the same one-particle Wigner state."""
 
     N: int
-    one_particle_state: object
+    one_particle_state: WignerGrid
 
     def __post_init__(self):
         if not isinstance(self.N, (int, np.integer)) or self.N < 1:
             raise ValueError("N must be a positive integer")
-        st = self.one_particle_state
-        if isinstance(st, WignerGrid):
-            total = st.integral()
-        elif isinstance(st, Marginal):
-            total = np.trapezoid(st.samples, dx=st.spacing)
-        else:
-            raise TypeError("one_particle_state must be WignerGrid or Marginal")
+        total = self.one_particle_state.integral()
         if abs(total - 1.0) > 1e-3:
             raise ValueError(f"one-particle state integrates to {total:.6f}")
-
-    def position_density(self) -> Marginal:
-        st = self.one_particle_state
-        if isinstance(st, Marginal):
-            if st.axis != "position":
-                raise ValueError("marginal ensemble state must be a position density")
-            return st
-        return position_marginal(st)
-
-    def wigner(self) -> WignerGrid:
-        if not isinstance(self.one_particle_state, WignerGrid):
-            raise TypeError("this operation needs a full phase-space state")
-        return self.one_particle_state
 
 
 @dataclass(frozen=True)
@@ -138,18 +114,12 @@ class DensityField:
 
 @dataclass(frozen=True)
 class OccupationDistribution:
-    """Distribution over occupation vectors (rows of ``vectors``).
-
-    ``exact`` marks full multinomial enumeration; sampled distributions carry
-    per-vector standard errors of the empirical probabilities.
-    """
+    """Exact multinomial law over occupation vectors (rows of ``vectors``)."""
 
     vectors: np.ndarray
     probabilities: np.ndarray
     bin_probabilities: np.ndarray
     N: int
-    exact: bool
-    std_errors: np.ndarray = None
 
     def mean(self):
         return self.probabilities @ self.vectors
@@ -161,7 +131,7 @@ class OccupationDistribution:
 
 def bin_probabilities(ens: ProductEnsemble, window: SmearingWindow):
     """One-particle mass p_b per bin."""
-    density = ens.position_density()
+    density = position_marginal(ens.one_particle_state)
     return bin_integrals(density.samples, density.grid, window.edges)
 
 
@@ -192,14 +162,15 @@ def relative_fluctuation(ens: ProductEnsemble,
     return DensityField(window.centers, window.widths, rel)
 
 
-def occupation_distribution(ens: ProductEnsemble, window: SmearingWindow,
-                            rng=None) -> OccupationDistribution:
-    """Multinomial law over per-bin occupation vectors.
+def occupation_distribution(ens: ProductEnsemble,
+                            window: SmearingWindow) -> OccupationDistribution:
+    """Multinomial law over per-bin occupation vectors, enumerated exactly.
 
     Bins not covering the full one-particle mass are padded with an
-    "elsewhere" bin.  Small instances (N <= 12, <= 6 bins including the pad)
-    are enumerated exactly; larger ones need a generator for seeded
-    multinomial sampling, with standard errors on the empirical frequencies.
+    "elsewhere" bin.  Every composition of N into the bins is listed with
+    its probability N! / prod n_b! prod p_b^n_b, so instances are capped at
+    N <= ENUMERATION_N_CAP particles and ENUMERATION_BIN_CAP bins, the pad
+    included; past either cap a DimensionCapError is raised.
     """
     p = bin_probabilities(ens, window)
     rest = 1.0 - p.sum()
@@ -208,31 +179,22 @@ def occupation_distribution(ens: ProductEnsemble, window: SmearingWindow,
     p = np.clip(p, 0.0, None)
     p = p / p.sum()
     k = len(p)
-    exact_ok = ens.N <= ENUMERATION_N_CAP and k <= ENUMERATION_BIN_CAP
-    if exact_ok:
-        vectors = np.array(_compositions(ens.N, k), dtype=int)
-        # N! / prod n_b!, an exact integer in int64 for N <= 12
-        fact = np.array([math.factorial(n) for n in range(ens.N + 1)])
-        coef = math.factorial(ens.N) // fact[vectors].prod(axis=1)
-        probs = coef * np.prod(p ** vectors, axis=1)
-        return OccupationDistribution(vectors, probs, p, ens.N, exact=True)
-    if rng is None:
+    if ens.N > ENUMERATION_N_CAP or k > ENUMERATION_BIN_CAP:
         raise DimensionCapError(
             f"exact enumeration capped at N <= {ENUMERATION_N_CAP}, "
-            f"{ENUMERATION_BIN_CAP} bins; pass a seeded generator for sampling"
-        )
-    draws = rng.multinomial(ens.N, p, size=OCCUPATION_SAMPLES)
-    vectors, counts = np.unique(draws, axis=0, return_counts=True)
-    probs = counts / OCCUPATION_SAMPLES
-    se = np.sqrt(probs * (1.0 - probs) / OCCUPATION_SAMPLES)
-    return OccupationDistribution(vectors, probs, p, ens.N, exact=False,
-                                  std_errors=se)
+            f"{ENUMERATION_BIN_CAP} bins")
+    vectors = np.array(_compositions(ens.N, k), dtype=int)
+    # N! / prod n_b!, an exact integer in int64 for N <= 12
+    fact = np.array([math.factorial(n) for n in range(ens.N + 1)])
+    coef = math.factorial(ens.N) // fact[vectors].prod(axis=1)
+    probs = coef * np.prod(p ** vectors, axis=1)
+    return OccupationDistribution(vectors, probs, p, ens.N)
 
 
 def mean_momentum_density(ens: ProductEnsemble,
                           window: SmearingWindow) -> DensityField:
     """<g_b> = N * (bin integral of int dp p W(p,q))."""
-    w = ens.wigner()
+    w = ens.one_particle_state
     current = np.trapezoid(w.values * w.p[None, :], dx=w.dp, axis=1)
     return DensityField(window.centers, window.widths,
                         ens.N * bin_integrals(current, w.q, window.edges))

@@ -13,10 +13,6 @@ class ResolutionError(HydrohistError):
     """A grid is too coarse or too narrow for the requested operation."""
 
 
-class StepSizeError(HydrohistError):
-    """A time step violates the stability bound of an explicit scheme."""
-
-
 class DivergenceError(HydrohistError):
     """An integrator produced non-finite values."""
 

@@ -81,6 +81,8 @@ __all__ = [
 
 DEFAULT_DIM_CAP = 2 ** 16
 HERMITICITY_TOL = 1e-8
+#: tolerance of check_dh_bound: |D(a,a')|^2 may exceed p(a) p(a') by this much
+DH_BOUND_SLACK = 1e-10
 
 
 @dataclass(frozen=True)
@@ -175,14 +177,13 @@ def product_state(space: ToyHilbert, psi) -> StateVector:
     return StateVector(space, amp)
 
 
-def superposition_state(space: ToyHilbert, psi, chi, weights=(1.0, 1.0)) -> StateVector:
-    """Normalized w1 |psi>^N + w2 |chi>^N."""
-    a = product_state(space, psi).amplitudes
-    b = product_state(space, chi).amplitudes
-    amp = weights[0] * a + weights[1] * b
+def superposition_state(space: ToyHilbert, psi, chi) -> StateVector:
+    """Normalized |psi>^N + |chi>^N."""
+    amp = (product_state(space, psi).amplitudes
+           + product_state(space, chi).amplitudes)
     norm = np.linalg.norm(amp)
     if norm < 1e-12:
-        raise ValueError("superposition weights cancel the state")
+        raise ValueError("the two branches cancel the state")
     return StateVector(space, amp / norm)
 
 
@@ -760,8 +761,8 @@ def consistency_epsilon(dmat: DecoherenceMatrix) -> float:
                         initial=0.0))
 
 
-def check_dh_bound(dmat: DecoherenceMatrix, slack: float = 1e-10) -> BoundReport:
-    """Verify |D(a,a')|^2 <= p(a) p(a') + slack for every pair.
+def check_dh_bound(dmat: DecoherenceMatrix) -> BoundReport:
+    """Verify |D(a,a')|^2 <= p(a) p(a') + DH_BOUND_SLACK for every pair.
 
     ``worst_pair`` is the first pair, in row-major a < a' order, with the
     largest excess.
@@ -774,7 +775,7 @@ def check_dh_bound(dmat: DecoherenceMatrix, slack: float = 1e-10) -> BoundReport
     # hypot and float_power reproduce the scalar abs(d) ** 2 bit for bit
     excess = np.float_power(np.hypot(d.real, d.imag), 2) - p[i] * p[j]
     k = int(np.argmax(excess))
-    return BoundReport(ok=bool(excess[k] <= slack),
+    return BoundReport(ok=bool(excess[k] <= DH_BOUND_SLACK),
                        worst_excess=float(excess[k]),
                        worst_pair=(dmat.labels[i[k]], dmat.labels[j[k]]))
 

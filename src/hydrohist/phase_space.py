@@ -15,8 +15,6 @@ so that the diagonal rho(x, x) is the position marginal.
 
 from __future__ import annotations
 
-import csv
-import json
 import os
 import warnings
 from dataclasses import dataclass, field, replace
@@ -43,9 +41,6 @@ __all__ = [
     "bin_integrals",
     "atomic_write",
     "write_csv",
-    "save_wigner_csv",
-    "load_wigner_csv",
-    "save_wigner_descriptor",
 ]
 
 #: tolerance of the Hermiticity (DensityMatrix) and negativity (Marginal) checks
@@ -457,47 +452,3 @@ def write_csv(path, header, rows):
     lines = [",".join(map(_csv_cell, header))]
     lines.extend(",".join(map(_csv_cell, row)) for row in rows)
     atomic_write(path, "\n".join(lines) + "\n")
-
-
-_WIGNER_HEADER = ["q_min", "q_max", "n_q", "p_min", "p_max", "n_p"]
-
-
-def save_wigner_csv(w: WignerGrid, path):
-    """CSV with one metadata header row followed by row-major values."""
-    meta = [w.q_min, w.q_max, w.n_q, w.p_min, w.p_max, w.n_p]
-    write_csv(path, _WIGNER_HEADER, [meta, *w.values])
-
-
-def load_wigner_csv(path) -> WignerGrid:
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if header[:6] != _WIGNER_HEADER:
-            raise ValueError(f"{path}: unrecognized header {header}")
-        meta = next(reader)
-        q_min, q_max = float(meta[0]), float(meta[1])
-        n_q = int(meta[2])
-        p_min, p_max = float(meta[3]), float(meta[4])
-        n_p = int(meta[5])
-        vals = np.array([[float(v) for v in row] for row in reader])
-    return WignerGrid(q_min, q_max, n_q, p_min, p_max, n_p, vals)
-
-
-def save_wigner_descriptor(w: WignerGrid, json_path, data_file):
-    """JSON descriptor pointing at a CSV data file.
-
-    ``data-file`` is stored relative to the descriptor's own directory, so
-    the pair can be moved or read from any working directory.
-    """
-    desc = {
-        "extents": {
-            "q_min": w.q_min,
-            "q_max": w.q_max,
-            "p_min": w.p_min,
-            "p_max": w.p_max,
-        },
-        "shape": [w.n_q, w.n_p],
-        "data-file": os.path.relpath(data_file, Path(json_path).parent),
-    }
-    atomic_write(json_path, json.dumps(desc, indent=2))
-    return desc

@@ -41,12 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DivergenceError,
-    FitQualityError,
-    ResolutionError,
-    StepSizeError,
-)
+from .errors import DivergenceError, FitQualityError, ResolutionError
 from .phase_space import (
     DensityMatrix,
     WignerGrid,
@@ -64,7 +59,6 @@ __all__ = [
     "kernel_mean_map",
     "kernel_covariance",
     "propagate_analytic",
-    "fokker_planck_dt_bound",
     "fokker_planck_step_plan",
     "evolve_fokker_planck",
     "master_equation_rhs",
@@ -217,70 +211,55 @@ def propagate_analytic(w0: WignerGrid, t, params: QbmParams) -> WignerGrid:
 # --- step control -----------------------------------------------------------
 
 
-def _step_plan(t, dt, bound):
-    """(n_steps, dt_eff) of equal steps no longer than dt covering t >= 0.
+def _step_plan(t, bound):
+    """(n_steps, dt_eff) of the fewest equal steps within bound covering t >= 0.
 
-    n_steps is 0 at t = 0.  dt defaults to ``bound``; a StepSizeError is
-    raised when dt_eff exceeds it.
+    n_steps is 0 at t = 0.
     """
     if not t >= 0:
         raise ValueError("t must be nonnegative")
     if t == 0:
         return 0, 0.0
-    if dt is None:
-        dt = bound
-    n_steps = max(1, int(math.ceil(t / dt - 1e-12)))
-    dt_eff = t / n_steps
-    if dt_eff > bound * (1 + 1e-12):
-        raise StepSizeError(
-            f"effective dt = {dt_eff:.3e} exceeds the stability bound "
-            f"{bound:.3e}"
-        )
-    return n_steps, dt_eff
+    n_steps = max(1, int(math.ceil(t / bound - 1e-12)))
+    return n_steps, t / n_steps
 
 
 # --- Fokker-Planck integrator ----------------------------------------------
 
 
 def _fokker_planck_limits(w: WignerGrid, params: QbmParams) -> dict:
-    """The two terms of fokker_planck_dt_bound, by name."""
+    """The terms of the step bound min(0.8 dq M / p_max, 0.1 / gamma), by name.
+
+    The first, ``"courant"``, holds the Courant number |c| = |p| dt / (M dq)
+    of the explicit q advection at 0.8.  The van Leer flux-limited upwind
+    step is total-variation diminishing, hence nonnegative, for |c| <= 1,
+    and its numerical diffusion shrinks as |c| -> 1.  The momentum sector is
+    stepped with its exact propagator and has no stability limit of its
+    own; the second, ``"damping"``, keeps the damping exp(-2 gamma dt)
+    resolved within one splitting step.
+    """
     p_max = max(abs(w.p_min), abs(w.p_max))
     courant = 0.8 * w.dq * params.M / p_max if p_max > 0 else np.inf
     return {"courant": courant, "damping": 0.1 / params.gamma}
 
 
-def fokker_planck_dt_bound(w: WignerGrid, params: QbmParams) -> float:
-    """Step bound min(0.8 dq M / p_max, 0.1 / gamma).
+def fokker_planck_step_plan(w: WignerGrid, t, params: QbmParams):
+    """(n_steps, dt_eff, limit) of ``evolve_fokker_planck(w, t, params)``.
 
-    The first term holds the Courant number |c| = |p| dt / (M dq) of the
-    explicit q advection at 0.8.  The van Leer flux-limited upwind step is
-    total-variation diminishing, hence nonnegative, for |c| <= 1, and its
-    numerical diffusion shrinks as |c| -> 1.  The momentum sector is
-    stepped with its exact propagator and has no stability limit of its
-    own; the second term keeps the damping exp(-2 gamma dt) resolved within
-    one splitting step.
-    """
-    return min(_fokker_planck_limits(w, params).values())
-
-
-def fokker_planck_step_plan(w: WignerGrid, t, params: QbmParams, dt=None):
-    """(n_steps, dt_eff, limit) of ``evolve_fokker_planck(w, t, params, dt)``.
-
-    ``limit`` names the term of fokker_planck_dt_bound that binds,
-    ``"courant"`` or ``"damping"``.
+    ``limit`` names the term of the step bound that binds, ``"courant"`` or
+    ``"damping"``.
     """
     limits = _fokker_planck_limits(w, params)
     limit = min(limits, key=limits.get)
-    return (*_step_plan(t, dt, limits[limit]), limit)
+    return (*_step_plan(t, limits[limit]), limit)
 
 
 class _FokkerPlanckBuffers:
     """State, scratch and flux-coefficient arrays of one Fokker-Planck integration.
 
     W(q_i, p_j) lives in rows 1..n_q of a padded array with one ghost row
-    below and two above.  The ghost rows stay zero (no flux through the q
-    boundary) or, for periodic q, are copied from the opposite edge before
-    each advection.  The flux coefficients of one Courant vector c are
+    below and two above.  The ghost rows stay zero, and no flux passes the
+    q walls.  The flux coefficients of one Courant vector c are
     contiguous (n_q, n_p) arrays, set by ``set_courant``: c_pos = max(c, 0)
     and c_neg = min(c, 0), and kappa = |c| (1 - |c|) / 2 split the same way
     into k_pos (c >= 0) and k_neg (c < 0).  Each column is zero in one
@@ -289,9 +268,8 @@ class _FokkerPlanckBuffers:
     the momentum step's product.
     """
 
-    def __init__(self, values, periodic):
+    def __init__(self, values):
         n, m = values.shape
-        self.periodic = periodic
         self.padded = np.zeros((n + 3, m))
         self.values = self.padded[1:n + 1]
         self.values[...] = values
@@ -311,13 +289,6 @@ class _FokkerPlanckBuffers:
         self.k_pos[...] = np.where(up, kappa, 0.0)
         self.k_neg[...] = np.where(up, 0.0, kappa)
 
-    def fill_ghosts(self):
-        """Copy the edge rows into the ghost rows of a periodic grid."""
-        if self.periodic:
-            n = self.values.shape[0]
-            self.padded[0] = self.padded[n]
-            self.padded[n + 1:] = self.padded[1:3]
-
 
 def _advect_q(buf: _FokkerPlanckBuffers):
     """Conservative flux-limited (van Leer) upwind step in q, in place.
@@ -330,7 +301,6 @@ def _advect_q(buf: _FokkerPlanckBuffers):
     """
     pad, d, ad, s = buf.padded, buf.diff, buf.absdiff, buf.slope
     n = buf.values.shape[0]
-    buf.fill_ghosts()
     np.subtract(pad[1:], pad[:-1], out=d)        # d[k] = W_k - W_{k-1}
     np.abs(d, out=ad)
     # limited slope s[k] = (d_k |d_k+1| + |d_k| d_k+1) / (|d_k| + |d_k+1|);
@@ -351,11 +321,8 @@ def _advect_q(buf: _FokkerPlanckBuffers):
                        (s[1:], buf.k_neg)):
         np.multiply(term, coef, out=scratch)
         f[1:] += scratch
-    if buf.periodic:
-        f[0] = f[n]
-    else:
-        f[0] = 0.0
-        f[n] = 0.0
+    f[0] = 0.0
+    f[n] = 0.0
     np.subtract(f[1:], f[:-1], out=scratch)
     buf.values -= scratch
 
@@ -421,8 +388,8 @@ def _nonnegative_expm(gen):
     return out
 
 
-def _integrate_fokker_planck(w: WignerGrid, dt, n_steps, params: QbmParams,
-                             periodic_q: bool) -> WignerGrid:
+def _integrate_fokker_planck(w: WignerGrid, dt, n_steps,
+                             params: QbmParams) -> WignerGrid:
     """n_steps Strang steps A(dt/2) C(dt) A(dt/2), adjacent half-advections merged.
 
     A is the q advection and C the momentum sector, so the product is
@@ -430,7 +397,7 @@ def _integrate_fokker_planck(w: WignerGrid, dt, n_steps, params: QbmParams,
     set three times: for the first half-advection, the full ones and the
     last half-advection.
     """
-    buf = _FokkerPlanckBuffers(w.values, periodic_q)
+    buf = _FokkerPlanckBuffers(w.values)
     c = w.p * dt / (params.M * w.dq)
     momentum = _momentum_propagator(w.p, w.dp, dt, params)
     out = buf.diff[:w.n_q]                   # free between advections
@@ -450,13 +417,12 @@ def _integrate_fokker_planck(w: WignerGrid, dt, n_steps, params: QbmParams,
     return w.with_values(buf.values)
 
 
-def evolve_fokker_planck(w0: WignerGrid, t, params: QbmParams, dt=None,
-                         periodic_q: bool = False) -> WignerGrid:
-    """Compose steps to time t; dt defaults to the stability bound."""
-    n_steps, dt_eff, _ = fokker_planck_step_plan(w0, t, params, dt)
+def evolve_fokker_planck(w0: WignerGrid, t, params: QbmParams) -> WignerGrid:
+    """Compose the fewest equal steps within the step bound to time t."""
+    n_steps, dt_eff, _ = fokker_planck_step_plan(w0, t, params)
     if n_steps == 0:
         return w0.with_values(w0.values)
-    return _integrate_fokker_planck(w0, dt_eff, n_steps, params, periodic_q)
+    return _integrate_fokker_planck(w0, dt_eff, n_steps, params)
 
 
 # --- master equation --------------------------------------------------------
@@ -564,10 +530,10 @@ def _integrate_master_equation(kernel, x, dx, dt, n_steps,
     return ker
 
 
-def evolve_master_equation(rho0: DensityMatrix, t, params: QbmParams,
-                           dt=None) -> DensityMatrix:
-    """Compose steps to time t; dt defaults to the stability bound."""
-    n_steps, dt_eff = _step_plan(t, dt, master_dt_bound(rho0, params))
+def evolve_master_equation(rho0: DensityMatrix, t,
+                           params: QbmParams) -> DensityMatrix:
+    """Compose the fewest equal steps within master_dt_bound to time t."""
+    n_steps, dt_eff = _step_plan(t, master_dt_bound(rho0, params))
     if n_steps == 0:
         return rho0
     return rho0.with_kernel(_integrate_master_equation(

@@ -81,7 +81,8 @@ def _domain_rule(var_p, t, axis):
         cov = (a @ np.diag([1.0, var_p(g)]) @ a.T
                + pr.kernel_covariance(params, t(g)))
         var = cov[0, 0] if axis == "q" else cov[1, 1]
-        return 9.0 * var <= (0.5 * (g[f"{axis}_max"] - g[f"{axis}_min"])) ** 2
+        return 3.0 * math.sqrt(var) <= 0.5 * (g[f"{axis}_max"]
+                                              - g[f"{axis}_min"])
     name = "position" if axis == "q" else "momentum"
     return (fits, f"the {axis} domain grid.{axis}_min to grid.{axis}_max must "
             f"hold 3 standard deviations of the evolved {name} on each side")
@@ -418,12 +419,12 @@ def validate_config(raw: dict) -> ScenarioConfig:
     if unknown:
         raise ConfigurationError(
             f"unknown config keys: {', '.join(sorted(unknown))}")
-    if raw.get("schema_version") != SCHEMA_VERSION:
+    version = raw.get("schema_version")
+    if type(version) is not int or version != SCHEMA_VERSION:
         raise ConfigurationError(
-            f"schema_version must be {SCHEMA_VERSION}, "
-            f"got {raw.get('schema_version')!r}")
+            f"schema_version must be {SCHEMA_VERSION}, got {version!r}")
     name = raw.get("scenario")
-    if name not in SCENARIOS:
+    if not isinstance(name, str) or name not in SCENARIOS:
         raise ConfigurationError(
             f"unknown scenario {name!r}; choose one of "
             f"{', '.join(sorted(SCENARIOS))}")
@@ -447,10 +448,17 @@ def validate_config(raw: dict) -> ScenarioConfig:
         defaults.update(override)
     merged = {**params, **grid}
     for in_range, message in entry.get("ranges", ()):
-        if not in_range(merged):
+        # a rule whose arithmetic overflows or divides by zero on extreme
+        # values fails, as one that evaluates to False does
+        try:
+            with np.errstate(over="raise", invalid="raise", divide="raise"):
+                ok = in_range(merged)
+        except ArithmeticError:
+            ok = False
+        if not ok:
             raise ConfigurationError(message)
     seed = raw.get("seed")
-    if seed is not None and (not isinstance(seed, int) or seed < 0
+    if seed is not None and (type(seed) is not int or seed < 0
                              or seed >= 2 ** 64):
         raise ConfigurationError("seed must be an unsigned 64-bit integer")
     if entry["sampling"] and seed is None:

@@ -139,7 +139,7 @@ def test_07_decoherence_bound(capsys):
         times = tuple(np.sort(rng.uniform(0.1, 2.0, size=2)))
         spec = hist.HistorySpec(space, times, ([fam], [fam]), ham)
         dmat = hist.decoherence_functional(state, spec)
-        report = hist.check_dh_bound(dmat, slack=1e-10)
+        report = hist.check_dh_bound(dmat)
         worst = max(worst, report.worst_excess)
         n_configs += 1
         assert report.ok

@@ -25,11 +25,11 @@ def three_bins():
 
 class TestMeanNumberDensity:
     def test_uniform_state_equal_bins(self):
-        q = np.linspace(0, 4, 128)
-        samples = np.full(128, 0.25)
-        m = ps.Marginal(axis="position", samples=samples, spacing=q[1] - q[0],
-                        origin=0.0)
-        ens = en.ProductEnsemble(100, m)
+        # uniform in q on [0, 4], so each unit bin holds a quarter of the mass
+        p = np.linspace(-6, 6, 96)
+        vals = np.ones(128)[:, None] * np.exp(-p ** 2 / 2.0)[None, :]
+        w = ps.normalize(ps.WignerGrid(0, 4, 128, -6, 6, 96, vals))
+        ens = en.ProductEnsemble(100, w)
         win = en.SmearingWindow([0.0, 1.0, 2.0, 3.0, 4.0])
         out = en.mean_number_density(ens, win)
         assert np.allclose(out.values, 25.0)
@@ -106,18 +106,12 @@ class TestVarianceAndFluctuation:
         assert slope == pytest.approx(-1.0, abs=0.01)
 
     def test_empty_bin_rejected(self):
-        ens = en.ProductEnsemble(10, standard_state())
-        win = en.SmearingWindow([20.0, 21.0, 22.0])
-        # window outside the state's support
         with pytest.raises(ValueError):
             en.SmearingWindow([1.0, 1.0])
-        samples = np.zeros(64)
-        samples[:32] = 1.0
-        samples /= np.trapezoid(samples, dx=0.1)
-        m = ps.Marginal(axis="position", samples=samples, spacing=0.1, origin=0.0)
-        ens0 = en.ProductEnsemble(10, m)
+        # a window outside the state's grid holds no mass
+        ens = en.ProductEnsemble(10, standard_state())
         with pytest.raises(UndefinedFluctuationError):
-            en.relative_fluctuation(ens0, en.SmearingWindow([5.0, 6.0]))
+            en.relative_fluctuation(ens, en.SmearingWindow([20.0, 21.0, 22.0]))
 
 
 class TestOccupationDistribution:
@@ -126,7 +120,6 @@ class TestOccupationDistribution:
         ens = en.ProductEnsemble(2, standard_state())
         win = en.SmearingWindow([-12.0, 0.0, 12.0])
         od = en.occupation_distribution(ens, win)
-        assert od.exact
         table = {tuple(v): p for v, p in zip(od.vectors, od.probabilities)}
         assert table[(2, 0)] == pytest.approx(0.25, abs=1e-6)
         assert table[(1, 1)] == pytest.approx(0.5, abs=1e-6)
@@ -171,7 +164,6 @@ class TestOccupationDistribution:
         monkeypatch.setattr(en, "bin_probabilities", lambda ens, window: p)
         od = en.occupation_distribution(
             en.ProductEnsemble(n, standard_state()), three_bins())
-        assert od.exact
         pb = od.bin_probabilities
         assert pb.shape == (k,) and pb[1] == 0.0
         assert len(od.vectors) == math.comb(n + k - 1, k - 1)
@@ -183,23 +175,21 @@ class TestOccupationDistribution:
             assert got == pytest.approx(want, rel=1e-14, abs=0.0)
         assert abs(od.probabilities.sum() - 1.0) < 1e-12
 
-    def test_cap_requires_sampler(self):
+    def test_enumeration_capped(self):
         ens = en.ProductEnsemble(50, standard_state())
-        with pytest.raises(DimensionCapError):
+        with pytest.raises(DimensionCapError, match="capped at N <= 12"):
             en.occupation_distribution(ens, three_bins())
 
-    def test_sampling_mode_reproducible(self):
-        ens = en.ProductEnsemble(50, standard_state())
-        win = en.SmearingWindow([-12.0, 0.0, 12.0])
-        od1 = en.occupation_distribution(ens, win,
-                                         rng=np.random.default_rng(11))
-        od2 = en.occupation_distribution(ens, win,
-                                         rng=np.random.default_rng(11))
-        assert np.array_equal(od1.vectors, od2.vectors)
-        assert np.array_equal(od1.probabilities, od2.probabilities)
-        assert not od1.exact
-        # sampled mean within a few standard errors of N p
-        assert od1.mean()[0] == pytest.approx(25.0, abs=0.5)
+    def test_elsewhere_bin_counts_toward_cap(self):
+        # six bins over the whole grid are enumerated; six over part of it
+        # need a seventh, elsewhere, bin and exceed the cap
+        ens = en.ProductEnsemble(3, standard_state())
+        od = en.occupation_distribution(
+            ens, en.SmearingWindow(np.linspace(-12.0, 12.0, 7)))
+        assert od.vectors.shape == (math.comb(3 + 5, 5), 6)
+        with pytest.raises(DimensionCapError, match="6 bins"):
+            en.occupation_distribution(
+                ens, en.SmearingWindow(np.linspace(-3.0, 3.0, 7)))
 
 
 class TestMomentumDensity:

@@ -76,6 +76,13 @@ class TestStates:
                                     np.array([0.0, 1.0], complex))
         assert np.linalg.norm(st.amplitudes) == pytest.approx(1.0)
 
+    def test_cancelling_superposition_rejected(self):
+        # at odd N, |psi>^N + |-psi>^N is the zero vector
+        hs = hi.ToyHilbert(B=2, N=3)
+        psi = np.array([0.6, 0.8], complex)
+        with pytest.raises(ValueError, match="cancel"):
+            hi.superposition_state(hs, psi, -psi)
+
     def test_product_overlap_is_cn(self):
         hs = hi.ToyHilbert(B=2, N=5)
         psi = np.array([1.0, 0.0], complex)
@@ -642,15 +649,25 @@ class TestConsistencyMeasures:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
                 assert hi.consistency_epsilon(d) == loop_epsilon(d)
-            rep = hi.check_dh_bound(d, slack=1e-3)
+            rep = hi.check_dh_bound(d)
             assert (rep.ok, rep.worst_excess, rep.worst_pair) == loop_bound(
-                d, 1e-3)
+                d, hi.DH_BOUND_SLACK)
 
     def test_bound_ties_pick_first_pair(self):
         m = np.full((3, 3), 0.1, dtype=complex)
         np.fill_diagonal(m, 1.0 / 3.0)
         d = hi.DecoherenceMatrix(("a", "b", "c"), m)
         assert hi.check_dh_bound(d).worst_pair == ("a", "b")
+
+    @pytest.mark.parametrize("excess, ok", [(0.5, True), (2.0, False)])
+    def test_bound_slack(self, excess, ok):
+        # |D(a,b)|^2 exceeds p(a) p(b) = 1/4 by a multiple of DH_BOUND_SLACK
+        off = np.sqrt(0.25 + excess * hi.DH_BOUND_SLACK)
+        d = hi.DecoherenceMatrix(("a", "b"), [[0.5, off], [off, 0.5]])
+        rep = hi.check_dh_bound(d)
+        assert rep.ok is ok and rep.worst_pair == ("a", "b")
+        assert rep.worst_excess == pytest.approx(
+            excess * hi.DH_BOUND_SLACK, rel=1e-4)
 
     def test_single_history(self):
         d = hi.DecoherenceMatrix(("a",), np.ones((1, 1), complex))

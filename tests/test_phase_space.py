@@ -1,5 +1,4 @@
 import csv
-import json
 
 import numpy as np
 import pytest
@@ -255,55 +254,6 @@ class TestCrossGridDistance:
             ps.l1_distance(a, b)
 
 
-class TestSerialization:
-    def test_csv_round_trip(self, tmp_path):
-        w = ps.gaussian_wigner(-6, 6, 32, -6, 6, 32)
-        path = tmp_path / "grid.csv"
-        ps.save_wigner_csv(w, path)
-        w2 = ps.load_wigner_csv(path)
-        assert np.array_equal(w.values, w2.values)
-        assert (w.q_min, w.q_max, w.n_q) == (w2.q_min, w2.q_max, w2.n_q)
-
-    def test_csv_round_trip_numpy_extents(self, tmp_path):
-        # numpy scalar extents are written as plain numbers, not their repr
-        w = ps.gaussian_wigner(np.float64(-6), np.float64(6), 16, -6, 6, 16)
-        path = tmp_path / "grid.csv"
-        ps.save_wigner_csv(w, path)
-        w2 = ps.load_wigner_csv(path)
-        assert (w2.q_min, w2.q_max) == (-6.0, 6.0)
-        assert np.array_equal(w.values, w2.values)
-
-    def test_descriptor(self, tmp_path):
-        w = ps.gaussian_wigner(-6, 6, 32, -6, 6, 32)
-        data = tmp_path / "grid.csv"
-        ps.save_wigner_csv(w, data)
-        desc = ps.save_wigner_descriptor(w, tmp_path / "grid.json", data)
-        assert desc["shape"] == [32, 32]
-        assert desc["extents"]["q_min"] == -6
-
-    def test_descriptor_data_file_relative_to_descriptor(self, tmp_path,
-                                                         monkeypatch):
-        # saved from the parent directory, read back from elsewhere
-        monkeypatch.chdir(tmp_path)
-        (tmp_path / "out").mkdir()
-        w = ps.gaussian_wigner(-6, 6, 16, -6, 6, 16)
-        ps.save_wigner_csv(w, "out/grid.csv")
-        ps.save_wigner_descriptor(w, "out/grid.json", "out/grid.csv")
-        (tmp_path / "elsewhere").mkdir()
-        monkeypatch.chdir(tmp_path / "elsewhere")
-        json_path = tmp_path / "out" / "grid.json"
-        desc = json.loads(json_path.read_text())
-        assert desc["data-file"] == "grid.csv"
-        back = ps.load_wigner_csv(json_path.parent / desc["data-file"])
-        assert np.array_equal(back.values, w.values)
-
-
-def _wigner_csv(tmp_path):
-    path = tmp_path / "grid.csv"
-    ps.save_wigner_csv(ps.gaussian_wigner(-6, 6, 16, -6, 6, 16), path)
-    return path, ["q_min", "q_max", "n_q", "p_min", "p_max", "n_p"]
-
-
 def _density_field_csv(tmp_path):
     path = tmp_path / "field.csv"
     ens = en.ProductEnsemble(100, ps.gaussian_wigner(-6, 6, 32, -6, 6, 32))
@@ -337,8 +287,8 @@ def _scenario_csv(tmp_path):
 
 
 class TestWriteCsv:
-    @pytest.mark.parametrize("make", [_wigner_csv, _density_field_csv,
-                                      _hydro_series_csv, _scenario_csv])
+    @pytest.mark.parametrize("make", [_density_field_csv, _hydro_series_csv,
+                                      _scenario_csv])
     def test_one_format_for_every_artifact(self, tmp_path, make):
         path, header = make(tmp_path)
         raw = path.read_bytes()
@@ -346,12 +296,7 @@ class TestWriteCsv:
         with open(path, newline="") as fh:
             rows = list(csv.reader(fh))
         assert rows[0] == header
-        if make is _wigner_csv:
-            # header and metadata rows are 6 wide, value rows n_p = 16 wide
-            assert [len(row) for row in rows[:2]] == [6, 6]
-            assert {len(row) for row in rows[2:]} == {16}
-        else:
-            assert {len(row) for row in rows} == {len(header)}
+        assert {len(row) for row in rows} == {len(header)}
         assert not list(tmp_path.glob("*.tmp"))
         if make is _scenario_csv:
             assert rows[1][0] == "100"

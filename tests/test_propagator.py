@@ -12,9 +12,14 @@ from hydrohist import local_equilibrium as le
 from hydrohist import phase_space as ps
 from hydrohist import propagator as pr
 from hydrohist import scenarios as sc
-from hydrohist.errors import FitQualityError, ResolutionError, StepSizeError
+from hydrohist.errors import FitQualityError, ResolutionError
 
 UNIT = pr.QbmParams(M=1.0, gamma=1.0, kT=1.0)
+
+
+def _fp_bound(w, params):
+    """The Fokker-Planck step bound: the smaller of its two terms."""
+    return min(pr._fokker_planck_limits(w, params).values())
 
 
 class TestKernelCovariance:
@@ -148,13 +153,12 @@ class TestPropagateAnalytic:
 
 class TestFokkerPlanck:
     def test_thermal_state_stationary(self):
-        # uniform in q (periodic) times Maxwellian in p is an exact fixed
-        # point of the Chang-Cooper discretization
+        # the sampled Maxwellian exp(-p^2 / 2 M kT) is an exact fixed point
+        # of the Chang-Cooper momentum step
         p = np.linspace(-5, 5, 96)
-        vals = np.ones(96)[:, None] * np.exp(-p ** 2 / 2.0)[None, :]
-        w = ps.normalize(ps.WignerGrid(-10, 10, 96, -5, 5, 96, vals))
-        w2 = pr.evolve_fokker_planck(w, 1.0, UNIT, periodic_q=True)
-        assert ps.l1_distance(w, w2) < 1e-12
+        row = np.exp(-p ** 2 / 2.0)
+        step = row @ pr._momentum_propagator(p, p[1] - p[0], 1.0, UNIT)
+        assert np.max(np.abs(step - row)) < 1e-12 * row.max()
 
     def test_moments_match_exact_kernel(self):
         w0 = ps.gaussian_wigner(-18, 18, 160, -6, 6, 96, var_q=0.25, var_p=0.5)
@@ -180,14 +184,7 @@ class TestFokkerPlanck:
         wt = pr.evolve_fokker_planck(w0, 1.0, UNIT)
         assert wt.integral() == pytest.approx(1.0, abs=1e-8)
 
-    def test_oversized_step_rejected(self):
-        w0 = ps.gaussian_wigner(-18, 18, 160, -6, 6, 96)
-        bound = pr.fokker_planck_dt_bound(w0, UNIT)
-        with pytest.raises(StepSizeError):
-            pr.evolve_fokker_planck(w0, 2.0 * bound, UNIT, dt=2.0 * bound)
-
-    @pytest.mark.parametrize("periodic", [True, False])
-    def test_advection_matches_reference(self, periodic):
+    def test_advection_matches_reference(self):
         # Courant numbers in both directions, up to the bound's 0.8, and an
         # odd column count with a column at rest
         for c in (np.linspace(-0.4, 0.4, 25), np.linspace(-0.8, 0.8, 25),
@@ -196,49 +193,46 @@ class TestFokkerPlanck:
             vals = rng.random((40, c.size))
             vals[:5] = 0.0                  # flat region: zero slopes
             vals[20] = vals[21]
-            buf = pr._FokkerPlanckBuffers(vals, periodic)
+            buf = pr._FokkerPlanckBuffers(vals)
             buf.set_courant(c)
             pr._advect_q(buf)
-            want = _reference_advect(vals, c, periodic)
+            want = _reference_advect(vals, c)
             assert np.max(np.abs(buf.values - want)) < 1e-14
 
-    @pytest.mark.parametrize("periodic", [True, False])
     @pytest.mark.parametrize("c_max", [0.8, 1.0])
-    def test_advection_total_variation_diminishing(self, periodic, c_max):
-        # up to |c| = 1 one step keeps W nonnegative and each column's
-        # mass, and on a periodic axis raises no column's total variation
+    def test_advection_total_variation_diminishing(self, c_max):
+        # up to |c| = 1 one step keeps W nonnegative and each column's mass;
+        # zero-flux walls can raise the total variation, so it is not checked
         rng = np.random.default_rng(11)
         for _ in range(50):
             vals = rng.random((33, 17)) ** 4
             vals[rng.random(33) < 0.3] = 0.0
             c = np.sort(rng.uniform(-c_max, c_max, 17))
             c[[0, -1]] = -c_max, c_max
-            buf = pr._FokkerPlanckBuffers(vals, periodic)
+            buf = pr._FokkerPlanckBuffers(vals)
             buf.set_courant(c)
             pr._advect_q(buf)
             out = buf.values
             assert out.min() >= 0.0
             assert np.max(np.abs(out.sum(axis=0) - vals.sum(axis=0))) < 1e-12
-            if periodic:
-                def tv(a):
-                    return np.abs(a - np.roll(a, 1, axis=0)).sum(axis=0)
-                assert np.max(tv(out) - tv(vals)) < 1e-12
 
-    def test_periodic_translation_invariant(self):
-        # on a periodic q axis, shifting the initial state by half the
-        # period shifts the evolved state by the same amount
-        w0 = ps.gaussian_wigner(-10, 10, 80, -6, 6, 48, mean_q=8.0,
-                                var_q=0.5, var_p=0.5)
-        shifted = w0.with_values(np.roll(w0.values, 40, axis=0))
-        wt = pr.evolve_fokker_planck(w0, 1.0, UNIT, periodic_q=True)
-        ws = pr.evolve_fokker_planck(shifted, 1.0, UNIT, periodic_q=True)
-        assert np.max(np.abs(np.roll(wt.values, 40, axis=0) - ws.values)) < 1e-13
+    def test_walls_block_outflow(self):
+        # mass in the edge rows, carried into the walls at |c| = 1, cannot
+        # leave: no flux passes a wall and the empty neighbours send none
+        vals = np.zeros((12, 4))
+        vals[0, :2] = 1.0, 2.0          # columns moving down, c < 0
+        vals[-1, 2:] = 3.0, 4.0         # columns moving up, c > 0
+        buf = pr._FokkerPlanckBuffers(vals)
+        buf.set_courant(np.array([-1.0, -0.5, 0.5, 1.0]))
+        pr._advect_q(buf)
+        assert np.array_equal(buf.values, vals)
 
     def test_default_dt_converged(self):
+        # the bound's step agrees with steps a quarter as long
         w0 = ps.gaussian_wigner(-18, 18, 160, -6, 6, 96, var_q=0.25, var_p=0.5)
-        bound = pr.fokker_planck_dt_bound(w0, UNIT)
         w_default = pr.evolve_fokker_planck(w0, 2.0, UNIT)
-        w_fine = pr.evolve_fokker_planck(w0, 2.0, UNIT, dt=bound / 4)
+        n_steps, dt = pr._step_plan(2.0, _fp_bound(w0, UNIT) / 4)
+        w_fine = pr._integrate_fokker_planck(w0, dt, n_steps, UNIT)
         assert ps.l1_distance(w_default, w_fine) < 2e-3
 
     def test_step_beyond_explicit_diffusion_limit(self):
@@ -246,8 +240,8 @@ class TestFokkerPlanck:
         # momentum step; the implicit step stays finite and conservative
         w0 = ps.gaussian_wigner(-18, 18, 160, -6, 6, 96, var_q=0.25, var_p=0.5)
         dt = 3.0 * 0.4 * w0.dp ** 2 / 2.0
-        assert dt < pr.fokker_planck_dt_bound(w0, UNIT)
-        wt = pr.evolve_fokker_planck(w0, dt, UNIT, dt=dt)
+        assert dt < _fp_bound(w0, UNIT)
+        wt = pr._integrate_fokker_planck(w0, dt, 1, UNIT)
         assert np.all(np.isfinite(wt.values))
         assert wt.integral() == pytest.approx(w0.integral(), abs=1e-8)
 
@@ -255,26 +249,26 @@ class TestFokkerPlanck:
         w0 = ps.gaussian_wigner(-18, 18, 160, -6, 6, 96, var_q=0.25, var_p=0.5)
         params = pr.QbmParams(M=2.0, gamma=0.5, kT=1.0)
         courant = 0.8 * w0.dq * params.M / 6.0
-        assert pr.fokker_planck_dt_bound(w0, params) == pytest.approx(courant)
+        assert _fp_bound(w0, params) == pytest.approx(courant)
         n_steps, dt, limit = pr.fokker_planck_step_plan(w0, 1.0, params)
         assert (n_steps, limit) == (int(np.ceil(1.0 / courant)), "courant")
         assert dt == pytest.approx(1.0 / n_steps)
         assert pr.fokker_planck_step_plan(w0, 0.0, params)[:2] == (0, 0.0)
-        assert pr.fokker_planck_step_plan(w0, 1.0, params, dt=0.01)[0] == 100
         params = pr.QbmParams(M=2.0, gamma=20.0, kT=1.0)
-        assert pr.fokker_planck_dt_bound(w0, params) == pytest.approx(0.005)
-        assert pr.fokker_planck_step_plan(w0, 1.0, params)[2] == "damping"
+        assert _fp_bound(w0, params) == pytest.approx(0.005)
+        n_steps, dt, limit = pr.fokker_planck_step_plan(w0, 1.0, params)
+        assert (n_steps, limit) == (200, "damping")
 
     def test_steps_allocate_nothing(self):
         # the traced peak does not grow with the step count: every step
         # works in the integration's own buffers
         w0 = ps.gaussian_wigner(-18, 18, 160, -6, 6, 96, var_q=0.25, var_p=0.5)
-        dt = pr.fokker_planck_dt_bound(w0, UNIT)
-        pr.evolve_fokker_planck(w0, 2 * dt, UNIT, dt=dt)  # warm-up
+        dt = _fp_bound(w0, UNIT)
+        pr._integrate_fokker_planck(w0, dt, 2, UNIT)  # warm-up
         peaks = []
         for n_steps in (2, 20, 200):
             tracemalloc.start()
-            pr.evolve_fokker_planck(w0, n_steps * dt, UNIT, dt=dt)
+            pr._integrate_fokker_planck(w0, dt, n_steps, UNIT)
             peaks.append(tracemalloc.get_traced_memory()[1])
             tracemalloc.stop()
         assert max(peaks) - min(peaks) < 4096
@@ -286,13 +280,36 @@ class TestFokkerPlanck:
         params = pr.QbmParams(M=1.0, gamma=5.0, kT=1.0)
         w0 = ps.gaussian_wigner(-12, 12, 81, -6, 6, 86, var_q=0.5,
                                 var_p=0.005)
-        dt = pr.fokker_planck_dt_bound(w0, params)
+        dt = _fp_bound(w0, params)
         assert dt == pytest.approx(0.1 / params.gamma)   # the damping term
         assert pr.fokker_planck_step_plan(w0, 0.5, params)[2] == "damping"
         assert dt * 2.0 * params.gamma / w0.dp ** 2 > 9.5
         for t in (dt, 5 * dt, 0.5):
             wt = pr.evolve_fokker_planck(w0, t, params)
             assert wt.values.min() >= -1e-10 * wt.values.max()
+
+
+class TestStepPlan:
+    @pytest.mark.parametrize("t, bound, n", [
+        (0.05, 0.1, 1),
+        (0.7, 0.1, 7),            # 0.7 / 0.1 rounds below 7
+        (3 * 0.1, 0.1, 3),        # 3 * 0.1 rounds above 0.3
+        (0.30001, 0.1, 4),
+    ])
+    def test_fewest_equal_steps_within_bound(self, t, bound, n):
+        n_steps, dt = pr._step_plan(t, bound)
+        assert n_steps == n and dt == t / n
+        assert dt <= bound * (1 + 1e-12)
+        if n > 1:
+            assert t / (n - 1) > bound
+
+    def test_zero_time_takes_no_steps(self):
+        assert pr._step_plan(0.0, 0.1) == (0, 0.0)
+
+    @pytest.mark.parametrize("t", [-1e-3, float("nan")])
+    def test_invalid_time_rejected(self, t):
+        with pytest.raises(ValueError, match="nonnegative"):
+            pr._step_plan(t, 0.1)
 
 
 class TestMomentumPropagator:
@@ -303,7 +320,7 @@ class TestMomentumPropagator:
     ])
     def test_matches_scipy_expm(self, grid, monkeypatch):
         w = ps.gaussian_wigner(*grid)
-        dt = pr.fokker_planck_dt_bound(w, UNIT)
+        dt = _fp_bound(w, UNIT)
         for step in (dt, 0.5 * dt):
             got = pr._momentum_propagator(w.p, w.dp, step, UNIT)
             with monkeypatch.context() as m:
@@ -322,11 +339,10 @@ class TestMomentumPropagator:
             assert np.max(np.abs(mat.sum(axis=1) - 1.0)) < 1e-12
 
 
-def _reference_advect(vals, c, periodic):
-    """Van Leer upwind step in q built from shifted copies of the array."""
+def _reference_advect(vals, c):
+    """Van Leer upwind step in q, between zero-flux walls, built from
+    zero-filled shifted copies of the array."""
     def shift(a, k):  # out[i] = a[i - k]
-        if periodic:
-            return np.roll(a, k, axis=0)
         out = np.zeros_like(a)
         if k > 0:
             out[k:] = a[:-k]
@@ -342,8 +358,7 @@ def _reference_advect(vals, c, periodic):
     f_pos = vals + 0.5 * (1.0 - c) * limited(vals - wm, wp - vals)
     f_neg = wp - 0.5 * (1.0 + c) * limited(wpp - wp, wp - vals)
     face = c * np.where(c >= 0, f_pos, f_neg)   # dt/dq * flux at i+1/2
-    if not periodic:
-        face[-1] = 0.0
+    face[-1] = 0.0
     return vals - (face - shift(face, 1))
 
 
@@ -367,8 +382,8 @@ class TestMasterEquation:
         rho0 = self.cat_state(d=d)
         i = np.argmin(np.abs(self.x - d / 2))
         j = np.argmin(np.abs(self.x + d / 2))
-        dt = 5e-4
-        rho1 = pr.evolve_master_equation(rho0, dt, self.params, dt=dt)
+        dt = 5e-4             # below master_dt_bound: a single step
+        rho1 = pr.evolve_master_equation(rho0, dt, self.params)
         num = np.abs(rho1.kernel[i, j]) - np.abs(rho0.kernel[i, j])
         rate = -num / (dt * np.abs(rho0.kernel[i, j]))
         sep = self.x[i] - self.x[j]
@@ -403,13 +418,6 @@ class TestMasterEquation:
         assert vq == pytest.approx(cov[0, 0], rel=2e-2)
         assert vp == pytest.approx(cov[1, 1], rel=2e-2)
         assert cqp == pytest.approx(cov[0, 1], rel=5e-2)
-
-    def test_oversized_step_rejected(self):
-        rho0 = self.cat_state()
-        bound = pr.master_dt_bound(rho0, self.params)
-        with pytest.raises(StepSizeError):
-            pr.evolve_master_equation(rho0, 2.0 * bound, self.params,
-                                      dt=2.0 * bound)
 
     def test_matches_fine_step_reference(self):
         # unsplit RK4 over the full public generator at a quarter of the
@@ -472,7 +480,7 @@ class TestMasterEquation:
         block = rho.kernel * np.outer(left, ~left)
         h1 = 0.5 * (block + block.conj().T)
         h2 = (block - block.conj().T) / 2j
-        n_steps, dt = pr._step_plan(p["t_master"], None,
+        n_steps, dt = pr._step_plan(p["t_master"],
                                     pr.master_dt_bound(rho, params))
 
         def evolve(k):
@@ -488,7 +496,7 @@ class TestMasterEquation:
         # the step commutes with the conjugate transpose in floating point,
         # so no projection is needed to keep a Hermitian kernel Hermitian
         rho0 = self.cat_state()
-        n_steps, dt = pr._step_plan(0.25, None,
+        n_steps, dt = pr._step_plan(0.25,
                                     pr.master_dt_bound(rho0, self.params))
         rng = np.random.default_rng(5)
         a = rng.standard_normal((self.n, self.n)) \

@@ -300,51 +300,68 @@ class TestCli:
         assert cli.main(["validate", str(path)]) == 2
         assert "params.N_max" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("scenario, params, message", [
-        pytest.param("local-equilibrium-peaking", {"times": [0.1, 0.0]},
+    @pytest.mark.parametrize("scenario, top, message", [
+        pytest.param("local-equilibrium-peaking",
+                     {"params": {"times": [0.1, 0.0]}},
                      "params.times", id="peaking-times-decreasing"),
-        pytest.param("local-equilibrium-peaking", {"times": [0.0, 0.1, 0.2]},
+        pytest.param("local-equilibrium-peaking",
+                     {"params": {"times": [0.0, 0.1, 0.2]}},
                      "params.times", id="peaking-three-times"),
-        pytest.param("local-equilibrium-peaking", {"times": [-0.1, 0.1]},
+        pytest.param("local-equilibrium-peaking",
+                     {"params": {"times": [-0.1, 0.1]}},
                      "params.times", id="peaking-negative-time"),
-        pytest.param("local-equilibrium-peaking", {"N": 0}, "params.N",
+        pytest.param("local-equilibrium-peaking",
+                     {"params": {"N": 0}}, "params.N",
                      id="peaking-no-particles"),
-        pytest.param("local-equilibrium-peaking", {"mubar": [4.0]},
+        pytest.param("local-equilibrium-peaking", {"params": {"mubar": [4.0]}},
                      "params.mubar", id="peaking-one-bin"),
-        pytest.param("local-equilibrium-peaking", {"N": 11}, "params.N",
+        pytest.param("local-equilibrium-peaking",
+                     {"params": {"N": 11}}, "params.N",
                      id="peaking-past-dimension-cap"),
         pytest.param("local-equilibrium-peaking",
-                     {"mubar": [4.0, 0.0], "N": 17}, "params.N",
+                     {"params": {"mubar": [4.0, 0.0], "N": 17}}, "params.N",
                      id="peaking-two-bins-past-dimension-cap"),
-        pytest.param("local-equilibrium-peaking", {"N": 10 ** 12},
+        pytest.param("local-equilibrium-peaking", {"params": {"N": 10 ** 12}},
                      "params.N", id="peaking-huge-N"),
-        pytest.param("conserved-decoherence", {"bins": 3, "N": 11},
+        pytest.param("conserved-decoherence", {"params": {"bins": 3, "N": 11}},
                      "params.N", id="conserved-past-dimension-cap"),
-        pytest.param("conserved-decoherence", {"bins": 2, "N": 10 ** 12},
+        pytest.param("conserved-decoherence",
+                     {"params": {"bins": 2, "N": 10 ** 12}},
                      "params.N", id="conserved-huge-N"),
-        pytest.param("histories-nscaling", {"N_max": 17}, "params.N_max",
+        pytest.param("histories-nscaling",
+                     {"params": {"N_max": 17}}, "params.N_max",
                      id="nscaling-past-dimension-cap"),
-        pytest.param("local-equilibrium-peaking", {"beta": 0.0},
+        pytest.param("local-equilibrium-peaking", {"params": {"beta": 0.0}},
                      "params.beta", id="peaking-zero-beta"),
-        pytest.param("local-equilibrium-peaking", {"dephasing_rate": -1.0},
+        pytest.param("local-equilibrium-peaking",
+                     {"params": {"dephasing_rate": -1.0}},
                      "params.dephasing_rate", id="peaking-negative-rate"),
-        pytest.param("local-equilibrium-peaking", {"tolerance_units": -1},
+        pytest.param("local-equilibrium-peaking",
+                     {"params": {"tolerance_units": -1}},
                      "params.tolerance_units", id="peaking-negative-tube"),
-        pytest.param("diffusion", {"n_times": 2}, "params.n_times",
+        pytest.param("diffusion", {"params": {"n_times": 2}}, "params.n_times",
                      id="diffusion-two-times"),
-        pytest.param("diffusion", {"t_start": 5.0, "t_end": 4.0},
+        pytest.param("diffusion", {"params": {"t_start": 5.0, "t_end": 4.0}},
                      "params.t_start", id="diffusion-reversed-window"),
-        pytest.param("diffusion", {"t_start": 4.0, "t_end": 4.0},
+        pytest.param("diffusion", {"params": {"t_start": 4.0, "t_end": 4.0}},
                      "params.t_start", id="diffusion-empty-window"),
         # the exact kernel's evolved momentum would reach the p walls
-        pytest.param("diffusion", {"kT": 5.0}, "p domain",
+        pytest.param("diffusion", {"params": {"kT": 5.0}}, "p domain",
                      id="diffusion-hot-p-domain"),
-        pytest.param("oracle-compare", {"kT": 4.5}, "p domain",
+        pytest.param("oracle-compare", {"params": {"kT": 4.5}}, "p domain",
                      id="oracle-hot-p-domain"),
+        # JSON true is a bool, not the integer 1
+        pytest.param("diffusion", {"schema_version": True}, "schema_version",
+                     id="schema-version-true"),
+        pytest.param("ehrenfest", {"seed": True}, "seed", id="seed-true"),
+        # an unhashable scenario is unknown, not a crash
+        pytest.param(["diffusion"], {}, "unknown scenario",
+                     id="scenario-list"),
+        pytest.param({"a": 1}, {}, "unknown scenario", id="scenario-object"),
     ])
     def test_validate_out_of_range_exit_two(self, tmp_path, capsys, scenario,
-                                            params, message):
-        path = write_config(tmp_path, minimal(scenario, params=params))
+                                            top, message):
+        path = write_config(tmp_path, minimal(scenario, **top))
         assert cli.main(["validate", str(path)]) == 2
         assert message in capsys.readouterr().err
 
@@ -423,6 +440,12 @@ class TestCli:
                      id="maxwellization-small-q-domain"),
         pytest.param("oracle-compare", {"t_master": 25.0}, {}, "q domain",
                      id="oracle-small-q-domain-at-master-time"),
+        # an evolved variance near 1e308 is compared without overflowing,
+        # and a rule that divides by an underflowed 2 M gamma fails
+        pytest.param("diffusion", {"t_end": 1e308}, {}, "q domain",
+                     id="diffusion-overflowing-t-end"),
+        pytest.param("maxwellization", {"M": 1e-200, "gamma": 1e-200}, {},
+                     "q domain", id="maxwellization-underflowing-rate"),
     ])
     def test_validate_out_of_range_before_run(self, tmp_path, capsys,
                                               scenario, params, grid,
@@ -543,3 +566,85 @@ class TestCli:
         data = json.loads(
             (tmp_path / "o" / "ehrenfest-report.json").read_text())
         assert data["seed"] == 11
+
+
+def _fuzz_value(rng, default):
+    """A JSON value for a key whose default is ``default``: mostly of the
+    default's type, near the default or across magnitudes up to +/-1e308,
+    else of another type."""
+    def number(near):
+        kind = rng.integers(6)
+        if kind == 0:
+            return float(rng.choice([0.0, -0.0, 1e308, -1e308, 5e-324]))
+        if kind == 1:
+            return int(rng.integers(-3, 25))
+        if kind == 2:
+            return int(rng.choice([-1, 2 ** 63, 2 ** 64, 10 ** 30]))
+        if kind == 3:
+            return float(rng.choice([-1.0, 1.0])
+                         * 10.0 ** rng.uniform(-308.0, 308.0))
+        return near * float(rng.uniform(0.5, 1.5))
+
+    if rng.random() < 0.1:
+        return [True, False, None, [], {}, "1", [True], {"a": 1}][
+            rng.integers(8)]
+    if isinstance(default, list):
+        return [number(x) for x in default + default[:rng.integers(-1, 2)]]
+    value = number(default)
+    if isinstance(default, int) and not isinstance(value, int):
+        return int(rng.integers(-3, 25))
+    return value
+
+
+def _fuzz_section(rng, defaults):
+    section = {key: _fuzz_value(rng, value) for key, value in defaults.items()
+               if rng.random() < 0.4}
+    if rng.random() < 0.05:
+        section["nope"] = 1.0
+    return section
+
+
+def _fuzz_config(rng):
+    """A config whose top-level keys are each corrupted about 1 time in 20,
+    so that most draws reach the range rules."""
+    def pick(good, bad):
+        return good if rng.random() < 0.95 else bad[rng.integers(len(bad))]
+
+    names = list(sc.SCENARIOS)
+    name = pick(names[rng.integers(len(names))],
+                ["warp-drive", ["diffusion"], {"a": 1}, True, None, 3])
+    raw = {"schema_version": pick(1, [True, 2, 1.0, "1", None]),
+           "scenario": name}
+    entry = sc.SCENARIOS.get(name if isinstance(name, str) else None,
+                             sc.SCENARIOS["diffusion"])
+    for section in ("params", "grid"):
+        raw[section] = pick(_fuzz_section(rng, entry[section]),
+                            [[], 1.0, True, "x", None])
+    raw["seed"] = pick(int(rng.integers(0, 2 ** 63)),
+                       [-1, 2 ** 64, True, 1.5, "3", []])
+    raw["output_dir"] = pick("out", [3, [], {}])
+    for key in ("schema_version", "scenario", "seed", "output_dir"):
+        if rng.random() < 0.02:
+            del raw[key]
+    if rng.random() < 0.02:
+        raw["extra"] = 1
+    return raw
+
+
+@pytest.mark.filterwarnings("error")
+def test_validate_config_fuzz():
+    # every drawn config validates or raises ConfigurationError; nothing
+    # else escapes, and no warning (an overflow, say) is raised.  Configs
+    # are validated only, never run: some that validate take GBs to run.
+    rng = np.random.default_rng(20261019)
+    outcomes = {"valid": 0, "rejected": 0}
+    for _ in range(3000):
+        raw = _fuzz_config(rng)
+        try:
+            sc.validate_config(json.loads(json.dumps(raw)))
+        except ConfigurationError:
+            outcomes["rejected"] += 1
+        else:
+            outcomes["valid"] += 1
+    # the draws reach both outcomes, so the range rules run on real values
+    assert min(outcomes.values()) >= 100, outcomes
