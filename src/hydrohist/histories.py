@@ -20,13 +20,12 @@ B^N tensor-product space.  The module builds
   per-particle position dephasing map interleaved with the unitary steps,
   from projected chains of rho = L L^dag without dephasing and from
   damp-then-rotate branch-pair matrices with it (the dense engines: dense
-  linear algebra on the B^N space, so B^N is capped);
+  linear algebra on the B^N space; B^N <= 2^12, a 256 MiB complex matrix);
 - the two-time occupation decoherence functional of a product state
   rho1^(x N) under a one-body Hamiltonian and per-particle dephasing, from
-  one-particle objects only: a one-particle tensor d1[b, b', c] and a dynamic
-  program over particles for the coefficients of (sum d1 x_b x'_b' y_c)^N,
-  kept as the blocks of D in an OccupationFunctional (the factorized
-  engine, checked against the dense engines in the tests);
+  one-particle objects only: an OccupationFunctional of the tensor d1[b, b', c]
+  runs a dynamic program, capped by its own table, for the coefficients of
+  (sum d1 x_b x'_b' y_c)^N, the blocks of D (the factorized engine);
 - consistency diagnostics: the off-diagonal ratio epsilon and the bound
   |D(a,a')|^2 <= p(a) p(a'), which any decoherence functional satisfies;
 - Gaussian-history probabilities and their peak structure: the exact
@@ -70,6 +69,7 @@ __all__ = [
     "gaussian_occupation_family",
     "decoherence_functional",
     "product_occupation_functional",
+    "occupation_table_bytes",
     "consistency_epsilon",
     "check_dh_bound",
     "single_time_prob_exact",
@@ -79,7 +79,10 @@ __all__ = [
     "complement_pair_consistency",
 ]
 
-DEFAULT_DIM_CAP = 2 ** 16
+#: the dense engines' cap on dim = B^N: a complex dim x dim matrix is 256 MiB
+DEFAULT_DIM_CAP = 2 ** 12
+#: the cap on OccupationFunctional's table, 2^23 complex entries
+OCCUPATION_TABLE_BYTES = 2 ** 27
 HERMITICITY_TOL = 1e-8
 #: tolerance of check_dh_bound: |D(a,a')|^2 may exceed p(a) p(a') by this much
 DH_BOUND_SLACK = 1e-10
@@ -87,17 +90,14 @@ DH_BOUND_SLACK = 1e-10
 
 @dataclass(frozen=True)
 class ToyHilbert:
-    """N distinguishable particles on B position bins (lattice spacing dx)."""
+    """N distinguishable particles on B position bins of unit spacing."""
 
     B: int
     N: int
-    dx: float = 1.0
 
     def __post_init__(self):
         if self.B < 2 or self.N < 1:
             raise ValueError("need B >= 2 bins and N >= 1 particles")
-        if not self.dx > 0:
-            raise ValueError("dx must be positive")
         if self.B ** self.N > DEFAULT_DIM_CAP:
             raise DimensionCapError(
                 f"B^N = {self.B ** self.N} exceeds the cap {DEFAULT_DIM_CAP}"
@@ -196,11 +196,11 @@ def to_density(state: StateVector) -> DensityOperator:
 
 
 def one_particle_momentum(space: ToyHilbert) -> np.ndarray:
-    """Discrete momentum p = F^dag diag(2 pi k / (B dx)) F on one particle."""
+    """Discrete momentum p = F^dag diag(2 pi k / B) F on one particle."""
     b = space.B
     j = np.arange(b)
     f = np.exp(-2j * np.pi * np.outer(j, j) / b) / math.sqrt(b)
-    diag = 2.0 * np.pi * np.fft.fftfreq(b, d=space.dx)
+    diag = 2.0 * np.pi * np.fft.fftfreq(b)
     p = f.conj().T @ np.diag(diag) @ f
     return 0.5 * (p + p.conj().T)
 
@@ -427,25 +427,32 @@ class DecoherenceMatrix:
 
 @dataclass(frozen=True)
 class OccupationFunctional:
-    """Two-time occupation decoherence functional held as its n2 blocks.
+    """Two-time occupation decoherence functional of n particles, each with
+    the one-particle tensor d1[b, b', c], held as its n2 blocks.
 
-    D((n1, n2), (n1', n2')) = delta(n2, n2') coef[n1, n1', n2], with every
-    axis of ``coef`` indexed by ``comps``.  ``labels`` are the (n1, n2)
+    D((n1, n2), (n1', n2')) = delta(n2, n2') coef[n1, n1', n2], every axis
+    of the ``_occupation_coefficients`` table, held to OCCUPATION_TABLE_BYTES
+    before it is computed, indexed by ``comps``.  ``labels`` are the (n1, n2)
     pairs in ``itertools.product(comps, repeat=2)`` order, the catalog of
     ``decoherence_functional`` with ``occupation_family`` at both times.
-    Probabilities and epsilon are read off the blocks in O(C^3), with C =
-    len(comps); ``to_dense`` builds the (C^2, C^2) DecoherenceMatrix.
     """
 
-    comps: tuple
-    coef: np.ndarray = field(repr=False)
+    d1: np.ndarray = field(repr=False)
+    n: int
+    comps: tuple = field(init=False, repr=False)
+    coef: np.ndarray = field(init=False, repr=False)
     labels: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
-        comps = tuple(tuple(c) for c in self.comps)
-        c = np.asarray(self.coef, dtype=complex)
-        if c.shape != (len(comps),) * 3:
-            raise ValueError("coefficient shape must match the compositions")
+        d1 = np.array(self.d1, dtype=complex)
+        b = len(d1)
+        if b < 2 or d1.shape != (b,) * 3 or self.n < 1:
+            raise ValueError("need a (B, B, B) d1, B >= 2, and N >= 1")
+        if occupation_table_bytes(b, self.n) > OCCUPATION_TABLE_BYTES:
+            raise DimensionCapError(
+                f"N = {self.n} in {b} bins exceeds the occupation table cap "
+                f"of {OCCUPATION_TABLE_BYTES} bytes")
+        c = _occupation_coefficients(d1, self.n)
         # DecoherenceMatrix's checks: D is zero outside the blocks, so the
         # blocks alone decide both
         herm = c.conj().transpose(1, 0, 2)
@@ -453,12 +460,19 @@ class OccupationFunctional:
             raise ValueError("decoherence matrix must be Hermitian")
         if np.min(np.real(np.einsum("iic->ic", c))) < -1e-10:
             raise ValueError("diagonal entries must be nonnegative")
-        c = c.copy()
-        c.flags.writeable = False
+        d1.flags.writeable = c.flags.writeable = False
+        comps = tuple(_compositions(self.n, b))
+        object.__setattr__(self, "d1", d1)
         object.__setattr__(self, "comps", comps)
         object.__setattr__(self, "coef", c)
         object.__setattr__(self, "labels",
                            tuple(itertools.product(comps, repeat=2)))
+
+    def mean_occupations(self):
+        """N <b|rho1(t)|b> at t1 and t2, as the one-particle map keeps the
+        trace: sum_c d1[b, b, c] and sum_{b, b'} d1[b, b', c]."""
+        d1 = self.d1.real
+        return self.n * np.einsum("bbc->b", d1), self.n * d1.sum(axis=(0, 1))
 
     def _block_probabilities(self):
         """p[n1, n2] = Re coef[n1, n1, n2], clipped at zero."""
@@ -524,9 +538,8 @@ def _disjoint_diagonals(ops):
 
 def _dephasing_mask(space: ToyHilbert, rate, dt):
     """Position dephasing factor over dt; particle k of basis state a sits at
-    digits[a, k] * dx."""
-    return position_dephasing(space.digits().astype(float) * space.dx,
-                              rate, dt)
+    digits[a, k]."""
+    return position_dephasing(space.digits().astype(float), rate, dt)
 
 
 def _damp_rotate(rows, cols, m, u, damp, substeps):
@@ -675,6 +688,11 @@ def _compositions(n, b):
             for rest in _compositions(n - k, b - 1)]
 
 
+def occupation_table_bytes(b, n):
+    """Bytes of the C(n + b - 1, b - 1)^3 complex entries of n in b bins."""
+    return 16 * math.comb(n + b - 1, b - 1) ** 3
+
+
 def _occupation_coefficients(d1, n):
     """Coefficients of (sum_{b b' c} d1[b, b', c] x_b x'_b' y_c)^n.
 
@@ -707,23 +725,15 @@ def product_occupation_functional(rho1: DensityOperator, h1, n, times,
     objects only.
 
     Each interval is one damp-then-rotate step (``dephasing_substeps=1`` of
-    the dense engines).  With the one-particle tensor
+    the dense engines).  The map, the state and the projectors all
+    factorize over particles, so D is the OccupationFunctional of the
+    one-particle tensor
 
-        d1[b, b', c] = <c| E_{t2-t1}(|b><b| rho1(t1) |b'><b'|) |c>,
-
-    D((n1, n2), (n1', n2')) is delta(n2, n2') times the coefficient of
-    prod_b x_b^n1_b x'_b^n1'_b y_b^n2_b in (sum d1[b, b', c] x_b x'_b' y_c)^n:
-    the map, the state and the projectors all factorize over particles.
-    Labels and their order are those of ``decoherence_functional`` with
-    ``occupation_family`` at both times.  The result keeps the dynamic
-    program's C(n + B - 1, B - 1)^3 coefficients as the n2 blocks of D and
-    never forms D's C(n + B - 1, B - 1)^4 entries (``to_dense`` does, for
-    oracle checks).  ``n`` is still held to the dense engines' B^n cap.
+        d1[b, b', c] = <c| E_{t2-t1}(|b><b| rho1(t1) |b'><b'|) |c>.
     """
     space1 = rho1.space
     if space1.N != 1:
         raise ValueError("rho1 must be a one-particle state")
-    ToyHilbert(B=space1.B, N=n, dx=space1.dx)  # checks n and the cap
     spectrum = _spectrum(_checked_hamiltonian(h1, space1.B))
     times = tuple(float(t) for t in times)
     if len(times) != 2 or not 0.0 <= times[0] < times[1]:
@@ -743,8 +753,7 @@ def product_occupation_functional(rho1: DensityOperator, h1, n, times,
                             damp, 1)
         d1[i, j] = np.einsum("ij,ij->i", a, b.conj())
 
-    return OccupationFunctional(_compositions(n, space1.B),
-                                _occupation_coefficients(d1, n))
+    return OccupationFunctional(d1, n)
 
 
 def consistency_epsilon(dmat: DecoherenceMatrix) -> float:

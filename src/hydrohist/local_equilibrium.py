@@ -6,18 +6,18 @@ slowly varying weight, drift and temperature profiles:
     W1(p, q) ~ f(q) exp(-(p - m u(q))^2 / 2 m kT(q)).
 
 The module builds such states on phase-space grids and, for the finite toy
-lattice, as one-particle Gibbs operators exp(-beta(q)[p^2/2m - mu(q) - u(q) p])
-with symmetrized ordering.  Free streaming moves them exactly (spectral
-shear), and the binned number/momentum/energy fields are checked against the
-collisionless continuity equations
+lattice, as one-particle Gibbs operators exp(-beta(q)[p^2/2 - mu(q) - u(q) p])
+with symmetrized ordering and unit mass and spacing.  Free streaming moves
+them exactly (spectral shear), and the binned number/momentum/energy fields
+are checked against the collisionless continuity equations
 
     dn/dt + (1/m) dg/dx = 0,     dg/dt + d(2h)/dx = 0,
     dh/dt + d j_h/dx = 0,        j_h = int dp p^3 W / 2 m^2,
 
 with centered differences in time and space.  local_equilibrium_peaking runs
-the tensor-power Gibbs state through the factorized histories engine, which
-works from the one-particle state alone, and reports how sharply two-time
-occupation histories concentrate on the mean-field trajectory.
+the tensor-power Gibbs state through the factorized histories engine, capped
+by its own table, and reports how sharply two-time occupation histories
+concentrate on the engine's mean-field trajectory.
 """
 
 from __future__ import annotations
@@ -136,8 +136,8 @@ def build_w1(profile: LocalEquilibriumProfile, p_min, p_max, n_p) -> WignerGrid:
     return normalize(grid)
 
 
-def one_particle_gibbs(beta, mubar, u, mass: float = 1.0, dx: float = 1.0):
-    """Lattice Gibbs operator exp(-beta(q)[p^2/2m - mu(q) - u(q) p]), symmetrized.
+def one_particle_gibbs(beta, mubar, u):
+    """Lattice Gibbs operator exp(-beta(q)[p^2/2 - mu(q) - u(q) p]), symmetrized.
 
     Returns a histories DensityOperator on the B-bin one-particle space.
     """
@@ -148,10 +148,9 @@ def one_particle_gibbs(beta, mubar, u, mass: float = 1.0, dx: float = 1.0):
         raise ValueError("beta, mubar and u must share one 1D shape")
     if not np.all(beta > 0):
         raise ValueError("beta must be positive everywhere")
-    b = len(beta)
-    space = hist.ToyHilbert(B=b, N=1, dx=dx)
+    space = hist.ToyHilbert(B=len(beta), N=1)
     p = hist.one_particle_momentum(space)
-    kin = p @ p / (2.0 * mass)
+    kin = p @ p / 2.0
     du = np.diag(u.astype(complex))
     k_sym = kin - np.diag(mubar.astype(complex)) - 0.5 * (du @ p + p @ du)
     db = np.diag(beta.astype(complex))
@@ -165,7 +164,7 @@ def one_particle_gibbs(beta, mubar, u, mass: float = 1.0, dx: float = 1.0):
 
 def gibbs_tensor_power(rho1: hist.DensityOperator, n: int) -> hist.DensityOperator:
     """N-fold tensor power of a one-particle density operator."""
-    space = hist.ToyHilbert(B=rho1.space.B, N=n, dx=rho1.space.dx)
+    space = hist.ToyHilbert(B=rho1.space.B, N=n)
     mat = rho1.matrix
     for _ in range(n - 1):
         mat = np.kron(mat, rho1.matrix)
@@ -247,36 +246,25 @@ def continuity_residual(times, fields):
 
 
 def local_equilibrium_peaking(beta, mubar, u, n_particles, times,
-                              mass: float = 1.0, dx: float = 1.0,
                               tolerance_units: int = 1,
                               dephasing_rate: float = 0.0) -> PeakingReport:
     """Two-time occupation histories of the tensor-power Gibbs state.
 
     Reports the consistency epsilon and the fraction of diagonal probability
     carried by occupation trajectories within ``tolerance_units`` of the
-    bin-quantized mean-field trajectory at both times 0 <= t1 < t2.  A
+    mean-field trajectory in every bin at both times 0 <= t1 < t2.  A
     positive ``dephasing_rate`` couples the particles to a
-    position-monitoring environment; the mean trajectory uses the same
-    dephased one-particle dynamics (the product-form damping factorizes over
-    particles).  Probabilities and epsilon are read off the n2 blocks of
-    ``histories.product_occupation_functional``, which never forms the
-    B^N-dimensional space or the dense decoherence matrix.
+    position-monitoring environment.  Probabilities, epsilon and the
+    trajectory are read off ``histories.product_occupation_functional``,
+    which never forms the B^N-dimensional space or the dense decoherence
+    matrix.
     """
-    rho1 = one_particle_gibbs(beta, mubar, u, mass=mass, dx=dx)
+    rho1 = one_particle_gibbs(beta, mubar, u)
     p1 = hist.one_particle_momentum(rho1.space)
-    kin1 = p1 @ p1 / (2.0 * mass)
-    func = hist.product_occupation_functional(rho1, kin1, n_particles, times,
+    func = hist.product_occupation_functional(rho1, p1 @ p1 / 2.0,
+                                              n_particles, times,
                                               dephasing_rate)
-
-    # mean-field trajectory: the one-particle state evolved over the
-    # engine's intervals, 0 -> t1 -> t2, one damp-then-rotate step each
-    spectrum = hist._spectrum(kin1)
-    mean_traj, r_t, t_prev = [], rho1.matrix, 0.0
-    for t in times:
-        r_t = hist._evolve_density(r_t, spectrum, t_prev, t, rho1.space,
-                                   dephasing_rate, 1)
-        t_prev = t
-        mean_traj.append(n_particles * np.real(np.diag(r_t)))
+    mean_traj = func.mean_occupations()
     probs = func.probabilities()
     # labels (n1, n2) within tolerance_units of the trajectory in every bin;
     # the built-in sum adds in label order (np.sum would add pairwise)

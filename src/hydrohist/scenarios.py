@@ -110,7 +110,7 @@ def _history_times(times):
 
 
 def _dim_cap_rule(bins, n_key, what):
-    """Range check of the histories engines' B^N cap, with B = bins(p) >= 2
+    """Range check of the dense engines' B^N cap, with B = bins(p) >= 2
     bins and N = p[n_key] particles; an N past log2 of the cap fails before
     the power is formed."""
     cap = hist.DEFAULT_DIM_CAP
@@ -302,7 +302,9 @@ SCENARIOS = {
             (lambda p: p["N"] >= 1, "params.N must be at least 1"),
             (lambda p: len(p["mubar"]) >= 2,
              "params.mubar must give at least 2 bins"),
-            _dim_cap_rule(lambda p: len(p["mubar"]), "N", "len(mubar)**N"),
+            (lambda p: hist.occupation_table_bytes(len(p["mubar"]), p["N"])
+             <= hist.OCCUPATION_TABLE_BYTES, "params.N must keep the "
+             f"occupation table within {hist.OCCUPATION_TABLE_BYTES} bytes"),
             (lambda p: p["beta"] > 0, "params.beta must be positive"),
             (lambda p: p["dephasing_rate"] >= 0,
              "params.dephasing_rate must be nonnegative"),
@@ -596,7 +598,7 @@ def _run_variance_scaling(config):
         worst = max(worst, float(np.max(np.abs(got - want))))
         rel.append(got[1])
         rows.append((n, got[1], want[1]))
-    slope = np.polyfit(np.log(sizes), np.log(rel), 1)[0]
+    slope = np.polyfit(np.log(np.asarray(sizes, float)), np.log(rel), 1)[0]
     metrics = [
         _metric(config, "closed_form_deviation", worst),
         _metric(config, "slope_deviation", abs(slope + 1.0)),

@@ -1,6 +1,7 @@
 import functools
 import itertools
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -28,7 +29,7 @@ def random_pure(rng, d):
 def dense_reference(rho_m, spec):
     """D(a, a') = Tr(C_a rho C_a'^dag) from dense projector products and
     explicit damp-then-rotate substeps, one matrix per pair of label chains."""
-    d = spec.space.digits() * spec.space.dx
+    d = spec.space.digits()
     dist2 = np.sum((d[:, None, :] - d[None, :, :]) ** 2, axis=2)
     mats, t_prev = {((), ()): rho_m}, 0.0
     for t, slot in zip(spec.times, spec.slots):
@@ -55,8 +56,11 @@ class TestToyHilbert:
         assert hi.ToyHilbert(B=3, N=4).dim == 81
 
     def test_cap_enforced(self):
-        with pytest.raises(DimensionCapError):
-            hi.ToyHilbert(B=4, N=9)
+        # 2^12 = 4096 states: one complex dim x dim matrix is 256 MiB
+        assert hi.ToyHilbert(B=2, N=12).dim == 4096
+        for b, n in ((4, 9), (2, 13), (3, 8)):
+            with pytest.raises(DimensionCapError):
+                hi.ToyHilbert(B=b, N=n)
 
     def test_occupation_table_rows_sum_to_n(self):
         hs = hi.ToyHilbert(B=3, N=4)
@@ -540,21 +544,67 @@ class TestProductOccupationFunctional:
 
     @pytest.mark.parametrize("entry, value, message", [
         ((0, 1, 2), 1.0, "Hermitian"),
-        ((3, 3, 1), -1e-6, "nonnegative"),
+        ((1, 1, 1), -1.0, "nonnegative"),
     ])
     def test_checks_are_the_dense_matrix_checks(self, entry, value, message):
         fact = product_engines("drift3", 2, 60.0, (0.0, 0.1))[1]
-        coef = fact.coef.copy()
-        coef[entry] = value
+        d1 = fact.d1.copy()
+        d1[entry] = value
         with pytest.raises(ValueError, match=message):
-            hi.OccupationFunctional(fact.comps, coef)
+            hi.OccupationFunctional(d1, 2)
         with pytest.raises(ValueError, match=message):
-            hi.DecoherenceMatrix(fact.labels, self.dense_of(coef))
+            hi.DecoherenceMatrix(fact.labels, self.dense_of(
+                hi._occupation_coefficients(d1, 2)))
 
-    def test_coefficients_must_fit_the_compositions(self):
-        fact = product_engines("gibbs3", 2, 0.0, (0.0, 0.1))[1]
-        with pytest.raises(ValueError, match="compositions"):
-            hi.OccupationFunctional(fact.comps[:-1], fact.coef)
+    def test_built_from_d1_alone(self):
+        # the functional derives its compositions, blocks and labels from
+        # (d1, n), and the engine's result is that of its own d1
+        fact = product_engines("drift3", 4, 60.0, (0.3, 0.5))[1]
+        again = hi.OccupationFunctional(fact.d1, 4)
+        assert again.comps == tuple(hi._compositions(4, 3))
+        assert again.labels == fact.labels
+        assert np.array_equal(again.coef, fact.coef)
+        assert not fact.d1.flags.writeable and not fact.coef.flags.writeable
+
+    @pytest.mark.parametrize("state", sorted(PRODUCT_STATES))
+    @pytest.mark.parametrize("rate", [0.0, 60.0])
+    @pytest.mark.parametrize("times", [(0.0, 0.1), (0.3, 0.5)])
+    def test_mean_occupations_follow_the_one_particle_state(self, state,
+                                                            rate, times):
+        # N <b|rho1(t)|b> at t1 and t2, rho1 evolved over the engine's
+        # intervals 0 -> t1 -> t2 by one damp-then-rotate step each
+        rho1, h1 = product_setup(state)
+        n = 3
+        fact = hi.product_occupation_functional(rho1, h1, n, times, rate)
+        r, want = rho1.matrix, []
+        for t0, t1 in ((0.0, times[0]), times):
+            r = hi._evolve_density(r, hi._spectrum(h1), t0, t1, rho1.space,
+                                   rate, 1)
+            want.append(n * np.real(np.diag(r)))
+        got = fact.mean_occupations()
+        assert np.max(np.abs(np.array(got) - np.array(want))) < 1e-14
+
+    @pytest.mark.parametrize("b, n, fits", [
+        (2, 16, True), (2, 202, True), (2, 203, False), (3, 12, True),
+        (3, 18, True), (3, 19, False), (4, 8, True), (4, 9, False),
+        (8, 5, False)])
+    def test_table_cap_in_bytes(self, b, n, fits):
+        # C(n + b - 1, b - 1)^3 complex entries within 2^27 bytes
+        size = hi.occupation_table_bytes(b, n)
+        assert size == 16 * math.comb(n + b - 1, b - 1) ** 3
+        assert (size <= hi.OCCUPATION_TABLE_BYTES) == fits
+
+    def test_cap_raises_before_the_table_is_allocated(self):
+        # 8 bins, N = 5: the table would be 792^3 complex entries, 7.9 GB
+        d1 = np.full((8, 8, 8), 1.0 / 512, dtype=complex)
+        tracemalloc.start()
+        try:
+            with pytest.raises(DimensionCapError):
+                hi.OccupationFunctional(d1, 5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
 
     def test_drift_makes_the_state_complex(self):
         rho1, _ = product_setup("drift3")
@@ -595,8 +645,15 @@ class TestProductOccupationFunctional:
         with pytest.raises(ValueError, match="one-particle"):
             hi.product_occupation_functional(le.gibbs_tensor_power(rho1, 2),
                                              h1, 2, (0.0, 0.1))
+        with pytest.raises(ValueError, match="B, B, B"):
+            hi.OccupationFunctional(np.ones((3, 3, 2)), 2)
+        # 8 bins and N = 6: C(13, 7)^3 = 1716^3 entries
+        rho8 = le.one_particle_gibbs(np.full(8, 2.0), np.zeros(8),
+                                     np.zeros(8))
+        p8 = hi.one_particle_momentum(rho8.space)
         with pytest.raises(DimensionCapError):
-            hi.product_occupation_functional(rho1, h1, 11, (0.0, 0.1))
+            hi.product_occupation_functional(rho8, p8 @ p8 / 2.0, 6,
+                                             (0.0, 0.1))
 
 
 class TestConsistencyMeasures:

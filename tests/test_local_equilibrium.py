@@ -101,7 +101,7 @@ class TestGibbs:
         assert np.min(np.linalg.eigvalsh(m)) > -1e-14
 
     def test_drift_biases_momentum(self):
-        p = hist.one_particle_momentum(hist.ToyHilbert(3, 1, dx=1.0))
+        p = hist.one_particle_momentum(hist.ToyHilbert(3, 1))
         still = le.one_particle_gibbs(np.full(3, 2.0), np.zeros(3), np.zeros(3))
         drift = le.one_particle_gibbs(np.full(3, 2.0), np.zeros(3),
                                       np.full(3, 0.4))
@@ -299,6 +299,12 @@ class TestPeaking:
         def forbidden(*args, **kwargs):
             raise AssertionError("dense N-particle path used")
 
+        toy_hilbert = hist.ToyHilbert
+
+        def one_particle_only(B, N):
+            assert N == 1, "N-particle space built"
+            return toy_hilbert(B, N)
+
         for module, name in ((le, "gibbs_tensor_power"),
                              (hist, "lift_one_body"),
                              (hist, "occupation_family"),
@@ -307,6 +313,7 @@ class TestPeaking:
                              (hist, "DecoherenceMatrix"),
                              (hist, "consistency_epsilon")):
             monkeypatch.setattr(module, name, forbidden)
+        monkeypatch.setattr(hist, "ToyHilbert", one_particle_only)
         rep = le.local_equilibrium_peaking(self.BETA, self.MUBAR, self.U, 6,
                                            (0.0, 0.1), dephasing_rate=60.0)
         assert len(rep.probabilities) == 28 ** 2
@@ -342,10 +349,13 @@ class TestPeaking:
         assert len(rep.probabilities) == 66 ** 2
         assert peak < 64 * 2 ** 20
 
-    def test_dimension_cap_kept(self):
+    def test_table_cap_kept(self):
+        # 8 bins and N = 6: C(13, 7)^3 = 1716^3 complex entries, 81 GB
         with pytest.raises(DimensionCapError):
-            le.local_equilibrium_peaking(self.BETA, self.MUBAR, self.U, 11,
-                                         (0.0, 0.1), dephasing_rate=60.0)
+            le.local_equilibrium_peaking(np.full(8, 3.0),
+                                         np.array([4.0] + [0.0] * 7),
+                                         np.zeros(8), 6, (0.0, 0.1),
+                                         dephasing_rate=60.0)
 
     def test_sharp_state_single_history(self):
         rep = le.local_equilibrium_peaking(np.full(3, 8.0),

@@ -608,7 +608,6 @@ LATTICE = np.linspace(-4.0, 4.0, 8)
                                   NAN, UNIT),
     lambda: ps.gaussian_wigner(-8, 8, 32, -4, 4, 32, var_q=NAN),
     lambda: hist.gaussian_quasi_projector(np.diag([0.0, 1.0, 2.0]), 1.0, NAN),
-    lambda: hist.ToyHilbert(B=2, N=1, dx=NAN),
     lambda: hist.HistorySpec(TWO_BINS, (1.0,),
                              ([hist.occupation_family(TWO_BINS)],),
                              np.zeros((2, 2)), dephasing_rate=NAN),
@@ -621,7 +620,7 @@ LATTICE = np.linspace(-4.0, 4.0, 8)
     lambda: le.LocalEquilibriumProfile(LATTICE, np.ones(8), np.zeros(8),
                                        np.ones(8), mass=NAN),
 ], ids=["M", "kT", "propagate_analytic_t", "gaussian_wigner_var",
-        "quasi_projector_sigma", "toy_dx", "spec_dephasing",
+        "quasi_projector_sigma", "spec_dephasing",
         "product_dephasing", "gibbs_beta", "profile_kT", "profile_mass"])
 def test_nan_parameter_rejected(call):
     # every positivity check is written "not x > 0", which NaN fails; the

@@ -315,12 +315,17 @@ class TestCli:
                      id="peaking-no-particles"),
         pytest.param("local-equilibrium-peaking", {"params": {"mubar": [4.0]}},
                      "params.mubar", id="peaking-one-bin"),
+        # the occupation table, C(N + B - 1, B - 1)^3 complex entries,
+        # past 2^27 bytes: 210^3, 204^3 and 792^3 (7.9 GB) entries
         pytest.param("local-equilibrium-peaking",
-                     {"params": {"N": 11}}, "params.N",
-                     id="peaking-past-dimension-cap"),
+                     {"params": {"N": 19}}, "params.N",
+                     id="peaking-past-table-cap"),
         pytest.param("local-equilibrium-peaking",
-                     {"params": {"mubar": [4.0, 0.0], "N": 17}}, "params.N",
-                     id="peaking-two-bins-past-dimension-cap"),
+                     {"params": {"mubar": [4.0, 0.0], "N": 203}}, "params.N",
+                     id="peaking-two-bins-past-table-cap"),
+        pytest.param("local-equilibrium-peaking",
+                     {"params": {"mubar": [4.0] + [0.0] * 7, "N": 5}},
+                     "params.N", id="peaking-eight-bins-past-table-cap"),
         pytest.param("local-equilibrium-peaking", {"params": {"N": 10 ** 12}},
                      "params.N", id="peaking-huge-N"),
         pytest.param("conserved-decoherence", {"params": {"bins": 3, "N": 11}},
@@ -331,6 +336,10 @@ class TestCli:
         pytest.param("histories-nscaling",
                      {"params": {"N_max": 17}}, "params.N_max",
                      id="nscaling-past-dimension-cap"),
+        # 2^13 states: one complex dim x dim matrix would be 1 GiB
+        pytest.param("histories-nscaling",
+                     {"params": {"N_max": 13}}, "params.N_max",
+                     id="nscaling-past-byte-cap"),
         pytest.param("local-equilibrium-peaking", {"params": {"beta": 0.0}},
                      "params.beta", id="peaking-zero-beta"),
         pytest.param("local-equilibrium-peaking",
@@ -480,8 +489,44 @@ class TestCli:
                 ("oracle-compare", {"t_kernel": 0.0, "t_master": 0.0}),
                 ("local-equilibrium-peaking", {"N": 10}),
                 ("local-equilibrium-peaking", {"mubar": [4.0, 0.0], "N": 11}),
-                ("local-equilibrium-peaking", {"mubar": [4.0, 0.0], "N": 16})):
+                ("local-equilibrium-peaking", {"mubar": [4.0, 0.0], "N": 16}),
+                ("local-equilibrium-peaking", {"N": 18}),
+                ("local-equilibrium-peaking", {"mubar": [4.0, 0.0], "N": 202}),
+                ("histories-nscaling", {"N_max": 12})):
             sc.validate_config(minimal(scenario, params=params, seed=1))
+
+    def test_peaking_keeps_what_the_dense_cap_admitted(self):
+        # every (B, N) with B <= 4 and B^N <= 2^16 fits the table cap
+        for b in (2, 3, 4):
+            for n in range(1, 17):
+                if b ** n <= 2 ** 16:
+                    sc.validate_config(minimal(
+                        "local-equilibrium-peaking",
+                        params={"mubar": [4.0] + [0.0] * (b - 1), "N": n}))
+
+    def test_peaking_past_the_old_cap_runs(self, tmp_path):
+        # B = 3, N = 12 (3^12 > 2^16) has a 91^3 table, 12 MB; the fixed
+        # one-unit tube holds less than 0.9 at this N, so the run misses
+        # that threshold (exit 1) but completes
+        path = write_config(tmp_path, minimal("local-equilibrium-peaking",
+                                              params={"N": 12}))
+        assert cli.main(["validate", str(path)]) == 0
+        assert cli.main(["run", str(path), "--out", str(tmp_path / "o"),
+                         "--quiet"]) == 1
+        report = json.loads((tmp_path / "o" /
+                             "local-equilibrium-peaking-report.json")
+                            .read_text())
+        metrics = {m["name"]: m for m in report["metrics"]}
+        assert metrics["epsilon"]["passed"]
+        assert not metrics["on_trajectory_fraction"]["passed"]
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("sizes", [[1e20, 10], [1e308, 10]])
+    def test_variance_scaling_past_int64_runs(self, tmp_path, sizes):
+        path = write_config(tmp_path, minimal("variance-scaling",
+                                              params={"N_values": sizes}))
+        assert cli.main(["run", str(path), "--out", str(tmp_path / "o"),
+                         "--quiet"]) == 0
 
     def test_validate_bad(self, tmp_path, capsys):
         path = write_config(tmp_path, minimal("warp-drive"))
