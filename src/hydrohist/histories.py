@@ -26,8 +26,8 @@ B^N tensor-product space.  The module builds
   one-particle objects only: an OccupationFunctional of the tensor d1[b, b', c]
   runs a dynamic program, capped by its own table, for the coefficients of
   (sum d1 x_b x'_b' y_c)^N, the blocks of D (the factorized engine);
-- consistency diagnostics: the off-diagonal ratio epsilon and the bound
-  |D(a,a')|^2 <= p(a) p(a'), which any decoherence functional satisfies;
+- consistency diagnostics on a DecoherenceMatrix, whatever engine made it:
+  epsilon and the bound |D(a,a')|^2 <= p(a) p(a'), which any D satisfies;
 - Gaussian-history probabilities and their peak structure: the exact
   single-time probability, its large-sigma asymptotic form
   (2 pi (sigma^2 + dA^2))^(-1/2) exp(-(<A> - a)^2 / 2(sigma^2 + dA^2)),
@@ -79,9 +79,11 @@ __all__ = [
     "complement_pair_consistency",
 ]
 
-#: the dense engines' cap on dim = B^N: a complex dim x dim matrix is 256 MiB
+#: the dense engines' cap on dim = B^N, a complex dim x dim matrix of 256 MiB;
+#: a run holds several (histories-nscaling at N_max = 12 peaks at 880 MB RSS)
 DEFAULT_DIM_CAP = 2 ** 12
-#: the cap on OccupationFunctional's table, 2^23 complex entries
+#: the cap on OccupationFunctional's table, 2^23 complex entries; the dynamic
+#: program peaks at about 3.4 times the table (377 MB RSS at B = 3, N = 18)
 OCCUPATION_TABLE_BYTES = 2 ** 27
 HERMITICITY_TOL = 1e-8
 #: tolerance of check_dh_bound: |D(a,a')|^2 may exceed p(a) p(a') by this much
@@ -403,45 +405,62 @@ class HistorySpec:
 
 @dataclass(frozen=True)
 class DecoherenceMatrix:
-    """Decoherence functional over a catalog of history labels."""
+    """Decoherence functional over history labels (k, g), g fastest, held
+    as blocks: D((k, g), (k', g')) = delta(g, g') blocks[k, k', g].  A (K, K)
+    matrix is the one-block case; ``matrix`` is the dense array."""
 
     labels: tuple
-    matrix: np.ndarray = field(repr=False)
+    blocks: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=complex)
-        if m.shape != (len(self.labels), len(self.labels)):
+        c = np.array(self.blocks, dtype=complex)
+        if c.ndim == 2:
+            c = c[:, :, None]
+        if (c.ndim != 3 or c.shape[0] != c.shape[1]
+                or c.shape[0] * c.shape[2] != len(self.labels)):
             raise ValueError("matrix shape must match the label catalog")
-        if np.max(np.abs(m - m.conj().T)) > 1e-8 * max(np.max(np.abs(m)), 1e-300):
+        # block by block: the temporaries are one block, not all of D
+        blocks = c.transpose(2, 0, 1)
+        skew = max(np.max(np.abs(b - b.conj().T)) for b in blocks)
+        scale = max(np.max(np.abs(b)) for b in blocks)
+        if skew > 1e-8 * max(scale, 1e-300):
             raise ValueError("decoherence matrix must be Hermitian")
-        if np.min(np.real(np.diag(m))) < -1e-10:
+        if np.min(np.real(np.einsum("iig->ig", c))) < -1e-10:
             raise ValueError("diagonal entries must be nonnegative")
-        m = m.copy()
-        m.flags.writeable = False
-        object.__setattr__(self, "matrix", m)
+        c.flags.writeable = False
+        object.__setattr__(self, "blocks", c)
         object.__setattr__(self, "labels", tuple(self.labels))
 
+    @property
+    def matrix(self):
+        """The dense matrix, with the blocks scattered into zeros."""
+        k, _, g = self.blocks.shape
+        if g == 1:
+            return self.blocks[:, :, 0]
+        out = np.zeros((k, g, k, g), dtype=complex)
+        same = np.arange(g)
+        out[:, same, :, same] = self.blocks.transpose(2, 0, 1)
+        return out.reshape(k * g, k * g)
+
     def probabilities(self):
-        return np.clip(np.real(np.diag(self.matrix)), 0.0, None)
+        return np.real(np.einsum("iig->ig", self.blocks)).clip(0.0).ravel()
 
 
 @dataclass(frozen=True)
 class OccupationFunctional:
     """Two-time occupation decoherence functional of n particles, each with
-    the one-particle tensor d1[b, b', c], held as its n2 blocks.
+    the one-particle tensor d1[b, b', c].
 
-    D((n1, n2), (n1', n2')) = delta(n2, n2') coef[n1, n1', n2], every axis
-    of the ``_occupation_coefficients`` table, held to OCCUPATION_TABLE_BYTES
-    before it is computed, indexed by ``comps``.  ``labels`` are the (n1, n2)
-    pairs in ``itertools.product(comps, repeat=2)`` order, the catalog of
+    ``decoherence`` holds D as its n2 blocks, the ``_occupation_coefficients``
+    table, held to OCCUPATION_TABLE_BYTES before it is computed, each axis
+    indexed by ``comps``; its labels (n1, n2) are the catalog of
     ``decoherence_functional`` with ``occupation_family`` at both times.
     """
 
     d1: np.ndarray = field(repr=False)
     n: int
     comps: tuple = field(init=False, repr=False)
-    coef: np.ndarray = field(init=False, repr=False)
-    labels: tuple = field(init=False, repr=False)
+    decoherence: DecoherenceMatrix = field(init=False, repr=False)
 
     def __post_init__(self):
         d1 = np.array(self.d1, dtype=complex)
@@ -452,54 +471,19 @@ class OccupationFunctional:
             raise DimensionCapError(
                 f"N = {self.n} in {b} bins exceeds the occupation table cap "
                 f"of {OCCUPATION_TABLE_BYTES} bytes")
-        c = _occupation_coefficients(d1, self.n)
-        # DecoherenceMatrix's checks: D is zero outside the blocks, so the
-        # blocks alone decide both
-        herm = c.conj().transpose(1, 0, 2)
-        if np.max(np.abs(c - herm)) > 1e-8 * max(np.max(np.abs(c)), 1e-300):
-            raise ValueError("decoherence matrix must be Hermitian")
-        if np.min(np.real(np.einsum("iic->ic", c))) < -1e-10:
-            raise ValueError("diagonal entries must be nonnegative")
-        d1.flags.writeable = c.flags.writeable = False
         comps = tuple(_compositions(self.n, b))
+        coef = _occupation_coefficients(d1, self.n)
+        d1.flags.writeable = False
         object.__setattr__(self, "d1", d1)
         object.__setattr__(self, "comps", comps)
-        object.__setattr__(self, "coef", c)
-        object.__setattr__(self, "labels",
-                           tuple(itertools.product(comps, repeat=2)))
+        object.__setattr__(self, "decoherence", DecoherenceMatrix(
+            tuple(itertools.product(comps, repeat=2)), coef))
 
     def mean_occupations(self):
         """N <b|rho1(t)|b> at t1 and t2, as the one-particle map keeps the
         trace: sum_c d1[b, b, c] and sum_{b, b'} d1[b, b', c]."""
         d1 = self.d1.real
         return self.n * np.einsum("bbc->b", d1), self.n * d1.sum(axis=(0, 1))
-
-    def _block_probabilities(self):
-        """p[n1, n2] = Re coef[n1, n1, n2], clipped at zero."""
-        return np.clip(np.real(np.einsum("iic->ic", self.coef)), 0.0, None)
-
-    def probabilities(self):
-        return self._block_probabilities().ravel()
-
-    def epsilon(self) -> float:
-        """``consistency_epsilon`` of the functional, skipping empty rows
-        silently: the largest |D(a, a')| / sqrt(p(a) p(a')) over live pairs
-        a < a' in the same n2 block, since D vanishes between blocks."""
-        p = self._block_probabilities()
-        i, j = np.triu_indices(len(self.comps), 1)
-        pair, c = np.nonzero((p[i] > 1e-300) & (p[j] > 1e-300))
-        i, j = i[pair], j[pair]
-        d = self.coef[i, j, c]
-        return float(np.max(np.hypot(d.real, d.imag)
-                            / np.sqrt(p[i, c] * p[j, c]), initial=0.0))
-
-    def to_dense(self) -> DecoherenceMatrix:
-        """The full (C^2, C^2) decoherence matrix, for oracle checks."""
-        k = len(self.comps)
-        out = np.zeros((k, k, k, k), dtype=complex)  # (n1, n2, n1', n2')
-        same = np.arange(k)
-        out[:, same, :, same] = self.coef.transpose(2, 0, 1)
-        return DecoherenceMatrix(self.labels, out.reshape(k * k, k * k))
 
 
 @dataclass(frozen=True)
@@ -568,7 +552,7 @@ def _chain_functional(rho, history, levels):
 
     rho = L L^dag, with L the eigenvectors scaled by sqrt(w), w > 1e-14.  A
     chain projected by a diagonal keeps only its nonzero rows, scaled.  If
-    the final level is disjoint diagonals, D is block-diagonal: the block of
+    the final level is disjoint diagonals, D's blocks are returned: that of
     final c is the Gram matrix of the prefix chains on c's rows, scaled.
     """
     if isinstance(rho, StateVector):
@@ -590,13 +574,13 @@ def _chain_functional(rho, history, levels):
         chains = nxt
     u = _unitary(history.spectrum, steps[-1])
     if _disjoint_diagonals(final):
-        n_pre, n = len(chains), len(final)
-        out = np.zeros((n_pre, n, n_pre, n), dtype=complex)
+        n_pre = len(chains)
+        blocks = np.empty((n_pre, n_pre, len(final)), dtype=complex)
         for c, op in enumerate(final):
             u_c = _keep(op, u)[1]
             flat = np.array([(u_c[:, rows] @ y).ravel() for rows, y in chains])
-            out[:, c, :, c] = flat @ flat.conj().T
-        return out.reshape(n_pre * n, n_pre * n)
+            blocks[:, :, c] = flat @ flat.conj().T
+        return blocks
     flat = []
     for rows, y in chains:
         uy = u[:, rows] @ y
@@ -627,14 +611,14 @@ def _branch_pair_functional(rho_m, history, levels):
 
     E is ``dephasing_substeps`` damp-then-rotate steps per interval.  Only
     prefix pairs p <= q are evolved (D is Hermitian).  If the final level is
-    disjoint diagonals w_c, D(p c, q c) sums the evolved pair's diagonal
-    weighted by w_c^2.
+    disjoint diagonals w_c, the blocks D(p c, q c) sum the evolved pair's
+    diagonal weighted by w_c^2.
     """
     space = history.space
     rate, substeps = history.dephasing_rate, history.dephasing_substeps
     final = levels[-1]
-    weights = (np.array(final, dtype=float) ** 2
-               if _disjoint_diagonals(final) else None)
+    blocked = _disjoint_diagonals(final)
+    weights = np.array(final, dtype=float) ** 2 if blocked else None
     pairs = {(0, 0): (_ALL, _ALL, rho_m)}
     for k, (dt, ops) in enumerate(zip(np.diff((0.0,) + history.times), levels)):
         last, n = k == len(levels) - 1, len(ops)
@@ -645,21 +629,24 @@ def _branch_pair_functional(rho_m, history, levels):
         for (p, q), (rows, cols, m) in pairs.items():
             if dt > 0:  # else this is the first time, t = 0, and m is rho
                 a, b = _damp_rotate(rows, cols, m, u, damp, substeps)
-                if last and weights is not None:
-                    sums = weights @ np.einsum("ij,ij->i", a, b.conj())
-                    nxt.update(((p * n + c, q * n + c), v)
-                               for c, v in enumerate(sums))
+                if last and blocked:
+                    nxt[(p, q)] = weights @ np.einsum("ij,ij->i", a, b.conj())
                     continue
                 m = a @ b.conj().T
+            if last and blocked:  # a single time, t = 0
+                nxt[(p, q)] = [_trace_pair(m, op, op) for op in ops]
+                continue
             step = _trace_pair if last else _project
             for l, r in itertools.product(range(n), repeat=2):
                 if p * n + l <= q * n + r:
                     nxt[(p * n + l, q * n + r)] = step(m, ops[l], ops[r])
         pairs = nxt
-    size = math.prod(map(len, levels))
-    out = np.zeros((size, size), dtype=complex)
-    out[tuple(np.array(list(pairs)).T)] = list(pairs.values())
-    return out + np.triu(out, 1).conj().T
+    size = math.prod(map(len, levels[:-1] if blocked else levels))
+    # (final, prefix, prefix) when blocked, one block of all labels otherwise
+    out = np.zeros((len(final) if blocked else 1, size, size), dtype=complex)
+    out[(_ALL,) + tuple(np.array(list(pairs)).T)] = np.array(
+        list(pairs.values())).reshape(len(pairs), -1).T
+    return (out + np.triu(out, 1).conj().transpose(0, 2, 1)).transpose(1, 2, 0)
 
 
 def decoherence_functional(rho, history: HistorySpec) -> DecoherenceMatrix:
@@ -757,16 +744,19 @@ def product_occupation_functional(rho1: DensityOperator, h1, n, times,
 
 
 def consistency_epsilon(dmat: DecoherenceMatrix) -> float:
-    """max over a != a' of |D(a,a')| / sqrt(p(a) p(a')), skipping empty rows."""
-    p = dmat.probabilities()
-    live = np.flatnonzero(p > 1e-300)
-    if live.size < p.size:
-        warnings.warn(
-            f"{p.size - live.size} zero-probability histories "
-            "excluded from epsilon", stacklevel=2)
-    i, j = live[np.array(np.triu_indices(live.size, 1))]
-    d = dmat.matrix[i, j]
-    return float(np.max(np.hypot(d.real, d.imag) / np.sqrt(p[i] * p[j]),
+    """max over a != a' of |D(a,a')| / sqrt(p(a) p(a')), skipping empty rows;
+    D vanishes between blocks, so only pairs within a block are formed."""
+    p = dmat.probabilities().reshape(len(dmat.blocks), -1)  # p[k, g]
+    live = p > 1e-300
+    dead = p.size - np.count_nonzero(live)
+    if dead:
+        warnings.warn(f"{dead} zero-probability histories excluded from "
+                      "epsilon", stacklevel=2)
+    i, j = np.triu_indices(len(p), 1)
+    pair, g = np.nonzero(live[i] & live[j])
+    i, j = i[pair], j[pair]
+    d = dmat.blocks[i, j, g]
+    return float(np.max(np.hypot(d.real, d.imag) / np.sqrt(p[i, g] * p[j, g]),
                         initial=0.0))
 
 

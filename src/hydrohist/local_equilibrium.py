@@ -254,10 +254,10 @@ def local_equilibrium_peaking(beta, mubar, u, n_particles, times,
     carried by occupation trajectories within ``tolerance_units`` of the
     mean-field trajectory in every bin at both times 0 <= t1 < t2.  A
     positive ``dephasing_rate`` couples the particles to a
-    position-monitoring environment.  Probabilities, epsilon and the
-    trajectory are read off ``histories.product_occupation_functional``,
-    which never forms the B^N-dimensional space or the dense decoherence
-    matrix.
+    position-monitoring environment.  The trajectory is read off
+    ``histories.product_occupation_functional``, which never forms the
+    B^N-dimensional space, and probabilities and epsilon off the blocks of
+    its decoherence functional, never off the dense matrix.
     """
     rho1 = one_particle_gibbs(beta, mubar, u)
     p1 = hist.one_particle_momentum(rho1.space)
@@ -265,18 +265,19 @@ def local_equilibrium_peaking(beta, mubar, u, n_particles, times,
                                               n_particles, times,
                                               dephasing_rate)
     mean_traj = func.mean_occupations()
-    probs = func.probabilities()
+    dmat = func.decoherence
+    probs = dmat.probabilities()
     # labels (n1, n2) within tolerance_units of the trajectory in every bin;
     # the built-in sum adds in label order (np.sum would add pairwise)
-    inside = np.all(np.abs(np.array(func.labels) - np.array(mean_traj))
+    inside = np.all(np.abs(np.array(dmat.labels) - np.array(mean_traj))
                     <= tolerance_units, axis=(1, 2))
     on = sum(probs[inside])
     total = probs.sum()
     return PeakingReport(
-        epsilon=func.epsilon(),
+        epsilon=hist.consistency_epsilon(dmat),
         on_trajectory_fraction=float(on / total),
         mean_trajectory=tuple(tuple(float(x) for x in m) for m in mean_traj),
-        probabilities={lab: float(p) for lab, p in zip(func.labels, probs)},
+        probabilities={lab: float(p) for lab, p in zip(dmat.labels, probs)},
     )
 
 

@@ -240,7 +240,10 @@ SCENARIOS = {
             # at overlap -1 the two branches cancel
             (lambda p: -1 < p["overlap"] <= 1,
              "params.overlap must lie in (-1, 1]"),
-            (lambda p: p["sigma"] > 0, "params.sigma must be positive"),
+            # p(a) scales as 1/(2 pi sigma^2); epsilon divides by p(a) p(a')
+            (lambda p: p["sigma"] > 0 and np.finfo(float).tiny
+             <= (2 * math.pi * float(p["sigma"]) ** 2) ** -2 < math.inf,
+             "params.sigma must keep (2 pi sigma^2)^-2 a normal float"),
             _dim_cap_rule(lambda p: 2, "N_max", "2**N_max"),
         ),
     },
@@ -616,7 +619,7 @@ def _run_histories_nscaling(config):
     eps, rows, notes = {}, [], []
     for n in range(1, p["N_max"] + 1):
         with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
+            warnings.simplefilter("always", append=True)
             space = hist.ToyHilbert(B=2, N=n)
             state = hist.superposition_state(space, psi, chi)
             fam = hist.gaussian_occupation_family(
@@ -784,8 +787,10 @@ _RUNNERS = {
 def run_scenario(config: ScenarioConfig, output_dir=None) -> RunReport:
     """Execute a scenario, write its artifacts and return the run report.
 
-    The output directory is created before the runner starts.  A failure of
-    the runner, of that directory or of an artifact write raises
+    The output directory is created before the runner starts.  A warning
+    of the runner is noted in the report, unless the caller's filters make
+    it an error or ignore it.  A failure of the runner (such an error
+    included), of that directory or of an artifact write raises
     ScenarioError with the original exception as its cause.
     """
     start = time.perf_counter()
@@ -798,11 +803,14 @@ def run_scenario(config: ScenarioConfig, output_dir=None) -> RunReport:
             f"scenario {config.scenario!r}: cannot create output "
             f"directory: {exc}") from exc
     try:
-        metrics, artifacts, notes = _RUNNERS[config.scenario](config)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", append=True)
+            metrics, artifacts, notes = _RUNNERS[config.scenario](config)
     except Exception as exc:
         raise ScenarioError(
             f"scenario {config.scenario!r} failed: "
             f"{type(exc).__name__}: {exc}") from exc
+    notes = [*notes, *(f"{w.category.__name__}: {w.message}" for w in caught)]
     report = RunReport(
         scenario=config.scenario,
         params=config.params,

@@ -397,6 +397,7 @@ class TestEnginesMatchDenseReference:
         catalog, want = dense_reference(rho_m, spec)
         assert list(d.labels) == catalog
         assert np.max(np.abs(d.matrix - want)) < 1e-12
+        return d
 
     @pytest.mark.parametrize("state", ["pure", "rank-3", "full-rank"])
     @pytest.mark.parametrize("times", [(0.0,), (0.7,), (0.0, 0.6),
@@ -408,6 +409,20 @@ class TestEnginesMatchDenseReference:
                                                        self.RATES):
             self.check(state, times, tuple([fam] for _ in times), rate,
                        substeps)
+
+    @pytest.mark.parametrize("state", ["pure", "full-rank"])
+    @pytest.mark.parametrize("times", [(0.0,), (0.7,), (0.0, 0.6),
+                                       (0.3, 0.8, 1.5)])
+    @pytest.mark.parametrize("rate, substeps", RATES)
+    def test_disjoint_final_family_gives_blocks(self, state, times, rate,
+                                                substeps):
+        # D vanishes between distinct final occupations, so both engines
+        # return one (K, K) block per final label, K the prefix count
+        masks = hi.occupation_family(self.hs)
+        d = self.check(state, times, tuple([masks] for _ in times), rate,
+                       substeps)
+        k = len(masks) ** (len(times) - 1)
+        assert d.blocks.shape == (k, k, len(masks))
 
     def weight_families(self):
         """Gaussian quasi-projectors (every row weighted by every member),
@@ -488,8 +503,8 @@ class TestProductOccupationFunctional:
     @pytest.mark.parametrize("times", [(0.0, 0.1), (0.3, 0.5)])
     def test_matches_dense_engine(self, state, n, rate, times):
         dense, fact = product_engines(state, n, rate, times)
-        assert fact.labels == dense.labels
-        got = fact.to_dense()
+        got = fact.decoherence
+        assert got.labels == dense.labels
         assert np.max(np.abs(got.matrix - dense.matrix)) < 1e-12
         assert quiet_epsilon(got) == pytest.approx(quiet_epsilon(dense),
                                                    rel=1e-12)
@@ -500,10 +515,10 @@ class TestProductOccupationFunctional:
     def test_blocks_read_as_the_dense_matrix(self, state, n, rate, times):
         # probabilities and epsilon off the n2 blocks are those of the
         # dense matrix the blocks stand for, bit for bit
-        _, fact = product_engines(state, n, rate, times)
-        dense = fact.to_dense()
-        assert fact.epsilon() == quiet_epsilon(dense)
-        assert np.array_equal(fact.probabilities(), dense.probabilities())
+        blocks = product_engines(state, n, rate, times)[1].decoherence
+        dense = hi.DecoherenceMatrix(blocks.labels, blocks.matrix)
+        assert quiet_epsilon(blocks) == quiet_epsilon(dense)
+        assert np.array_equal(blocks.probabilities(), dense.probabilities())
 
     @pytest.mark.parametrize("state, n", PRODUCT_CASES)
     @pytest.mark.parametrize("rate", [0.0, 60.0])
@@ -514,7 +529,7 @@ class TestProductOccupationFunctional:
         # Tr(P_n2 rho(t2)): the multinomial law of the evolved diag(rho1)
         rho1, h1 = product_setup(state)
         d = hi.product_occupation_functional(rho1, h1, n, times,
-                                             rate).to_dense()
+                                             rate).decoherence
         assert abs(np.sum(d.matrix) - 1.0) < 1e-12
         k = math.isqrt(len(d.labels))
         final = np.einsum("icjc->c", d.matrix.reshape(k, k, k, k))
@@ -537,10 +552,9 @@ class TestProductOccupationFunctional:
                 dense[a, b] = coef[i, j, c]
         return dense
 
-    def test_to_dense_places_the_blocks(self):
-        fact = product_engines("drift3", 2, 60.0, (0.0, 0.1))[1]
-        assert np.array_equal(fact.to_dense().matrix,
-                              self.dense_of(fact.coef))
+    def test_matrix_places_the_blocks(self):
+        d = product_engines("drift3", 2, 60.0, (0.0, 0.1))[1].decoherence
+        assert np.array_equal(d.matrix, self.dense_of(d.blocks))
 
     @pytest.mark.parametrize("entry, value, message", [
         ((0, 1, 2), 1.0, "Hermitian"),
@@ -553,7 +567,7 @@ class TestProductOccupationFunctional:
         with pytest.raises(ValueError, match=message):
             hi.OccupationFunctional(d1, 2)
         with pytest.raises(ValueError, match=message):
-            hi.DecoherenceMatrix(fact.labels, self.dense_of(
+            hi.DecoherenceMatrix(fact.decoherence.labels, self.dense_of(
                 hi._occupation_coefficients(d1, 2)))
 
     def test_built_from_d1_alone(self):
@@ -562,9 +576,11 @@ class TestProductOccupationFunctional:
         fact = product_engines("drift3", 4, 60.0, (0.3, 0.5))[1]
         again = hi.OccupationFunctional(fact.d1, 4)
         assert again.comps == tuple(hi._compositions(4, 3))
-        assert again.labels == fact.labels
-        assert np.array_equal(again.coef, fact.coef)
-        assert not fact.d1.flags.writeable and not fact.coef.flags.writeable
+        assert again.decoherence.labels == fact.decoherence.labels
+        assert np.array_equal(again.decoherence.blocks,
+                              fact.decoherence.blocks)
+        assert not fact.d1.flags.writeable
+        assert not fact.decoherence.blocks.flags.writeable
 
     @pytest.mark.parametrize("state", sorted(PRODUCT_STATES))
     @pytest.mark.parametrize("rate", [0.0, 60.0])
@@ -614,8 +630,9 @@ class TestProductOccupationFunctional:
     def test_top_histories_rank_alike(self, rate):
         # mirror-image histories tie up to rounding; the scenario's ranking
         # must not depend on which engine broke the tie
+        dense, fact = product_engines("gibbs3", 6, rate, (0.0, 0.1))
         ranks = [sc._most_probable(dict(zip(d.labels, d.probabilities())))
-                 for d in product_engines("gibbs3", 6, rate, (0.0, 0.1))]
+                 for d in (dense, fact.decoherence)]
         assert len(ranks[0]) == 50
         assert ranks[0] == ranks[1]
 
@@ -709,6 +726,49 @@ class TestConsistencyMeasures:
             rep = hi.check_dh_bound(d)
             assert (rep.ok, rep.worst_excess, rep.worst_pair) == loop_bound(
                 d, hi.DH_BOUND_SLACK)
+
+    @pytest.mark.parametrize("g", [1, 3, 7])
+    @pytest.mark.parametrize("dead", [0, 3])
+    def test_readers_agree_on_blocks_and_dense(self, g, dead):
+        # a functional held as G blocks reads as the dense matrix they
+        # stand for, held as one block: probabilities, epsilon (its value
+        # and its warning) and the bound report are equal, bit for bit
+        rng = np.random.default_rng(10 * g + dead)
+        k = 6
+        blocks = np.stack([random_hermitian(rng, k) for _ in range(g)], -1)
+        for c in range(g):
+            np.fill_diagonal(blocks[:, :, c], np.abs(np.diag(blocks[:, :, c])))
+        for i, c in zip(rng.integers(k, size=dead),
+                        rng.integers(g, size=dead)):
+            blocks[i, :, c] = blocks[:, i, c] = 0.0
+        labels = tuple(itertools.product(range(k), "abcdefg"[:g]))
+        held = hi.DecoherenceMatrix(labels, blocks)
+        dense = hi.DecoherenceMatrix(labels, held.matrix)
+        assert held.blocks.shape == (k, k, g)
+        assert dense.blocks.shape == (k * g, k * g, 1)
+        assert np.array_equal(held.probabilities(), dense.probabilities())
+        eps, caught = [], []
+        for d in (held, dense):
+            with warnings.catch_warnings(record=True) as w:
+                warnings.simplefilter("always")
+                eps.append(hi.consistency_epsilon(d))
+            caught.append([str(x.message) for x in w])
+        assert eps[0] == eps[1] and caught[0] == caught[1]
+        assert len(caught[0]) == (dead > 0)
+        assert hi.check_dh_bound(held) == hi.check_dh_bound(dense)
+
+    @pytest.mark.parametrize("read_only_view", [False, True])
+    def test_blocks_are_held_apart_from_the_input(self, read_only_view):
+        # a later write to the input, also through a writeable base of a
+        # read-only view, leaves the checked D as it was
+        m = np.diag([0.7, 0.3]).astype(complex)
+        given = m[:]
+        given.flags.writeable = not read_only_view
+        d = hi.DecoherenceMatrix(("a", "b"), given)
+        m[0, 1] = 1.0
+        assert d.matrix[0, 1] == 0.0 and not d.blocks.flags.writeable
+        with pytest.raises(ValueError, match="label catalog"):
+            hi.DecoherenceMatrix(("a", "b", "c"), np.zeros((2, 2, 2)))
 
     def test_bound_ties_pick_first_pair(self):
         m = np.full((3, 3), 0.1, dtype=complex)

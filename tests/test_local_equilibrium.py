@@ -309,10 +309,11 @@ class TestPeaking:
                              (hist, "lift_one_body"),
                              (hist, "occupation_family"),
                              (hist, "HistorySpec"),
-                             (hist, "decoherence_functional"),
-                             (hist, "DecoherenceMatrix"),
-                             (hist, "consistency_epsilon")):
+                             (hist, "decoherence_functional")):
             monkeypatch.setattr(module, name, forbidden)
+        # the functional's blocks are read, never the dense matrix
+        monkeypatch.setattr(hist.DecoherenceMatrix, "matrix",
+                            property(forbidden))
         monkeypatch.setattr(hist, "ToyHilbert", one_particle_only)
         rep = le.local_equilibrium_peaking(self.BETA, self.MUBAR, self.U, 6,
                                            (0.0, 0.1), dephasing_rate=60.0)
@@ -329,7 +330,7 @@ class TestPeaking:
         rho1 = le.one_particle_gibbs(self.BETA, self.MUBAR, self.U)
         p1 = hist.one_particle_momentum(rho1.space)
         d = hist.product_occupation_functional(rho1, p1 @ p1 / 2.0, n, times,
-                                               rate).to_dense()
+                                               rate).decoherence
         final = np.array([lab[1] for lab in d.labels])
         same_final = np.all(final[:, None] == final[None, :], axis=2)
         weight = np.real(d.matrix * same_final).sum(axis=1)

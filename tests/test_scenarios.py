@@ -1,4 +1,5 @@
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -383,6 +384,18 @@ class TestCli:
                      "params.overlap", id="nscaling-cancelling-branches"),
         pytest.param("histories-nscaling", {"sigma": 0.0}, {}, "params.sigma",
                      id="nscaling-zero-sigma"),
+        # p(a) p(a') scales as (2 pi sigma^2)^-2: it must neither overflow
+        # nor underflow past the normal floats
+        pytest.param("histories-nscaling", {"sigma": 1e308}, {},
+                     "params.sigma", id="nscaling-sigma-square-overflows"),
+        pytest.param("histories-nscaling", {"sigma": 10 ** 400}, {},
+                     "params.sigma", id="nscaling-int-sigma-past-float"),
+        pytest.param("histories-nscaling", {"sigma": 1e-200}, {},
+                     "params.sigma", id="nscaling-sigma-square-underflows"),
+        pytest.param("histories-nscaling", {"sigma": 1e82}, {},
+                     "params.sigma", id="nscaling-wide-sigma"),
+        pytest.param("histories-nscaling", {"sigma": 1e-160}, {},
+                     "params.sigma", id="nscaling-narrow-sigma"),
         pytest.param("ehrenfest", {"n_seeds": 0}, {}, "params.n_seeds",
                      id="ehrenfest-no-instances"),
         pytest.param("ehrenfest", {"dim": 1}, {}, "params.dim",
@@ -495,6 +508,14 @@ class TestCli:
                 ("histories-nscaling", {"N_max": 12})):
             sc.validate_config(minimal(scenario, params=params, seed=1))
 
+    @pytest.mark.parametrize("sigma", [5e-78, 2e76])
+    def test_nscaling_sigma_edges_run(self, tmp_path, sigma):
+        # the widest and narrowest sigma the range rule admits run with no
+        # RuntimeWarning, which pyproject.toml makes an error
+        config = sc.validate_config(minimal(
+            "histories-nscaling", params={"sigma": sigma, "N_max": 4}))
+        sc.run_scenario(config, tmp_path)
+
     def test_peaking_keeps_what_the_dense_cap_admitted(self):
         # every (B, N) with B <= 4 and B^N <= 2^16 fits the table cap
         for b in (2, 3, 4):
@@ -527,6 +548,41 @@ class TestCli:
                                               params={"N_values": sizes}))
         assert cli.main(["run", str(path), "--out", str(tmp_path / "o"),
                          "--quiet"]) == 0
+
+    def test_runner_warnings_reach_the_report(self, tmp_path, monkeypatch):
+        # every warning is noted, repeats included, after the runner's notes
+        def warning_runner(config):
+            for message in ("grid is coarse", "grid is coarse", "few seeds"):
+                warnings.warn(message, UserWarning)
+            return run_variance_scaling(config)
+
+        run_variance_scaling = sc._RUNNERS["variance-scaling"]
+        monkeypatch.setitem(sc._RUNNERS, "variance-scaling", warning_runner)
+        report = sc.run_scenario(sc.validate_config(
+            minimal("variance-scaling")), tmp_path)
+        assert report.passed
+        assert report.notes[1:] == (
+            "UserWarning: grid is coarse", "UserWarning: grid is coarse",
+            "UserWarning: few seeds")
+        assert report.notes[0].startswith("log-log slope")
+
+    @pytest.mark.parametrize("scenario", ["variance-scaling",
+                                          "histories-nscaling"])
+    def test_runner_warnings_made_errors_still_fail(self, tmp_path,
+                                                    monkeypatch, scenario):
+        # pyproject.toml makes RuntimeWarning an error; run_scenario keeps
+        # that filter, so an overflow fails the run instead of becoming a
+        # note, in histories-nscaling's per-N recorder too
+        def overflow(*args):
+            return np.float64(1e308) * 10.0
+
+        if scenario == "variance-scaling":
+            monkeypatch.setitem(sc._RUNNERS, scenario, overflow)
+        else:
+            monkeypatch.setattr(sc.hist, "consistency_epsilon", overflow)
+        with pytest.raises(sc.ScenarioError, match="RuntimeWarning: "
+                           "overflow encountered in scalar multiply"):
+            sc.run_scenario(sc.validate_config(minimal(scenario)), tmp_path)
 
     def test_validate_bad(self, tmp_path, capsys):
         path = write_config(tmp_path, minimal("warp-drive"))
@@ -693,3 +749,22 @@ def test_validate_config_fuzz():
             outcomes["valid"] += 1
     # the draws reach both outcomes, so the range rules run on real values
     assert min(outcomes.values()) >= 100, outcomes
+
+
+def test_run_config_fuzz_histories(tmp_path):
+    # the run half of the fuzz for the two histories scenarios: every draw
+    # that validates runs without ScenarioError.  histories-nscaling runs to
+    # N_max = 8 only, for run time: N_max = 12 takes up to 877 MB.
+    rng = np.random.default_rng(20261019)
+    ran = {"conserved-decoherence": 0, "histories-nscaling": 0}
+    for _ in range(3000):
+        raw = _fuzz_config(rng)
+        try:
+            config = sc.validate_config(json.loads(json.dumps(raw)))
+        except ConfigurationError:
+            continue
+        if config.scenario in ran and config.params.get("N_max", 0) <= 8:
+            sc.run_scenario(config, tmp_path)
+            ran[config.scenario] += 1
+    # the draws reach both scenarios often enough to mean something
+    assert min(ran.values()) >= 40, ran
