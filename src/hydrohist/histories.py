@@ -64,7 +64,6 @@ __all__ = [
     "number_density_operator",
     "gaussian_quasi_projector",
     "window_projector",
-    "occupation_projector",
     "occupation_family",
     "gaussian_occupation_family",
     "decoherence_functional",
@@ -258,15 +257,6 @@ def window_projector(a_op, interval) -> np.ndarray:
         return np.zeros_like(a_op)
     v = vecs[:, sel]
     return v @ v.conj().T
-
-
-def occupation_projector(space: ToyHilbert, nbar) -> np.ndarray:
-    """Projector onto the simultaneous eigenspace n(b) = nbar_b for all bins,
-    as a ``(dim,)`` boolean basis mask (``np.diag(mask)`` is the matrix)."""
-    nbar = np.asarray(nbar, dtype=int)
-    if nbar.shape != (space.B,) or nbar.sum() != space.N:
-        raise ValueError("occupation vector must have B entries summing to N")
-    return np.all(space.occupation_table() == nbar[None, :], axis=1)
 
 
 def occupation_family(space: ToyHilbert):
@@ -756,8 +746,9 @@ def consistency_epsilon(dmat: DecoherenceMatrix) -> float:
     pair, g = np.nonzero(live[i] & live[j])
     i, j = i[pair], j[pair]
     d = dmat.blocks[i, j, g]
-    return float(np.max(np.hypot(d.real, d.imag) / np.sqrt(p[i, g] * p[j, g]),
-                        initial=0.0))
+    # two square roots: p(a) p(a') underflows once both p are below 1e-154
+    return float(np.max(np.hypot(d.real, d.imag)
+                        / (np.sqrt(p[i, g]) * np.sqrt(p[j, g])), initial=0.0))
 
 
 def check_dh_bound(dmat: DecoherenceMatrix) -> BoundReport:
@@ -851,13 +842,9 @@ def multi_time_prob(rho, a_op, times, centers, sigma, h) -> float:
 
 
 def _center_grids(rho_m, a_t, sigma):
-    """Spacing sigma/10 over <A(t)> +/- 4 sigma at each time."""
-    grids = []
-    for at in a_t:
-        mean, _ = _mean_and_spread(rho_m, at)
-        half = 4.0 * sigma
-        grids.append(np.arange(mean - half, mean + half + 1e-12, 0.1 * sigma))
-    return grids
+    """The 81 centers <A(t)> + k sigma/10, k = -40..40, at each time."""
+    steps = 0.1 * sigma * np.arange(-40, 41)
+    return [_mean_and_spread(rho_m, at)[0] + steps for at in a_t]
 
 
 def argmax_scan(rho, a_op, times, sigma, h):

@@ -3,19 +3,20 @@
 Each scenario wires phase-space dynamics, ensemble statistics, the histories
 engine or the local-equilibrium builders into one experiment with declared
 pass/fail thresholds, writes plot-ready CSV artifacts plus a JSON run report,
-and is bit-reproducible for a fixed config and seed.  The catalog, required
-parameters, defaults and thresholds live in one schema table; the command
-line front end in ``hydrohist.cli`` is a thin wrapper around
-``load_config`` / ``run_scenario``.
+and is bit-reproducible for a fixed config and seed.  Each scenario is one
+entry of one schema table: its runner, defaults, thresholds and range
+checks; the command line front end in ``hydrohist.cli`` is a thin wrapper
+around ``load_config`` / ``run_scenario``.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import operator
 import time
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -118,209 +119,8 @@ def _dim_cap_rule(bins, n_key, what):
             f"params.{n_key} must keep {what} within the cap {cap}")
 
 
-#: catalog: description (with the defining relation), parameter defaults,
-#: grid defaults, metric thresholds, whether the scenario draws samples, and
-#: optional range checks, as (predicate, message) pairs that
-#: ``validate_config`` applies to the merged parameters and grid (one
-#: mapping: no key is both a parameter and a grid key).
-SCENARIOS = {
-    "diffusion": {
-        "description": (
-            "Growth of the position variance under damped phase-space flow: "
-            "var_q(t) ~ 2 D t with D = kT / (2 M gamma), fitted over the "
-            "late-time window from both the finite-difference integrator and "
-            "the exact Gaussian kernel."),
-        "params": {"M": 1.0, "gamma": 1.0, "kT": 1.0,
-                   "t_start": 3.0, "t_end": 10.0, "n_times": 8},
-        "grid": {"q_min": -60.0, "q_max": 60.0, "n_q": 481,
-                 "p_min": -6.0, "p_max": 6.0, "n_p": 65},
-        "thresholds": {"fokker_planck_relative_error": 0.05,
-                       "analytic_relative_error": 1e-3},
-        "sampling": False,
-        # fit_diffusion needs at least 4 samples of an increasing series
-        "ranges": _QBM_RANGES + _GRID_RANGES + (
-            _kernel_sampling_rule(lambda p: p["kT"] * p["M"]),
-            (lambda p: p["n_times"] >= 4,
-             "params.n_times must be at least 4"),
-            (lambda p: p["t_start"] >= 0,
-             "params.t_start must be nonnegative"),
-            (lambda p: p["t_start"] < p["t_end"],
-             "params.t_start must be less than params.t_end"),
-            *(_domain_rule(lambda p: p["kT"] * p["M"], lambda p: p["t_end"],
-                           axis) for axis in "qp"),
-        ),
-    },
-    "maxwellization": {
-        "description": (
-            "Relaxation of the momentum marginal to the Maxwellian "
-            "f(p) = exp(-p^2 / 2 M kT) / Z from a cold initial state, "
-            "measured as a sup-norm distance of normalized densities."),
-        "params": {"M": 1.0, "gamma": 1.0, "kT": 1.0, "t": 5.0,
-                   "var_p0": 0.25},
-        "grid": {"q_min": -30.0, "q_max": 30.0, "n_q": 241,
-                 "p_min": -6.0, "p_max": 6.0, "n_p": 97},
-        "thresholds": {"sup_distance": 1e-2},
-        "sampling": False,
-        "ranges": _QBM_RANGES + _GRID_RANGES + (
-            (lambda p: p["t"] >= 0, "params.t must be nonnegative"),
-            (lambda p: p["var_p0"] > 0, "params.var_p0 must be positive"),
-            # the exact kernel never runs here: no p rule
-            _domain_rule(lambda p: p["var_p0"], lambda p: p["t"], "q"),
-        ),
-    },
-    "oracle-compare": {
-        "description": (
-            "Cross-validation of the three dynamical representations: exact "
-            "Gaussian kernel vs finite-difference integrator of "
-            "dW/dt = -(p/M) dW/dq + 2 gamma d(pW)/dp + 2 M gamma kT d2W/dp2, "
-            "and the position-representation master equation mapped back to "
-            "phase space, compared in L1."),
-        "params": {"M": 1.0, "gamma": 1.0, "kT": 1.0,
-                   "t_kernel": 5.0, "t_master": 1.0},
-        "grid": {"q_min": -14.0, "q_max": 14.0, "n_q": 225,
-                 "p_min": -6.0, "p_max": 6.0, "n_p": 97,
-                 "master_n_x": 128, "master_x_max": 10.0},
-        "thresholds": {"l1_kernel_vs_integrator": 1e-2,
-                       "l1_master_vs_integrator": 1e-2},
-        "sampling": False,
-        "ranges": _QBM_RANGES + _GRID_RANGES + (
-            _kernel_sampling_rule(lambda p: 0.5),
-            (lambda p: p["t_kernel"] >= 0,
-             "params.t_kernel must be nonnegative"),
-            (lambda p: p["t_master"] >= 0,
-             "params.t_master must be nonnegative"),
-            (lambda g: g["master_n_x"] >= 8,
-             "grid.master_n_x must be at least 8"),
-            (lambda g: g["master_x_max"] > 0,
-             "grid.master_x_max must be positive"),
-            _domain_rule(lambda p: 0.5,
-                         lambda p: max(p["t_kernel"], p["t_master"]), "q"),
-            _domain_rule(lambda p: 0.5, lambda p: p["t_kernel"], "p"),
-        ),
-    },
-    "variance-scaling": {
-        "description": (
-            "Central-limit narrowing of binned counts in a product ensemble: "
-            "Var n_b / <n_b>^2 = (1/N)(1 - p_b)/p_b exactly for top-hat "
-            "bins, with log-log slope -1 against N."),
-        "params": {"N_values": [100, 1000, 10000], "var_q": 1.0,
-                   "var_p": 1.0},
-        "grid": {"q_min": -12.0, "q_max": 12.0, "n_q": 161,
-                 "p_min": -6.0, "p_max": 6.0, "n_p": 97},
-        "thresholds": {"closed_form_deviation": 1e-12,
-                       "slope_deviation": 0.01},
-        "sampling": False,
-        # the slope fit needs two sizes; the bins need q_min < -q* < q* < q_max
-        "ranges": _GRID_RANGES + (
-            (lambda p: len(set(p["N_values"])) >= 2
-             and all(n >= 1 and float(n).is_integer() for n in p["N_values"]),
-             "params.N_values must hold at least two distinct positive "
-             "integers"),
-            (lambda p: p["var_q"] > 0, "params.var_q must be positive"),
-            (lambda p: p["var_p"] > 0, "params.var_p must be positive"),
-            (lambda g: g["q_min"] < -_QUARTILE and g["q_max"] > _QUARTILE,
-             "grid.q_min and grid.q_max must lie outside the inner bin "
-             f"edges +/-{_QUARTILE:.4f}"),
-        ),
-    },
-    "histories-nscaling": {
-        "description": (
-            "Decay of branch interference with particle number for the "
-            "superposition (|psi>^N + |chi>^N)/norm with |<chi|psi>| = 0.8: "
-            "the consistency measure fits epsilon(N) = epsilon(1) r^N with "
-            "r < 1 for smeared occupation projectors at the two branch "
-            "means."),
-        "params": {"overlap": 0.8, "sigma": 1.0, "N_max": 8},
-        "grid": {},
-        "thresholds": {"geometric_ratio": 1.0, "epsilon8_over_epsilon1": 0.1},
-        "sampling": False,
-        "ranges": (
-            (lambda p: p["N_max"] >= 2,
-             "params.N_max must be at least 2 for a fit"),
-            # at overlap -1 the two branches cancel
-            (lambda p: -1 < p["overlap"] <= 1,
-             "params.overlap must lie in (-1, 1]"),
-            # p(a) scales as 1/(2 pi sigma^2); epsilon divides by p(a) p(a')
-            (lambda p: p["sigma"] > 0 and np.finfo(float).tiny
-             <= (2 * math.pi * float(p["sigma"]) ** 2) ** -2 < math.inf,
-             "params.sigma must keep (2 pi sigma^2)^-2 a normal float"),
-            _dim_cap_rule(lambda p: 2, "N_max", "2**N_max"),
-        ),
-    },
-    "ehrenfest": {
-        "description": (
-            "Single-time smeared-observable statistics on random states: the "
-            "exact probability approaches p(a) = Tr(P_a rho) = "
-            "exp(-(a - <A>)^2 / 2(sigma^2 + dA^2)) / sqrt(2 pi (sigma^2 + "
-            "dA^2)) when sigma >> dA, and the scan peak sits at <A>."),
-        "params": {"dim": 8, "n_seeds": 20, "sigma_factor": 10.0},
-        "grid": {},
-        "thresholds": {"max_relative_error": 0.02,
-                       "argmax_deviation_in_sigma": 0.1},
-        "sampling": True,
-        "ranges": (
-            (lambda p: p["dim"] >= 2, "params.dim must be at least 2"),
-            (lambda p: p["n_seeds"] >= 1, "params.n_seeds must be at least 1"),
-            (lambda p: p["sigma_factor"] > 0,
-             "params.sigma_factor must be positive"),
-        ),
-    },
-    "conserved-decoherence": {
-        "description": (
-            "Histories of a conserved coarse graining: [H, A] = 0 makes "
-            "every off-diagonal decoherence-functional entry vanish, "
-            "D(a, a') = 0 for a != a', at two and three times."),
-        "params": {"bins": 3, "N": 2, "times2": [0.4, 1.1],
-                   "times3": [0.3, 0.8, 1.5]},
-        "grid": {},
-        "thresholds": {"max_offdiagonal": 1e-12},
-        "sampling": False,
-        "ranges": (
-            (lambda p: p["bins"] >= 2, "params.bins must be at least 2"),
-            (lambda p: p["N"] >= 1, "params.N must be at least 1"),
-            _dim_cap_rule(lambda p: p["bins"], "N", "bins**N"),
-            (lambda p: _history_times(p["times2"]),
-             "params.times2 must be nonempty, nonnegative and increasing"),
-            (lambda p: _history_times(p["times3"]),
-             "params.times3 must be nonempty, nonnegative and increasing"),
-        ),
-    },
-    "local-equilibrium-peaking": {
-        "description": (
-            "Two-time occupation histories of the tensor-power Gibbs state "
-            "rho1 ~ exp(-beta [p^2/2m - mu(q)]): with a position-monitoring "
-            "environment the probability mass concentrates within one "
-            "occupation unit of the mean-field trajectory n_b(t) = "
-            "N <b|rho1(t)|b>."),
-        "params": {"beta": 3.0, "mubar": [4.0, 0.0, 0.0], "N": 6,
-                   "times": [0.0, 0.1], "dephasing_rate": 60.0,
-                   "tolerance_units": 1},
-        "grid": {},
-        "thresholds": {"epsilon": 0.05, "on_trajectory_fraction": 0.9},
-        "sampling": False,
-        "ranges": (
-            (lambda p: len(p["times"]) == 2
-             and 0 <= p["times"][0] < p["times"][1],
-             "params.times must be two times 0 <= t1 < t2"),
-            (lambda p: p["N"] >= 1, "params.N must be at least 1"),
-            (lambda p: len(p["mubar"]) >= 2,
-             "params.mubar must give at least 2 bins"),
-            (lambda p: hist.occupation_table_bytes(len(p["mubar"]), p["N"])
-             <= hist.OCCUPATION_TABLE_BYTES, "params.N must keep the "
-             f"occupation table within {hist.OCCUPATION_TABLE_BYTES} bytes"),
-            (lambda p: p["beta"] > 0, "params.beta must be positive"),
-            (lambda p: p["dephasing_rate"] >= 0,
-             "params.dephasing_rate must be nonnegative"),
-            (lambda p: p["tolerance_units"] >= 0,
-             "params.tolerance_units must be nonnegative"),
-        ),
-    },
-}
-
 _TOP_KEYS = {"schema_version", "scenario", "params", "grid", "seed",
              "output_dir"}
-#: metrics compared with >= instead of <
-_LOWER_BOUNDED = {"on_trajectory_fraction"}
 
 
 @dataclass(frozen=True)
@@ -330,9 +130,6 @@ class ScenarioConfig:
     grid: dict
     seed: int = None
     output_dir: str = None
-
-    def threshold(self, name):
-        return SCENARIOS[self.scenario]["thresholds"][name]
 
 
 @dataclass(frozen=True)
@@ -357,18 +154,8 @@ class RunReport:
     artifacts: tuple = ()
 
     def to_json(self):
-        return json.dumps({
-            "schema_version": SCHEMA_VERSION,
-            "scenario": self.scenario,
-            "params": self.params,
-            "grid": self.grid,
-            "seed": self.seed,
-            "metrics": [vars(m) for m in self.metrics],
-            "passed": self.passed,
-            "wall_time_s": self.wall_time_s,
-            "notes": list(self.notes),
-            "artifacts": list(self.artifacts),
-        }, indent=2)
+        return json.dumps({"schema_version": SCHEMA_VERSION, **asdict(self)},
+                          indent=2)
 
 
 def _is_number(v):
@@ -450,7 +237,13 @@ def validate_config(raw: dict) -> ScenarioConfig:
                 raise ConfigurationError(
                     f"{section}.{key} must have the type of its default "
                     f"{defaults[key]!r}, got {value!r}")
-        defaults.update(override)
+            if isinstance(defaults[key], float):
+                try:
+                    value = float(value)
+                except OverflowError:
+                    raise ConfigurationError(
+                        f"{section}.{key} is too large for a float") from None
+            defaults[key] = value
     merged = {**params, **grid}
     for in_range, message in entry.get("ranges", ()):
         # a rule whose arithmetic overflows or divides by zero on extreme
@@ -480,19 +273,6 @@ def list_scenarios():
     return [(name, SCENARIOS[name]["description"]) for name in SCENARIOS]
 
 
-def _metric(config, name, value):
-    """The metric checked against its threshold; a value of None, for a
-    metric the run could not compute (its notes say why), fails."""
-    thr = config.threshold(name)
-    if value is None:
-        return MetricResult(name, None, thr,
-                            ">=" if name in _LOWER_BOUNDED else "<", False)
-    if name in _LOWER_BOUNDED:
-        return MetricResult(name, float(value), thr, ">=",
-                            bool(value >= thr))
-    return MetricResult(name, float(value), thr, "<", bool(value < thr))
-
-
 # --- scenario bodies --------------------------------------------------------
 
 
@@ -513,11 +293,8 @@ def _run_diffusion(config):
                                                                   params)))
     fit_fp = pr.fit_diffusion(times, marg_fp, params)
     fit_an = pr.fit_diffusion(times, marg_an, params)
-    metrics = [
-        _metric(config, "fokker_planck_relative_error",
-                fit_fp.relative_error),
-        _metric(config, "analytic_relative_error", fit_an.relative_error),
-    ]
+    metrics = {"fokker_planck_relative_error": fit_fp.relative_error,
+               "analytic_relative_error": fit_an.relative_error}
     rows = [(t, ma.variance(), mf.variance())
             for t, ma, mf in zip(times, marg_an, marg_fp)]
     art = {"diffusion.csv": (
@@ -541,11 +318,10 @@ def _run_maxwellization(config):
     grid_p = marg.grid
     maxw = np.exp(-grid_p ** 2 / (2.0 * p["M"] * p["kT"]))
     maxw /= np.trapezoid(maxw, dx=marg.spacing)
-    sup = float(np.max(np.abs(f - maxw)))
-    metrics = [_metric(config, "sup_distance", sup)]
     art = {"maxwellization.csv": (
         ["p", "marginal", "maxwellian"], zip(grid_p, f, maxw))}
-    return metrics, art, [_fokker_planck_note(w0, [p["t"]], params)]
+    return ({"sup_distance": np.max(np.abs(f - maxw))}, art,
+            [_fokker_planck_note(w0, [p["t"]], params)])
 
 
 def _run_oracle_compare(config):
@@ -569,10 +345,8 @@ def _run_oracle_compare(config):
     w_fp1 = pr.evolve_fokker_planck(w0, p["t_master"], params)
     l1_master = ps.l1_distance(w_fp1, w_me)
 
-    metrics = [
-        _metric(config, "l1_kernel_vs_integrator", l1_kernel),
-        _metric(config, "l1_master_vs_integrator", l1_master),
-    ]
+    metrics = {"l1_kernel_vs_integrator": l1_kernel,
+               "l1_master_vs_integrator": l1_master}
     rows = zip(w_an.q,
                ps.position_marginal(w_an).samples,
                ps.position_marginal(w_fp).samples,
@@ -602,10 +376,8 @@ def _run_variance_scaling(config):
         rel.append(got[1])
         rows.append((n, got[1], want[1]))
     slope = np.polyfit(np.log(np.asarray(sizes, float)), np.log(rel), 1)[0]
-    metrics = [
-        _metric(config, "closed_form_deviation", worst),
-        _metric(config, "slope_deviation", abs(slope + 1.0)),
-    ]
+    metrics = {"closed_form_deviation": worst,
+               "slope_deviation": abs(slope + 1.0)}
     art = {"variance_scaling.csv": (
         ["N", "relative_fluctuation", "closed_form"], rows)}
     return metrics, art, [f"log-log slope = {float(slope)!r}"]
@@ -646,12 +418,9 @@ def _run_histories_nscaling(config):
     decay = eps[p["N_max"]] / eps[1] if eps[1] > 0 else None
     if decay is None:
         notes.append("epsilon(1) = 0; epsilon8_over_epsilon1 is undefined")
-    metrics = [
-        _metric(config, "geometric_ratio", ratio),
-        _metric(config, "epsilon8_over_epsilon1", decay),
-    ]
     art = {"histories_nscaling.csv": (["N", "epsilon"], rows)}
-    return metrics, art, notes
+    return ({"geometric_ratio": ratio, "epsilon8_over_epsilon1": decay}, art,
+            notes)
 
 
 def _random_hermitian(rng, dim):
@@ -684,10 +453,8 @@ def _run_ehrenfest(config):
         worst_err = max(worst_err, err)
         worst_dev = max(worst_dev, dev)
         rows.append((i, err, dev))
-    metrics = [
-        _metric(config, "max_relative_error", worst_err),
-        _metric(config, "argmax_deviation_in_sigma", worst_dev),
-    ]
+    metrics = {"max_relative_error": worst_err,
+               "argmax_deviation_in_sigma": worst_dev}
     notes = []
     if factor < 3.0:
         notes.append(
@@ -727,10 +494,9 @@ def _run_conserved_decoherence(config):
         m = float(np.max(np.abs(off)))
         worst = max(worst, m)
         rows.append((len(times), m))
-    metrics = [_metric(config, "max_offdiagonal", worst)]
     art = {"conserved_decoherence.csv": (
         ["n_times", "max_offdiagonal"], rows)}
-    return metrics, art, []
+    return {"max_offdiagonal": worst}, art, []
 
 
 def _most_probable(probabilities):
@@ -758,11 +524,8 @@ def _run_local_equilibrium_peaking(config):
         np.full(b, float(p["beta"])), mubar, np.zeros(b), p["N"],
         tuple(p["times"]), tolerance_units=p["tolerance_units"],
         dephasing_rate=p["dephasing_rate"])
-    metrics = [
-        _metric(config, "epsilon", rep.epsilon),
-        _metric(config, "on_trajectory_fraction",
-                rep.on_trajectory_fraction),
-    ]
+    metrics = {"epsilon": rep.epsilon,
+               "on_trajectory_fraction": rep.on_trajectory_fraction}
     rows = [("|".join(map(str, lab[0])), "|".join(map(str, lab[1])),
              rep.probabilities[lab])
             for lab in _most_probable(rep.probabilities)]
@@ -772,16 +535,228 @@ def _run_local_equilibrium_peaking(config):
     return metrics, art, notes
 
 
-_RUNNERS = {
-    "diffusion": _run_diffusion,
-    "maxwellization": _run_maxwellization,
-    "oracle-compare": _run_oracle_compare,
-    "variance-scaling": _run_variance_scaling,
-    "histories-nscaling": _run_histories_nscaling,
-    "ehrenfest": _run_ehrenfest,
-    "conserved-decoherence": _run_conserved_decoherence,
-    "local-equilibrium-peaking": _run_local_equilibrium_peaking,
+#: catalog, one entry per scenario: description (with the defining
+#: relation), the runner, which returns ({metric: value}, artifacts, notes),
+#: parameter defaults, grid defaults, each metric's (comparator, threshold)
+#: in report order, whether the scenario draws samples, and range checks, as
+#: (predicate, message) pairs that ``validate_config`` applies to the merged
+#: parameters and grid (one mapping: no key is both a parameter and a grid
+#: key).
+SCENARIOS = {
+    "diffusion": {
+        "description": (
+            "Growth of the position variance under damped phase-space flow: "
+            "var_q(t) ~ 2 D t with D = kT / (2 M gamma), fitted over the "
+            "late-time window from both the finite-difference integrator and "
+            "the exact Gaussian kernel."),
+        "run": _run_diffusion,
+        "params": {"M": 1.0, "gamma": 1.0, "kT": 1.0,
+                   "t_start": 3.0, "t_end": 10.0, "n_times": 8},
+        "grid": {"q_min": -60.0, "q_max": 60.0, "n_q": 481,
+                 "p_min": -6.0, "p_max": 6.0, "n_p": 65},
+        "thresholds": {"fokker_planck_relative_error": ("<", 0.05),
+                       "analytic_relative_error": ("<", 1e-3)},
+        "sampling": False,
+        # fit_diffusion needs at least 4 samples of an increasing series
+        "ranges": _QBM_RANGES + _GRID_RANGES + (
+            _kernel_sampling_rule(lambda p: p["kT"] * p["M"]),
+            (lambda p: p["n_times"] >= 4,
+             "params.n_times must be at least 4"),
+            (lambda p: p["t_start"] >= 0,
+             "params.t_start must be nonnegative"),
+            (lambda p: p["t_start"] < p["t_end"],
+             "params.t_start must be less than params.t_end"),
+            *(_domain_rule(lambda p: p["kT"] * p["M"], lambda p: p["t_end"],
+                           axis) for axis in "qp"),
+        ),
+    },
+    "maxwellization": {
+        "description": (
+            "Relaxation of the momentum marginal to the Maxwellian "
+            "f(p) = exp(-p^2 / 2 M kT) / Z from a cold initial state, "
+            "measured as a sup-norm distance of normalized densities."),
+        "run": _run_maxwellization,
+        "params": {"M": 1.0, "gamma": 1.0, "kT": 1.0, "t": 5.0,
+                   "var_p0": 0.25},
+        "grid": {"q_min": -30.0, "q_max": 30.0, "n_q": 241,
+                 "p_min": -6.0, "p_max": 6.0, "n_p": 97},
+        "thresholds": {"sup_distance": ("<", 1e-2)},
+        "sampling": False,
+        "ranges": _QBM_RANGES + _GRID_RANGES + (
+            (lambda p: p["t"] >= 0, "params.t must be nonnegative"),
+            (lambda p: p["var_p0"] > 0, "params.var_p0 must be positive"),
+            # the exact kernel never runs here: no p rule
+            _domain_rule(lambda p: p["var_p0"], lambda p: p["t"], "q"),
+        ),
+    },
+    "oracle-compare": {
+        "description": (
+            "Cross-validation of the three dynamical representations: exact "
+            "Gaussian kernel vs finite-difference integrator of "
+            "dW/dt = -(p/M) dW/dq + 2 gamma d(pW)/dp + 2 M gamma kT d2W/dp2, "
+            "and the position-representation master equation mapped back to "
+            "phase space, compared in L1."),
+        "run": _run_oracle_compare,
+        "params": {"M": 1.0, "gamma": 1.0, "kT": 1.0,
+                   "t_kernel": 5.0, "t_master": 1.0},
+        "grid": {"q_min": -14.0, "q_max": 14.0, "n_q": 225,
+                 "p_min": -6.0, "p_max": 6.0, "n_p": 97,
+                 "master_n_x": 128, "master_x_max": 10.0},
+        "thresholds": {"l1_kernel_vs_integrator": ("<", 1e-2),
+                       "l1_master_vs_integrator": ("<", 1e-2)},
+        "sampling": False,
+        "ranges": _QBM_RANGES + _GRID_RANGES + (
+            _kernel_sampling_rule(lambda p: 0.5),
+            (lambda p: p["t_kernel"] >= 0,
+             "params.t_kernel must be nonnegative"),
+            (lambda p: p["t_master"] >= 0,
+             "params.t_master must be nonnegative"),
+            (lambda g: g["master_n_x"] >= 8,
+             "grid.master_n_x must be at least 8"),
+            (lambda g: g["master_x_max"] > 0,
+             "grid.master_x_max must be positive"),
+            _domain_rule(lambda p: 0.5,
+                         lambda p: max(p["t_kernel"], p["t_master"]), "q"),
+            _domain_rule(lambda p: 0.5, lambda p: p["t_kernel"], "p"),
+        ),
+    },
+    "variance-scaling": {
+        "description": (
+            "Central-limit narrowing of binned counts in a product ensemble: "
+            "Var n_b / <n_b>^2 = (1/N)(1 - p_b)/p_b exactly for top-hat "
+            "bins, with log-log slope -1 against N."),
+        "run": _run_variance_scaling,
+        "params": {"N_values": [100, 1000, 10000], "var_q": 1.0,
+                   "var_p": 1.0},
+        "grid": {"q_min": -12.0, "q_max": 12.0, "n_q": 161,
+                 "p_min": -6.0, "p_max": 6.0, "n_p": 97},
+        "thresholds": {"closed_form_deviation": ("<", 1e-12),
+                       "slope_deviation": ("<", 0.01)},
+        "sampling": False,
+        # the slope fit needs two sizes; the bins need q_min < -q* < q* < q_max
+        "ranges": _GRID_RANGES + (
+            (lambda p: len(set(p["N_values"])) >= 2
+             and all(n >= 1 and float(n).is_integer() for n in p["N_values"]),
+             "params.N_values must hold at least two distinct positive "
+             "integers"),
+            (lambda p: p["var_q"] > 0, "params.var_q must be positive"),
+            (lambda p: p["var_p"] > 0, "params.var_p must be positive"),
+            (lambda g: g["q_min"] < -_QUARTILE and g["q_max"] > _QUARTILE,
+             "grid.q_min and grid.q_max must lie outside the inner bin "
+             f"edges +/-{_QUARTILE:.4f}"),
+        ),
+    },
+    "histories-nscaling": {
+        "description": (
+            "Decay of branch interference with particle number for the "
+            "superposition (|psi>^N + |chi>^N)/norm with |<chi|psi>| = 0.8: "
+            "the consistency measure fits epsilon(N) = epsilon(1) r^N with "
+            "r < 1 for smeared occupation projectors at the two branch "
+            "means."),
+        "run": _run_histories_nscaling,
+        "params": {"overlap": 0.8, "sigma": 1.0, "N_max": 8},
+        "grid": {},
+        "thresholds": {"geometric_ratio": ("<", 1.0),
+                       "epsilon8_over_epsilon1": ("<", 0.1)},
+        "sampling": False,
+        "ranges": (
+            (lambda p: p["N_max"] >= 2,
+             "params.N_max must be at least 2 for a fit"),
+            # at overlap -1 the two branches cancel
+            (lambda p: -1 < p["overlap"] <= 1,
+             "params.overlap must lie in (-1, 1]"),
+            # p(a) scales as 1/(2 pi sigma^2); epsilon divides by p(a) p(a')
+            (lambda p: p["sigma"] > 0 and np.finfo(float).tiny
+             <= (2 * math.pi * float(p["sigma"]) ** 2) ** -2 < math.inf,
+             "params.sigma must keep (2 pi sigma^2)^-2 a normal float"),
+            _dim_cap_rule(lambda p: 2, "N_max", "2**N_max"),
+        ),
+    },
+    "ehrenfest": {
+        "description": (
+            "Single-time smeared-observable statistics on random states: the "
+            "exact probability approaches p(a) = Tr(P_a rho) = "
+            "exp(-(a - <A>)^2 / 2(sigma^2 + dA^2)) / sqrt(2 pi (sigma^2 + "
+            "dA^2)) when sigma >> dA, and the scan peak sits at <A>."),
+        "run": _run_ehrenfest,
+        "params": {"dim": 8, "n_seeds": 20, "sigma_factor": 10.0},
+        "grid": {},
+        "thresholds": {"max_relative_error": ("<", 0.02),
+                       "argmax_deviation_in_sigma": ("<", 0.1)},
+        "sampling": True,
+        "ranges": (
+            (lambda p: p["dim"] >= 2, "params.dim must be at least 2"),
+            (lambda p: p["n_seeds"] >= 1, "params.n_seeds must be at least 1"),
+            (lambda p: p["sigma_factor"] > 0,
+             "params.sigma_factor must be positive"),
+        ),
+    },
+    "conserved-decoherence": {
+        "description": (
+            "Histories of a conserved coarse graining: [H, A] = 0 makes "
+            "every off-diagonal decoherence-functional entry vanish, "
+            "D(a, a') = 0 for a != a', at two and three times."),
+        "run": _run_conserved_decoherence,
+        "params": {"bins": 3, "N": 2, "times2": [0.4, 1.1],
+                   "times3": [0.3, 0.8, 1.5]},
+        "grid": {},
+        "thresholds": {"max_offdiagonal": ("<", 1e-12)},
+        "sampling": False,
+        "ranges": (
+            (lambda p: p["bins"] >= 2, "params.bins must be at least 2"),
+            (lambda p: p["N"] >= 1, "params.N must be at least 1"),
+            _dim_cap_rule(lambda p: p["bins"], "N", "bins**N"),
+            (lambda p: _history_times(p["times2"]),
+             "params.times2 must be nonempty, nonnegative and increasing"),
+            (lambda p: _history_times(p["times3"]),
+             "params.times3 must be nonempty, nonnegative and increasing"),
+        ),
+    },
+    "local-equilibrium-peaking": {
+        "description": (
+            "Two-time occupation histories of the tensor-power Gibbs state "
+            "rho1 ~ exp(-beta [p^2/2m - mu(q)]): with a position-monitoring "
+            "environment the probability mass concentrates within one "
+            "occupation unit of the mean-field trajectory n_b(t) = "
+            "N <b|rho1(t)|b>."),
+        "run": _run_local_equilibrium_peaking,
+        "params": {"beta": 3.0, "mubar": [4.0, 0.0, 0.0], "N": 6,
+                   "times": [0.0, 0.1], "dephasing_rate": 60.0,
+                   "tolerance_units": 1},
+        "grid": {},
+        "thresholds": {"epsilon": ("<", 0.05),
+                       "on_trajectory_fraction": (">=", 0.9)},
+        "sampling": False,
+        "ranges": (
+            (lambda p: len(p["times"]) == 2
+             and 0 <= p["times"][0] < p["times"][1],
+             "params.times must be two times 0 <= t1 < t2"),
+            (lambda p: p["N"] >= 1, "params.N must be at least 1"),
+            (lambda p: len(p["mubar"]) >= 2,
+             "params.mubar must give at least 2 bins"),
+            (lambda p: hist.occupation_table_bytes(len(p["mubar"]), p["N"])
+             <= hist.OCCUPATION_TABLE_BYTES, "params.N must keep the "
+             f"occupation table within {hist.OCCUPATION_TABLE_BYTES} bytes"),
+            (lambda p: p["beta"] > 0, "params.beta must be positive"),
+            (lambda p: p["dephasing_rate"] >= 0,
+             "params.dephasing_rate must be nonnegative"),
+            (lambda p: p["tolerance_units"] >= 0,
+             "params.tolerance_units must be nonnegative"),
+        ),
+    },
 }
+
+_COMPARATORS = {"<": operator.lt, ">=": operator.ge}
+
+
+def _judge(name, value, comparator, threshold):
+    """The metric checked against its threshold; a value of None, for a
+    metric the run could not compute (its notes say why), fails."""
+    if value is None:
+        return MetricResult(name, None, threshold, comparator, False)
+    value = float(value)
+    return MetricResult(name, value, threshold, comparator,
+                        bool(_COMPARATORS[comparator](value, threshold)))
 
 
 def run_scenario(config: ScenarioConfig, output_dir=None) -> RunReport:
@@ -791,7 +766,8 @@ def run_scenario(config: ScenarioConfig, output_dir=None) -> RunReport:
     of the runner is noted in the report, unless the caller's filters make
     it an error or ignore it.  A failure of the runner (such an error
     included), of that directory or of an artifact write raises
-    ScenarioError with the original exception as its cause.
+    ScenarioError with the original exception as its cause, as does a
+    runner whose metric names differ from its entry's thresholds.
     """
     start = time.perf_counter()
     out = Path(output_dir or config.output_dir
@@ -802,21 +778,29 @@ def run_scenario(config: ScenarioConfig, output_dir=None) -> RunReport:
         raise ScenarioError(
             f"scenario {config.scenario!r}: cannot create output "
             f"directory: {exc}") from exc
+    entry = SCENARIOS[config.scenario]
     try:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always", append=True)
-            metrics, artifacts, notes = _RUNNERS[config.scenario](config)
+            values, artifacts, notes = entry["run"](config)
     except Exception as exc:
         raise ScenarioError(
             f"scenario {config.scenario!r} failed: "
             f"{type(exc).__name__}: {exc}") from exc
+    declared = entry["thresholds"]
+    if set(values) != set(declared):
+        raise ScenarioError(
+            f"scenario {config.scenario!r} reported the metrics "
+            f"{sorted(values)}, not the declared {sorted(declared)}")
+    metrics = tuple(_judge(name, values[name], *rule)
+                    for name, rule in declared.items())
     notes = [*notes, *(f"{w.category.__name__}: {w.message}" for w in caught)]
     report = RunReport(
         scenario=config.scenario,
         params=config.params,
         grid=config.grid,
         seed=config.seed,
-        metrics=tuple(metrics),
+        metrics=metrics,
         passed=all(m.passed for m in metrics),
         wall_time_s=time.perf_counter() - start,
         notes=tuple(notes),

@@ -205,11 +205,6 @@ class TestProjectors:
         with pytest.raises(ValueError, match="sigma"):
             hi.gaussian_occupation_family(hs, 0, (1.0,), 0.0)
 
-    def test_occupation_vector_validated(self):
-        hs = hi.ToyHilbert(B=2, N=3)
-        with pytest.raises(ValueError):
-            hi.occupation_projector(hs, [1, 1])
-
 
 class TestDecoherenceFunctional:
     def setup_method(self):
@@ -687,6 +682,12 @@ class TestConsistencyMeasures:
             eps = hi.consistency_epsilon(d)
         assert eps == pytest.approx(0.1 / np.sqrt(0.24))
 
+    def test_epsilon_of_tiny_probabilities(self):
+        # p(a) p(a') = 1e-330 underflows to 0; the two square roots do not
+        m = np.array([[1e-165, 0.5e-165], [0.5e-165, 1e-165]], dtype=complex)
+        d = hi.DecoherenceMatrix(("a", "b"), m)
+        assert hi.consistency_epsilon(d) == pytest.approx(0.5, rel=1e-15)
+
     def test_bound_report_flags_violation(self):
         # a hand-built matrix violating the bound
         m = np.array([[0.5, 0.6], [0.6, 0.5]], dtype=complex)
@@ -701,7 +702,8 @@ class TestConsistencyMeasures:
             p = dmat.probabilities()
             eps = 0.0
             for i, j in itertools.combinations(np.flatnonzero(p > 1e-300), 2):
-                eps = max(eps, abs(dmat.matrix[i, j]) / np.sqrt(p[i] * p[j]))
+                eps = max(eps, abs(dmat.matrix[i, j])
+                          / (np.sqrt(p[i]) * np.sqrt(p[j])))
             return eps
 
         def loop_bound(dmat, slack):
@@ -886,6 +888,14 @@ class TestEhrenfestMultiTime:
     def test_argmax_scan_rejects_negative_sigma(self):
         with pytest.raises(ValueError, match="sigma must be positive"):
             hi.argmax_scan(self.rho, self.a, self.times, -self.sigma, self.h)
+
+    @pytest.mark.parametrize("sigma", [1.0, 1e-11, 1e-12])
+    def test_argmax_scan_grids_have_81_points(self, sigma):
+        # sigma/10 steps over mean +/- 4 sigma, however small sigma is
+        _, grids, vals = hi.argmax_scan(self.rho, self.a, (0.3,), sigma,
+                                        self.h)
+        assert vals.shape == grids[0].shape == (81,)
+        assert grids[0][40] == pytest.approx(self.means[0], rel=1e-12)
 
     @pytest.mark.parametrize("sigma", [0.0, -1.0])
     def test_argmax_scan_checks_sigma_before_grids(self, sigma, monkeypatch):

@@ -54,6 +54,27 @@ class TestLoadConfig:
         assert cfg.grid["n_q"] == 241
         assert cfg.seed == 3
 
+    @pytest.mark.parametrize("scenario, section, key, value", [
+        ("diffusion", "params", "gamma", 2),
+        ("maxwellization", "grid", "q_max", 10 ** 30),
+        ("oracle-compare", "grid", "master_x_max", 2 ** 64),
+    ])
+    def test_float_keys_hold_floats(self, scenario, section, key, value):
+        # an int given to a float key is stored, and echoed, as that float
+        as_int, as_float = (
+            sc.validate_config(minimal(scenario, **{section: {key: v}}))
+            for v in (value, float(value)))
+        assert as_int == as_float
+        assert type(getattr(as_int, section)[key]) is float
+        assert json.dumps(getattr(as_int, section)) == json.dumps(
+            getattr(as_float, section))
+
+    def test_int_too_large_for_a_float_rejected(self, tmp_path, capsys):
+        path = write_config(tmp_path, minimal("maxwellization",
+                                              grid={"q_max": 10 ** 400}))
+        assert cli.main(["validate", str(path)]) == 2
+        assert "grid.q_max is too large for a float" in capsys.readouterr().err
+
     def test_nonpositive_gamma_rejected(self, tmp_path):
         raw = minimal("diffusion", params={"gamma": 0})
         with pytest.raises(ConfigurationError, match="gamma must be positive"):
@@ -170,10 +191,16 @@ class TestCatalog:
     def test_catalog_stable(self):
         assert sc.list_scenarios() == sc.list_scenarios()
 
-    def test_thresholds_single_sourced(self):
-        cfg = sc.validate_config(minimal("variance-scaling"))
-        assert cfg.threshold("slope_deviation") == \
-            sc.SCENARIOS["variance-scaling"]["thresholds"]["slope_deviation"]
+    @pytest.mark.parametrize("scenario", ["variance-scaling",
+                                          "local-equilibrium-peaking"])
+    def test_thresholds_single_sourced(self, tmp_path, scenario):
+        # the report judges each metric by its entry's (comparator,
+        # threshold), in the entry's order
+        report = sc.run_scenario(sc.validate_config(minimal(scenario)),
+                                 tmp_path)
+        declared = sc.SCENARIOS[scenario]["thresholds"]
+        assert [(m.name, (m.comparator, m.threshold))
+                for m in report.metrics] == list(declared.items())
 
 
 class TestRunScenario:
@@ -274,7 +301,7 @@ class TestRunScenario:
 
     def test_runner_error_chained_as_scenario_error(self, tmp_path,
                                                     monkeypatch):
-        monkeypatch.setitem(sc._RUNNERS, "variance-scaling",
+        monkeypatch.setitem(sc.SCENARIOS["variance-scaling"], "run",
                             raise_two_argument_error)
         cfg = sc.validate_config(minimal("variance-scaling"))
         with pytest.raises(ScenarioError,
@@ -556,8 +583,9 @@ class TestCli:
                 warnings.warn(message, UserWarning)
             return run_variance_scaling(config)
 
-        run_variance_scaling = sc._RUNNERS["variance-scaling"]
-        monkeypatch.setitem(sc._RUNNERS, "variance-scaling", warning_runner)
+        run_variance_scaling = sc.SCENARIOS["variance-scaling"]["run"]
+        monkeypatch.setitem(sc.SCENARIOS["variance-scaling"], "run",
+                            warning_runner)
         report = sc.run_scenario(sc.validate_config(
             minimal("variance-scaling")), tmp_path)
         assert report.passed
@@ -577,7 +605,7 @@ class TestCli:
             return np.float64(1e308) * 10.0
 
         if scenario == "variance-scaling":
-            monkeypatch.setitem(sc._RUNNERS, scenario, overflow)
+            monkeypatch.setitem(sc.SCENARIOS[scenario], "run", overflow)
         else:
             monkeypatch.setattr(sc.hist, "consistency_epsilon", overflow)
         with pytest.raises(sc.ScenarioError, match="RuntimeWarning: "
@@ -611,11 +639,44 @@ class TestCli:
         assert "FAIL" in capsys.readouterr().out
 
     def test_run_error_exit_three(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setitem(sc._RUNNERS, "variance-scaling",
+        monkeypatch.setitem(sc.SCENARIOS["variance-scaling"], "run",
                             raise_two_argument_error)
         path = write_config(tmp_path, minimal("variance-scaling"))
         assert cli.main(["run", str(path), "--out", str(tmp_path / "o")]) == 3
         assert "scenario 'variance-scaling'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("scenario, key, value, code", [
+        ("maxwellization", "q_max", 10 ** 30, 0),
+        ("oracle-compare", "master_x_max", 2 ** 64, 3),
+    ])
+    def test_run_int_and_float_keys_exit_alike(self, tmp_path, capsys,
+                                               scenario, key, value, code):
+        # an int past int64 once built an object array and crashed the run
+        for v in (value, float(value)):
+            path = write_config(tmp_path, minimal(scenario, grid={key: v}))
+            assert cli.main(["run", str(path), "--out", str(tmp_path / "o"),
+                             "--quiet"]) == code
+        assert "UFuncTypeError" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("change", ["drop", "add"])
+    def test_run_undeclared_metric_set_exit_three(self, tmp_path, capsys,
+                                                  monkeypatch, change):
+        # a runner reports exactly the metrics its entry declares
+        def runner(config):
+            values, artifacts, notes = run_variance_scaling(config)
+            if change == "drop":
+                del values["slope_deviation"]
+            else:
+                values["slope"] = -1.0
+            return values, artifacts, notes
+
+        run_variance_scaling = sc.SCENARIOS["variance-scaling"]["run"]
+        monkeypatch.setitem(sc.SCENARIOS["variance-scaling"], "run", runner)
+        path = write_config(tmp_path, minimal("variance-scaling"))
+        out = tmp_path / "o"
+        assert cli.main(["run", str(path), "--out", str(out)]) == 3
+        assert "not the declared" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
 
     def test_run_configuration_error_in_runner_exit_three(
             self, tmp_path, capsys, monkeypatch):
@@ -624,7 +685,7 @@ class TestCli:
         def raise_configuration_error(config):
             raise ConfigurationError("projectors do not commute")
 
-        monkeypatch.setitem(sc._RUNNERS, "variance-scaling",
+        monkeypatch.setitem(sc.SCENARIOS["variance-scaling"], "run",
                             raise_configuration_error)
         path = write_config(tmp_path, minimal("variance-scaling"))
         assert cli.main(["run", str(path), "--out", str(tmp_path / "o")]) == 3
@@ -633,7 +694,7 @@ class TestCli:
     def test_run_out_is_a_file_exit_three_before_running(
             self, tmp_path, capsys, monkeypatch):
         calls = []
-        monkeypatch.setitem(sc._RUNNERS, "variance-scaling",
+        monkeypatch.setitem(sc.SCENARIOS["variance-scaling"], "run",
                             lambda config: calls.append(config))
         path = write_config(tmp_path, minimal("variance-scaling"))
         afile = tmp_path / "afile"
