@@ -13,17 +13,21 @@ kT).  Three mutually consistent descriptions are implemented:
   Ornstein-Uhlenbeck momentum sector in the Chang-Cooper flux
   discretization, stepped with its exact propagator exp(dt L), which is
   nonnegative and mass-conserving for any dt, so that only the advection
-  Courant limit bounds dt);
+  Courant limit bounds dt).  The advection forms one flux per cell and
+  gives each face that of its upwind cell; the momentum product goes to a
+  second array that then swaps with the state; and the far tails of the
+  initial W, which would be subnormal numbers, start at 0;
 
 - the position-basis master equation with kinetic, dissipation
   (-gamma (x-y)(d_x - d_y) rho) and decoherence (-2 M gamma kT (x-y)^2 rho)
   terms, Strang split: the decoherence term is applied as its exact
   elementwise factor and the kinetic and dissipation terms are stepped
-  with explicit RK4.  The step is a linear map on the raw kernel, so it
-  also evolves kernels that are neither Hermitian nor of unit trace, such
-  as the off-diagonal blocks P rho P' of a history; it commutes with the
-  conjugate transpose in floating point, so a Hermitian kernel stays
-  Hermitian by construction, not by a projection;
+  with explicit RK4, in the Horner form of its Taylor polynomial, over
+  the contiguous rows of a zero-bordered kernel.  The step is a linear map
+  on the raw kernel, so it also evolves kernels that are neither Hermitian
+  nor of unit trace, such as the off-diagonal blocks P rho P' of a
+  history; it commutes with the conjugate transpose in floating point, so
+  a Hermitian kernel stays Hermitian by construction, not by a projection;
 
 - the diffusive limit: D = kT / (2 M gamma), the constitutive relation
   <p>(q) = -(kT / 2 gamma) df/dq, and a least-squares diffusion-constant fit.
@@ -79,6 +83,14 @@ MIN_SPACINGS_PER_SIGMA = 1.5
 #: gamma t below which kernel_covariance sums s_qq as a series (at 0.5 the
 #: closed form loses a factor 8 to cancellation; the series is converged)
 SERIES_GAMMA_T = 0.5
+#: entries of W below this fraction of max |W| are set to 0 before the
+#: first Fokker-Planck step.  The far tails of a Gaussian are subnormal
+#: numbers, and the advection front carries them on for many steps; a
+#: multiply-add that reads one is several times slower on x86, and the
+#: momentum product reads whole rows of them.  Cut once at the start, W on
+#: the diffusion grid holds none at t = 0.1 to 5, where it held about 500;
+#: a cut at every step costs more than it saves.
+START_FLOOR = 1e-200
 
 
 @dataclass(frozen=True)
@@ -259,13 +271,13 @@ class _FokkerPlanckBuffers:
 
     W(q_i, p_j) lives in rows 1..n_q of a padded array with one ghost row
     below and two above.  The ghost rows stay zero, and no flux passes the
-    q walls.  The flux coefficients of one Courant vector c are
-    contiguous (n_q, n_p) arrays, set by ``set_courant``: c_pos = max(c, 0)
-    and c_neg = min(c, 0), and kappa = |c| (1 - |c|) / 2 split the same way
-    into k_pos (c >= 0) and k_neg (c < 0).  Each column is zero in one
-    array of each pair.  diff and absdiff are scratch: an advection spends
-    them on slopes and then face fluxes, and between advections diff takes
-    the momentum step's product.
+    q walls.  A second padded array of the same shape takes the momentum
+    step's product, and ``swap`` exchanges the two, so no step copies W
+    back.  ``set_courant`` sets the flux coefficients of one Courant vector
+    c: c itself and kappa = |c| (1 - |c|) / 2 as contiguous (n_q + 1, n_p)
+    arrays, and the mask ``down`` of the columns with c < 0, whose upwind
+    cell lies above the face.  diff and absdiff are scratch: an advection
+    spends them on slopes, then on the cell fluxes and the face fluxes.
     """
 
     def __init__(self, values):
@@ -273,21 +285,23 @@ class _FokkerPlanckBuffers:
         self.padded = np.zeros((n + 3, m))
         self.values = self.padded[1:n + 1]
         self.values[...] = values
+        self.spare = np.zeros((n + 3, m))
         self.diff = np.empty((n + 2, m))
         self.absdiff = np.empty((n + 2, m))
         self.slope = np.empty((n + 1, m))
-        self.finite = np.empty((n, m), dtype=bool)
-        self.c_pos, self.c_neg, self.k_pos, self.k_neg = (
-            np.empty((n, m)) for _ in range(4))
+        self.c, self.kappa = np.empty((n + 1, m)), np.empty((n + 1, m))
+        self.down = np.empty(m, dtype=bool)
 
     def set_courant(self, c):
         """Fill the flux coefficients of the column Courant numbers c."""
-        kappa = 0.5 * np.abs(c) * (1.0 - np.abs(c))
-        up = c >= 0
-        self.c_pos[...] = np.where(up, c, 0.0)
-        self.c_neg[...] = np.where(up, 0.0, c)
-        self.k_pos[...] = np.where(up, kappa, 0.0)
-        self.k_neg[...] = np.where(up, 0.0, kappa)
+        self.c[...] = c
+        self.kappa[...] = 0.5 * np.abs(c) * (1.0 - np.abs(c))
+        np.less(c, 0, out=self.down)
+
+    def swap(self):
+        """Make the spare padded array the state, and the state the spare."""
+        self.padded, self.spare = self.spare, self.padded
+        self.values = self.padded[1:self.values.shape[0] + 1]
 
 
 def _advect_q(buf: _FokkerPlanckBuffers):
@@ -295,9 +309,9 @@ def _advect_q(buf: _FokkerPlanckBuffers):
 
     The step uses the Courant numbers c[j] = (p_j / M) dt / dq last given
     to ``buf.set_courant``; |c| <= 1 keeps it total-variation diminishing.
-    The flux of every column is formed with both upwind choices, one of
-    which has zero coefficients, so the arithmetic is contiguous over the
-    whole array and each column's result is that of its own upwind cell.
+    Every cell k gets one flux g_k = c W_k + kappa s_k, contiguous over the
+    whole array, and each face takes that of its upwind cell: the cell
+    below (c >= 0) or the one above (c < 0).
     """
     pad, d, ad, s = buf.padded, buf.diff, buf.absdiff, buf.slope
     n = buf.values.shape[0]
@@ -312,19 +326,19 @@ def _advect_q(buf: _FokkerPlanckBuffers):
     d[1:] += 1e-300                              # s = 0 where both vanish
     s /= d[1:]
 
-    # f[i + 1] = dt/dq * flux through face i+1/2 = c W_up + kappa s_up, with
-    # the upwind cell i (c >= 0) or i + 1 (c < 0); f takes diff's rows and
-    # absdiff serves as scratch
-    f, scratch = d[:n + 1], ad[:n]
-    np.multiply(pad[1:n + 1], buf.c_pos, out=f[1:])
-    for term, coef in ((pad[2:n + 2], buf.c_neg), (s[:n], buf.k_pos),
-                       (s[1:], buf.k_neg)):
-        np.multiply(term, coef, out=scratch)
-        f[1:] += scratch
+    # g[k] = c W_k + kappa s_k over the cells and the first ghost above
+    # (its slope is 0); f[i + 1] = dt/dq * flux through face i+1/2 = g[i],
+    # or g[i + 1] where c < 0.  f takes diff's rows, g absdiff's.
+    g, f = ad[:n + 1], d[:n + 1]
+    np.multiply(pad[1:n + 2], buf.c, out=g)
+    s *= buf.kappa
+    g += s
+    f[1:] = g[:n]
+    np.copyto(f[1:], g[1:], where=buf.down)
     f[0] = 0.0
     f[n] = 0.0
-    np.subtract(f[1:], f[:-1], out=scratch)
-    buf.values -= scratch
+    np.subtract(f[1:], f[:-1], out=g[:n])
+    buf.values -= g[:n]
 
 
 def _momentum_propagator(p, dp, dt, params: QbmParams):
@@ -395,25 +409,27 @@ def _integrate_fokker_planck(w: WignerGrid, dt, n_steps,
     A is the q advection and C the momentum sector, so the product is
     A(dt/2) [C(dt) A(dt)]^(n-1) C(dt) A(dt/2).  The flux coefficients are
     set three times: for the first half-advection, the full ones and the
-    last half-advection.
+    last half-advection.  Entries below START_FLOOR times max |W| start at
+    exactly 0.  NaN and inf survive every step, so W is checked for them
+    once, at the end.
     """
     buf = _FokkerPlanckBuffers(w.values)
+    scale = np.max(np.abs(buf.values))
+    buf.values[np.abs(buf.values) < START_FLOOR * scale] = 0.0
     c = w.p * dt / (params.M * w.dq)
     momentum = _momentum_propagator(w.p, w.dp, dt, params)
-    out = buf.diff[:w.n_q]                   # free between advections
     buf.set_courant(0.5 * c)
     _advect_q(buf)
     for k in range(n_steps):
-        np.matmul(buf.values, momentum, out=out)
-        buf.values[...] = out
+        np.matmul(buf.values, momentum, out=buf.spare[1:w.n_q + 1])
+        buf.swap()
         if k == n_steps - 1:
             buf.set_courant(0.5 * c)
         elif k == 0:
             buf.set_courant(c)
         _advect_q(buf)
-        if not np.isfinite(buf.values, out=buf.finite).all():
-            raise DivergenceError(
-                "Fokker-Planck step produced non-finite values")
+    if not np.isfinite(buf.values).all():
+        raise DivergenceError("Fokker-Planck step produced non-finite values")
     return w.with_values(buf.values)
 
 
@@ -435,24 +451,41 @@ def _generator_coefficients(x, dx, params: QbmParams):
     rho[i, j+1], rho[i, j-1], the kinetic term i/(2M) (d_x^2 - d_y^2) rho
     is i/(2M dx^2) (N + S - E - W) and the dissipation term
     -gamma (x - y)(d_x - d_y) rho is -gamma (x - y)/(2 dx) (N - S - E + W),
-    so together they are c+ (N - E) + c- (S - W).
+    so together they are c+ (N - E) + c- (S - W).  Both are (n, n + 2)
+    arrays laid out like the rows of a bordered kernel: column j + 1 holds
+    column j of the lattice, and the first and last columns are zero.
     """
     kinetic = 1j / (2.0 * params.M * dx ** 2)
     dissipation = -params.gamma * (x[:, None] - x[None, :]) / (2.0 * dx)
-    return kinetic + dissipation, kinetic - dissipation
+    return (_bordered(kinetic + dissipation), _bordered(kinetic - dissipation))
+
+
+def _bordered(a):
+    """(n, n) array a between two zero columns, as an (n, n + 2) array."""
+    return np.pad(a, ((0, 0), (1, 1)))
 
 
 def _kinetic_dissipation(padded, c_plus, c_minus, out, tmp):
     """Kinetic plus dissipation terms of the kernel padded[1:-1, 1:-1] into out.
 
-    The border of ``padded`` must be zero: the kernel vanishes outside the
-    lattice.
+    ``padded`` is (n + 2, n + 2), and its border must be zero: the kernel
+    vanishes outside the lattice.  Its rows 1..n, border columns included,
+    are one contiguous run, on which the neighbours N, S, E and W sit at
+    fixed offsets; the terms are formed over that run, so out, tmp and the
+    coefficients are (n, n + 2), and out is zero in its border columns,
+    where the coefficients are.
     """
-    np.subtract(padded[2:, 1:-1], padded[1:-1, 2:], out=out)
-    out *= c_plus
-    np.subtract(padded[:-2, 1:-1], padded[1:-1, :-2], out=tmp)
-    tmp *= c_minus
-    out += tmp
+    m = padded.shape[1]
+    flat, o, t = padded.reshape(-1), out.reshape(-1), tmp.reshape(-1)
+
+    def shifted(offset):                     # rows 1..n moved by offset
+        return flat[m + offset:flat.size - m + offset]
+
+    np.subtract(shifted(m), shifted(1), out=o)           # N - E
+    o *= c_plus.reshape(-1)
+    np.subtract(shifted(-m), shifted(-1), out=t)         # S - W
+    t *= c_minus.reshape(-1)
+    o += t
     return out
 
 
@@ -472,11 +505,11 @@ def master_equation_rhs(rho: DensityMatrix, params: QbmParams) -> np.ndarray:
     padded = np.zeros((n + 2, n + 2), dtype=complex)
     padded[1:-1, 1:-1] = rho.kernel
     c_plus, c_minus = _generator_coefficients(x, rho.dx, params)
-    rhs = _kinetic_dissipation(padded, c_plus, c_minus,
-                               np.empty((n, n), dtype=complex),
-                               np.empty((n, n), dtype=complex))
-    rhs -= _decoherence_rate(params) * (x[:, None] - x[None, :]) ** 2 * rho.kernel
-    return rhs
+    terms = _kinetic_dissipation(padded, c_plus, c_minus,
+                                 np.empty((n, n + 2), dtype=complex),
+                                 np.empty((n, n + 2), dtype=complex))
+    return terms[:, 1:-1] - (_decoherence_rate(params)
+                             * (x[:, None] - x[None, :]) ** 2 * rho.kernel)
 
 
 def master_dt_bound(rho: DensityMatrix, params: QbmParams) -> float:
@@ -500,34 +533,41 @@ def _integrate_master_equation(kernel, x, dx, dt, n_steps,
     one RK4 step of the kinetic and dissipation terms, so the product is
     D(dt/2) [RK(dt) D(dt)]^(n-1) RK(dt) D(dt/2).  The map is linear in the
     (n, n) kernel on the lattice x; the kernel may be any complex matrix.
+
+    For a linear, time-independent generator L, one RK4 step is the
+    degree-4 Taylor polynomial of exp(dt L), taken in Horner form:
+    ker + hL(ker + hL/2 (ker + hL/3 (ker + hL/4 ker))) with h = dt.  The
+    kernel and the stages live inside two zero-bordered arrays.  NaN and
+    inf survive every step, so the kernel is checked for them once, at the
+    end.
     """
     n = x.size
     rate = _decoherence_rate(params)
-    full = position_dephasing(x[:, None], rate, dt)
+    full = _bordered(position_dephasing(x[:, None], rate, dt))
     half = position_dephasing(x[:, None], rate, 0.5 * dt)
     c_plus, c_minus = _generator_coefficients(x, dx, params)
-    padded = np.zeros((n + 2, n + 2), dtype=complex)
-    stage = padded[1:-1, 1:-1]
-    ker = kernel * half
-    k, acc, tmp = (np.empty((n, n), dtype=complex) for _ in range(3))
-    finite = np.empty((n, n), dtype=bool)
+    c_plus *= dt
+    c_minus *= dt
+    padded_ker, padded_stage = (np.zeros((n + 2, n + 2), dtype=complex)
+                                for _ in range(2))
+    ker, stage = padded_ker[1:-1], padded_stage[1:-1]
+    np.multiply(kernel, half, out=ker[:, 1:-1])
+    k, tmp = (np.empty((n, n + 2), dtype=complex) for _ in range(2))
     for step in range(n_steps):
-        # RK4: ker += dt/6 (k1 + 2 k2 + 2 k3 + k4)
-        stage[...] = ker
-        np.copyto(acc, _kinetic_dissipation(padded, c_plus, c_minus, k, tmp))
-        for frac, weight in ((0.5, 2.0), (0.5, 2.0), (1.0, 1.0)):
-            np.multiply(k, frac * dt, out=stage)
-            stage += ker
-            _kinetic_dissipation(padded, c_plus, c_minus, k, tmp)
-            np.multiply(k, weight, out=tmp)
-            acc += tmp
-        acc *= dt / 6.0
-        ker += acc
-        ker *= full if step < n_steps - 1 else half
-        if not np.isfinite(ker, out=finite).all():
-            raise DivergenceError(
-                "master-equation step produced non-finite values")
-    return ker
+        if step:
+            ker *= full
+        _kinetic_dissipation(padded_ker, c_plus, c_minus, stage, tmp)
+        stage *= 0.25
+        stage += ker
+        for inv_j in (1.0 / 3.0, 0.5):
+            _kinetic_dissipation(padded_stage, c_plus, c_minus, k, tmp)
+            k *= inv_j
+            np.add(ker, k, out=stage)
+        ker += _kinetic_dissipation(padded_stage, c_plus, c_minus, k, tmp)
+    out = ker[:, 1:-1] * half
+    if not np.isfinite(out).all():
+        raise DivergenceError("master-equation step produced non-finite values")
+    return out
 
 
 def evolve_master_equation(rho0: DensityMatrix, t,

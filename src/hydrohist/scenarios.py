@@ -70,23 +70,48 @@ def _kernel_sampling_rule(var_p):
             "standard deviation on each axis")
 
 
+def _sigma(g, var_p, t, axis):
+    """Standard deviation along ``axis`` ("q" or "p") of the initial
+    Gaussian, var_q = 1 and var_p, or of that state evolved by the exact
+    kernel to t, whichever is larger.  The state is centred at 0."""
+    params = pr.QbmParams(g["M"], g["gamma"], g["kT"])
+    a = pr.kernel_mean_map(params, t)
+    cov0 = np.diag([1.0, var_p])
+    cov = a @ cov0 @ a.T + pr.kernel_covariance(params, t)
+    i = "qp".index(axis)
+    return math.sqrt(max(cov0[i, i], cov[i, i]))
+
+
 def _domain_rule(var_p, t, axis):
-    """Range check of the extent along ``axis`` ("q" or "p") that
-    ``propagator.propagate_analytic`` applies: 3 standard deviations of the
-    initial Gaussian, var_q = 1 and var_p = var_p(config), evolved by the
-    exact kernel to t(config) fit in the grid's half-width on that axis;
-    follows the checks of the Brownian-motion parameters and of t >= 0."""
+    """Range check of the extent along ``axis`` ("q" or "p"), as
+    ``propagator.propagate_analytic`` and the walls of the Fokker-Planck
+    integrator need it: grid.{axis}_min <= -3 sigma and 3 sigma <=
+    grid.{axis}_max, with sigma from ``_sigma`` for var_p = var_p(config)
+    and t = t(config); follows the checks of the Brownian-motion parameters
+    and of t >= 0."""
     def fits(g):
-        params = pr.QbmParams(g["M"], g["gamma"], g["kT"])
-        a = pr.kernel_mean_map(params, t(g))
-        cov = (a @ np.diag([1.0, var_p(g)]) @ a.T
-               + pr.kernel_covariance(params, t(g)))
-        var = cov[0, 0] if axis == "q" else cov[1, 1]
-        return 3.0 * math.sqrt(var) <= 0.5 * (g[f"{axis}_max"]
-                                              - g[f"{axis}_min"])
+        reach = min(-g[f"{axis}_min"], g[f"{axis}_max"])
+        return 3.0 * _sigma(g, var_p(g), t(g), axis) <= reach
     name = "position" if axis == "q" else "momentum"
     return (fits, f"the {axis} domain grid.{axis}_min to grid.{axis}_max must "
             f"hold 3 standard deviations of the evolved {name} on each side")
+
+
+def _master_lattice_rule(t):
+    """Range check of oracle-compare's master-equation lattice: its q
+    extent +/-grid.master_x_max and the conjugate momentum axis of its
+    grid.master_n_x points each hold 3 sigma on each side, sigma from
+    ``_sigma`` for var_p = 0.5 and t = t(config); follows the checks of the
+    Brownian-motion parameters, the lattice and t >= 0."""
+    def fits(g):
+        x_max = g["master_x_max"]
+        p_min, p_max, _ = ps.conjugate_momentum_axis(-x_max, x_max,
+                                                     g["master_n_x"])
+        return (3.0 * _sigma(g, 0.5, t(g), "q") <= x_max
+                and 3.0 * _sigma(g, 0.5, t(g), "p") <= min(-p_min, p_max))
+    return (fits, "the master lattice of grid.master_x_max and "
+            "grid.master_n_x must hold 3 standard deviations of the evolved "
+            "position and momentum on each side")
 
 
 def _fokker_planck_note(w0, durations, params):
@@ -173,6 +198,15 @@ def _has_default_type(value, default):
     return type(value) is type(default)
 
 
+def _as_float(value, where):
+    """float(value) of a JSON number; an int too large for a float is a
+    config error."""
+    try:
+        return float(value)
+    except OverflowError:
+        raise ConfigurationError(f"{where} is too large for a float") from None
+
+
 def _reject_duplicates(pairs):
     seen = {}
     for key, value in pairs:
@@ -237,12 +271,13 @@ def validate_config(raw: dict) -> ScenarioConfig:
                 raise ConfigurationError(
                     f"{section}.{key} must have the type of its default "
                     f"{defaults[key]!r}, got {value!r}")
-            if isinstance(defaults[key], float):
-                try:
-                    value = float(value)
-                except OverflowError:
-                    raise ConfigurationError(
-                        f"{section}.{key} is too large for a float") from None
+            default = defaults[key]
+            if isinstance(default, float):
+                value = _as_float(value, f"{section}.{key}")
+            elif isinstance(default, list) and all(
+                    isinstance(v, float) for v in default):
+                value = [_as_float(v, f"{section}.{key}[{i}]")
+                         for i, v in enumerate(value)]
             defaults[key] = value
     merged = {**params, **grid}
     for in_range, message in entry.get("ranges", ()):
@@ -618,6 +653,7 @@ SCENARIOS = {
             _domain_rule(lambda p: 0.5,
                          lambda p: max(p["t_kernel"], p["t_master"]), "q"),
             _domain_rule(lambda p: 0.5, lambda p: p["t_kernel"], "p"),
+            _master_lattice_rule(lambda p: p["t_master"]),
         ),
     },
     "variance-scaling": {

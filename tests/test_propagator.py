@@ -12,9 +12,10 @@ from hydrohist import local_equilibrium as le
 from hydrohist import phase_space as ps
 from hydrohist import propagator as pr
 from hydrohist import scenarios as sc
-from hydrohist.errors import FitQualityError, ResolutionError
+from hydrohist.errors import DivergenceError, FitQualityError, ResolutionError
 
 UNIT = pr.QbmParams(M=1.0, gamma=1.0, kT=1.0)
+NAN = float("nan")
 
 
 def _fp_bound(w, params):
@@ -273,6 +274,36 @@ class TestFokkerPlanck:
             tracemalloc.stop()
         assert max(peaks) - min(peaks) < 4096
 
+    @pytest.mark.parametrize("t", [0.5, 1.0, 3.0])
+    def test_no_subnormals_on_diffusion_grid(self, t):
+        # the initial tails below START_FLOOR * max W start at 0, so the
+        # front carries no subnormal number on (the unfloored start left
+        # about 500 of them at each of these times)
+        g = sc.SCENARIOS["diffusion"]["grid"]
+        w0 = ps.gaussian_wigner(g["q_min"], g["q_max"], g["n_q"],
+                                g["p_min"], g["p_max"], g["n_p"],
+                                var_q=1.0, var_p=1.0)
+        assert np.any((w0.values > 0)
+                      & (w0.values < np.finfo(float).tiny))
+        size = np.abs(pr.evolve_fokker_planck(w0, t, UNIT).values)
+        assert not np.any((size > 0) & (size < np.finfo(float).tiny))
+
+    @pytest.mark.parametrize("bad", [
+        NAN,
+        # inf - inf warns, which pyproject.toml makes an error
+        pytest.param(np.inf, marks=pytest.mark.filterwarnings(
+            "ignore::RuntimeWarning")),
+    ])
+    def test_non_finite_cell_raises(self, bad):
+        # finiteness is checked once, after the last step: a non-finite
+        # cell must survive every step to be seen there
+        w0 = ps.gaussian_wigner(-18, 18, 160, -6, 6, 96, var_q=0.25, var_p=0.5)
+        vals = w0.values.copy()
+        vals[80, 48] = bad
+        with pytest.raises(DivergenceError, match="Fokker-Planck"):
+            pr._integrate_fokker_planck(w0.with_values(vals),
+                                        _fp_bound(w0, UNIT), 20, UNIT)
+
     def test_sharp_state_stays_nonnegative(self):
         # a momentum width below one cell at dt 2 M gamma kT / dp^2 near 10,
         # ten times the step at which a Crank-Nicolson momentum step is
@@ -360,6 +391,38 @@ def _reference_advect(vals, c):
     face = c * np.where(c >= 0, f_pos, f_neg)   # dt/dq * flux at i+1/2
     face[-1] = 0.0
     return vals - (face - shift(face, 1))
+
+
+def _reference_master(kernel, x, dx, dt, n_steps, params):
+    """Strang steps D(dt/2) RK(dt) D(dt/2) of the master equation, with
+    stage-form RK4 over the kinetic and dissipation terms, built from
+    zero-filled shifted copies of the kernel."""
+    def shift(a, di, dj):  # out[i, j] = a[i + di, j + dj], 0 outside
+        out = np.zeros_like(a)
+        n = a.shape[0]
+        out[max(0, -di):n - max(0, di), max(0, -dj):n - max(0, dj)] = \
+            a[max(0, di):n - max(0, -di), max(0, dj):n - max(0, -dj)]
+        return out
+
+    kinetic = 1j / (2.0 * params.M * dx ** 2)
+    dissipation = -params.gamma * (x[:, None] - x[None, :]) / (2.0 * dx)
+
+    def rhs(k):  # c+ (N - E) + c- (S - W)
+        return ((kinetic + dissipation) * (shift(k, 1, 0) - shift(k, 0, 1))
+                + (kinetic - dissipation) * (shift(k, -1, 0) - shift(k, 0, -1)))
+
+    rate = 2.0 * params.M * params.gamma * params.kT
+    dist2 = (x[:, None] - x[None, :]) ** 2
+    full, half = (np.exp(-rate * h * dist2) for h in (dt, 0.5 * dt))
+    ker = kernel * half
+    for step in range(n_steps):
+        k1 = rhs(ker)
+        k2 = rhs(ker + 0.5 * dt * k1)
+        k3 = rhs(ker + 0.5 * dt * k2)
+        k4 = rhs(ker + dt * k3)
+        ker = ker + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        ker = ker * (full if step < n_steps - 1 else half)
+    return ker
 
 
 class TestMasterEquation:
@@ -512,6 +575,37 @@ class TestMasterEquation:
                                               n_steps, self.params)
             assert np.array_equal(k, k.conj().T)
 
+    @pytest.mark.parametrize("part", ["cat", "off-diagonal block"])
+    def test_matches_stage_form_rk4(self, part):
+        # the Horner-form step against the stage-form RK4 loop, on shifted
+        # zero-filled copies of the kernel
+        kernel = self.cat_state().kernel
+        if part != "cat":
+            left = self.x < 0
+            kernel = kernel * np.outer(left, ~left)
+        dx = self.x[1] - self.x[0]
+        n_steps, dt = pr._step_plan(0.25, pr.master_dt_bound(
+            self.cat_state(), self.params))
+        got = pr._integrate_master_equation(kernel, self.x, dx, dt, n_steps,
+                                            self.params)
+        want = _reference_master(kernel, self.x, dx, dt, n_steps,
+                                 self.params)
+        assert np.max(np.abs(got - want)) < 1e-14 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("bad", [
+        NAN,
+        # inf - inf warns, which pyproject.toml makes an error
+        pytest.param(np.inf, marks=pytest.mark.filterwarnings(
+            "ignore::RuntimeWarning")),
+    ])
+    def test_non_finite_entry_raises(self, bad):
+        kernel = self.cat_state().kernel.copy()
+        kernel[60, 70] = bad
+        dx = self.x[1] - self.x[0]
+        with pytest.raises(DivergenceError, match="master-equation"):
+            pr._integrate_master_equation(kernel, self.x, dx, 1e-3, 20,
+                                          self.params)
+
     def test_oracle_compare_step_count(self):
         # the exact decoherence factor takes the (x - y)^2 rate out of the
         # RK4 bound: 547 steps become 187 on the oracle-compare grid
@@ -596,7 +690,6 @@ class TestParams:
             pr.QbmParams(M=1.0, gamma=-1.0, kT=1.0)
 
 
-NAN = float("nan")
 TWO_BINS = hist.ToyHilbert(B=2, N=1)
 LATTICE = np.linspace(-4.0, 4.0, 8)
 

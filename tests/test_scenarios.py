@@ -57,7 +57,7 @@ class TestLoadConfig:
     @pytest.mark.parametrize("scenario, section, key, value", [
         ("diffusion", "params", "gamma", 2),
         ("maxwellization", "grid", "q_max", 10 ** 30),
-        ("oracle-compare", "grid", "master_x_max", 2 ** 64),
+        ("oracle-compare", "grid", "master_x_max", 12),
     ])
     def test_float_keys_hold_floats(self, scenario, section, key, value):
         # an int given to a float key is stored, and echoed, as that float
@@ -74,6 +74,44 @@ class TestLoadConfig:
                                               grid={"q_max": 10 ** 400}))
         assert cli.main(["validate", str(path)]) == 2
         assert "grid.q_max is too large for a float" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("scenario, key, value", [
+        ("local-equilibrium-peaking", "mubar", [4, 0, 0]),
+        ("local-equilibrium-peaking", "times", [0, 1]),
+        ("conserved-decoherence", "times2", [0, 2]),
+        ("conserved-decoherence", "times3", [0, 1.5, 2]),
+    ])
+    def test_float_list_keys_hold_floats(self, scenario, key, value):
+        # each int in a list whose default holds floats is stored as that
+        # float; a list of ints, such as N_values, keeps its ints
+        as_int, as_float = (
+            sc.validate_config(minimal(scenario, params={key: v}))
+            for v in (value, [float(x) for x in value]))
+        assert as_int == as_float
+        assert all(type(x) is float for x in as_int.params[key])
+        assert json.dumps(as_int.params) == json.dumps(as_float.params)
+        sizes = sc.validate_config(minimal(
+            "variance-scaling", params={"N_values": [10, 100]}))
+        assert [type(n) for n in sizes.params["N_values"]] == [int, int]
+
+    @pytest.mark.parametrize("scenario, key, value, where", [
+        ("local-equilibrium-peaking", "mubar", [10 ** 400, 0, 0],
+         "params.mubar[0]"),
+        ("local-equilibrium-peaking", "times", [0, 10 ** 400],
+         "params.times[1]"),
+        ("conserved-decoherence", "times2", [0, 10 ** 400],
+         "params.times2[1]"),
+        ("conserved-decoherence", "times3", [0.3, 0.8, 10 ** 400],
+         "params.times3[2]"),
+    ])
+    def test_list_int_too_large_for_a_float_rejected(self, tmp_path, capsys,
+                                                     scenario, key, value,
+                                                     where):
+        path = write_config(tmp_path, minimal(scenario, params={key: value}))
+        assert cli.main(["validate", str(path)]) == 2
+        assert f"{where} is too large for a float" in capsys.readouterr().err
+        assert cli.main(["run", str(path), "--out", str(tmp_path / "o")]) == 2
+        assert not (tmp_path / "o").exists()
 
     def test_nonpositive_gamma_rejected(self, tmp_path):
         raw = minimal("diffusion", params={"gamma": 0})
@@ -489,6 +527,12 @@ class TestCli:
                      id="maxwellization-small-q-domain"),
         pytest.param("oracle-compare", {"t_master": 25.0}, {}, "q domain",
                      id="oracle-small-q-domain-at-master-time"),
+        # the state is centred at 0: each side must hold 3 sigma
+        pytest.param("diffusion", {}, {"q_min": 2}, "q domain",
+                     id="diffusion-q-domain-misses-centre"),
+        # the master lattice's conjugate momentum axis spans +/-1.7e-17
+        pytest.param("oracle-compare", {}, {"master_x_max": 1.8e19},
+                     "master lattice", id="oracle-coarse-master-momentum"),
         # an evolved variance near 1e308 is compared without overflowing,
         # and a rule that divides by an underflowed 2 M gamma fails
         pytest.param("diffusion", {"t_end": 1e308}, {}, "q domain",
@@ -647,7 +691,8 @@ class TestCli:
 
     @pytest.mark.parametrize("scenario, key, value, code", [
         ("maxwellization", "q_max", 10 ** 30, 0),
-        ("oracle-compare", "master_x_max", 2 ** 64, 3),
+        # its master lattice cannot hold the state: rejected at validate
+        ("oracle-compare", "master_x_max", 2 ** 64, 2),
     ])
     def test_run_int_and_float_keys_exit_alike(self, tmp_path, capsys,
                                                scenario, key, value, code):
