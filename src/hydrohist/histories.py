@@ -15,12 +15,15 @@ B^N tensor-product space.  The module builds
 
       D(a, a') = Tr[ P_{a_n}(t_n) ... P_{a_1}(t_1) rho P_{a'_1}(t_1) ... P_{a'_n}(t_n) ],
 
-  with Heisenberg projectors generated by a Hamiltonian, whose unitaries
-  are built from its spectrum, decomposed once, and, optionally, a
-  per-particle position dephasing map interleaved with the unitary steps,
-  from projected chains of rho = L L^dag without dephasing and from
-  damp-then-rotate branch-pair matrices with it (the dense engines: dense
-  linear algebra on the B^N space; B^N <= 2^12, a 256 MiB complex matrix);
+  with Heisenberg projectors generated by a Hamiltonian, decomposed once
+  (in real arithmetic when it is real to rounding, as every kinetic
+  Hamiltonian here is), and, optionally, a per-particle position dephasing
+  map interleaved with the unitary steps, from projected chains of
+  rho = L L^dag without dephasing and from damp-then-rotate branch-pair
+  matrices with it (the dense engines: dense linear algebra on the B^N
+  space; B^N <= 2^12, a 256 MiB complex matrix).  Chains of fewer columns
+  than dim get U through the spectrum, v (e^{-i w dt} o (v^dag Y)), without
+  forming it; the branch-pair matrices rotate by U = v e^{-i w dt} v^dag;
 - the two-time occupation decoherence functional of a product state
   rho1^(x N) under a one-body Hamiltonian and per-particle dephasing, from
   one-particle objects only: an OccupationFunctional of the tensor d1[b, b', c]
@@ -29,7 +32,8 @@ B^N tensor-product space.  The module builds
 - consistency diagnostics on a DecoherenceMatrix, whatever engine made it:
   epsilon and the bound |D(a,a')|^2 <= p(a) p(a'), which any D satisfies;
 - Gaussian-history probabilities and their peak structure: the exact
-  single-time probability, its large-sigma asymptotic form
+  single-time probability, at any number of centers from one eigh of A,
+  its large-sigma asymptotic form
   (2 pi (sigma^2 + dA^2))^(-1/2) exp(-(<A> - a)^2 / 2(sigma^2 + dA^2)),
   multi-time chains, argmax scans, and tube/complement pairs that make the
   "probabilities concentrate on the mean trajectory" statement quantitative.
@@ -189,8 +193,18 @@ def superposition_state(space: ToyHilbert, psi, chi) -> StateVector:
 
 
 def to_density(state: StateVector) -> DensityOperator:
-    return DensityOperator(state.space, np.outer(state.amplitudes,
-                                                 state.amplitudes.conj()))
+    """|a><a| of a state vector, a read-only DensityOperator.
+
+    The checks of DensityOperator hold by construction and are not run
+    again: the outer product is Hermitian, its trace |a|^2 is 1 to the
+    StateVector norm check, and it has rank 1.
+    """
+    m = np.outer(state.amplitudes, state.amplitudes.conj())
+    m.flags.writeable = False
+    rho = object.__new__(DensityOperator)
+    object.__setattr__(rho, "space", state.space)
+    object.__setattr__(rho, "matrix", m)
+    return rho
 
 
 # --- collective observables -------------------------------------------------
@@ -330,10 +344,23 @@ def _checked_hamiltonian(h, dim):
 
 def _spectrum(h):
     """(w, v) with h = v diag(w) v^dag for a Hermitian h; v is None when h is
-    diagonal, its own eigenbasis, and then no eigensolver runs."""
+    diagonal, its own eigenbasis, and then no eigensolver runs.  When
+    max|Im h| <= dim eps max|h|, a perturbation within eigh's own backward
+    error, h.real is decomposed in real arithmetic, and v is real."""
     if np.count_nonzero(h) == np.count_nonzero(np.diagonal(h)):
         return np.real(np.diagonal(h)).copy(), None
+    if (np.max(np.abs(h.imag))
+            <= len(h) * np.finfo(float).eps * np.max(np.abs(h))):
+        return np.linalg.eigh(h.real)
     return np.linalg.eigh(h)
+
+
+def _times(m, y):
+    """m @ y; a real m meets a complex y in real arithmetic, with y read as
+    a real array of twice the columns."""
+    if np.isrealobj(m) and np.iscomplexobj(y):
+        return (m @ np.ascontiguousarray(y).view(float)).view(complex)
+    return m @ y
 
 
 def _unitary(spectrum, dt):
@@ -342,7 +369,7 @@ def _unitary(spectrum, dt):
     phase = np.exp(-1j * dt * w)
     if v is None:
         return np.diag(phase)
-    return (v * phase) @ v.conj().T
+    return _times(v, phase[:, None] * v.conj().T)
 
 
 @dataclass(frozen=True)
@@ -537,13 +564,55 @@ def _evolve_density(mat, spectrum, t0, t1, space, rate, substeps):
     return a @ b.conj().T
 
 
+def _apply_unitary(spectrum, dt, chains):
+    """U(dt) Y for each chain (rows, Y[rows]), as a chain.
+
+    A diagonal U multiplies the kept rows by their phases and keeps them.
+    Otherwise U Y = v (e^{-i w dt} o (v^dag[:, rows] Y)): for chains of W
+    entries and R columns in all that costs dim W + dim^2 R, and forming U
+    first dim^3 + dim W, so U is formed only when R >= dim.
+    """
+    w, v = spectrum
+    if v is not None and sum(y.shape[1] for _, y in chains) >= len(w):
+        u = _unitary(spectrum, dt)
+        return [(_ALL, u[:, rows] @ y) for rows, y in chains]
+    phase = np.exp(-1j * dt * w)
+    if v is None:
+        return [(rows, phase[rows][:, None] * y) for rows, y in chains]
+    vh = v.conj().T
+    return [(_ALL, _times(v, phase[:, None] * _times(vh[:, rows], y)))
+            for rows, y in chains]
+
+
+def _project_chain(op, rows, y):
+    """P Y for the chain (rows, Y[rows]), as a chain; a diagonal P keeps the
+    rows where it is nonzero."""
+    if not _is_diagonal(op):
+        return _ALL, op[:, rows] @ y
+    kept, block = _keep(op[rows], y)
+    if rows is _ALL:
+        return kept, block
+    within = rows.copy()
+    within[rows] = kept
+    return within, block
+
+
+def _on_basis(rows, y):
+    """Y from the block Y[rows] of a chain, zero in the other rows."""
+    if rows is _ALL:
+        return y
+    out = np.zeros((len(rows), y.shape[1]), dtype=y.dtype)
+    out[rows] = y
+    return out
+
+
 def _chain_functional(rho, history, levels):
     """Undephased D(a, a') = Tr(Y_a Y_a'^dag), Y_a = P_{a_n} U_n ... P_{a_1} U_1 L.
 
     rho = L L^dag, with L the eigenvectors scaled by sqrt(w), w > 1e-14.  A
     chain projected by a diagonal keeps only its nonzero rows, scaled.  If
     the final level is disjoint diagonals, D's blocks are returned: that of
-    final c is the Gram matrix of the prefix chains on c's rows, scaled.
+    final c is the Gram matrix of the chains on c's rows, scaled.
     """
     if isinstance(rho, StateVector):
         l_fac = rho.amplitudes[:, None]
@@ -555,28 +624,20 @@ def _chain_functional(rho, history, levels):
     *inner, final = levels
     chains = [(_ALL, l_fac)]  # (rows, Y[rows]) per label prefix
     for dt, ops in zip(steps, inner):
-        u = _unitary(history.spectrum, dt)
-        nxt = []
-        for rows, y in chains:
-            uy = u[:, rows] @ y
-            nxt += [_keep(op, uy) if _is_diagonal(op) else (_ALL, op @ uy)
-                    for op in ops]
-        chains = nxt
-    u = _unitary(history.spectrum, steps[-1])
+        chains = [_project_chain(op, rows, y) for rows, y
+                  in _apply_unitary(history.spectrum, dt, chains)
+                  for op in ops]
+    # the prefixes' rows differ, so each is laid out on the whole basis
+    ys = [_on_basis(*chain) for chain
+          in _apply_unitary(history.spectrum, steps[-1], chains)]
     if _disjoint_diagonals(final):
-        n_pre = len(chains)
-        blocks = np.empty((n_pre, n_pre, len(final)), dtype=complex)
+        blocks = np.empty((len(ys), len(ys), len(final)), dtype=complex)
         for c, op in enumerate(final):
-            u_c = _keep(op, u)[1]
-            flat = np.array([(u_c[:, rows] @ y).ravel() for rows, y in chains])
+            flat = np.array([_keep(op, y)[1].ravel() for y in ys])
             blocks[:, :, c] = flat @ flat.conj().T
         return blocks
-    flat = []
-    for rows, y in chains:
-        uy = u[:, rows] @ y
-        flat += [(uy * op[:, None] if _is_diagonal(op) else op @ uy).ravel()
-                 for op in final]
-    flat = np.array(flat)
+    flat = np.array([(y * op[:, None] if _is_diagonal(op) else op @ y).ravel()
+                     for y in ys for op in final])
     return flat @ flat.conj().T
 
 
@@ -787,29 +848,45 @@ def _mean_and_spread(rho_m, a_op):
     return mean, math.sqrt(max(second - mean ** 2, 0.0))
 
 
-def single_time_prob_exact(rho, a_op, center, sigma) -> float:
-    """Tr(P_a rho) with the Gaussian quasi-projector of A."""
+def single_time_prob_exact(rho, a_op, center, sigma):
+    """Tr(P_c rho) with the Gaussian quasi-projector P_c of A, at a scalar
+    center (a float) or an array of centers (an array of their shape).
+
+    Over the eigenpairs (a_j, |j>) of A, one eigh for every center,
+    Tr(P_c rho) = sum_j g_c(a_j) <j|rho|j>, g_c the Gaussian weight.
+    """
     rho_m = _as_density_matrix(rho)
-    p = gaussian_quasi_projector(a_op, center, sigma)
-    return float(np.real(np.trace(p @ rho_m)))
+    vals, vecs = np.linalg.eigh(np.asarray(a_op, dtype=complex))
+    pops = np.real(np.sum(vecs.conj() * (rho_m @ vecs), axis=0))
+    c = np.asarray(center, dtype=float)
+    p = _gaussian_weights(vals, c[..., None], sigma) @ pops
+    return float(p) if c.ndim == 0 else p
 
 
-def single_time_prob_asymptotic(rho, a_op, center, sigma) -> float:
-    """Large-sigma form: Gaussian of width sqrt(sigma^2 + dA^2) about <A>."""
+def single_time_prob_asymptotic(rho, a_op, center, sigma):
+    """Large-sigma form: Gaussian of width sqrt(sigma^2 + dA^2) about <A>,
+    at a scalar center (a float) or an array of centers."""
     rho_m = _as_density_matrix(rho)
     mean, spread = _mean_and_spread(rho_m, a_op)
     s2 = sigma ** 2 + spread ** 2
-    return math.exp(-((mean - center) ** 2) / (2.0 * s2)) / math.sqrt(
-        2.0 * np.pi * s2)
+    c = np.asarray(center, dtype=float)
+    p = np.exp(-((mean - c) ** 2) / (2.0 * s2)) / math.sqrt(2.0 * np.pi * s2)
+    return float(p) if c.ndim == 0 else p
 
 
 def _heisenberg_ops(a_op, h, times):
-    """A(t) = U^dag A U at each requested time, h decomposed once."""
+    """A(t) = U^dag A U at each requested time, h decomposed once; a
+    diagonal U = diag(phi) rotates A by phases, conj(phi_i) A_ij phi_j."""
     spectrum = _spectrum(_checked_hamiltonian(h, len(a_op)))
+    w, v = spectrum
     out = []
     for t in times:
-        u = _unitary(spectrum, t)
-        out.append(u.conj().T @ a_op @ u)
+        if v is None:
+            phase = np.exp(-1j * t * w)
+            out.append(phase.conj()[:, None] * a_op * phase)
+        else:
+            u = _unitary(spectrum, t)
+            out.append(u.conj().T @ a_op @ u)
     return out
 
 
@@ -866,20 +943,20 @@ def argmax_scan(rho, a_op, times, sigma, h):
     keep = w > 1e-12
     weights = w[keep]
     components = v[:, keep]
+    eigs = [np.linalg.eigh(at) for at in a_t]
 
     shape = tuple(len(g) for g in grids)
     total = np.zeros(shape)
     for wj, psi in zip(weights, components.T):
         batch = psi[None, :]  # (n_chains, dim)
-        for k, (at, grid) in enumerate(zip(a_t[:-1], grids[:-1])):
-            vals, vecs = np.linalg.eigh(at)
+        for (vals, vecs), grid in zip(eigs[:-1], grids[:-1]):
             eig = batch @ vecs.conj()  # components in the A(t_k) eigenbasis
             gauss = _gaussian_weights(vals[None, :], grid[:, None], sigma)
             # new batch: one chain per (old chain, center)
             eig = eig[:, None, :] * gauss[None, :, :]
             batch = (eig.reshape(-1, len(vals))) @ vecs.T
         # final time: the projector enters once, p = Re <v|P_n(c)|v>
-        vals, vecs = np.linalg.eigh(a_t[-1])
+        vals, vecs = eigs[-1]
         eig2 = np.abs(batch @ vecs.conj()) ** 2
         gauss = _gaussian_weights(vals[None, :], grids[-1][:, None], sigma)
         total += wj * (eig2 @ gauss.T).reshape(shape)

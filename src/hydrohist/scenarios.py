@@ -97,21 +97,61 @@ def _domain_rule(var_p, t, axis):
             f"hold 3 standard deviations of the evolved {name} on each side")
 
 
+def _gaussian_density(x, s):
+    """Density at x of the centred normal law of standard deviation s."""
+    return math.exp(-x * x / (2.0 * s * s)) / (math.sqrt(2.0 * math.pi) * s)
+
+
+def _master_edge_mass(g, x_max, p_min, p_max, s_q, s_p):
+    """Closed-form bound on the boundary mass of oracle-compare's evolved
+    master-equation state, as ``phase_space.l1_distance`` weighs it: the
+    marginal density on each edge times the extent across it.
+
+    The position marginal is the Gaussian of standard deviation s_q.  The
+    momentum marginal is at most the larger of the Gaussian of s_p and the
+    lattice's stationary law, proportional to exp(-k (1 - cos p dx)) with
+    k = 1/(M kT dx^2): on the lattice the central-difference friction drives
+    p with sin(p dx)/dx, which vanishes at the edge p = pi/dx of the
+    conjugate axis, so the tail there is far heavier than the Gaussian's.
+    That law's normalization is at least the Gaussian integral, as
+    1 - cos u <= u^2/2, so its density is at most
+    dx sqrt(k / 2 pi) exp(-k (1 - cos p dx)) / erf(pi sqrt(k / 2)).
+    """
+    dx = 2.0 * x_max / (g["master_n_x"] - 1)
+    k = 1.0 / (g["M"] * g["kT"] * dx * dx)
+
+    def momentum(p):
+        lattice = (dx * math.sqrt(k / (2.0 * math.pi))
+                   * math.exp(-k * (1.0 - math.cos(p * dx)))
+                   / math.erf(math.pi * math.sqrt(k / 2.0)))
+        return max(_gaussian_density(p, s_p), lattice)
+
+    return (2.0 * _gaussian_density(x_max, s_q) * 2.0 * x_max
+            + (momentum(p_min) + momentum(p_max)) * (p_max - p_min))
+
+
 def _master_lattice_rule(t):
     """Range check of oracle-compare's master-equation lattice: its q
     extent +/-grid.master_x_max and the conjugate momentum axis of its
     grid.master_n_x points each hold 3 sigma on each side, sigma from
-    ``_sigma`` for var_p = 0.5 and t = t(config); follows the checks of the
-    Brownian-motion parameters, the lattice and t >= 0."""
+    ``_sigma`` for var_p = 0.5 and t = t(config), and the evolved state's
+    boundary mass, bounded by ``_master_edge_mass``, stays within
+    ``phase_space.COVERAGE_THRESHOLD``, above which ``l1_distance`` refuses
+    to resample it; follows the checks of the Brownian-motion parameters,
+    the lattice and t >= 0."""
     def fits(g):
         x_max = g["master_x_max"]
         p_min, p_max, _ = ps.conjugate_momentum_axis(-x_max, x_max,
                                                      g["master_n_x"])
-        return (3.0 * _sigma(g, 0.5, t(g), "q") <= x_max
-                and 3.0 * _sigma(g, 0.5, t(g), "p") <= min(-p_min, p_max))
+        s_q = _sigma(g, 0.5, t(g), "q")
+        s_p = _sigma(g, 0.5, t(g), "p")
+        return (3.0 * s_q <= x_max and 3.0 * s_p <= min(-p_min, p_max)
+                and _master_edge_mass(g, x_max, p_min, p_max, s_q, s_p)
+                <= ps.COVERAGE_THRESHOLD)
     return (fits, "the master lattice of grid.master_x_max and "
             "grid.master_n_x must hold 3 standard deviations of the evolved "
-            "position and momentum on each side")
+            "position and momentum on each side, and leave at most "
+            f"{ps.COVERAGE_THRESHOLD} of its mass on the boundary")
 
 
 def _fokker_planck_note(w0, durations, params):
@@ -478,10 +518,9 @@ def _run_ehrenfest(config):
         spread = math.sqrt(float(np.real(v.conj() @ a @ a @ v)) - mean ** 2)
         sigma = factor * spread
         centers = np.linspace(mean - 2 * sigma, mean + 2 * sigma, 17)
-        exact = [hist.single_time_prob_exact(rho, a, c, sigma)
-                 for c in centers]
-        err = max(abs(e - hist.single_time_prob_asymptotic(rho, a, c, sigma))
-                  / e for c, e in zip(centers, exact))
+        exact = hist.single_time_prob_exact(rho, a, centers, sigma)
+        asymptotic = hist.single_time_prob_asymptotic(rho, a, centers, sigma)
+        err = float(np.max(np.abs(exact - asymptotic) / exact))
         peak, _, _ = hist.argmax_scan(rho, a, (1.0,), sigma,
                                       np.zeros((dim, dim)))
         dev = abs(peak[0] - mean) / sigma
@@ -722,9 +761,23 @@ SCENARIOS = {
         "sampling": True,
         "ranges": (
             (lambda p: p["dim"] >= 2, "params.dim must be at least 2"),
+            (lambda p: p["dim"] <= hist.DEFAULT_DIM_CAP,
+             f"params.dim must be at most {hist.DEFAULT_DIM_CAP}"),
             (lambda p: p["n_seeds"] >= 1, "params.n_seeds must be at least 1"),
             (lambda p: p["sigma_factor"] > 0,
              "params.sigma_factor must be positive"),
+            # with sigma = f dA and the centers within 2 sigma of <A>,
+            # Jensen's inequality bounds the exact p below by
+            # (2 pi sigma^2)^(-1/2) exp(-(1/f^2 + 4)/2), so its largest
+            # eigenvalue term by 1/dim of that, and the asymptotic p is at
+            # most (2 pi sigma^2)^(-1/2): the ratio, dim exp((1/f^2 + 4)/2)
+            # at most, must stay below 1/tiny, or the exact p can underflow
+            # to 0 and the relative error overflow
+            (lambda p: (1.0 / p["sigma_factor"] ** 2 + 4.0) / 2.0
+             + math.log(p["dim"]) <= -math.log(np.finfo(float).tiny),
+             "params.sigma_factor must keep dim exp((1/sigma_factor^2 + 4)"
+             "/2), the bound on the asymptotic-to-exact probability ratio, "
+             "within the normal floats"),
         ),
     },
     "conserved-decoherence": {

@@ -121,6 +121,28 @@ class TestDensityOperators:
         val = np.real(st.amplitudes.conj() @ n0 @ st.amplitudes)
         assert val == pytest.approx(5 * 0.36, abs=1e-12)
 
+    def test_pure_density_is_the_outer_product_unchecked(self, monkeypatch):
+        # |a><a| is Hermitian, of unit trace and rank 1 by construction, so
+        # to_density runs no eigensolver; DensityOperator still checks
+        hs = hi.ToyHilbert(B=2, N=4)
+        st = hi.StateVector(hs, random_pure(np.random.default_rng(2), 16))
+
+        def no_solver(*args):
+            raise AssertionError("eigvalsh ran on a pure state's density")
+
+        with monkeypatch.context() as m:
+            m.setattr(np.linalg, "eigvalsh", no_solver)
+            rho = hi.to_density(st)
+        assert isinstance(rho, hi.DensityOperator) and rho.space == hs
+        assert np.array_equal(rho.matrix,
+                              np.outer(st.amplitudes, st.amplitudes.conj()))
+        assert not rho.matrix.flags.writeable
+        with pytest.raises(ValueError):
+            rho.matrix[0, 0] = 0.0
+        flipped = np.diag([1.5, -0.5] + [0.0] * 14)
+        with pytest.raises(ValueError, match="negative eigenvalue"):
+            hi.DensityOperator(hs, flipped)
+
     def test_approximate_eigenstate_property(self):
         # ||(n(b) - N p_b) |Psi>|| / N = sqrt(p (1-p) / N), exactly
         hs = hi.ToyHilbert(B=2, N=6)
@@ -356,12 +378,93 @@ class TestSpectralUnitary:
             hi.HistorySpec(hs, (1.0,), ([hi.occupation_family(hs)],), h,
                            spectrum=spec.spectrum)
 
+    @pytest.mark.parametrize("b, n", [(2, 8), (3, 3)])
+    def test_real_hamiltonian_decomposed_in_real_arithmetic(self, b, n):
+        # the kinetic H is real up to rounding (|Im h| ~ 1e-16, not 0): its
+        # eigenvectors come out real, and U still matches expm
+        h = kinetic_hamiltonian(b, n)
+        assert 0 < np.max(np.abs(h.imag)) < 1e-15
+        w, v = hi._spectrum(h)
+        assert np.isrealobj(v)
+        for dt in (0.3, 1.7):
+            u = hi._unitary((w, v), dt)
+            assert np.max(np.abs(u - expm(-1j * h * dt))) < 1e-12
+
+    def test_complex_hamiltonian_keeps_complex_arithmetic(self):
+        # the collective momentum on B = 3 bins is genuinely complex
+        hs = hi.ToyHilbert(B=3, N=3)
+        h = hi.lift_one_body(hs, hi.one_particle_momentum(
+            hi.ToyHilbert(B=3, N=1)))
+        assert np.max(np.abs(h.imag)) > 0.1
+        w, v = hi._spectrum(h)
+        assert np.iscomplexobj(v)
+        u = hi._unitary((w, v), 0.8)
+        assert np.max(np.abs(u - expm(-0.8j * h))) < 1e-12
+
+    def test_diagonal_heisenberg_operators_are_phase_rotations(self):
+        rng = np.random.default_rng(6)
+        a = random_hermitian(rng, 9)
+        h = np.diag(rng.normal(size=9))
+        times = (0.4, 1.3)
+        for t, at in zip(times, hi._heisenberg_ops(a, h, times)):
+            u = expm(-1j * h * t)
+            assert np.max(np.abs(at - u.conj().T @ a @ u)) < 1e-13
+
     def test_heisenberg_route_needs_a_hermitian_hamiltonian(self):
         # eigh reads one triangle only, so a non-Hermitian h must not pass
         a_op = np.diag([0.0, 1.0, 2.0])
         h = np.triu(np.ones((3, 3)))
         with pytest.raises(ValueError, match="Hermitian"):
             hi.multi_time_prob(np.eye(3) / 3, a_op, (0.5,), (1.0,), 1.0, h)
+
+
+def spectral_chain_hamiltonian(kind, hs):
+    """A diagonal, a real (kinetic) or a genuinely complex (collective
+    momentum) Hamiltonian on hs."""
+    if kind == "diagonal":
+        return (0.7 * hi.number_density_operator(hs, 0)
+                - 1.3 * hi.number_density_operator(hs, hs.B - 1))
+    if kind == "real":
+        return kinetic_hamiltonian(hs.B, hs.N)
+    return hi.lift_one_body(hs, hi.one_particle_momentum(
+        hi.ToyHilbert(B=hs.B, N=1)))
+
+
+class TestSpectralChains:
+    """Chains moved through the spectrum against chains moved by the formed
+    U = expm(-i h dt), to 1e-12."""
+
+    @pytest.mark.parametrize("kind", ["diagonal", "real", "complex"])
+    @pytest.mark.parametrize("width", [1, 4, 27])
+    def test_matches_formed_unitary(self, kind, width, monkeypatch):
+        # two chains of `width` columns on dim 27: R = 2 and 8 are narrow
+        # and go through the spectrum, R = 54 is wide and forms U
+        hs = hi.ToyHilbert(B=3, N=3)
+        h = spectral_chain_hamiltonian(kind, hs)
+        spectrum = hi._spectrum(h)
+        assert (spectrum[1] is None) == (kind == "diagonal")
+        formed = []
+        real_unitary = hi._unitary
+
+        def spy(*args):
+            formed.append(args)
+            return real_unitary(*args)
+
+        monkeypatch.setattr(hi, "_unitary", spy)
+        rng = np.random.default_rng(width)
+        rows = rng.random(hs.dim) < 0.5
+        chains = [(rows_, rng.normal(size=(n, width))
+                   + 1j * rng.normal(size=(n, width)))
+                  for rows_, n in ((hi._ALL, hs.dim), (rows, rows.sum()))]
+        moved = hi._apply_unitary(spectrum, 0.8, chains)
+        u = expm(-0.8j * h)
+        for (rows_, y), (got_rows, got) in zip(chains, moved):
+            want = u[:, rows_] @ y
+            assert np.max(np.abs(hi._on_basis(got_rows, got) - want)) < 1e-12
+        assert bool(formed) == (kind != "diagonal" and 2 * width >= hs.dim)
+        if kind == "diagonal":
+            # the phases touch the kept rows only
+            assert moved[1][0] is rows
 
 
 class TestEnginesMatchDenseReference:
@@ -382,9 +485,10 @@ class TestEnginesMatchDenseReference:
             self.states[name] = hi.DensityOperator(self.hs,
                                                    m / np.trace(m).real)
 
-    def check(self, state, times, slots, rate, substeps):
+    def check(self, state, times, slots, rate, substeps, ham=None):
         rho = self.states[state]
-        spec = hi.HistorySpec(self.hs, times, slots, self.ham,
+        spec = hi.HistorySpec(self.hs, times, slots,
+                              self.ham if ham is None else ham,
                               dephasing_rate=rate, dephasing_substeps=substeps)
         d = hi.decoherence_functional(rho, spec)
         rho_m = (np.outer(rho.amplitudes, rho.amplitudes.conj())
@@ -444,6 +548,19 @@ class TestEnginesMatchDenseReference:
                 ((0.7,), (0.4, 1.1), (0.0, 0.6, 1.3)), self.RATES):
             self.check(state, times, tuple([fam] for _ in times), rate,
                        substeps)
+
+
+    @pytest.mark.parametrize("state", ["pure", "rank-3", "full-rank"])
+    @pytest.mark.parametrize("kind", ["diagonal", "real", "complex"])
+    @pytest.mark.parametrize("family", ["disjoint-weights", "mixed"])
+    def test_hamiltonian_kinds(self, state, kind, family):
+        # a diagonal U keeps a chain's rows through masks, weights and
+        # matrices; a real one is applied in real arithmetic
+        fam = self.weight_families()[family]
+        ham = spectral_chain_hamiltonian(kind, self.hs)
+        for times in ((0.7,), (0.4, 1.1), (0.0, 0.6, 1.3)):
+            self.check(state, times, tuple([fam] for _ in times), 0.0, 1,
+                       ham)
 
 
 #: one-particle Gibbs states (beta, mubar, u): the peaking scenario's, the
@@ -806,6 +923,31 @@ class TestEhrenfestSingleTime:
                 2 * np.pi * 0.64)
             assert got == pytest.approx(want, abs=1e-12)
 
+    @pytest.mark.parametrize("centers", [
+        0.3, np.linspace(-4.0, 4.0, 17),
+        np.linspace(-3.0, 3.0, 6).reshape(2, 3)],
+        ids=["scalar", "array", "grid"])
+    def test_exact_matches_the_quasi_projector_trace(self, centers):
+        # one eigh for every center; a scalar center gives a float
+        rng = np.random.default_rng(21)
+        a = random_hermitian(rng, 8)
+        m = rng.normal(size=(8, 3)) + 1j * rng.normal(size=(8, 3))
+        rho = m @ m.conj().T
+        rho /= np.trace(rho).real
+        got = hi.single_time_prob_exact(rho, a, centers, 1.3)
+        asym = hi.single_time_prob_asymptotic(rho, a, centers, 1.3)
+        want = np.vectorize(lambda c: np.real(np.trace(
+            hi.gaussian_quasi_projector(a, c, 1.3) @ rho)))(centers)
+        want_asym = np.vectorize(
+            lambda c: hi.single_time_prob_asymptotic(rho, a, float(c), 1.3)
+        )(centers)
+        if np.ndim(centers) == 0:
+            assert type(got) is float and type(asym) is float
+        else:
+            assert got.shape == asym.shape == np.shape(centers)
+        assert np.max(np.abs(got - want)) < 1e-14
+        assert np.max(np.abs(asym - want_asym)) < 1e-14
+
     def test_asymptotic_matches_exact_at_large_sigma(self):
         for seed in range(5):
             rng = np.random.default_rng(seed)
@@ -928,6 +1070,22 @@ class TestEhrenfestMultiTime:
                                           (grids[0][i], grids[1][j]),
                                           sigma, self.h)
                 assert vals[i, j] == pytest.approx(want, rel=1e-12, abs=0)
+
+    def test_mixed_scan_is_the_weighted_sum_of_pure_scans(self, monkeypatch):
+        # probability is linear in rho: on fixed grids, the scan of a rank-3
+        # rho is the weighted sum of its components' scans, whatever
+        # decomposition the scan takes internally
+        rng = np.random.default_rng(14)
+        vs = [random_pure(rng, 8) for _ in range(3)]
+        weights = (0.5, 0.3, 0.2)
+        rho = sum(w * np.outer(v, v.conj()) for w, v in zip(weights, vs))
+        times, sigma = self.times[:2], 3.0
+        _, grids, total = hi.argmax_scan(rho, self.a, times, sigma, self.h)
+        monkeypatch.setattr(hi, "_center_grids", lambda *args: grids)
+        want = sum(w * hi.argmax_scan(np.outer(v, v.conj()), self.a, times,
+                                      sigma, self.h)[2]
+                   for w, v in zip(weights, vs))
+        assert np.max(np.abs(total - want)) < 1e-13 * np.max(want)
 
     def test_conserved_observable_factorizes(self):
         # [H, A] = 0: the multi-time probability equals the single-time one

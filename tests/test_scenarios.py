@@ -467,6 +467,16 @@ class TestCli:
                      id="ehrenfest-one-dimension"),
         pytest.param("ehrenfest", {"sigma_factor": 0.0}, {},
                      "params.sigma_factor", id="ehrenfest-zero-sigma"),
+        # the exact probability would underflow to 0 at some center, and
+        # the relative error divide by it
+        pytest.param("ehrenfest", {"sigma_factor": 1e-12}, {},
+                     "params.sigma_factor", id="ehrenfest-sigma-1e-12"),
+        pytest.param("ehrenfest", {"sigma_factor": 1e-3}, {},
+                     "params.sigma_factor", id="ehrenfest-sigma-1e-3"),
+        pytest.param("ehrenfest", {"sigma_factor": 0.01}, {},
+                     "params.sigma_factor", id="ehrenfest-sigma-0.01"),
+        pytest.param("ehrenfest", {"dim": 2 ** 40}, {}, "params.dim",
+                     id="ehrenfest-dim-past-the-cap"),
         pytest.param("conserved-decoherence", {"bins": 1}, {}, "params.bins",
                      id="conserved-one-bin"),
         pytest.param("conserved-decoherence", {"N": 0}, {}, "params.N",
@@ -533,6 +543,13 @@ class TestCli:
         # the master lattice's conjugate momentum axis spans +/-1.7e-17
         pytest.param("oracle-compare", {}, {"master_x_max": 1.8e19},
                      "master lattice", id="oracle-coarse-master-momentum"),
+        # 3 sigma fits these lattices, but l1_distance would refuse to
+        # resample the evolved state for the mass on their boundary
+        *(pytest.param("oracle-compare", {},
+                       {"master_x_max": x_max, "master_n_x": n_x},
+                       "master lattice", id=f"oracle-edge-mass-{x_max}-{n_x}")
+          for x_max, n_x in ((40.0, 128), (50.0, 128), (60.0, 128),
+                             (10.0, 32))),
         # an evolved variance near 1e308 is compared without overflowing,
         # and a rule that divides by an underflowed 2 M gamma fails
         pytest.param("diffusion", {"t_end": 1e308}, {}, "q domain",
@@ -578,6 +595,34 @@ class TestCli:
                 ("local-equilibrium-peaking", {"mubar": [4.0, 0.0], "N": 202}),
                 ("histories-nscaling", {"N_max": 12})):
             sc.validate_config(minimal(scenario, params=params, seed=1))
+
+    @pytest.mark.parametrize("seed", [0, 1, 7])
+    def test_ehrenfest_narrowest_sigma_runs(self, tmp_path, seed):
+        # the smallest sigma_factor the ratio rule admits at dim 8 runs to a
+        # finite tolerance miss (exit 1), with no RuntimeWarning
+        raw = minimal("ehrenfest", seed=seed, params={"sigma_factor": 0.0267})
+        path = write_config(tmp_path, raw)
+        assert cli.main(["validate", str(path)]) == 0
+        with pytest.raises(ConfigurationError, match="params.sigma_factor"):
+            sc.validate_config(minimal("ehrenfest", seed=seed,
+                                       params={"sigma_factor": 0.0266}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(["run", str(path), "--out", str(tmp_path / "o"),
+                             "--quiet"]) == 1
+        report = json.loads(
+            (tmp_path / "o" / "ehrenfest-report.json").read_text())
+        assert all(np.isfinite(m["value"]) for m in report["metrics"])
+
+    @pytest.mark.parametrize("x_max, n_x", [(28.0, 128), (6.0, 32)])
+    def test_oracle_widest_master_lattices_run(self, tmp_path, x_max, n_x):
+        # near the edge-mass rule, on the admitted side: l1_distance
+        # resamples the evolved state (the coarse lattice misses the L1
+        # threshold, exit 1, but runs)
+        path = write_config(tmp_path, minimal("oracle-compare", grid={
+            "master_x_max": x_max, "master_n_x": n_x}))
+        assert cli.main(["run", str(path), "--out", str(tmp_path / "o"),
+                         "--quiet"]) == 1
 
     @pytest.mark.parametrize("sigma", [5e-78, 2e76])
     def test_nscaling_sigma_edges_run(self, tmp_path, sigma):
