@@ -3,8 +3,8 @@
 One particle lives on B position bins; N distinguishable particles span the
 B^N tensor-product space.  The module builds
 
-- collective observables: the number density per bin and one-body operators
-  (such as the lattice momentum) summed over particles;
+- collective observables: one-body operators (such as the lattice
+  momentum) summed over particles;
 - projectors: a projector diagonal in the basis is its diagonal, a real
   ``(dim,)`` vector: exact occupation projectors are boolean masks (the 0/1
   case) and Gaussian quasi-projectors of a bin's occupation count are weight
@@ -35,7 +35,7 @@ B^N tensor-product space.  The module builds
   single-time probability, at any number of centers from one eigh of A,
   its large-sigma asymptotic form
   (2 pi (sigma^2 + dA^2))^(-1/2) exp(-(<A> - a)^2 / 2(sigma^2 + dA^2)),
-  multi-time chains, argmax scans, and tube/complement pairs that make the
+  argmax scans over multi-time chains, and tube/complement pairs that make the
   "probabilities concentrate on the mean trajectory" statement quantitative.
 """
 
@@ -65,7 +65,6 @@ __all__ = [
     "to_density",
     "one_particle_momentum",
     "lift_one_body",
-    "number_density_operator",
     "gaussian_quasi_projector",
     "window_projector",
     "occupation_family",
@@ -77,7 +76,6 @@ __all__ = [
     "check_dh_bound",
     "single_time_prob_exact",
     "single_time_prob_asymptotic",
-    "multi_time_prob",
     "argmax_scan",
     "complement_pair_consistency",
 ]
@@ -86,7 +84,7 @@ __all__ = [
 #: a run holds several (histories-nscaling at N_max = 12 peaks at 880 MB RSS)
 DEFAULT_DIM_CAP = 2 ** 12
 #: the cap on OccupationFunctional's table, 2^23 complex entries; the dynamic
-#: program peaks at about 3.4 times the table (377 MB RSS at B = 3, N = 18)
+#: program peaks at about 2.3 times the table (220 MB RSS at B = 3, N = 18)
 OCCUPATION_TABLE_BYTES = 2 ** 27
 HERMITICITY_TOL = 1e-8
 #: tolerance of check_dh_bound: |D(a,a')|^2 may exceed p(a) p(a') by this much
@@ -231,13 +229,6 @@ def lift_one_body(space: ToyHilbert, op1) -> np.ndarray:
         right = np.eye(space.B ** (space.N - k - 1))
         out += np.kron(np.kron(left, op1), right)
     return out
-
-
-def number_density_operator(space: ToyHilbert, b: int) -> np.ndarray:
-    """n(b) = sum_k |b><b|_k; diagonal with occupation-count spectrum."""
-    if not 0 <= b < space.B:
-        raise ValueError("bin index out of range")
-    return np.diag(space.occupation_table()[:, b].astype(complex))
 
 
 # --- projectors -------------------------------------------------------------
@@ -731,13 +722,27 @@ def occupation_table_bytes(b, n):
     return 16 * math.comb(n + b - 1, b - 1) ** 3
 
 
+#: bytes of one row block of the product in ``_occupation_coefficients``;
+#: the product and its scatter temporary stay near this size
+_DP_BLOCK_BYTES = 2 ** 20
+
+
 def _occupation_coefficients(d1, n):
     """Coefficients of (sum_{b b' c} d1[b, b', c] x_b x'_b' y_c)^n.
 
     The array is indexed by the compositions of n, in ``_compositions``
     order, of the exponents of x, of x' and of y.  One particle at a time,
-    each term moves the coefficients of k particles to the compositions of
-    k + 1 that have one more particle in its three bins.
+    the coefficients of k particles (L compositions) move to the U
+    compositions of k + 1: for each bin pair (i, j),
+
+        nxt[S_i, S_j, :] += coef.reshape(L^2, L) @ Q_ij,
+
+    with S_b the composition with one more particle in bin b and Q_ij the
+    (L, U) matrix that holds d1[i, j, c] at (l, S_c(l)).  A step costs B^2
+    complex products of L^3 U multiply-adds, in row blocks of ``coef`` of
+    about ``_DP_BLOCK_BYTES`` each; the scatters address whole rows, not
+    B^3 single terms.  The call peaks at about 2.0 tables at B = 3,
+    N = 12 and 2.9 at B = 2, N = 64.
     """
     b = d1.shape[0]
     coef = np.ones((1, 1, 1), dtype=complex)
@@ -749,9 +754,17 @@ def _occupation_coefficients(d1, n):
         shift = np.array([[index[comp[:bin_] + (comp[bin_] + 1,)
                                  + comp[bin_ + 1:]] for bin_ in range(b)]
                           for comp in lower])
-        nxt = np.zeros((len(upper),) * 3, dtype=complex)
-        for (i, j, c), d in np.ndenumerate(d1):
-            nxt[np.ix_(shift[:, i], shift[:, j], shift[:, c])] += d * coef
+        lo, up = len(lower), len(upper)
+        nxt = np.zeros((up,) * 3, dtype=complex)
+        q = np.zeros((lo, up), dtype=complex)
+        rows = np.arange(lo)[:, None]
+        step = max(1, _DP_BLOCK_BYTES // q.nbytes)
+        for i, j in itertools.product(range(b), repeat=2):
+            q[rows, shift] = d1[i, j]
+            for r in range(0, lo, step):
+                block = coef[r:r + step]
+                nxt[shift[r:r + step, i, None], shift[:, j]] += (
+                    block.reshape(-1, lo) @ q).reshape(len(block), lo, up)
         coef, lower = nxt, upper
     return coef
 
@@ -888,34 +901,6 @@ def _heisenberg_ops(a_op, h, times):
             u = _unitary(spectrum, t)
             out.append(u.conj().T @ a_op @ u)
     return out
-
-
-def multi_time_prob(rho, a_op, times, centers, sigma, h) -> float:
-    """Probability of the Gaussian-projector chain at the given centers.
-
-    Standard chain form with the final projector appearing once,
-    p = Re Tr(P_n ... P_1 rho P_1 ... P_{n-1}), so a single-time history
-    reduces exactly to Tr(P rho).
-    """
-    times = tuple(float(t) for t in times)
-    if any(b <= a for a, b in zip(times, times[1:])):
-        raise ValueError("times must be strictly increasing")
-    centers = tuple(centers)
-    if len(centers) != len(times):
-        raise ValueError("need one center per time")
-    rho_m = _as_density_matrix(rho)
-    a_t = _heisenberg_ops(a_op, h, times)
-    spreads = [_mean_and_spread(rho_m, at)[1] for at in a_t]
-    if sigma < 3.0 * max(spreads):
-        warnings.warn(
-            "sigma is not large against the spread of A(t); the peak "
-            "structure may deviate from the mean trajectory", stacklevel=2)
-    c_op = np.eye(rho_m.shape[0], dtype=complex)
-    for at, c in zip(a_t[:-1], centers[:-1]):
-        c_op = gaussian_quasi_projector(at, c, sigma) @ c_op
-    inner = c_op @ rho_m @ c_op.conj().T
-    p_final = gaussian_quasi_projector(a_t[-1], centers[-1], sigma)
-    return float(np.real(np.trace(p_final @ inner)))
 
 
 def _center_grids(rho_m, a_t, sigma):

@@ -37,6 +37,7 @@ __all__ = [
     "HydroFields",
     "PeakingReport",
     "build_w1",
+    "gibbs_generator",
     "one_particle_gibbs",
     "gibbs_tensor_power",
     "hydro_averages",
@@ -136,6 +137,19 @@ def build_w1(profile: LocalEquilibriumProfile, p_min, p_max, n_p) -> WignerGrid:
     return normalize(grid)
 
 
+def gibbs_generator(beta, mubar, u):
+    """The B x B generator beta(q)[p^2/2 - mu(q) - u(q) p] of
+    ``one_particle_gibbs``, each product symmetrized."""
+    space = hist.ToyHilbert(B=len(beta), N=1)
+    p = hist.one_particle_momentum(space)
+    kin = p @ p / 2.0
+    du = np.diag(np.asarray(u, dtype=complex))
+    k_sym = (kin - np.diag(np.asarray(mubar, dtype=complex))
+             - 0.5 * (du @ p + p @ du))
+    db = np.diag(np.asarray(beta, dtype=complex))
+    return 0.5 * (db @ k_sym + k_sym @ db)
+
+
 def one_particle_gibbs(beta, mubar, u):
     """Lattice Gibbs operator exp(-beta(q)[p^2/2 - mu(q) - u(q) p]), symmetrized.
 
@@ -149,13 +163,7 @@ def one_particle_gibbs(beta, mubar, u):
     if not np.all(beta > 0):
         raise ValueError("beta must be positive everywhere")
     space = hist.ToyHilbert(B=len(beta), N=1)
-    p = hist.one_particle_momentum(space)
-    kin = p @ p / 2.0
-    du = np.diag(u.astype(complex))
-    k_sym = kin - np.diag(mubar.astype(complex)) - 0.5 * (du @ p + p @ du)
-    db = np.diag(beta.astype(complex))
-    gen = 0.5 * (db @ k_sym + k_sym @ db)
-    vals, vecs = np.linalg.eigh(gen)
+    vals, vecs = np.linalg.eigh(gibbs_generator(beta, mubar, u))
     w = np.exp(-(vals - np.min(vals)))
     rho = (vecs * w) @ vecs.conj().T
     rho /= np.real(np.trace(rho))
@@ -171,31 +179,47 @@ def gibbs_tensor_power(rho1: hist.DensityOperator, n: int) -> hist.DensityOperat
     return hist.DensityOperator(space, mat)
 
 
-def _bin_integrals(w: WignerGrid, edges, moment_values):
-    """Integrals over q-bins of int dp moment(p) W(p, q), per bin."""
-    line = np.trapezoid(w.values * moment_values[None, :], dx=w.dp, axis=1)
-    return bin_integrals(line, w.q, edges)
-
-
 def hydro_averages(w1: WignerGrid, n_particles, edges,
                    mass: float = 1.0) -> HydroFields:
-    """Binned <n>, <g>, <h> (and the p^3 energy flux) of N copies of w1."""
+    """Binned <n>, <g>, <h> (and the p^3 energy flux) of N copies of w1.
+
+    The four p-integrals int dp moment(p) W(p, q) are one product of W
+    with the (n_p, 4) matrix of trapezoid weight times 1, p, p^2/2m and
+    p^3/2m^2; each column is then integrated over the q-bins.
+    """
     edges = np.asarray(edges, dtype=float)
     if np.any(np.diff(edges) <= 0):
         raise ValueError("bin edges must be strictly increasing")
     p = w1.p
-    n = n_particles * _bin_integrals(w1, edges, np.ones_like(p))
-    g = n_particles * _bin_integrals(w1, edges, p)
-    h = n_particles * _bin_integrals(w1, edges, p ** 2 / (2.0 * mass))
-    flux = n_particles * _bin_integrals(w1, edges, p ** 3 / (2.0 * mass ** 2))
+    trap = np.full(len(p), w1.dp)
+    trap[[0, -1]] *= 0.5
+    moments = trap[:, None] * np.stack(
+        [np.ones_like(p), p, p ** 2 / (2.0 * mass),
+         p ** 3 / (2.0 * mass ** 2)], axis=1)
+    lines = w1.values @ moments
+    n, g, h, flux = (n_particles * bin_integrals(line, w1.q, edges)
+                     for line in lines.T)
     centers = 0.5 * (edges[1:] + edges[:-1])
     return HydroFields(centers, np.diff(edges), n, g, h, flux)
+
+
+def _shift_phases(k, s):
+    """The table exp(-i k_l s_j) for an equally spaced k starting at 0.
+
+    With l = 16 a + b, k_l = k_16a + k_b, so the table is the product of
+    exp(-i k_16a s_j) and exp(-i k_b s_j): two small tables of exponentials
+    instead of one per entry.
+    """
+    coarse = np.exp(-1j * k[::16, None] * s)
+    fine = np.exp(-1j * k[:16, None] * s)
+    return (coarse[:, None] * fine).reshape(-1, len(s))[:len(k)]
 
 
 def evolve_free(w: WignerGrid, t, mass: float = 1.0) -> WignerGrid:
     """Exact free streaming W(q, p, t) = W(q - p t / m, p, 0), periodic in q.
 
-    Spectral (FFT phase) shift per momentum row; conserves mass exactly.
+    Spectral shift per momentum row: the rfft of W along q times the phase
+    exp(-i k p t / m), transformed back; conserves mass exactly.
     """
     span = w.q_max - w.q_min
     p_max = max(abs(w.p_min), abs(w.p_max))
@@ -204,7 +228,7 @@ def evolve_free(w: WignerGrid, t, mass: float = 1.0) -> WignerGrid:
             "free-streaming shear exceeds the domain length; shorten t or "
             "enlarge the grid")
     k = 2.0 * np.pi * np.fft.rfftfreq(w.n_q, d=w.dq)
-    shift = np.exp(-1j * k[:, None] * (w.p[None, :] * t / mass))
+    shift = _shift_phases(k, w.p * t / mass)
     vals = np.fft.irfft(np.fft.rfft(w.values, axis=0) * shift, w.n_q, axis=0)
     return w.with_values(vals)
 

@@ -26,7 +26,7 @@ from . import histories as hist
 from . import local_equilibrium as le
 from . import phase_space as ps
 from . import propagator as pr
-from .errors import ConfigurationError, ScenarioError
+from .errors import ConfigurationError, DegenerateStateError, ScenarioError
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -167,6 +167,8 @@ def _fokker_planck_note(w0, durations, params):
 
 #: inner edges of the variance-scaling bins: the quartiles of a unit normal
 _QUARTILE = 0.6744897501960817
+#: cap on the bytes of the variance-scaling grid, which its mass rule samples
+_SAMPLED_GRID_BYTES = 2 ** 27
 
 
 def _history_times(times):
@@ -322,11 +324,12 @@ def validate_config(raw: dict) -> ScenarioConfig:
     merged = {**params, **grid}
     for in_range, message in entry.get("ranges", ()):
         # a rule whose arithmetic overflows or divides by zero on extreme
-        # values fails, as one that evaluates to False does
+        # values, or whose state has no mass, fails, as one that evaluates
+        # to False does
         try:
             with np.errstate(over="raise", invalid="raise", divide="raise"):
                 ok = in_range(merged)
-        except ArithmeticError:
+        except (ArithmeticError, DegenerateStateError):
             ok = False
         if not ok:
             raise ConfigurationError(message)
@@ -433,13 +436,30 @@ def _run_oracle_compare(config):
         w0, [p["t_kernel"], p["t_master"]], params)]
 
 
+def _variance_scaling_setup(c):
+    """The initial state and the smearing window of a variance-scaling run,
+    from its merged params and grid."""
+    w = ps.gaussian_wigner(c["q_min"], c["q_max"], c["n_q"],
+                           c["p_min"], c["p_max"], c["n_p"],
+                           var_q=c["var_q"], var_p=c["var_p"])
+    window = en.SmearingWindow([c["q_min"], -_QUARTILE, _QUARTILE,
+                                c["q_max"]])
+    return w, window
+
+
+def _bins_hold_mass(c):
+    """Every bin of the sampled initial state carries positive mass, as
+    the relative fluctuation needs."""
+    if not c["var_q"] * c["var_p"] > 0:
+        return False
+    w, window = _variance_scaling_setup(c)
+    return bool(np.all(en.bin_probabilities(en.ProductEnsemble(1, w),
+                                            window) > 0))
+
+
 def _run_variance_scaling(config):
-    p, g = config.params, config.grid
-    w = ps.gaussian_wigner(g["q_min"], g["q_max"], g["n_q"],
-                           g["p_min"], g["p_max"], g["n_p"],
-                           var_q=p["var_q"], var_p=p["var_p"])
-    window = en.SmearingWindow([g["q_min"], -_QUARTILE, _QUARTILE,
-                                g["q_max"]])
+    p = config.params
+    w, window = _variance_scaling_setup({**p, **config.grid})
     sizes = [int(n) for n in p["N_values"]]
     rel, rows, worst = [], [], 0.0
     for n in sizes:
@@ -590,12 +610,18 @@ def _most_probable(probabilities):
     return [lab for tier in tiers for lab in sorted(tier)][:50]
 
 
-def _run_local_equilibrium_peaking(config):
-    p = config.params
+def _peaking_profiles(p):
+    """The (beta, mubar, u) profiles of a peaking config: uniform beta, no
+    drift."""
     mubar = np.asarray(p["mubar"], dtype=float)
     b = len(mubar)
+    return np.full(b, float(p["beta"])), mubar, np.zeros(b)
+
+
+def _run_local_equilibrium_peaking(config):
+    p = config.params
     rep = le.local_equilibrium_peaking(
-        np.full(b, float(p["beta"])), mubar, np.zeros(b), p["N"],
+        *_peaking_profiles(p), p["N"],
         tuple(p["times"]), tolerance_units=p["tolerance_units"],
         dephasing_rate=p["dephasing_rate"])
     metrics = {"epsilon": rep.epsilon,
@@ -719,6 +745,11 @@ SCENARIOS = {
             (lambda g: g["q_min"] < -_QUARTILE and g["q_max"] > _QUARTILE,
              "grid.q_min and grid.q_max must lie outside the inner bin "
              f"edges +/-{_QUARTILE:.4f}"),
+            (lambda g: 8 * g["n_q"] * g["n_p"] <= _SAMPLED_GRID_BYTES,
+             "grid.n_q and grid.n_p must keep the grid within "
+             f"{_SAMPLED_GRID_BYTES} bytes"),
+            (_bins_hold_mass, "params.var_q and params.var_p must give "
+             "every bin of the initial state positive mass"),
         ),
     },
     "histories-nscaling": {
@@ -827,6 +858,11 @@ SCENARIOS = {
              <= hist.OCCUPATION_TABLE_BYTES, "params.N must keep the "
              f"occupation table within {hist.OCCUPATION_TABLE_BYTES} bytes"),
             (lambda p: p["beta"] > 0, "params.beta must be positive"),
+            # eigh of the Gibbs generator converges only on finite entries
+            (lambda p: np.all(np.isfinite(
+                le.gibbs_generator(*_peaking_profiles(p)))),
+             "params.beta and params.mubar must keep the one-particle Gibbs "
+             "generator finite"),
             (lambda p: p["dephasing_rate"] >= 0,
              "params.dephasing_rate must be nonnegative"),
             (lambda p: p["tolerance_units"] >= 0,

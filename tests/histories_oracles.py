@@ -1,0 +1,46 @@
+"""Dense reference forms that only the tests call.
+
+Each builds, on the full B^N space, an object the library computes some
+other way, so a test can compare the two.
+"""
+
+import warnings
+
+import numpy as np
+
+from hydrohist import histories as hi
+
+
+def number_density_operator(space: hi.ToyHilbert, b: int) -> np.ndarray:
+    """n(b) = sum_k |b><b|_k; diagonal with occupation-count spectrum."""
+    if not 0 <= b < space.B:
+        raise ValueError("bin index out of range")
+    return np.diag(space.occupation_table()[:, b].astype(complex))
+
+
+def multi_time_prob(rho, a_op, times, centers, sigma, h) -> float:
+    """Probability of the Gaussian-projector chain at the given centers.
+
+    Standard chain form with the final projector appearing once,
+    p = Re Tr(P_n ... P_1 rho P_1 ... P_{n-1}), so a single-time history
+    reduces exactly to Tr(P rho).
+    """
+    times = tuple(float(t) for t in times)
+    if any(b <= a for a, b in zip(times, times[1:])):
+        raise ValueError("times must be strictly increasing")
+    centers = tuple(centers)
+    if len(centers) != len(times):
+        raise ValueError("need one center per time")
+    rho_m = hi._as_density_matrix(rho)
+    a_t = hi._heisenberg_ops(a_op, h, times)
+    spreads = [hi._mean_and_spread(rho_m, at)[1] for at in a_t]
+    if sigma < 3.0 * max(spreads):
+        warnings.warn(
+            "sigma is not large against the spread of A(t); the peak "
+            "structure may deviate from the mean trajectory", stacklevel=2)
+    c_op = np.eye(rho_m.shape[0], dtype=complex)
+    for at, c in zip(a_t[:-1], centers[:-1]):
+        c_op = hi.gaussian_quasi_projector(at, c, sigma) @ c_op
+    inner = c_op @ rho_m @ c_op.conj().T
+    p_final = hi.gaussian_quasi_projector(a_t[-1], centers[-1], sigma)
+    return float(np.real(np.trace(p_final @ inner)))

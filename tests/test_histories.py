@@ -14,6 +14,8 @@ from hydrohist import local_equilibrium as le
 from hydrohist import scenarios as sc
 from hydrohist.errors import DimensionCapError
 
+import histories_oracles as oracles
+
 
 def random_hermitian(rng, d):
     m = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
@@ -104,12 +106,13 @@ class TestStates:
 class TestDensityOperators:
     def test_number_completeness(self):
         hs = hi.ToyHilbert(B=3, N=3)
-        tot = sum(hi.number_density_operator(hs, b) for b in range(3))
+        tot = sum(oracles.number_density_operator(hs, b) for b in range(3))
         assert np.allclose(tot, 3 * np.eye(hs.dim))
 
     def test_number_spectrum_is_counting(self):
         hs = hi.ToyHilbert(B=3, N=4)
-        vals = np.unique(np.real(np.diag(hi.number_density_operator(hs, 1))))
+        vals = np.unique(np.real(np.diag(
+            oracles.number_density_operator(hs, 1))))
         assert set(vals).issubset(set(range(5)))
 
     def test_product_state_mean_matches_classical(self):
@@ -117,7 +120,7 @@ class TestDensityOperators:
         hs = hi.ToyHilbert(B=3, N=5)
         psi = np.array([0.6, 0.8, 0.0], complex)
         st = hi.product_state(hs, psi)
-        n0 = hi.number_density_operator(hs, 0)
+        n0 = oracles.number_density_operator(hs, 0)
         val = np.real(st.amplitudes.conj() @ n0 @ st.amplitudes)
         assert val == pytest.approx(5 * 0.36, abs=1e-12)
 
@@ -149,7 +152,7 @@ class TestDensityOperators:
         psi = np.array([0.6, 0.8], complex)
         st = hi.product_state(hs, psi)
         p = 0.36
-        n0 = hi.number_density_operator(hs, 0)
+        n0 = oracles.number_density_operator(hs, 0)
         dev = (n0 - 6 * p * np.eye(hs.dim)) @ st.amplitudes
         assert np.linalg.norm(dev) / 6 == pytest.approx(
             np.sqrt(p * (1 - p) / 6), abs=1e-12)
@@ -213,7 +216,7 @@ class TestProjectors:
         hs = hi.ToyHilbert(B=b, N=n)
         centers = (0.3, 1.7, n * 0.64, n - 0.45)
         for bin_ in range(b):
-            n_op = hi.number_density_operator(hs, bin_)
+            n_op = oracles.number_density_operator(hs, bin_)
             fam = hi.gaussian_occupation_family(hs, bin_, centers, 0.8)
             assert [c for c, _ in fam] == list(centers)
             for c, op in fam:
@@ -247,7 +250,7 @@ class TestDecoherenceFunctional:
 
     def test_conserved_observable_decoherent(self):
         # H diagonal in the occupation basis commutes with every projector
-        h = hi.number_density_operator(self.hs, 0) * 0.7
+        h = oracles.number_density_operator(self.hs, 0) * 0.7
         st = hi.superposition_state(self.hs, self.psi, self.chi)
         for times in ((0.4, 1.1), (0.4, 1.1, 2.3)):
             slots = tuple([self.fam] for _ in times)
@@ -355,8 +358,8 @@ class TestSpectralUnitary:
 
     def test_diagonal_hamiltonian_runs_no_eigensolver(self):
         hs = hi.ToyHilbert(B=3, N=3)
-        h = (0.7 * hi.number_density_operator(hs, 0)
-             - 1.3 * hi.number_density_operator(hs, 2))
+        h = (0.7 * oracles.number_density_operator(hs, 0)
+             - 1.3 * oracles.number_density_operator(hs, 2))
         w, v = hi._spectrum(h)
         assert v is None and np.array_equal(w, np.real(np.diag(h)))
         u = hi._unitary((w, v), 0.9)
@@ -367,7 +370,7 @@ class TestSpectralUnitary:
     @pytest.mark.parametrize("diagonal", [False, True])
     def test_spec_spectrum_rebuilds_the_hamiltonian(self, diagonal):
         hs = hi.ToyHilbert(B=2, N=4)
-        h = (hi.number_density_operator(hs, 1) if diagonal
+        h = (oracles.number_density_operator(hs, 1) if diagonal
              else kinetic_hamiltonian(2, 4))
         spec = hi.HistorySpec(hs, (1.0,), ([hi.occupation_family(hs)],), h)
         w, v = spec.spectrum
@@ -415,15 +418,15 @@ class TestSpectralUnitary:
         a_op = np.diag([0.0, 1.0, 2.0])
         h = np.triu(np.ones((3, 3)))
         with pytest.raises(ValueError, match="Hermitian"):
-            hi.multi_time_prob(np.eye(3) / 3, a_op, (0.5,), (1.0,), 1.0, h)
+            hi._heisenberg_ops(a_op, h, (0.5,))
 
 
 def spectral_chain_hamiltonian(kind, hs):
     """A diagonal, a real (kinetic) or a genuinely complex (collective
     momentum) Hamiltonian on hs."""
     if kind == "diagonal":
-        return (0.7 * hi.number_density_operator(hs, 0)
-                - 1.3 * hi.number_density_operator(hs, hs.B - 1))
+        return (0.7 * oracles.number_density_operator(hs, 0)
+                - 1.3 * oracles.number_density_operator(hs, hs.B - 1))
     if kind == "real":
         return kinetic_hamiltonian(hs.B, hs.N)
     return hi.lift_one_body(hs, hi.one_particle_momentum(
@@ -757,6 +760,51 @@ class TestProductOccupationFunctional:
         assert coef.shape == (k, k, k)
         assert np.sum(coef) == pytest.approx(1.0, rel=1e-12)
 
+    @staticmethod
+    def per_term_coefficients(d1, n):
+        """The dynamic program one (b, b', c) term at a time: each term
+        scatters d1[b, b', c] times the whole table of k particles."""
+        b = d1.shape[0]
+        coef = np.ones((1, 1, 1), dtype=complex)
+        lower = hi._compositions(0, b)
+        for k in range(1, n + 1):
+            upper = hi._compositions(k, b)
+            index = {comp: i for i, comp in enumerate(upper)}
+            shift = np.array([[index[comp[:bin_] + (comp[bin_] + 1,)
+                                     + comp[bin_ + 1:]] for bin_ in range(b)]
+                              for comp in lower])
+            nxt = np.zeros((len(upper),) * 3, dtype=complex)
+            for (i, j, c), d in np.ndenumerate(d1):
+                nxt[np.ix_(shift[:, i], shift[:, j], shift[:, c])] += d * coef
+            coef, lower = nxt, upper
+        return coef
+
+    @pytest.mark.parametrize("b, n", [(2, 30), (3, 6), (4, 4), (5, 3)])
+    def test_dynamic_program_matches_the_per_term_form(self, b, n):
+        rng = np.random.default_rng(b * 100 + n)
+        d1 = (rng.standard_normal((b,) * 3)
+              + 1j * rng.standard_normal((b,) * 3))
+        got = hi._occupation_coefficients(d1, n)
+        want = self.per_term_coefficients(d1, n)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("b, n, ratio", [
+        (3, 10, 2.74), (3, 12, 2.89), (2, 64, 3.87)])
+    def test_dynamic_program_peak_bytes(self, b, n, ratio):
+        # the peak inside the call, in tables, stays within what the
+        # per-term form reached (the ratios given here)
+        rng = np.random.default_rng(n)
+        d1 = (rng.standard_normal((b,) * 3)
+              + 1j * rng.standard_normal((b,) * 3))
+        tracemalloc.start()
+        try:
+            coef = hi._occupation_coefficients(d1, n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert coef.nbytes == hi.occupation_table_bytes(b, n)
+        assert peak <= ratio * coef.nbytes
+
     def test_input_checks(self):
         rho1, h1 = product_setup("gibbs3")
         with pytest.raises(ValueError, match="two times"):
@@ -1013,8 +1061,8 @@ class TestEhrenfestMultiTime:
         self.sigma = 10 * max(spreads)
 
     def test_single_time_reduction(self):
-        got = hi.multi_time_prob(self.rho, self.a, (0.3,), (self.means[0],),
-                                 self.sigma, self.h)
+        got = oracles.multi_time_prob(self.rho, self.a, (0.3,),
+                                      (self.means[0],), self.sigma, self.h)
         u = expm(-1j * self.h * 0.3)
         at = u.conj().T @ self.a @ u
         want = hi.single_time_prob_exact(self.rho, at, self.means[0],
@@ -1066,9 +1114,9 @@ class TestEhrenfestMultiTime:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             for i, j in picks:
-                want = hi.multi_time_prob(rho, self.a, times,
-                                          (grids[0][i], grids[1][j]),
-                                          sigma, self.h)
+                want = oracles.multi_time_prob(rho, self.a, times,
+                                               (grids[0][i], grids[1][j]),
+                                               sigma, self.h)
                 assert vals[i, j] == pytest.approx(want, rel=1e-12, abs=0)
 
     def test_mixed_scan_is_the_weighted_sum_of_pure_scans(self, monkeypatch):
@@ -1100,8 +1148,8 @@ class TestEhrenfestMultiTime:
         center = float(np.real(v.conj() @ a @ v))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            multi = hi.multi_time_prob(rho, a, (0.5, 1.0), (center, center),
-                                       sigma, h)
+            multi = oracles.multi_time_prob(rho, a, (0.5, 1.0),
+                                            (center, center), sigma, h)
         # commuting chain collapses to a spectral sum: Tr(P P rho P) = <g^3>
         vals_a, vecs_a = np.linalg.eigh(a)
         g = np.exp(-((vals_a - center) ** 2) / (2 * sigma ** 2)) / (

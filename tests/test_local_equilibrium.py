@@ -8,6 +8,7 @@ from scipy.stats import multinomial
 
 from hydrohist import histories as hist
 from hydrohist import local_equilibrium as le
+from hydrohist import phase_space as ps
 from hydrohist.errors import DimensionCapError, ResolutionError
 
 
@@ -159,6 +160,24 @@ class TestHydroAverages:
         with pytest.raises(ValueError):
             le.hydro_averages(w, 10, [0.0, 0.0, 1.0])
 
+    @pytest.mark.parametrize("mass", [1.0, 2.5])
+    def test_matches_per_moment_trapezoid(self, mass):
+        # one p-integral per moment, each over a fresh W p^k; the p-grid
+        # is tight enough that its end points carry weight
+        w = le.evolve_free(le.build_w1(flat_profile(nq=128, u=0.4, q_lo=-16,
+                                                    q_hi=16), -5.5, 5.5, 193),
+                           0.7, mass)
+        edges = np.linspace(-8, 8, 17)
+        fields = le.hydro_averages(w, 7, edges, mass)
+        p = w.p
+        for name, moment in (("n", np.ones_like(p)), ("g", p),
+                             ("h", p ** 2 / (2.0 * mass)),
+                             ("energy_flux", p ** 3 / (2.0 * mass ** 2))):
+            line = np.trapezoid(w.values * moment, dx=w.dp, axis=1)
+            want = 7 * ps.bin_integrals(line, w.q, edges)
+            got = getattr(fields, name)
+            assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
 
 class TestEvolveFree:
     def test_mass_conserved(self):
@@ -181,7 +200,21 @@ class TestEvolveFree:
             mean = np.trapezoid(dens * grid.q, dx=grid.dq)
             assert mean == pytest.approx(want, abs=1e-4)
 
-    @pytest.mark.parametrize("n_q", [128, 129])
+    @pytest.mark.parametrize("n_q", [20, 30, 128, 129, 321, 641])
+    def test_phase_table(self, n_q):
+        # k counts 11, 16, 65, 65, 161 and 321: below, at and off the
+        # stride of the coarse table.  Both forms round k s to within an
+        # ulp, so they part by a few ulp of max |k s|
+        k = 2.0 * np.pi * np.fft.rfftfreq(n_q, d=32.0 / (n_q - 1))
+        for t in (0.5, 3.9):
+            s = np.linspace(-8.0, 8.0, 193) * t
+            want = np.exp(-1j * k[:, None] * s)
+            gap = np.max(np.abs(le._shift_phases(k, s) - want))
+            assert gap <= 4 * np.finfo(float).eps * np.max(np.abs(k)) * 8 * t
+            if t == 0.5:
+                assert gap <= 1e-13
+
+    @pytest.mark.parametrize("n_q", [128, 129, 321, 641])
     def test_matches_complex_fft_shift(self, n_q):
         # the real-FFT shift is the complex one, Nyquist bin included
         w = le.build_w1(flat_profile(nq=n_q, u=0.3, q_lo=-16, q_hi=16),

@@ -556,6 +556,20 @@ class TestCli:
                      id="diffusion-overflowing-t-end"),
         pytest.param("maxwellization", {"M": 1e-200, "gamma": 1e-200}, {},
                      "q domain", id="maxwellization-underflowing-rate"),
+        # the Gibbs generator overflows, and eigh would not converge on it
+        pytest.param("local-equilibrium-peaking", {"beta": 1e308}, {},
+                     "Gibbs generator", id="peaking-overflowing-beta"),
+        pytest.param("local-equilibrium-peaking",
+                     {"mubar": [1e308, 0.0, 0.0]}, {}, "Gibbs generator",
+                     id="peaking-overflowing-mubar"),
+        # the outer bins of so narrow a state carry no mass, so the
+        # relative fluctuation is undefined there
+        pytest.param("variance-scaling", {"var_q": 1.8e-62}, {},
+                     "positive mass", id="variance-massless-bins"),
+        pytest.param("variance-scaling", {"var_q": 1e-200, "var_p": 1e-200},
+                     {}, "positive mass", id="variance-underflowing-det"),
+        pytest.param("variance-scaling", {}, {"n_q": 2 ** 40}, "bytes",
+                     id="variance-grid-bytes"),
     ])
     def test_validate_out_of_range_before_run(self, tmp_path, capsys,
                                               scenario, params, grid,
@@ -589,6 +603,10 @@ class TestCli:
                 ("maxwellization", {"gamma": 1e-10}),
                 ("oracle-compare", {"t_kernel": 0.0, "t_master": 0.0}),
                 ("local-equilibrium-peaking", {"N": 10}),
+                ("local-equilibrium-peaking", {"beta": 1e30}),
+                # the variances perfbench draws
+                ("variance-scaling", {"var_q": 0.5, "var_p": 2.0}),
+                ("variance-scaling", {"var_q": 2.0, "var_p": 0.5}),
                 ("local-equilibrium-peaking", {"mubar": [4.0, 0.0], "N": 11}),
                 ("local-equilibrium-peaking", {"mubar": [4.0, 0.0], "N": 16}),
                 ("local-equilibrium-peaking", {"N": 18}),
