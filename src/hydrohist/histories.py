@@ -7,10 +7,9 @@ B^N tensor-product space.  The module builds
   momentum) summed over particles;
 - projectors: a projector diagonal in the basis is its diagonal, a real
   ``(dim,)`` vector: exact occupation projectors are boolean masks (the 0/1
-  case) and Gaussian quasi-projectors of a bin's occupation count are weight
-  vectors; spectral-window projectors and Gaussian quasi-projectors
-  (2 pi sigma^2)^(-1/2) exp(-(A - a)^2 / 2 sigma^2) of other observables
-  are matrices;
+  case) and Gaussian quasi-projectors
+  (2 pi sigma^2)^(-1/2) exp(-(n - a)^2 / 2 sigma^2) of a bin's occupation
+  count are weight vectors; spectral-window projectors are matrices;
 - the decoherence functional of a multi-time history,
 
       D(a, a') = Tr[ P_{a_n}(t_n) ... P_{a_1}(t_1) rho P_{a'_1}(t_1) ... P_{a'_n}(t_n) ],
@@ -26,7 +25,8 @@ B^N tensor-product space.  The module builds
   forming it; the branch-pair matrices rotate by U = v e^{-i w dt} v^dag;
 - the two-time occupation decoherence functional of a product state
   rho1^(x N) under a one-body Hamiltonian and per-particle dephasing, from
-  one-particle objects only: an OccupationFunctional of the tensor d1[b, b', c]
+  one-particle objects only: the tensor d1[b, b', c] is the one-particle
+  branch-pair functional of the bin masks, and an OccupationFunctional of it
   runs a dynamic program, capped by its own table, for the coefficients of
   (sum d1 x_b x'_b' y_c)^N, the blocks of D (the factorized engine);
 - consistency diagnostics on a DecoherenceMatrix, whatever engine made it:
@@ -65,7 +65,6 @@ __all__ = [
     "to_density",
     "one_particle_momentum",
     "lift_one_body",
-    "gaussian_quasi_projector",
     "window_projector",
     "occupation_family",
     "gaussian_occupation_family",
@@ -240,12 +239,6 @@ def _gaussian_weights(x, center, sigma):
         raise ValueError("sigma must be positive")
     g = np.exp(-((x - center) ** 2) / (2.0 * sigma ** 2))
     return g / (math.sqrt(2.0 * np.pi) * sigma)
-
-
-def gaussian_quasi_projector(a_op, center, sigma) -> np.ndarray:
-    """(2 pi sigma^2)^(-1/2) exp(-(A - center)^2 / 2 sigma^2), spectrally."""
-    vals, vecs = np.linalg.eigh(np.asarray(a_op, dtype=complex))
-    return (vecs * _gaussian_weights(vals, center, sigma)) @ vecs.conj().T
 
 
 def window_projector(a_op, interval) -> np.ndarray:
@@ -544,17 +537,6 @@ def _damp_rotate(rows, cols, m, u, damp, substeps):
     return u[:, rows] @ (m * damp[rows][:, cols]), u[:, cols]
 
 
-def _evolve_density(mat, spectrum, t0, t1, space, rate, substeps):
-    """rho(t0) -> rho(t1): unitary steps interleaved with dephasing damps,
-    under the Hamiltonian of the given ``_spectrum``."""
-    if t1 == t0:
-        return mat
-    sub = (t1 - t0) / substeps
-    a, b = _damp_rotate(_ALL, _ALL, mat, _unitary(spectrum, sub),
-                        _dephasing_mask(space, rate, sub), substeps)
-    return a @ b.conj().T
-
-
 def _apply_unitary(spectrum, dt, chains):
     """U(dt) Y for each chain (rows, Y[rows]), as a chain.
 
@@ -648,24 +630,23 @@ def _trace_pair(m, left, right):
     return np.vdot(right, lm)
 
 
-def _branch_pair_functional(rho_m, history, levels):
+def _branch_pair_functional(rho_m, space, times, spectrum, rate, substeps,
+                            levels):
     """Dephased D(a, a') from the branch-pair matrices P_a E(...) P_a'^dag.
 
-    E is ``dephasing_substeps`` damp-then-rotate steps per interval.  Only
-    prefix pairs p <= q are evolved (D is Hermitian).  If the final level is
-    disjoint diagonals w_c, the blocks D(p c, q c) sum the evolved pair's
-    diagonal weighted by w_c^2.
+    E is ``substeps`` damp-then-rotate steps per interval, under the
+    Hamiltonian of the given ``_spectrum``.  Only prefix pairs p <= q are
+    evolved (D is Hermitian).  If the final level is disjoint diagonals w_c,
+    the blocks D(p c, q c) sum the evolved pair's diagonal weighted by w_c^2.
     """
-    space = history.space
-    rate, substeps = history.dephasing_rate, history.dephasing_substeps
     final = levels[-1]
     blocked = _disjoint_diagonals(final)
     weights = np.array(final, dtype=float) ** 2 if blocked else None
     pairs = {(0, 0): (_ALL, _ALL, rho_m)}
-    for k, (dt, ops) in enumerate(zip(np.diff((0.0,) + history.times), levels)):
+    for k, (dt, ops) in enumerate(zip(np.diff((0.0,) + times), levels)):
         last, n = k == len(levels) - 1, len(ops)
         if dt > 0:
-            u = _unitary(history.spectrum, dt / substeps)
+            u = _unitary(spectrum, dt / substeps)
             damp = _dephasing_mask(space, rate, dt / substeps)
         nxt = {}
         for (p, q), (rows, cols, m) in pairs.items():
@@ -704,7 +685,10 @@ def decoherence_functional(rho, history: HistorySpec) -> DecoherenceMatrix:
     if history.dephasing_rate == 0.0:
         mat = _chain_functional(rho, history, levels)
     else:
-        mat = _branch_pair_functional(_as_density_matrix(rho), history, levels)
+        mat = _branch_pair_functional(
+            _as_density_matrix(rho), history.space, history.times,
+            history.spectrum, history.dephasing_rate,
+            history.dephasing_substeps, levels)
     return DecoherenceMatrix(tuple(catalog), mat)
 
 
@@ -780,7 +764,10 @@ def product_occupation_functional(rho1: DensityOperator, h1, n, times,
     factorize over particles, so D is the OccupationFunctional of the
     one-particle tensor
 
-        d1[b, b', c] = <c| E_{t2-t1}(|b><b| rho1(t1) |b'><b'|) |c>.
+        d1[b, b', c] = <c| E_{t2-t1}(|b><b| rho1(t1) |b'><b'|) |c>,
+
+    the blocks of the dense engines' branch-pair functional on the B-bin
+    one-particle space, with the bin masks at both times.
     """
     space1 = rho1.space
     if space1.N != 1:
@@ -789,21 +776,11 @@ def product_occupation_functional(rho1: DensityOperator, h1, n, times,
     times = tuple(float(t) for t in times)
     if len(times) != 2 or not 0.0 <= times[0] < times[1]:
         raise ValueError("need exactly two times 0 <= t1 < t2")
-    t1, t2 = times
     if not dephasing_rate >= 0:
         raise ValueError("dephasing rate must be nonnegative")
-
-    r1 = _evolve_density(rho1.matrix, spectrum, 0.0, t1, space1,
-                         dephasing_rate, 1)
-    u = _unitary(spectrum, t2 - t1)
-    damp = _dephasing_mask(space1, dephasing_rate, t2 - t1)
     bins = np.eye(space1.B, dtype=bool)
-    d1 = np.empty((space1.B,) * 3, dtype=complex)
-    for i, j in itertools.product(range(space1.B), repeat=2):
-        a, b = _damp_rotate(bins[i], bins[j], r1[bins[i]][:, bins[j]], u,
-                            damp, 1)
-        d1[i, j] = np.einsum("ij,ij->i", a, b.conj())
-
+    d1 = _branch_pair_functional(rho1.matrix, space1, times, spectrum,
+                                 dephasing_rate, 1, [bins, bins])
     return OccupationFunctional(d1, n)
 
 

@@ -3,16 +3,17 @@
 A local-equilibrium state is Maxwellian in momentum at every point, with
 slowly varying weight, drift and temperature profiles:
 
-    W1(p, q) ~ f(q) exp(-(p - m u(q))^2 / 2 m kT(q)).
+    W1(p, q) ~ f(q) exp(-(p - u(q))^2 / 2 kT(q)),
 
-The module builds such states on phase-space grids and, for the finite toy
-lattice, as one-particle Gibbs operators exp(-beta(q)[p^2/2 - mu(q) - u(q) p])
-with symmetrized ordering and unit mass and spacing.  Free streaming moves
-them exactly (spectral shear), and the binned number/momentum/energy fields
-are checked against the collisionless continuity equations
+in units where the particle mass is 1, as on the toy lattice.  The module
+builds such states on phase-space grids and, for the finite toy lattice, as
+one-particle Gibbs operators exp(-beta(q)[p^2/2 - mu(q) - u(q) p]) with
+symmetrized ordering and unit spacing.  Free streaming moves them exactly
+(spectral shear), and the binned number/momentum/energy fields are checked
+against the collisionless continuity equations
 
-    dn/dt + (1/m) dg/dx = 0,     dg/dt + d(2h)/dx = 0,
-    dh/dt + d j_h/dx = 0,        j_h = int dp p^3 W / 2 m^2,
+    dn/dt + dg/dx = 0,           dg/dt + d(2h)/dx = 0,
+    dh/dt + d j_h/dx = 0,        j_h = int dp p^3 W / 2,
 
 with centered differences in time and space.  local_equilibrium_peaking runs
 the tensor-power Gibbs state through the factorized histories engine, capped
@@ -56,7 +57,6 @@ class LocalEquilibriumProfile:
     f: np.ndarray
     u: np.ndarray
     kT: np.ndarray
-    mass: float = 1.0
 
     def __post_init__(self):
         q = np.asarray(self.q, dtype=float)
@@ -73,8 +73,6 @@ class LocalEquilibriumProfile:
             raise ValueError("kT must be positive everywhere")
         if not np.all(f >= 0):
             raise ValueError("f must be nonnegative")
-        if not self.mass > 0:
-            raise ValueError("mass must be positive")
         for name, arr in (("f", f), ("u", u), ("kT", kt)):
             scale = np.max(np.abs(arr))
             if scale > 0:
@@ -118,11 +116,10 @@ class PeakingReport:
 
 
 def build_w1(profile: LocalEquilibriumProfile, p_min, p_max, n_p) -> WignerGrid:
-    """Phase-space state f(q) exp(-(p - m u)^2 / 2 m kT), unit mass."""
-    m = profile.mass
-    width = np.sqrt(m * profile.kT)
-    lo = np.min(m * profile.u - 5.0 * width)
-    hi_ = np.max(m * profile.u + 5.0 * width)
+    """Phase-space state f(q) exp(-(p - u)^2 / 2 kT)."""
+    width = np.sqrt(profile.kT)
+    lo = np.min(profile.u - 5.0 * width)
+    hi_ = np.max(profile.u + 5.0 * width)
     if p_min > lo or p_max < hi_:
         raise ResolutionError(
             f"momentum extent [{p_min}, {p_max}] cannot hold five thermal "
@@ -130,8 +127,8 @@ def build_w1(profile: LocalEquilibriumProfile, p_min, p_max, n_p) -> WignerGrid:
         )
     p = np.linspace(p_min, p_max, n_p)
     vals = profile.f[:, None] * np.exp(
-        -((p[None, :] - m * profile.u[:, None]) ** 2)
-        / (2.0 * m * profile.kT[:, None]))
+        -((p[None, :] - profile.u[:, None]) ** 2)
+        / (2.0 * profile.kT[:, None]))
     grid = WignerGrid(float(profile.q[0]), float(profile.q[-1]),
                       len(profile.q), float(p_min), float(p_max), n_p, vals)
     return normalize(grid)
@@ -179,13 +176,12 @@ def gibbs_tensor_power(rho1: hist.DensityOperator, n: int) -> hist.DensityOperat
     return hist.DensityOperator(space, mat)
 
 
-def hydro_averages(w1: WignerGrid, n_particles, edges,
-                   mass: float = 1.0) -> HydroFields:
+def hydro_averages(w1: WignerGrid, n_particles, edges) -> HydroFields:
     """Binned <n>, <g>, <h> (and the p^3 energy flux) of N copies of w1.
 
     The four p-integrals int dp moment(p) W(p, q) are one product of W
-    with the (n_p, 4) matrix of trapezoid weight times 1, p, p^2/2m and
-    p^3/2m^2; each column is then integrated over the q-bins.
+    with the (n_p, 4) matrix of trapezoid weight times 1, p, p^2/2 and
+    p^3/2; each column is then integrated over the q-bins.
     """
     edges = np.asarray(edges, dtype=float)
     if np.any(np.diff(edges) <= 0):
@@ -194,8 +190,7 @@ def hydro_averages(w1: WignerGrid, n_particles, edges,
     trap = np.full(len(p), w1.dp)
     trap[[0, -1]] *= 0.5
     moments = trap[:, None] * np.stack(
-        [np.ones_like(p), p, p ** 2 / (2.0 * mass),
-         p ** 3 / (2.0 * mass ** 2)], axis=1)
+        [np.ones_like(p), p, p ** 2 / 2.0, p ** 3 / 2.0], axis=1)
     lines = w1.values @ moments
     n, g, h, flux = (n_particles * bin_integrals(line, w1.q, edges)
                      for line in lines.T)
@@ -215,26 +210,27 @@ def _shift_phases(k, s):
     return (coarse[:, None] * fine).reshape(-1, len(s))[:len(k)]
 
 
-def evolve_free(w: WignerGrid, t, mass: float = 1.0) -> WignerGrid:
-    """Exact free streaming W(q, p, t) = W(q - p t / m, p, 0), periodic in q.
+def evolve_free(w: WignerGrid, t) -> WignerGrid:
+    """Exact free streaming W(q, p, t) = W(q - p t, p, 0), periodic in q.
 
     Spectral shift per momentum row: the rfft of W along q times the phase
-    exp(-i k p t / m), transformed back; conserves mass exactly.
+    exp(-i k p t), transformed back; conserves the norm exactly.
     """
     span = w.q_max - w.q_min
     p_max = max(abs(w.p_min), abs(w.p_max))
-    if p_max * abs(t) / mass > span:
+    if p_max * abs(t) > span:
         raise ResolutionError(
             "free-streaming shear exceeds the domain length; shorten t or "
             "enlarge the grid")
     k = 2.0 * np.pi * np.fft.rfftfreq(w.n_q, d=w.dq)
-    shift = _shift_phases(k, w.p * t / mass)
+    shift = _shift_phases(k, w.p * t)
     vals = np.fft.irfft(np.fft.rfft(w.values, axis=0) * shift, w.n_q, axis=0)
     return w.with_values(vals)
 
 
 def continuity_residual(times, fields):
-    """Centered-difference residuals of the three collisionless conservation laws.
+    """Centered-difference residuals of the three collisionless conservation
+    laws at unit mass: dn/dt + dg/dx, dg/dt + d(2h)/dx and dh/dt + d j_h/dx.
 
     ``fields`` holds HydroFields at three or more equally spaced times; the
     residuals are evaluated at the interior times and interior bins, on

@@ -18,6 +18,12 @@ def number_density_operator(space: hi.ToyHilbert, b: int) -> np.ndarray:
     return np.diag(space.occupation_table()[:, b].astype(complex))
 
 
+def gaussian_quasi_projector(a_op, center, sigma) -> np.ndarray:
+    """(2 pi sigma^2)^(-1/2) exp(-(A - center)^2 / 2 sigma^2), spectrally."""
+    vals, vecs = np.linalg.eigh(np.asarray(a_op, dtype=complex))
+    return (vecs * hi._gaussian_weights(vals, center, sigma)) @ vecs.conj().T
+
+
 def multi_time_prob(rho, a_op, times, centers, sigma, h) -> float:
     """Probability of the Gaussian-projector chain at the given centers.
 
@@ -40,7 +46,7 @@ def multi_time_prob(rho, a_op, times, centers, sigma, h) -> float:
             "structure may deviate from the mean trajectory", stacklevel=2)
     c_op = np.eye(rho_m.shape[0], dtype=complex)
     for at, c in zip(a_t[:-1], centers[:-1]):
-        c_op = hi.gaussian_quasi_projector(at, c, sigma) @ c_op
+        c_op = gaussian_quasi_projector(at, c, sigma) @ c_op
     inner = c_op @ rho_m @ c_op.conj().T
-    p_final = hi.gaussian_quasi_projector(a_t[-1], centers[-1], sigma)
+    p_final = gaussian_quasi_projector(a_t[-1], centers[-1], sigma)
     return float(np.real(np.trace(p_final @ inner)))

@@ -163,18 +163,18 @@ class TestProjectors:
     def test_gaussian_completeness(self):
         a = np.diag([0.0, 1.0, 2.0])
         centers = np.arange(-10, 12, 0.02)
-        acc = sum(hi.gaussian_quasi_projector(a, c, 0.7) for c in centers)
+        acc = sum(oracles.gaussian_quasi_projector(a, c, 0.7) for c in centers)
         assert np.max(np.abs(acc * 0.02 - np.eye(3))) < 1e-6
 
     def test_gaussian_commutes_with_a(self):
         rng = np.random.default_rng(2)
         a = random_hermitian(rng, 6)
-        p = hi.gaussian_quasi_projector(a, 0.3, 1.1)
+        p = oracles.gaussian_quasi_projector(a, 0.3, 1.1)
         assert np.max(np.abs(a @ p - p @ a)) < 1e-10
 
     def test_small_sigma_picks_eigenprojector(self):
         a = np.diag([0.0, 1.0, 3.0])
-        p = hi.gaussian_quasi_projector(a, 1.0, 1e-3)
+        p = oracles.gaussian_quasi_projector(a, 1.0, 1e-3)
         p = p / p[1, 1]
         target = np.zeros((3, 3))
         target[1, 1] = 1.0
@@ -220,8 +220,8 @@ class TestProjectors:
             fam = hi.gaussian_occupation_family(hs, bin_, centers, 0.8)
             assert [c for c, _ in fam] == list(centers)
             for c, op in fam:
-                assert np.array_equal(
-                    np.diag(op), hi.gaussian_quasi_projector(n_op, c, 0.8))
+                want = oracles.gaussian_quasi_projector(n_op, c, 0.8)
+                assert np.array_equal(np.diag(op), want)
 
     def test_gaussian_occupation_family_checks(self):
         hs = hi.ToyHilbert(B=2, N=3)
@@ -590,6 +590,12 @@ def product_setup(state):
     return rho1, p1 @ p1 / 2.0
 
 
+def one_step(rho_m, h1, space, rate, dt):
+    """One damp-then-rotate step rho -> U (rho o damp) U^dag over dt."""
+    u = hi._unitary(hi._spectrum(h1), dt)
+    return u @ (rho_m * hi._dephasing_mask(space, rate, dt)) @ u.conj().T
+
+
 @functools.lru_cache(maxsize=None)
 def product_engines(state, n, rate, times):
     """(dense, factorized) two-time occupation functionals of rho1^(x n);
@@ -650,8 +656,7 @@ class TestProductOccupationFunctional:
         final = np.einsum("icjc->c", d.matrix.reshape(k, k, k, k))
         r = rho1.matrix
         for t0, t1 in ((0.0, times[0]), times):
-            r = hi._evolve_density(r, hi._spectrum(h1), t0, t1,
-                                   rho1.space, rate, 1)
+            r = one_step(r, h1, rho1.space, rate, t1 - t0)
         occ = [lab[1] for lab in d.labels[:k]]
         want = multinomial.pmf(occ, n, np.real(np.diag(r)))
         assert np.max(np.abs(final - want)) < 1e-12
@@ -709,11 +714,21 @@ class TestProductOccupationFunctional:
         fact = hi.product_occupation_functional(rho1, h1, n, times, rate)
         r, want = rho1.matrix, []
         for t0, t1 in ((0.0, times[0]), times):
-            r = hi._evolve_density(r, hi._spectrum(h1), t0, t1, rho1.space,
-                                   rate, 1)
+            r = one_step(r, h1, rho1.space, rate, t1 - t0)
             want.append(n * np.real(np.diag(r)))
         got = fact.mean_occupations()
         assert np.max(np.abs(np.array(got) - np.array(want))) < 1e-14
+
+    @pytest.mark.parametrize("state", sorted(PRODUCT_STATES))
+    @pytest.mark.parametrize("rate", [0.0, 60.0])
+    @pytest.mark.parametrize("times", [(0.0, 0.1), (0.3, 0.5)])
+    def test_d1_is_hermitian_in_the_bin_pair(self, state, rate, times):
+        # d1[b', b, c] is the conjugate of d1[b, b', c], bit for bit: one
+        # branch pair of each two is evolved, the other is its conjugate
+        rho1, h1 = product_setup(state)
+        d1 = hi.product_occupation_functional(rho1, h1, 2, times, rate).d1
+        for b, b2 in itertools.permutations(range(len(d1)), 2):
+            assert np.array_equal(d1[b2, b], d1[b, b2].conj())
 
     @pytest.mark.parametrize("b, n, fits", [
         (2, 16, True), (2, 202, True), (2, 203, False), (3, 12, True),
@@ -985,7 +1000,7 @@ class TestEhrenfestSingleTime:
         got = hi.single_time_prob_exact(rho, a, centers, 1.3)
         asym = hi.single_time_prob_asymptotic(rho, a, centers, 1.3)
         want = np.vectorize(lambda c: np.real(np.trace(
-            hi.gaussian_quasi_projector(a, c, 1.3) @ rho)))(centers)
+            oracles.gaussian_quasi_projector(a, c, 1.3) @ rho)))(centers)
         want_asym = np.vectorize(
             lambda c: hi.single_time_prob_asymptotic(rho, a, float(c), 1.3)
         )(centers)

@@ -30,8 +30,6 @@ class TestProfile:
             le.LocalEquilibriumProfile(q[::-1], ones, ones, ones)
         with pytest.raises(ValueError):
             le.LocalEquilibriumProfile(q[:4], ones[:4], ones[:4], ones[:4])
-        with pytest.raises(ValueError):
-            le.LocalEquilibriumProfile(q, ones, ones, ones, mass=0.0)
 
     def test_fast_variation_warns(self):
         q = np.linspace(0, 1, 16)
@@ -47,19 +45,18 @@ class TestBuildW1:
         assert w.integral() == pytest.approx(1.0, abs=1e-12)
 
     def test_momentum_moments_constant_profile(self):
-        # columns are Gaussians: mean m u, variance m kT
-        m, u0, kt = 2.0, 0.3, 1.5
+        # columns are Gaussians: mean u, variance kT
+        u0, kt = 0.3, 1.5
         q = np.linspace(-8, 8, 64)
         pf = le.LocalEquilibriumProfile(q, np.exp(-q ** 2 / 8),
-                                        np.full(64, u0), np.full(64, kt),
-                                        mass=m)
+                                        np.full(64, u0), np.full(64, kt))
         w = le.build_w1(pf, -12, 12, 385)
         col = w.values[32]
         mass0 = np.trapezoid(col, w.p)
         mean = np.trapezoid(col * w.p, w.p) / mass0
         var = np.trapezoid(col * (w.p - mean) ** 2, w.p) / mass0
-        assert mean == pytest.approx(m * u0, abs=1e-8)
-        assert var == pytest.approx(m * kt, rel=1e-6)
+        assert mean == pytest.approx(u0, abs=1e-8)
+        assert var == pytest.approx(kt, rel=1e-6)
 
     def test_two_temperature_step(self):
         # per-bin momentum variance tracks the local temperature
@@ -160,19 +157,18 @@ class TestHydroAverages:
         with pytest.raises(ValueError):
             le.hydro_averages(w, 10, [0.0, 0.0, 1.0])
 
-    @pytest.mark.parametrize("mass", [1.0, 2.5])
-    def test_matches_per_moment_trapezoid(self, mass):
+    def test_matches_per_moment_trapezoid(self):
         # one p-integral per moment, each over a fresh W p^k; the p-grid
         # is tight enough that its end points carry weight
         w = le.evolve_free(le.build_w1(flat_profile(nq=128, u=0.4, q_lo=-16,
                                                     q_hi=16), -5.5, 5.5, 193),
-                           0.7, mass)
+                           0.7)
         edges = np.linspace(-8, 8, 17)
-        fields = le.hydro_averages(w, 7, edges, mass)
+        fields = le.hydro_averages(w, 7, edges)
         p = w.p
         for name, moment in (("n", np.ones_like(p)), ("g", p),
-                             ("h", p ** 2 / (2.0 * mass)),
-                             ("energy_flux", p ** 3 / (2.0 * mass ** 2))):
+                             ("h", p ** 2 / 2.0),
+                             ("energy_flux", p ** 3 / 2.0)):
             line = np.trapezoid(w.values * moment, dx=w.dp, axis=1)
             want = 7 * ps.bin_integrals(line, w.q, edges)
             got = getattr(fields, name)
