@@ -40,15 +40,11 @@ print("\nbranch interference for (|psi>^N + |chi>^N), |<chi|psi>| = 0.8:")
 print(f"{'N':>4} {'epsilon':>12}")
 rows = []
 for n in range(1, 9):
-    hs = hist.ToyHilbert(B=2, N=n)
-    st = hist.superposition_state(hs, psi, chi)
-    fam_n = hist.gaussian_occupation_family(
-        hs, 0, centers=(float(n), n * c * c), sigma=1.0)
-    sp = hist.HistorySpec(hs, (1.0,), ([fam_n],),
-                          np.zeros((hs.dim, hs.dim)))
+    dmat = hist.branch_count_functional(psi, chi, n, (float(n), n * c * c),
+                                        sigma=1.0)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        eps = hist.consistency_epsilon(hist.decoherence_functional(st, sp))
+        eps = hist.consistency_epsilon(dmat)
     rows.append((n, eps))
     print(f"{n:4d} {eps:12.4e}")
 slope = np.polyfit([r[0] for r in rows], np.log([r[1] for r in rows]), 1)[0]

@@ -29,6 +29,8 @@ B^N tensor-product space.  The module builds
   branch-pair functional of the bin masks, and an OccupationFunctional of it
   runs a dynamic program, capped by its own table, for the coefficients of
   (sum d1 x_b x'_b' y_c)^N, the blocks of D (the factorized engine);
+- the single-time D of a bin-0 count on a two-bin superposition of two
+  product states, from the law of that count, without the 2^n space;
 - consistency diagnostics on a DecoherenceMatrix, whatever engine made it:
   epsilon and the bound |D(a,a')|^2 <= p(a) p(a'), which any D satisfies;
 - Gaussian-history probabilities and their peak structure: the exact
@@ -69,6 +71,7 @@ __all__ = [
     "occupation_family",
     "gaussian_occupation_family",
     "decoherence_functional",
+    "branch_count_functional",
     "product_occupation_functional",
     "occupation_table_bytes",
     "consistency_epsilon",
@@ -79,8 +82,8 @@ __all__ = [
     "complement_pair_consistency",
 ]
 
-#: the dense engines' cap on dim = B^N, a complex dim x dim matrix of 256 MiB;
-#: a run holds several (histories-nscaling at N_max = 12 peaks at 880 MB RSS)
+#: the dense engines' cap on dim = B^N; it counts one complex dim x dim
+#: matrix, 256 MiB, while the chain engine holds about 3.5 at once
 DEFAULT_DIM_CAP = 2 ** 12
 #: the cap on OccupationFunctional's table, 2^23 complex entries; the dynamic
 #: program peaks at about 2.3 times the table (220 MB RSS at B = 3, N = 18)
@@ -179,14 +182,18 @@ def product_state(space: ToyHilbert, psi) -> StateVector:
     return StateVector(space, amp)
 
 
+def _uncancelled(norm):
+    """The norm of |psi>^N + |chi>^N, required not to vanish."""
+    if norm < 1e-12:
+        raise ValueError("the two branches cancel the state")
+    return norm
+
+
 def superposition_state(space: ToyHilbert, psi, chi) -> StateVector:
     """Normalized |psi>^N + |chi>^N."""
     amp = (product_state(space, psi).amplitudes
            + product_state(space, chi).amplitudes)
-    norm = np.linalg.norm(amp)
-    if norm < 1e-12:
-        raise ValueError("the two branches cancel the state")
-    return StateVector(space, amp / norm)
+    return StateVector(space, amp / _uncancelled(np.linalg.norm(amp)))
 
 
 def to_density(state: StateVector) -> DensityOperator:
@@ -234,10 +241,11 @@ def lift_one_body(space: ToyHilbert, op1) -> np.ndarray:
 
 
 def _gaussian_weights(x, center, sigma):
-    """(2 pi sigma^2)^(-1/2) exp(-(x - center)^2 / 2 sigma^2), elementwise."""
+    """(2 pi sigma^2)^(-1/2) exp(-(x - center)^2 / 2 sigma^2), elementwise,
+    formed without sigma^2, which overflows first."""
     if not sigma > 0:
         raise ValueError("sigma must be positive")
-    g = np.exp(-((x - center) ** 2) / (2.0 * sigma ** 2))
+    g = np.exp(-0.5 * ((x - center) / sigma) ** 2)
     return g / (math.sqrt(2.0 * np.pi) * sigma)
 
 
@@ -692,6 +700,28 @@ def decoherence_functional(rho, history: HistorySpec) -> DecoherenceMatrix:
     return DecoherenceMatrix(tuple(catalog), mat)
 
 
+def branch_count_functional(psi, chi, n, centers, sigma) -> DecoherenceMatrix:
+    """``decoherence_functional`` of Gaussian quasi-projectors of the bin-0
+    count, at one time under a zero Hamiltonian, for (|psi>^n + |chi>^n)/norm
+    on two bins, from the law of the count, q(k) = C(n, k) |psi_0^k
+    psi_1^(n-k) + chi_0^k chi_1^(n-k)|^2 / norm^2: D(a, a') = sum_k w_a(k)
+    w_a'(k) q(k).  Up to n = 1000, C(n, k) < 2^n and the largest term of
+    each branch's law, at least 2^-n / (n + 1), are normal floats."""
+    psi, chi = (product_state(ToyHilbert(2, 1), v).amplitudes
+                for v in (psi, chi))
+    if n < 1:
+        raise ValueError("need n >= 1 particles")
+    k = np.arange(n + 1)
+    law = np.array(list(itertools.accumulate(  # C(n, k), exact integers
+        range(n), lambda c, j: c * (n - j) // (j + 1), initial=1)), float)
+    law *= np.abs(psi[0] ** k * psi[1] ** (n - k)
+                  + chi[0] ** k * chi[1] ** (n - k)) ** 2
+    law /= _uncancelled(math.sqrt(law.sum())) ** 2
+    w = np.array([_gaussian_weights(k, c, sigma) for c in centers])
+    return DecoherenceMatrix(tuple((float(c),) for c in centers),
+                             (w * law) @ w.T)
+
+
 def _compositions(n, b):
     """Occupation vectors of n particles in b bins, lexicographically ordered
     as ``occupation_family`` orders them."""
@@ -858,10 +888,9 @@ def single_time_prob_asymptotic(rho, a_op, center, sigma):
     at a scalar center (a float) or an array of centers."""
     rho_m = _as_density_matrix(rho)
     mean, spread = _mean_and_spread(rho_m, a_op)
-    s2 = sigma ** 2 + spread ** 2
-    c = np.asarray(center, dtype=float)
-    p = np.exp(-((mean - c) ** 2) / (2.0 * s2)) / math.sqrt(2.0 * np.pi * s2)
-    return float(p) if c.ndim == 0 else p
+    p = _gaussian_weights(mean, np.asarray(center, dtype=float),
+                          math.hypot(sigma, spread))
+    return float(p) if p.ndim == 0 else p
 
 
 def _heisenberg_ops(a_op, h, times):

@@ -46,10 +46,16 @@ _QBM_RANGES = tuple((lambda p, key=key: p[key] > 0,
                      f"params.{key} must be positive")
                     for key in ("M", "gamma", "kT"))
 
+#: cap on the bytes of one phase-space grid or master-equation density
+#: matrix, checked ahead of any range rule that samples or allocates one
+_GRID_BYTES = 2 ** 27
+
 #: range checks of a phase-space grid, as ``WignerGrid`` requires them
 _GRID_RANGES = (
     (lambda g: g["n_q"] >= 8, "grid.n_q must be at least 8"),
     (lambda g: g["n_p"] >= 8, "grid.n_p must be at least 8"),
+    (lambda g: 8 * g["n_q"] * g["n_p"] <= _GRID_BYTES,
+     f"grid.n_q and grid.n_p must keep the grid within {_GRID_BYTES} bytes"),
     (lambda g: g["q_min"] < g["q_max"],
      "grid.q_min must be less than grid.q_max"),
     (lambda g: g["p_min"] < g["p_max"],
@@ -167,23 +173,12 @@ def _fokker_planck_note(w0, durations, params):
 
 #: inner edges of the variance-scaling bins: the quartiles of a unit normal
 _QUARTILE = 0.6744897501960817
-#: cap on the bytes of the variance-scaling grid, which its mass rule samples
-_SAMPLED_GRID_BYTES = 2 ** 27
 
 
 def _history_times(times):
     """Times a HistorySpec accepts: nonempty, nonnegative, increasing."""
     return (len(times) >= 1 and times[0] >= 0
             and all(a < b for a, b in zip(times, times[1:])))
-
-
-def _dim_cap_rule(bins, n_key, what):
-    """Range check of the dense engines' B^N cap, with B = bins(p) >= 2
-    bins and N = p[n_key] particles; an N past log2 of the cap fails before
-    the power is formed."""
-    cap = hist.DEFAULT_DIM_CAP
-    return (lambda p: p[n_key] < cap.bit_length() and bins(p) ** p[n_key] <= cap,
-            f"params.{n_key} must keep {what} within the cap {cap}")
 
 
 _TOP_KEYS = {"schema_version", "scenario", "params", "grid", "seed",
@@ -481,23 +476,15 @@ def _run_variance_scaling(config):
 def _run_histories_nscaling(config):
     p = config.params
     c = p["overlap"]
-    psi = np.array([1.0, 0.0], complex)
-    chi = np.array([c, math.sqrt(1.0 - c * c)], complex)
-    eps, rows, notes = {}, [], []
+    chi = (c, math.sqrt(1.0 - c * c))
+    eps, notes = {}, []
     for n in range(1, p["N_max"] + 1):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always", append=True)
-            space = hist.ToyHilbert(B=2, N=n)
-            state = hist.superposition_state(space, psi, chi)
-            fam = hist.gaussian_occupation_family(
-                space, 0, centers=(float(n), n * c * c), sigma=p["sigma"])
-            spec = hist.HistorySpec(space, (1.0,), ([fam],),
-                                    np.zeros((space.dim, space.dim)))
-            dmat = hist.decoherence_functional(state, spec)
-            eps[n] = hist.consistency_epsilon(dmat)
+            eps[n] = hist.consistency_epsilon(hist.branch_count_functional(
+                (1.0, 0.0), chi, n, (float(n), n * c * c), p["sigma"]))
         notes += [f"N = {n}: {w.category.__name__}: {w.message}"
                   for w in caught]
-        rows.append((n, eps[n]))
     # log epsilon is fitted where the interference survives in floating point
     fit = [n for n in eps if eps[n] > 0]
     zero = [n for n in eps if n not in fit]
@@ -513,7 +500,7 @@ def _run_histories_nscaling(config):
     decay = eps[p["N_max"]] / eps[1] if eps[1] > 0 else None
     if decay is None:
         notes.append("epsilon(1) = 0; epsilon8_over_epsilon1 is undefined")
-    art = {"histories_nscaling.csv": (["N", "epsilon"], rows)}
+    art = {"histories_nscaling.csv": (["N", "epsilon"], list(eps.items()))}
     return ({"geometric_ratio": ratio, "epsilon8_over_epsilon1": decay}, art,
             notes)
 
@@ -715,6 +702,9 @@ SCENARIOS = {
              "grid.master_n_x must be at least 8"),
             (lambda g: g["master_x_max"] > 0,
              "grid.master_x_max must be positive"),
+            (lambda g: 16 * g["master_n_x"] ** 2 <= _GRID_BYTES,
+             "grid.master_n_x must keep the master density matrix within "
+             f"{_GRID_BYTES} bytes"),
             _domain_rule(lambda p: 0.5,
                          lambda p: max(p["t_kernel"], p["t_master"]), "q"),
             _domain_rule(lambda p: 0.5, lambda p: p["t_kernel"], "p"),
@@ -745,9 +735,6 @@ SCENARIOS = {
             (lambda g: g["q_min"] < -_QUARTILE and g["q_max"] > _QUARTILE,
              "grid.q_min and grid.q_max must lie outside the inner bin "
              f"edges +/-{_QUARTILE:.4f}"),
-            (lambda g: 8 * g["n_q"] * g["n_p"] <= _SAMPLED_GRID_BYTES,
-             "grid.n_q and grid.n_p must keep the grid within "
-             f"{_SAMPLED_GRID_BYTES} bytes"),
             (_bins_hold_mass, "params.var_q and params.var_p must give "
              "every bin of the initial state positive mass"),
         ),
@@ -775,7 +762,9 @@ SCENARIOS = {
             (lambda p: p["sigma"] > 0 and np.finfo(float).tiny
              <= (2 * math.pi * float(p["sigma"]) ** 2) ** -2 < math.inf,
              "params.sigma must keep (2 pi sigma^2)^-2 a normal float"),
-            _dim_cap_rule(lambda p: 2, "N_max", "2**N_max"),
+            # branch_count_functional's float limit
+            (lambda p: p["N_max"] <= 1000,
+             "params.N_max must be at most 1000"),
         ),
     },
     "ehrenfest": {
@@ -825,7 +814,11 @@ SCENARIOS = {
         "ranges": (
             (lambda p: p["bins"] >= 2, "params.bins must be at least 2"),
             (lambda p: p["N"] >= 1, "params.N must be at least 1"),
-            _dim_cap_rule(lambda p: p["bins"], "N", "bins**N"),
+            # an N past log2 of the cap fails before the power is formed
+            (lambda p: p["N"] < hist.DEFAULT_DIM_CAP.bit_length()
+             and p["bins"] ** p["N"] <= hist.DEFAULT_DIM_CAP,
+             "params.N must keep bins**N within the cap "
+             f"{hist.DEFAULT_DIM_CAP}"),
             (lambda p: _history_times(p["times2"]),
              "params.times2 must be nonempty, nonnegative and increasing"),
             (lambda p: _history_times(p["times3"]),

@@ -336,6 +336,70 @@ class TestDecoherenceFunctional:
         assert eps[0] > eps[1] > eps[2]
 
 
+def _branch_pairs():
+    """The shipped branches, psi = (1, 0) and chi at overlap 0.8, and three
+    random complex pairs, whose interference is not confined to k = n."""
+    rng = np.random.default_rng(25)
+    pairs = [(np.array([1.0, 0.0]), np.array([0.8, 0.6]))]
+    pairs += [(random_pure(rng, 2), random_pure(rng, 2)) for _ in range(3)]
+    return pairs
+
+
+class TestBranchCountFunctional:
+    @pytest.mark.parametrize("pair", range(4))
+    @pytest.mark.parametrize("sigma", [0.6, 1.0])
+    def test_matches_dense_engine(self, pair, sigma):
+        psi, chi = _branch_pairs()[pair]
+        for n in range(1, 11):
+            centers = (n * abs(psi[0]) ** 2, n * abs(chi[0]) ** 2)
+            hs = hi.ToyHilbert(B=2, N=n)
+            fam = hi.gaussian_occupation_family(hs, 0, centers, sigma)
+            spec = hi.HistorySpec(hs, (1.0,), ([fam],),
+                                  np.zeros((hs.dim, hs.dim)))
+            dense = hi.decoherence_functional(
+                hi.superposition_state(hs, psi, chi), spec)
+            d = hi.branch_count_functional(psi, chi, n, centers, sigma)
+            assert d.labels == dense.labels
+            scale = np.max(np.abs(dense.matrix))
+            assert np.max(np.abs(d.matrix - dense.matrix)) <= 1e-12 * scale
+
+    def test_law_at_the_float_limit(self):
+        # at n = 1000 with even branches, every C(n, k) 2^-n is near the
+        # smallest normal float; p(a) matches the law summed in log space
+        n, sigma = 1000, 3.0
+        psi = np.array([0.6, 0.8])
+        chi = np.full(2, math.sqrt(0.5))
+        centers = (n * 0.36, n * 0.5)
+        d = hi.branch_count_functional(psi, chi, n, centers, sigma)
+        k = np.arange(n + 1)
+        log_c = np.array([math.lgamma(n + 1) - math.lgamma(j + 1)
+                          - math.lgamma(n - j + 1) for j in k])
+        # a_k = 0.6^k 0.8^(n-k) + 2^(-n/2) > 0, so log a_k is a logaddexp
+        log_a = np.logaddexp(k * math.log(0.6) + (n - k) * math.log(0.8),
+                             -0.5 * n * math.log(2.0))
+        q = np.exp(log_c + 2.0 * log_a)
+        q /= q.sum()
+        w = np.array([hi._gaussian_weights(k, c, sigma) for c in centers])
+        np.testing.assert_allclose(d.probabilities(), (w ** 2) @ q,
+                                   rtol=1e-10)
+
+    def test_input_checks_are_the_state_checks(self):
+        psi = np.array([0.6, 0.8])
+        for bad, message in (((1.0, 0.0, 0.0), "length B"),
+                             ((1.0, 1.0), "normalized")):
+            with pytest.raises(ValueError, match=message):
+                hi.branch_count_functional(bad, psi, 3, (1.0,), 1.0)
+            with pytest.raises(ValueError, match=message):
+                hi.branch_count_functional(psi, bad, 3, (1.0,), 1.0)
+        # at odd n, |psi>^n + |-psi>^n is the zero vector
+        with pytest.raises(ValueError, match="cancel"):
+            hi.branch_count_functional(psi, -psi, 3, (1.0,), 1.0)
+        with pytest.raises(ValueError, match="n >= 1"):
+            hi.branch_count_functional(psi, psi, 0, (1.0,), 1.0)
+        with pytest.raises(ValueError, match="sigma"):
+            hi.branch_count_functional(psi, psi, 3, (1.0,), 0.0)
+
+
 def kinetic_hamiltonian(b, n):
     """Collective p^2/2 on B bins and N particles, degenerate for N > 1."""
     hs = hi.ToyHilbert(B=b, N=n)

@@ -399,13 +399,14 @@ class TestCli:
         pytest.param("conserved-decoherence",
                      {"params": {"bins": 2, "N": 10 ** 12}},
                      "params.N", id="conserved-huge-N"),
+        # past branch_count_functional's float limit: C(N, k) and the
+        # branch law's largest term leave the normal floats near N = 1023
         pytest.param("histories-nscaling",
-                     {"params": {"N_max": 17}}, "params.N_max",
-                     id="nscaling-past-dimension-cap"),
-        # 2^13 states: one complex dim x dim matrix would be 1 GiB
+                     {"params": {"N_max": 1001}}, "params.N_max",
+                     id="nscaling-past-float-limit"),
         pytest.param("histories-nscaling",
-                     {"params": {"N_max": 13}}, "params.N_max",
-                     id="nscaling-past-byte-cap"),
+                     {"params": {"N_max": 2 ** 63}}, "params.N_max",
+                     id="nscaling-huge-N"),
         pytest.param("local-equilibrium-peaking", {"params": {"beta": 0.0}},
                      "params.beta", id="peaking-zero-beta"),
         pytest.param("local-equilibrium-peaking",
@@ -570,6 +571,14 @@ class TestCli:
                      {}, "positive mass", id="variance-underflowing-det"),
         pytest.param("variance-scaling", {}, {"n_q": 2 ** 40}, "bytes",
                      id="variance-grid-bytes"),
+        # grids the run would allocate past the byte cap: 520 GB, 193 GB
+        # and a 160 PB master density matrix
+        pytest.param("diffusion", {}, {"n_q": 10 ** 9}, "bytes",
+                     id="diffusion-grid-bytes"),
+        pytest.param("maxwellization", {}, {"n_p": 10 ** 8}, "bytes",
+                     id="maxwellization-grid-bytes"),
+        pytest.param("oracle-compare", {}, {"master_n_x": 10 ** 8}, "bytes",
+                     id="oracle-master-bytes"),
     ])
     def test_validate_out_of_range_before_run(self, tmp_path, capsys,
                                               scenario, params, grid,
@@ -611,7 +620,8 @@ class TestCli:
                 ("local-equilibrium-peaking", {"mubar": [4.0, 0.0], "N": 16}),
                 ("local-equilibrium-peaking", {"N": 18}),
                 ("local-equilibrium-peaking", {"mubar": [4.0, 0.0], "N": 202}),
-                ("histories-nscaling", {"N_max": 12})):
+                ("histories-nscaling", {"N_max": 12}),
+                ("histories-nscaling", {"N_max": 1000})):
             sc.validate_config(minimal(scenario, params=params, seed=1))
 
     @pytest.mark.parametrize("seed", [0, 1, 7])
@@ -631,6 +641,16 @@ class TestCli:
         report = json.loads(
             (tmp_path / "o" / "ehrenfest-report.json").read_text())
         assert all(np.isfinite(m["value"]) for m in report["metrics"])
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_ehrenfest_widest_sigma_runs(self, tmp_path, seed):
+        # sigma = sigma_factor dA is finite but its square is not: the
+        # Gaussian weights never form it, so the run ends in a verdict
+        path = write_config(tmp_path, minimal(
+            "ehrenfest", seed=seed, params={"sigma_factor": 1.3e154}))
+        assert cli.main(["validate", str(path)]) == 0
+        assert cli.main(["run", str(path), "--out", str(tmp_path / "o"),
+                         "--quiet"]) in (0, 1)
 
     @pytest.mark.parametrize("x_max, n_x", [(28.0, 128), (6.0, 32)])
     def test_oracle_widest_master_lattices_run(self, tmp_path, x_max, n_x):
@@ -922,8 +942,7 @@ def test_validate_config_fuzz():
 
 def test_run_config_fuzz_histories(tmp_path):
     # the run half of the fuzz for the two histories scenarios: every draw
-    # that validates runs without ScenarioError.  histories-nscaling runs to
-    # N_max = 8 only, for run time: N_max = 12 takes up to 877 MB.
+    # that validates runs without ScenarioError
     rng = np.random.default_rng(20261019)
     ran = {"conserved-decoherence": 0, "histories-nscaling": 0}
     for _ in range(3000):
@@ -932,7 +951,7 @@ def test_run_config_fuzz_histories(tmp_path):
             config = sc.validate_config(json.loads(json.dumps(raw)))
         except ConfigurationError:
             continue
-        if config.scenario in ran and config.params.get("N_max", 0) <= 8:
+        if config.scenario in ran:
             sc.run_scenario(config, tmp_path)
             ran[config.scenario] += 1
     # the draws reach both scenarios often enough to mean something
