@@ -20,9 +20,15 @@ B^N tensor-product space.  The module builds
   map interleaved with the unitary steps, from projected chains of
   rho = L L^dag without dephasing and from damp-then-rotate branch-pair
   matrices with it (the dense engines: dense linear algebra on the B^N
-  space; B^N <= 2^12, a 256 MiB complex matrix).  Chains of fewer columns
-  than dim get U through the spectrum, v (e^{-i w dt} o (v^dag Y)), without
-  forming it; the branch-pair matrices rotate by U = v e^{-i w dt} v^dag;
+  space; B^N <= 2^12, a 256 MiB complex matrix).  L is found by diagonally
+  pivoted Cholesky, one column per unit of rho's rank, in O(dim r^2) time
+  and O(dim r) memory.  Chains of fewer columns than dim get U through the
+  spectrum, v (e^{-i w dt} o (v^dag Y)), without forming it; the
+  branch-pair matrices rotate by U = v e^{-i w dt} v^dag.  When the final
+  alternatives are disjoint diagonals W_c, D(p c, q c) = Tr(W_c E(X_pq)) =
+  Tr(E^dag(W_c) X_pq), so the last interval is evolved backward on the
+  final weights instead of forward on the prefix pairs whenever that
+  counts fewer dim^3 products (the Heisenberg picture of the map);
 - the two-time occupation decoherence functional of a product state
   rho1^(x N) under a one-body Hamiltonian and per-particle dephasing, from
   one-particle objects only: the tensor d1[b, b', c] is the one-particle
@@ -587,20 +593,52 @@ def _on_basis(rows, y):
     return out
 
 
+#: the residual diagonal at which the factor of rho stops: every column
+#: left out has a squared norm of at most this, so the trace it drops is at
+#: most dim times it
+_FACTOR_CUT = 1e-14
+
+
+def _density_factor(rho_m):
+    """L with rho = L L^dag, up to the columns _FACTOR_CUT leaves out, by
+    diagonally pivoted Cholesky.
+
+    Each step takes the largest residual diagonal d_j as the pivot, appends
+    the column (rho[:, j] - L L[j]^dag) / sqrt(d_j) and takes its squared
+    moduli off d.  A rank-r rho costs O(dim r^2) time and O(dim r) memory:
+    the columns are held as the rows of a buffer that doubles when full.
+    """
+    dim = len(rho_m)
+    resid = np.real(np.diagonal(rho_m)).copy()
+    cols = np.empty((min(dim, 8), dim), dtype=complex)  # L^T, grown by rows
+    r = 0
+    while r < dim:
+        j = int(np.argmax(resid))
+        if not resid[j] > _FACTOR_CUT:
+            break
+        if r == len(cols):
+            cols = np.concatenate((cols, np.empty_like(cols)))[:dim]
+        col = (rho_m[:, j] - cols[:r].T @ cols[:r, j].conj()) / math.sqrt(
+            resid[j])
+        cols[r] = col
+        resid -= col.real ** 2 + col.imag ** 2
+        r += 1
+    return cols[:r].T
+
+
 def _chain_functional(rho, history, levels):
     """Undephased D(a, a') = Tr(Y_a Y_a'^dag), Y_a = P_{a_n} U_n ... P_{a_1} U_1 L.
 
-    rho = L L^dag, with L the eigenvectors scaled by sqrt(w), w > 1e-14.  A
-    chain projected by a diagonal keeps only its nonzero rows, scaled.  If
-    the final level is disjoint diagonals, D's blocks are returned: that of
-    final c is the Gram matrix of the chains on c's rows, scaled.
+    rho = L L^dag, with L a state's amplitudes or ``_density_factor`` of a
+    DensityOperator, one column per unit of its rank.  A chain projected by a
+    diagonal keeps only its nonzero rows, scaled.  If the final level is
+    disjoint diagonals, D's blocks are returned: that of final c is the Gram
+    matrix of the chains on c's rows, scaled.
     """
     if isinstance(rho, StateVector):
         l_fac = rho.amplitudes[:, None]
     else:
-        w, v = np.linalg.eigh(rho.matrix)
-        keep = w > 1e-14
-        l_fac = v[:, keep] * np.sqrt(w[keep])
+        l_fac = _density_factor(rho.matrix)
     steps = np.diff((0.0,) + history.times)
     *inner, final = levels
     chains = [(_ALL, l_fac)]  # (rows, Y[rows]) per label prefix
@@ -638,6 +676,37 @@ def _trace_pair(m, left, right):
     return np.vdot(right, lm)
 
 
+def _backward_last_interval(n_final, substeps, n_pairs):
+    """Whether ``_branch_pair_functional`` evolves the final weights backward
+    through the last interval rather than the prefix pairs forward.
+
+    The rule counts dim^3 products.  Forward, a pair takes two per substep,
+    but the first acts on its projected block and the last is needed only
+    on the diagonal, one product each: 2(s - 1) for s >= 2, and at s = 1
+    one product on the block alone, counted as none.  Backward, a final
+    weight takes one product for its first conjugation, which only scales
+    rows on the way in, and two per later substep: 2s - 1.
+    """
+    return n_final * (2 * substeps - 1) < n_pairs * 2 * (substeps - 1)
+
+
+def _backward_blocks(pairs, weights, u, damp, substeps):
+    """D(p c, q c) = Tr(W_c E(X_pq)) = Tr(E^dag(W_c) X_pq) for each entering
+    pair block X_pq = (rows, cols, m) and final weight W_c = diag(weights[c]),
+    with E^dag ``substeps`` steps Y -> (U^dag Y U) o damp, the adjoint of
+    M -> U (M o damp) U^dag.  One E^dag(W_c) is held at a time."""
+    out = {pair: np.empty(len(weights), dtype=complex) for pair in pairs}
+    uh = u.conj().T
+    for c, w in enumerate(weights):
+        kept = w != 0
+        y = (uh[:, kept] @ (w[kept, None] * u[kept])) * damp
+        for _ in range(substeps - 1):
+            y = (uh @ y @ u) * damp
+        for pair, (rows, cols, m) in pairs.items():
+            out[pair][c] = np.vdot(y[rows][:, cols], m)
+    return out
+
+
 def _branch_pair_functional(rho_m, space, times, spectrum, rate, substeps,
                             levels):
     """Dephased D(a, a') from the branch-pair matrices P_a E(...) P_a'^dag.
@@ -645,7 +714,10 @@ def _branch_pair_functional(rho_m, space, times, spectrum, rate, substeps,
     E is ``substeps`` damp-then-rotate steps per interval, under the
     Hamiltonian of the given ``_spectrum``.  Only prefix pairs p <= q are
     evolved (D is Hermitian).  If the final level is disjoint diagonals w_c,
-    the blocks D(p c, q c) sum the evolved pair's diagonal weighted by w_c^2.
+    the blocks are D(p c, q c) = Tr(W_c E(X_pq)), W_c = diag(w_c^2): forward,
+    each evolved pair's diagonal weighted by w_c^2; backward, when
+    ``_backward_last_interval`` counts fewer products that way, each W_c
+    evolved by the adjoint of E and traced against every entering pair.
     """
     final = levels[-1]
     blocked = _disjoint_diagonals(final)
@@ -656,6 +728,10 @@ def _branch_pair_functional(rho_m, space, times, spectrum, rate, substeps,
         if dt > 0:
             u = _unitary(spectrum, dt / substeps)
             damp = _dephasing_mask(space, rate, dt / substeps)
+            if last and blocked and _backward_last_interval(n, substeps,
+                                                            len(pairs)):
+                pairs = _backward_blocks(pairs, weights, u, damp, substeps)
+                break
         nxt = {}
         for (p, q), (rows, cols, m) in pairs.items():
             if dt > 0:  # else this is the first time, t = 0, and m is rho
@@ -929,16 +1005,12 @@ def argmax_scan(rho, a_op, times, sigma, h):
     a_t = _heisenberg_ops(a_op, h, times)
     grids = _center_grids(rho_m, a_t, sigma)
 
-    # decompose rho into pure components; probability is linear in rho
-    w, v = np.linalg.eigh(rho_m)
-    keep = w > 1e-12
-    weights = w[keep]
-    components = v[:, keep]
+    # probability is linear in rho = L L^dag: sum it over the columns of L
     eigs = [np.linalg.eigh(at) for at in a_t]
 
     shape = tuple(len(g) for g in grids)
     total = np.zeros(shape)
-    for wj, psi in zip(weights, components.T):
+    for psi in _density_factor(rho_m).T:
         batch = psi[None, :]  # (n_chains, dim)
         for (vals, vecs), grid in zip(eigs[:-1], grids[:-1]):
             eig = batch @ vecs.conj()  # components in the A(t_k) eigenbasis
@@ -950,7 +1022,7 @@ def argmax_scan(rho, a_op, times, sigma, h):
         vals, vecs = eigs[-1]
         eig2 = np.abs(batch @ vecs.conj()) ** 2
         gauss = _gaussian_weights(vals[None, :], grids[-1][:, None], sigma)
-        total += wj * (eig2 @ gauss.T).reshape(shape)
+        total += (eig2 @ gauss.T).reshape(shape)
     best = np.unravel_index(np.argmax(total), shape)
     peak = tuple(float(grids[k][best[k]]) for k in range(len(grids)))
     return peak, grids, total

@@ -793,11 +793,20 @@ SCENARIOS = {
             # most (2 pi sigma^2)^(-1/2): the ratio, dim exp((1/f^2 + 4)/2)
             # at most, must stay below 1/tiny, or the exact p can underflow
             # to 0 and the relative error overflow
-            (lambda p: (1.0 / p["sigma_factor"] ** 2 + 4.0) / 2.0
+            # (1/f)^2, not 1/f^2: the square of a large f overflows
+            (lambda p: ((1.0 / p["sigma_factor"]) ** 2 + 4.0) / 2.0
              + math.log(p["dim"]) <= -math.log(np.finfo(float).tiny),
              "params.sigma_factor must keep dim exp((1/sigma_factor^2 + 4)"
              "/2), the bound on the asymptotic-to-exact probability ratio, "
              "within the normal floats"),
+            # the centers lie within <A> +/- 2 sigma and the scan's grid
+            # within <A> +/- 4 sigma; |<A>| and dA are at most the largest
+            # |eigenvalue| of A, at most dim max|A_ij|, and the entries of A,
+            # means of standard normal draws, stay below 2^10
+            (lambda p: (1.0 + 4.0 * p["sigma_factor"]) * 2.0 ** 10 * p["dim"]
+             <= np.finfo(float).max,
+             "params.sigma_factor must keep <A> +/- 4 sigma_factor dA "
+             "finite for dA up to 2^10 dim"),
         ),
     },
     "conserved-decoherence": {

@@ -18,6 +18,14 @@ def number_density_operator(space: hi.ToyHilbert, b: int) -> np.ndarray:
     return np.diag(space.occupation_table()[:, b].astype(complex))
 
 
+def eigh_factor(rho_m) -> np.ndarray:
+    """L with rho = L L^dag from the spectrum: the eigenvectors scaled by
+    sqrt(w), for the eigenvalues w above the factor's cut of 1e-14."""
+    w, v = np.linalg.eigh(rho_m)
+    keep = w > hi._FACTOR_CUT
+    return v[:, keep] * np.sqrt(w[keep])
+
+
 def gaussian_quasi_projector(a_op, center, sigma) -> np.ndarray:
     """(2 pi sigma^2)^(-1/2) exp(-(A - center)^2 / 2 sigma^2), spectrally."""
     vals, vecs = np.linalg.eigh(np.asarray(a_op, dtype=complex))

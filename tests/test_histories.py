@@ -159,6 +159,75 @@ class TestDensityOperators:
 
 
 
+def gibbs_density(b, n, beta):
+    """The tensor power of a one-particle Gibbs state, full rank for the
+    small beta used here."""
+    rho1 = le.one_particle_gibbs(np.full(b, beta), np.r_[0.5, np.zeros(b - 1)],
+                                 np.zeros(b))
+    return le.gibbs_tensor_power(rho1, n)
+
+
+class TestDensityFactor:
+    """rho = L L^dag by pivoted Cholesky against rho itself and against the
+    eigh factor of histories_oracles."""
+
+    @staticmethod
+    def inputs():
+        """(rho, its rank when exactly low-rank, else None) by name."""
+        rng = np.random.default_rng(26)
+        hs = hi.ToyHilbert(B=2, N=6)
+        pure = hi.to_density(hi.superposition_state(
+            hs, np.array([0.6, 0.8j]), np.array([0.8, -0.6]))).matrix
+        vs = [random_pure(rng, 27) for _ in range(3)]
+        mixture = sum(w * np.outer(v, v.conj())
+                      for w, v in zip((0.5, 0.3, 0.2), vs))
+        q, _ = np.linalg.qr(rng.normal(size=(16, 16))
+                            + 1j * rng.normal(size=(16, 16)))
+        # three eigenvalues above the cut, thirteen below it
+        spectrum = np.r_[0.5, 0.3, 0.2, rng.uniform(1e-18, 1e-17, 13)]
+        return {"rank-1": (pure, 1), "rank-3": (mixture, 3),
+                "gibbs": (gibbs_density(3, 3, 1.0).matrix, None),
+                "tiny-eigenvalues": ((q * spectrum) @ q.conj().T, 3)}
+
+    @pytest.mark.parametrize("name", ["rank-1", "rank-3", "gibbs",
+                                      "tiny-eigenvalues"])
+    def test_reproduces_rho(self, name):
+        rho, rank = self.inputs()[name]
+        l_fac = hi._density_factor(rho)
+        assert (np.max(np.abs(l_fac @ l_fac.conj().T - rho))
+                <= 1e-15 * np.max(np.abs(rho)))
+        # a column per unit of rank; the full-rank Gibbs state keeps all
+        assert l_fac.shape[1] == (rank or len(rho))
+        assert l_fac.shape[1] == oracles.eigh_factor(rho).shape[1]
+
+    def test_dropped_trace_is_within_the_cut(self):
+        # eigenvalues just below the cut: the factor may stop anywhere, but
+        # the trace it leaves out is at most dim times the cut
+        rng = np.random.default_rng(3)
+        q, _ = np.linalg.qr(rng.normal(size=(16, 16))
+                            + 1j * rng.normal(size=(16, 16)))
+        spectrum = np.r_[0.6, 0.4, np.full(14, 0.9 * hi._FACTOR_CUT)]
+        rho = (q * spectrum) @ q.conj().T
+        l_fac = hi._density_factor(rho)
+        dropped = np.trace(rho).real - np.sum(np.abs(l_fac) ** 2)
+        assert -1e-15 <= dropped <= len(rho) * hi._FACTOR_CUT
+
+    def test_rank_one_needs_no_square_scratch(self):
+        # one column at dim 1024, and a buffer of a few: far below the
+        # 16 MiB of one complex dim x dim matrix
+        rho = hi.to_density(hi.superposition_state(
+            hi.ToyHilbert(B=2, N=10), np.array([0.6, 0.8]),
+            np.array([0.8, -0.6]))).matrix
+        tracemalloc.start()
+        try:
+            l_fac = hi._density_factor(rho)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert l_fac.shape == (1024, 1)
+        assert peak <= 16 * 1024 * 16
+
+
 class TestProjectors:
     def test_gaussian_completeness(self):
         a = np.diag([0.0, 1.0, 2.0])
@@ -628,6 +697,120 @@ class TestEnginesMatchDenseReference:
         for times in ((0.7,), (0.4, 1.1), (0.0, 0.6, 1.3)):
             self.check(state, times, tuple([fam] for _ in times), 0.0, 1,
                        ham)
+
+
+class TestChainFactor:
+    """The chain engine on a DensityOperator, whose factor is pivoted
+    Cholesky, against the pure path and the eigh-factor oracle, to 1e-13."""
+
+    def setup_method(self):
+        self.hs = hi.ToyHilbert(B=2, N=6)
+        self.ham = kinetic_hamiltonian(2, 6)
+
+    @pytest.mark.parametrize("times", [(0.7,), (0.0, 0.6), (0.3, 0.8, 1.5)])
+    @pytest.mark.parametrize("family", ["masks", "gaussian"])
+    def test_pure_density_matches_the_state(self, times, family):
+        st = hi.superposition_state(self.hs, np.array([0.6, 0.8j]),
+                                    np.array([0.8, -0.6]))
+        fam = (hi.occupation_family(self.hs) if family == "masks" else
+               hi.gaussian_occupation_family(self.hs, 0, (1.0, 3.0, 4.5),
+                                             0.8))
+        spec = hi.HistorySpec(self.hs, times, tuple([fam] for _ in times),
+                              self.ham)
+        pure = hi.decoherence_functional(st, spec)
+        mixed = hi.decoherence_functional(hi.to_density(st), spec)
+        assert np.max(np.abs(mixed.blocks - pure.blocks)) <= 1e-13
+
+    @pytest.mark.parametrize("times", [(0.7,), (0.0, 0.6), (0.3, 0.8, 1.5)])
+    def test_full_rank_matches_the_eigh_factor(self, times, monkeypatch):
+        rho = gibbs_density(3, 3, 1.0)
+        fam = hi.occupation_family(rho.space)
+        spec = hi.HistorySpec(rho.space, times, tuple([fam] for _ in times),
+                              kinetic_hamiltonian(3, 3))
+        got = hi.decoherence_functional(rho, spec)
+        monkeypatch.setattr(hi, "_density_factor", oracles.eigh_factor)
+        want = hi.decoherence_functional(rho, spec)
+        assert np.max(np.abs(got.blocks - want.blocks)) <= 1e-13
+
+
+class TestLastIntervalRoutes:
+    """The dephased last interval with disjoint final diagonals: prefix
+    pairs evolved forward and final weights evolved backward, each forced
+    on the same input, agree to 1e-13 of max|D|."""
+
+    def setup_method(self):
+        self.hs = hi.ToyHilbert(B=2, N=4)
+        rng = np.random.default_rng(31)
+        self.ham = random_hermitian(rng, self.hs.dim)
+        a = rng.normal(size=(16, 3)) + 1j * rng.normal(size=(16, 3))
+        m = a @ a.conj().T
+        self.rho = hi.DensityOperator(self.hs, m / np.trace(m).real)
+        masks = hi.occupation_family(self.hs)
+        scale = rng.uniform(0.2, 0.9, self.hs.dim)
+        self.families = {"masks": masks,
+                         "weights": [(lab, m * scale) for lab, m in masks]}
+
+    def routed(self, backward, times, family, substeps, monkeypatch):
+        """The blocks of D with the route forced, checking it was taken."""
+        calls = []
+        real = hi._backward_blocks
+        fam = self.families[family]
+        spec = hi.HistorySpec(self.hs, times, tuple([fam] for _ in times),
+                              self.ham, dephasing_rate=0.8,
+                              dephasing_substeps=substeps)
+        with monkeypatch.context() as m:
+            m.setattr(hi, "_backward_last_interval", lambda *args: backward)
+            m.setattr(hi, "_backward_blocks",
+                      lambda *args: calls.append(args) or real(*args))
+            blocks = hi.decoherence_functional(self.rho, spec).blocks
+        assert bool(calls) == backward
+        return blocks
+
+    @pytest.mark.parametrize("times", [(0.4, 1.1), (0.0, 0.6),
+                                       (0.3, 0.8, 1.5), (0.0, 0.5, 0.9)])
+    @pytest.mark.parametrize("family", ["masks", "weights"])
+    @pytest.mark.parametrize("substeps", [1, 2, 8])
+    def test_routes_agree(self, times, family, substeps, monkeypatch):
+        forward = self.routed(False, times, family, substeps, monkeypatch)
+        backward = self.routed(True, times, family, substeps, monkeypatch)
+        assert (np.max(np.abs(backward - forward))
+                <= 1e-13 * np.max(np.abs(forward)))
+
+    def test_rule(self):
+        # the branch-pair workload's shape, 7 finals and 28 pairs at s = 8,
+        # goes backward; s = 1 and one-time histories (one pair) never do
+        assert hi._backward_last_interval(7, 8, 28)
+        assert not any(hi._backward_last_interval(7, 1, n) for n in
+                       (1, 28, 10 ** 6))
+        assert not any(hi._backward_last_interval(n, s, 1) for n in (1, 7)
+                       for s in (1, 2, 8, 100))
+
+    @pytest.mark.parametrize("times, substeps, backward", [
+        ((0.3, 1.0), 8, True), ((0.3, 1.0), 1, False), ((1.0,), 8, False)])
+    def test_rule_picks_the_route(self, times, substeps, backward,
+                                  monkeypatch):
+        hs = hi.ToyHilbert(B=2, N=6)
+        fam = hi.occupation_family(hs)
+        st = hi.superposition_state(hs, np.array([0.6, 0.8]),
+                                    np.array([0.8, -0.6]))
+        spec = hi.HistorySpec(hs, times, tuple([fam] for _ in times),
+                              kinetic_hamiltonian(2, 6), dephasing_rate=1.0,
+                              dephasing_substeps=substeps)
+        calls = []
+        real = hi._backward_blocks
+        monkeypatch.setattr(hi, "_backward_blocks",
+                            lambda *args: calls.append(args) or real(*args))
+        hi.decoherence_functional(hi.to_density(st), spec)
+        assert bool(calls) == backward
+
+    def test_factorized_d1_stays_forward(self, monkeypatch):
+        # d1 takes one substep per interval, so its values do not move
+        def no_backward(*args):
+            raise AssertionError("d1 went backward")
+
+        monkeypatch.setattr(hi, "_backward_blocks", no_backward)
+        rho1, h1 = product_setup("gibbs3")
+        hi.product_occupation_functional(rho1, h1, 4, (0.3, 0.5), 60.0)
 
 
 #: one-particle Gibbs states (beta, mubar, u): the peaking scenario's, the

@@ -478,6 +478,11 @@ class TestCli:
                      "params.sigma_factor", id="ehrenfest-sigma-0.01"),
         pytest.param("ehrenfest", {"dim": 2 ** 40}, {}, "params.dim",
                      id="ehrenfest-dim-past-the-cap"),
+        # sigma = sigma_factor dA, and so the centers, would overflow
+        pytest.param("ehrenfest", {"sigma_factor": 1.7e308}, {},
+                     "params.sigma_factor", id="ehrenfest-sigma-1.7e308"),
+        pytest.param("ehrenfest", {"sigma_factor": 5.6e303}, {},
+                     "params.sigma_factor", id="ehrenfest-sigma-past-4-sigma"),
         pytest.param("conserved-decoherence", {"bins": 1}, {}, "params.bins",
                      id="conserved-one-bin"),
         pytest.param("conserved-decoherence", {"N": 0}, {}, "params.N",
@@ -651,6 +656,19 @@ class TestCli:
         assert cli.main(["validate", str(path)]) == 0
         assert cli.main(["run", str(path), "--out", str(tmp_path / "o"),
                          "--quiet"]) in (0, 1)
+
+    @pytest.mark.parametrize("factor", [1.4e154, 1e300, 5.4e303])
+    def test_ehrenfest_sigma_past_its_square_runs(self, tmp_path, factor):
+        # sigma_factor^2 overflows from 1.34e154, but the ratio rule forms
+        # (1/sigma_factor)^2 and the run never squares it; 5.4e303 is the
+        # widest the centers' bound admits at dim 8
+        path = write_config(tmp_path, minimal(
+            "ehrenfest", seed=17, params={"sigma_factor": factor}))
+        assert cli.main(["validate", str(path)]) == 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(["run", str(path), "--out", str(tmp_path / "o"),
+                             "--quiet"]) == 0
 
     @pytest.mark.parametrize("x_max, n_x", [(28.0, 128), (6.0, 32)])
     def test_oracle_widest_master_lattices_run(self, tmp_path, x_max, n_x):
