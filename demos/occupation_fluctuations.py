@@ -11,6 +11,7 @@ on a late-time state.
 import numpy as np
 
 from hydrohist import ensemble as en
+from hydrohist import local_equilibrium as le
 from hydrohist import phase_space as ps
 from hydrohist import propagator as pr
 
@@ -42,7 +43,7 @@ wt = pr.propagate_analytic(
 ens = en.ProductEnsemble(50, wt)
 win = en.SmearingWindow(np.arange(-15, 15.1, 0.5))
 res = en.constitutive_residual(ens, win, params)
-g = en.mean_momentum_density(ens, win).values / win.widths
+g = le.hydro_averages(wt, ens.N, win.edges).g / win.widths
 scale = np.max(np.abs(g))
 print(f"\nconstitutive relation on the t = 12 state: relative sup residual "
       f"= {np.max(np.abs(res.values)) / scale:.2e}")

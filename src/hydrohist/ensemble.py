@@ -7,12 +7,13 @@ multinomial law: with p_b the one-particle mass in top-hat bin b,
 
     <n_b> = N p_b,      Var n_b = N p_b (1 - p_b),
 
-and the relative fluctuation (1/N)(1 - p_b)/p_b decays as 1/N.  The momentum
-density carries the constitutive relation of the diffusive regime,
+and the relative fluctuation (1/N)(1 - p_b)/p_b decays as 1/N.  The binned
+fields n_b and g_b come from ``local_equilibrium.hydro_averages``, and g
+carries the constitutive relation of the diffusive regime,
 
-    <g(x)> = -N (kT / 2 gamma) d<f>/dx,
+    <g(x)> = -(kT / 2 gamma) d<n>/dx,
 
-checked here per bin against the discrete gradient of the number density.
+checked per bin by the relation ``propagator.constitutive_check`` applies.
 """
 
 from __future__ import annotations
@@ -24,9 +25,9 @@ import numpy as np
 
 from .errors import DimensionCapError, UndefinedFluctuationError
 from .histories import _compositions
-from .phase_space import (WignerGrid, bin_integrals, position_marginal,
-                          write_csv)
-from .propagator import QbmParams
+from .local_equilibrium import hydro_averages
+from .phase_space import WignerGrid, write_csv
+from .propagator import QbmParams, _constitutive_relation
 
 __all__ = [
     "ProductEnsemble",
@@ -34,11 +35,9 @@ __all__ = [
     "DensityField",
     "OccupationDistribution",
     "bin_probabilities",
-    "mean_number_density",
     "number_density_variance",
     "relative_fluctuation",
     "occupation_distribution",
-    "mean_momentum_density",
     "constitutive_residual",
     "save_density_field_csv",
 ]
@@ -130,15 +129,10 @@ class OccupationDistribution:
 
 
 def bin_probabilities(ens: ProductEnsemble, window: SmearingWindow):
-    """One-particle mass p_b per bin."""
-    density = position_marginal(ens.one_particle_state)
-    return bin_integrals(density.samples, density.grid, window.edges)
-
-
-def mean_number_density(ens: ProductEnsemble, window: SmearingWindow) -> DensityField:
-    """<n_b> = N p_b per bin."""
-    p = bin_probabilities(ens, window)
-    return DensityField(window.centers, window.widths, ens.N * p)
+    """One-particle mass p_b per bin: the signed bin integral of W, not
+    clipped at 0, so a significantly negative bin raises ``HydroFields``'
+    ValueError; a bin off the grid reads exactly 0."""
+    return hydro_averages(ens.one_particle_state, 1, window.edges).n
 
 
 def number_density_variance(ens: ProductEnsemble,
@@ -191,23 +185,14 @@ def occupation_distribution(ens: ProductEnsemble,
     return OccupationDistribution(vectors, probs, p, ens.N)
 
 
-def mean_momentum_density(ens: ProductEnsemble,
-                          window: SmearingWindow) -> DensityField:
-    """<g_b> = N * (bin integral of int dp p W(p,q))."""
-    w = ens.one_particle_state
-    current = np.trapezoid(w.values * w.p[None, :], dx=w.dp, axis=1)
-    return DensityField(window.centers, window.widths,
-                        ens.N * bin_integrals(current, w.q, window.edges))
-
-
 def constitutive_residual(ens: ProductEnsemble, window: SmearingWindow,
                           params: QbmParams) -> DensityField:
-    """Per-bin residual of <g> = -(kT / 2 gamma) d<n>/dx for per-length densities."""
-    g = mean_momentum_density(ens, window).values / window.widths
-    n = mean_number_density(ens, window).values / window.widths
-    grad = np.gradient(n, window.centers)
-    expected = -params.kT / (2.0 * params.gamma) * grad
-    return DensityField(window.centers, window.widths, g - expected)
+    """Per-bin residual of <g> = -(kT / 2 gamma) d<n>/dx for per-length
+    densities, with n and g from one ``hydro_averages`` call."""
+    fields = hydro_averages(ens.one_particle_state, ens.N, window.edges)
+    res = _constitutive_relation(window.centers, fields.g / window.widths,
+                                 fields.n / window.widths, params)
+    return DensityField(window.centers, window.widths, res.residual)
 
 
 def save_density_field_csv(fieldv: DensityField, path):

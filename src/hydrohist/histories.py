@@ -331,11 +331,18 @@ def _checked_family(family, dim, time):
 
 
 def _checked_hamiltonian(h, dim):
-    """``h`` as a complex array, required to be a Hermitian dim x dim matrix."""
+    """``h`` as a complex array, required to be a Hermitian dim x dim matrix;
+    max|h - h^dag| and max|h| are maxima over row blocks, h[rows] against
+    h[:, rows]^dag, so no temporary is dim x dim."""
     h = np.asarray(h, dtype=complex)
     if h.shape != (dim, dim):
         raise ValueError("Hamiltonian has the wrong shape")
-    if np.max(np.abs(h - h.conj().T)) > 1e-10 * max(np.max(np.abs(h)), 1e-300):
+    step = max(1, _ROW_BLOCK_BYTES // max(h[:1].nbytes, 1))
+    skew, scale = np.max([
+        (np.max(np.abs(h[r:r + step] - h[:, r:r + step].conj().T)),
+         np.max(np.abs(h[r:r + step])))
+        for r in range(0, dim, step)], axis=0)
+    if skew > 1e-10 * max(scale, 1e-300):
         raise ValueError("Hamiltonian must be Hermitian")
     return h
 
@@ -812,9 +819,9 @@ def occupation_table_bytes(b, n):
     return 16 * math.comb(n + b - 1, b - 1) ** 3
 
 
-#: bytes of one row block of the product in ``_occupation_coefficients``;
-#: the product and its scatter temporary stay near this size
-_DP_BLOCK_BYTES = 2 ** 20
+#: bytes of one row block of the product in ``_occupation_coefficients`` and
+#: of ``_checked_hamiltonian``'s temporaries, which stay near this size
+_ROW_BLOCK_BYTES = 2 ** 20
 
 
 def _occupation_coefficients(d1, n):
@@ -830,7 +837,7 @@ def _occupation_coefficients(d1, n):
     with S_b the composition with one more particle in bin b and Q_ij the
     (L, U) matrix that holds d1[i, j, c] at (l, S_c(l)).  A step costs B^2
     complex products of L^3 U multiply-adds, in row blocks of ``coef`` of
-    about ``_DP_BLOCK_BYTES`` each; the scatters address whole rows, not
+    about ``_ROW_BLOCK_BYTES`` each; the scatters address whole rows, not
     B^3 single terms.  The call peaks at about 2.0 tables at B = 3,
     N = 12 and 2.9 at B = 2, N = 64.
     """
@@ -848,7 +855,7 @@ def _occupation_coefficients(d1, n):
         nxt = np.zeros((up,) * 3, dtype=complex)
         q = np.zeros((lo, up), dtype=complex)
         rows = np.arange(lo)[:, None]
-        step = max(1, _DP_BLOCK_BYTES // q.nbytes)
+        step = max(1, _ROW_BLOCK_BYTES // q.nbytes)
         for i, j in itertools.product(range(b), repeat=2):
             q[rows, shift] = d1[i, j]
             for r in range(0, lo, step):

@@ -40,7 +40,6 @@ __all__ = [
     "build_w1",
     "gibbs_generator",
     "one_particle_gibbs",
-    "gibbs_tensor_power",
     "hydro_averages",
     "evolve_free",
     "continuity_residual",
@@ -165,15 +164,6 @@ def one_particle_gibbs(beta, mubar, u):
     rho = (vecs * w) @ vecs.conj().T
     rho /= np.real(np.trace(rho))
     return hist.DensityOperator(space, rho)
-
-
-def gibbs_tensor_power(rho1: hist.DensityOperator, n: int) -> hist.DensityOperator:
-    """N-fold tensor power of a one-particle density operator."""
-    space = hist.ToyHilbert(B=rho1.space.B, N=n)
-    mat = rho1.matrix
-    for _ in range(n - 1):
-        mat = np.kron(mat, rho1.matrix)
-    return hist.DensityOperator(space, mat)
 
 
 def hydro_averages(w1: WignerGrid, n_particles, edges) -> HydroFields:

@@ -30,7 +30,8 @@ kT).  Three mutually consistent descriptions are implemented:
   a Hermitian kernel stays Hermitian by construction, not by a projection;
 
 - the diffusive limit: D = kT / (2 M gamma), the constitutive relation
-  <p>(q) = -(kT / 2 gamma) df/dq, and a least-squares diffusion-constant fit.
+  <p>(q) = -(kT / 2 gamma) df/dq, formed once, checked pointwise on the grid
+  and per bin, and a least-squares diffusion-constant fit.
 
 The analytic propagator applies the exact Gaussian kernel of the Kramers
 equation (mean from the damped classical path, covariance from the moment
@@ -120,7 +121,8 @@ class DiffusionFit:
 
 @dataclass(frozen=True)
 class ConstitutiveResidual:
-    """residual(q) = int dp p W(p,q) + (kT / 2 gamma) df/dq and its relative size."""
+    """residual(q) = current(q) + (kT / 2 gamma) d density/dq on grid points or
+    bin centers q, and its relative size."""
 
     q: np.ndarray
     current: np.ndarray
@@ -606,18 +608,25 @@ def fit_diffusion(times, marginals, params: QbmParams) -> DiffusionFit:
                         (float(times[0]), float(times[-1])))
 
 
-def constitutive_check(w: WignerGrid, params: QbmParams) -> ConstitutiveResidual:
-    """Residual of  int dp p W(p,q) = -(kT / 2 gamma) df/dq  on a long-time state."""
-    current = np.trapezoid(w.values * w.p[None, :], dx=w.dp, axis=1)
-    f = position_marginal(w)
-    grad = np.gradient(f.samples, w.dq)
-    term = params.kT / (2.0 * params.gamma) * grad
+def _constitutive_relation(x, current, density, params: QbmParams):
+    """The diffusive constitutive relation  current = -(kT / 2 gamma)
+    d(density)/dx  on the samples x: its residual and that residual's sup
+    relative to the larger sup of the two terms."""
+    term = params.kT / (2.0 * params.gamma) * np.gradient(density, x)
     residual = current + term
     scale = max(np.max(np.abs(current)), np.max(np.abs(term)), 1e-300)
     return ConstitutiveResidual(
-        q=w.q,
+        q=x,
         current=current,
         gradient_term=term,
         residual=residual,
         relative_sup=float(np.max(np.abs(residual)) / scale),
     )
+
+
+def constitutive_check(w: WignerGrid, params: QbmParams) -> ConstitutiveResidual:
+    """Residual of  int dp p W(p,q) = -(kT / 2 gamma) df/dq  on a long-time
+    state, pointwise on the grid's q."""
+    current = np.trapezoid(w.values * w.p[None, :], dx=w.dp, axis=1)
+    return _constitutive_relation(w.q, current, position_marginal(w).samples,
+                                  params)

@@ -18,6 +18,16 @@ def number_density_operator(space: hi.ToyHilbert, b: int) -> np.ndarray:
     return np.diag(space.occupation_table()[:, b].astype(complex))
 
 
+def gibbs_tensor_power(rho1: hi.DensityOperator, n: int) -> hi.DensityOperator:
+    """N-fold tensor power of a one-particle density operator, on the B^N
+    space that the factorized engine never forms."""
+    space = hi.ToyHilbert(B=rho1.space.B, N=n)
+    mat = rho1.matrix
+    for _ in range(n - 1):
+        mat = np.kron(mat, rho1.matrix)
+    return hi.DensityOperator(space, mat)
+
+
 def eigh_factor(rho_m) -> np.ndarray:
     """L with rho = L L^dag from the spectrum: the eigenvectors scaled by
     sqrt(w), for the eigenvalues w above the factor's cut of 1e-14."""

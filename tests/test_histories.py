@@ -164,7 +164,7 @@ def gibbs_density(b, n, beta):
     small beta used here."""
     rho1 = le.one_particle_gibbs(np.full(b, beta), np.r_[0.5, np.zeros(b - 1)],
                                  np.zeros(b))
-    return le.gibbs_tensor_power(rho1, n)
+    return oracles.gibbs_tensor_power(rho1, n)
 
 
 class TestDensityFactor:
@@ -553,6 +553,22 @@ class TestSpectralUnitary:
         with pytest.raises(ValueError, match="Hermitian"):
             hi._heisenberg_ops(a_op, h, (0.5,))
 
+    @pytest.mark.parametrize("dim", [7, 600])
+    def test_hermiticity_checked_in_every_row_block(self, dim):
+        # h is checked in row blocks; at dim = 600 a block holds 109 rows, so
+        # the last block is partial.  One skew entry with its row and column
+        # in that block is seen, and the tolerance is 1e-10 max|h| at either
+        # size
+        step = hi._ROW_BLOCK_BYTES // (16 * dim)
+        assert dim <= step or (dim % step and dim // step == 5)
+        h = np.zeros((dim, dim))
+        h[0, 0] = 1.0
+        h[dim - 1, dim - 2] = 1e-10
+        assert np.array_equal(hi._checked_hamiltonian(h, dim), h)
+        h[dim - 1, dim - 2] = np.nextafter(1e-10, 1.0)
+        with pytest.raises(ValueError, match="Hermitian"):
+            hi._checked_hamiltonian(h, dim)
+
 
 def spectral_chain_hamiltonian(kind, hs):
     """A diagonal, a real (kinetic) or a genuinely complex (collective
@@ -848,7 +864,7 @@ def product_engines(state, n, rate, times):
     """(dense, factorized) two-time occupation functionals of rho1^(x n);
     cached because the N = 6 dense runs take about a second each."""
     rho1, h1 = product_setup(state)
-    rho = le.gibbs_tensor_power(rho1, n)
+    rho = oracles.gibbs_tensor_power(rho1, n)
     fam = hi.occupation_family(rho.space)
     spec = hi.HistorySpec(rho.space, times, ([fam], [fam]),
                           hi.lift_one_body(rho.space, h1),
@@ -1082,8 +1098,8 @@ class TestProductOccupationFunctional:
         with pytest.raises(ValueError, match="wrong shape"):
             hi.product_occupation_functional(rho1, np.eye(2), 2, (0.0, 0.1))
         with pytest.raises(ValueError, match="one-particle"):
-            hi.product_occupation_functional(le.gibbs_tensor_power(rho1, 2),
-                                             h1, 2, (0.0, 0.1))
+            hi.product_occupation_functional(
+                oracles.gibbs_tensor_power(rho1, 2), h1, 2, (0.0, 0.1))
         with pytest.raises(ValueError, match="B, B, B"):
             hi.OccupationFunctional(np.ones((3, 3, 2)), 2)
         # 8 bins and N = 6: C(13, 7)^3 = 1716^3 entries
