@@ -8,6 +8,7 @@ configuration problems and 3 when a scenario run fails with an error.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from .errors import ConfigurationError, ScenarioError
@@ -19,7 +20,10 @@ EXIT_CONFIG = 2
 EXIT_SCENARIO = 3
 
 
+@functools.cache
 def _build_parser():
+    """The argument parser, built once per process; parsing leaves it as
+    it was, so every ``main`` call can share it."""
     parser = argparse.ArgumentParser(
         prog="hydrohist",
         description="Run named experiments over the phase-space, ensemble, "

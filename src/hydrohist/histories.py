@@ -331,18 +331,22 @@ def _checked_family(family, dim, time):
 
 
 def _checked_hamiltonian(h, dim):
-    """``h`` as a complex array, required to be a Hermitian dim x dim matrix;
-    max|h - h^dag| and max|h| are maxima over row blocks, h[rows] against
-    h[:, rows]^dag, so no temporary is dim x dim."""
+    """``h`` as a complex array, required to be a finite Hermitian dim x dim
+    matrix; max|h - h^dag| and max|h| are maxima over row blocks, h[rows]
+    against h[:, rows]^dag, so no temporary is dim x dim.  A NaN or an
+    infinite entry makes max|h| NaN or inf, and is rejected."""
     h = np.asarray(h, dtype=complex)
     if h.shape != (dim, dim):
         raise ValueError("Hamiltonian has the wrong shape")
     step = max(1, _ROW_BLOCK_BYTES // max(h[:1].nbytes, 1))
-    skew, scale = np.max([
-        (np.max(np.abs(h[r:r + step] - h[:, r:r + step].conj().T)),
-         np.max(np.abs(h[r:r + step])))
-        for r in range(0, dim, step)], axis=0)
-    if skew > 1e-10 * max(scale, 1e-300):
+    with np.errstate(invalid="ignore"):  # inf - inf: h is rejected below
+        skew, scale = np.max([
+            (np.max(np.abs(h[r:r + step] - h[:, r:r + step].conj().T)),
+             np.max(np.abs(h[r:r + step])))
+            for r in range(0, dim, step)], axis=0)
+    if not scale < np.inf:
+        raise ValueError("Hamiltonian entries must be finite")
+    if not skew <= 1e-10 * max(scale, 1e-300):
         raise ValueError("Hamiltonian must be Hermitian")
     return h
 

@@ -31,7 +31,8 @@ import numpy as np
 
 from . import histories as hist
 from .errors import ResolutionError
-from .phase_space import WignerGrid, bin_integrals, normalize, write_csv
+from .phase_space import (WignerGrid, _trapezoid_weights, bin_integrals,
+                          normalize, write_csv)
 
 __all__ = [
     "LocalEquilibriumProfile",
@@ -177,8 +178,7 @@ def hydro_averages(w1: WignerGrid, n_particles, edges) -> HydroFields:
     if np.any(np.diff(edges) <= 0):
         raise ValueError("bin edges must be strictly increasing")
     p = w1.p
-    trap = np.full(len(p), w1.dp)
-    trap[[0, -1]] *= 0.5
+    trap = _trapezoid_weights(len(p), w1.dp)
     moments = trap[:, None] * np.stack(
         [np.ones_like(p), p, p ** 2 / 2.0, p ** 3 / 2.0], axis=1)
     lines = w1.values @ moments
@@ -204,7 +204,9 @@ def evolve_free(w: WignerGrid, t) -> WignerGrid:
     """Exact free streaming W(q, p, t) = W(q - p t, p, 0), periodic in q.
 
     Spectral shift per momentum row: the rfft of W along q times the phase
-    exp(-i k p t), transformed back; conserves the norm exactly.
+    exp(-i k p t), transformed back; conserves the norm exactly.  The rfft
+    is the grid's cached half-spectrum, so evolving one grid to several
+    times transforms it forward once.
     """
     span = w.q_max - w.q_min
     p_max = max(abs(w.p_min), abs(w.p_max))
@@ -214,7 +216,11 @@ def evolve_free(w: WignerGrid, t) -> WignerGrid:
             "enlarge the grid")
     k = 2.0 * np.pi * np.fft.rfftfreq(w.n_q, d=w.dq)
     shift = _shift_phases(k, w.p * t)
-    vals = np.fft.irfft(np.fft.rfft(w.values, axis=0) * shift, w.n_q, axis=0)
+    # spectrum times phase in this order: shift *= spectrum rounds otherwise
+    vals = np.fft.irfft(np.multiply(w._q_spectrum, shift, out=shift), w.n_q,
+                        axis=0)
+    # drop the table before with_values copies vals: never both live
+    del shift
     return w.with_values(vals)
 
 

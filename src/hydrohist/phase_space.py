@@ -18,6 +18,7 @@ from __future__ import annotations
 import os
 import warnings
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -52,6 +53,13 @@ COVERAGE_THRESHOLD = 1e-3
 
 def _trapz2(values, dq, dp):
     return float(np.trapezoid(np.trapezoid(values, dx=dp, axis=1), dx=dq))
+
+
+def _trapezoid_weights(n, step):
+    """The n trapezoid weights of spacing ``step``: step, halved at both ends."""
+    weights = np.full(n, step)
+    weights[[0, -1]] *= 0.5
+    return weights
 
 
 def _resample_matrix(x_min, x_max, n, y):
@@ -117,6 +125,18 @@ class WignerGrid:
 
     def with_values(self, values):
         return replace(self, values=values)
+
+    @cached_property
+    def _q_spectrum(self):
+        """Read-only ``np.fft.rfft(values, axis=0)``, computed on first use.
+
+        Free streaming and the exact kernel both start from it, so a grid
+        evolved to several times is transformed along q once.  A grid made
+        by ``with_values`` or ``replace`` starts without it.
+        """
+        spectrum = np.fft.rfft(self.values, axis=0)
+        spectrum.flags.writeable = False
+        return spectrum
 
 
 @dataclass(frozen=True)
@@ -259,14 +279,20 @@ def momentum_marginal(w: WignerGrid) -> Marginal:
 def moments(w: WignerGrid):
     """First and second quadrature moments (mean_q, mean_p, var_q, var_p, cov_qp)."""
     _check_normalized(w)
-    q = w.q[:, None]
-    p = w.p[None, :]
-    v = w.values
-    mean_q = _trapz2(q * v, w.dq, w.dp)
-    mean_p = _trapz2(p * v, w.dq, w.dp)
-    var_q = _trapz2((q - mean_q) ** 2 * v, w.dq, w.dp)
-    var_p = _trapz2((p - mean_p) ** 2 * v, w.dq, w.dp)
-    cov_qp = _trapz2((q - mean_q) * (p - mean_p) * v, w.dq, w.dp)
+    q, p = w.q, w.p
+    wq = _trapezoid_weights(w.n_q, w.dq)
+    wp = _trapezoid_weights(w.n_p, w.dp)
+    # the marginals int W dp and int W dq and the current int p W dp are
+    # three products with trapezoid weights; the moments are 1-D sums of
+    # them.  cov_qp needs no mean_p term: (q - mean_q) integrates to 0
+    n_of_q = w.values @ wp
+    current = w.values @ (wp * p)
+    n_of_p = wq @ w.values
+    mean_q = float(wq @ (q * n_of_q))
+    mean_p = float(wp @ (p * n_of_p))
+    var_q = float(wq @ ((q - mean_q) ** 2 * n_of_q))
+    var_p = float(wp @ ((p - mean_p) ** 2 * n_of_p))
+    cov_qp = float(wq @ ((q - mean_q) * current))
     return mean_q, mean_p, var_q, var_p, cov_qp
 
 
@@ -306,9 +332,7 @@ def wigner_to_density(w: WignerGrid) -> DensityMatrix:
     w_half[1::2] = _resample_matrix(w.q_min, w.q_max, n,
                                     w.q[:-1] + 0.5 * dq) @ w.values
 
-    tw = np.full(w.n_p, dp)
-    tw[0] *= 0.5
-    tw[-1] *= 0.5
+    tw = _trapezoid_weights(w.n_p, dp)
     rho = np.empty((n, n), dtype=complex)
     for d in range(0, n):
         phase = np.exp(1j * w.p * d * dq) * tw

@@ -199,8 +199,11 @@ def propagate_analytic(w0: WignerGrid, t, params: QbmParams) -> WignerGrid:
         )
 
     nq, np_ = w0.n_q, w0.n_p
-    kq = 2 * np.pi * np.fft.fftfreq(nq, d=w0.dq)[:, None]
-    kp = 2 * np.pi * np.fft.fftfreq(np_, d=w0.dp)[None, :]
+    kq = 2 * np.pi * np.fft.rfftfreq(nq, d=w0.dq)[:, None]
+    kp = 2 * np.pi * np.fft.fftfreq(np_, d=w0.dp)
+    if np_ % 2 == 0:
+        kp = np.append(kp, np.pi / w0.dp)
+    kp = kp[None, :]
     p = w0.p[:, None]
 
     # characteristic function of w0 at the sheared frequencies
@@ -208,15 +211,22 @@ def propagate_analytic(w0: WignerGrid, t, params: QbmParams) -> WignerGrid:
     # p_j, which factorizes as exp(-i A01 kq p_j) exp(-i A11 kp p_j).  The
     # quadrature weight dq dp and the q-origin phases exp(-/+ i kq q_min)
     # cancel between this transform and the inverse one, since q is not
-    # sheared.
-    ft = np.fft.fft(w0.values, axis=0)
-    ft *= np.exp(-1j * a[0, 1] * kq * p.T)
+    # sheared.  W is real, so its transform at -k is the conjugate of that
+    # at k: only the rows kq >= 0 of w0's cached half-spectrum are needed,
+    # and irfft along q supplies the rest.
+    ft = w0._q_spectrum * np.exp(-1j * a[0, 1] * kq * p.T)
     ft = ft @ np.exp(-1j * a[1, 1] * p * kp)
 
     ft *= np.exp(-0.5 * (sigma[0, 0] * kq ** 2 + 2.0 * sigma[0, 1] * kq * kp
                          + sigma[1, 1] * kp ** 2))
     ft *= np.exp(1j * kp * w0.p_min)
-    vals = np.fft.ifft2(ft).real
+    if np_ % 2 == 0:
+        # the real part of the full inverse transform sees the Nyquist
+        # column -pi/dp through its mirror +pi/dp, which fftfreq leaves
+        # out; the appended column is that mirror, averaged in
+        ft[:, np_ // 2] = 0.5 * (ft[:, np_ // 2] + ft[:, np_])
+        ft = ft[:, :np_]
+    vals = np.fft.irfft(np.fft.ifft(ft, axis=1), nq, axis=0)
     out = WignerGrid(w0.q_min, w0.q_max, nq, w0.p_min, w0.p_max, np_, vals)
     check_domain_coverage(out)
     return normalize(out)

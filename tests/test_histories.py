@@ -569,6 +569,26 @@ class TestSpectralUnitary:
         with pytest.raises(ValueError, match="Hermitian"):
             hi._checked_hamiltonian(h, dim)
 
+    @pytest.mark.parametrize("dim", [2, 600])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf,
+                                     complex(0.0, np.inf)])
+    def test_non_finite_entry_rejected(self, dim, bad):
+        # NaN fails every comparison, and an infinite max|h| passes any
+        # tolerance scaled by it; both are rejected, in the last row block
+        # too, whether or not the mirror entry matches
+        for mirror in (0.0, np.conj(bad)):
+            h = np.eye(dim, dtype=complex)
+            h[dim - 1, dim - 2], h[dim - 2, dim - 1] = bad, mirror
+            with pytest.raises(ValueError, match="finite"):
+                hi._checked_hamiltonian(h, dim)
+
+    def test_nan_hamiltonian_builds_no_spec(self):
+        space = hi.ToyHilbert(B=2, N=1)
+        fam = hi.occupation_family(space)
+        with pytest.raises(ValueError, match="finite"):
+            hi.HistorySpec(space, (0.5, 1.0), ([fam], [fam]),
+                           np.array([[np.nan, 5.0], [0.0, 1.0]]))
+
 
 def spectral_chain_hamiltonian(kind, hs):
     """A diagonal, a real (kinetic) or a genuinely complex (collective

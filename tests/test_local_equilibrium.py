@@ -225,6 +225,34 @@ class TestEvolveFree:
         got = le.evolve_free(w, t).values
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
+    @pytest.mark.parametrize("n_q, n_p", [(321, 97), (641, 193)])
+    def test_bit_identical_to_uncached_transform(self, n_q, n_p):
+        # the continuity refinement's grids, each evolved to several times:
+        # every call reads the one cached half-spectrum, and each result is
+        # the forward rfft taken afresh, bit for bit
+        w = le.build_w1(flat_profile(nq=n_q, q_lo=-16, q_hi=16), -8, 8, n_p)
+        k = 2.0 * np.pi * np.fft.rfftfreq(w.n_q, d=w.dq)
+        for t in (0.49, 0.5, 0.51, -1.3):
+            shift = le._shift_phases(k, w.p * t)
+            want = np.fft.irfft(np.fft.rfft(w.values, axis=0) * shift,
+                                w.n_q, axis=0)
+            assert np.array_equal(le.evolve_free(w, t).values, want)
+        assert np.array_equal(w._q_spectrum, np.fft.rfft(w.values, axis=0))
+
+    def test_traced_peak_holds_no_phase_table_beside_the_copy(self):
+        # with the spectrum cached, the result and its copy in the returned
+        # grid are the peak: about 2 grids, where keeping the phase table
+        # alive through the copy made it 3
+        w = le.build_w1(flat_profile(nq=641, q_lo=-16, q_hi=16), -8, 8, 193)
+        le.evolve_free(w, 0.3)
+        tracemalloc.start()
+        try:
+            le.evolve_free(w, 0.5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * w.values.nbytes
+
     def test_excessive_shear_rejected(self):
         w = le.build_w1(flat_profile(), -8, 8, 65)
         with pytest.raises(ResolutionError):

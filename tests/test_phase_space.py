@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 
 import numpy as np
 import pytest
@@ -53,6 +54,39 @@ class TestGridValidation:
             ps.WignerGrid(1, 0, 16, 0, 1, 16, np.ones((16, 16)))
 
 
+class TestQSpectrum:
+    """The cached half-spectrum that free streaming and the exact kernel read."""
+
+    def test_is_the_rfft_along_q_computed_once(self):
+        w = ps.gaussian_wigner(-8, 8, 61, -6, 6, 33, var_q=1.0, var_p=0.5)
+        assert "_q_spectrum" not in vars(w)
+        spectrum = w._q_spectrum
+        assert np.array_equal(spectrum, np.fft.rfft(w.values, axis=0))
+        assert w._q_spectrum is spectrum
+
+    def test_read_only(self):
+        w = ps.gaussian_wigner(-8, 8, 61, -6, 6, 33, var_q=1.0, var_p=0.5)
+        with pytest.raises(ValueError):
+            w._q_spectrum[0, 0] = 0.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            w._q_spectrum = np.zeros((31, 33), dtype=complex)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            del w._q_spectrum
+
+    @pytest.mark.parametrize("derive", [
+        lambda w: w.with_values(2.0 * w.values),
+        lambda w: dataclasses.replace(w, values=2.0 * w.values),
+        lambda w: dataclasses.replace(w, q_max=9.0),
+    ])
+    def test_derived_grid_starts_without_it(self, derive):
+        w = ps.gaussian_wigner(-8, 8, 61, -6, 6, 33, var_q=1.0, var_p=0.5)
+        w._q_spectrum
+        derived = derive(w)
+        assert "_q_spectrum" not in vars(derived)
+        assert np.array_equal(derived._q_spectrum,
+                              np.fft.rfft(derived.values, axis=0))
+
+
 class TestMarginals:
     def test_separable_gaussian_position(self):
         w = ps.gaussian_wigner(-8, 8, 128, -8, 8, 128, var_q=1.0, var_p=0.5)
@@ -95,6 +129,25 @@ class TestMoments:
         assert vq == pytest.approx(2.0, rel=1e-6)
         assert vp == pytest.approx(1.0, rel=1e-6)
         assert cov == pytest.approx(0.8, rel=1e-6)
+
+    @pytest.mark.parametrize("grid", [(-12, 12, 481, -6, 6, 65),
+                                      (-10, 10, 160, -10, 10, 161)])
+    def test_matches_full_grid_integrals(self, grid):
+        # the five moments as trapezoid integrals of (n_q, n_p) products,
+        # against the 1-D sums over the marginals and the current
+        w = ps.gaussian_wigner(*grid, mean_q=0.3, mean_p=-0.4, var_q=1.0,
+                               var_p=0.5, cov_qp=0.2)
+        q, p, v = w.q[:, None], w.p[None, :], w.values
+
+        def trapz2(f):
+            return np.trapezoid(np.trapezoid(f, dx=w.dp, axis=1), dx=w.dq)
+
+        mq, mp = trapz2(q * v), trapz2(p * v)
+        want = (mq, mp, trapz2((q - mq) ** 2 * v), trapz2((p - mp) ** 2 * v),
+                trapz2((q - mq) * (p - mp) * v))
+        got = ps.moments(w)
+        assert np.max(np.abs(np.subtract(got, want))) <= 1e-15
+        assert all(type(m) is float for m in got)
 
     def test_grid_refinement_stability(self):
         coarse = ps.gaussian_wigner(-8, 8, 64, -8, 8, 64, var_q=1.3, cov_qp=0.2)

@@ -355,6 +355,26 @@ class TestCli:
         out = capsys.readouterr().out
         assert "diffusion:" in out and "ehrenfest:" in out
 
+    def test_one_process_validates_then_runs(self, tmp_path, capsys):
+        # the parser is built once per process and shared by every call
+        path = write_config(tmp_path, minimal("variance-scaling"))
+        assert cli.main(["validate", str(path)]) == 0
+        assert cli.main(["run", str(path), "--out", str(tmp_path / "o"),
+                         "--quiet"]) == 0
+        assert cli._build_parser() is cli._build_parser()
+        assert (tmp_path / "o").is_dir()
+        assert "valid" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("argv", [[], ["frobnicate"], ["run"],
+                                      ["list", "--seed", "3"]])
+    def test_bad_argv_exits_two(self, argv, capsys):
+        for _ in range(2):
+            with pytest.raises(SystemExit) as exc:
+                cli.main(argv)
+            assert exc.value.code == 2
+            assert "usage: hydrohist" in capsys.readouterr().err
+        assert cli.main(["list"]) == 0
+
     def test_validate_ok(self, tmp_path, capsys):
         path = write_config(tmp_path, minimal("variance-scaling"))
         assert cli.main(["validate", str(path)]) == 0
