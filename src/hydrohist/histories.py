@@ -89,7 +89,7 @@ __all__ = [
 ]
 
 #: the dense engines' cap on dim = B^N; it counts one complex dim x dim
-#: matrix, 256 MiB, while the chain engine holds about 3.5 at once
+#: matrix, 256 MiB: lift_one_body holds one, the chain engine about 3.5
 DEFAULT_DIM_CAP = 2 ** 12
 #: the cap on OccupationFunctional's table, 2^23 complex entries; the dynamic
 #: program peaks at about 2.3 times the table (220 MB RSS at B = 3, N = 18)
@@ -146,7 +146,7 @@ class StateVector:
         if a.shape != (self.space.dim,):
             raise ValueError("amplitude vector has the wrong length")
         norm = np.linalg.norm(a)
-        if abs(norm - 1.0) > 1e-8:
+        if not abs(norm - 1.0) <= 1e-8:  # False for a NaN norm too
             raise ValueError(f"state norm is {norm:.2e}, expected 1")
         a = a.copy()
         a.flags.writeable = False
@@ -162,7 +162,11 @@ class DensityOperator:
         m = np.asarray(self.matrix, dtype=complex)
         if m.shape != (self.space.dim, self.space.dim):
             raise ValueError("density matrix has the wrong shape")
-        if np.max(np.abs(m - m.conj().T)) > 100 * HERMITICITY_TOL:
+        # a NaN entry, or an inf one (inf - inf is NaN), fails this test,
+        # so every check after it sees finite entries
+        with np.errstate(invalid="ignore"):
+            skew = np.max(np.abs(m - m.conj().T))
+        if not skew <= 100 * HERMITICITY_TOL:
             raise ValueError("density matrix is not Hermitian")
         tr = np.real(np.trace(m))
         if abs(tr - 1.0) > 1e-6:
@@ -180,11 +184,11 @@ def product_state(space: ToyHilbert, psi) -> StateVector:
     psi = np.asarray(psi, dtype=complex)
     if psi.shape != (space.B,):
         raise ValueError("one-particle amplitudes must have length B")
-    if abs(np.linalg.norm(psi) - 1.0) > 1e-8:
+    if not abs(np.linalg.norm(psi) - 1.0) <= 1e-8:
         raise ValueError("one-particle state must be normalized")
     amp = psi
     for _ in range(space.N - 1):
-        amp = np.kron(amp, psi)
+        amp = np.multiply.outer(amp, psi).ravel()
     return StateVector(space, amp)
 
 
@@ -231,15 +235,26 @@ def one_particle_momentum(space: ToyHilbert) -> np.ndarray:
 
 
 def lift_one_body(space: ToyHilbert, op1) -> np.ndarray:
-    """Sum over particles of a one-particle operator: sum_k 1 x op1 x 1."""
+    """Sum over particles of a one-particle operator: sum_k 1 x op1 x 1.
+
+    Built in the one dim x dim output, with no Kronecker temporaries.  With
+    the basis index of particle k between i < B^k and j < B^(N-k-1), the
+    term of particle k is op1[a, b] at row (i, a, j) and column (i, b, j),
+    so op1 is added into that strided diagonal view of the output.  Each
+    entry takes the same additions, in the same order, as the sum of
+    Kronecker products.
+    """
+    b, n = space.B, space.N
     op1 = np.asarray(op1, dtype=complex)
-    if op1.shape != (space.B, space.B):
+    if op1.shape != (b, b):
         raise ValueError("one-particle operator must be B x B")
     out = np.zeros((space.dim, space.dim), dtype=complex)
-    for k in range(space.N):
-        left = np.eye(space.B ** k)
-        right = np.eye(space.B ** (space.N - k - 1))
-        out += np.kron(np.kron(left, op1), right)
+    for k in range(n):
+        left, right = b ** k, b ** (n - k - 1)
+        # einsum returns a writeable view here: no index is summed
+        term = np.einsum("iajibj->ijab",
+                         out.reshape(left, b, right, left, b, right))
+        term += op1
     return out
 
 

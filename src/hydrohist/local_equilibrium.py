@@ -101,6 +101,8 @@ class HydroFields:
     def __post_init__(self):
         for name in ("centers", "widths", "n", "g", "h", "energy_flux"):
             a = np.asarray(getattr(self, name), dtype=float)
+            if not np.isfinite(a).all():
+                raise ValueError(f"{name} has non-finite entries")
             a.flags.writeable = False
             object.__setattr__(self, name, a)
         if np.min(self.n) < -1e-9 * max(np.max(np.abs(self.n)), 1e-300):
@@ -208,6 +210,8 @@ def evolve_free(w: WignerGrid, t) -> WignerGrid:
     is the grid's cached half-spectrum, so evolving one grid to several
     times transforms it forward once.
     """
+    if not np.isfinite(t):
+        raise ValueError(f"free-streaming time must be finite, got {t}")
     span = w.q_max - w.q_min
     p_max = max(abs(w.p_min), abs(w.p_max))
     if p_max * abs(t) > span:

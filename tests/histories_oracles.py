@@ -18,6 +18,18 @@ def number_density_operator(space: hi.ToyHilbert, b: int) -> np.ndarray:
     return np.diag(space.occupation_table()[:, b].astype(complex))
 
 
+def lift_one_body_kron(space: hi.ToyHilbert, op1) -> np.ndarray:
+    """sum_k 1 x op1 x 1 as a sum of N Kronecker products of dim x dim
+    arrays, the form lift_one_body builds without them."""
+    op1 = np.asarray(op1, dtype=complex)
+    out = np.zeros((space.dim, space.dim), dtype=complex)
+    for k in range(space.N):
+        left = np.eye(space.B ** k)
+        right = np.eye(space.B ** (space.N - k - 1))
+        out += np.kron(np.kron(left, op1), right)
+    return out
+
+
 def gibbs_tensor_power(rho1: hi.DensityOperator, n: int) -> hi.DensityOperator:
     """N-fold tensor power of a one-particle density operator, on the B^N
     space that the factorized engine never forms."""

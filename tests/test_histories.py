@@ -102,6 +102,30 @@ class TestStates:
         with pytest.raises(ValueError):
             hi.product_state(hs, np.array([1.0, 1.0], complex))
 
+    def test_product_state_is_the_kron_chain(self):
+        # the outer-product chain forms the same products, bit for bit
+        rng = np.random.default_rng(5)
+        for b, n in ((2, 1), (2, 7), (3, 5), (4, 4)):
+            psi = random_pure(rng, b)
+            want = psi
+            for _ in range(n - 1):
+                want = np.kron(want, psi)
+            got = hi.product_state(hi.ToyHilbert(B=b, N=n), psi).amplitudes
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_amplitudes_rejected(self, bad):
+        # a NaN norm compares False both ways, so each check reads
+        # not (|norm - 1| <= tol)
+        hs = hi.ToyHilbert(B=2, N=3)
+        with pytest.raises(ValueError, match="state norm"):
+            hi.StateVector(hs, np.full(hs.dim, bad, complex))
+        with pytest.raises(ValueError, match="normalized"):
+            hi.product_state(hs, np.array([bad, 1.0]))
+        with pytest.raises(ValueError, match="normalized"):
+            hi.superposition_state(hs, np.array([0.6, 0.8]),
+                                   np.array([bad, 1.0]))
+
 
 class TestDensityOperators:
     def test_number_completeness(self):
@@ -146,6 +170,17 @@ class TestDensityOperators:
         with pytest.raises(ValueError, match="negative eigenvalue"):
             hi.DensityOperator(hs, flipped)
 
+    @pytest.mark.parametrize("where", [(0, 0), (0, 3), (2, 1)])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entry_rejected(self, where, bad):
+        # the Hermiticity test fails on NaN and on inf - inf, before any
+        # eigensolver sees the matrix
+        hs = hi.ToyHilbert(B=2, N=2)
+        m = np.eye(4, dtype=complex) / 4
+        m[where] = bad
+        with pytest.raises(ValueError, match="not Hermitian"):
+            hi.DensityOperator(hs, m)
+
     def test_approximate_eigenstate_property(self):
         # ||(n(b) - N p_b) |Psi>|| / N = sqrt(p (1-p) / N), exactly
         hs = hi.ToyHilbert(B=2, N=6)
@@ -157,6 +192,46 @@ class TestDensityOperators:
         assert np.linalg.norm(dev) / 6 == pytest.approx(
             np.sqrt(p * (1 - p) / 6), abs=1e-12)
 
+
+class TestLiftOneBody:
+    @staticmethod
+    def spaces():
+        for b in (2, 3, 4):
+            n = 1
+            while b ** n <= 1024:
+                yield hi.ToyHilbert(B=b, N=n)
+                n += 1
+
+    def test_equals_the_kron_sum(self):
+        # each entry takes the same additions in the same particle order
+        # as the Kronecker sum, which adds only zeros elsewhere
+        rng = np.random.default_rng(29)
+        for hs in self.spaces():
+            op1 = (rng.normal(size=(hs.B, hs.B))
+                   + 1j * rng.normal(size=(hs.B, hs.B)))
+            assert np.array_equal(hi.lift_one_body(hs, op1),
+                                  oracles.lift_one_body_kron(hs, op1))
+
+    def test_traced_peak_is_the_output(self):
+        # one dim x dim array; the Kronecker sum peaked at about 3.1
+        hs = hi.ToyHilbert(B=2, N=10)
+        p1 = hi.one_particle_momentum(hs)
+        op1 = p1 @ p1 / 2.0
+        hi.lift_one_body(hs, op1)
+        tracemalloc.start()
+        try:
+            hi.lift_one_body(hs, op1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * hs.dim ** 2 * 16
+
+    def test_wrong_shape_rejected(self):
+        hs = hi.ToyHilbert(B=3, N=2)
+        for bad in (np.eye(2), np.eye(9), np.ones(3)):
+            with pytest.raises(ValueError,
+                               match="^one-particle operator must be B x B$"):
+                hi.lift_one_body(hs, bad)
 
 
 def gibbs_density(b, n, beta):

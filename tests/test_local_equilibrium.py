@@ -159,6 +159,18 @@ class TestHydroAverages:
         with pytest.raises(ValueError):
             le.hydro_averages(w, 10, [0.0, 0.0, 1.0])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("name",
+                             ["centers", "widths", "n", "g", "h",
+                              "energy_flux"])
+    def test_non_finite_field_rejected(self, name, bad):
+        good = le.hydro_averages(le.build_w1(flat_profile(), -8, 8, 129), 10,
+                                 np.linspace(-8, 8, 5))
+        fields = {k: np.array(v) for k, v in vars(good).items()}
+        fields[name][1] = bad
+        with pytest.raises(ValueError, match=f"^{name} has non-finite"):
+            le.HydroFields(**fields)
+
     def test_matches_per_moment_trapezoid(self):
         # one p-integral per moment, each over a fresh W p^k; the p-grid
         # is tight enough that its end points carry weight
@@ -257,6 +269,14 @@ class TestEvolveFree:
         w = le.build_w1(flat_profile(), -8, 8, 65)
         with pytest.raises(ResolutionError):
             le.evolve_free(w, 10.0)
+
+    @pytest.mark.parametrize("t", [np.nan, np.inf, -np.inf])
+    def test_non_finite_time_rejected(self, t):
+        # p_max |t| > span is False for NaN, so the shear test alone let a
+        # NaN time through to an all-NaN grid
+        w = le.build_w1(flat_profile(), -8, 8, 65)
+        with pytest.raises(ValueError, match="must be finite"):
+            le.evolve_free(w, t)
 
 
 class TestContinuity:
