@@ -164,8 +164,7 @@ class DensityOperator:
             raise ValueError("density matrix has the wrong shape")
         # a NaN entry, or an inf one (inf - inf is NaN), fails this test,
         # so every check after it sees finite entries
-        with np.errstate(invalid="ignore"):
-            skew = np.max(np.abs(m - m.conj().T))
+        skew, _ = _skew_and_scale(m)
         if not skew <= 100 * HERMITICITY_TOL:
             raise ValueError("density matrix is not Hermitian")
         tr = np.real(np.trace(m))
@@ -345,20 +344,27 @@ def _checked_family(family, dim, time):
     return ProjectorFamily(tuple(members))
 
 
+def _skew_and_scale(m):
+    """(max|m - m^dag|, max|m|) of a square complex array, as maxima over
+    row blocks of about ``_ROW_BLOCK_BYTES``, m[rows] against
+    m[:, rows]^dag, so no temporary is dim x dim.  A NaN entry makes both
+    NaN; an infinite one makes max|m| inf and the skew inf or NaN (inf -
+    inf), so a test ``not skew <= tol`` rejects either."""
+    step = max(1, _ROW_BLOCK_BYTES // max(m[:1].nbytes, 1))
+    with np.errstate(invalid="ignore"):  # inf - inf
+        return np.max([
+            (np.max(np.abs(m[r:r + step] - m[:, r:r + step].conj().T)),
+             np.max(np.abs(m[r:r + step])))
+            for r in range(0, len(m), step)], axis=0)
+
+
 def _checked_hamiltonian(h, dim):
     """``h`` as a complex array, required to be a finite Hermitian dim x dim
-    matrix; max|h - h^dag| and max|h| are maxima over row blocks, h[rows]
-    against h[:, rows]^dag, so no temporary is dim x dim.  A NaN or an
-    infinite entry makes max|h| NaN or inf, and is rejected."""
+    matrix, by ``_skew_and_scale``."""
     h = np.asarray(h, dtype=complex)
     if h.shape != (dim, dim):
         raise ValueError("Hamiltonian has the wrong shape")
-    step = max(1, _ROW_BLOCK_BYTES // max(h[:1].nbytes, 1))
-    with np.errstate(invalid="ignore"):  # inf - inf: h is rejected below
-        skew, scale = np.max([
-            (np.max(np.abs(h[r:r + step] - h[:, r:r + step].conj().T)),
-             np.max(np.abs(h[r:r + step])))
-            for r in range(0, dim, step)], axis=0)
+    skew, scale = _skew_and_scale(h)
     if not scale < np.inf:
         raise ValueError("Hamiltonian entries must be finite")
     if not skew <= 1e-10 * max(scale, 1e-300):
@@ -839,7 +845,7 @@ def occupation_table_bytes(b, n):
 
 
 #: bytes of one row block of the product in ``_occupation_coefficients`` and
-#: of ``_checked_hamiltonian``'s temporaries, which stay near this size
+#: of ``_skew_and_scale``'s temporaries, which stay near this size
 _ROW_BLOCK_BYTES = 2 ** 20
 
 

@@ -13,10 +13,11 @@ kT).  Three mutually consistent descriptions are implemented:
   Ornstein-Uhlenbeck momentum sector in the Chang-Cooper flux
   discretization, stepped with its exact propagator exp(dt L), which is
   nonnegative and mass-conserving for any dt, so that only the advection
-  Courant limit bounds dt).  The advection forms one flux per cell and
-  gives each face that of its upwind cell; the momentum product goes to a
-  second array that then swaps with the state; and the far tails of the
-  initial W, which would be subnormal numbers, start at 0;
+  Courant limit, at Courant number 1, bounds dt).  The advection forms
+  one flux per cell and gives each face that of its upwind cell; the
+  momentum product goes to a second array that then swaps with the state;
+  the far tails of the initial W, which would be subnormal numbers, start
+  at 0; and times whose step plans share one dt take one integration;
 
 - the position-basis master equation with kinetic, dissipation
   (-gamma (x-y)(d_x - d_y) rho) and decoherence (-2 M gamma kT (x-y)^2 rho)
@@ -238,13 +239,19 @@ def propagate_analytic(w0: WignerGrid, t, params: QbmParams) -> WignerGrid:
 def _step_plan(t, bound):
     """(n_steps, dt_eff) of the fewest equal steps within bound covering t >= 0.
 
-    n_steps is 0 at t = 0.
+    n_steps is 0 at t = 0.  A ValueError is raised when t / bound is not a
+    finite number: an infinite t, or a bound that is 0 or underflows
+    against t, has no step count.
     """
     if not t >= 0:
         raise ValueError("t must be nonnegative")
     if t == 0:
         return 0, 0.0
-    n_steps = max(1, int(math.ceil(t / bound - 1e-12)))
+    ratio = t / bound if bound > 0 else math.inf
+    if not math.isfinite(ratio):
+        raise ValueError(f"t = {t!r} in steps of at most {bound!r} has no "
+                         "finite step count")
+    n_steps = max(1, int(math.ceil(ratio - 1e-12)))
     return n_steps, t / n_steps
 
 
@@ -252,18 +259,21 @@ def _step_plan(t, bound):
 
 
 def _fokker_planck_limits(w: WignerGrid, params: QbmParams) -> dict:
-    """The terms of the step bound min(0.8 dq M / p_max, 0.1 / gamma), by name.
+    """The terms of the step bound min(dq M / p_max, 0.1 / gamma), by name.
 
     The first, ``"courant"``, holds the Courant number |c| = |p| dt / (M dq)
-    of the explicit q advection at 0.8.  The van Leer flux-limited upwind
+    of the explicit q advection at 1.  The van Leer flux-limited upwind
     step is total-variation diminishing, hence nonnegative, for |c| <= 1,
-    and its numerical diffusion shrinks as |c| -> 1.  The momentum sector is
-    stepped with its exact propagator and has no stability limit of its
-    own; the second, ``"damping"``, keeps the damping exp(-2 gamma dt)
-    resolved within one splitting step.
+    and its numerical diffusion shrinks as |c| -> 1: at |c| = 1 the step is
+    an exact shift by one cell.  A dt = t / n that rounds above the bound
+    is clipped back to |c| = 1 by ``_FokkerPlanckBuffers.set_courant``.
+    The momentum sector is stepped with its exact propagator and has no
+    stability limit of its own; the second, ``"damping"``, keeps the
+    damping exp(-2 gamma dt) resolved within one splitting step.  Only
+    ``p_min``, ``p_max`` and ``dq`` of w are read.
     """
     p_max = max(abs(w.p_min), abs(w.p_max))
-    courant = 0.8 * w.dq * params.M / p_max if p_max > 0 else np.inf
+    courant = w.dq * params.M / p_max if p_max > 0 else np.inf
     return {"courant": courant, "damping": 0.1 / params.gamma}
 
 
@@ -271,11 +281,36 @@ def fokker_planck_step_plan(w: WignerGrid, t, params: QbmParams):
     """(n_steps, dt_eff, limit) of ``evolve_fokker_planck(w, t, params)``.
 
     ``limit`` names the term of the step bound that binds, ``"courant"`` or
-    ``"damping"``.
+    ``"damping"``.  Only ``p_min``, ``p_max`` and ``dq`` of w are read, and
+    a ValueError is raised when the plan has no finite step count.  For an
+    increasing sequence of times t, a list of the plans of the integrations
+    that ``evolve_fokker_planck(w, t, params)`` runs: one per time that
+    has a run of its own, and last the run of the longest time.
     """
+    if np.ndim(t):
+        plans = [fokker_planck_step_plan(w, ti, params)
+                 for ti in _increasing(t)]
+        taken = _taken_from_last_run(plans)[:-1]
+        return [plan for i, plan in enumerate(plans) if i not in taken]
     limits = _fokker_planck_limits(w, params)
     limit = min(limits, key=limits.get)
     return (*_step_plan(t, limits[limit]), limit)
+
+
+def _increasing(times):
+    """times as a list, required to be nonempty and strictly increasing."""
+    times = list(times)
+    if not times or not all(a < b for a, b in zip(times, times[1:])):
+        raise ValueError("times must be a nonempty increasing sequence")
+    return times
+
+
+def _taken_from_last_run(plans):
+    """Indices of the plans whose grids the integration of the last plan
+    yields on its way: each plan that takes steps of exactly its dt, the
+    last one included unless it takes no step."""
+    dt = plans[-1][1]
+    return [i for i, (n, dt_i, _) in enumerate(plans) if n and dt_i == dt]
 
 
 class _FokkerPlanckBuffers:
@@ -286,9 +321,9 @@ class _FokkerPlanckBuffers:
     q walls.  A second padded array of the same shape takes the momentum
     step's product, and ``swap`` exchanges the two, so no step copies W
     back.  ``set_courant`` sets the flux coefficients of one Courant vector
-    c: c itself and kappa = |c| (1 - |c|) / 2 as contiguous (n_q + 1, n_p)
-    arrays, and the mask ``down`` of the columns with c < 0, whose upwind
-    cell lies above the face.  diff and absdiff are scratch: an advection
+    c, clipped to [-1, 1]: c itself and kappa = |c| (1 - |c|) / 2 as
+    contiguous (n_q + 1, n_p) arrays, and the mask ``down`` of the columns
+    with c < 0, whose upwind cell lies above the face.  diff and absdiff are scratch: an advection
     spends them on slopes, then on the cell fluxes and the face fluxes.
     """
 
@@ -305,7 +340,12 @@ class _FokkerPlanckBuffers:
         self.down = np.empty(m, dtype=bool)
 
     def set_courant(self, c):
-        """Fill the flux coefficients of the column Courant numbers c."""
+        """Fill the flux coefficients of the column Courant numbers c.
+
+        A |c| that a rounded dt puts a few ulps above 1 is clipped to 1,
+        where kappa would turn negative and the step lose its sign.
+        """
+        c = np.clip(c, -1.0, 1.0)
         self.c[...] = c
         self.kappa[...] = 0.5 * np.abs(c) * (1.0 - np.abs(c))
         np.less(c, 0, out=self.down)
@@ -419,38 +459,78 @@ def _integrate_fokker_planck(w: WignerGrid, dt, n_steps,
     """n_steps Strang steps A(dt/2) C(dt) A(dt/2), adjacent half-advections merged.
 
     A is the q advection and C the momentum sector, so the product is
-    A(dt/2) [C(dt) A(dt)]^(n-1) C(dt) A(dt/2).  The flux coefficients are
-    set three times: for the first half-advection, the full ones and the
-    last half-advection.  Entries below START_FLOOR times max |W| start at
-    exactly 0.  NaN and inf survive every step, so W is checked for them
-    once, at the end.
+    A(dt/2) [C(dt) A(dt)]^(n-1) C(dt) A(dt/2).
     """
+    return _fokker_planck_states(w, dt, [n_steps], params)[0]
+
+
+def _fokker_planck_states(w: WignerGrid, dt, counts, params: QbmParams):
+    """Grids after each of the increasing step counts of one integration.
+
+    The integration takes counts[-1] steps of ``_integrate_fokker_planck``.
+    The flux coefficients are set three times: for the first
+    half-advection, the full ones and the last half-advection.  The state
+    after k < counts[-1] steps is taken after the k-th momentum step: it is
+    copied into the spare padded array and closed there with a
+    half-advection in the same scratch, which equals the k-step
+    integration bit for bit; each such state sets the coefficients twice
+    more, to the half ones and back.
+    Entries below START_FLOOR times max |W| start at exactly 0.  NaN and
+    inf survive every step, so each grid is checked for them once.
+    """
+    n_steps, stops = counts[-1], set(counts[:-1])
     buf = _FokkerPlanckBuffers(w.values)
     scale = np.max(np.abs(buf.values))
     buf.values[np.abs(buf.values) < START_FLOOR * scale] = 0.0
     c = w.p * dt / (params.M * w.dq)
     momentum = _momentum_propagator(w.p, w.dp, dt, params)
     buf.set_courant(0.5 * c)
+    half = True                     # the coefficients are those of c / 2
     _advect_q(buf)
-    for k in range(n_steps):
+    grids = []
+    for k in range(1, n_steps + 1):
         np.matmul(buf.values, momentum, out=buf.spare[1:w.n_q + 1])
         buf.swap()
-        if k == n_steps - 1:
-            buf.set_courant(0.5 * c)
-        elif k == 0:
-            buf.set_courant(c)
+        if k in stops:
+            if not half:
+                buf.set_courant(0.5 * c)
+                half = True
+            np.copyto(buf.spare, buf.padded)
+            buf.swap()
+            _advect_q(buf)
+            grids.append(w.with_values(buf.values))
+            buf.swap()
+        if half != (k == n_steps):
+            half = k == n_steps
+            buf.set_courant(0.5 * c if half else c)
         _advect_q(buf)
-    if not np.isfinite(buf.values).all():
+    grids.append(w.with_values(buf.values))
+    if not all(np.isfinite(grid.values).all() for grid in grids):
         raise DivergenceError("Fokker-Planck step produced non-finite values")
-    return w.with_values(buf.values)
+    return grids
 
 
-def evolve_fokker_planck(w0: WignerGrid, t, params: QbmParams) -> WignerGrid:
-    """Compose the fewest equal steps within the step bound to time t."""
-    n_steps, dt_eff, _ = fokker_planck_step_plan(w0, t, params)
-    if n_steps == 0:
-        return w0.with_values(w0.values)
-    return _integrate_fokker_planck(w0, dt_eff, n_steps, params)
+def evolve_fokker_planck(w0: WignerGrid, t, params: QbmParams):
+    """Compose the fewest equal steps within the step bound to time t.
+
+    For an increasing sequence of times t, a list of one grid per time,
+    each equal bit for bit to ``evolve_fokker_planck(w0, t_i, params)``.
+    The longest time is integrated once, and every time whose plan has
+    exactly its dt is taken from that integration on its way; any other
+    time is integrated on its own.
+    """
+    times = _increasing(t) if np.ndim(t) else [t]
+    plans = [fokker_planck_step_plan(w0, ti, params) for ti in times]
+    taken = _taken_from_last_run(plans)
+    grids = {i: w0.with_values(w0.values) if n_steps == 0
+             else _integrate_fokker_planck(w0, dt_eff, n_steps, params)
+             for i, (n_steps, dt_eff, _) in enumerate(plans)
+             if i not in taken}
+    if taken:
+        grids.update(zip(taken, _fokker_planck_states(
+            w0, plans[-1][1], [plans[i][0] for i in taken], params)))
+    grids = [grids[i] for i in range(len(times))]
+    return grids if np.ndim(t) else grids[0]
 
 
 # --- master equation --------------------------------------------------------
@@ -528,7 +608,8 @@ def master_dt_bound(rho: DensityMatrix, params: QbmParams) -> float:
     """RK4 stability estimate from the kinetic and dissipation spectral scales.
 
     The decoherence term is applied as an exact elementwise factor and does
-    not limit the step.
+    not limit the step.  Only ``x_min``, ``x_max`` and ``dx`` of rho are
+    read.
     """
     span = rho.x_max - rho.x_min
     dx = rho.dx

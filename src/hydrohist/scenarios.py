@@ -18,6 +18,7 @@ import time
 import warnings
 from dataclasses import asdict, dataclass
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -100,7 +101,8 @@ def _domain_rule(var_p, t, axis):
         return 3.0 * _sigma(g, var_p(g), t(g), axis) <= reach
     name = "position" if axis == "q" else "momentum"
     return (fits, f"the {axis} domain grid.{axis}_min to grid.{axis}_max must "
-            f"hold 3 standard deviations of the evolved {name} on each side")
+            f"hold 3 standard deviations of the initial and the evolved "
+            f"{name} on each side")
 
 
 def _gaussian_density(x, s):
@@ -160,11 +162,50 @@ def _master_lattice_rule(t):
             f"{ps.COVERAGE_THRESHOLD} of its mass on the boundary")
 
 
-def _fokker_planck_note(w0, durations, params):
+def _plan_rule(plan, name):
+    """Range check that ``plan(config)``, a step plan made by the library's
+    own function as the run makes it, has a finite step count: the library
+    raises a ValueError for a plan that has none.  ``name`` names the plan
+    in the message; follows the checks the plan's arguments need."""
+    def finite(g):
+        try:
+            plan(g)
+        except ValueError:
+            return False
+        return True
+    return (finite, f"params and grid must give the {name} step plan a "
+            "finite step count")
+
+
+def _fokker_planck_plan_rule(t):
+    """``_plan_rule`` of ``evolve_fokker_planck`` to t = t(config) on the
+    config's grid, of which the plan reads only the p extent and dq."""
+    return _plan_rule(lambda g: pr.fokker_planck_step_plan(
+        SimpleNamespace(p_min=g["p_min"], p_max=g["p_max"],
+                        dq=(g["q_max"] - g["q_min"]) / (g["n_q"] - 1)),
+        t(g), pr.QbmParams(g["M"], g["gamma"], g["kT"])), "Fokker-Planck")
+
+
+def _master_plan(g):
+    """The step plan of oracle-compare's master-equation run to t_master,
+    from ``propagator.master_dt_bound``, which reads only the lattice's
+    extent and spacing."""
+    x_max = g["master_x_max"]
+    lattice = SimpleNamespace(x_min=-x_max, x_max=x_max,
+                              dx=2.0 * x_max / (g["master_n_x"] - 1))
+    return pr._step_plan(g["t_master"], pr.master_dt_bound(
+        lattice, pr.QbmParams(g["M"], g["gamma"], g["kT"])))
+
+
+def _fokker_planck_note(w0, calls, params):
     """Report note: the step count and dt of the Fokker-Planck evolutions
-    of w0's grid over the given durations, and the term of the step bound
-    that limited dt."""
-    plans = [pr.fokker_planck_step_plan(w0, t, params) for t in durations]
+    of w0's grid, one per call of ``evolve_fokker_planck`` with t in
+    ``calls`` (a time or a sequence of times), and the term of the step
+    bound that limited dt."""
+    plans = []
+    for t in calls:
+        plan = pr.fokker_planck_step_plan(w0, t, params)
+        plans += plan if np.ndim(t) else [plan]
     steps = sum(n for n, _, _ in plans)
     dt = max(dt for _, dt, _ in plans)
     return (f"Fokker-Planck: {steps} steps of dt up to {dt:.6g}, limited by "
@@ -403,8 +444,11 @@ def _run_oracle_compare(config):
     w0 = ps.gaussian_wigner(g["q_min"], g["q_max"], g["n_q"],
                             g["p_min"], g["p_max"], g["n_p"],
                             var_q=1.0, var_p=0.5)
+    # one integration serves both times when their plans share a dt
+    times = sorted({p["t_master"], p["t_kernel"]})
+    w_fp_at = dict(zip(times, pr.evolve_fokker_planck(w0, times, params)))
     w_an = pr.propagate_analytic(w0, p["t_kernel"], params)
-    w_fp = pr.evolve_fokker_planck(w0, p["t_kernel"], params)
+    w_fp = w_fp_at[p["t_kernel"]]
     l1_kernel = ps.l1_distance(w_an, w_fp)
 
     n_x = g["master_n_x"]
@@ -415,7 +459,7 @@ def _run_oracle_compare(config):
     rho_t = pr.evolve_master_equation(ps.wigner_to_density(w0m),
                                       p["t_master"], params)
     w_me = ps.density_to_wigner(rho_t)
-    w_fp1 = pr.evolve_fokker_planck(w0, p["t_master"], params)
+    w_fp1 = w_fp_at[p["t_master"]]
     l1_master = ps.l1_distance(w_fp1, w_me)
 
     metrics = {"l1_kernel_vs_integrator": l1_kernel,
@@ -427,8 +471,7 @@ def _run_oracle_compare(config):
     art = {"oracle_compare.csv": (
         ["q", "kernel_t_kernel", "integrator_t_kernel",
          "integrator_t_master"], rows)}
-    return metrics, art, [_fokker_planck_note(
-        w0, [p["t_kernel"], p["t_master"]], params)]
+    return metrics, art, [_fokker_planck_note(w0, [times], params)]
 
 
 def _variance_scaling_setup(c):
@@ -655,6 +698,8 @@ SCENARIOS = {
              "params.t_start must be less than params.t_end"),
             *(_domain_rule(lambda p: p["kT"] * p["M"], lambda p: p["t_end"],
                            axis) for axis in "qp"),
+            # every span the run integrates is at most t_end
+            _fokker_planck_plan_rule(lambda p: p["t_end"]),
         ),
     },
     "maxwellization": {
@@ -672,8 +717,13 @@ SCENARIOS = {
         "ranges": _QBM_RANGES + _GRID_RANGES + (
             (lambda p: p["t"] >= 0, "params.t must be nonnegative"),
             (lambda p: p["var_p0"] > 0, "params.var_p0 must be positive"),
-            # the exact kernel never runs here: no p rule
             _domain_rule(lambda p: p["var_p0"], lambda p: p["t"], "q"),
+            # the initial Gaussian must lie on the p axis; the evolved one
+            # need not: the momentum step holds the discrete Maxwellian
+            # between zero-flux p walls exactly (kT 5 on +/-6 runs to a sup
+            # distance of 8.6e-12), and no exact kernel runs here
+            _domain_rule(lambda p: p["var_p0"], lambda p: 0.0, "p"),
+            _fokker_planck_plan_rule(lambda p: p["t"]),
         ),
     },
     "oracle-compare": {
@@ -709,6 +759,9 @@ SCENARIOS = {
                          lambda p: max(p["t_kernel"], p["t_master"]), "q"),
             _domain_rule(lambda p: 0.5, lambda p: p["t_kernel"], "p"),
             _master_lattice_rule(lambda p: p["t_master"]),
+            _fokker_planck_plan_rule(
+                lambda p: max(p["t_kernel"], p["t_master"])),
+            _plan_rule(_master_plan, "master-equation"),
         ),
     },
     "variance-scaling": {

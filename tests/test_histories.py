@@ -181,6 +181,30 @@ class TestDensityOperators:
         with pytest.raises(ValueError, match="not Hermitian"):
             hi.DensityOperator(hs, m)
 
+    def test_hermiticity_checked_in_row_blocks(self):
+        # a finite pure-state rho at B = 2, N = 10 with one skew entry is
+        # refused by the Hermiticity check, whose traced peak stays within
+        # 3 row blocks of 1 MiB; on whole dim x dim temporaries it was
+        # 2.0 dim^2 16 B, 32 MiB.  The check alone measures the same
+        hs = hi.ToyHilbert(B=2, N=10)
+        amp = np.random.default_rng(3).normal(size=hs.dim) + 0j
+        amp /= np.linalg.norm(amp)
+        m = np.outer(amp, amp.conj())
+        hi._skew_and_scale(m)                           # warm-up
+        tracemalloc.start()
+        skew, scale = hi._skew_and_scale(m)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert skew == 0.0 and scale == np.max(np.abs(m))
+        assert peak <= 3 * hi._ROW_BLOCK_BYTES
+        m[hs.dim - 1, 0] += 1e-3
+        tracemalloc.start()
+        with pytest.raises(ValueError, match="not Hermitian"):
+            hi.DensityOperator(hs, m)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert peak <= 3 * hi._ROW_BLOCK_BYTES
+
     def test_approximate_eigenstate_property(self):
         # ||(n(b) - N p_b) |Psi>|| / N = sqrt(p (1-p) / N), exactly
         hs = hi.ToyHilbert(B=2, N=6)

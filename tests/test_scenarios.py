@@ -160,8 +160,8 @@ class TestLoadConfig:
         notes = sc.run_scenario(cfg, tmp_path).notes
         assert not [note for note in notes if "np." in note]
         # the Fokker-Planck runs name their step count and binding limit
-        steps = {"diffusion": 300, "maxwellization": 150,
-                 "oracle-compare": 360}.get(cfg.scenario)
+        steps = {"diffusion": 240, "maxwellization": 120,
+                 "oracle-compare": 240}.get(cfg.scenario)
         fp_notes = [note for note in notes if note.startswith("Fokker-Planck")]
         if steps is None:
             assert not fp_notes
@@ -446,6 +446,18 @@ class TestCli:
                      id="diffusion-hot-p-domain"),
         pytest.param("oracle-compare", {"params": {"kT": 4.5}}, "p domain",
                      id="oracle-hot-p-domain"),
+        # maxwellization's initial state must lie on its p axis
+        pytest.param("maxwellization", {"grid": {"p_min": 1.0}}, "p domain",
+                     id="maxwellization-initial-off-p-domain"),
+        # step plans with no finite step count
+        pytest.param("maxwellization", {"params": {"gamma": 1e308}},
+                     "Fokker-Planck step plan", id="maxwellization-vast-gamma"),
+        pytest.param("maxwellization", {"grid": {"p_min": -1e308}},
+                     "Fokker-Planck step plan", id="maxwellization-vast-p"),
+        pytest.param("diffusion", {"params": {"gamma": 1e308}},
+                     "Fokker-Planck step plan", id="diffusion-vast-gamma"),
+        pytest.param("oracle-compare", {"params": {"gamma": 1e308}},
+                     "Fokker-Planck step plan", id="oracle-vast-gamma"),
         # JSON true is a bool, not the integer 1
         pytest.param("diffusion", {"schema_version": True}, "schema_version",
                      id="schema-version-true"),
@@ -648,6 +660,19 @@ class TestCli:
                 ("histories-nscaling", {"N_max": 12}),
                 ("histories-nscaling", {"N_max": 1000})):
             sc.validate_config(minimal(scenario, params=params, seed=1))
+
+    def test_master_plan_rule_reads_the_library_plan(self):
+        # the rule's plan is evolve_master_equation's, 187 steps on the
+        # default lattice; a mass so small that the kinetic scale overflows
+        # leaves a step bound of 0 and no finite step count.  Other rules
+        # refuse such a config first; this one holds on its own too
+        entry = sc.SCENARIOS["oracle-compare"]
+        merged = {**entry["params"], **entry["grid"]}
+        assert sc._master_plan(merged)[0] == 187
+        finite, message = sc._plan_rule(sc._master_plan, "master-equation")
+        assert finite(merged)
+        assert not finite({**merged, "M": 5e-307})
+        assert "master-equation step plan" in message
 
     @pytest.mark.parametrize("seed", [0, 1, 7])
     def test_ehrenfest_narrowest_sigma_runs(self, tmp_path, seed):
