@@ -332,15 +332,15 @@ def wigner_to_density(w: WignerGrid) -> DensityMatrix:
     w_half[1::2] = _resample_matrix(w.q_min, w.q_max, n,
                                     w.q[:-1] + 0.5 * dq) @ w.values
 
+    # m[s, d] = sum_p W(p, midpoint s) exp(i p d dq) tw(p) is rho(x_a, x_b)
+    # at s = a + b, d = a - b >= 0; the upper triangle is its conjugate
     tw = _trapezoid_weights(w.n_p, dp)
-    rho = np.empty((n, n), dtype=complex)
-    for d in range(0, n):
-        phase = np.exp(1j * w.p * d * dq) * tw
-        a = np.arange(d, n)
-        block = w_half[2 * a - d, :] @ phase
-        rho[a, a - d] = block
-        if d > 0:
-            rho[a - d, a] = block.conj()
+    angle = w.p[:, None] * np.arange(n) * dq  # (n_p, n)
+    a, b = np.indices((n, n))
+    s, d = a + b, np.abs(a - b)
+    sign = np.where(a >= b, 1.0, -1.0)
+    rho = ((w_half @ (np.cos(angle) * tw[:, None]))[s, d]
+           + 1j * sign * (w_half @ (np.sin(angle) * tw[:, None]))[s, d])
     return DensityMatrix(w.q_min, w.q_max, n, rho)
 
 

@@ -11,9 +11,12 @@ around ``load_config`` / ``run_scenario``.
 
 from __future__ import annotations
 
+import contextvars
 import json
 import math
 import operator
+import os
+import threading
 import time
 import warnings
 from dataclasses import asdict, dataclass
@@ -212,6 +215,48 @@ def _fokker_planck_note(w0, calls, params):
             f"the {plans[0][2]} term of the step bound")
 
 
+def _concurrently(*routes):
+    """The results of the zero-argument callables ``routes``, in order.
+
+    The first route runs on the calling thread and each other one on a
+    thread of its own, in a copy of the caller's context, so that warning
+    filters, numpy error states and other context variables apply there
+    too.  Every thread is joined before the exception of the first route,
+    in order, that raised one is re-raised, as the same object.  Where the process
+    may use only one CPU, the routes run one after another.  The routes
+    must share no state that they write, a ``cached_property`` included.
+    """
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:       # no sched_getaffinity on this platform
+        cpus = os.cpu_count() or 1
+    if cpus < 2:
+        return [route() for route in routes]
+    results = [None] * len(routes)
+    errors = [None] * len(routes)
+
+    def run(i):
+        try:
+            results[i] = routes[i]()
+        except BaseException as exc:   # re-raised on the calling thread
+            errors[i] = exc
+
+    threads = [threading.Thread(target=contextvars.copy_context().run,
+                                args=(run, i))
+               for i in range(1, len(routes))]
+    for thread in threads:
+        thread.start()
+    try:
+        run(0)
+    finally:
+        for thread in threads:
+            thread.join()
+    for exc in errors:
+        if exc is not None:
+            raise exc
+    return results
+
+
 #: inner edges of the variance-scaling bins: the quartiles of a unit normal
 _QUARTILE = 0.6744897501960817
 
@@ -398,13 +443,19 @@ def _run_diffusion(config):
                             var_q=1.0, var_p=p["kT"] * p["M"])
     times = np.linspace(p["t_start"], p["t_end"], p["n_times"])
     durations = np.diff(times, prepend=0.0)
-    marg_fp, marg_an = [], []
-    cur = w0
-    for t, span in zip(times, durations):
-        cur = pr.evolve_fokker_planck(cur, span, params)
-        marg_fp.append(ps.position_marginal(cur))
-        marg_an.append(ps.position_marginal(pr.propagate_analytic(w0, t,
-                                                                  params)))
+
+    def fokker_planck_marginals():
+        marginals, cur = [], w0
+        for span in durations:
+            cur = pr.evolve_fokker_planck(cur, span, params)
+            marginals.append(ps.position_marginal(cur))
+        return marginals
+
+    # the kernel route alone reads w0's cached q spectrum
+    marg_fp, marg_an = _concurrently(
+        fokker_planck_marginals,
+        lambda: [ps.position_marginal(pr.propagate_analytic(w0, t, params))
+                 for t in times])
     fit_fp = pr.fit_diffusion(times, marg_fp, params)
     fit_an = pr.fit_diffusion(times, marg_an, params)
     metrics = {"fokker_planck_relative_error": fit_fp.relative_error,
@@ -446,19 +497,25 @@ def _run_oracle_compare(config):
                             var_q=1.0, var_p=0.5)
     # one integration serves both times when their plans share a dt
     times = sorted({p["t_master"], p["t_kernel"]})
-    w_fp_at = dict(zip(times, pr.evolve_fokker_planck(w0, times, params)))
-    w_an = pr.propagate_analytic(w0, p["t_kernel"], params)
+
+    def master_route():
+        n_x = g["master_n_x"]
+        x_max = g["master_x_max"]
+        p0, p1, n_p = ps.conjugate_momentum_axis(-x_max, x_max, n_x)
+        w0m = ps.gaussian_wigner(-x_max, x_max, n_x, p0, p1, n_p,
+                                 var_q=1.0, var_p=0.5)
+        rho_t = pr.evolve_master_equation(ps.wigner_to_density(w0m),
+                                          p["t_master"], params)
+        return ps.density_to_wigner(rho_t)
+
+    # the master route, the longer, keeps the calling thread
+    w_me, (w_fp_list, w_an) = _concurrently(
+        master_route,
+        lambda: (pr.evolve_fokker_planck(w0, times, params),
+                 pr.propagate_analytic(w0, p["t_kernel"], params)))
+    w_fp_at = dict(zip(times, w_fp_list))
     w_fp = w_fp_at[p["t_kernel"]]
     l1_kernel = ps.l1_distance(w_an, w_fp)
-
-    n_x = g["master_n_x"]
-    x_max = g["master_x_max"]
-    p0, p1, n_p = ps.conjugate_momentum_axis(-x_max, x_max, n_x)
-    w0m = ps.gaussian_wigner(-x_max, x_max, n_x, p0, p1, n_p,
-                             var_q=1.0, var_p=0.5)
-    rho_t = pr.evolve_master_equation(ps.wigner_to_density(w0m),
-                                      p["t_master"], params)
-    w_me = ps.density_to_wigner(rho_t)
     w_fp1 = w_fp_at[p["t_master"]]
     l1_master = ps.l1_distance(w_fp1, w_me)
 

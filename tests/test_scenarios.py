@@ -1,4 +1,8 @@
+import contextvars
 import json
+import os
+import threading
+import time
 import warnings
 from pathlib import Path
 
@@ -7,7 +11,8 @@ import pytest
 
 from hydrohist import cli
 from hydrohist import scenarios as sc
-from hydrohist.errors import ConfigurationError, ScenarioError
+from hydrohist.errors import (ConfigurationError, DivergenceError,
+                              ScenarioError)
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -919,6 +924,117 @@ class TestCli:
         data = json.loads(
             (tmp_path / "o" / "ehrenfest-report.json").read_text())
         assert data["seed"] == 11
+
+
+
+def usable_cpus(monkeypatch, n):
+    """Make the process look as if it may use n CPUs."""
+    monkeypatch.setattr(os, "sched_getaffinity",
+                        lambda pid: set(range(n)), raising=False)
+
+
+class TestConcurrentRoutes:
+    def test_routes_run_on_their_own_threads(self, monkeypatch):
+        usable_cpus(monkeypatch, 2)
+        var = contextvars.ContextVar("var")
+        var.set("caller")
+        seen = []
+
+        def route(i):
+            seen.append((i, threading.current_thread(), var.get()))
+            return i
+
+        assert sc._concurrently(*(lambda i=i: route(i) for i in range(3))) \
+            == [0, 1, 2]
+        threads = {i: thread for i, thread, _ in seen}
+        assert threads[0] is threading.current_thread()
+        assert len(set(threads.values())) == 3
+        assert {value for _, _, value in seen} == {"caller"}
+
+    def test_one_cpu_runs_the_routes_on_the_calling_thread(self, monkeypatch):
+        usable_cpus(monkeypatch, 1)
+        seen = []
+
+        def route(i):
+            seen.append((i, threading.current_thread()))
+            return i
+
+        assert sc._concurrently(*(lambda i=i: route(i) for i in range(3))) \
+            == [0, 1, 2]
+        assert seen == [(i, threading.current_thread()) for i in range(3)]
+
+    def test_an_error_is_raised_after_every_route_ends(self, monkeypatch):
+        usable_cpus(monkeypatch, 2)
+        error = DivergenceError("non-finite")
+        done = threading.Event()
+
+        def fail():
+            raise error
+
+        def slow():
+            time.sleep(0.05)
+            done.set()
+
+        with pytest.raises(DivergenceError) as info:
+            sc._concurrently(fail, slow)
+        assert info.value is error and done.is_set()
+        done.clear()
+        with pytest.raises(DivergenceError) as info:
+            sc._concurrently(slow, fail)
+        assert info.value is error and done.is_set()
+
+    @pytest.mark.parametrize("name", ["evolve_master_equation",
+                                      "evolve_fokker_planck"])
+    def test_a_route_error_is_the_cause(self, tmp_path, capsys, monkeypatch,
+                                        name):
+        # oracle-compare runs the master route and the Fokker-Planck route
+        # on two threads: an error of either is the ScenarioError's cause
+        usable_cpus(monkeypatch, 2)
+        error = DivergenceError("step produced non-finite values")
+
+        def diverge(*args):
+            raise error
+
+        monkeypatch.setattr(sc.pr, name, diverge)
+        with pytest.raises(ScenarioError) as info:
+            sc.run_scenario(sc.validate_config(minimal("oracle-compare")),
+                            tmp_path)
+        assert info.value.__cause__ is error
+        path = write_config(tmp_path, minimal("oracle-compare"))
+        assert cli.main(["run", str(path), "--out", str(tmp_path / "o")]) == 3
+        assert "DivergenceError" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", ["evolve_master_equation",
+                                      "evolve_fokker_planck"])
+    def test_a_route_warning_reaches_the_notes(self, tmp_path, monkeypatch,
+                                               name):
+        usable_cpus(monkeypatch, 2)
+        evolve = getattr(sc.pr, name)
+
+        def warn_and_evolve(*args):
+            warnings.warn(f"{name} is coarse", UserWarning)
+            return evolve(*args)
+
+        monkeypatch.setattr(sc.pr, name, warn_and_evolve)
+        report = sc.run_scenario(sc.validate_config(
+            minimal("oracle-compare")), tmp_path)
+        assert report.notes.count(f"UserWarning: {name} is coarse") == 1
+
+    @pytest.mark.parametrize("scenario", ["diffusion", "oracle-compare"])
+    def test_threads_do_not_change_the_artifacts(self, tmp_path, monkeypatch,
+                                                 scenario):
+        written = []
+        for cpus in (1, 2):
+            usable_cpus(monkeypatch, cpus)
+            out = tmp_path / str(cpus)
+            report = sc.run_scenario(sc.validate_config(minimal(scenario)),
+                                     out)
+            data = json.loads(
+                (out / f"{scenario}-report.json").read_text())
+            del data["wall_time_s"]
+            written.append((data, {name: (out / name).read_bytes()
+                                   for name in report.artifacts}))
+        assert written[0] == written[1]
 
 
 def _fuzz_value(rng, default):
