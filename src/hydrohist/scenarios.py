@@ -15,7 +15,6 @@ import contextvars
 import json
 import math
 import operator
-import os
 import threading
 import time
 import warnings
@@ -215,46 +214,37 @@ def _fokker_planck_note(w0, calls, params):
             f"the {plans[0][2]} term of the step bound")
 
 
-def _concurrently(*routes):
-    """The results of the zero-argument callables ``routes``, in order.
+def _concurrently(first, second):
+    """The results of the zero-argument callables ``first`` and ``second``.
 
-    The first route runs on the calling thread and each other one on a
-    thread of its own, in a copy of the caller's context, so that warning
-    filters, numpy error states and other context variables apply there
-    too.  Every thread is joined before the exception of the first route,
-    in order, that raised one is re-raised, as the same object.  Where the process
-    may use only one CPU, the routes run one after another.  The routes
-    must share no state that they write, a ``cached_property`` included.
+    ``second`` runs on a thread of its own, in a copy of the caller's
+    context, while ``first`` runs on the calling thread; numpy's error
+    states and other context variables set by the caller thus apply to
+    both.  Warning filters are process-global, not context variables, so a
+    ``warnings.catch_warnings`` around the call records the warnings of
+    both routes, but two such calls at once would mix their records.  The
+    worker is joined before an exception is re-raised, as the same
+    object: ``first``'s, else ``second``'s.  The routes must share no
+    state that they write, a ``cached_property`` included.
     """
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:       # no sched_getaffinity on this platform
-        cpus = os.cpu_count() or 1
-    if cpus < 2:
-        return [route() for route in routes]
-    results = [None] * len(routes)
-    errors = [None] * len(routes)
+    outcome = {}
 
-    def run(i):
+    def run_second():
         try:
-            results[i] = routes[i]()
+            outcome["result"] = second()
         except BaseException as exc:   # re-raised on the calling thread
-            errors[i] = exc
+            outcome["error"] = exc
 
-    threads = [threading.Thread(target=contextvars.copy_context().run,
-                                args=(run, i))
-               for i in range(1, len(routes))]
-    for thread in threads:
-        thread.start()
+    worker = threading.Thread(target=contextvars.copy_context().run,
+                              args=(run_second,))
+    worker.start()
     try:
-        run(0)
+        result = first()
     finally:
-        for thread in threads:
-            thread.join()
-    for exc in errors:
-        if exc is not None:
-            raise exc
-    return results
+        worker.join()
+    if "error" in outcome:
+        raise outcome["error"]
+    return result, outcome["result"]
 
 
 #: inner edges of the variance-scaling bins: the quartiles of a unit normal

@@ -1,6 +1,5 @@
 import contextvars
 import json
-import os
 import threading
 import time
 import warnings
@@ -926,45 +925,24 @@ class TestCli:
         assert data["seed"] == 11
 
 
-
-def usable_cpus(monkeypatch, n):
-    """Make the process look as if it may use n CPUs."""
-    monkeypatch.setattr(os, "sched_getaffinity",
-                        lambda pid: set(range(n)), raising=False)
-
-
 class TestConcurrentRoutes:
-    def test_routes_run_on_their_own_threads(self, monkeypatch):
-        usable_cpus(monkeypatch, 2)
+    def test_routes_run_on_two_threads(self):
         var = contextvars.ContextVar("var")
         var.set("caller")
-        seen = []
+        seen = {}
 
-        def route(i):
-            seen.append((i, threading.current_thread(), var.get()))
-            return i
+        def route(name):
+            seen[name] = (threading.current_thread(), var.get())
+            return name
 
-        assert sc._concurrently(*(lambda i=i: route(i) for i in range(3))) \
-            == [0, 1, 2]
-        threads = {i: thread for i, thread, _ in seen}
-        assert threads[0] is threading.current_thread()
-        assert len(set(threads.values())) == 3
-        assert {value for _, _, value in seen} == {"caller"}
+        assert sc._concurrently(lambda: route("first"),
+                                lambda: route("second")) == ("first",
+                                                             "second")
+        assert seen["first"][0] is threading.current_thread()
+        assert seen["second"][0] is not threading.current_thread()
+        assert {value for _, value in seen.values()} == {"caller"}
 
-    def test_one_cpu_runs_the_routes_on_the_calling_thread(self, monkeypatch):
-        usable_cpus(monkeypatch, 1)
-        seen = []
-
-        def route(i):
-            seen.append((i, threading.current_thread()))
-            return i
-
-        assert sc._concurrently(*(lambda i=i: route(i) for i in range(3))) \
-            == [0, 1, 2]
-        assert seen == [(i, threading.current_thread()) for i in range(3)]
-
-    def test_an_error_is_raised_after_every_route_ends(self, monkeypatch):
-        usable_cpus(monkeypatch, 2)
+    def test_an_error_is_raised_after_both_routes_end(self):
         error = DivergenceError("non-finite")
         done = threading.Event()
 
@@ -983,13 +961,22 @@ class TestConcurrentRoutes:
             sc._concurrently(slow, fail)
         assert info.value is error and done.is_set()
 
+    def test_the_first_routes_error_wins(self):
+        first, second = ValueError("first"), ValueError("second")
+
+        def raise_(exc):
+            raise exc
+
+        with pytest.raises(ValueError) as info:
+            sc._concurrently(lambda: raise_(first), lambda: raise_(second))
+        assert info.value is first
+
     @pytest.mark.parametrize("name", ["evolve_master_equation",
                                       "evolve_fokker_planck"])
     def test_a_route_error_is_the_cause(self, tmp_path, capsys, monkeypatch,
                                         name):
         # oracle-compare runs the master route and the Fokker-Planck route
         # on two threads: an error of either is the ScenarioError's cause
-        usable_cpus(monkeypatch, 2)
         error = DivergenceError("step produced non-finite values")
 
         def diverge(*args):
@@ -1008,7 +995,6 @@ class TestConcurrentRoutes:
                                       "evolve_fokker_planck"])
     def test_a_route_warning_reaches_the_notes(self, tmp_path, monkeypatch,
                                                name):
-        usable_cpus(monkeypatch, 2)
         evolve = getattr(sc.pr, name)
 
         def warn_and_evolve(*args):
@@ -1023,10 +1009,14 @@ class TestConcurrentRoutes:
     @pytest.mark.parametrize("scenario", ["diffusion", "oracle-compare"])
     def test_threads_do_not_change_the_artifacts(self, tmp_path, monkeypatch,
                                                  scenario):
+        def one_after_another(first, second):
+            return first(), second()
+
         written = []
-        for cpus in (1, 2):
-            usable_cpus(monkeypatch, cpus)
-            out = tmp_path / str(cpus)
+        for serial in (False, True):
+            if serial:
+                monkeypatch.setattr(sc, "_concurrently", one_after_another)
+            out = tmp_path / str(serial)
             report = sc.run_scenario(sc.validate_config(minimal(scenario)),
                                      out)
             data = json.loads(
