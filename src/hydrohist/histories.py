@@ -14,27 +14,15 @@ B^N tensor-product space.  The module builds
 
       D(a, a') = Tr[ P_{a_n}(t_n) ... P_{a_1}(t_1) rho P_{a'_1}(t_1) ... P_{a'_n}(t_n) ],
 
-  with Heisenberg projectors generated by a Hamiltonian, decomposed once
-  (in real arithmetic when it is real to rounding, as every kinetic
-  Hamiltonian here is), and, optionally, a per-particle position dephasing
-  map interleaved with the unitary steps, from projected chains of
-  rho = L L^dag without dephasing and from damp-then-rotate branch-pair
-  matrices with it (the dense engines: dense linear algebra on the B^N
-  space; B^N <= 2^12, a 256 MiB complex matrix).  L is found by diagonally
-  pivoted Cholesky, one column per unit of rho's rank, in O(dim r^2) time
-  and O(dim r) memory.  Chains of fewer columns than dim get U through the
-  spectrum, v (e^{-i w dt} o (v^dag Y)), without forming it; the
-  branch-pair matrices rotate by U = v e^{-i w dt} v^dag.  When the final
-  alternatives are disjoint diagonals W_c, D(p c, q c) = Tr(W_c E(X_pq)) =
-  Tr(E^dag(W_c) X_pq), so the last interval is evolved backward on the
-  final weights instead of forward on the prefix pairs whenever that
-  counts fewer dim^3 products (the Heisenberg picture of the map);
+  with Heisenberg projectors generated by a Hamiltonian, decomposed once,
+  and, optionally, a per-particle position dephasing map interleaved with
+  the unitary steps: from projected chains of rho = L L^dag without
+  dephasing, L taken once when a DensityOperator is built, and from
+  damp-then-rotate branch-pair matrices with it (the dense engines);
 - the two-time occupation decoherence functional of a product state
   rho1^(x N) under a one-body Hamiltonian and per-particle dephasing, from
-  one-particle objects only: the tensor d1[b, b', c] is the one-particle
-  branch-pair functional of the bin masks, and an OccupationFunctional of it
-  runs a dynamic program, capped by its own table, for the coefficients of
-  (sum d1 x_b x'_b' y_c)^N, the blocks of D (the factorized engine);
+  the one-particle tensor d1 and a dynamic program over particles, capped
+  by its own table (the factorized engine);
 - the single-time D of a bin-0 count on a two-bin superposition of two
   product states, from the law of that count, without the 2^n space;
 - consistency diagnostics on a DecoherenceMatrix, whatever engine made it:
@@ -88,13 +76,11 @@ __all__ = [
     "complement_pair_consistency",
 ]
 
-#: the dense engines' cap on dim = B^N; it counts one complex dim x dim
-#: matrix, 256 MiB: lift_one_body holds one, the chain engine about 3.5
+#: the dense engines' cap on dim = B^N: one complex dim x dim matrix, 256 MiB
 DEFAULT_DIM_CAP = 2 ** 12
 #: the cap on OccupationFunctional's table, 2^23 complex entries; the dynamic
 #: program peaks at about 2.3 times the table (220 MB RSS at B = 3, N = 18)
 OCCUPATION_TABLE_BYTES = 2 ** 27
-HERMITICITY_TOL = 1e-8
 #: tolerance of check_dh_bound: |D(a,a')|^2 may exceed p(a) p(a') by this much
 DH_BOUND_SLACK = 1e-10
 
@@ -155,8 +141,16 @@ class StateVector:
 
 @dataclass(frozen=True)
 class DensityOperator:
+    """A read-only density matrix, checked once: finite, Hermitian to 1e-6,
+    of unit trace, and positive by ||rho - L L^dag||_F <= 1e-8 for the L of
+    ``_density_factor``, kept for the engines; that rejects lambda_min < -1e-8,
+    some lambda_min in the band [-1e-8, -3e-10], and a skew part of norm over
+    1e-8.  A read-only complex array that owns its data is kept; any other
+    input is copied once it passes."""
+
     space: ToyHilbert
     matrix: np.ndarray = field(repr=False)
+    _factor: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=complex)
@@ -164,18 +158,24 @@ class DensityOperator:
             raise ValueError("density matrix has the wrong shape")
         # a NaN entry, or an inf one (inf - inf is NaN), fails this test,
         # so every check after it sees finite entries
-        skew, _ = _skew_and_scale(m)
-        if not skew <= 100 * HERMITICITY_TOL:
+        if not _skew_and_scale(m)[0] <= 1e-6:
             raise ValueError("density matrix is not Hermitian")
         tr = np.real(np.trace(m))
         if abs(tr - 1.0) > 1e-6:
             raise ValueError(f"trace is {tr:.6f}, expected 1")
-        lo = np.min(np.linalg.eigvalsh(0.5 * (m + m.conj().T)))
-        if lo < -1e-8:
-            raise ValueError(f"density matrix has negative eigenvalue {lo:.2e}")
-        m = m.copy()
-        m.flags.writeable = False
+        l_fac = _density_factor(m)
+        cuts = [slice(i, i + _TILE) for i in range(0, len(m), _TILE)]
+        res = math.hypot(*(  # ||rho - L L^dag||_F over square tiles
+            np.linalg.norm(m[a, b] - l_fac[a] @ l_fac[b].conj().T)
+            for a in cuts for b in cuts))
+        if not res <= 1e-8:
+            raise ValueError("density matrix has a negative eigenvalue or a "
+                             f"skew part: ||rho - L L^dag||_F = {res:.2e}")
+        if m.flags.writeable or not m.flags.owndata:
+            m = m.copy()
+        m.flags.writeable = l_fac.flags.writeable = False
         object.__setattr__(self, "matrix", m)
+        object.__setattr__(self, "_factor", l_fac)
 
 
 def product_state(space: ToyHilbert, psi) -> StateVector:
@@ -206,18 +206,10 @@ def superposition_state(space: ToyHilbert, psi, chi) -> StateVector:
 
 
 def to_density(state: StateVector) -> DensityOperator:
-    """|a><a| of a state vector, a read-only DensityOperator.
-
-    The checks of DensityOperator hold by construction and are not run
-    again: the outer product is Hermitian, its trace |a|^2 is 1 to the
-    StateVector norm check, and it has rank 1.
-    """
-    m = np.outer(state.amplitudes, state.amplitudes.conj())
-    m.flags.writeable = False
-    rho = object.__new__(DensityOperator)
-    object.__setattr__(rho, "space", state.space)
-    object.__setattr__(rho, "matrix", m)
-    return rho
+    """|a><a| of a state vector, a read-only DensityOperator."""
+    outer = np.outer(state.amplitudes, state.amplitudes.conj())
+    outer.flags.writeable = False
+    return DensityOperator(state.space, outer)
 
 
 # --- collective observables -------------------------------------------------
@@ -345,17 +337,20 @@ def _checked_family(family, dim, time):
 
 
 def _skew_and_scale(m):
-    """(max|m - m^dag|, max|m|) of a square complex array, as maxima over
-    row blocks of about ``_ROW_BLOCK_BYTES``, m[rows] against
-    m[:, rows]^dag, so no temporary is dim x dim.  A NaN entry makes both
-    NaN; an infinite one makes max|m| inf and the skew inf or NaN (inf -
-    inf), so a test ``not skew <= tol`` rejects either."""
-    step = max(1, _ROW_BLOCK_BYTES // max(m[:1].nbytes, 1))
+    """(max|m - m^dag|, max|m|) of a square complex array, over tiles of
+    t = ``_TILE`` rows, m[i:i+t, j:j+t] against m[j:j+t, i:i+t]^dag, j >= i.
+    A NaN entry makes both NaN, an infinite one max|m| inf and the skew inf
+    or NaN (inf - inf), so a test ``not skew <= tol`` rejects either."""
+    def pair(i, j, t=_TILE):
+        a, b = m[i:i + t, j:j + t], m[j:j + t, i:i + t]
+        return (np.max(np.abs(a - b.conj().T)), np.max(np.abs(a)),
+                np.max(np.abs(b)) if j > i else 0.0)
+
     with np.errstate(invalid="ignore"):  # inf - inf
-        return np.max([
-            (np.max(np.abs(m[r:r + step] - m[:, r:r + step].conj().T)),
-             np.max(np.abs(m[r:r + step])))
-            for r in range(0, len(m), step)], axis=0)
+        skew, upper, lower = np.max([
+            pair(i, j) for i in range(0, len(m), _TILE)
+            for j in range(i, len(m), _TILE)], axis=0)
+    return skew, np.maximum(upper, lower)
 
 
 def _checked_hamiltonian(h, dim):
@@ -658,19 +653,24 @@ def _density_factor(rho_m):
     return cols[:r].T
 
 
+def _factor_of(rho):
+    """L with rho = L L^dag, for a state, a DensityOperator or an array."""
+    if isinstance(rho, StateVector):
+        return rho.amplitudes[:, None]
+    if isinstance(rho, DensityOperator):
+        return rho._factor
+    return _density_factor(np.asarray(rho, dtype=complex))
+
+
 def _chain_functional(rho, history, levels):
     """Undephased D(a, a') = Tr(Y_a Y_a'^dag), Y_a = P_{a_n} U_n ... P_{a_1} U_1 L.
 
-    rho = L L^dag, with L a state's amplitudes or ``_density_factor`` of a
-    DensityOperator, one column per unit of its rank.  A chain projected by a
-    diagonal keeps only its nonzero rows, scaled.  If the final level is
-    disjoint diagonals, D's blocks are returned: that of final c is the Gram
-    matrix of the chains on c's rows, scaled.
+    rho = L L^dag, L from ``_factor_of``.  A chain projected by a diagonal
+    keeps only its nonzero rows, scaled.  If the final level is disjoint
+    diagonals, D's blocks are returned: that of final c is the Gram matrix
+    of the chains on c's rows, scaled.
     """
-    if isinstance(rho, StateVector):
-        l_fac = rho.amplitudes[:, None]
-    else:
-        l_fac = _density_factor(rho.matrix)
+    l_fac = _factor_of(rho)
     steps = np.diff((0.0,) + history.times)
     *inner, final = levels
     chains = [(_ALL, l_fac)]  # (rows, Y[rows]) per label prefix
@@ -844,9 +844,9 @@ def occupation_table_bytes(b, n):
     return 16 * math.comb(n + b - 1, b - 1) ** 3
 
 
-#: bytes of one row block of the product in ``_occupation_coefficients`` and
-#: of ``_skew_and_scale``'s temporaries, which stay near this size
+#: bytes of one row block of the product in ``_occupation_coefficients``
 _ROW_BLOCK_BYTES = 2 ** 20
+_TILE = 64  #: rows of the square tiles the checks compare, 64 KiB each
 
 
 def _occupation_coefficients(d1, n):
@@ -1042,7 +1042,7 @@ def argmax_scan(rho, a_op, times, sigma, h):
 
     shape = tuple(len(g) for g in grids)
     total = np.zeros(shape)
-    for psi in _density_factor(rho_m).T:
+    for psi in _factor_of(rho).T:
         batch = psi[None, :]  # (n_chains, dim)
         for (vals, vecs), grid in zip(eigs[:-1], grids[:-1]):
             eig = batch @ vecs.conj()  # components in the A(t_k) eigenbasis

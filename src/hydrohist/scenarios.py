@@ -563,6 +563,17 @@ def _run_variance_scaling(config):
     return metrics, art, [f"log-log slope = {float(slope)!r}"]
 
 
+def _record_repeats():
+    """Inside ``warnings.catch_warnings(record=True)``, let every warning
+    reach the record, repeats included: the caller's ``default``, ``once``
+    and ``module`` filters become ``always``, while its ``error`` and
+    ``ignore`` filters stay."""
+    warnings.filters[:] = [
+        ("always", *f[1:]) if f[0] in ("default", "once", "module") else f
+        for f in warnings.filters]
+    warnings.simplefilter("always", append=True)
+
+
 def _run_histories_nscaling(config):
     p = config.params
     c = p["overlap"]
@@ -570,7 +581,7 @@ def _run_histories_nscaling(config):
     eps, notes = {}, []
     for n in range(1, p["N_max"] + 1):
         with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always", append=True)
+            _record_repeats()
             eps[n] = hist.consistency_epsilon(hist.branch_count_functional(
                 (1.0, 0.0), chi, n, (float(n), n * c * c), p["sigma"]))
         notes += [f"N = {n}: {w.category.__name__}: {w.message}"
@@ -1008,7 +1019,7 @@ def run_scenario(config: ScenarioConfig, output_dir=None) -> RunReport:
     entry = SCENARIOS[config.scenario]
     try:
         with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always", append=True)
+            _record_repeats()
             values, artifacts, notes = entry["run"](config)
     except Exception as exc:
         raise ScenarioError(

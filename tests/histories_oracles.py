@@ -48,6 +48,13 @@ def eigh_factor(rho_m) -> np.ndarray:
     return v[:, keep] * np.sqrt(w[keep])
 
 
+def min_eigenvalue(rho_m) -> float:
+    """lambda_min of the Hermitian part of rho by ``eigvalsh``, in O(dim^3):
+    the positivity test that DensityOperator's factor check replaced, which
+    rejected lambda_min < -1e-8."""
+    return float(np.linalg.eigvalsh(0.5 * (rho_m + rho_m.conj().T))[0])
+
+
 def gaussian_quasi_projector(a_op, center, sigma) -> np.ndarray:
     """(2 pi sigma^2)^(-1/2) exp(-(A - center)^2 / 2 sigma^2), spectrally."""
     vals, vecs = np.linalg.eigh(np.asarray(a_op, dtype=complex))

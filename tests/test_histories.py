@@ -149,8 +149,9 @@ class TestDensityOperators:
         assert val == pytest.approx(5 * 0.36, abs=1e-12)
 
     def test_pure_density_is_the_outer_product_unchecked(self, monkeypatch):
-        # |a><a| is Hermitian, of unit trace and rank 1 by construction, so
-        # to_density runs no eigensolver; DensityOperator still checks
+        # to_density builds through DensityOperator's checks, which now run
+        # on |a><a| too and need no eigensolver: positivity comes from the
+        # factor; a negative eigenvalue is still refused
         hs = hi.ToyHilbert(B=2, N=4)
         st = hi.StateVector(hs, random_pure(np.random.default_rng(2), 16))
 
@@ -184,8 +185,8 @@ class TestDensityOperators:
     def test_hermiticity_checked_in_row_blocks(self):
         # a finite pure-state rho at B = 2, N = 10 with one skew entry is
         # refused by the Hermiticity check, whose traced peak stays within
-        # 3 row blocks of 1 MiB; on whole dim x dim temporaries it was
-        # 2.0 dim^2 16 B, 32 MiB.  The check alone measures the same
+        # 3 MiB (it compares 64 KiB tiles); on whole dim x dim temporaries
+        # it was 2.0 dim^2 16 B, 32 MiB.  The check alone measures the same
         hs = hi.ToyHilbert(B=2, N=10)
         amp = np.random.default_rng(3).normal(size=hs.dim) + 0j
         amp /= np.linalg.norm(amp)
@@ -205,6 +206,21 @@ class TestDensityOperators:
         tracemalloc.stop()
         assert peak <= 3 * hi._ROW_BLOCK_BYTES
 
+    @pytest.mark.parametrize("dim", [1, 3, 64, 65, 200])
+    @pytest.mark.parametrize("bad", [None, np.nan, np.inf, -np.inf,
+                                     1j * np.inf])
+    def test_tiled_skew_matches_the_whole_matrix(self, dim, bad):
+        # the tiles give max|m - m^dag| and max|m| of the whole matrix, bit
+        # for bit, NaN and inf included
+        rng = np.random.default_rng(dim)
+        m = random_hermitian(rng, dim)
+        m[rng.integers(dim), rng.integers(dim)] += 1e-3
+        if bad is not None:
+            m[rng.integers(dim), rng.integers(dim)] = bad
+        with np.errstate(invalid="ignore"):
+            want = (np.max(np.abs(m - m.conj().T)), np.max(np.abs(m)))
+        np.testing.assert_array_equal(hi._skew_and_scale(m), want)
+
     def test_approximate_eigenstate_property(self):
         # ||(n(b) - N p_b) |Psi>|| / N = sqrt(p (1-p) / N), exactly
         hs = hi.ToyHilbert(B=2, N=6)
@@ -215,6 +231,116 @@ class TestDensityOperators:
         dev = (n0 - 6 * p * np.eye(hs.dim)) @ st.amplitudes
         assert np.linalg.norm(dev) / 6 == pytest.approx(
             np.sqrt(p * (1 - p) / 6), abs=1e-12)
+
+
+def random_unitary(rng, d):
+    q, r = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+    return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+
+
+class TestPositivity:
+    """DensityOperator's positivity check, ||rho - L L^dag||_F <= 1e-8 on its
+    pivoted-Cholesky factor L, against the eigvalsh check it replaced,
+    lambda_min >= -1e-8 (``oracles.min_eigenvalue``).
+
+    The factor check rejects every rho the eigvalsh check rejects, since
+    lambda_min >= -||rho - L L^dag||_F.  The two differ in a band.  Of the
+    12 indefinite draws per lambda_min (dims 16, 64 and 243; 1, 3, dim/2 and
+    dim - 1 positive eigenvalues), the factor check rejects all 12 at -1e-8,
+    where eigvalsh rejects 7, and 5, 3 and 1 at -3e-9, -1e-9 and -3e-10,
+    where eigvalsh rejects none; those are draws of half or full rank, whose
+    residual reaches about 50 |lambda_min|.  Outside [-1e-8, -3e-10] the
+    two agree: both reject -1e-6 and -1e-7, and both accept -1e-10 and
+    every positive draw.  They differ too on a rho that is Hermitian only to
+    the 1e-6 tolerance: eigvalsh read its Hermitian part, while the residual
+    counts its skew part.
+    """
+
+    SPACES = {16: (2, 4), 64: (2, 6), 243: (3, 5)}
+
+    @staticmethod
+    def indefinite(dim, rank, lam):
+        """Unit-trace Hermitian rho with ``rank`` positive eigenvalues and one
+        eigenvalue ``lam``, in a random basis."""
+        rng = np.random.default_rng([dim, rank, round(-np.log10(-lam))])
+        w = rng.uniform(0.5, 1.5, rank)
+        spectrum = np.r_[w * (1.0 - lam) / w.sum(), lam,
+                         np.zeros(dim - rank - 1)]
+        q = random_unitary(rng, dim)
+        m = (q * spectrum) @ q.conj().T
+        return 0.5 * (m + m.conj().T)
+
+    def draws(self, lam):
+        for dim, (b, n) in self.SPACES.items():
+            for rank in sorted({1, 3, dim // 2, dim - 1}):
+                yield hi.ToyHilbert(B=b, N=n), self.indefinite(dim, rank, lam)
+
+    @pytest.mark.parametrize("dim", [16, 64, 243])
+    @pytest.mark.parametrize("rank", ["1", "3", "dim/2", "dim"])
+    def test_positive_draws_are_accepted(self, dim, rank):
+        rank = {"1": 1, "3": 3, "dim/2": dim // 2, "dim": dim}[rank]
+        rng = np.random.default_rng([dim, rank])
+        a = rng.normal(size=(dim, rank)) + 1j * rng.normal(size=(dim, rank))
+        m = a @ a.conj().T
+        m /= np.trace(m).real
+        rho = hi.DensityOperator(hi.ToyHilbert(*self.SPACES[dim]), m)
+        assert rho._factor.shape == (dim, rank)
+        assert np.linalg.norm(m - rho._factor @ rho._factor.conj().T) <= 1e-15
+        assert oracles.min_eigenvalue(m) >= -1e-8
+
+    @pytest.mark.parametrize("lam", [-1e-6, -1e-7])
+    def test_both_checks_reject_outside_the_band(self, lam):
+        for space, m in self.draws(lam):
+            assert oracles.min_eigenvalue(m) < -1e-8
+            with pytest.raises(ValueError, match="negative eigenvalue"):
+                hi.DensityOperator(space, m)
+
+    def test_both_checks_accept_above_the_band(self):
+        for space, m in self.draws(-1e-10):
+            assert oracles.min_eigenvalue(m) >= -1e-8
+            hi.DensityOperator(space, m)
+
+    def test_a_skew_part_counts_in_the_residual(self):
+        # within the Hermiticity tolerance but not L L^dag to 1e-8: the
+        # eigvalsh check, on the Hermitian part, accepted it
+        m = np.diag([0.5, 0.5, 0.0, 0.0]).astype(complex)
+        m[0, 1] = 1e-7
+        assert oracles.min_eigenvalue(m) >= -1e-8
+        with pytest.raises(ValueError, match="negative eigenvalue or a skew"):
+            hi.DensityOperator(hi.ToyHilbert(B=2, N=2), m)
+
+    def test_a_read_only_owned_array_is_kept(self):
+        m = np.eye(4, dtype=complex) / 4
+        m.flags.writeable = False
+        assert hi.DensityOperator(hi.ToyHilbert(B=2, N=2), m).matrix is m
+
+    @pytest.mark.parametrize("kind", ["writeable", "read-only view"])
+    def test_other_inputs_are_copied(self, kind):
+        base = np.eye(4, dtype=complex) / 4
+        m = base if kind == "writeable" else base[:]
+        m.flags.writeable = kind == "writeable"
+        rho = hi.DensityOperator(hi.ToyHilbert(B=2, N=2), m)
+        assert not np.shares_memory(rho.matrix, base)
+        assert not rho.matrix.flags.writeable
+        base[0, 0] = 0.0
+        assert rho.matrix[0, 0] == 0.25
+
+    def test_checks_add_no_square_temporary(self):
+        # a read-only rank-1 rho at B = 2, N = 10 (16 MiB) is kept and
+        # checked in 64 KiB tiles; eigvalsh's checks peaked at 32 MiB
+        state = hi.superposition_state(hi.ToyHilbert(B=2, N=10),
+                                       np.array([0.6, 0.8]),
+                                       np.array([0.8, -0.6]))
+        m = np.outer(state.amplitudes, state.amplitudes.conj())
+        m.flags.writeable = False
+        tracemalloc.start()
+        try:
+            rho = hi.DensityOperator(state.space, m)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rho.matrix is m and rho._factor.shape == (1024, 1)
+        assert peak <= 2 ** 20
 
 
 class TestLiftOneBody:
@@ -858,13 +984,18 @@ class TestChainFactor:
 
     @pytest.mark.parametrize("times", [(0.7,), (0.0, 0.6), (0.3, 0.8, 1.5)])
     def test_full_rank_matches_the_eigh_factor(self, times, monkeypatch):
+        # the operator keeps the factor it was built with, so the reference
+        # is built with the eigh factor, which is another L of the same rho
         rho = gibbs_density(3, 3, 1.0)
         fam = hi.occupation_family(rho.space)
         spec = hi.HistorySpec(rho.space, times, tuple([fam] for _ in times),
                               kinetic_hamiltonian(3, 3))
         got = hi.decoherence_functional(rho, spec)
         monkeypatch.setattr(hi, "_density_factor", oracles.eigh_factor)
-        want = hi.decoherence_functional(rho, spec)
+        ref = gibbs_density(3, 3, 1.0)
+        assert ref._factor.shape == rho._factor.shape
+        assert np.max(np.abs(ref._factor - rho._factor)) > 1e-3
+        want = hi.decoherence_functional(ref, spec)
         assert np.max(np.abs(got.blocks - want.blocks)) <= 1e-13
 
 

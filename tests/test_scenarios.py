@@ -788,6 +788,28 @@ class TestCli:
             "UserWarning: few seeds")
         assert report.notes[0].startswith("log-log slope")
 
+    @pytest.mark.parametrize("action", ["default", "once", "module",
+                                        "ignore"])
+    def test_caller_filters_keep_repeats_unless_ignored(self, tmp_path,
+                                                        monkeypatch, action):
+        # a caller's default, once or module filter (python -X dev sets
+        # default) would note a repeat once; run_scenario notes each, and
+        # keeps the caller's ignore
+        def warning_runner(config):
+            for _ in range(2):
+                warnings.warn("grid is coarse", UserWarning)
+            return run_variance_scaling(config)
+
+        run_variance_scaling = sc.SCENARIOS["variance-scaling"]["run"]
+        monkeypatch.setitem(sc.SCENARIOS["variance-scaling"], "run",
+                            warning_runner)
+        with warnings.catch_warnings():
+            warnings.simplefilter(action)
+            report = sc.run_scenario(sc.validate_config(
+                minimal("variance-scaling")), tmp_path)
+        want = 0 if action == "ignore" else 2
+        assert report.notes[1:] == ("UserWarning: grid is coarse",) * want
+
     @pytest.mark.parametrize("scenario", ["variance-scaling",
                                           "histories-nscaling"])
     def test_runner_warnings_made_errors_still_fail(self, tmp_path,
