@@ -461,13 +461,17 @@ class DecoherenceMatrix:
         if (c.ndim != 3 or c.shape[0] != c.shape[1]
                 or c.shape[0] * c.shape[2] != len(self.labels)):
             raise ValueError("matrix shape must match the label catalog")
-        # block by block: the temporaries are one block, not all of D
+        # block by block: the temporaries are one block, not all of D.  A
+        # NaN or infinite entry fails its block's "scale < inf", and the
+        # skew is formed of finite entries only
         blocks = c.transpose(2, 0, 1)
+        scales = [np.max(np.abs(b)) for b in blocks]
+        if not all(scale < np.inf for scale in scales):
+            raise ValueError("decoherence matrix entries must be finite")
         skew = max(np.max(np.abs(b - b.conj().T)) for b in blocks)
-        scale = max(np.max(np.abs(b)) for b in blocks)
-        if skew > 1e-8 * max(scale, 1e-300):
+        if not skew <= 1e-8 * max(*scales, 1e-300):
             raise ValueError("decoherence matrix must be Hermitian")
-        if np.min(np.real(np.einsum("iig->ig", c))) < -1e-10:
+        if not np.min(np.real(np.einsum("iig->ig", c))) >= -1e-10:
             raise ValueError("diagonal entries must be nonnegative")
         c.flags.writeable = False
         object.__setattr__(self, "blocks", c)

@@ -166,38 +166,50 @@ def kernel_covariance(params: QbmParams, t):
     return np.array([[s_qq, s_qp], [s_qp, s_pp]])
 
 
+def _kernel_check(w0: WignerGrid, t, params: QbmParams):
+    """(sigma, refusals) of ``propagate_analytic(w0, t, params)``: the
+    evolved (q, p) standard deviations, and a list of (check, axis,
+    message), empty when the kernel accepts w0.  ``"spacing"``: w0's
+    standard deviation spans fewer than MIN_SPACINGS_PER_SIGMA spacings on
+    the axis, "q" or "p"; ``"domain"``: the evolved mean +/- 3 sigma leaves
+    its extent.  The moments are w0's, mapped by the kernel to t."""
+    mq, mp, vq, vp, cqp = moments(w0)
+    a = kernel_mean_map(params, t)
+    mean = a @ np.array([mq, mp])
+    cov = (a @ np.array([[vq, cqp], [cqp, vp]]) @ a.T
+           + kernel_covariance(params, t))
+    sigma = np.sqrt(np.maximum(np.diag(cov), 0.0))
+    spacings = np.sqrt(np.maximum([vq, vp], 0.0)) / [w0.dq, w0.dp]
+    extents = ((w0.q_min, w0.q_max), (w0.p_min, w0.p_max))
+    refusals = [("spacing", axis, (
+        f"the input's {axis} standard deviation spans {n:.3g} lattice "
+        f"spacings, fewer than {MIN_SPACINGS_PER_SIGMA}; refine the grid"))
+        for axis, n in zip("qp", spacings) if not n >= MIN_SPACINGS_PER_SIGMA]
+    refusals += [("domain", axis, (
+        f"the evolved state's {axis} mean +/- 3 standard deviations leaves "
+        f"[{lo:g}, {hi:g}]; enlarge the grid"))
+        for axis, m, s, (lo, hi) in zip("qp", mean, sigma, extents)
+        if not (lo <= m - 3.0 * s and m + 3.0 * s <= hi)]
+    return sigma, refusals
+
+
 def propagate_analytic(w0: WignerGrid, t, params: QbmParams) -> WignerGrid:
     """Apply the exact Gaussian transition kernel to w0 in Fourier space.
 
     The discrete characteristic function of w0 is evaluated exactly at the
     sheared frequencies A^T k, multiplied by the kernel's Gaussian factor
-    and transformed back.  The output lives on the input lattice; a
-    ResolutionError is raised when the input's standard deviation spans
-    fewer than MIN_SPACINGS_PER_SIGMA lattice spacings on either axis, or
-    when the evolved state cannot fit in the domain.
+    and transformed back.  The output lives on the input lattice; for t > 0
+    a ResolutionError gives the first refusal of ``_kernel_check``.
     """
     if not t >= 0:
         raise ValueError("t must be nonnegative")
     if t == 0.0:
         return w0.with_values(w0.values)
+    _, refusals = _kernel_check(w0, t, params)
+    if refusals:
+        raise ResolutionError(refusals[0][2])
     a = kernel_mean_map(params, t)
     sigma = kernel_covariance(params, t)
-
-    mq, mp, vq, vp, cqp = moments(w0)
-    for axis, var, step in (("q", vq, w0.dq), ("p", vp, w0.dp)):
-        spacings = math.sqrt(max(var, 0.0)) / step
-        if not spacings >= MIN_SPACINGS_PER_SIGMA:
-            raise ResolutionError(
-                f"the input's {axis} standard deviation spans {spacings:.3g} "
-                f"lattice spacings, fewer than {MIN_SPACINGS_PER_SIGMA}; "
-                "refine the grid")
-    cov0 = np.array([[vq, cqp], [cqp, vp]])
-    cov = a @ cov0 @ a.T + sigma
-    if 3.0 * math.sqrt(cov[0, 0]) > 0.5 * (w0.q_max - w0.q_min) or \
-       3.0 * math.sqrt(cov[1, 1]) > 0.5 * (w0.p_max - w0.p_min):
-        raise ResolutionError(
-            "evolved state does not fit in the grid domain; enlarge the grid"
-        )
 
     nq, np_ = w0.n_q, w0.n_p
     kq = 2 * np.pi * np.fft.rfftfreq(nq, d=w0.dq)[:, None]

@@ -66,45 +66,69 @@ _GRID_RANGES = (
 )
 
 
-def _kernel_sampling_rule(var_p):
-    """Range check of the exact kernel's lattice spacing: the initial
-    Gaussian, var_q = 1 and var_p = var_p(config), spans at least
-    ``propagator.MIN_SPACINGS_PER_SIGMA`` spacings per standard deviation
-    on each axis; follows the grid checks, so n_q, n_p >= 8."""
-    r = pr.MIN_SPACINGS_PER_SIGMA
-    return (lambda g: r * (g["q_max"] - g["q_min"]) / (g["n_q"] - 1) <= 1.0
-            and r * (g["p_max"] - g["p_min"]) / (g["n_p"] - 1)
-            <= math.sqrt(var_p(g)),
-            f"grid spacing must be at most 1/{r} of the initial state's "
-            "standard deviation on each axis")
+#: key under which a merged config keeps its sampled initial state
+_STATE = object()
 
 
-def _sigma(g, var_p, t, axis):
-    """Standard deviation along ``axis`` ("q" or "p") of the initial
-    Gaussian, var_q = 1 and var_p, or of that state evolved by the exact
-    kernel to t, whichever is larger.  The state is centred at 0."""
-    params = pr.QbmParams(g["M"], g["gamma"], g["kT"])
-    a = pr.kernel_mean_map(params, t)
-    cov0 = np.diag([1.0, var_p])
-    cov = a @ cov0 @ a.T + pr.kernel_covariance(params, t)
-    i = "qp".index(axis)
-    return math.sqrt(max(cov0[i, i], cov[i, i]))
+def _phase_space_state(var_p):
+    """The setup of a phase-space run, a function of its merged params and
+    grid c: the Gaussian of var_q = 1 and var_p(c), centred at 0, sampled on
+    the grid by ``phase_space.gaussian_wigner``, and the ``QbmParams``.
+    The pair is kept in c, so the rules of one ``validate_config`` call
+    sample one grid."""
+    def state(c):
+        if _STATE not in c:
+            c[_STATE] = (
+                ps.gaussian_wigner(c["q_min"], c["q_max"], c["n_q"],
+                                   c["p_min"], c["p_max"], c["n_p"],
+                                   var_q=1.0, var_p=var_p(c)),
+                pr.QbmParams(c["M"], c["gamma"], c["kT"]))
+        return c[_STATE]
+    return state
 
 
-def _domain_rule(var_p, t, axis):
-    """Range check of the extent along ``axis`` ("q" or "p"), as
-    ``propagator.propagate_analytic`` and the walls of the Fokker-Planck
-    integrator need it: grid.{axis}_min <= -3 sigma and 3 sigma <=
-    grid.{axis}_max, with sigma from ``_sigma`` for var_p = var_p(config)
-    and t = t(config); follows the checks of the Brownian-motion parameters
-    and of t >= 0."""
-    def fits(g):
-        reach = min(-g[f"{axis}_min"], g[f"{axis}_max"])
-        return 3.0 * _sigma(g, var_p(g), t(g), axis) <= reach
-    name = "position" if axis == "q" else "momentum"
-    return (fits, f"the {axis} domain grid.{axis}_min to grid.{axis}_max must "
-            f"hold 3 standard deviations of the initial and the evolved "
-            f"{name} on each side")
+_diffusion_state = _phase_space_state(lambda c: c["kT"] * c["M"])
+_maxwellization_state = _phase_space_state(lambda c: c["var_p0"])
+_oracle_state = _phase_space_state(lambda c: 0.5)
+
+
+def _phase_space_rules(state, t, kernel=True):
+    """Range checks of a phase-space run from ``state(c)`` to t(c), each a
+    library check on the grid the run samples: ``gaussian_wigner`` (and so
+    ``normalize``) accepts the sample, the Fokker-Planck step plan to t(c)
+    has a finite step count, and ``propagator._kernel_check`` at 0 and t(c)
+    makes no spacing or domain refusal.  Without ``kernel``, for a run
+    with no exact kernel, no spacing is checked and the p domain at 0
+    only.  Follows the checks of the parameters, the grid and t(c) >= 0."""
+    def plan(c):
+        w0, params = state(c)
+        return pr.fokker_planck_step_plan(w0, t(c), params)
+
+    def refuses_none(check, axes, at_t):
+        def accepts(c):
+            w0, params = state(c)
+            times = (0.0, t(c)) if at_t else (0.0,)
+            return not any(r[0] == check and r[1] in axes for s in times
+                           for r in pr._kernel_check(w0, s, params)[1])
+        return accepts
+
+    which = "the initial and the evolved" if kernel else "the initial"
+    spacing = (refuses_none("spacing", "qp", False), "grid spacing must be at "
+               f"most 1/{pr.MIN_SPACINGS_PER_SIGMA} of the initial state's "
+               "standard deviation on each axis")
+    return (
+        (state, "params and grid must sample the initial Gaussian to finite "
+         "values with usable mass"),
+        (plan, "params and grid must give the Fokker-Planck step plan a "
+         "finite step count"),
+        *((spacing,) if kernel else ()),
+        (refuses_none("domain", "q", True), "the q domain grid.q_min to "
+         "grid.q_max must hold the mean +/- 3 standard deviations of the "
+         "initial and the evolved position"),
+        (refuses_none("domain", "p", kernel), "the p domain grid.p_min to "
+         "grid.p_max must hold the mean +/- 3 standard deviations of "
+         f"{which} momentum"),
+    )
 
 
 def _gaussian_density(x, s):
@@ -112,10 +136,11 @@ def _gaussian_density(x, s):
     return math.exp(-x * x / (2.0 * s * s)) / (math.sqrt(2.0 * math.pi) * s)
 
 
-def _master_edge_mass(g, x_max, p_min, p_max, s_q, s_p):
+def _master_edge_mass(g, w, s_q, s_p):
     """Closed-form bound on the boundary mass of oracle-compare's evolved
-    master-equation state, as ``phase_space.l1_distance`` weighs it: the
-    marginal density on each edge times the extent across it.
+    master-equation state on its lattice w, as ``phase_space.l1_distance``
+    weighs it: the marginal density on each edge times the extent across
+    it.
 
     The position marginal is the Gaussian of standard deviation s_q.  The
     momentum marginal is at most the larger of the Gaussian of s_p and the
@@ -127,7 +152,7 @@ def _master_edge_mass(g, x_max, p_min, p_max, s_q, s_p):
     1 - cos u <= u^2/2, so its density is at most
     dx sqrt(k / 2 pi) exp(-k (1 - cos p dx)) / erf(pi sqrt(k / 2)).
     """
-    dx = 2.0 * x_max / (g["master_n_x"] - 1)
+    x_max, p_min, p_max, dx = w.q_max, w.p_min, w.p_max, w.dq
     k = 1.0 / (g["M"] * g["kT"] * dx * dx)
 
     def momentum(p):
@@ -140,52 +165,35 @@ def _master_edge_mass(g, x_max, p_min, p_max, s_q, s_p):
             + (momentum(p_min) + momentum(p_max)) * (p_max - p_min))
 
 
+def _master_state(g):
+    """The initial state of oracle-compare's master-equation route: the
+    Gaussian of var_q = 1 and var_p = 0.5 on its lattice, grid.master_n_x
+    points on +/-grid.master_x_max, and their conjugate momenta."""
+    x_max, n_x = g["master_x_max"], g["master_n_x"]
+    return ps.gaussian_wigner(-x_max, x_max, n_x,
+                              *ps.conjugate_momentum_axis(-x_max, x_max, n_x),
+                              var_q=1.0, var_p=0.5)
+
+
 def _master_lattice_rule(t):
-    """Range check of oracle-compare's master-equation lattice: its q
-    extent +/-grid.master_x_max and the conjugate momentum axis of its
-    grid.master_n_x points each hold 3 sigma on each side, sigma from
-    ``_sigma`` for var_p = 0.5 and t = t(config), and the evolved state's
-    boundary mass, bounded by ``_master_edge_mass``, stays within
+    """Range check of oracle-compare's master-equation lattice: the exact
+    kernel's domain checks accept ``_master_state`` at 0 and t(config), and
+    the evolved state's boundary mass, bounded by ``_master_edge_mass`` for
+    the larger sigma of the two times, stays within
     ``phase_space.COVERAGE_THRESHOLD``, above which ``l1_distance`` refuses
-    to resample it; follows the checks of the Brownian-motion parameters,
-    the lattice and t >= 0."""
+    to resample it."""
     def fits(g):
-        x_max = g["master_x_max"]
-        p_min, p_max, _ = ps.conjugate_momentum_axis(-x_max, x_max,
-                                                     g["master_n_x"])
-        s_q = _sigma(g, 0.5, t(g), "q")
-        s_p = _sigma(g, 0.5, t(g), "p")
-        return (3.0 * s_q <= x_max and 3.0 * s_p <= min(-p_min, p_max)
-                and _master_edge_mass(g, x_max, p_min, p_max, s_q, s_p)
+        w0 = _master_state(g)
+        params = pr.QbmParams(g["M"], g["gamma"], g["kT"])
+        (s0, r0), (st, rt) = (pr._kernel_check(w0, s, params)
+                              for s in (0.0, t(g)))
+        return (not any(r[0] == "domain" for r in r0 + rt)
+                and _master_edge_mass(g, w0, *np.maximum(s0, st))
                 <= ps.COVERAGE_THRESHOLD)
     return (fits, "the master lattice of grid.master_x_max and "
-            "grid.master_n_x must hold 3 standard deviations of the evolved "
-            "position and momentum on each side, and leave at most "
+            "grid.master_n_x must hold the initial and the evolved state's "
+            "mean +/- 3 standard deviations, and leave at most "
             f"{ps.COVERAGE_THRESHOLD} of its mass on the boundary")
-
-
-def _plan_rule(plan, name):
-    """Range check that ``plan(config)``, a step plan made by the library's
-    own function as the run makes it, has a finite step count: the library
-    raises a ValueError for a plan that has none.  ``name`` names the plan
-    in the message; follows the checks the plan's arguments need."""
-    def finite(g):
-        try:
-            plan(g)
-        except ValueError:
-            return False
-        return True
-    return (finite, f"params and grid must give the {name} step plan a "
-            "finite step count")
-
-
-def _fokker_planck_plan_rule(t):
-    """``_plan_rule`` of ``evolve_fokker_planck`` to t = t(config) on the
-    config's grid, of which the plan reads only the p extent and dq."""
-    return _plan_rule(lambda g: pr.fokker_planck_step_plan(
-        SimpleNamespace(p_min=g["p_min"], p_max=g["p_max"],
-                        dq=(g["q_max"] - g["q_min"]) / (g["n_q"] - 1)),
-        t(g), pr.QbmParams(g["M"], g["gamma"], g["kT"])), "Fokker-Planck")
 
 
 def _master_plan(g):
@@ -395,12 +403,13 @@ def validate_config(raw: dict) -> ScenarioConfig:
     merged = {**params, **grid}
     for in_range, message in entry.get("ranges", ()):
         # a rule whose arithmetic overflows or divides by zero on extreme
-        # values, or whose state has no mass, fails, as one that evaluates
-        # to False does
+        # values, whose state has no mass, or whose values a library call
+        # refuses (a step plan with no finite step count, a covariance that
+        # is not positive definite) fails, as one that evaluates to False
         try:
             with np.errstate(over="raise", invalid="raise", divide="raise"):
                 ok = in_range(merged)
-        except (ArithmeticError, DegenerateStateError):
+        except (ArithmeticError, DegenerateStateError, ValueError):
             ok = False
         if not ok:
             raise ConfigurationError(message)
@@ -426,11 +435,8 @@ def list_scenarios():
 
 
 def _run_diffusion(config):
-    p, g = config.params, config.grid
-    params = pr.QbmParams(p["M"], p["gamma"], p["kT"])
-    w0 = ps.gaussian_wigner(g["q_min"], g["q_max"], g["n_q"],
-                            g["p_min"], g["p_max"], g["n_p"],
-                            var_q=1.0, var_p=p["kT"] * p["M"])
+    p = config.params
+    w0, params = _diffusion_state({**p, **config.grid})
     times = np.linspace(p["t_start"], p["t_end"], p["n_times"])
     durations = np.diff(times, prepend=0.0)
 
@@ -462,11 +468,8 @@ def _run_diffusion(config):
 
 
 def _run_maxwellization(config):
-    p, g = config.params, config.grid
-    params = pr.QbmParams(p["M"], p["gamma"], p["kT"])
-    w0 = ps.gaussian_wigner(g["q_min"], g["q_max"], g["n_q"],
-                            g["p_min"], g["p_max"], g["n_p"],
-                            var_q=1.0, var_p=p["var_p0"])
+    p = config.params
+    w0, params = _maxwellization_state({**p, **config.grid})
     wt = pr.evolve_fokker_planck(w0, p["t"], params)
     marg = ps.momentum_marginal(wt)
     f = marg.samples / np.trapezoid(marg.samples, dx=marg.spacing)
@@ -481,22 +484,14 @@ def _run_maxwellization(config):
 
 def _run_oracle_compare(config):
     p, g = config.params, config.grid
-    params = pr.QbmParams(p["M"], p["gamma"], p["kT"])
-    w0 = ps.gaussian_wigner(g["q_min"], g["q_max"], g["n_q"],
-                            g["p_min"], g["p_max"], g["n_p"],
-                            var_q=1.0, var_p=0.5)
+    w0, params = _oracle_state({**p, **g})
     # one integration serves both times when their plans share a dt
     times = sorted({p["t_master"], p["t_kernel"]})
 
     def master_route():
-        n_x = g["master_n_x"]
-        x_max = g["master_x_max"]
-        p0, p1, n_p = ps.conjugate_momentum_axis(-x_max, x_max, n_x)
-        w0m = ps.gaussian_wigner(-x_max, x_max, n_x, p0, p1, n_p,
-                                 var_q=1.0, var_p=0.5)
-        rho_t = pr.evolve_master_equation(ps.wigner_to_density(w0m),
-                                          p["t_master"], params)
-        return ps.density_to_wigner(rho_t)
+        rho0 = ps.wigner_to_density(_master_state(g))
+        return ps.density_to_wigner(
+            pr.evolve_master_equation(rho0, p["t_master"], params))
 
     # the master route, the longer, keeps the calling thread
     w_me, (w_fp_list, w_an) = _concurrently(
@@ -747,17 +742,14 @@ SCENARIOS = {
         "sampling": False,
         # fit_diffusion needs at least 4 samples of an increasing series
         "ranges": _QBM_RANGES + _GRID_RANGES + (
-            _kernel_sampling_rule(lambda p: p["kT"] * p["M"]),
             (lambda p: p["n_times"] >= 4,
              "params.n_times must be at least 4"),
             (lambda p: p["t_start"] >= 0,
              "params.t_start must be nonnegative"),
             (lambda p: p["t_start"] < p["t_end"],
              "params.t_start must be less than params.t_end"),
-            *(_domain_rule(lambda p: p["kT"] * p["M"], lambda p: p["t_end"],
-                           axis) for axis in "qp"),
             # every span the run integrates is at most t_end
-            _fokker_planck_plan_rule(lambda p: p["t_end"]),
+            *_phase_space_rules(_diffusion_state, lambda p: p["t_end"]),
         ),
     },
     "maxwellization": {
@@ -775,13 +767,11 @@ SCENARIOS = {
         "ranges": _QBM_RANGES + _GRID_RANGES + (
             (lambda p: p["t"] >= 0, "params.t must be nonnegative"),
             (lambda p: p["var_p0"] > 0, "params.var_p0 must be positive"),
-            _domain_rule(lambda p: p["var_p0"], lambda p: p["t"], "q"),
-            # the initial Gaussian must lie on the p axis; the evolved one
-            # need not: the momentum step holds the discrete Maxwellian
-            # between zero-flux p walls exactly (kT 5 on +/-6 runs to a sup
-            # distance of 8.6e-12), and no exact kernel runs here
-            _domain_rule(lambda p: p["var_p0"], lambda p: 0.0, "p"),
-            _fokker_planck_plan_rule(lambda p: p["t"]),
+            # no exact kernel runs here, and the momentum step holds the
+            # discrete Maxwellian between zero-flux p walls exactly (kT 5
+            # on +/-6 runs to a sup distance of 8.6e-12)
+            *_phase_space_rules(_maxwellization_state, lambda p: p["t"],
+                                kernel=False),
         ),
     },
     "oracle-compare": {
@@ -801,7 +791,6 @@ SCENARIOS = {
                        "l1_master_vs_integrator": ("<", 1e-2)},
         "sampling": False,
         "ranges": _QBM_RANGES + _GRID_RANGES + (
-            _kernel_sampling_rule(lambda p: 0.5),
             (lambda p: p["t_kernel"] >= 0,
              "params.t_kernel must be nonnegative"),
             (lambda p: p["t_master"] >= 0,
@@ -813,13 +802,11 @@ SCENARIOS = {
             (lambda g: 16 * g["master_n_x"] ** 2 <= _GRID_BYTES,
              "grid.master_n_x must keep the master density matrix within "
              f"{_GRID_BYTES} bytes"),
-            _domain_rule(lambda p: 0.5,
-                         lambda p: max(p["t_kernel"], p["t_master"]), "q"),
-            _domain_rule(lambda p: 0.5, lambda p: p["t_kernel"], "p"),
+            *_phase_space_rules(
+                _oracle_state, lambda p: max(p["t_kernel"], p["t_master"])),
             _master_lattice_rule(lambda p: p["t_master"]),
-            _fokker_planck_plan_rule(
-                lambda p: max(p["t_kernel"], p["t_master"])),
-            _plan_rule(_master_plan, "master-equation"),
+            (_master_plan, "params and grid must give the master-equation "
+             "step plan a finite step count"),
         ),
     },
     "variance-scaling": {

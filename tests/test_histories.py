@@ -1465,6 +1465,19 @@ class TestConsistencyMeasures:
         with pytest.raises(ValueError, match="label catalog"):
             hi.DecoherenceMatrix(("a", "b", "c"), np.zeros((2, 2, 2)))
 
+    @pytest.mark.parametrize("m", [
+        [[np.nan, 0.0], [0.0, 1.0]],
+        [[0.5, np.inf], [0.0, 0.5]],
+        # the NaN in the second of two blocks
+        np.stack([np.eye(2) / 4, [[np.nan, 0.0], [0.0, 0.25]]], -1),
+    ], ids=["nan", "inf", "nan-in-second-block"])
+    def test_non_finite_entries_rejected(self, m):
+        # a NaN entry would read as probability NaN and epsilon 0.0, and an
+        # infinite one can pass a skew test that compares inf with inf
+        labels = ((0,), (1,)) if np.ndim(m) == 2 else ("a", "b", "c", "d")
+        with pytest.raises(ValueError, match="finite"):
+            hi.DecoherenceMatrix(labels, m)
+
     def test_bound_ties_pick_first_pair(self):
         m = np.full((3, 3), 0.1, dtype=complex)
         np.fill_diagonal(m, 1.0 / 3.0)

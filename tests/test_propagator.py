@@ -152,6 +152,57 @@ class TestPropagateAnalytic:
         assert ps.l1_distance(wt, exact) <= 1e-5
 
 
+class TestKernelCheck:
+    """``_kernel_check`` against ``propagate_analytic``, which raises a
+    ResolutionError for t > 0 exactly when the check refuses."""
+
+    @pytest.mark.parametrize("grid, mean, var, t, refused", [
+        ((-25, 25, 256, -6, 6, 128), (0.0, 0.0), (0.25, 0.5), 10.0, []),
+        ((-20, 20, 64, -6, 6, 12), (0.0, 0.0), (1.0, 0.3), 3.0,
+         [("spacing", "p")]),
+        ((-20, 20, 40, -6, 6, 64), (0.0, 0.0), (0.3, 1.0), 3.0,
+         [("spacing", "q")]),
+        ((-4, 4, 64, -4, 4, 64), (0.0, 0.0), (0.25, 0.5), 20.0,
+         [("domain", "q")]),
+        ((-20, 20, 100, -2.5, 2.5, 80), (0.0, 0.0), (0.3, 1.0), 3.0,
+         [("spacing", "q"), ("domain", "p")]),
+        # off centre: 3 sigma of the evolved q, 5.5, fits the half-width
+        # 12, but mean + 3 sigma leaves the grid
+        ((-12, 12, 192, -6, 6, 96), (7.0, 0.0), (1.0, 0.5), 3.0,
+         [("domain", "q")]),
+    ], ids=["accepted", "coarse-p", "coarse-q", "narrow", "coarse-and-narrow",
+            "off-centre"])
+    def test_propagate_analytic_refuses_iff_the_check_does(
+            self, grid, mean, var, t, refused):
+        w0 = ps.gaussian_wigner(*grid, mean_q=mean[0], mean_p=mean[1],
+                                var_q=var[0], var_p=var[1])
+        _, refusals = pr._kernel_check(w0, t, UNIT)
+        assert [r[:2] for r in refusals] == refused
+        if not refusals:
+            pr.propagate_analytic(w0, t, UNIT)
+            return
+        with pytest.raises(ResolutionError) as info:
+            pr.propagate_analytic(w0, t, UNIT)
+        assert str(info.value) == refusals[0][2]
+
+    def test_off_centre_state_within_the_half_width_is_refused(self):
+        # 3 sigma fits each half-width, but the mean + 3 sigma of q leaves
+        # the grid: propagated, 23 % of the mass would sit on the wall
+        w0 = ps.gaussian_wigner(-12, 12, 192, -6, 6, 96, mean_q=7.0,
+                                var_p=0.5)
+        sigma, refusals = pr._kernel_check(w0, 3.0, UNIT)
+        assert np.all(3.0 * sigma <= (12.0, 6.0))
+        assert [r[:2] for r in refusals] == [("domain", "q")]
+
+    def test_sigma_is_the_evolved_moments(self):
+        w0 = ps.gaussian_wigner(-25, 25, 256, -6, 6, 128, var_q=0.25,
+                                var_p=0.5)
+        wt = pr.propagate_analytic(w0, 10.0, UNIT)
+        sigma, _ = pr._kernel_check(w0, 10.0, UNIT)
+        _, _, vq, vp, _ = ps.moments(wt)
+        assert sigma == pytest.approx(np.sqrt([vq, vp]), rel=1e-3)
+
+
 def _full_spectrum_kernel(w0, t, params):
     """The exact kernel on the full two-dimensional spectrum: fft along q,
     the same shear and Gaussian factors at every (kq, kp) of fftfreq, and

@@ -60,7 +60,7 @@ class TestLoadConfig:
 
     @pytest.mark.parametrize("scenario, section, key, value", [
         ("diffusion", "params", "gamma", 2),
-        ("maxwellization", "grid", "q_max", 10 ** 30),
+        ("maxwellization", "params", "M", 10 ** 30),
         ("oracle-compare", "grid", "master_x_max", 12),
     ])
     def test_float_keys_hold_floats(self, scenario, section, key, value):
@@ -456,8 +456,9 @@ class TestCli:
         # step plans with no finite step count
         pytest.param("maxwellization", {"params": {"gamma": 1e308}},
                      "Fokker-Planck step plan", id="maxwellization-vast-gamma"),
+        # sampling the initial state on it overflows before any plan
         pytest.param("maxwellization", {"grid": {"p_min": -1e308}},
-                     "Fokker-Planck step plan", id="maxwellization-vast-p"),
+                     "usable mass", id="maxwellization-vast-p"),
         pytest.param("diffusion", {"params": {"gamma": 1e308}},
                      "Fokker-Planck step plan", id="diffusion-vast-gamma"),
         pytest.param("oracle-compare", {"params": {"gamma": 1e308}},
@@ -592,9 +593,13 @@ class TestCli:
                        "master lattice", id=f"oracle-edge-mass-{x_max}-{n_x}")
           for x_max, n_x in ((40.0, 128), (50.0, 128), (60.0, 128),
                              (10.0, 32))),
-        # an evolved variance near 1e308 is compared without overflowing,
-        # and a rule that divides by an underflowed 2 M gamma fails
-        pytest.param("diffusion", {"t_end": 1e308}, {}, "q domain",
+        # an evolved variance near 1e300 is compared without overflowing,
+        # a t_end of 1e308 has no finite step plan, and a rule that divides
+        # by an underflowed 2 M gamma fails
+        pytest.param("diffusion", {"t_end": 1e300}, {}, "q domain",
+                     id="diffusion-vast-t-end"),
+        pytest.param("diffusion", {"t_end": 1e308}, {},
+                     "Fokker-Planck step plan",
                      id="diffusion-overflowing-t-end"),
         pytest.param("maxwellization", {"M": 1e-200, "gamma": 1e-200}, {},
                      "q domain", id="maxwellization-underflowing-rate"),
@@ -668,15 +673,16 @@ class TestCli:
     def test_master_plan_rule_reads_the_library_plan(self):
         # the rule's plan is evolve_master_equation's, 187 steps on the
         # default lattice; a mass so small that the kinetic scale overflows
-        # leaves a step bound of 0 and no finite step count.  Other rules
-        # refuse such a config first; this one holds on its own too
+        # leaves a step bound of 0 and no finite step count, which the
+        # library refuses with the ValueError that fails a rule.  Other
+        # rules refuse such a config first; this one holds on its own too
         entry = sc.SCENARIOS["oracle-compare"]
         merged = {**entry["params"], **entry["grid"]}
         assert sc._master_plan(merged)[0] == 187
-        finite, message = sc._plan_rule(sc._master_plan, "master-equation")
-        assert finite(merged)
-        assert not finite({**merged, "M": 5e-307})
-        assert "master-equation step plan" in message
+        assert [rule for rule, message in entry["ranges"]
+                if "master-equation step plan" in message] == [sc._master_plan]
+        with pytest.raises(ValueError, match="no finite step count"):
+            sc._master_plan({**merged, "M": 5e-307})
 
     @pytest.mark.parametrize("seed", [0, 1, 7])
     def test_ehrenfest_narrowest_sigma_runs(self, tmp_path, seed):
@@ -862,8 +868,10 @@ class TestCli:
         assert "scenario 'variance-scaling'" in capsys.readouterr().err
 
     @pytest.mark.parametrize("scenario, key, value, code", [
-        ("maxwellization", "q_max", 10 ** 30, 0),
-        # its master lattice cannot hold the state: rejected at validate
+        # the initial state sampled on q_max 1e30 is one grid row, at a
+        # mean just past q_min, and the master lattice cannot hold the
+        # state: both are rejected at validate
+        ("maxwellization", "q_max", 10 ** 30, 2),
         ("oracle-compare", "master_x_max", 2 ** 64, 2),
     ])
     def test_run_int_and_float_keys_exit_alike(self, tmp_path, capsys,
@@ -1131,11 +1139,12 @@ def test_validate_config_fuzz():
     assert min(outcomes.values()) >= 100, outcomes
 
 
-def test_run_config_fuzz_histories(tmp_path):
-    # the run half of the fuzz for the two histories scenarios: every draw
-    # that validates runs without ScenarioError
+def _run_fuzz_draws(tmp_path, scenarios):
+    """Run every ``_fuzz_config`` draw of ``scenarios`` that validates, and
+    count the runs of each; a ScenarioError fails the test, while a
+    tolerance miss passes."""
     rng = np.random.default_rng(20261019)
-    ran = {"conserved-decoherence": 0, "histories-nscaling": 0}
+    ran = dict.fromkeys(scenarios, 0)
     for _ in range(3000):
         raw = _fuzz_config(rng)
         try:
@@ -1145,5 +1154,25 @@ def test_run_config_fuzz_histories(tmp_path):
         if config.scenario in ran:
             sc.run_scenario(config, tmp_path)
             ran[config.scenario] += 1
+    return ran
+
+
+def test_run_config_fuzz_histories(tmp_path):
+    # the run half of the fuzz for the two histories scenarios: every draw
+    # that validates runs without ScenarioError
+    ran = _run_fuzz_draws(tmp_path, ("conserved-decoherence",
+                                     "histories-nscaling"))
     # the draws reach both scenarios often enough to mean something
     assert min(ran.values()) >= 40, ran
+
+
+def test_run_config_fuzz_phase_space(tmp_path):
+    # the run half for three phase-space scenarios, in about 3 s: their
+    # range rules sample the run's initial grid, so a draw that validates
+    # starts.  Maxwellization stays out: its momentum step conserves
+    # sum_j W_j, but integral() weighs the p walls by half, so mass there
+    # reads as lost and some draws that validate exit 3
+    ran = _run_fuzz_draws(tmp_path, ("diffusion", "oracle-compare",
+                                     "variance-scaling"))
+    # few draws pass the phase-space rules: 4, 3 and 25 of the 3000
+    assert min(ran.values()) >= 3, ran
