@@ -81,6 +81,7 @@ DEFAULT_DIM_CAP = 2 ** 12
 #: the cap on OccupationFunctional's table, 2^23 complex entries; the dynamic
 #: program peaks at about 2.3 times the table (220 MB RSS at B = 3, N = 18)
 OCCUPATION_TABLE_BYTES = 2 ** 27
+_BRANCH_COUNT_MAX_N = 1000  #: the largest n of branch_count_functional
 #: tolerance of check_dh_bound: |D(a,a')|^2 may exceed p(a) p(a') by this much
 DH_BOUND_SLACK = 1e-10
 
@@ -95,10 +96,11 @@ class ToyHilbert:
     def __post_init__(self):
         if self.B < 2 or self.N < 1:
             raise ValueError("need B >= 2 bins and N >= 1 particles")
-        if self.B ** self.N > DEFAULT_DIM_CAP:
+        # 2^N passes the cap from this N on, so B ** N is never formed there
+        if (self.N >= DEFAULT_DIM_CAP.bit_length()
+                or self.B ** self.N > DEFAULT_DIM_CAP):
             raise DimensionCapError(
-                f"B^N = {self.B ** self.N} exceeds the cap {DEFAULT_DIM_CAP}"
-            )
+                f"B^N = {self.B}^{self.N} exceeds the cap {DEFAULT_DIM_CAP}")
 
     @property
     def dim(self):
@@ -397,6 +399,16 @@ def _unitary(spectrum, dt):
     return _times(v, phase[:, None] * v.conj().T)
 
 
+def _checked_times(times):
+    """``times`` as floats, refused unless nonempty, nonnegative, increasing."""
+    t = tuple(float(x) for x in times)
+    if len(t) == 0 or not all(b > a for a, b in zip(t, t[1:])):
+        raise ValueError("times must be nonempty and strictly increasing")
+    if not t[0] >= 0:
+        raise ValueError("times must be nonnegative")
+    return t
+
+
 @dataclass(frozen=True)
 class HistorySpec:
     """Times, per-time projector families, Hamiltonian, optional dephasing.
@@ -417,11 +429,7 @@ class HistorySpec:
     spectrum: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        t = tuple(float(x) for x in self.times)
-        if len(t) == 0 or not all(b > a for a, b in zip(t, t[1:])):
-            raise ValueError("times must be nonempty and strictly increasing")
-        if not t[0] >= 0:
-            raise ValueError("times must be nonnegative")
+        t = _checked_times(self.times)
         if len(self.slots) != len(t):
             raise ValueError("need one projector slot per time")
         if any(len(slot) != 1 for slot in self.slots):
@@ -513,10 +521,7 @@ class OccupationFunctional:
         b = len(d1)
         if b < 2 or d1.shape != (b,) * 3 or self.n < 1:
             raise ValueError("need a (B, B, B) d1, B >= 2, and N >= 1")
-        if occupation_table_bytes(b, self.n) > OCCUPATION_TABLE_BYTES:
-            raise DimensionCapError(
-                f"N = {self.n} in {b} bins exceeds the occupation table cap "
-                f"of {OCCUPATION_TABLE_BYTES} bytes")
+        _capped_table_bytes(b, self.n)
         comps = tuple(_compositions(self.n, b))
         coef = _occupation_coefficients(d1, self.n)
         d1.flags.writeable = False
@@ -817,12 +822,14 @@ def branch_count_functional(psi, chi, n, centers, sigma) -> DecoherenceMatrix:
     count, at one time under a zero Hamiltonian, for (|psi>^n + |chi>^n)/norm
     on two bins, from the law of the count, q(k) = C(n, k) |psi_0^k
     psi_1^(n-k) + chi_0^k chi_1^(n-k)|^2 / norm^2: D(a, a') = sum_k w_a(k)
-    w_a'(k) q(k).  Up to n = 1000, C(n, k) < 2^n and the largest term of
-    each branch's law, at least 2^-n / (n + 1), are normal floats."""
+    w_a'(k) q(k).  n is at most 1000: there C(n, k) < 2^n and the largest
+    term of each branch's law, at least 2^-n / (n + 1), are normal floats."""
     psi, chi = (product_state(ToyHilbert(2, 1), v).amplitudes
                 for v in (psi, chi))
     if n < 1:
         raise ValueError("need n >= 1 particles")
+    if n > _BRANCH_COUNT_MAX_N:
+        raise ValueError(f"need n <= {_BRANCH_COUNT_MAX_N} particles")
     k = np.arange(n + 1)
     law = np.array(list(itertools.accumulate(  # C(n, k), exact integers
         range(n), lambda c, j: c * (n - j) // (j + 1), initial=1)), float)
@@ -846,6 +853,14 @@ def _compositions(n, b):
 def occupation_table_bytes(b, n):
     """Bytes of the C(n + b - 1, b - 1)^3 complex entries of n in b bins."""
     return 16 * math.comb(n + b - 1, b - 1) ** 3
+
+
+def _capped_table_bytes(b, n):
+    """``occupation_table_bytes``, refused past OCCUPATION_TABLE_BYTES."""
+    if (size := occupation_table_bytes(b, n)) > OCCUPATION_TABLE_BYTES:
+        raise DimensionCapError(f"N = {n} in {b} bins exceeds the occupation "
+                                f"table cap of {OCCUPATION_TABLE_BYTES} bytes")
+    return size
 
 
 #: bytes of one row block of the product in ``_occupation_coefficients``
@@ -915,8 +930,8 @@ def product_occupation_functional(rho1: DensityOperator, h1, n, times,
     if space1.N != 1:
         raise ValueError("rho1 must be a one-particle state")
     spectrum = _spectrum(_checked_hamiltonian(h1, space1.B))
-    times = tuple(float(t) for t in times)
-    if len(times) != 2 or not 0.0 <= times[0] < times[1]:
+    times = _checked_times(times)
+    if len(times) != 2:
         raise ValueError("need exactly two times 0 <= t1 < t2")
     if not dephasing_rate >= 0:
         raise ValueError("dephasing rate must be nonnegative")

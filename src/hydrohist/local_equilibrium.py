@@ -39,7 +39,6 @@ __all__ = [
     "HydroFields",
     "PeakingReport",
     "build_w1",
-    "gibbs_generator",
     "one_particle_gibbs",
     "hydro_averages",
     "evolve_free",
@@ -136,23 +135,11 @@ def build_w1(profile: LocalEquilibriumProfile, p_min, p_max, n_p) -> WignerGrid:
     return normalize(grid)
 
 
-def gibbs_generator(beta, mubar, u):
-    """The B x B generator beta(q)[p^2/2 - mu(q) - u(q) p] of
-    ``one_particle_gibbs``, each product symmetrized."""
-    space = hist.ToyHilbert(B=len(beta), N=1)
-    p = hist.one_particle_momentum(space)
-    kin = p @ p / 2.0
-    du = np.diag(np.asarray(u, dtype=complex))
-    k_sym = (kin - np.diag(np.asarray(mubar, dtype=complex))
-             - 0.5 * (du @ p + p @ du))
-    db = np.diag(np.asarray(beta, dtype=complex))
-    return 0.5 * (db @ k_sym + k_sym @ db)
-
-
 def one_particle_gibbs(beta, mubar, u):
     """Lattice Gibbs operator exp(-beta(q)[p^2/2 - mu(q) - u(q) p]), symmetrized.
 
-    Returns a histories DensityOperator on the B-bin one-particle space.
+    Returns a histories DensityOperator on the B-bin one-particle space; a
+    generator that overflows, on which eigh would not converge, is refused.
     """
     beta = np.asarray(beta, dtype=float)
     mubar = np.asarray(mubar, dtype=float)
@@ -162,7 +149,15 @@ def one_particle_gibbs(beta, mubar, u):
     if not np.all(beta > 0):
         raise ValueError("beta must be positive everywhere")
     space = hist.ToyHilbert(B=len(beta), N=1)
-    vals, vecs = np.linalg.eigh(gibbs_generator(beta, mubar, u))
+    p = hist.one_particle_momentum(space)
+    du, db = np.diag(u.astype(complex)), np.diag(beta.astype(complex))
+    with np.errstate(over="ignore", invalid="ignore"):
+        k_sym = (p @ p / 2.0 - np.diag(mubar.astype(complex))
+                 - 0.5 * (du @ p + p @ du))
+        gen = 0.5 * (db @ k_sym + k_sym @ db)
+    if not np.all(np.isfinite(gen)):
+        raise ValueError("the Gibbs generator must be finite")
+    vals, vecs = np.linalg.eigh(gen)
     w = np.exp(-(vals - np.min(vals)))
     rho = (vecs * w) @ vecs.conj().T
     rho /= np.real(np.trace(rho))

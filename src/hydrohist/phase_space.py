@@ -154,12 +154,14 @@ class DensityMatrix:
         ker = np.asarray(self.kernel, dtype=complex)
         if ker.shape != (self.n_x, self.n_x):
             raise ValueError("kernel must be square of shape (n_x, n_x)")
+        scale = np.max(np.abs(ker))
+        if not scale < np.inf:
+            raise ValueError("kernel entries must be finite")
         herm = np.max(np.abs(ker - ker.conj().T))
-        scale = max(np.max(np.abs(ker)), 1e-300)
-        if herm > 100 * DEFAULT_TOL * scale:
+        if not herm <= 100 * DEFAULT_TOL * max(scale, 1e-300):
             raise ValueError(f"kernel is not Hermitian (deviation {herm:.3e})")
         tr = float(np.real(np.sum(np.diag(ker))) * self.dx)
-        if abs(tr - 1.0) > 1e-3:
+        if not abs(tr - 1.0) <= 1e-3:
             raise ValueError(f"kernel trace {tr:.6f} is not 1")
         ker = ker.copy()
         ker.flags.writeable = False
@@ -213,7 +215,7 @@ class Marginal:
         if np.min(s) < -100 * DEFAULT_TOL * max(np.max(np.abs(s)), 1e-300):
             raise ValueError("marginal has significantly negative samples")
         total = float(np.trapezoid(s, dx=self.spacing))
-        if abs(total - 1.0) > 1e-3:
+        if not abs(total - 1.0) <= 1e-3:
             raise ValueError(f"marginal integrates to {total:.6f}, expected 1")
         s = s.copy()
         s.flags.writeable = False
@@ -252,13 +254,15 @@ def normalize(w: WignerGrid) -> WignerGrid:
     """Rescale a grid so its trapezoidal integral is exactly 1."""
     abs_total = _trapz2(np.abs(w.values), w.dq, w.dp)
     total = w.integral()
-    if abs_total == 0.0 or abs(total) < 1e-12 * abs_total or abs(total) < 1e-300:
+    # a NaN or infinite value makes abs_total NaN or inf, and fails too
+    if not (abs_total < np.inf
+            and abs(total) >= max(1e-12 * abs_total, 1e-300)):
         raise DegenerateStateError("grid has no usable mass to normalize")
     return w.with_values(w.values / total)
 
 
 def _check_normalized(w):
-    if abs(w.integral() - 1.0) > 1e-3:
+    if not abs(w.integral() - 1.0) <= 1e-3:
         raise ValueError("operation requires a normalized WignerGrid")
 
 

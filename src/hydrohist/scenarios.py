@@ -29,7 +29,7 @@ from . import histories as hist
 from . import local_equilibrium as le
 from . import phase_space as ps
 from . import propagator as pr
-from .errors import ConfigurationError, DegenerateStateError, ScenarioError
+from .errors import ConfigurationError, HydrohistError, ScenarioError
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -66,7 +66,8 @@ _GRID_RANGES = (
 )
 
 
-#: key under which a merged config keeps its sampled initial state
+#: key under which a merged config keeps its sampled initial state, and,
+#: paired with a time, the exact kernel's refusals at that time
 _STATE = object()
 
 
@@ -106,10 +107,13 @@ def _phase_space_rules(state, t, kernel=True):
 
     def refuses_none(check, axes, at_t):
         def accepts(c):
-            w0, params = state(c)
-            times = (0.0, t(c)) if at_t else (0.0,)
-            return not any(r[0] == check and r[1] in axes for s in times
-                           for r in pr._kernel_check(w0, s, params)[1])
+            for s in (0.0, t(c)) if at_t else (0.0,):
+                if (_STATE, s) not in c:  # one kernel check per time
+                    w0, params = state(c)
+                    c[_STATE, s] = pr._kernel_check(w0, s, params)[1]
+                if any(r[0] == check and r[1] in axes for r in c[_STATE, s]):
+                    return False
+            return True
         return accepts
 
     which = "the initial and the evolved" if kernel else "the initial"
@@ -129,11 +133,6 @@ def _phase_space_rules(state, t, kernel=True):
          "grid.p_max must hold the mean +/- 3 standard deviations of "
          f"{which} momentum"),
     )
-
-
-def _gaussian_density(x, s):
-    """Density at x of the centred normal law of standard deviation s."""
-    return math.exp(-x * x / (2.0 * s * s)) / (math.sqrt(2.0 * math.pi) * s)
 
 
 def _master_edge_mass(g, w, s_q, s_p):
@@ -159,9 +158,9 @@ def _master_edge_mass(g, w, s_q, s_p):
         lattice = (dx * math.sqrt(k / (2.0 * math.pi))
                    * math.exp(-k * (1.0 - math.cos(p * dx)))
                    / math.erf(math.pi * math.sqrt(k / 2.0)))
-        return max(_gaussian_density(p, s_p), lattice)
+        return max(hist._gaussian_weights(p, 0.0, s_p), lattice)
 
-    return (2.0 * _gaussian_density(x_max, s_q) * 2.0 * x_max
+    return (2.0 * hist._gaussian_weights(x_max, 0.0, s_q) * 2.0 * x_max
             + (momentum(p_min) + momentum(p_max)) * (p_max - p_min))
 
 
@@ -257,12 +256,6 @@ def _concurrently(first, second):
 
 #: inner edges of the variance-scaling bins: the quartiles of a unit normal
 _QUARTILE = 0.6744897501960817
-
-
-def _history_times(times):
-    """Times a HistorySpec accepts: nonempty, nonnegative, increasing."""
-    return (len(times) >= 1 and times[0] >= 0
-            and all(a < b for a, b in zip(times, times[1:])))
 
 
 _TOP_KEYS = {"schema_version", "scenario", "params", "grid", "seed",
@@ -402,14 +395,13 @@ def validate_config(raw: dict) -> ScenarioConfig:
             defaults[key] = value
     merged = {**params, **grid}
     for in_range, message in entry.get("ranges", ()):
-        # a rule whose arithmetic overflows or divides by zero on extreme
-        # values, whose state has no mass, or whose values a library call
-        # refuses (a step plan with no finite step count, a covariance that
-        # is not positive definite) fails, as one that evaluates to False
+        # a rule fails, as one that evaluates to False, when its arithmetic
+        # overflows or divides by zero on extreme values, or when a library
+        # call refuses its values (no mass, no finite step plan, a cap)
         try:
             with np.errstate(over="raise", invalid="raise", divide="raise"):
                 ok = in_range(merged)
-        except (ArithmeticError, DegenerateStateError, ValueError):
+        except (ArithmeticError, HydrohistError, ValueError):
             ok = False
         if not ok:
             raise ConfigurationError(message)
@@ -530,8 +522,6 @@ def _variance_scaling_setup(c):
 def _bins_hold_mass(c):
     """Every bin of the sampled initial state carries positive mass, as
     the relative fluctuation needs."""
-    if not c["var_q"] * c["var_p"] > 0:
-        return False
     w, window = _variance_scaling_setup(c)
     return bool(np.all(en.bin_probabilities(en.ProductEnsemble(1, w),
                                             window) > 0))
@@ -860,9 +850,8 @@ SCENARIOS = {
             (lambda p: p["sigma"] > 0 and np.finfo(float).tiny
              <= (2 * math.pi * float(p["sigma"]) ** 2) ** -2 < math.inf,
              "params.sigma must keep (2 pi sigma^2)^-2 a normal float"),
-            # branch_count_functional's float limit
-            (lambda p: p["N_max"] <= 1000,
-             "params.N_max must be at most 1000"),
+            (lambda p: p["N_max"] <= hist._BRANCH_COUNT_MAX_N,
+             f"params.N_max must be at most {hist._BRANCH_COUNT_MAX_N}"),
         ),
     },
     "ehrenfest": {
@@ -921,14 +910,12 @@ SCENARIOS = {
         "ranges": (
             (lambda p: p["bins"] >= 2, "params.bins must be at least 2"),
             (lambda p: p["N"] >= 1, "params.N must be at least 1"),
-            # an N past log2 of the cap fails before the power is formed
-            (lambda p: p["N"] < hist.DEFAULT_DIM_CAP.bit_length()
-             and p["bins"] ** p["N"] <= hist.DEFAULT_DIM_CAP,
+            (lambda p: hist.ToyHilbert(B=p["bins"], N=p["N"]),
              "params.N must keep bins**N within the cap "
              f"{hist.DEFAULT_DIM_CAP}"),
-            (lambda p: _history_times(p["times2"]),
+            (lambda p: hist._checked_times(p["times2"]),
              "params.times2 must be nonempty, nonnegative and increasing"),
-            (lambda p: _history_times(p["times3"]),
+            (lambda p: hist._checked_times(p["times3"]),
              "params.times3 must be nonempty, nonnegative and increasing"),
         ),
     },
@@ -949,18 +936,17 @@ SCENARIOS = {
         "sampling": False,
         "ranges": (
             (lambda p: len(p["times"]) == 2
-             and 0 <= p["times"][0] < p["times"][1],
+             and hist._checked_times(p["times"]),
              "params.times must be two times 0 <= t1 < t2"),
             (lambda p: p["N"] >= 1, "params.N must be at least 1"),
             (lambda p: len(p["mubar"]) >= 2,
              "params.mubar must give at least 2 bins"),
-            (lambda p: hist.occupation_table_bytes(len(p["mubar"]), p["N"])
-             <= hist.OCCUPATION_TABLE_BYTES, "params.N must keep the "
-             f"occupation table within {hist.OCCUPATION_TABLE_BYTES} bytes"),
+            # bounds len(mubar), the B of the Gibbs rule, to at most 203
+            (lambda p: hist._capped_table_bytes(len(p["mubar"]), p["N"]),
+             "params.N must keep the occupation table within "
+             f"{hist.OCCUPATION_TABLE_BYTES} bytes"),
             (lambda p: p["beta"] > 0, "params.beta must be positive"),
-            # eigh of the Gibbs generator converges only on finite entries
-            (lambda p: np.all(np.isfinite(
-                le.gibbs_generator(*_peaking_profiles(p)))),
+            (lambda p: le.one_particle_gibbs(*_peaking_profiles(p)),
              "params.beta and params.mubar must keep the one-particle Gibbs "
              "generator finite"),
             (lambda p: p["dephasing_rate"] >= 0,

@@ -15,6 +15,7 @@ from hydrohist import scenarios as sc
 from hydrohist.errors import DimensionCapError
 
 import histories_oracles as oracles
+from test_imports import run_fresh
 
 
 def random_hermitian(rng, d):
@@ -63,6 +64,17 @@ class TestToyHilbert:
         for b, n in ((4, 9), (2, 13), (3, 8)):
             with pytest.raises(DimensionCapError):
                 hi.ToyHilbert(B=b, N=n)
+
+    def test_vast_n_refused_without_forming_the_power(self):
+        # 3 ** 10^12 has 4.8e11 digits: forming it would stall the refusal
+        # for hours, so a child process checks it, and a timeout fails it
+        out = run_fresh("from hydrohist import histories as hi\n"
+                        "from hydrohist.errors import DimensionCapError\n"
+                        "try:\n"
+                        "    hi.ToyHilbert(B=3, N=10 ** 12)\n"
+                        "except DimensionCapError as exc:\n"
+                        "    print(exc)\n", timeout=20)
+        assert out.strip() == "B^N = 3^1000000000000 exceeds the cap 4096"
 
     def test_occupation_table_rows_sum_to_n(self):
         hs = hi.ToyHilbert(B=3, N=4)
@@ -690,6 +702,10 @@ class TestBranchCountFunctional:
             hi.branch_count_functional(psi, -psi, 3, (1.0,), 1.0)
         with pytest.raises(ValueError, match="n >= 1"):
             hi.branch_count_functional(psi, psi, 0, (1.0,), 1.0)
+        # the stated limit, n <= 1000; C(n, k) overflows a float from n = 1030
+        hi.branch_count_functional(psi, psi, 1000, (1.0,), 1.0)
+        with pytest.raises(ValueError, match="n <= 1000"):
+            hi.branch_count_functional(psi, psi, 1001, (1.0,), 1.0)
         with pytest.raises(ValueError, match="sigma"):
             hi.branch_count_functional(psi, psi, 3, (1.0,), 0.0)
 
@@ -1337,9 +1353,9 @@ class TestProductOccupationFunctional:
         rho1, h1 = product_setup("gibbs3")
         with pytest.raises(ValueError, match="two times"):
             hi.product_occupation_functional(rho1, h1, 2, (0.0, 0.1, 0.2))
-        with pytest.raises(ValueError, match="two times"):
+        with pytest.raises(ValueError, match="strictly increasing"):
             hi.product_occupation_functional(rho1, h1, 2, (0.2, 0.1))
-        with pytest.raises(ValueError, match="two times"):
+        with pytest.raises(ValueError, match="times must be nonnegative"):
             hi.product_occupation_functional(rho1, h1, 2, (-0.1, 0.1))
         with pytest.raises(ValueError, match="N >= 1"):
             hi.product_occupation_functional(rho1, h1, 0, (0.0, 0.1))

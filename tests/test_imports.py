@@ -17,11 +17,12 @@ LOADED_SCIPY = ("print(sorted(m for m in sys.modules\n"
                 "             if m == 'scipy' or m.startswith('scipy.')))\n")
 
 
-def run_fresh(code):
-    """Run code in a new interpreter with src/ first on sys.path."""
+def run_fresh(code, timeout=120):
+    """Run code in a new interpreter with src/ first on sys.path; a run
+    past ``timeout`` seconds fails."""
     prelude = f"import sys\nsys.path.insert(0, {SRC!r})\n"
     done = subprocess.run([sys.executable, "-c", prelude + code],
-                          capture_output=True, text=True, timeout=120)
+                          capture_output=True, text=True, timeout=timeout)
     assert done.returncode == 0, done.stderr
     return done.stdout
 

@@ -119,6 +119,15 @@ class TestGibbs:
         with pytest.raises(ValueError):
             le.one_particle_gibbs([1.0, 1.0], [0.0], [0.0, 0.0])
 
+    @pytest.mark.parametrize("beta, mubar", [
+        (3.0, [1e308, 0.0, 0.0]), (3.0, [-1e308, 0.0, 0.0]),
+        (1e308, [4.0, 0.0, 0.0])])
+    def test_overflowing_generator_refused(self, beta, mubar):
+        # the generator overflows; eigh would not converge on it, and no
+        # RuntimeWarning (an error under pyproject.toml) comes first
+        with pytest.raises(ValueError, match="Gibbs generator must be finite"):
+            le.one_particle_gibbs(np.full(3, beta), mubar, np.zeros(3))
+
 
 class TestTensorPower:
     def test_occupations_follow_multinomial(self):

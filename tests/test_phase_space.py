@@ -44,6 +44,38 @@ class TestNormalize:
             ps.normalize(w)
 
 
+class TestNonFiniteValues:
+    """NaN and inf fail every check: each is a "not x <= tol" comparison,
+    which NaN fails, or an explicit "scale < inf"."""
+
+    @pytest.mark.parametrize("entry, value", [
+        ((0, 1), np.nan), ((3, 3), np.nan), ((2, 5), np.inf)])
+    def test_density_matrix(self, entry, value):
+        ker = np.eye(16, dtype=complex) / 16.0  # unit trace at dx = 1
+        ps.DensityMatrix(0.0, 15.0, 16, ker)
+        ker[entry] = value
+        with pytest.raises(ValueError, match="finite"):
+            ps.DensityMatrix(0.0, 15.0, 16, ker)
+
+    def test_marginal(self):
+        samples = np.full(16, 1.0 / 15.0)  # unit integral at spacing 1
+        ps.Marginal("position", samples, 1.0)
+        samples[5] = np.nan
+        with pytest.raises(ValueError, match="integrates to"):
+            ps.Marginal("position", samples, 1.0)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_wigner_grid(self, value):
+        vals = np.ones((16, 16))  # unit integral on the unit square
+        vals[3, 4] = value
+        w = ps.WignerGrid(0.0, 1.0, 16, 0.0, 1.0, 16, vals)
+        with pytest.raises(DegenerateStateError):
+            ps.normalize(w)
+        for operation in (ps.moments, ps.position_marginal):
+            with pytest.raises(ValueError, match="normalized WignerGrid"):
+                operation(w)
+
+
 class TestGridValidation:
     def test_minimum_size(self):
         with pytest.raises(ValueError):

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from hydrohist import cli
+from hydrohist import propagator as pr
 from hydrohist import scenarios as sc
 from hydrohist.errors import (ConfigurationError, DivergenceError,
                               ScenarioError)
@@ -669,6 +670,24 @@ class TestCli:
                 ("histories-nscaling", {"N_max": 12}),
                 ("histories-nscaling", {"N_max": 1000})):
             sc.validate_config(minimal(scenario, params=params, seed=1))
+
+    def test_validate_checks_the_kernel_once_per_time(self, monkeypatch):
+        # the sampled state keeps _kernel_check at t = 0 and at the longest
+        # time, and every phase-space rule reads those two results; the
+        # master lattice (n_x 128) makes its own two checks
+        calls = []
+
+        def counted(w0, t, params, check=pr._kernel_check):
+            calls.append(w0.n_q)
+            return check(w0, t, params)
+
+        monkeypatch.setattr(pr, "_kernel_check", counted)
+        for scenario, want in (("diffusion", [481, 481]),
+                               ("maxwellization", [241, 241]),
+                               ("oracle-compare", [225, 225, 128, 128])):
+            calls.clear()
+            sc.validate_config(minimal(scenario))
+            assert calls == want, scenario
 
     def test_master_plan_rule_reads_the_library_plan(self):
         # the rule's plan is evolve_master_equation's, 187 steps on the
