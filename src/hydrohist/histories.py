@@ -45,7 +45,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionCapError
-from .phase_space import position_dephasing
+from .phase_space import _checked_times, position_dephasing
 
 __all__ = [
     "ToyHilbert",
@@ -397,16 +397,6 @@ def _unitary(spectrum, dt):
     if v is None:
         return np.diag(phase)
     return _times(v, phase[:, None] * v.conj().T)
-
-
-def _checked_times(times):
-    """``times`` as floats, refused unless nonempty, nonnegative, increasing."""
-    t = tuple(float(x) for x in times)
-    if len(t) == 0 or not all(b > a for a, b in zip(t, t[1:])):
-        raise ValueError("times must be nonempty and strictly increasing")
-    if not t[0] >= 0:
-        raise ValueError("times must be nonnegative")
-    return t
 
 
 @dataclass(frozen=True)
@@ -1051,7 +1041,7 @@ def argmax_scan(rho, a_op, times, sigma, h):
     """
     if not sigma > 0:
         raise ValueError("sigma must be positive")
-    times = tuple(float(t) for t in times)
+    times = _checked_times(times)
     rho_m = _as_density_matrix(rho)
     a_t = _heisenberg_ops(a_op, h, times)
     grids = _center_grids(rho_m, a_t, sigma)
@@ -1087,7 +1077,7 @@ def complement_pair_consistency(rho, a_op, times, tube_width, h):
     Returns the tube probability p, complement probability p_bar, and the
     off-diagonal entry, which satisfy p + p_bar + 2 Re D = 1 exactly.
     """
-    times = tuple(float(t) for t in times)
+    times = _checked_times(times)
     rho_m = _as_density_matrix(rho)
     a_t = _heisenberg_ops(a_op, h, times)
     c_tube = np.eye(rho_m.shape[0], dtype=complex)

@@ -3,7 +3,8 @@
 Wigner quasi-distributions on rectangular (q, p) lattices, position-basis
 density matrices rho(x, y), the Fourier map between the two (hbar = 1), the
 position-dephasing factor shared by the master equation and the histories,
-and the marginals / moments used everywhere else in the package.
+the check of a list of times shared by the Fokker-Planck integrator and the
+histories, and the marginals / moments used everywhere else in the package.
 
 Conventions: values[i, j] samples W at (q_i, p_j); all integrals are
 trapezoidal; the density matrix is related to the Wigner function by
@@ -197,6 +198,16 @@ def position_dephasing(coords, rate, dt):
         d *= d
         dist2 += d
     return np.exp(-(rate * dt) * dist2)
+
+
+def _checked_times(times):
+    """``times`` as floats, refused unless nonempty, nonnegative, increasing."""
+    t = tuple(float(x) for x in times)
+    if len(t) == 0 or not all(b > a for a, b in zip(t, t[1:])):
+        raise ValueError("times must be nonempty and strictly increasing")
+    if not t[0] >= 0:
+        raise ValueError("times must be nonnegative")
+    return t
 
 
 @dataclass(frozen=True)

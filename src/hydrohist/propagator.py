@@ -17,7 +17,7 @@ kT).  Three mutually consistent descriptions are implemented:
   one flux per cell and gives each face that of its upwind cell; the
   momentum product goes to a second array that then swaps with the state;
   the far tails of the initial W, which would be subnormal numbers, start
-  at 0; and times whose step plans share one dt take one integration;
+  at 0; and a list of times takes one integration per distinct step dt;
 
 - the position-basis master equation with kinetic, dissipation
   (-gamma (x-y)(d_x - d_y) rho) and decoherence (-2 M gamma kT (x-y)^2 rho)
@@ -43,6 +43,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,6 +52,7 @@ from .errors import DivergenceError, FitQualityError, ResolutionError
 from .phase_space import (
     DensityMatrix,
     WignerGrid,
+    _checked_times,
     check_domain_coverage,
     moments,
     normalize,
@@ -294,35 +296,30 @@ def fokker_planck_step_plan(w: WignerGrid, t, params: QbmParams):
 
     ``limit`` names the term of the step bound that binds, ``"courant"`` or
     ``"damping"``.  Only ``p_min``, ``p_max`` and ``dq`` of w are read, and
-    a ValueError is raised when the plan has no finite step count.  For an
-    increasing sequence of times t, a list of the plans of the integrations
-    that ``evolve_fokker_planck(w, t, params)`` runs: one per time that
-    has a run of its own, and last the run of the longest time.
+    a ValueError is raised when the plan has no finite step count.  For a
+    sequence of times t, a list of the plans of the integrations that
+    ``evolve_fokker_planck(w, t, params)`` runs: for each distinct dt, in
+    order of first appearance, the plan of the longest time that has it.
     """
     if np.ndim(t):
-        plans = [fokker_planck_step_plan(w, ti, params)
-                 for ti in _increasing(t)]
-        taken = _taken_from_last_run(plans)[:-1]
-        return [plan for i, plan in enumerate(plans) if i not in taken]
+        runs = _fokker_planck_runs(w, t, params).values()
+        return [run[-1][1] for run in runs]
     limits = _fokker_planck_limits(w, params)
     limit = min(limits, key=limits.get)
     return (*_step_plan(t, limits[limit]), limit)
 
 
-def _increasing(times):
-    """times as a list, required to be nonempty and strictly increasing."""
-    times = list(times)
-    if not times or not all(a < b for a, b in zip(times, times[1:])):
-        raise ValueError("times must be a nonempty increasing sequence")
-    return times
-
-
-def _taken_from_last_run(plans):
-    """Indices of the plans whose grids the integration of the last plan
-    yields on its way: each plan that takes steps of exactly its dt, the
-    last one included unless it takes no step."""
-    dt = plans[-1][1]
-    return [i for i, (n, dt_i, _) in enumerate(plans) if n and dt_i == dt]
+def _fokker_planck_runs(w: WignerGrid, t, params: QbmParams):
+    """The integrations of ``evolve_fokker_planck(w, t, params)``: a dict
+    from each distinct dt of the step plans of its times, one or a sequence
+    checked by ``_checked_times``, in order of first appearance, to the
+    (index, plan) of the times of that dt.  Each dt is one integration, up
+    to its longest time, but dt 0, of t = 0 alone, which takes no step."""
+    runs = {}
+    for i, ti in enumerate(_checked_times(t) if np.ndim(t) else [t]):
+        plan = fokker_planck_step_plan(w, ti, params)
+        runs.setdefault(plan[1], []).append((i, plan))
+    return runs
 
 
 class _FokkerPlanckBuffers:
@@ -466,31 +463,23 @@ def _nonnegative_expm(gen):
     return out
 
 
-def _integrate_fokker_planck(w: WignerGrid, dt, n_steps,
-                             params: QbmParams) -> WignerGrid:
-    """n_steps Strang steps A(dt/2) C(dt) A(dt/2), adjacent half-advections merged.
-
-    A is the q advection and C the momentum sector, so the product is
-    A(dt/2) [C(dt) A(dt)]^(n-1) C(dt) A(dt/2).
-    """
-    return _fokker_planck_states(w, dt, [n_steps], params)[0]
-
-
 def _fokker_planck_states(w: WignerGrid, dt, counts, params: QbmParams):
-    """Grids after each of the increasing step counts of one integration.
+    """Grids after each of the nondecreasing step counts of one integration.
 
-    The integration takes counts[-1] steps of ``_integrate_fokker_planck``.
+    The integration takes n = counts[-1] Strang steps A(dt/2) C(dt) A(dt/2),
+    A the q advection and C the momentum sector, with adjacent
+    half-advections merged: A(dt/2) [C(dt) A(dt)]^(n-1) C(dt) A(dt/2).
     The flux coefficients are set three times: for the first
     half-advection, the full ones and the last half-advection.  The state
     after k < counts[-1] steps is taken after the k-th momentum step: it is
     copied into the spare padded array and closed there with a
     half-advection in the same scratch, which equals the k-step
-    integration bit for bit; each such state sets the coefficients twice
-    more, to the half ones and back.
+    integration bit for bit, and serves every equal count; each such state
+    sets the coefficients twice more, to the half ones and back.
     Entries below START_FLOOR times max |W| start at exactly 0.  NaN and
     inf survive every step, so each grid is checked for them once.
     """
-    n_steps, stops = counts[-1], set(counts[:-1])
+    n_steps, stops = counts[-1], Counter(counts[:-1])
     buf = _FokkerPlanckBuffers(w.values)
     scale = np.max(np.abs(buf.values))
     buf.values[np.abs(buf.values) < START_FLOOR * scale] = 0.0
@@ -510,7 +499,7 @@ def _fokker_planck_states(w: WignerGrid, dt, counts, params: QbmParams):
             np.copyto(buf.spare, buf.padded)
             buf.swap()
             _advect_q(buf)
-            grids.append(w.with_values(buf.values))
+            grids += [w.with_values(buf.values)] * stops[k]
             buf.swap()
         if half != (k == n_steps):
             half = k == n_steps
@@ -525,23 +514,19 @@ def _fokker_planck_states(w: WignerGrid, dt, counts, params: QbmParams):
 def evolve_fokker_planck(w0: WignerGrid, t, params: QbmParams):
     """Compose the fewest equal steps within the step bound to time t.
 
-    For an increasing sequence of times t, a list of one grid per time,
-    each equal bit for bit to ``evolve_fokker_planck(w0, t_i, params)``.
-    The longest time is integrated once, and every time whose plan has
-    exactly its dt is taken from that integration on its way; any other
-    time is integrated on its own.
+    For a nonempty, nonnegative and strictly increasing sequence of times
+    t, a list of one grid per time, each equal bit for bit to
+    ``evolve_fokker_planck(w0, t_i, params)``: the times whose plans share
+    a dt are taken from one integration, on its way to the longest of them.
+    t = 0 takes no step and gives a copy of w0.
     """
-    times = _increasing(t) if np.ndim(t) else [t]
-    plans = [fokker_planck_step_plan(w0, ti, params) for ti in times]
-    taken = _taken_from_last_run(plans)
-    grids = {i: w0.with_values(w0.values) if n_steps == 0
-             else _integrate_fokker_planck(w0, dt_eff, n_steps, params)
-             for i, (n_steps, dt_eff, _) in enumerate(plans)
-             if i not in taken}
-    if taken:
-        grids.update(zip(taken, _fokker_planck_states(
-            w0, plans[-1][1], [plans[i][0] for i in taken], params)))
-    grids = [grids[i] for i in range(len(times))]
+    grids = {}
+    for dt, run in _fokker_planck_runs(w0, t, params).items():
+        index, plans = zip(*run)
+        grids.update(zip(index, _fokker_planck_states(
+            w0, dt, [n for n, _, _ in plans], params) if dt
+            else [w0.with_values(w0.values)]))
+    grids = [grids[i] for i in range(len(grids))]
     return grids if np.ndim(t) else grids[0]
 
 

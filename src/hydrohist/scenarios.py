@@ -207,10 +207,10 @@ def _master_plan(g):
 
 
 def _fokker_planck_note(w0, calls, params):
-    """Report note: the step count and dt of the Fokker-Planck evolutions
-    of w0's grid, one per call of ``evolve_fokker_planck`` with t in
-    ``calls`` (a time or a sequence of times), and the term of the step
-    bound that limited dt."""
+    """Report note: the step count and dt of the Fokker-Planck integrations
+    of w0's grid that ``evolve_fokker_planck`` runs for each t in ``calls``
+    (a time, or a sequence of times: one integration per distinct dt), and
+    the term of the step bound that limited dt."""
     plans = []
     for t in calls:
         plan = pr.fokker_planck_step_plan(w0, t, params)
@@ -913,9 +913,9 @@ SCENARIOS = {
             (lambda p: hist.ToyHilbert(B=p["bins"], N=p["N"]),
              "params.N must keep bins**N within the cap "
              f"{hist.DEFAULT_DIM_CAP}"),
-            (lambda p: hist._checked_times(p["times2"]),
+            (lambda p: ps._checked_times(p["times2"]),
              "params.times2 must be nonempty, nonnegative and increasing"),
-            (lambda p: hist._checked_times(p["times3"]),
+            (lambda p: ps._checked_times(p["times3"]),
              "params.times3 must be nonempty, nonnegative and increasing"),
         ),
     },
@@ -936,7 +936,7 @@ SCENARIOS = {
         "sampling": False,
         "ranges": (
             (lambda p: len(p["times"]) == 2
-             and hist._checked_times(p["times"]),
+             and ps._checked_times(p["times"]),
              "params.times must be two times 0 <= t1 < t2"),
             (lambda p: p["N"] >= 1, "params.N must be at least 1"),
             (lambda p: len(p["mubar"]) >= 2,

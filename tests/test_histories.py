@@ -1654,6 +1654,12 @@ class TestEhrenfestMultiTime:
         with pytest.raises(ValueError, match="sigma must be positive"):
             hi.argmax_scan(self.rho, self.a, self.times, sigma, self.h)
 
+    def test_argmax_scan_refuses_unordered_times(self):
+        # the scan once returned a peak at these times
+        with pytest.raises(ValueError, match="strictly increasing"):
+            hi.argmax_scan(self.rho, self.a, (1.0, 0.5, -2.0), self.sigma,
+                           self.h)
+
     @pytest.mark.parametrize("state", ["pure", "mixed"])
     def test_scan_values_match_chain_formula(self, state):
         # every scanned value is the dense chain probability at its centers
@@ -1729,3 +1735,9 @@ class TestEhrenfestMultiTime:
             self.rho, self.a, self.times, width, self.h)
         assert p == pytest.approx(1.0, abs=1e-12)
         assert p_bar == pytest.approx(0.0, abs=1e-12)
+
+    def test_complement_pair_refuses_unordered_times(self):
+        # the pair was once (0.0, 1.0, 0j) at these times
+        with pytest.raises(ValueError, match="strictly increasing"):
+            hi.complement_pair_consistency(self.rho, self.a, (1.0, -3.0),
+                                           5 * self.sigma, self.h)
