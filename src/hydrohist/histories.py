@@ -1,7 +1,9 @@
 """Exact decoherent-histories computations on finite toy Hilbert spaces.
 
 One particle lives on B position bins; N distinguishable particles span the
-B^N tensor-product space.  The module builds
+B^N tensor-product space.  A state is a StateVector or a DensityOperator,
+checked when built and read through its kept factor L, rho = L L^dag.  The
+module builds
 
 - collective observables: one-body operators (such as the lattice
   momentum) summed over particles;
@@ -16,9 +18,8 @@ B^N tensor-product space.  The module builds
 
   with Heisenberg projectors generated by a Hamiltonian, decomposed once,
   and, optionally, a per-particle position dephasing map interleaved with
-  the unitary steps: from projected chains of rho = L L^dag without
-  dephasing, L taken once when a DensityOperator is built, and from
-  damp-then-rotate branch-pair matrices with it (the dense engines);
+  the unitary steps: from projected chains of L without dephasing, and
+  from damp-then-rotate branch-pair matrices with it (the dense engines);
 - the two-time occupation decoherence functional of a product state
   rho1^(x N) under a one-body Hamiltonian and per-particle dephasing, from
   the one-particle tensor d1 and a dynamic program over particles, capped
@@ -355,17 +356,18 @@ def _skew_and_scale(m):
     return skew, np.maximum(upper, lower)
 
 
-def _checked_hamiltonian(h, dim):
+def _checked_hamiltonian(h, dim, name="Hamiltonian"):
     """``h`` as a complex array, required to be a finite Hermitian dim x dim
-    matrix, by ``_skew_and_scale``."""
+    matrix, by ``_skew_and_scale``; an observable passes the same rule, and
+    the errors give the operator's ``name``."""
     h = np.asarray(h, dtype=complex)
     if h.shape != (dim, dim):
-        raise ValueError("Hamiltonian has the wrong shape")
+        raise ValueError(f"{name} has the wrong shape")
     skew, scale = _skew_and_scale(h)
     if not scale < np.inf:
-        raise ValueError("Hamiltonian entries must be finite")
+        raise ValueError(f"{name} entries must be finite")
     if not skew <= 1e-10 * max(scale, 1e-300):
-        raise ValueError("Hamiltonian must be Hermitian")
+        raise ValueError(f"{name} must be Hermitian")
     return h
 
 
@@ -653,23 +655,24 @@ def _density_factor(rho_m):
 
 
 def _factor_of(rho):
-    """L with rho = L L^dag, for a state, a DensityOperator or an array."""
+    """The kept L with rho = L L^dag of a StateVector (its amplitudes, one
+    column) or a DensityOperator; no other form is a state."""
     if isinstance(rho, StateVector):
         return rho.amplitudes[:, None]
     if isinstance(rho, DensityOperator):
         return rho._factor
-    return _density_factor(np.asarray(rho, dtype=complex))
+    raise TypeError("a state is a StateVector or a DensityOperator, not "
+                    f"{type(rho).__name__}")
 
 
-def _chain_functional(rho, history, levels):
+def _chain_functional(l_fac, history, levels):
     """Undephased D(a, a') = Tr(Y_a Y_a'^dag), Y_a = P_{a_n} U_n ... P_{a_1} U_1 L.
 
-    rho = L L^dag, L from ``_factor_of``.  A chain projected by a diagonal
-    keeps only its nonzero rows, scaled.  If the final level is disjoint
-    diagonals, D's blocks are returned: that of final c is the Gram matrix
-    of the chains on c's rows, scaled.
+    rho = L L^dag.  A chain projected by a diagonal keeps only its nonzero
+    rows, scaled.  If the final level is disjoint diagonals, D's blocks are
+    returned: that of final c is the Gram matrix of the chains on c's rows,
+    scaled.
     """
-    l_fac = _factor_of(rho)
     steps = np.diff((0.0,) + history.times)
     *inner, final = levels
     chains = [(_ALL, l_fac)]  # (rows, Y[rows]) per label prefix
@@ -790,20 +793,23 @@ def _branch_pair_functional(rho_m, space, times, spectrum, rate, substeps,
 def decoherence_functional(rho, history: HistorySpec) -> DecoherenceMatrix:
     """Evaluate D(a, a') for every pair of history labels.
 
-    ``rho`` may be a StateVector or a DensityOperator.  Without dephasing D
-    is a Gram matrix of projected chains; the dephasing map is a damping of
-    rho, not a unitary chain, so with it branch-pair matrices are evolved.
+    ``rho`` is a StateVector or a DensityOperator.  Without dephasing D is
+    a Gram matrix of projected chains of its factor L; the dephasing map is
+    a damping of rho, not a unitary chain, so with it branch-pair matrices
+    of rho, |a><a| for a StateVector, are evolved.
     """
+    l_fac = _factor_of(rho)
     families = [family.members for (family,) in history.slots]
     catalog = list(itertools.product(*([lab for lab, _ in f] for f in families)))
     levels = [[op for _, op in f] for f in families]
     if history.dephasing_rate == 0.0:
-        mat = _chain_functional(rho, history, levels)
+        mat = _chain_functional(l_fac, history, levels)
     else:
         mat = _branch_pair_functional(
-            _as_density_matrix(rho), history.space, history.times,
-            history.spectrum, history.dephasing_rate,
-            history.dephasing_substeps, levels)
+            rho.matrix if isinstance(rho, DensityOperator)
+            else np.outer(l_fac, l_fac.conj()),
+            history.space, history.times, history.spectrum,
+            history.dephasing_rate, history.dephasing_substeps, levels)
     return DecoherenceMatrix(tuple(catalog), mat)
 
 
@@ -971,17 +977,12 @@ def check_dh_bound(dmat: DecoherenceMatrix) -> BoundReport:
 # --- Gaussian history probabilities ----------------------------------------
 
 
-def _as_density_matrix(rho):
-    if isinstance(rho, StateVector):
-        return np.outer(rho.amplitudes, rho.amplitudes.conj())
-    if isinstance(rho, DensityOperator):
-        return rho.matrix
-    return np.asarray(rho, dtype=complex)
-
-
-def _mean_and_spread(rho_m, a_op):
-    mean = float(np.real(np.trace(rho_m @ a_op)))
-    second = float(np.real(np.trace(rho_m @ a_op @ a_op)))
+def _mean_and_spread(l_fac, a_op):
+    """(<A>, dA) in rho = L L^dag of a Hermitian A: <A> = Re Tr(L^dag A L)
+    and <A^2> = ||A L||_F^2."""
+    al = a_op @ l_fac
+    mean = float(np.vdot(l_fac, al).real)
+    second = float(np.vdot(al, al).real)
     return mean, math.sqrt(max(second - mean ** 2, 0.0))
 
 
@@ -990,11 +991,13 @@ def single_time_prob_exact(rho, a_op, center, sigma):
     center (a float) or an array of centers (an array of their shape).
 
     Over the eigenpairs (a_j, |j>) of A, one eigh for every center,
-    Tr(P_c rho) = sum_j g_c(a_j) <j|rho|j>, g_c the Gaussian weight.
+    Tr(P_c rho) = sum_j g_c(a_j) <j|rho|j>, g_c the Gaussian weight, with
+    the populations <j|rho|j> = sum_k |(V^dag L)_jk|^2 over the columns of L.
     """
-    rho_m = _as_density_matrix(rho)
-    vals, vecs = np.linalg.eigh(np.asarray(a_op, dtype=complex))
-    pops = np.real(np.sum(vecs.conj() * (rho_m @ vecs), axis=0))
+    l_fac = _factor_of(rho)
+    vals, vecs = np.linalg.eigh(
+        _checked_hamiltonian(a_op, len(l_fac), "observable A"))
+    pops = np.sum(np.abs(l_fac.conj().T @ vecs) ** 2, axis=0)
     c = np.asarray(center, dtype=float)
     p = _gaussian_weights(vals, c[..., None], sigma) @ pops
     return float(p) if c.ndim == 0 else p
@@ -1003,33 +1006,27 @@ def single_time_prob_exact(rho, a_op, center, sigma):
 def single_time_prob_asymptotic(rho, a_op, center, sigma):
     """Large-sigma form: Gaussian of width sqrt(sigma^2 + dA^2) about <A>,
     at a scalar center (a float) or an array of centers."""
-    rho_m = _as_density_matrix(rho)
-    mean, spread = _mean_and_spread(rho_m, a_op)
+    l_fac = _factor_of(rho)
+    mean, spread = _mean_and_spread(
+        l_fac, _checked_hamiltonian(a_op, len(l_fac), "observable A"))
     p = _gaussian_weights(mean, np.asarray(center, dtype=float),
                           math.hypot(sigma, spread))
     return float(p) if p.ndim == 0 else p
 
 
 def _heisenberg_ops(a_op, h, times):
-    """A(t) = U^dag A U at each requested time, h decomposed once; a
-    diagonal U = diag(phi) rotates A by phases, conj(phi_i) A_ij phi_j."""
+    """A(t) = U^dag A U at each requested time, A and h checked and h
+    decomposed once."""
+    a_op = _checked_hamiltonian(a_op, len(a_op), "observable A")
     spectrum = _spectrum(_checked_hamiltonian(h, len(a_op)))
-    w, v = spectrum
-    out = []
-    for t in times:
-        if v is None:
-            phase = np.exp(-1j * t * w)
-            out.append(phase.conj()[:, None] * a_op * phase)
-        else:
-            u = _unitary(spectrum, t)
-            out.append(u.conj().T @ a_op @ u)
-    return out
+    return [u.conj().T @ a_op @ u
+            for u in (_unitary(spectrum, t) for t in times)]
 
 
-def _center_grids(rho_m, a_t, sigma):
+def _center_grids(l_fac, a_t, sigma):
     """The 81 centers <A(t)> + k sigma/10, k = -40..40, at each time."""
     steps = 0.1 * sigma * np.arange(-40, 41)
-    return [_mean_and_spread(rho_m, at)[0] + steps for at in a_t]
+    return [_mean_and_spread(l_fac, at)[0] + steps for at in a_t]
 
 
 def argmax_scan(rho, a_op, times, sigma, h):
@@ -1042,16 +1039,16 @@ def argmax_scan(rho, a_op, times, sigma, h):
     if not sigma > 0:
         raise ValueError("sigma must be positive")
     times = _checked_times(times)
-    rho_m = _as_density_matrix(rho)
+    l_fac = _factor_of(rho)
     a_t = _heisenberg_ops(a_op, h, times)
-    grids = _center_grids(rho_m, a_t, sigma)
+    grids = _center_grids(l_fac, a_t, sigma)
 
     # probability is linear in rho = L L^dag: sum it over the columns of L
     eigs = [np.linalg.eigh(at) for at in a_t]
 
     shape = tuple(len(g) for g in grids)
     total = np.zeros(shape)
-    for psi in _factor_of(rho).T:
+    for psi in l_fac.T:
         batch = psi[None, :]  # (n_chains, dim)
         for (vals, vecs), grid in zip(eigs[:-1], grids[:-1]):
             eig = batch @ vecs.conj()  # components in the A(t_k) eigenbasis
@@ -1074,20 +1071,17 @@ def complement_pair_consistency(rho, a_op, times, tube_width, h):
 
     The tube class operator chains window projectors of half-width
     tube_width/2 about <A(t_k)>; the complement is C_comp = 1 - C_tube.
-    Returns the tube probability p, complement probability p_bar, and the
-    off-diagonal entry, which satisfy p + p_bar + 2 Re D = 1 exactly.
+    Returns the tube probability p = ||C_tube L||^2, complement probability
+    p_bar = ||L - C_tube L||^2, and the off-diagonal entry, which satisfy
+    p + p_bar + 2 Re D = 1 exactly.
     """
     times = _checked_times(times)
-    rho_m = _as_density_matrix(rho)
-    a_t = _heisenberg_ops(a_op, h, times)
-    c_tube = np.eye(rho_m.shape[0], dtype=complex)
-    for at in a_t:
-        mean, _ = _mean_and_spread(rho_m, at)
-        proj = window_projector(at, (mean - tube_width / 2.0,
-                                     mean + tube_width / 2.0))
-        c_tube = proj @ c_tube
-    c_comp = np.eye(rho_m.shape[0], dtype=complex) - c_tube
-    p = float(np.real(np.trace(c_tube @ rho_m @ c_tube.conj().T)))
-    p_bar = float(np.real(np.trace(c_comp @ rho_m @ c_comp.conj().T)))
-    off = complex(np.trace(c_tube @ rho_m @ c_comp.conj().T))
-    return p, p_bar, off
+    l_fac = _factor_of(rho)
+    tube = l_fac
+    for at in _heisenberg_ops(a_op, h, times):
+        mean, _ = _mean_and_spread(l_fac, at)
+        tube = window_projector(at, (mean - tube_width / 2.0,
+                                     mean + tube_width / 2.0)) @ tube
+    rest = l_fac - tube
+    return (float(np.vdot(tube, tube).real), float(np.vdot(rest, rest).real),
+            complex(np.vdot(rest, tube)))

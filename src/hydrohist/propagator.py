@@ -409,12 +409,14 @@ def _momentum_propagator(p, dp, dt, params: QbmParams):
     dW_j/dt = (F_j+1/2 - F_j-1/2) / dp with the face flux
     F = drift ((1 - delta) W_j+1 + delta W_j) + diff (W_j+1 - W_j) / dp and
     delta = 1/w - 1/(e^w - 1), w = drift dp / diff, which vanishes on the
-    discrete Maxwellian.  The off-diagonal weights of L, (diff/dp^2) w e^w /
-    (e^w - 1) and (diff/dp^2) w / (e^w - 1), are positive for every w and
-    the columns of L sum to zero, so exp(dt L) is a nonnegative,
-    mass-conserving matrix for any dt: W stays nonnegative and the discrete
-    Maxwellian stays fixed.  Transposed so that W @ exp(dt L)^T steps every
-    q row at once.
+    discrete Maxwellian.  The two wall cells are half cells, of width dp/2,
+    so their rows of L are doubled: with the trapezoid weights w_j, sum_j
+    w_j L_jk = 0, and exp(dt L) conserves the trapezoid sum sum_j w_j W_j
+    that ``WignerGrid.integral`` reads.  The off-diagonal weights of L,
+    (diff/dp^2) w e^w / (e^w - 1) and (diff/dp^2) w / (e^w - 1), doubled in
+    the wall rows, are positive for every w, so exp(dt L) is nonnegative for
+    any dt: W stays nonnegative and the discrete Maxwellian stays fixed.
+    Transposed so that W @ exp(dt L)^T steps every q row at once.
     """
     g, M, kT = params.gamma, params.M, params.kT
     diff = 2.0 * M * g * kT
@@ -435,6 +437,7 @@ def _momentum_propagator(p, dp, dt, params: QbmParams):
     gen[j + 1, j] = -lower
     gen[j, j] += lower
     gen[j + 1, j + 1] -= upper
+    gen[[0, -1]] *= 2.0
     return np.ascontiguousarray(_nonnegative_expm(dt * gen).T)
 
 

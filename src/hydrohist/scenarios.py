@@ -605,18 +605,20 @@ def _run_ehrenfest(config):
         rng = np.random.default_rng(np.random.SeedSequence([config.seed, i]))
         a = _random_hermitian(rng, dim)
         v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-        v /= np.linalg.norm(v)
-        rho = np.outer(v, v.conj())
-        mean = float(np.real(v.conj() @ a @ v))
-        spread = math.sqrt(float(np.real(v.conj() @ a @ a @ v)) - mean ** 2)
+        state = hist.StateVector(hist.ToyHilbert(dim, 1),
+                                 v / np.linalg.norm(v))
+        l_fac = hist._factor_of(state)
+        mean, spread = hist._mean_and_spread(l_fac, a)
         sigma = factor * spread
         centers = np.linspace(mean - 2 * sigma, mean + 2 * sigma, 17)
-        exact = hist.single_time_prob_exact(rho, a, centers, sigma)
-        asymptotic = hist.single_time_prob_asymptotic(rho, a, centers, sigma)
+        (grid,) = hist._center_grids(l_fac, (a,), sigma)
+        # one eigh of A serves the 17 centers and the 81-point scan grid
+        probs = hist.single_time_prob_exact(
+            state, a, np.concatenate((centers, grid)), sigma)
+        exact, scan = probs[:len(centers)], probs[len(centers):]
+        asymptotic = hist.single_time_prob_asymptotic(state, a, centers, sigma)
         err = float(np.max(np.abs(exact - asymptotic) / exact))
-        peak, _, _ = hist.argmax_scan(rho, a, (1.0,), sigma,
-                                      np.zeros((dim, dim)))
-        dev = abs(peak[0] - mean) / sigma
+        dev = abs(grid[np.argmax(scan)] - mean) / sigma
         worst_err = max(worst_err, err)
         worst_dev = max(worst_dev, dev)
         rows.append((i, err, dev))

@@ -4,6 +4,7 @@ Each builds, on the full B^N space, an object the library computes some
 other way, so a test can compare the two.
 """
 
+import math
 import warnings
 
 import numpy as np
@@ -66,7 +67,8 @@ def multi_time_prob(rho, a_op, times, centers, sigma, h) -> float:
 
     Standard chain form with the final projector appearing once,
     p = Re Tr(P_n ... P_1 rho P_1 ... P_{n-1}), so a single-time history
-    reduces exactly to Tr(P rho).
+    reduces exactly to Tr(P rho).  rho is a DensityOperator; the spreads
+    dA(t)^2 = Tr(rho A(t)^2) - Tr(rho A(t))^2 are formed densely here.
     """
     times = tuple(float(t) for t in times)
     if any(b <= a for a, b in zip(times, times[1:])):
@@ -74,9 +76,11 @@ def multi_time_prob(rho, a_op, times, centers, sigma, h) -> float:
     centers = tuple(centers)
     if len(centers) != len(times):
         raise ValueError("need one center per time")
-    rho_m = hi._as_density_matrix(rho)
+    rho_m = rho.matrix
     a_t = hi._heisenberg_ops(a_op, h, times)
-    spreads = [hi._mean_and_spread(rho_m, at)[1] for at in a_t]
+    spreads = [math.sqrt(max(np.real(np.trace(rho_m @ at @ at))
+                             - np.real(np.trace(rho_m @ at)) ** 2, 0.0))
+               for at in a_t]
     if sigma < 3.0 * max(spreads):
         warnings.warn(
             "sigma is not large against the spread of A(t); the peak "

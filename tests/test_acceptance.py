@@ -192,7 +192,7 @@ def test_11_ehrenfest_multi_time(capsys):
     h = random_hermitian(8)
     v = rng.standard_normal(8) + 1j * rng.standard_normal(8)
     v /= np.linalg.norm(v)
-    rho = np.outer(v, v.conj())
+    rho = hist.DensityOperator(hist.ToyHilbert(8, 1), np.outer(v, v.conj()))
     times = (0.3, 0.7, 1.1)
     means, spreads = [], []
     for t in times:

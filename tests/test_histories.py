@@ -29,6 +29,11 @@ def random_pure(rng, d):
     return v
 
 
+def density(rho_m):
+    """rho_m as a checked DensityOperator of one particle on len(rho_m) bins."""
+    return hi.DensityOperator(hi.ToyHilbert(len(rho_m), 1), rho_m)
+
+
 def dense_reference(rho_m, spec):
     """D(a, a') = Tr(C_a rho C_a'^dag) from dense projector products and
     explicit damp-then-rotate substeps, one matrix per pair of label chains."""
@@ -1522,6 +1527,7 @@ class TestEhrenfestSingleTime:
         a = np.diag([0.0, 2.0, 5.0])
         rho = np.zeros((3, 3), complex)
         rho[1, 1] = 1.0
+        rho = density(rho)
         for c in (1.0, 2.0, 3.5):
             got = hi.single_time_prob_exact(rho, a, c, 0.8)
             want = np.exp(-((2.0 - c) ** 2) / (2 * 0.64)) / np.sqrt(
@@ -1538,11 +1544,11 @@ class TestEhrenfestSingleTime:
         a = random_hermitian(rng, 8)
         m = rng.normal(size=(8, 3)) + 1j * rng.normal(size=(8, 3))
         rho = m @ m.conj().T
-        rho /= np.trace(rho).real
+        rho = density(rho / np.trace(rho).real)
         got = hi.single_time_prob_exact(rho, a, centers, 1.3)
         asym = hi.single_time_prob_asymptotic(rho, a, centers, 1.3)
         want = np.vectorize(lambda c: np.real(np.trace(
-            oracles.gaussian_quasi_projector(a, c, 1.3) @ rho)))(centers)
+            oracles.gaussian_quasi_projector(a, c, 1.3) @ rho.matrix)))(centers)
         want_asym = np.vectorize(
             lambda c: hi.single_time_prob_asymptotic(rho, a, float(c), 1.3)
         )(centers)
@@ -1558,7 +1564,7 @@ class TestEhrenfestSingleTime:
             rng = np.random.default_rng(seed)
             a = random_hermitian(rng, 8)
             v = random_pure(rng, 8)
-            rho = np.outer(v, v.conj())
+            rho = density(np.outer(v, v.conj()))
             mean = float(np.real(v.conj() @ a @ v))
             spread = np.sqrt(float(np.real(v.conj() @ a @ a @ v)) - mean ** 2)
             sigma = 10 * spread
@@ -1571,7 +1577,7 @@ class TestEhrenfestSingleTime:
         rng = np.random.default_rng(9)
         a = random_hermitian(rng, 8)
         v = random_pure(rng, 8)
-        rho = np.outer(v, v.conj())
+        rho = density(np.outer(v, v.conj()))
         mean = float(np.real(v.conj() @ a @ v))
         spread = np.sqrt(float(np.real(v.conj() @ a @ a @ v)) - mean ** 2)
         errs = []
@@ -1589,7 +1595,7 @@ class TestEhrenfestSingleTime:
         rng = np.random.default_rng(4)
         a = random_hermitian(rng, 6)
         v = random_pure(rng, 6)
-        rho = np.outer(v, v.conj())
+        rho = density(np.outer(v, v.conj()))
         lo = np.min(np.linalg.eigvalsh(a)) - 8
         hiv = np.max(np.linalg.eigvalsh(a)) + 8
         centers = np.arange(lo, hiv, 0.05)
@@ -1604,7 +1610,7 @@ class TestEhrenfestMultiTime:
         self.a = random_hermitian(rng, 8)
         self.h = random_hermitian(rng, 8)
         self.v = random_pure(rng, 8)
-        self.rho = np.outer(self.v, self.v.conj())
+        self.rho = density(np.outer(self.v, self.v.conj()))
         self.times = (0.3, 0.7, 1.1)
         self.means = []
         spreads = []
@@ -1668,8 +1674,8 @@ class TestEhrenfestMultiTime:
             rho = self.rho
         else:
             vs = [random_pure(rng, 8) for _ in range(3)]
-            rho = sum(w * np.outer(v, v.conj())
-                      for w, v in zip((0.5, 0.3, 0.2), vs))
+            rho = density(sum(w * np.outer(v, v.conj())
+                              for w, v in zip((0.5, 0.3, 0.2), vs)))
         times, sigma = self.times[:2], 3.0
         _, grids, vals = hi.argmax_scan(rho, self.a, times, sigma, self.h)
         picks = zip(rng.integers(0, len(grids[0]), 30),
@@ -1689,12 +1695,13 @@ class TestEhrenfestMultiTime:
         rng = np.random.default_rng(14)
         vs = [random_pure(rng, 8) for _ in range(3)]
         weights = (0.5, 0.3, 0.2)
-        rho = sum(w * np.outer(v, v.conj()) for w, v in zip(weights, vs))
+        rho = density(sum(w * np.outer(v, v.conj())
+                          for w, v in zip(weights, vs)))
         times, sigma = self.times[:2], 3.0
         _, grids, total = hi.argmax_scan(rho, self.a, times, sigma, self.h)
         monkeypatch.setattr(hi, "_center_grids", lambda *args: grids)
-        want = sum(w * hi.argmax_scan(np.outer(v, v.conj()), self.a, times,
-                                      sigma, self.h)[2]
+        want = sum(w * hi.argmax_scan(density(np.outer(v, v.conj())), self.a,
+                                      times, sigma, self.h)[2]
                    for w, v in zip(weights, vs))
         assert np.max(np.abs(total - want)) < 1e-13 * np.max(want)
 
@@ -1706,7 +1713,7 @@ class TestEhrenfestMultiTime:
         a = (vecs * vals) @ vecs.conj().T
         h = (vecs * rng.normal(size=6)) @ vecs.conj().T
         v = random_pure(rng, 6)
-        rho = np.outer(v, v.conj())
+        rho = density(np.outer(v, v.conj()))
         sigma = 5.0
         center = float(np.real(v.conj() @ a @ v))
         with warnings.catch_warnings():
@@ -1741,3 +1748,87 @@ class TestEhrenfestMultiTime:
         with pytest.raises(ValueError, match="strictly increasing"):
             hi.complement_pair_consistency(self.rho, self.a, (1.0, -3.0),
                                            5 * self.sigma, self.h)
+
+
+def _history_spec(space, rate):
+    fam = hi.occupation_family(space)
+    return hi.HistorySpec(space, (0.5, 1.0), ([fam], [fam]),
+                          np.zeros((space.dim, space.dim)), rate)
+
+
+#: every histories function that reads a state, called with a state and an
+#: observable A; decoherence_functional takes only its dimension from A
+STATE_READERS = {
+    "decoherence_functional": lambda rho, a: hi.decoherence_functional(
+        rho, _history_spec(hi.ToyHilbert(len(a), 1), 0.0)),
+    "decoherence_functional-dephased": lambda rho, a:
+        hi.decoherence_functional(
+            rho, _history_spec(hi.ToyHilbert(len(a), 1), 0.3)),
+    "single_time_prob_exact": lambda rho, a: hi.single_time_prob_exact(
+        rho, a, 0.5, 1.0),
+    "single_time_prob_asymptotic": lambda rho, a:
+        hi.single_time_prob_asymptotic(rho, a, 0.5, 1.0),
+    "argmax_scan": lambda rho, a: hi.argmax_scan(
+        rho, a, (0.5,), 1.0, np.zeros((len(a), len(a)))),
+    "complement_pair_consistency": lambda rho, a:
+        hi.complement_pair_consistency(rho, a, (0.5,), 1.0,
+                                       np.zeros((len(a), len(a)))),
+}
+
+
+class TestStateAndObservableForms:
+    psi = np.array([0.6, 0.8])
+
+    @pytest.mark.parametrize("name", STATE_READERS)
+    def test_array_state_refused(self, name):
+        # a trace-2 array once doubled single_time_prob_exact, and rho = -I
+        # gave complement_pair_consistency p_bar = -2: no array is a state
+        a = np.diag([0.0, 1.0])
+        for rho in (np.outer(self.psi, self.psi), 2 * np.eye(2), -np.eye(2)):
+            with pytest.raises(TypeError, match="StateVector"):
+                STATE_READERS[name](rho, a)
+
+    @pytest.mark.parametrize("name", [n for n in STATE_READERS
+                                      if not n.startswith("decoherence")])
+    @pytest.mark.parametrize("a, match", [
+        # eigh reads one triangle: this A once gave 0.352 from the exact
+        # form and 0.399 from the asymptotic one
+        (np.array([[0.0, 1.0], [0.0, 0.0]]), "observable A must be Hermitian"),
+        (np.array([[np.nan, 0.0], [0.0, 1.0]]),
+         "observable A entries must be finite")],
+        ids=["non-hermitian", "nan"])
+    def test_observable_checked(self, name, a, match):
+        state = hi.StateVector(hi.ToyHilbert(2, 1), self.psi)
+        with pytest.raises(ValueError, match=match):
+            STATE_READERS[name](state, a)
+
+    def test_state_vector_and_its_density_agree(self):
+        rng = np.random.default_rng(31)
+        a = random_hermitian(rng, 6)
+        vec = hi.StateVector(hi.ToyHilbert(6, 1), random_pure(rng, 6))
+        for name, f in STATE_READERS.items():
+            got, want = f(vec, a), f(hi.to_density(vec), a)
+            if name.startswith("decoherence"):
+                got, want = got.matrix, want.matrix
+            elif name == "argmax_scan":
+                got, want = got[2], want[2]
+            assert np.max(np.abs(np.subtract(got, want))) < 1e-13
+
+    def test_single_time_probabilities_hold_no_dense_temporary(self):
+        # the exact form holds the eigenvectors of A and one dim-long row;
+        # the asymptotic one A L and 64 KiB tiles of the observable check
+        dim = 512
+        rng = np.random.default_rng(8)
+        a = random_hermitian(rng, dim)
+        state = hi.StateVector(hi.ToyHilbert(dim, 1), random_pure(rng, dim))
+        centers = np.linspace(-1.0, 1.0, 17)
+        for f, bound in ((hi.single_time_prob_exact, 2.25),
+                         (hi.single_time_prob_asymptotic, 0.25)):
+            f(state, a, centers, 3.0)                   # warm-up
+            tracemalloc.start()
+            try:
+                f(state, a, centers, 3.0)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= bound * dim ** 2 * 16, (f.__name__, peak)

@@ -326,6 +326,22 @@ class TestRunScenario:
         assert (a / "ehrenfest.csv").read_bytes() == \
             (b / "ehrenfest.csv").read_bytes()
 
+    def test_ehrenfest_takes_one_eigh_per_seed(self, monkeypatch):
+        # the 17 centers and the 81-point scan grid share one eigh of A
+        calls = []
+        eigh = np.linalg.eigh
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return eigh(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counted)
+        config = sc.validate_config(minimal("ehrenfest", seed=11,
+                                            params={"n_seeds": 3}))
+        metrics, _, _ = sc._run_ehrenfest(config)
+        assert len(calls) == 3
+        assert metrics["argmax_deviation_in_sigma"] < 0.1
+
     def test_ehrenfest_narrow_sigma_fails_with_note(self, tmp_path):
         report, _ = self.run(tmp_path, "ehrenfest", seed=11,
                              params={"sigma_factor": 0.5})
@@ -1186,12 +1202,11 @@ def test_run_config_fuzz_histories(tmp_path):
 
 
 def test_run_config_fuzz_phase_space(tmp_path):
-    # the run half for three phase-space scenarios, in about 3 s: their
-    # range rules sample the run's initial grid, so a draw that validates
-    # starts.  Maxwellization stays out: its momentum step conserves
-    # sum_j W_j, but integral() weighs the p walls by half, so mass there
-    # reads as lost and some draws that validate exit 3
-    ran = _run_fuzz_draws(tmp_path, ("diffusion", "oracle-compare",
-                                     "variance-scaling"))
-    # few draws pass the phase-space rules: 4, 3 and 25 of the 3000
+    # the run half for the four phase-space scenarios: their range rules
+    # sample the run's initial grid, so a draw that validates starts.  The
+    # momentum step conserves the trapezoid mass that integral() reads, so
+    # a maxwellization draw with mass on its p walls runs too
+    ran = _run_fuzz_draws(tmp_path, ("diffusion", "maxwellization",
+                                     "oracle-compare", "variance-scaling"))
+    # few draws pass the phase-space rules: 4, 12, 3 and 25 of the 3000
     assert min(ran.values()) >= 3, ran
