@@ -269,7 +269,7 @@ def window_projector(a_op, interval) -> np.ndarray:
     lo, hi = interval
     if not lo < hi:
         raise ValueError("interval must be nondegenerate")
-    a_op = np.asarray(a_op, dtype=complex)
+    a_op = _checked_hamiltonian(a_op, len(a_op), "observable A")
     vals, vecs = np.linalg.eigh(a_op)
     sel = (vals >= lo) & (vals <= hi)
     if not np.any(sel):
@@ -799,6 +799,9 @@ def decoherence_functional(rho, history: HistorySpec) -> DecoherenceMatrix:
     of rho, |a><a| for a StateVector, are evolved.
     """
     l_fac = _factor_of(rho)
+    if rho.space != history.space:
+        raise ValueError(f"the state's space {rho.space} differs from the "
+                         f"history's space {history.space}")
     families = [family.members for (family,) in history.slots]
     catalog = list(itertools.product(*([lab for lab, _ in f] for f in families)))
     levels = [[op for _, op in f] for f in families]
@@ -1014,11 +1017,11 @@ def single_time_prob_asymptotic(rho, a_op, center, sigma):
     return float(p) if p.ndim == 0 else p
 
 
-def _heisenberg_ops(a_op, h, times):
-    """A(t) = U^dag A U at each requested time, A and h checked and h
-    decomposed once."""
-    a_op = _checked_hamiltonian(a_op, len(a_op), "observable A")
-    spectrum = _spectrum(_checked_hamiltonian(h, len(a_op)))
+def _heisenberg_ops(a_op, h, times, dim):
+    """A(t) = U^dag A U at each requested time, A and h checked as
+    dim x dim and h decomposed once."""
+    a_op = _checked_hamiltonian(a_op, dim, "observable A")
+    spectrum = _spectrum(_checked_hamiltonian(h, dim))
     return [u.conj().T @ a_op @ u
             for u in (_unitary(spectrum, t) for t in times)]
 
@@ -1040,7 +1043,7 @@ def argmax_scan(rho, a_op, times, sigma, h):
         raise ValueError("sigma must be positive")
     times = _checked_times(times)
     l_fac = _factor_of(rho)
-    a_t = _heisenberg_ops(a_op, h, times)
+    a_t = _heisenberg_ops(a_op, h, times, len(l_fac))
     grids = _center_grids(l_fac, a_t, sigma)
 
     # probability is linear in rho = L L^dag: sum it over the columns of L
@@ -1078,7 +1081,7 @@ def complement_pair_consistency(rho, a_op, times, tube_width, h):
     times = _checked_times(times)
     l_fac = _factor_of(rho)
     tube = l_fac
-    for at in _heisenberg_ops(a_op, h, times):
+    for at in _heisenberg_ops(a_op, h, times, len(l_fac)):
         mean, _ = _mean_and_spread(l_fac, at)
         tube = window_projector(at, (mean - tube_width / 2.0,
                                      mean + tube_width / 2.0)) @ tube

@@ -3,8 +3,8 @@
 Wigner quasi-distributions on rectangular (q, p) lattices, position-basis
 density matrices rho(x, y), the Fourier map between the two (hbar = 1), the
 position-dephasing factor shared by the master equation and the histories,
-the check of a list of times shared by the Fokker-Planck integrator and the
-histories, and the marginals / moments used everywhere else in the package.
+the check of a list of times shared by the histories and the scenario
+rules, and the marginals / moments used everywhere else in the package.
 
 Conventions: values[i, j] samples W at (q_i, p_j); all integrals are
 trapezoidal; the density matrix is related to the Wigner function by

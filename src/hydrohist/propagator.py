@@ -16,8 +16,8 @@ kT).  Three mutually consistent descriptions are implemented:
   Courant limit, at Courant number 1, bounds dt).  The advection forms
   one flux per cell and gives each face that of its upwind cell; the
   momentum product goes to a second array that then swaps with the state;
-  the far tails of the initial W, which would be subnormal numbers, start
-  at 0; and a list of times takes one integration per distinct step dt;
+  and the far tails of the initial W, which would be subnormal numbers,
+  start at 0;
 
 - the position-basis master equation with kinetic, dissipation
   (-gamma (x-y)(d_x - d_y) rho) and decoherence (-2 M gamma kT (x-y)^2 rho)
@@ -43,7 +43,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,7 +51,6 @@ from .errors import DivergenceError, FitQualityError, ResolutionError
 from .phase_space import (
     DensityMatrix,
     WignerGrid,
-    _checked_times,
     check_domain_coverage,
     moments,
     normalize,
@@ -296,30 +294,11 @@ def fokker_planck_step_plan(w: WignerGrid, t, params: QbmParams):
 
     ``limit`` names the term of the step bound that binds, ``"courant"`` or
     ``"damping"``.  Only ``p_min``, ``p_max`` and ``dq`` of w are read, and
-    a ValueError is raised when the plan has no finite step count.  For a
-    sequence of times t, a list of the plans of the integrations that
-    ``evolve_fokker_planck(w, t, params)`` runs: for each distinct dt, in
-    order of first appearance, the plan of the longest time that has it.
+    a ValueError is raised when the plan has no finite step count.
     """
-    if np.ndim(t):
-        runs = _fokker_planck_runs(w, t, params).values()
-        return [run[-1][1] for run in runs]
     limits = _fokker_planck_limits(w, params)
     limit = min(limits, key=limits.get)
     return (*_step_plan(t, limits[limit]), limit)
-
-
-def _fokker_planck_runs(w: WignerGrid, t, params: QbmParams):
-    """The integrations of ``evolve_fokker_planck(w, t, params)``: a dict
-    from each distinct dt of the step plans of its times, one or a sequence
-    checked by ``_checked_times``, in order of first appearance, to the
-    (index, plan) of the times of that dt.  Each dt is one integration, up
-    to its longest time, but dt 0, of t = 0 alone, which takes no step."""
-    runs = {}
-    for i, ti in enumerate(_checked_times(t) if np.ndim(t) else [t]):
-        plan = fokker_planck_step_plan(w, ti, params)
-        runs.setdefault(plan[1], []).append((i, plan))
-    return runs
 
 
 class _FokkerPlanckBuffers:
@@ -466,71 +445,45 @@ def _nonnegative_expm(gen):
     return out
 
 
-def _fokker_planck_states(w: WignerGrid, dt, counts, params: QbmParams):
-    """Grids after each of the nondecreasing step counts of one integration.
+def _integrate_fokker_planck(w: WignerGrid, dt, n_steps,
+                             params: QbmParams) -> WignerGrid:
+    """n_steps >= 1 Strang steps A(dt/2) C(dt) A(dt/2) of w, adjacent
+    half-advections merged.
 
-    The integration takes n = counts[-1] Strang steps A(dt/2) C(dt) A(dt/2),
-    A the q advection and C the momentum sector, with adjacent
-    half-advections merged: A(dt/2) [C(dt) A(dt)]^(n-1) C(dt) A(dt/2).
-    The flux coefficients are set three times: for the first
-    half-advection, the full ones and the last half-advection.  The state
-    after k < counts[-1] steps is taken after the k-th momentum step: it is
-    copied into the spare padded array and closed there with a
-    half-advection in the same scratch, which equals the k-step
-    integration bit for bit, and serves every equal count; each such state
-    sets the coefficients twice more, to the half ones and back.
-    Entries below START_FLOOR times max |W| start at exactly 0.  NaN and
-    inf survive every step, so each grid is checked for them once.
+    A is the q advection and C the momentum sector, so the product is
+    A(dt/2) [C(dt) A(dt)]^(n-1) C(dt) A(dt/2).  The flux coefficients are
+    set for the first half-advection, the full ones and the last
+    half-advection.  Entries below START_FLOOR times max |W| start at
+    exactly 0.  NaN and inf survive every step, so the grid is checked for
+    them once, at the end.
     """
-    n_steps, stops = counts[-1], Counter(counts[:-1])
     buf = _FokkerPlanckBuffers(w.values)
     scale = np.max(np.abs(buf.values))
     buf.values[np.abs(buf.values) < START_FLOOR * scale] = 0.0
     c = w.p * dt / (params.M * w.dq)
     momentum = _momentum_propagator(w.p, w.dp, dt, params)
     buf.set_courant(0.5 * c)
-    half = True                     # the coefficients are those of c / 2
     _advect_q(buf)
-    grids = []
     for k in range(1, n_steps + 1):
         np.matmul(buf.values, momentum, out=buf.spare[1:w.n_q + 1])
         buf.swap()
-        if k in stops:
-            if not half:
-                buf.set_courant(0.5 * c)
-                half = True
-            np.copyto(buf.spare, buf.padded)
-            buf.swap()
-            _advect_q(buf)
-            grids += [w.with_values(buf.values)] * stops[k]
-            buf.swap()
-        if half != (k == n_steps):
-            half = k == n_steps
-            buf.set_courant(0.5 * c if half else c)
+        if k in (1, n_steps):
+            buf.set_courant(0.5 * c if k == n_steps else c)
         _advect_q(buf)
-    grids.append(w.with_values(buf.values))
-    if not all(np.isfinite(grid.values).all() for grid in grids):
+    if not np.isfinite(buf.values).all():
         raise DivergenceError("Fokker-Planck step produced non-finite values")
-    return grids
+    return w.with_values(buf.values)
 
 
-def evolve_fokker_planck(w0: WignerGrid, t, params: QbmParams):
+def evolve_fokker_planck(w0: WignerGrid, t, params: QbmParams) -> WignerGrid:
     """Compose the fewest equal steps within the step bound to time t.
 
-    For a nonempty, nonnegative and strictly increasing sequence of times
-    t, a list of one grid per time, each equal bit for bit to
-    ``evolve_fokker_planck(w0, t_i, params)``: the times whose plans share
-    a dt are taken from one integration, on its way to the longest of them.
     t = 0 takes no step and gives a copy of w0.
     """
-    grids = {}
-    for dt, run in _fokker_planck_runs(w0, t, params).items():
-        index, plans = zip(*run)
-        grids.update(zip(index, _fokker_planck_states(
-            w0, dt, [n for n, _, _ in plans], params) if dt
-            else [w0.with_values(w0.values)]))
-    grids = [grids[i] for i in range(len(grids))]
-    return grids if np.ndim(t) else grids[0]
+    n_steps, dt_eff, _ = fokker_planck_step_plan(w0, t, params)
+    if n_steps == 0:
+        return w0.with_values(w0.values)
+    return _integrate_fokker_planck(w0, dt_eff, n_steps, params)
 
 
 # --- master equation --------------------------------------------------------

@@ -77,7 +77,7 @@ def multi_time_prob(rho, a_op, times, centers, sigma, h) -> float:
     if len(centers) != len(times):
         raise ValueError("need one center per time")
     rho_m = rho.matrix
-    a_t = hi._heisenberg_ops(a_op, h, times)
+    a_t = hi._heisenberg_ops(a_op, h, times, len(rho_m))
     spreads = [math.sqrt(max(np.real(np.trace(rho_m @ at @ at))
                              - np.real(np.trace(rho_m @ at)) ** 2, 0.0))
                for at in a_t]

@@ -497,6 +497,15 @@ class TestProjectors:
         p = hi.window_projector(a, (-100.0, 100.0))
         assert np.allclose(p, np.eye(5))
 
+    def test_window_refuses_a_non_hermitian_observable(self):
+        # eigh reads one triangle: with the window [-0.5, 0.5] this A once
+        # gave the identity and its transpose the zero projector
+        a = np.array([[0.0, 1.0], [0.0, 0.0]])
+        for op in (a, a.T):
+            with pytest.raises(ValueError, match="observable A must be "
+                                                 "Hermitian"):
+                hi.window_projector(op, (-0.5, 0.5))
+
     def test_empty_window_warns_and_is_zero(self):
         a = np.diag([0.0, 1.0])
         with pytest.warns(UserWarning):
@@ -788,7 +797,7 @@ class TestSpectralUnitary:
         a = random_hermitian(rng, 9)
         h = np.diag(rng.normal(size=9))
         times = (0.4, 1.3)
-        for t, at in zip(times, hi._heisenberg_ops(a, h, times)):
+        for t, at in zip(times, hi._heisenberg_ops(a, h, times, 9)):
             u = expm(-1j * h * t)
             assert np.max(np.abs(at - u.conj().T @ a @ u)) < 1e-13
 
@@ -797,7 +806,7 @@ class TestSpectralUnitary:
         a_op = np.diag([0.0, 1.0, 2.0])
         h = np.triu(np.ones((3, 3)))
         with pytest.raises(ValueError, match="Hermitian"):
-            hi._heisenberg_ops(a_op, h, (0.5,))
+            hi._heisenberg_ops(a_op, h, (0.5,), 3)
 
     @pytest.mark.parametrize("dim", [7, 600])
     def test_hermiticity_checked_in_every_row_block(self, dim):
@@ -1795,12 +1804,26 @@ class TestStateAndObservableForms:
         # form and 0.399 from the asymptotic one
         (np.array([[0.0, 1.0], [0.0, 0.0]]), "observable A must be Hermitian"),
         (np.array([[np.nan, 0.0], [0.0, 1.0]]),
-         "observable A entries must be finite")],
-        ids=["non-hermitian", "nan"])
+         "observable A entries must be finite"),
+        # argmax_scan and complement_pair_consistency once failed in
+        # numpy's matmul on a 3 x 3 A against a 2-dim state
+        (np.diag([0.0, 1.0, 2.0]), "observable A has the wrong shape")],
+        ids=["non-hermitian", "nan", "wrong-shape"])
     def test_observable_checked(self, name, a, match):
         state = hi.StateVector(hi.ToyHilbert(2, 1), self.psi)
         with pytest.raises(ValueError, match=match):
             STATE_READERS[name](state, a)
+
+    @pytest.mark.parametrize("dephasing", [0.0, 0.3])
+    def test_state_of_another_space_refused(self, dephasing):
+        # both spaces have dim 4: this pair once gave probabilities
+        # [0.25, 0.5, 0.25]
+        state = hi.StateVector(hi.ToyHilbert(4, 1), np.full(4, 0.5))
+        spec = _history_spec(hi.ToyHilbert(2, 2), dephasing)
+        for rho in (state, hi.to_density(state)):
+            with pytest.raises(ValueError, match=r"ToyHilbert\(B=4, N=1\).*"
+                                                 r"ToyHilbert\(B=2, N=2\)"):
+                hi.decoherence_functional(rho, spec)
 
     def test_state_vector_and_its_density_agree(self):
         rng = np.random.default_rng(31)

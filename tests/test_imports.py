@@ -1,9 +1,10 @@
-"""What importing the package loads.
+"""What importing the package loads, and what of it is used.
 
-Each check runs in a fresh interpreter: the test process itself has long
-since imported scipy.stats and friends through other test modules.
+Each load check runs in a fresh interpreter: the test process itself has
+long since imported scipy.stats and friends through other test modules.
 """
 
+import ast
 import subprocess
 import sys
 from pathlib import Path
@@ -11,6 +12,15 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SRC = str(ROOT / "src")
 CONFIGS = ROOT / "configs"
+
+#: the names in a module's ``__all__`` that no code in src/, demos/ or
+#: perfbench/ references, each with the reason it stays public
+UNUSED_PUBLIC = {
+    "argmax_scan": "acceptance 11 measures it",
+    "complement_pair_consistency": "acceptance 11 measures it",
+    "master_equation_rhs": "the generator, kept as the integrator's test "
+                           "oracle; perfbench names it only in a string",
+}
 
 #: prints the sorted names of the loaded scipy modules
 LOADED_SCIPY = ("print(sorted(m for m in sys.modules\n"
@@ -57,3 +67,23 @@ def test_exact_transforms_load_no_spline():
         "print('scipy.interpolate' in sys.modules)\n")
     trace, loaded = out.split()
     assert abs(float(trace) - 1.0) < 1e-9 and loaded == "False"
+
+
+def test_every_public_name_is_referenced():
+    # a reference is a Name, an Attribute or an import alias; a name's own
+    # def or class and its __all__ string are neither
+    public, referenced = set(), set()
+    for path in [p for d in ("src", "demos", "perfbench")
+                 for p in (ROOT / d).rglob("*.py")]:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Name):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+            elif isinstance(node, ast.alias):
+                referenced.update(node.name.split("."))
+            elif (isinstance(node, ast.Assign)
+                  and any(isinstance(t, ast.Name) and t.id == "__all__"
+                          for t in node.targets)):
+                public.update(ast.literal_eval(node.value))
+    assert public - referenced == set(UNUSED_PUBLIC)

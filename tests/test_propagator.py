@@ -1,4 +1,3 @@
-import math
 import tracemalloc
 import types
 from decimal import Decimal, localcontext
@@ -302,9 +301,9 @@ class TestRefinementOrder:
             w0 = ps.gaussian_wigner(-14, 14, n_q, -6, 6, n_p, var_q=1.0,
                                     var_p=0.5)
             n_steps, dt, _ = pr.fokker_planck_step_plan(w0, 1.0, UNIT)
-            ref = pr._fokker_planck_states(w0, dt / 8, [8 * n_steps], UNIT)[0]
-            errors.append([ps.l1_distance(ref, pr._fokker_planck_states(
-                w0, dt / k, [k * n_steps], UNIT)[0]) for k in (1, 2)])
+            ref = pr._integrate_fokker_planck(w0, dt / 8, 8 * n_steps, UNIT)
+            errors.append([ps.l1_distance(ref, pr._integrate_fokker_planck(
+                w0, dt / k, k * n_steps, UNIT)) for k in (1, 2)])
         coarse, fine = np.array(errors)
         assert np.all(coarse / fine >= 3.5)
 
@@ -407,7 +406,7 @@ class TestFokkerPlanck:
         w0 = ps.gaussian_wigner(-18, 18, 160, -6, 6, 96, var_q=0.25, var_p=0.5)
         w_default = pr.evolve_fokker_planck(w0, 2.0, UNIT)
         n_steps, dt = pr._step_plan(2.0, _fp_bound(w0, UNIT) / 4)
-        w_fine = pr._fokker_planck_states(w0, dt, [n_steps], UNIT)[0]
+        w_fine = pr._integrate_fokker_planck(w0, dt, n_steps, UNIT)
         assert ps.l1_distance(w_default, w_fine) < 2e-3
 
     def test_step_beyond_explicit_diffusion_limit(self):
@@ -416,7 +415,7 @@ class TestFokkerPlanck:
         w0 = ps.gaussian_wigner(-18, 18, 160, -6, 6, 96, var_q=0.25, var_p=0.5)
         dt = 3.0 * 0.4 * w0.dp ** 2 / 2.0
         assert dt < _fp_bound(w0, UNIT)
-        wt = pr._fokker_planck_states(w0, dt, [1], UNIT)[0]
+        wt = pr._integrate_fokker_planck(w0, dt, 1, UNIT)
         assert np.all(np.isfinite(wt.values))
         assert wt.integral() == pytest.approx(w0.integral(), abs=1e-8)
 
@@ -467,11 +466,11 @@ class TestFokkerPlanck:
         # works in the integration's own buffers
         w0 = ps.gaussian_wigner(-18, 18, 160, -6, 6, 96, var_q=0.25, var_p=0.5)
         dt = _fp_bound(w0, UNIT)
-        pr._fokker_planck_states(w0, dt, [2], UNIT)[0]  # warm-up
+        pr._integrate_fokker_planck(w0, dt, 2, UNIT)  # warm-up
         peaks = []
         for n_steps in (2, 20, 200):
             tracemalloc.start()
-            pr._fokker_planck_states(w0, dt, [n_steps], UNIT)[0]
+            pr._integrate_fokker_planck(w0, dt, n_steps, UNIT)
             peaks.append(tracemalloc.get_traced_memory()[1])
             tracemalloc.stop()
         assert max(peaks) - min(peaks) < 4096
@@ -503,8 +502,8 @@ class TestFokkerPlanck:
         vals = w0.values.copy()
         vals[80, 48] = bad
         with pytest.raises(DivergenceError, match="Fokker-Planck"):
-            pr._fokker_planck_states(w0.with_values(vals),
-                                     _fp_bound(w0, UNIT), [20], UNIT)[0]
+            pr._integrate_fokker_planck(w0.with_values(vals),
+                                        _fp_bound(w0, UNIT), 20, UNIT)
 
     def test_sharp_state_stays_nonnegative(self):
         # a momentum width below one cell at dt 2 M gamma kT / dp^2 near 10,
@@ -520,109 +519,6 @@ class TestFokkerPlanck:
         for t in (dt, 5 * dt, 0.5):
             wt = pr.evolve_fokker_planck(w0, t, params)
             assert wt.values.min() >= -1e-10 * wt.values.max()
-
-
-class TestFokkerPlanckTimes:
-    """evolve_fokker_planck over an increasing sequence of times."""
-
-    def setup_method(self):
-        g = sc.SCENARIOS["oracle-compare"]["grid"]
-        self.w0 = ps.gaussian_wigner(g["q_min"], g["q_max"], g["n_q"],
-                                     g["p_min"], g["p_max"], g["n_p"],
-                                     var_q=1.0, var_p=0.5)
-
-    def test_oracle_compare_times_match_separate_runs(self, monkeypatch):
-        # t_master and t_kernel share dt = 1/48 = 5/240 bit for bit, so one
-        # integration yields both; 0.7 takes 34 steps of another dt and is
-        # integrated on its own, and t = 0 takes no step
-        p = sc.SCENARIOS["oracle-compare"]["params"]
-        times = [0.0, 0.7, p["t_master"], p["t_kernel"]]
-        plans = [pr.fokker_planck_step_plan(self.w0, t, UNIT) for t in times]
-        assert plans[2][1] == plans[3][1] != plans[1][1]
-        assert pr.fokker_planck_step_plan(self.w0, times, UNIT) == [
-            plans[0], plans[1], plans[3]]
-        built = []
-
-        class Buffers(pr._FokkerPlanckBuffers):
-            def __init__(self, values):
-                built.append(values.shape)
-                super().__init__(values)
-
-        monkeypatch.setattr(pr, "_FokkerPlanckBuffers", Buffers)
-        grids = pr.evolve_fokker_planck(self.w0, times, UNIT)
-        assert len(built) == 2
-        for t, grid in zip(times, grids):
-            alone = pr.evolve_fokker_planck(self.w0, t, UNIT)
-            assert np.array_equal(grid.values, alone.values)
-
-    def counted_runs(self, monkeypatch):
-        """A list that grows by one entry per integration started."""
-        built = []
-
-        class Buffers(pr._FokkerPlanckBuffers):
-            def __init__(self, values):
-                built.append(values.shape)
-                super().__init__(values)
-
-        monkeypatch.setattr(pr, "_FokkerPlanckBuffers", Buffers)
-        return built
-
-    def test_times_of_one_dt_share_a_run(self, monkeypatch):
-        # 0.7 and 1.4 share dt = 0.7/34 = 1.4/68 bit for bit, though 5.0
-        # steps with 1/48: one run of 68 steps yields both, and one of 240
-        # steps the last
-        times = [0.7, 1.4, 5.0]
-        assert pr.fokker_planck_step_plan(self.w0, times, UNIT) == [
-            (68, 0.7 / 34, "courant"), (240, 1 / 48, "courant")]
-        built = self.counted_runs(monkeypatch)
-        grids = pr.evolve_fokker_planck(self.w0, times, UNIT)
-        assert len(built) == 2
-        for t, grid in zip(times, grids):
-            alone = pr.evolve_fokker_planck(self.w0, t, UNIT)
-            assert np.array_equal(grid.values, alone.values)
-
-    def test_times_of_one_step_count_share_a_grid(self, monkeypatch):
-        # two times one ulp apart with one plan, and a third of their dt:
-        # the run of the third yields one grid for each of the first two
-        t = 0.6975987993996998
-        n_steps, dt, _ = pr.fokker_planck_step_plan(self.w0, t, UNIT)
-        times = [t, math.nextafter(t, 1.0), 35 * dt]
-        assert [plan[:2] for plan in pr.fokker_planck_step_plan(
-            self.w0, times, UNIT)] == [(35, dt)]
-        assert pr.fokker_planck_step_plan(self.w0, times[1], UNIT)[:2] == (
-            n_steps, dt)
-        built = self.counted_runs(monkeypatch)
-        grids = pr.evolve_fokker_planck(self.w0, times, UNIT)
-        assert len(built) == 1 and len(grids) == 3
-        for t, grid in zip(times, grids):
-            alone = pr.evolve_fokker_planck(self.w0, t, UNIT)
-            assert np.array_equal(grid.values, alone.values)
-
-    def test_snapshots_hold_one_grid_each(self):
-        # each grid taken on the way adds at most its own bytes to the
-        # traced peak of the run: it is closed in the run's spare array
-        pr.evolve_fokker_planck(self.w0, [1.0, 5.0], UNIT)   # warm-up
-        peaks = []
-        for times in (5.0, [1.0, 5.0], [1.0, 2.0, 3.0, 5.0]):
-            tracemalloc.start()
-            pr.evolve_fokker_planck(self.w0, times, UNIT)
-            peaks.append(tracemalloc.get_traced_memory()[1])
-            tracemalloc.stop()
-        grid = self.w0.values.nbytes
-        assert peaks[1] - peaks[0] <= grid
-        assert peaks[2] - peaks[0] <= 3 * grid
-
-    @pytest.mark.parametrize("times", [[], [1.0, 1.0], [2.0, 1.0]])
-    def test_times_must_increase(self, times):
-        with pytest.raises(ValueError, match="increasing"):
-            pr.evolve_fokker_planck(self.w0, times, UNIT)
-        with pytest.raises(ValueError, match="increasing"):
-            pr.fokker_planck_step_plan(self.w0, times, UNIT)
-
-    def test_times_must_be_nonnegative(self):
-        for f in (pr.evolve_fokker_planck, pr.fokker_planck_step_plan):
-            with pytest.raises(ValueError, match="times must be nonnegative"):
-                f(self.w0, [-1.0, 2.0], UNIT)
 
 
 class TestStepPlan:

@@ -166,7 +166,7 @@ class TestLoadConfig:
         assert not [note for note in notes if "np." in note]
         # the Fokker-Planck runs name their step count and binding limit
         steps = {"diffusion": 240, "maxwellization": 120,
-                 "oracle-compare": 240}.get(cfg.scenario)
+                 "oracle-compare": 288}.get(cfg.scenario)
         fp_notes = [note for note in notes if note.startswith("Fokker-Planck")]
         if steps is None:
             assert not fp_notes
@@ -1056,10 +1056,14 @@ class TestConcurrentRoutes:
         assert cli.main(["run", str(path), "--out", str(tmp_path / "o")]) == 3
         assert "DivergenceError" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("name", ["evolve_master_equation",
-                                      "evolve_fokker_planck"])
+    @pytest.mark.parametrize("name, calls", [("evolve_master_equation", 1),
+                                             ("evolve_fokker_planck", 2)],
+                             ids=["evolve_master_equation",
+                                  "evolve_fokker_planck"])
     def test_a_route_warning_reaches_the_notes(self, tmp_path, monkeypatch,
-                                               name):
+                                               name, calls):
+        # one note per call: the Fokker-Planck route integrates to t_master
+        # and to t_kernel
         evolve = getattr(sc.pr, name)
 
         def warn_and_evolve(*args):
@@ -1069,7 +1073,22 @@ class TestConcurrentRoutes:
         monkeypatch.setattr(sc.pr, name, warn_and_evolve)
         report = sc.run_scenario(sc.validate_config(
             minimal("oracle-compare")), tmp_path)
-        assert report.notes.count(f"UserWarning: {name} is coarse") == 1
+        assert report.notes.count(f"UserWarning: {name} is coarse") == calls
+
+    def test_one_fokker_planck_integration_per_time(self, tmp_path,
+                                                    monkeypatch):
+        # oracle-compare integrates to t_master and to t_kernel separately
+        built = []
+
+        class Buffers(pr._FokkerPlanckBuffers):
+            def __init__(self, values):
+                built.append(values.shape)
+                super().__init__(values)
+
+        monkeypatch.setattr(pr, "_FokkerPlanckBuffers", Buffers)
+        sc.run_scenario(sc.validate_config(minimal("oracle-compare")),
+                        tmp_path)
+        assert len(built) == 2
 
     @pytest.mark.parametrize("scenario", ["diffusion", "oracle-compare"])
     def test_threads_do_not_change_the_artifacts(self, tmp_path, monkeypatch,
