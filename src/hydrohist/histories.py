@@ -16,10 +16,11 @@ module builds
 
       D(a, a') = Tr[ P_{a_n}(t_n) ... P_{a_1}(t_1) rho P_{a'_1}(t_1) ... P_{a'_n}(t_n) ],
 
-  with Heisenberg projectors generated by a Hamiltonian, decomposed once,
-  and, optionally, a per-particle position dephasing map interleaved with
-  the unitary steps: from projected chains of L without dephasing, and
-  from damp-then-rotate branch-pair matrices with it (the dense engines);
+  with Heisenberg projectors generated by a Hamiltonian, decomposed once
+  by one eigh, and, optionally, a per-particle position dephasing map
+  interleaved with the unitary steps: from projected chains of L without
+  dephasing, and from damp-then-rotate branch-pair matrices with it (the
+  dense engines);
 - the two-time occupation decoherence functional of a product state
   rho1^(x N) under a one-body Hamiltonian and per-particle dephasing, from
   the one-particle tensor d1 and a dynamic program over particles, capped
@@ -372,12 +373,11 @@ def _checked_hamiltonian(h, dim, name="Hamiltonian"):
 
 
 def _spectrum(h):
-    """(w, v) with h = v diag(w) v^dag for a Hermitian h; v is None when h is
-    diagonal, its own eigenbasis, and then no eigensolver runs.  When
+    """(w, v) with h = v diag(w) v^dag for a Hermitian h, by one eigh.  When
     max|Im h| <= dim eps max|h|, a perturbation within eigh's own backward
-    error, h.real is decomposed in real arithmetic, and v is real."""
-    if np.count_nonzero(h) == np.count_nonzero(np.diagonal(h)):
-        return np.real(np.diagonal(h)).copy(), None
+    error, h.real is decomposed in real arithmetic, and v is real.  A
+    diagonal h gets a signed permutation v, so a unitary through it equals
+    diag(exp(-i dt diag(h))) exactly."""
     if (np.max(np.abs(h.imag))
             <= len(h) * np.finfo(float).eps * np.max(np.abs(h))):
         return np.linalg.eigh(h.real)
@@ -395,10 +395,7 @@ def _times(m, y):
 def _unitary(spectrum, dt):
     """exp(-i h dt) = v diag(exp(-i dt w)) v^dag from the spectrum (w, v)."""
     w, v = spectrum
-    phase = np.exp(-1j * dt * w)
-    if v is None:
-        return np.diag(phase)
-    return _times(v, phase[:, None] * v.conj().T)
+    return _times(v, np.exp(-1j * dt * w)[:, None] * v.conj().T)
 
 
 @dataclass(frozen=True)
@@ -409,7 +406,8 @@ class HistorySpec:
     Each member must be a ``(dim,)`` boolean mask or float weight vector (a
     diagonal projector) or a ``(dim, dim)`` matrix.  With dephasing, each
     interval is ``dephasing_substeps`` damp-then-rotate steps.  ``spectrum``
-    is the Hamiltonian's (w, v), decomposed once here for every unitary.
+    is the Hamiltonian's eigenvalues and eigenbasis (w, v), decomposed once
+    here for every unitary.
     """
 
     space: ToyHilbert
@@ -580,45 +578,26 @@ def _damp_rotate(rows, cols, m, u, damp, substeps):
 
 
 def _apply_unitary(spectrum, dt, chains):
-    """U(dt) Y for each chain (rows, Y[rows]), as a chain.
+    """U(dt) Y for each chain (rows, Y[rows]), on the whole basis.
 
-    A diagonal U multiplies the kept rows by their phases and keeps them.
-    Otherwise U Y = v (e^{-i w dt} o (v^dag[:, rows] Y)): for chains of W
-    entries and R columns in all that costs dim W + dim^2 R, and forming U
-    first dim^3 + dim W, so U is formed only when R >= dim.
+    U Y = v (e^{-i w dt} o (v^dag[:, rows] Y)): for chains of W entries and
+    R columns in all that costs dim W + dim^2 R, and forming U first
+    dim^3 + dim W, so U is formed only when R >= dim.
     """
     w, v = spectrum
-    if v is not None and sum(y.shape[1] for _, y in chains) >= len(w):
+    if sum(y.shape[1] for _, y in chains) >= len(w):
         u = _unitary(spectrum, dt)
-        return [(_ALL, u[:, rows] @ y) for rows, y in chains]
+        return [u[:, rows] @ y for rows, y in chains]
     phase = np.exp(-1j * dt * w)
-    if v is None:
-        return [(rows, phase[rows][:, None] * y) for rows, y in chains]
     vh = v.conj().T
-    return [(_ALL, _times(v, phase[:, None] * _times(vh[:, rows], y)))
+    return [_times(v, phase[:, None] * _times(vh[:, rows], y))
             for rows, y in chains]
 
 
-def _project_chain(op, rows, y):
-    """P Y for the chain (rows, Y[rows]), as a chain; a diagonal P keeps the
-    rows where it is nonzero."""
-    if not _is_diagonal(op):
-        return _ALL, op[:, rows] @ y
-    kept, block = _keep(op[rows], y)
-    if rows is _ALL:
-        return kept, block
-    within = rows.copy()
-    within[rows] = kept
-    return within, block
-
-
-def _on_basis(rows, y):
-    """Y from the block Y[rows] of a chain, zero in the other rows."""
-    if rows is _ALL:
-        return y
-    out = np.zeros((len(rows), y.shape[1]), dtype=y.dtype)
-    out[rows] = y
-    return out
+def _project_chain(op, y):
+    """P Y as a chain (rows, Y[rows]); a diagonal P keeps the rows where it
+    is nonzero."""
+    return _keep(op, y) if _is_diagonal(op) else (_ALL, op @ y)
 
 
 #: the residual diagonal at which the factor of rho stops: every column
@@ -677,12 +656,10 @@ def _chain_functional(l_fac, history, levels):
     *inner, final = levels
     chains = [(_ALL, l_fac)]  # (rows, Y[rows]) per label prefix
     for dt, ops in zip(steps, inner):
-        chains = [_project_chain(op, rows, y) for rows, y
+        chains = [_project_chain(op, y) for y
                   in _apply_unitary(history.spectrum, dt, chains)
                   for op in ops]
-    # the prefixes' rows differ, so each is laid out on the whole basis
-    ys = [_on_basis(*chain) for chain
-          in _apply_unitary(history.spectrum, steps[-1], chains)]
+    ys = _apply_unitary(history.spectrum, steps[-1], chains)
     if _disjoint_diagonals(final):
         blocks = np.empty((len(ys), len(ys), len(final)), dtype=complex)
         for c, op in enumerate(final):
@@ -741,27 +718,31 @@ def _backward_blocks(pairs, weights, u, damp, substeps):
     return out
 
 
-def _branch_pair_functional(rho_m, space, times, spectrum, rate, substeps,
-                            levels):
+def _branch_pair_functional(rho_m, history, levels):
     """Dephased D(a, a') from the branch-pair matrices P_a E(...) P_a'^dag.
 
-    E is ``substeps`` damp-then-rotate steps per interval, under the
-    Hamiltonian of the given ``_spectrum``.  Only prefix pairs p <= q are
-    evolved (D is Hermitian).  If the final level is disjoint diagonals w_c,
-    the blocks are D(p c, q c) = Tr(W_c E(X_pq)), W_c = diag(w_c^2): forward,
-    each evolved pair's diagonal weighted by w_c^2; backward, when
-    ``_backward_last_interval`` counts fewer products that way, each W_c
-    evolved by the adjoint of E and traced against every entering pair.
+    E is ``dephasing_substeps`` damp-then-rotate steps per interval of the
+    HistorySpec ``history``, under its Hamiltonian's spectrum and at its
+    dephasing rate; ``levels`` holds the projectors of each time.  Only
+    prefix pairs p <= q are evolved (D is Hermitian).  If the final level
+    is disjoint diagonals w_c, the blocks are D(p c, q c) = Tr(W_c E(X_pq)),
+    W_c = diag(w_c^2): forward, each evolved pair's diagonal weighted by
+    w_c^2; backward, when ``_backward_last_interval`` counts fewer products
+    that way, each W_c evolved by the adjoint of E and traced against every
+    entering pair.
     """
+    substeps = history.dephasing_substeps
     final = levels[-1]
     blocked = _disjoint_diagonals(final)
     weights = np.array(final, dtype=float) ** 2 if blocked else None
     pairs = {(0, 0): (_ALL, _ALL, rho_m)}
-    for k, (dt, ops) in enumerate(zip(np.diff((0.0,) + times), levels)):
+    for k, (dt, ops) in enumerate(zip(np.diff((0.0,) + history.times),
+                                      levels)):
         last, n = k == len(levels) - 1, len(ops)
         if dt > 0:
-            u = _unitary(spectrum, dt / substeps)
-            damp = _dephasing_mask(space, rate, dt / substeps)
+            u = _unitary(history.spectrum, dt / substeps)
+            damp = _dephasing_mask(history.space, history.dephasing_rate,
+                                   dt / substeps)
             if last and blocked and _backward_last_interval(n, substeps,
                                                             len(pairs)):
                 pairs = _backward_blocks(pairs, weights, u, damp, substeps)
@@ -810,9 +791,7 @@ def decoherence_functional(rho, history: HistorySpec) -> DecoherenceMatrix:
     else:
         mat = _branch_pair_functional(
             rho.matrix if isinstance(rho, DensityOperator)
-            else np.outer(l_fac, l_fac.conj()),
-            history.space, history.times, history.spectrum,
-            history.dephasing_rate, history.dephasing_substeps, levels)
+            else np.outer(l_fac, l_fac.conj()), history, levels)
     return DecoherenceMatrix(tuple(catalog), mat)
 
 
@@ -923,21 +902,19 @@ def product_occupation_functional(rho1: DensityOperator, h1, n, times,
         d1[b, b', c] = <c| E_{t2-t1}(|b><b| rho1(t1) |b'><b'|) |c>,
 
     the blocks of the dense engines' branch-pair functional on the B-bin
-    one-particle space, with the bin masks at both times.
+    one-particle space, with the bin masks at both times, at every rate,
+    0 included.
     """
-    space1 = rho1.space
-    if space1.N != 1:
+    if rho1.space.N != 1:
         raise ValueError("rho1 must be a one-particle state")
-    spectrum = _spectrum(_checked_hamiltonian(h1, space1.B))
-    times = _checked_times(times)
     if len(times) != 2:
         raise ValueError("need exactly two times 0 <= t1 < t2")
-    if not dephasing_rate >= 0:
-        raise ValueError("dephasing rate must be nonnegative")
-    bins = np.eye(space1.B, dtype=bool)
-    d1 = _branch_pair_functional(rho1.matrix, space1, times, spectrum,
-                                 dephasing_rate, 1, [bins, bins])
-    return OccupationFunctional(d1, n)
+    bins = np.eye(rho1.space.B, dtype=bool)
+    family = [tuple(enumerate(bins))]
+    spec = HistorySpec(rho1.space, times, (family, family), h1,
+                       dephasing_rate, dephasing_substeps=1)
+    return OccupationFunctional(
+        _branch_pair_functional(rho1.matrix, spec, [bins, bins]), n)
 
 
 def consistency_epsilon(dmat: DecoherenceMatrix) -> float:

@@ -67,7 +67,6 @@ __all__ = [
     "propagate_analytic",
     "fokker_planck_step_plan",
     "evolve_fokker_planck",
-    "master_equation_rhs",
     "master_dt_bound",
     "evolve_master_equation",
     "diffusion_coefficient",
@@ -537,24 +536,6 @@ def _kinetic_dissipation(padded, c_plus, c_minus, out, tmp):
 def _decoherence_rate(params: QbmParams) -> float:
     """2 M gamma kT: the master equation's (x - y)^2 rho coefficient."""
     return 2.0 * params.M * params.gamma * params.kT
-
-
-def master_equation_rhs(rho: DensityMatrix, params: QbmParams) -> np.ndarray:
-    """Generator of the position-basis master equation (hbar = 1).
-
-    Linear in the kernel, which may be any complex matrix: it is the
-    generator of the map ``evolve_master_equation`` integrates.  Only
-    ``n_x``, ``x``, ``dx`` and ``kernel`` of ``rho`` are read.
-    """
-    n, x = rho.n_x, rho.x
-    padded = np.zeros((n + 2, n + 2), dtype=complex)
-    padded[1:-1, 1:-1] = rho.kernel
-    c_plus, c_minus = _generator_coefficients(x, rho.dx, params)
-    terms = _kinetic_dissipation(padded, c_plus, c_minus,
-                                 np.empty((n, n + 2), dtype=complex),
-                                 np.empty((n, n + 2), dtype=complex))
-    return terms[:, 1:-1] - (_decoherence_rate(params)
-                             * (x[:, None] - x[None, :]) ** 2 * rho.kernel)
 
 
 def master_dt_bound(rho: DensityMatrix, params: QbmParams) -> float:

@@ -53,6 +53,10 @@ _QBM_RANGES = tuple((lambda p, key=key: p[key] > 0,
 #: matrix, checked ahead of any range rule that samples or allocates one
 _GRID_BYTES = 2 ** 27
 
+#: cap on ehrenfest's n_seeds * dim**3, its eigensolver work: dim 2048 with
+#: one seed fits (13 s and 365 MiB at one BLAS thread), dim 4096 does not
+_EHRENFEST_WORK = 2 ** 33
+
 #: range checks of a phase-space grid, as ``WignerGrid`` requires them
 _GRID_RANGES = (
     (lambda g: g["n_q"] >= 8, "grid.n_q must be at least 8"),
@@ -865,6 +869,10 @@ SCENARIOS = {
             (lambda p: p["dim"] >= 2, "params.dim must be at least 2"),
             (lambda p: p["dim"] <= hist.DEFAULT_DIM_CAP,
              f"params.dim must be at most {hist.DEFAULT_DIM_CAP}"),
+            # each seed takes one eigh of a dim x dim A
+            (lambda p: p["n_seeds"] * p["dim"] ** 3 <= _EHRENFEST_WORK,
+             "params.n_seeds and params.dim must keep n_seeds * dim**3 "
+             f"within {_EHRENFEST_WORK}"),
             (lambda p: p["n_seeds"] >= 1, "params.n_seeds must be at least 1"),
             (lambda p: p["sigma_factor"] > 0,
              "params.sigma_factor must be positive"),

@@ -731,29 +731,38 @@ def kinetic_hamiltonian(b, n):
     return hi.lift_one_body(hs, p1 @ p1 / 2.0)
 
 
+def spectral_chain_hamiltonian(kind, hs):
+    """A zero, a diagonal, a real (kinetic) or a genuinely complex
+    (collective momentum) Hamiltonian on hs."""
+    if kind == "zero":
+        return np.zeros((hs.dim, hs.dim))
+    if kind == "diagonal":
+        return (0.7 * oracles.number_density_operator(hs, 0)
+                - 1.3 * oracles.number_density_operator(hs, hs.B - 1))
+    if kind == "real":
+        return kinetic_hamiltonian(hs.B, hs.N)
+    return hi.lift_one_body(hs, hi.one_particle_momentum(
+        hi.ToyHilbert(B=hs.B, N=1)))
+
+
 class TestSpectralUnitary:
     """exp(-i h dt) from the spectrum of h against scipy's expm."""
 
     @pytest.mark.parametrize("h", [
         kinetic_hamiltonian(2, 8),
         random_hermitian(np.random.default_rng(3), 40),
-    ], ids=["kinetic-B2-N8", "random-hermitian"])
+        spectral_chain_hamiltonian("diagonal", hi.ToyHilbert(B=3, N=3)),
+        np.zeros((27, 27)),
+    ], ids=["kinetic-B2-N8", "random-hermitian", "diagonal", "zero"])
     @pytest.mark.parametrize("dt", [0.1, 0.5, 1.7])
     def test_matches_expm_and_is_unitary(self, h, dt):
         u = hi._unitary(hi._spectrum(h), dt)
         assert np.max(np.abs(u - expm(-1j * h * dt))) < 1e-12
         assert np.max(np.abs(u @ u.conj().T - np.eye(len(h)))) < 1e-13
-
-    def test_diagonal_hamiltonian_runs_no_eigensolver(self):
-        hs = hi.ToyHilbert(B=3, N=3)
-        h = (0.7 * oracles.number_density_operator(hs, 0)
-             - 1.3 * oracles.number_density_operator(hs, 2))
-        w, v = hi._spectrum(h)
-        assert v is None and np.array_equal(w, np.real(np.diag(h)))
-        u = hi._unitary((w, v), 0.9)
-        assert np.array_equal(u, np.diag(np.exp(-1j * 0.9 * w)))
-        zero = hi._unitary(hi._spectrum(np.zeros((hs.dim, hs.dim))), 2.5)
-        assert np.array_equal(zero, np.eye(hs.dim))
+        if np.array_equal(h, np.diag(np.diag(h))):
+            # eigh gives a diagonal h a signed permutation of the basis,
+            # so U is the diagonal phase matrix bit for bit
+            assert np.array_equal(u, np.diag(np.exp(-1j * dt * np.diag(h))))
 
     @pytest.mark.parametrize("diagonal", [False, True])
     def test_spec_spectrum_rebuilds_the_hamiltonian(self, diagonal):
@@ -762,9 +771,10 @@ class TestSpectralUnitary:
              else kinetic_hamiltonian(2, 4))
         spec = hi.HistorySpec(hs, (1.0,), ([hi.occupation_family(hs)],), h)
         w, v = spec.spectrum
-        assert (v is None) == diagonal
-        rebuilt = np.diag(w) if v is None else (v * w) @ v.conj().T
+        rebuilt = (v * w) @ v.conj().T
         assert np.max(np.abs(rebuilt - spec.hamiltonian)) < 1e-12
+        if diagonal:  # rebuilt exactly from its signed permutation
+            assert np.array_equal(rebuilt, spec.hamiltonian)
         with pytest.raises(TypeError):
             hi.HistorySpec(hs, (1.0,), ([hi.occupation_family(hs)],), h,
                            spectrum=spec.spectrum)
@@ -845,18 +855,6 @@ class TestSpectralUnitary:
                            np.array([[np.nan, 5.0], [0.0, 1.0]]))
 
 
-def spectral_chain_hamiltonian(kind, hs):
-    """A diagonal, a real (kinetic) or a genuinely complex (collective
-    momentum) Hamiltonian on hs."""
-    if kind == "diagonal":
-        return (0.7 * oracles.number_density_operator(hs, 0)
-                - 1.3 * oracles.number_density_operator(hs, hs.B - 1))
-    if kind == "real":
-        return kinetic_hamiltonian(hs.B, hs.N)
-    return hi.lift_one_body(hs, hi.one_particle_momentum(
-        hi.ToyHilbert(B=hs.B, N=1)))
-
-
 class TestSpectralChains:
     """Chains moved through the spectrum against chains moved by the formed
     U = expm(-i h dt), to 1e-12."""
@@ -869,7 +867,6 @@ class TestSpectralChains:
         hs = hi.ToyHilbert(B=3, N=3)
         h = spectral_chain_hamiltonian(kind, hs)
         spectrum = hi._spectrum(h)
-        assert (spectrum[1] is None) == (kind == "diagonal")
         formed = []
         real_unitary = hi._unitary
 
@@ -885,13 +882,9 @@ class TestSpectralChains:
                   for rows_, n in ((hi._ALL, hs.dim), (rows, rows.sum()))]
         moved = hi._apply_unitary(spectrum, 0.8, chains)
         u = expm(-0.8j * h)
-        for (rows_, y), (got_rows, got) in zip(chains, moved):
-            want = u[:, rows_] @ y
-            assert np.max(np.abs(hi._on_basis(got_rows, got) - want)) < 1e-12
-        assert bool(formed) == (kind != "diagonal" and 2 * width >= hs.dim)
-        if kind == "diagonal":
-            # the phases touch the kept rows only
-            assert moved[1][0] is rows
+        for (rows_, y), got in zip(chains, moved):
+            assert np.max(np.abs(got - u[:, rows_] @ y)) < 1e-12
+        assert bool(formed) == (2 * width >= hs.dim)
 
 
 class TestEnginesMatchDenseReference:
@@ -978,16 +971,17 @@ class TestEnginesMatchDenseReference:
 
 
     @pytest.mark.parametrize("state", ["pure", "rank-3", "full-rank"])
-    @pytest.mark.parametrize("kind", ["diagonal", "real", "complex"])
+    @pytest.mark.parametrize("kind", ["zero", "diagonal", "real", "complex"])
     @pytest.mark.parametrize("family", ["disjoint-weights", "mixed"])
     def test_hamiltonian_kinds(self, state, kind, family):
-        # a diagonal U keeps a chain's rows through masks, weights and
-        # matrices; a real one is applied in real arithmetic
+        # every kind goes through its eigenbasis, a real one in real
+        # arithmetic, in the chain and the branch-pair engines alike
         fam = self.weight_families()[family]
         ham = spectral_chain_hamiltonian(kind, self.hs)
-        for times in ((0.7,), (0.4, 1.1), (0.0, 0.6, 1.3)):
-            self.check(state, times, tuple([fam] for _ in times), 0.0, 1,
-                       ham)
+        for times, (rate, substeps) in itertools.product(
+                ((0.7,), (0.4, 1.1), (0.0, 0.6, 1.3)), self.RATES):
+            self.check(state, times, tuple([fam] for _ in times), rate,
+                       substeps, ham)
 
 
 class TestChainFactor:

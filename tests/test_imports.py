@@ -18,8 +18,6 @@ CONFIGS = ROOT / "configs"
 UNUSED_PUBLIC = {
     "argmax_scan": "acceptance 11 measures it",
     "complement_pair_consistency": "acceptance 11 measures it",
-    "master_equation_rhs": "the generator, kept as the integrator's test "
-                           "oracle; perfbench names it only in a string",
 }
 
 #: prints the sorted names of the loaded scipy modules

@@ -387,17 +387,22 @@ class TestPeaking:
         def forbidden(*args, **kwargs):
             raise AssertionError("dense N-particle path used")
 
-        toy_hilbert = hist.ToyHilbert
+        toy_hilbert, history_spec = hist.ToyHilbert, hist.HistorySpec
 
         def one_particle_only(B, N):
             assert N == 1, "N-particle space built"
             return toy_hilbert(B, N)
 
+        def one_particle_history(space, *args, **kwargs):
+            # d1 comes from the branch-pair engine on the one-particle space
+            assert space.N == 1, "N-particle history built"
+            return history_spec(space, *args, **kwargs)
+
         for module, name in ((hist, "lift_one_body"),
                              (hist, "occupation_family"),
-                             (hist, "HistorySpec"),
                              (hist, "decoherence_functional")):
             monkeypatch.setattr(module, name, forbidden)
+        monkeypatch.setattr(hist, "HistorySpec", one_particle_history)
         # the functional's blocks are read, never the dense matrix
         monkeypatch.setattr(hist.DecoherenceMatrix, "matrix",
                             property(forbidden))

@@ -657,6 +657,25 @@ def _reference_master(kernel, x, dx, dt, n_steps, params):
     return ker
 
 
+def master_equation_rhs(rho, params):
+    """Generator of the position-basis master equation (hbar = 1), from the
+    integrator's own kinetic, dissipation and decoherence terms.
+
+    Linear in the kernel, which may be any complex matrix: it is the
+    generator of the map ``evolve_master_equation`` integrates.  Only
+    ``n_x``, ``x``, ``dx`` and ``kernel`` of ``rho`` are read.
+    """
+    n, x = rho.n_x, rho.x
+    padded = np.zeros((n + 2, n + 2), dtype=complex)
+    padded[1:-1, 1:-1] = rho.kernel
+    c_plus, c_minus = pr._generator_coefficients(x, rho.dx, params)
+    terms = pr._kinetic_dissipation(padded, c_plus, c_minus,
+                                    np.empty((n, n + 2), dtype=complex),
+                                    np.empty((n, n + 2), dtype=complex))
+    return terms[:, 1:-1] - (pr._decoherence_rate(params)
+                             * (x[:, None] - x[None, :]) ** 2 * rho.kernel)
+
+
 class TestMasterEquation:
     def setup_method(self):
         self.params = pr.QbmParams(M=1.0, gamma=0.25, kT=1.0)
@@ -715,7 +734,7 @@ class TestMasterEquation:
         assert cqp == pytest.approx(cov[0, 1], rel=5e-2)
 
     def test_matches_fine_step_reference(self):
-        # unsplit RK4 over the full public generator at a quarter of the
+        # unsplit RK4 over the full generator at a quarter of the
         # step bound that includes the decoherence rate
         rho0 = self.cat_state()
         t = 0.25
@@ -725,7 +744,7 @@ class TestMasterEquation:
         ker = rho0.kernel
 
         def rhs(k):
-            return pr.master_equation_rhs(rho0.with_kernel(k), self.params)
+            return master_equation_rhs(rho0.with_kernel(k), self.params)
 
         for _ in range(n_steps):
             k1 = rhs(ker)
@@ -739,7 +758,7 @@ class TestMasterEquation:
         assert ps.l1_distance(want, got) < 1e-3
 
     def test_generator_linear_on_off_diagonal_block(self):
-        # the public generator is the generator of the linear integrator:
+        # the generator oracle is the generator of the linear integrator:
         # on X = P_L rho P_R it acts as on H1 + i H2, which a Hermitian
         # projection of its output would break.  X is no DensityMatrix, so
         # a plain holder passes it.
@@ -752,7 +771,7 @@ class TestMasterEquation:
         def rhs(k):
             holder = types.SimpleNamespace(n_x=rho.n_x, x=rho.x, dx=rho.dx,
                                            kernel=k)
-            return pr.master_equation_rhs(holder, self.params)
+            return master_equation_rhs(holder, self.params)
 
         got = rhs(block)
         want = rhs(h1) + 1j * rhs(h2)

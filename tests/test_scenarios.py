@@ -532,6 +532,13 @@ class TestCli:
                      "params.sigma_factor", id="ehrenfest-sigma-0.01"),
         pytest.param("ehrenfest", {"dim": 2 ** 40}, {}, "params.dim",
                      id="ehrenfest-dim-past-the-cap"),
+        # one eigh per seed: runs that would not end, or take minutes
+        pytest.param("ehrenfest", {"n_seeds": 2 ** 63}, {},
+                     "params.n_seeds and params.dim",
+                     id="ehrenfest-seeds-past-the-work-cap"),
+        pytest.param("ehrenfest", {"dim": 4096, "n_seeds": 1}, {},
+                     "params.n_seeds and params.dim",
+                     id="ehrenfest-dim-past-the-work-cap"),
         # sigma = sigma_factor dA, and so the centers, would overflow
         pytest.param("ehrenfest", {"sigma_factor": 1.7e308}, {},
                      "params.sigma_factor", id="ehrenfest-sigma-1.7e308"),
@@ -663,6 +670,7 @@ class TestCli:
         for scenario, params in (
                 ("histories-nscaling", {"N_max": 2, "overlap": -0.8}),
                 ("ehrenfest", {"dim": 2, "n_seeds": 1}),
+                ("ehrenfest", {"dim": 1024, "n_seeds": 1}),
                 ("conserved-decoherence", {"times2": [0.0], "N": 1}),
                 ("variance-scaling", {"N_values": [1, 10.0]}),
                 ("maxwellization", {"t": 0.0}),
