@@ -210,6 +210,14 @@ def _master_plan(g):
         lattice, pr.QbmParams(g["M"], g["gamma"], g["kT"])))
 
 
+def _master_note(g):
+    """Report note: the step count and dt of oracle-compare's
+    master-equation run, from ``_master_plan``."""
+    steps, dt = _master_plan(g)
+    return (f"Master equation: {steps} steps of dt {dt:.6g}, limited by the "
+            "Gershgorin radius of the kinetic and dissipation stencil")
+
+
 def _fokker_planck_note(w0, times, params):
     """Report note: the step count and dt of the Fokker-Planck integrations
     of w0's grid that ``evolve_fokker_planck`` runs, one for each t in
@@ -480,14 +488,16 @@ def _run_oracle_compare(config):
 
     def master_route():
         rho0 = ps.wigner_to_density(_master_state(g))
-        return ps.density_to_wigner(
-            pr.evolve_master_equation(rho0, p["t_master"], params))
+        return (ps.density_to_wigner(
+                    pr.evolve_master_equation(rho0, p["t_master"], params)),
+                pr.evolve_fokker_planck(w0, p["t_master"], params))
 
-    # the master route, the longer, keeps the calling thread
-    w_me, (w_fp1, w_fp, w_an) = _concurrently(
+    # the calling thread runs the master route and the Fokker-Planck
+    # integration to t_master, the worker the one to t_kernel and the
+    # kernel: near-equal shares on the default config
+    (w_me, w_fp1), (w_fp, w_an) = _concurrently(
         master_route,
-        lambda: (pr.evolve_fokker_planck(w0, p["t_master"], params),
-                 pr.evolve_fokker_planck(w0, p["t_kernel"], params),
+        lambda: (pr.evolve_fokker_planck(w0, p["t_kernel"], params),
                  pr.propagate_analytic(w0, p["t_kernel"], params)))
     l1_kernel = ps.l1_distance(w_an, w_fp)
     l1_master = ps.l1_distance(w_fp1, w_me)
@@ -501,8 +511,9 @@ def _run_oracle_compare(config):
     art = {"oracle_compare.csv": (
         ["q", "kernel_t_kernel", "integrator_t_kernel",
          "integrator_t_master"], rows)}
-    return metrics, art, [_fokker_planck_note(
-        w0, [p["t_master"], p["t_kernel"]], params)]
+    return metrics, art, [
+        _fokker_planck_note(w0, [p["t_master"], p["t_kernel"]], params),
+        _master_note({**p, **g})]
 
 
 def _variance_scaling_setup(c):

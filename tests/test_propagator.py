@@ -859,7 +859,9 @@ class TestMasterEquation:
 
     def test_oracle_compare_step_count(self):
         # the exact decoherence factor takes the (x - y)^2 rate out of the
-        # RK4 bound: 547 steps become 187 on the oracle-compare grid
+        # RK4 bound, and the Gershgorin radius of the kinetic and
+        # dissipation stencil sets it: 547 steps become 120 on the
+        # oracle-compare grid
         spec = sc.SCENARIOS["oracle-compare"]
         p, g = spec["params"], spec["grid"]
         params = pr.QbmParams(p["M"], p["gamma"], p["kT"])
@@ -869,8 +871,90 @@ class TestMasterEquation:
         psi /= np.sqrt(np.trapezoid(psi ** 2, x))
         rho0 = ps.DensityMatrix(x[0], x[-1], x.size, np.outer(psi, psi))
         t = p["t_master"]
-        assert np.ceil(t / pr.master_dt_bound(rho0, params)) == 187
+        assert np.ceil(t / pr.master_dt_bound(rho0, params)) == 120
         assert np.ceil(t / _full_generator_dt_bound(rho0, params)) == 547
+
+    @pytest.mark.parametrize("n_x, x_min, x_max, params", [
+        (128, -10.0, 10.0, UNIT),
+        (64, -10.0, 10.0, UNIT),
+        (96, -6.0, 8.0, pr.QbmParams(M=2.5, gamma=0.3, kT=1.0)),
+    ], ids=["oracle-compare", "n_x-64", "gamma-M"])
+    def test_dt_bound_is_the_gershgorin_radius(self, n_x, x_min, x_max,
+                                               params):
+        # R = max(2|c+| + 2|c-|) over the coefficients the stencil uses;
+        # the bound is never below the old sum of scales
+        # 4/(M dx^2) + 2 gamma span/dx, so no lattice takes more steps
+        rho = _lattice(x_min, x_max, n_x)
+        c_plus, c_minus = pr._generator_coefficients(rho.x, rho.dx, params)
+        radius = np.max(2.0 * np.abs(c_plus) + 2.0 * np.abs(c_minus))
+        bound = pr.master_dt_bound(rho, params)
+        assert bound == pytest.approx(0.8 * 2.78 / radius, rel=1e-12)
+        summed = (4.0 / (params.M * rho.dx ** 2)
+                  + 2.0 * params.gamma * (x_max - x_min) / rho.dx)
+        assert bound >= 0.8 * 2.78 / summed
+
+    @staticmethod
+    def _stencil(x, dx, params):
+        """The kinetic and dissipation terms as a map of (n, n) kernels."""
+        n = x.size
+        c_plus, c_minus = pr._generator_coefficients(x, dx, params)
+        padded = np.zeros((n + 2, n + 2), dtype=complex)
+        out, tmp = (np.empty((n, n + 2), dtype=complex) for _ in range(2))
+
+        def apply(kernel):
+            padded[1:-1, 1:-1] = kernel
+            pr._kinetic_dissipation(padded, c_plus, c_minus, out, tmp)
+            return out[:, 1:-1].copy()
+        return apply
+
+    def test_stencil_spectrum_within_the_radius(self):
+        # power iteration on the default lattice finds |lambda|max ~ 242,
+        # inside R = 266.5; on a 12-site lattice every eigenvalue of the
+        # dense stencil matrix lies inside its own R
+        rho = _lattice(-10.0, 10.0, 128)
+        radius = 0.8 * 2.78 / pr.master_dt_bound(rho, UNIT)
+        assert radius == pytest.approx(266.495, rel=1e-5)
+        apply = self._stencil(rho.x, rho.dx, UNIT)
+        v = np.random.default_rng(3).standard_normal((128, 128)) + 0j
+        for _ in range(200):
+            w = apply(v)
+            growth = np.linalg.norm(w) / np.linalg.norm(v)
+            v = w / np.linalg.norm(w)
+        assert growth == pytest.approx(241.75, rel=1e-4)
+        assert growth < radius
+
+        n = 12
+        params = pr.QbmParams(M=0.5, gamma=2.0, kT=1.0)
+        rho = _lattice(-3.0, 3.0, n)
+        apply = self._stencil(rho.x, rho.dx, params)
+        dense = np.column_stack([apply(e.reshape(n, n)).ravel()
+                                 for e in np.eye(n * n)])
+        radius = 0.8 * 2.78 / pr.master_dt_bound(rho, params)
+        assert np.max(np.abs(np.linalg.eigvals(dense))) < radius
+
+    def test_long_run_at_the_gershgorin_step(self):
+        # 2400 steps of dt 1/120 to t = 20 on the oracle-compare lattice
+        # stay finite, keep the trace and keep the kernel Hermitian
+        spec = sc.SCENARIOS["oracle-compare"]
+        p, g = spec["params"], spec["grid"]
+        params = pr.QbmParams(p["M"], p["gamma"], p["kT"])
+        rho0 = ps.wigner_to_density(sc._master_state(g))
+        n_steps, dt = pr._step_plan(p["t_master"],
+                                    pr.master_dt_bound(rho0, params))
+        assert (n_steps, dt) == (120, 1.0 / 120)
+        k = pr._integrate_master_equation(rho0.kernel, rho0.x, rho0.dx, dt,
+                                          20 * n_steps, params)
+        assert np.isfinite(k).all()
+        assert abs(np.trace(k) * rho0.dx - rho0.trace()) < 1e-10
+        assert np.max(np.abs(k - k.conj().T)) <= 1e-14 * np.max(np.abs(k))
+
+
+def _lattice(x_min, x_max, n_x):
+    """The extent, spacing and sites of an n_x-site lattice: all that
+    ``master_dt_bound`` and the stencil read of a density matrix."""
+    return types.SimpleNamespace(x_min=x_min, x_max=x_max,
+                                 dx=(x_max - x_min) / (n_x - 1),
+                                 x=np.linspace(x_min, x_max, n_x))
 
 
 def _full_generator_dt_bound(rho, params):

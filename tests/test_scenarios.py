@@ -714,18 +714,39 @@ class TestCli:
             assert calls == want, scenario
 
     def test_master_plan_rule_reads_the_library_plan(self):
-        # the rule's plan is evolve_master_equation's, 187 steps on the
-        # default lattice; a mass so small that the kinetic scale overflows
+        # the rule's plan is evolve_master_equation's, 120 steps on the
+        # default lattice; a mass so small that the Gershgorin radius overflows
         # leaves a step bound of 0 and no finite step count, which the
         # library refuses with the ValueError that fails a rule.  Other
         # rules refuse such a config first; this one holds on its own too
         entry = sc.SCENARIOS["oracle-compare"]
         merged = {**entry["params"], **entry["grid"]}
-        assert sc._master_plan(merged)[0] == 187
+        assert sc._master_plan(merged)[0] == 120
         assert [rule for rule, message in entry["ranges"]
                 if "master-equation step plan" in message] == [sc._master_plan]
         with pytest.raises(ValueError, match="no finite step count"):
-            sc._master_plan({**merged, "M": 5e-307})
+            sc._master_plan({**merged, "M": 2.5e-307})
+
+    @pytest.mark.parametrize("t_master, steps", [(1.0, 120), (0.7, 84)])
+    def test_master_note_names_the_steps_taken(self, tmp_path, monkeypatch,
+                                               t_master, steps):
+        # oracle-compare's report names the master plan that
+        # evolve_master_equation integrates
+        taken = []
+        integrate = pr._integrate_master_equation
+
+        def counted(kernel, x, dx, dt, n_steps, params):
+            taken.append((n_steps, dt))
+            return integrate(kernel, x, dx, dt, n_steps, params)
+
+        monkeypatch.setattr(pr, "_integrate_master_equation", counted)
+        report = sc.run_scenario(sc.validate_config(minimal(
+            "oracle-compare", params={"t_master": t_master})), tmp_path)
+        assert taken == [(steps, t_master / steps)]
+        notes = [n for n in report.notes if n.startswith("Master equation")]
+        assert notes == [f"Master equation: {steps} steps of dt 0.00833333, "
+                         "limited by the Gershgorin radius of the kinetic "
+                         "and dissipation stencil"]
 
     @pytest.mark.parametrize("seed", [0, 1, 7])
     def test_ehrenfest_narrowest_sigma_runs(self, tmp_path, seed):
@@ -1082,6 +1103,32 @@ class TestConcurrentRoutes:
         report = sc.run_scenario(sc.validate_config(
             minimal("oracle-compare")), tmp_path)
         assert report.notes.count(f"UserWarning: {name} is coarse") == calls
+
+    def test_oracle_compare_routes_share_the_threads(self, tmp_path,
+                                                     monkeypatch):
+        # the calling thread runs the master route and the Fokker-Planck
+        # integration to t_master, the worker the one to t_kernel and the
+        # kernel
+        ran = []
+
+        def on_thread(name):
+            function = getattr(sc.pr, name)
+
+            def recorded(w, t, params):
+                ran.append((name, t, threading.current_thread()
+                            is threading.main_thread()))
+                return function(w, t, params)
+            monkeypatch.setattr(sc.pr, name, recorded)
+
+        for name in ("evolve_master_equation", "evolve_fokker_planck",
+                     "propagate_analytic"):
+            on_thread(name)
+        sc.run_scenario(sc.validate_config(minimal("oracle-compare")),
+                        tmp_path)
+        assert sorted(ran) == [("evolve_fokker_planck", 1.0, True),
+                               ("evolve_fokker_planck", 5.0, False),
+                               ("evolve_master_equation", 1.0, True),
+                               ("propagate_analytic", 5.0, False)]
 
     def test_one_fokker_planck_integration_per_time(self, tmp_path,
                                                     monkeypatch):
