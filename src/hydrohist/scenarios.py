@@ -5,8 +5,9 @@ engine or the local-equilibrium builders into one experiment with declared
 pass/fail thresholds, writes plot-ready CSV artifacts plus a JSON run report,
 and is bit-reproducible for a fixed config and seed.  Each scenario is one
 entry of one schema table: its runner, defaults, thresholds and range
-checks; the command line front end in ``hydrohist.cli`` is a thin wrapper
-around ``load_config`` / ``run_scenario``.
+checks, and for a phase-space scenario its ``"plan"``, which validation and
+the runner share; the command line front end in ``hydrohist.cli`` is a thin
+wrapper around ``load_config`` / ``run_scenario``.
 """
 
 from __future__ import annotations
@@ -70,73 +71,81 @@ _GRID_RANGES = (
 )
 
 
-#: key under which a merged config keeps its sampled initial state, and,
-#: paired with a time, the exact kernel's refusals at that time
-_STATE = object()
+def _require(message, check, *args):
+    """check(*args), unless it is falsy or raises an ArithmeticError,
+    HydrohistError or ValueError under numpy's raising error state (its
+    arithmetic overflows or divides by zero on extreme values, or a library
+    call refuses them): then ConfigurationError(message)."""
+    try:
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            value = check(*args)
+    except (ArithmeticError, HydrohistError, ValueError):
+        value = None
+    if not value:
+        raise ConfigurationError(message)
+    return value
 
 
-def _phase_space_state(var_p):
-    """The setup of a phase-space run, a function of its merged params and
-    grid c: the Gaussian of var_q = 1 and var_p(c), centred at 0, sampled on
-    the grid by ``phase_space.gaussian_wigner``, and the ``QbmParams``.
-    The pair is kept in c, so the rules of one ``validate_config`` call
-    sample one grid."""
-    def state(c):
-        if _STATE not in c:
-            c[_STATE] = (
-                ps.gaussian_wigner(c["q_min"], c["q_max"], c["n_q"],
-                                   c["p_min"], c["p_max"], c["n_p"],
-                                   var_q=1.0, var_p=var_p(c)),
-                pr.QbmParams(c["M"], c["gamma"], c["kT"]))
-        return c[_STATE]
-    return state
+def _refuses(refusals, check, axes):
+    """Whether ``_kernel_check`` made a ``check`` refusal on ``axes``."""
+    return any(r[0] == check and r[1] in axes for r in refusals)
 
 
-_diffusion_state = _phase_space_state(lambda c: c["kT"] * c["M"])
-_maxwellization_state = _phase_space_state(lambda c: c["var_p0"])
-_oracle_state = _phase_space_state(lambda c: 0.5)
-
-
-def _phase_space_rules(state, t, kernel=True):
-    """Range checks of a phase-space run from ``state(c)`` to t(c), each a
-    library check on the grid the run samples: ``gaussian_wigner`` (and so
-    ``normalize``) accepts the sample, the Fokker-Planck step plan to t(c)
-    has a finite step count, and ``propagator._kernel_check`` at 0 and t(c)
-    makes no spacing or domain refusal.  Without ``kernel``, for a run
-    with no exact kernel, no spacing is checked and the p domain at 0
-    only.  Follows the checks of the parameters, the grid and t(c) >= 0."""
-    def plan(c):
-        w0, params = state(c)
-        return pr.fokker_planck_step_plan(w0, t(c), params)
-
-    def refuses_none(check, axes, at_t):
-        def accepts(c):
-            for s in (0.0, t(c)) if at_t else (0.0,):
-                if (_STATE, s) not in c:  # one kernel check per time
-                    w0, params = state(c)
-                    c[_STATE, s] = pr._kernel_check(w0, s, params)[1]
-                if any(r[0] == check and r[1] in axes for r in c[_STATE, s]):
-                    return False
-            return True
-        return accepts
-
+def _phase_space_plan(c, var_p, t, spans, kernel=True):
+    """The plan every phase-space run shares, from its merged params and
+    grid c: the initial ``"state"``, the Gaussian of var_q = 1 and var_p,
+    centred at 0, sampled by ``gaussian_wigner``; its ``"params"``; and the
+    step plan of the integration over each of ``spans``, under
+    ``"fokker_planck"``.  The library checks the grid first:
+    ``gaussian_wigner`` (and so ``normalize``) accepts the sample, the step
+    plan to t, the run's longest time, is finite (so is each span's), and
+    ``_kernel_check`` at 0 and t makes no spacing or domain refusal.
+    Without ``kernel``, for a run with no exact kernel, no spacing is
+    checked and the p domain at 0 only."""
+    w0, params = _require(
+        "params and grid must sample the initial Gaussian to finite values "
+        "with usable mass",
+        lambda: (ps.gaussian_wigner(c["q_min"], c["q_max"], c["n_q"],
+                                    c["p_min"], c["p_max"], c["n_p"],
+                                    var_q=1.0, var_p=var_p),
+                 pr.QbmParams(c["M"], c["gamma"], c["kT"])))
+    _require("params and grid must give the Fokker-Planck step plan a "
+             "finite step count", pr.fokker_planck_step_plan, w0, t, params)
+    spacing = (f"grid spacing must be at most 1/{pr.MIN_SPACINGS_PER_SIGMA} "
+               "of the initial state's standard deviation on each axis")
+    q_domain = ("the q domain grid.q_min to grid.q_max must hold the mean "
+                "+/- 3 standard deviations of the initial and the evolved "
+                "position")
+    at_0 = _require(spacing if kernel else q_domain,
+                    pr._kernel_check, w0, 0.0, params)[1]
+    if kernel:
+        _require(spacing, lambda: not _refuses(at_0, "spacing", "qp"))
+    at_t = _require(q_domain, pr._kernel_check, w0, t, params)[1]
+    _require(q_domain, lambda: not _refuses(at_0 + at_t, "domain", "q"))
     which = "the initial and the evolved" if kernel else "the initial"
-    spacing = (refuses_none("spacing", "qp", False), "grid spacing must be at "
-               f"most 1/{pr.MIN_SPACINGS_PER_SIGMA} of the initial state's "
-               "standard deviation on each axis")
-    return (
-        (state, "params and grid must sample the initial Gaussian to finite "
-         "values with usable mass"),
-        (plan, "params and grid must give the Fokker-Planck step plan a "
-         "finite step count"),
-        *((spacing,) if kernel else ()),
-        (refuses_none("domain", "q", True), "the q domain grid.q_min to "
-         "grid.q_max must hold the mean +/- 3 standard deviations of the "
-         "initial and the evolved position"),
-        (refuses_none("domain", "p", kernel), "the p domain grid.p_min to "
-         "grid.p_max must hold the mean +/- 3 standard deviations of "
-         f"{which} momentum"),
-    )
+    _require("the p domain grid.p_min to grid.p_max must hold the mean +/- 3 "
+             f"standard deviations of {which} momentum",
+             lambda: not _refuses(at_0 + at_t if kernel else at_0,
+                                  "domain", "p"))
+    return {"state": w0, "params": params,
+            "fokker_planck": [pr.fokker_planck_step_plan(w0, s, params)
+                              for s in spans]}
+
+
+def _diffusion_plan(c):
+    """Plan of a diffusion run: the kernel route's ``"times"`` and the
+    Fokker-Planck route's ``"spans"`` between them, each at most t_end."""
+    times = np.linspace(c["t_start"], c["t_end"], c["n_times"])
+    spans = np.diff(times, prepend=0.0)
+    return {**_phase_space_plan(c, c["kT"] * c["M"], c["t_end"], spans),
+            "times": times, "spans": spans}
+
+
+def _maxwellization_plan(c):
+    """Plan of a maxwellization run, integrated to t: no exact kernel runs,
+    and the momentum step holds the discrete Maxwellian between zero-flux p
+    walls exactly (kT 5 on +/-6 runs to a sup distance of 8.6e-12)."""
+    return _phase_space_plan(c, c["var_p0"], c["t"], [c["t"]], kernel=False)
 
 
 def _master_edge_mass(g, w, s_q, s_p):
@@ -178,55 +187,55 @@ def _master_state(g):
                               var_q=1.0, var_p=0.5)
 
 
-def _master_lattice_rule(t):
-    """Range check of oracle-compare's master-equation lattice: the exact
-    kernel's domain checks accept ``_master_state`` at 0 and t(config), and
-    the evolved state's boundary mass, bounded by ``_master_edge_mass`` for
-    the larger sigma of the two times, stays within
-    ``phase_space.COVERAGE_THRESHOLD``, above which ``l1_distance`` refuses
-    to resample it."""
-    def fits(g):
-        w0 = _master_state(g)
-        params = pr.QbmParams(g["M"], g["gamma"], g["kT"])
-        (s0, r0), (st, rt) = (pr._kernel_check(w0, s, params)
-                              for s in (0.0, t(g)))
-        return (not any(r[0] == "domain" for r in r0 + rt)
-                and _master_edge_mass(g, w0, *np.maximum(s0, st))
-                <= ps.COVERAGE_THRESHOLD)
-    return (fits, "the master lattice of grid.master_x_max and "
-            "grid.master_n_x must hold the initial and the evolved state's "
-            "mean +/- 3 standard deviations, and leave at most "
-            f"{ps.COVERAGE_THRESHOLD} of its mass on the boundary")
+def _oracle_plan(c):
+    """Plan of an oracle-compare run: the shared phase-space plan of its
+    integrations to t_master and t_kernel, the master route's
+    ``"master_state"`` and its ``"master"`` step plan (steps, dt), which
+    ``evolve_master_equation`` takes from the lattice's extent and spacing.
+    The master state must pass the kernel's domain checks at 0 and
+    t_master, and ``_master_edge_mass``, at the larger sigma of the two
+    times, must stay within the ``COVERAGE_THRESHOLD`` above which
+    ``l1_distance`` refuses to resample the evolved state."""
+    t_master = c["t_master"]
+    plan = _phase_space_plan(c, 0.5, max(c["t_kernel"], t_master),
+                             [t_master, c["t_kernel"]])
+    params = plan["params"]
+
+    def fitting_master_state():
+        w = _master_state(c)
+        (s0, r0), (st, rt) = (pr._kernel_check(w, s, params)
+                              for s in (0.0, t_master))
+        return (not _refuses(r0 + rt, "domain", "qp")
+                and _master_edge_mass(c, w, *np.maximum(s0, st))
+                <= ps.COVERAGE_THRESHOLD) and w
+
+    w = _require("the master lattice of grid.master_x_max and "
+                 "grid.master_n_x must hold the initial and the evolved "
+                 "state's mean +/- 3 standard deviations, and leave at most "
+                 f"{ps.COVERAGE_THRESHOLD} of its mass on the boundary",
+                 fitting_master_state)
+    lattice = SimpleNamespace(x_min=w.q_min, x_max=w.q_max, dx=w.dq)
+    master = _require(
+        "params and grid must give the master-equation step plan a finite "
+        "step count",
+        lambda: pr._step_plan(t_master, pr.master_dt_bound(lattice, params)))
+    return {**plan, "master_state": w, "master": master}
 
 
-def _master_plan(g):
-    """The step plan of oracle-compare's master-equation run to t_master,
-    from ``propagator.master_dt_bound``, which reads only the lattice's
-    extent and spacing."""
-    x_max = g["master_x_max"]
-    lattice = SimpleNamespace(x_min=-x_max, x_max=x_max,
-                              dx=2.0 * x_max / (g["master_n_x"] - 1))
-    return pr._step_plan(g["t_master"], pr.master_dt_bound(
-        lattice, pr.QbmParams(g["M"], g["gamma"], g["kT"])))
-
-
-def _master_note(g):
-    """Report note: the step count and dt of oracle-compare's
-    master-equation run, from ``_master_plan``."""
-    steps, dt = _master_plan(g)
-    return (f"Master equation: {steps} steps of dt {dt:.6g}, limited by the "
-            "Gershgorin radius of the kinetic and dissipation stencil")
-
-
-def _fokker_planck_note(w0, times, params):
-    """Report note: the step count and dt of the Fokker-Planck integrations
-    of w0's grid that ``evolve_fokker_planck`` runs, one for each t in
-    ``times``, and the term of the step bound that limited dt."""
-    plans = [pr.fokker_planck_step_plan(w0, t, params) for t in times]
-    steps = sum(n for n, _, _ in plans)
-    dt = max(dt for _, dt, _ in plans)
-    return (f"Fokker-Planck: {steps} steps of dt up to {dt:.6g}, limited by "
-            f"the {plans[0][2]} term of the step bound")
+def _step_notes(plan):
+    """Report notes of a phase-space plan: the step count and dt of its
+    Fokker-Planck integrations and the term of the step bound that limited
+    dt, and the master-equation run's step count and dt where it has one."""
+    fokker_planck = plan["fokker_planck"]
+    notes = [f"Fokker-Planck: {sum(n for n, _, _ in fokker_planck)} steps "
+             f"of dt up to {max(dt for _, dt, _ in fokker_planck):.6g}, "
+             f"limited by the {fokker_planck[0][2]} term of the step bound"]
+    if "master" in plan:
+        steps, dt = plan["master"]
+        notes.append(f"Master equation: {steps} steps of dt {dt:.6g}, "
+                     "limited by the Gershgorin radius of the kinetic and "
+                     "dissipation stencil")
+    return notes
 
 
 def _concurrently(first, second):
@@ -402,17 +411,10 @@ def validate_config(raw: dict) -> ScenarioConfig:
                          for i, v in enumerate(value)]
             defaults[key] = value
     merged = {**params, **grid}
-    for in_range, message in entry.get("ranges", ()):
-        # a rule fails, as one that evaluates to False, when its arithmetic
-        # overflows or divides by zero on extreme values, or when a library
-        # call refuses its values (no mass, no finite step plan, a cap)
-        try:
-            with np.errstate(over="raise", invalid="raise", divide="raise"):
-                ok = in_range(merged)
-        except (ArithmeticError, HydrohistError, ValueError):
-            ok = False
-        if not ok:
-            raise ConfigurationError(message)
+    for in_range, message in entry["ranges"]:
+        _require(message, in_range, merged)
+    if "plan" in entry:
+        entry["plan"](merged)
     seed = raw.get("seed")
     if seed is not None and (type(seed) is not int or seed < 0
                              or seed >= 2 ** 64):
@@ -435,14 +437,12 @@ def list_scenarios():
 
 
 def _run_diffusion(config):
-    p = config.params
-    w0, params = _diffusion_state({**p, **config.grid})
-    times = np.linspace(p["t_start"], p["t_end"], p["n_times"])
-    durations = np.diff(times, prepend=0.0)
+    plan = _diffusion_plan({**config.params, **config.grid})
+    w0, params, times = plan["state"], plan["params"], plan["times"]
 
     def fokker_planck_marginals():
         marginals, cur = [], w0
-        for span in durations:
+        for span in plan["spans"]:
             cur = pr.evolve_fokker_planck(cur, span, params)
             marginals.append(ps.position_marginal(cur))
         return marginals
@@ -462,15 +462,14 @@ def _run_diffusion(config):
         ["t", "var_q_analytic", "var_q_fokker_planck"], rows)}
     notes = [f"D_fit integrator = {fit_fp.D_fit!r}, "
              f"exact kernel = {fit_an.D_fit!r}, "
-             f"theory = {fit_fp.D_theory!r}",
-             _fokker_planck_note(w0, durations, params)]
+             f"theory = {fit_fp.D_theory!r}", *_step_notes(plan)]
     return metrics, art, notes
 
 
 def _run_maxwellization(config):
     p = config.params
-    w0, params = _maxwellization_state({**p, **config.grid})
-    wt = pr.evolve_fokker_planck(w0, p["t"], params)
+    plan = _maxwellization_plan({**p, **config.grid})
+    wt = pr.evolve_fokker_planck(plan["state"], p["t"], plan["params"])
     marg = ps.momentum_marginal(wt)
     f = marg.samples / np.trapezoid(marg.samples, dx=marg.spacing)
     grid_p = marg.grid
@@ -479,15 +478,16 @@ def _run_maxwellization(config):
     art = {"maxwellization.csv": (
         ["p", "marginal", "maxwellian"], zip(grid_p, f, maxw))}
     return ({"sup_distance": np.max(np.abs(f - maxw))}, art,
-            [_fokker_planck_note(w0, [p["t"]], params)])
+            _step_notes(plan))
 
 
 def _run_oracle_compare(config):
-    p, g = config.params, config.grid
-    w0, params = _oracle_state({**p, **g})
+    p = config.params
+    plan = _oracle_plan({**p, **config.grid})
+    w0, params = plan["state"], plan["params"]
 
     def master_route():
-        rho0 = ps.wigner_to_density(_master_state(g))
+        rho0 = ps.wigner_to_density(plan["master_state"])
         return (ps.density_to_wigner(
                     pr.evolve_master_equation(rho0, p["t_master"], params)),
                 pr.evolve_fokker_planck(w0, p["t_master"], params))
@@ -511,33 +511,29 @@ def _run_oracle_compare(config):
     art = {"oracle_compare.csv": (
         ["q", "kernel_t_kernel", "integrator_t_kernel",
          "integrator_t_master"], rows)}
-    return metrics, art, [
-        _fokker_planck_note(w0, [p["t_master"], p["t_kernel"]], params),
-        _master_note({**p, **g})]
+    return metrics, art, _step_notes(plan)
 
 
-def _variance_scaling_setup(c):
-    """The initial state and the smearing window of a variance-scaling run,
-    from its merged params and grid."""
-    w = ps.gaussian_wigner(c["q_min"], c["q_max"], c["n_q"],
+def _variance_scaling_plan(c):
+    """Plan of a variance-scaling run: the initial ``"state"`` and the
+    smearing ``"window"``, each bin of which must hold positive mass of the
+    state, as the relative fluctuation needs."""
+    message = ("params.var_q and params.var_p must give every bin of the "
+               "initial state positive mass")
+    w, window = _require(message, lambda: (
+        ps.gaussian_wigner(c["q_min"], c["q_max"], c["n_q"],
                            c["p_min"], c["p_max"], c["n_p"],
-                           var_q=c["var_q"], var_p=c["var_p"])
-    window = en.SmearingWindow([c["q_min"], -_QUARTILE, _QUARTILE,
-                                c["q_max"]])
-    return w, window
-
-
-def _bins_hold_mass(c):
-    """Every bin of the sampled initial state carries positive mass, as
-    the relative fluctuation needs."""
-    w, window = _variance_scaling_setup(c)
-    return bool(np.all(en.bin_probabilities(en.ProductEnsemble(1, w),
-                                            window) > 0))
+                           var_q=c["var_q"], var_p=c["var_p"]),
+        en.SmearingWindow([c["q_min"], -_QUARTILE, _QUARTILE, c["q_max"]])))
+    _require(message, lambda: np.all(en.bin_probabilities(
+        en.ProductEnsemble(1, w), window) > 0))
+    return {"state": w, "window": window}
 
 
 def _run_variance_scaling(config):
     p = config.params
-    w, window = _variance_scaling_setup({**p, **config.grid})
+    plan = _variance_scaling_plan({**p, **config.grid})
+    w, window = plan["state"], plan["window"]
     sizes = [int(n) for n in p["N_values"]]
     rel, rows, worst = [], [], 0.0
     for n in sizes:
@@ -724,7 +720,12 @@ def _run_local_equilibrium_peaking(config):
 #: in report order, whether the scenario draws samples, and range checks, as
 #: (predicate, message) pairs that ``validate_config`` applies to the merged
 #: parameters and grid (one mapping: no key is both a parameter and a grid
-#: key).
+#: key).  The four phase-space scenarios also give their ``"plan"``, a
+#: function of that mapping which makes the library's checks of the run's
+#: setup, each raising ConfigurationError with its message, and returns
+#: what the run and its report notes read: the sampled initial state and
+#: the step plans.  ``validate_config`` calls it after the range checks,
+#: and the runner opens with it.
 SCENARIOS = {
     "diffusion": {
         "description": (
@@ -748,9 +749,12 @@ SCENARIOS = {
              "params.t_start must be nonnegative"),
             (lambda p: p["t_start"] < p["t_end"],
              "params.t_start must be less than params.t_end"),
-            # every span the run integrates is at most t_end
-            *_phase_space_rules(_diffusion_state, lambda p: p["t_end"]),
+            # the run keeps two position marginals of n_q floats per time
+            (lambda c: 16 * c["n_times"] * c["n_q"] <= _GRID_BYTES,
+             "params.n_times and grid.n_q must keep the run's position "
+             f"marginals within {_GRID_BYTES} bytes"),
         ),
+        "plan": _diffusion_plan,
     },
     "maxwellization": {
         "description": (
@@ -767,12 +771,8 @@ SCENARIOS = {
         "ranges": _QBM_RANGES + _GRID_RANGES + (
             (lambda p: p["t"] >= 0, "params.t must be nonnegative"),
             (lambda p: p["var_p0"] > 0, "params.var_p0 must be positive"),
-            # no exact kernel runs here, and the momentum step holds the
-            # discrete Maxwellian between zero-flux p walls exactly (kT 5
-            # on +/-6 runs to a sup distance of 8.6e-12)
-            *_phase_space_rules(_maxwellization_state, lambda p: p["t"],
-                                kernel=False),
         ),
+        "plan": _maxwellization_plan,
     },
     "oracle-compare": {
         "description": (
@@ -802,12 +802,8 @@ SCENARIOS = {
             (lambda g: 16 * g["master_n_x"] ** 2 <= _GRID_BYTES,
              "grid.master_n_x must keep the master density matrix within "
              f"{_GRID_BYTES} bytes"),
-            *_phase_space_rules(
-                _oracle_state, lambda p: max(p["t_kernel"], p["t_master"])),
-            _master_lattice_rule(lambda p: p["t_master"]),
-            (_master_plan, "params and grid must give the master-equation "
-             "step plan a finite step count"),
         ),
+        "plan": _oracle_plan,
     },
     "variance-scaling": {
         "description": (
@@ -833,9 +829,8 @@ SCENARIOS = {
             (lambda g: g["q_min"] < -_QUARTILE and g["q_max"] > _QUARTILE,
              "grid.q_min and grid.q_max must lie outside the inner bin "
              f"edges +/-{_QUARTILE:.4f}"),
-            (_bins_hold_mass, "params.var_q and params.var_p must give "
-             "every bin of the initial state positive mass"),
         ),
+        "plan": _variance_scaling_plan,
     },
     "histories-nscaling": {
         "description": (

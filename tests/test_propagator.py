@@ -596,9 +596,9 @@ class TestMomentumPropagator:
             "schema_version": 1, "scenario": "maxwellization",
             "params": {"M": 11, "gamma": 0.606, "t": 3.72},
             "grid": {"n_p": 9}})
-        w0, params = sc._maxwellization_state({**config.params,
-                                               **config.grid})
-        wt = pr.evolve_fokker_planck(w0, config.params["t"], params)
+        plan = sc._maxwellization_plan({**config.params, **config.grid})
+        wt = pr.evolve_fokker_planck(plan["state"], config.params["t"],
+                                     plan["params"])
         assert abs(wt.integral() - 1.0) <= 1e-12
 
 

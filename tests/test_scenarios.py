@@ -649,6 +649,10 @@ class TestCli:
                      id="maxwellization-grid-bytes"),
         pytest.param("oracle-compare", {}, {"master_n_x": 10 ** 8}, "bytes",
                      id="oracle-master-bytes"),
+        # 1.5e34 bytes of position marginals; the run stopped on numpy's
+        # "Maximum allowed size exceeded"
+        pytest.param("diffusion", {"n_times": 10 ** 30}, {}, "bytes",
+                     id="diffusion-marginal-bytes"),
     ])
     def test_validate_out_of_range_before_run(self, tmp_path, capsys,
                                               scenario, params, grid,
@@ -713,40 +717,80 @@ class TestCli:
             sc.validate_config(minimal(scenario))
             assert calls == want, scenario
 
-    def test_master_plan_rule_reads_the_library_plan(self):
-        # the rule's plan is evolve_master_equation's, 120 steps on the
-        # default lattice; a mass so small that the Gershgorin radius overflows
-        # leaves a step bound of 0 and no finite step count, which the
-        # library refuses with the ValueError that fails a rule.  Other
-        # rules refuse such a config first; this one holds on its own too
-        entry = sc.SCENARIOS["oracle-compare"]
-        merged = {**entry["params"], **entry["grid"]}
-        assert sc._master_plan(merged)[0] == 120
-        assert [rule for rule, message in entry["ranges"]
-                if "master-equation step plan" in message] == [sc._master_plan]
-        with pytest.raises(ValueError, match="no finite step count"):
-            sc._master_plan({**merged, "M": 2.5e-307})
+    def test_master_plan_rule_reads_the_library_plan(self, monkeypatch):
+        # the plan's master steps are evolve_master_equation's, 120 on the
+        # default lattice; a mass so small that the Gershgorin radius
+        # overflows leaves a step bound of 0 and no finite step count, which
+        # the library refuses with the ValueError that fails a check.
+        # Earlier checks refuse such a mass first, so here only the step
+        # bound reads it
+        plan = sc.SCENARIOS["oracle-compare"]["plan"]
+        assert plan is sc._oracle_plan
+        merged = {**sc.SCENARIOS["oracle-compare"]["params"],
+                  **sc.SCENARIOS["oracle-compare"]["grid"]}
+        assert plan(merged)["master"][0] == 120
+        bound = pr.master_dt_bound
+        monkeypatch.setattr(pr, "master_dt_bound", lambda rho, params: bound(
+            rho, pr.QbmParams(2.5e-307, params.gamma, params.kT)))
+        with pytest.raises(ConfigurationError,
+                           match="master-equation step plan"):
+            plan(merged)
 
-    @pytest.mark.parametrize("t_master, steps", [(1.0, 120), (0.7, 84)])
+    @pytest.mark.parametrize("scenario, params, steps", [
+        ("oracle-compare", {"t_master": 1.0}, 120),
+        ("oracle-compare", {"t_master": 0.7}, 84),
+        ("diffusion", {}, None),
+        ("maxwellization", {}, None),
+    ])
     def test_master_note_names_the_steps_taken(self, tmp_path, monkeypatch,
-                                               t_master, steps):
-        # oracle-compare's report names the master plan that
-        # evolve_master_equation integrates
-        taken = []
+                                               scenario, params, steps):
+        # the report names the master plan that evolve_master_equation
+        # integrates, and the Fokker-Planck plans that
+        # evolve_fokker_planck integrates: their step sum and largest dt
+        taken, fokker_planck = [], []
         integrate = pr._integrate_master_equation
+        integrate_fp = pr._integrate_fokker_planck
 
         def counted(kernel, x, dx, dt, n_steps, params):
             taken.append((n_steps, dt))
             return integrate(kernel, x, dx, dt, n_steps, params)
 
+        def counted_fp(w, dt, n_steps, params):
+            fokker_planck.append((n_steps, dt))
+            return integrate_fp(w, dt, n_steps, params)
+
         monkeypatch.setattr(pr, "_integrate_master_equation", counted)
+        monkeypatch.setattr(pr, "_integrate_fokker_planck", counted_fp)
         report = sc.run_scenario(sc.validate_config(minimal(
-            "oracle-compare", params={"t_master": t_master})), tmp_path)
-        assert taken == [(steps, t_master / steps)]
+            scenario, params=params)), tmp_path)
+        notes = [n for n in report.notes if n.startswith("Fokker-Planck")]
+        assert notes == [
+            f"Fokker-Planck: {sum(n for n, _ in fokker_planck)} steps of dt "
+            f"up to {max(dt for _, dt in fokker_planck):.6g}, limited by the "
+            "courant term of the step bound"]
         notes = [n for n in report.notes if n.startswith("Master equation")]
+        if steps is None:
+            assert taken == [] and notes == []
+            return
+        assert taken == [(steps, params["t_master"] / steps)]
         assert notes == [f"Master equation: {steps} steps of dt 0.00833333, "
                          "limited by the Gershgorin radius of the kinetic "
                          "and dissipation stencil"]
+
+    def test_validate_builds_no_evolved_state(self, monkeypatch):
+        # the plans sample initial states and make step plans; no shipped
+        # config integrates, applies the kernel or maps a grid to a density
+        # matrix at validate
+        def refuse(*args):
+            raise AssertionError("validate built an evolved state")
+
+        for module, name in ((pr, "_integrate_fokker_planck"),
+                             (pr, "_integrate_master_equation"),
+                             (pr, "propagate_analytic"),
+                             (sc.ps, "wigner_to_density")):
+            monkeypatch.setattr(module, name, refuse)
+        for path in sorted(CONFIGS.glob("*.json")):
+            assert sc.load_config(path).scenario == path.stem
 
     @pytest.mark.parametrize("seed", [0, 1, 7])
     def test_ehrenfest_narrowest_sigma_runs(self, tmp_path, seed):
@@ -1236,16 +1280,33 @@ def test_validate_config_fuzz():
     # are validated only, never run: some that validate take GBs to run.
     rng = np.random.default_rng(20261019)
     outcomes = {"valid": 0, "rejected": 0}
+    # the checks of the phase-space plans, by a phrase of their messages
+    plan_checks = dict.fromkeys((
+        "sample the initial Gaussian", "Fokker-Planck step plan",
+        "grid spacing", "the q domain", "the p domain", "the master lattice",
+        "master-equation step plan", "positive mass", "position marginals"),
+        0)
     for _ in range(3000):
         raw = _fuzz_config(rng)
         try:
             sc.validate_config(json.loads(json.dumps(raw)))
-        except ConfigurationError:
+        except ConfigurationError as exc:
             outcomes["rejected"] += 1
+            plan_checks.update({phrase: count + 1 for phrase, count
+                                in plan_checks.items() if phrase in str(exc)})
         else:
             outcomes["valid"] += 1
     # the draws reach both outcomes, so the range rules run on real values
     assert min(outcomes.values()) >= 100, outcomes
+    # each check refuses the draws it refused as a range rule, but for
+    # three draws of vast n_times (two past the spacing check, one past
+    # the sample) that the marginal-bytes rule now refuses first
+    assert outcomes["valid"] == 424
+    assert plan_checks == {
+        "sample the initial Gaussian": 12, "Fokker-Planck step plan": 7,
+        "grid spacing": 23, "the q domain": 38, "the p domain": 20,
+        "the master lattice": 5, "master-equation step plan": 0,
+        "positive mass": 6, "position marginals": 3}, plan_checks
 
 
 def _run_fuzz_draws(tmp_path, scenarios):
@@ -1276,10 +1337,11 @@ def test_run_config_fuzz_histories(tmp_path):
 
 
 def test_run_config_fuzz_phase_space(tmp_path):
-    # the run half for the four phase-space scenarios: their range rules
-    # sample the run's initial grid, so a draw that validates starts.  The
-    # momentum step conserves the trapezoid mass that integral() reads, so
-    # a maxwellization draw with mass on its p walls runs too
+    # the run half for the four phase-space scenarios: validate makes the
+    # run's plan, which samples its initial grid, so a draw that validates
+    # starts.  The momentum step conserves the trapezoid mass that
+    # integral() reads, so a maxwellization draw with mass on its p walls
+    # runs too
     ran = _run_fuzz_draws(tmp_path, ("diffusion", "maxwellization",
                                      "oracle-compare", "variance-scaling"))
     # few draws pass the phase-space rules: 4, 12, 3 and 25 of the 3000
