@@ -9,15 +9,15 @@ kT).  Three mutually consistent descriptions are implemented:
       dW/dt = -(p/M) dW/dq + 2*gamma d(p W)/dp + 2*M*gamma*kT d^2W/dp^2
 
   solved either analytically (Gaussian transition kernel) or numerically
-  (Strang splitting: explicit flux-limited upwind advection in q, and the
-  Ornstein-Uhlenbeck momentum sector in the Chang-Cooper flux
-  discretization, stepped with its exact propagator exp(dt L), which is
-  nonnegative and mass-conserving for any dt, so that only the advection
-  Courant limit, at Courant number 1, bounds dt).  The advection forms
-  one flux per cell and gives each face that of its upwind cell; the
-  momentum product goes to a second array that then swaps with the state;
-  and the far tails of the initial W, which would be subnormal numbers,
-  start at 0;
+  (Strang splitting of dt within 0.1 / gamma: flux-form advection in q at
+  any Courant number, whole cells shifted exactly and the fraction by a
+  flux-limited upwind step, between zero-flux walls whose cells are half
+  cells; and the Ornstein-Uhlenbeck momentum sector in the Chang-Cooper
+  flux discretization, stepped with its exact propagator exp(dt L), which
+  is nonnegative and mass-conserving for any dt).  Each q column of W is
+  one contiguous row; each step's output goes to a second array that
+  swaps with the state; and the far tails of the initial W, which would
+  be subnormal numbers, start at 0;
 
 - the position-basis master equation with kinetic, dissipation
   (-gamma (x-y)(d_x - d_y) rho) and decoherence (-2 M gamma kT (x-y)^2 rho)
@@ -269,119 +269,115 @@ def _step_plan(t, bound):
 # --- Fokker-Planck integrator ----------------------------------------------
 
 
-def _fokker_planck_limits(w: WignerGrid, params: QbmParams) -> dict:
-    """The terms of the step bound min(dq M / p_max, 0.1 / gamma), by name.
-
-    The first, ``"courant"``, holds the Courant number |c| = |p| dt / (M dq)
-    of the explicit q advection at 1.  The van Leer flux-limited upwind
-    step is total-variation diminishing, hence nonnegative, for |c| <= 1,
-    and its numerical diffusion shrinks as |c| -> 1: at |c| = 1 the step is
-    an exact shift by one cell.  A dt = t / n that rounds above the bound
-    is clipped back to |c| = 1 by ``_FokkerPlanckBuffers.set_courant``.
-    The momentum sector is stepped with its exact propagator and has no
-    stability limit of its own; the second, ``"damping"``, keeps the
-    damping exp(-2 gamma dt) resolved within one splitting step.  Only
-    ``p_min``, ``p_max`` and ``dq`` of w are read.
+def fokker_planck_step_plan(t, params: QbmParams):
+    """(n_steps, dt_eff) of ``evolve_fokker_planck(w, t, params)``: the
+    fewest equal steps within 0.1 / gamma, which keeps the damping
+    exp(-2 gamma dt) resolved within one splitting step; the advection
+    takes any Courant number and the momentum step is exact.  A ValueError
+    is raised when the plan has no finite step count.
     """
-    p_max = max(abs(w.p_min), abs(w.p_max))
-    courant = w.dq * params.M / p_max if p_max > 0 else np.inf
-    return {"courant": courant, "damping": 0.1 / params.gamma}
-
-
-def fokker_planck_step_plan(w: WignerGrid, t, params: QbmParams):
-    """(n_steps, dt_eff, limit) of ``evolve_fokker_planck(w, t, params)``.
-
-    ``limit`` names the term of the step bound that binds, ``"courant"`` or
-    ``"damping"``.  Only ``p_min``, ``p_max`` and ``dq`` of w are read, and
-    a ValueError is raised when the plan has no finite step count.
-    """
-    limits = _fokker_planck_limits(w, params)
-    limit = min(limits, key=limits.get)
-    return (*_step_plan(t, limits[limit]), limit)
+    return _step_plan(t, 0.1 / params.gamma)
 
 
 class _FokkerPlanckBuffers:
-    """State, scratch and flux-coefficient arrays of one Fokker-Planck integration.
+    """State, scratch and flux-coefficient arrays of one Fokker-Planck
+    integration.
 
-    W(q_i, p_j) lives in rows 1..n_q of a padded array with one ghost row
-    below and two above.  The ghost rows stay zero, and no flux passes the
-    q walls.  A second padded array of the same shape takes the momentum
-    step's product, and ``swap`` exchanges the two, so no step copies W
-    back.  ``set_courant`` sets the flux coefficients of one Courant vector
-    c, clipped to [-1, 1]: c itself and kappa = |c| (1 - |c|) / 2 as
-    contiguous (n_q + 1, n_p) arrays, and the mask ``down`` of the columns
-    with c < 0, whose upwind cell lies above the face.  diff and absdiff are scratch: an advection
-    spends them on slopes, then on the cell fluxes and the face fluxes.
+    Column j of W is row j of a padded (n_p, n_q + 4) array, between two
+    zero ghost entries at each end, so the q advection runs over one
+    contiguous array; ``values`` is the (n_q, n_p) view.  Each step writes
+    a second such array, and ``swap`` exchanges the two.  ``set_courant``
+    splits the Courant numbers c into k = trunc(c), held within
+    +/-(n_q - 1), and c - k: each row's fraction and
+    |c - k| (1 - |c - k|) / 2 fill ``c`` and ``kappa``, and ``runs`` holds
+    the (lo, hi, k, c < 0) of each run of rows with one k and one sign of
+    c.  diff, flux and slope are flat scratch arrays, flux with a zero at
+    each end.
     """
 
     def __init__(self, values):
         n, m = values.shape
-        self.padded = np.zeros((n + 3, m))
-        self.values = self.padded[1:n + 1]
+        self.padded, self.spare = np.zeros((m, n + 4)), np.zeros((m, n + 4))
+        self.values = self.padded[:, 2:n + 2].T
         self.values[...] = values
-        self.spare = np.zeros((n + 3, m))
-        self.diff = np.empty((n + 2, m))
-        self.absdiff = np.empty((n + 2, m))
-        self.slope = np.empty((n + 1, m))
-        self.c, self.kappa = np.empty((n + 1, m)), np.empty((n + 1, m))
-        self.down = np.empty(m, dtype=bool)
+        self.diff, self.slope = np.zeros(m * (n + 4)), np.zeros(m * (n + 4))
+        self.flux = np.zeros(m * (n + 4) + 2)
+        self.c, self.kappa = np.empty((m, n + 4)), np.empty((m, n + 4))
+        self.runs = []
 
     def set_courant(self, c):
-        """Fill the flux coefficients of the column Courant numbers c.
-
-        A |c| that a rounded dt puts a few ulps above 1 is clipped to 1,
-        where kappa would turn negative and the step lose its sign.
-        """
-        c = np.clip(c, -1.0, 1.0)
-        self.c[...] = c
-        self.kappa[...] = 0.5 * np.abs(c) * (1.0 - np.abs(c))
-        np.less(c, 0, out=self.down)
+        """Fill the flux coefficients of the column Courant numbers c."""
+        n = self.values.shape[0]
+        whole = np.trunc(c)
+        frac = np.abs(c - whole)                  # exact, and below 1
+        self.c[...] = np.copysign(frac, c)[:, None]
+        self.kappa[...] = (0.5 * frac * (1.0 - frac))[:, None]
+        whole = np.clip(whole, 1 - n, n - 1).astype(int)
+        edges = np.flatnonzero(np.diff(2 * whole - (c < 0))) + 1
+        self.runs = [(lo, hi, int(whole[lo]), bool(c[lo] < 0)) for lo, hi
+                     in zip([0, *edges.tolist()], [*edges.tolist(), c.size])]
 
     def swap(self):
         """Make the spare padded array the state, and the state the spare."""
         self.padded, self.spare = self.spare, self.padded
-        self.values = self.padded[1:self.values.shape[0] + 1]
+        self.values = self.padded[:, 2:self.values.shape[0] + 2].T
 
 
 def _advect_q(buf: _FokkerPlanckBuffers):
-    """Conservative flux-limited (van Leer) upwind step in q, in place.
+    """Conservative flux-form advection in q at any Courant number.
 
-    The step uses the Courant numbers c[j] = (p_j / M) dt / dq last given
-    to ``buf.set_courant``; |c| <= 1 keeps it total-variation diminishing.
-    Every cell k gets one flux g_k = c W_k + kappa s_k, contiguous over the
-    whole array, and each face takes that of its upwind cell: the cell
-    below (c >= 0) or the one above (c < 0).
+    Each cell holds its mass; c[j] = (p_j / M) dt / dq were last given to
+    ``buf.set_courant``.  The flux through a face is the k = trunc(c) whole
+    cells upwind of it plus the van Leer flux of the fraction c - k out of
+    the next cell, g_i = (c - k) W_i + kappa s_i with s_i the limited
+    slope; none passes a q wall.  The whole cells' divergence telescopes to
+    an exact shift by k, so the van Leer step of the fraction, which
+    |c - k| < 1 keeps nonnegative, is written k cells on, and the cells
+    shifted past a wall sum into the wall cell: no rounded difference of
+    whole-cell sums can turn a cell negative.  The output goes to the
+    spare array, which then swaps with the state.
     """
-    pad, d, ad, s = buf.padded, buf.diff, buf.absdiff, buf.slope
-    n = buf.values.shape[0]
-    np.subtract(pad[1:], pad[:-1], out=d)        # d[k] = W_k - W_{k-1}
+    n, (m, width) = buf.values.shape[0], buf.padded.shape
+    pad = buf.padded.reshape(-1)
+    d, s, f, ad = buf.diff, buf.slope, buf.flux, buf.flux[1:-1]
+    np.subtract(pad[1:], pad[:-1], out=d[1:])    # d[i] = W_i - W_{i-1}
     np.abs(d, out=ad)
-    # limited slope s[k] = (d_k |d_k+1| + |d_k| d_k+1) / (|d_k| + |d_k+1|);
+    # limited slope s[i] = (d_i |d_i+1| + |d_i| d_i+1) / (|d_i| + |d_i+1|);
     # once s holds the first term, d[1:] is spent and holds the others
-    np.multiply(d[:-1], ad[1:], out=s)
+    np.multiply(d[:-1], ad[1:], out=s[:-1])
     d[1:] *= ad[:-1]
-    s += d[1:]
+    s[:-1] += d[1:]
     np.add(ad[:-1], ad[1:], out=d[1:])
     d[1:] += 1e-300                              # s = 0 where both vanish
-    s /= d[1:]
-
-    # g[k] = c W_k + kappa s_k over the cells and the first ghost above
-    # (its slope is 0); f[i + 1] = dt/dq * flux through face i+1/2 = g[i],
-    # or g[i + 1] where c < 0.  f takes diff's rows, g absdiff's.
-    g, f = ad[:n + 1], d[:n + 1]
-    np.multiply(pad[1:n + 2], buf.c, out=g)
-    s *= buf.kappa
-    g += s
-    f[1:] = g[:n]
-    np.copyto(f[1:], g[1:], where=buf.down)
-    f[0] = 0.0
-    f[n] = 0.0
-    np.subtract(f[1:], f[:-1], out=g[:n])
-    buf.values -= g[:n]
+    s[:-1] /= d[1:]
+    # g = (c - k) W + kappa s, 0 on the ghosts, in f[1:-1]: f[i + 1] = g_i
+    g = np.multiply(pad, buf.c.reshape(-1), out=ad).reshape(m, width)
+    s *= buf.kappa.reshape(-1)
+    g += s.reshape(m, width)
+    for lo, hi, k, down in buf.runs:
+        # W_i - g_i + g_i-1 written k cells on; a run moving down moves up
+        # in the mirrored arrays, where g changes sign
+        pad2, out2, g2, f_ = buf.padded, buf.spare, g, f
+        minus, plus = np.subtract, np.add
+        if down:
+            pad2, out2, g2 = (a[::-1, ::-1] for a in (pad2, out2, g2))
+            f_, minus, plus = f[::-1], plus, minus
+            lo, hi, k = m - hi, m - lo, -k
+        pad_, out_ = pad2.reshape(-1), out2.reshape(-1)  # views, not copies
+        b, e, rows = lo * width, hi * width, slice(lo, hi)
+        g2[rows, n + 1] = 0.0
+        minus(pad_[b:e - k], f_[b + 1:e + 1 - k], out=out_[b + k:e])
+        plus(out_[b + k:e], f_[b:e - k], out=out_[b + k:e])
+        if k:              # the wall cell's sum; the vacated cells and ghosts
+            out2[rows, :k + 2] = 0.0
+            out2[rows, n + 2:] = 0.0
+            np.sum(pad2[rows, n + 1 - k:n + 2], axis=1, out=out2[rows, n + 1])
+            plus(out2[rows, n + 1], g2[rows, n - k], out=out2[rows, n + 1])
+    buf.swap()
 
 
 def _momentum_propagator(p, dp, dt, params: QbmParams):
-    """Exact propagator exp(dt L) of the Chang-Cooper momentum sector, transposed.
+    """Exact propagator exp(dt L) of the Chang-Cooper momentum sector.
 
     dW/dt = d/dp[2 g p W + 2 M g kT dW/dp] is discretized as
     dW_j/dt = (F_j+1/2 - F_j-1/2) / dp with the face flux
@@ -394,7 +390,6 @@ def _momentum_propagator(p, dp, dt, params: QbmParams):
     (diff/dp^2) w e^w / (e^w - 1) and (diff/dp^2) w / (e^w - 1), doubled in
     the wall rows, are positive for every w, so exp(dt L) is nonnegative for
     any dt: W stays nonnegative and the discrete Maxwellian stays fixed.
-    Transposed so that W @ exp(dt L)^T steps every q row at once.
     """
     g, M, kT = params.gamma, params.M, params.kT
     diff = 2.0 * M * g * kT
@@ -416,7 +411,7 @@ def _momentum_propagator(p, dp, dt, params: QbmParams):
     gen[j, j] += lower
     gen[j + 1, j + 1] -= upper
     gen[[0, -1]] *= 2.0
-    return np.ascontiguousarray(_nonnegative_expm(dt * gen).T)
+    return _nonnegative_expm(dt * gen)
 
 
 def _nonnegative_expm(gen):
@@ -452,26 +447,31 @@ def _integrate_fokker_planck(w: WignerGrid, dt, n_steps,
     A is the q advection and C the momentum sector, so the product is
     A(dt/2) [C(dt) A(dt)]^(n-1) C(dt) A(dt/2).  The flux coefficients are
     set for the first half-advection, the full ones and the last
-    half-advection.  Entries below START_FLOOR times max |W| start at
-    exactly 0.  NaN and inf survive every step, so the grid is checked for
-    them once, at the end.
+    half-advection.  The advection moves cell masses: the two q-wall rows
+    are half cells, which hold W dq / 2, so the steps conserve the
+    trapezoid sum that ``WignerGrid.integral`` reads.  Entries below
+    START_FLOOR times max |W| start at exactly 0.  NaN and inf survive
+    every step, so the grid is checked for them once, at the end.
     """
     buf = _FokkerPlanckBuffers(w.values)
     scale = np.max(np.abs(buf.values))
     buf.values[np.abs(buf.values) < START_FLOOR * scale] = 0.0
+    buf.values[[0, -1]] *= 0.5                   # masses of the half cells
     c = w.p * dt / (params.M * w.dq)
     momentum = _momentum_propagator(w.p, w.dp, dt, params)
     buf.set_courant(0.5 * c)
     _advect_q(buf)
     for k in range(1, n_steps + 1):
-        np.matmul(buf.values, momentum, out=buf.spare[1:w.n_q + 1])
+        np.matmul(momentum, buf.padded, out=buf.spare)
         buf.swap()
         if k in (1, n_steps):
             buf.set_courant(0.5 * c if k == n_steps else c)
         _advect_q(buf)
-    if not np.isfinite(buf.values).all():
+    values = buf.values.copy()
+    values[[0, -1]] *= 2.0
+    if not np.isfinite(values).all():
         raise DivergenceError("Fokker-Planck step produced non-finite values")
-    return w.with_values(buf.values)
+    return w.with_values(values)
 
 
 def evolve_fokker_planck(w0: WignerGrid, t, params: QbmParams) -> WignerGrid:
@@ -479,7 +479,7 @@ def evolve_fokker_planck(w0: WignerGrid, t, params: QbmParams) -> WignerGrid:
 
     t = 0 takes no step and gives a copy of w0.
     """
-    n_steps, dt_eff, _ = fokker_planck_step_plan(w0, t, params)
+    n_steps, dt_eff = fokker_planck_step_plan(t, params)
     if n_steps == 0:
         return w0.with_values(w0.values)
     return _integrate_fokker_planck(w0, dt_eff, n_steps, params)

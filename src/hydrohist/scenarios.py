@@ -109,8 +109,8 @@ def _phase_space_plan(c, var_p, t, spans, kernel=True):
                                     c["p_min"], c["p_max"], c["n_p"],
                                     var_q=1.0, var_p=var_p),
                  pr.QbmParams(c["M"], c["gamma"], c["kT"])))
-    _require("params and grid must give the Fokker-Planck step plan a "
-             "finite step count", pr.fokker_planck_step_plan, w0, t, params)
+    _require("params must give the Fokker-Planck step plan a "
+             "finite step count", pr.fokker_planck_step_plan, t, params)
     spacing = (f"grid spacing must be at most 1/{pr.MIN_SPACINGS_PER_SIGMA} "
                "of the initial state's standard deviation on each axis")
     q_domain = ("the q domain grid.q_min to grid.q_max must hold the mean "
@@ -128,7 +128,7 @@ def _phase_space_plan(c, var_p, t, spans, kernel=True):
              lambda: not _refuses(at_0 + at_t if kernel else at_0,
                                   "domain", "p"))
     return {"state": w0, "params": params,
-            "fokker_planck": [pr.fokker_planck_step_plan(w0, s, params)
+            "fokker_planck": [pr.fokker_planck_step_plan(s, params)
                               for s in spans]}
 
 
@@ -223,13 +223,12 @@ def _oracle_plan(c):
 
 
 def _step_notes(plan):
-    """Report notes of a phase-space plan: the step count and dt of its
-    Fokker-Planck integrations and the term of the step bound that limited
-    dt, and the master-equation run's step count and dt where it has one."""
+    """Report notes of a phase-space plan: the step count and largest dt
+    of its Fokker-Planck integrations, and the master-equation run's step
+    count and dt where it has one."""
     fokker_planck = plan["fokker_planck"]
-    notes = [f"Fokker-Planck: {sum(n for n, _, _ in fokker_planck)} steps "
-             f"of dt up to {max(dt for _, dt, _ in fokker_planck):.6g}, "
-             f"limited by the {fokker_planck[0][2]} term of the step bound"]
+    notes = [f"Fokker-Planck: {sum(n for n, _ in fokker_planck)} steps "
+             f"of dt up to {max(dt for _, dt in fokker_planck):.6g}"]
     if "master" in plan:
         steps, dt = plan["master"]
         notes.append(f"Master equation: {steps} steps of dt {dt:.6g}, "
@@ -488,16 +487,16 @@ def _run_oracle_compare(config):
 
     def master_route():
         rho0 = ps.wigner_to_density(plan["master_state"])
-        return (ps.density_to_wigner(
-                    pr.evolve_master_equation(rho0, p["t_master"], params)),
-                pr.evolve_fokker_planck(w0, p["t_master"], params))
+        return ps.density_to_wigner(
+            pr.evolve_master_equation(rho0, p["t_master"], params))
 
-    # the calling thread runs the master route and the Fokker-Planck
-    # integration to t_master, the worker the one to t_kernel and the
-    # kernel: near-equal shares on the default config
-    (w_me, w_fp1), (w_fp, w_an) = _concurrently(
+    # the calling thread runs the master route, the longer share on the
+    # default config; the worker runs the Fokker-Planck integrations to
+    # t_kernel and to t_master, and the kernel
+    w_me, (w_fp, w_fp1, w_an) = _concurrently(
         master_route,
         lambda: (pr.evolve_fokker_planck(w0, p["t_kernel"], params),
+                 pr.evolve_fokker_planck(w0, p["t_master"], params),
                  pr.propagate_analytic(w0, p["t_kernel"], params)))
     l1_kernel = ps.l1_distance(w_an, w_fp)
     l1_master = ps.l1_distance(w_fp1, w_me)

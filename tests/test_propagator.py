@@ -19,8 +19,8 @@ NAN = float("nan")
 
 
 def _fp_bound(w, params):
-    """The Fokker-Planck step bound: the smaller of its two terms."""
-    return min(pr._fokker_planck_limits(w, params).values())
+    """The Fokker-Planck step bound, 0.1 / gamma, whatever w's grid."""
+    return 0.1 / params.gamma
 
 
 class TestKernelCovariance:
@@ -259,17 +259,21 @@ class TestRefinementOrder:
     """Each integrator converges to the exact kernel at second order: its L1
     distance from propagate_analytic falls by at least 3.5 when the lattice
     is halved.  A first-order (Lie) splitting of the Fokker-Planck step
-    measures 2.05 here."""
+    measures 1.96 here."""
 
     def test_fokker_planck(self):
-        # measures 6.88e-4 / 1.54e-4 = 4.47
+        # dt is halved with the lattice, from the step bound 0.1 on the
+        # oracle-compare grid, whose Courant numbers reach 4.8 there:
+        # measures 1.25e-3 / 3.15e-4 = 3.98 (at Courant numbers up to 1,
+        # 6.88e-4 / 1.54e-4 = 4.47)
         errors = []
-        for n_q, n_p in ((225, 97), (449, 193)):
+        for n_q, n_p, n_steps in ((225, 97, 10), (449, 193, 20)):
             w0 = ps.gaussian_wigner(-14, 14, n_q, -6, 6, n_p, var_q=1.0,
                                     var_p=0.5)
-            errors.append(ps.l1_distance(pr.propagate_analytic(w0, 1.0, UNIT),
-                                         pr.evolve_fokker_planck(w0, 1.0,
-                                                                 UNIT)))
+            errors.append(ps.l1_distance(
+                pr.propagate_analytic(w0, 1.0, UNIT),
+                pr._integrate_fokker_planck(w0, 1.0 / n_steps, n_steps,
+                                            UNIT)))
         assert errors[0] / errors[1] >= 3.5
 
     def test_master_equation(self):
@@ -288,19 +292,20 @@ class TestRefinementOrder:
         assert errors[0] / errors[1] >= 3.5
 
     def test_fokker_planck_time_error(self):
-        # the time error on one lattice, the L1 distance of the runs at the
-        # bound's dt and at dt/2 from a dt/8 run there, falls at second
-        # order when the lattice is halved: it measures 3.92 and 3.85 (Lie
-        # splitting: 2.03 and 2.03).  On one lattice it falls by 2.18 from
-        # dt to dt/2, Lie splitting and the advection alone (gamma 1e-4)
-        # alike: the van Leer step's kappa = |c| (1 - |c|) / 2 ties its dt
-        # error to the lattice, so the scheme is second order in dt and dq
-        # together, not in dt alone
+        # the time error on one lattice, the L1 distance of the runs at dt
+        # and at dt/2 from a dt/8 run there, falls at second order when the
+        # lattice and dt are halved together, from the bound's dt 0.1 at
+        # Courant numbers up to 2.4: it measures 4.21 and 3.97 (3.92 and
+        # 3.85 at Courant numbers up to 1).  On one lattice it falls by
+        # 1.96 and 1.85 from dt to dt/2: the van Leer step's
+        # kappa = |c - k| (1 - |c - k|) / 2 ties its dt error to the
+        # lattice, so the scheme is second order in dt and dq together, not
+        # in dt alone
         errors = []
-        for n_q, n_p in ((113, 49), (225, 97)):
+        for n_q, n_p, n_steps in ((113, 49, 10), (225, 97, 20)):
             w0 = ps.gaussian_wigner(-14, 14, n_q, -6, 6, n_p, var_q=1.0,
                                     var_p=0.5)
-            n_steps, dt, _ = pr.fokker_planck_step_plan(w0, 1.0, UNIT)
+            dt = 1.0 / n_steps
             ref = pr._integrate_fokker_planck(w0, dt / 8, 8 * n_steps, UNIT)
             errors.append([ps.l1_distance(ref, pr._integrate_fokker_planck(
                 w0, dt / k, k * n_steps, UNIT)) for k in (1, 2)])
@@ -331,7 +336,7 @@ class TestFokkerPlanck:
         # of the Chang-Cooper momentum step
         p = np.linspace(-5, 5, 96)
         row = np.exp(-p ** 2 / 2.0)
-        step = row @ pr._momentum_propagator(p, p[1] - p[0], 1.0, UNIT)
+        step = pr._momentum_propagator(p, p[1] - p[0], 1.0, UNIT) @ row
         assert np.max(np.abs(step - row)) < 1e-12 * row.max()
 
     def test_moments_match_exact_kernel(self):
@@ -359,10 +364,13 @@ class TestFokkerPlanck:
         assert wt.integral() == pytest.approx(1.0, abs=1e-8)
 
     def test_advection_matches_reference(self):
-        # Courant numbers in both directions, up to 0.8, and an
-        # odd column count with a column at rest
+        # Courant numbers in both directions, up to 0.8 and up to 9.7, an
+        # odd column count with a column at rest, integers, and columns in
+        # no order
         for c in (np.linspace(-0.4, 0.4, 25), np.linspace(-0.8, 0.8, 25),
-                  np.arange(-8, 7) / 10):
+                  np.arange(-8, 7) / 10, np.linspace(-9.7, 9.7, 25),
+                  np.arange(-6, 7, 0.5),
+                  np.random.default_rng(3).uniform(-10, 10, 17)):
             rng = np.random.default_rng(7)
             vals = rng.random((40, c.size))
             vals[:5] = 0.0                  # flat region: zero slopes
@@ -371,12 +379,34 @@ class TestFokkerPlanck:
             buf.set_courant(c)
             pr._advect_q(buf)
             want = _reference_advect(vals, c)
-            assert np.max(np.abs(buf.values - want)) < 1e-14
+            assert np.max(np.abs(buf.values - want)) < 1e-14 * max(
+                1.0, np.max(want))
 
-    @pytest.mark.parametrize("c_max", [0.8, 1.0])
+    def test_integer_courant_number_is_an_exact_shift(self):
+        # k whole cells up (k > 0) or down: away from the walls every cell
+        # moves k rows unrounded, the rows it leaves are 0, and the cells
+        # carried past a wall sum into the wall row
+        rng = np.random.default_rng(5)
+        vals = rng.random((30, 9))
+        c = np.array([-29.0, -7.0, -2.0, -1.0, 0.0, 1.0, 3.0, 12.0, 40.0])
+        buf = pr._FokkerPlanckBuffers(vals)
+        buf.set_courant(c)
+        pr._advect_q(buf)
+        out = buf.values
+        for j, k in enumerate(c.astype(int)):
+            col, k = (out[:, j], vals[:, j]), min(abs(k), 29)
+            if c[j] < 0:
+                col = tuple(a[::-1] for a in col)
+            got, was = col
+            assert np.array_equal(got[k:-1], was[:29 - k])
+            assert not np.any(got[:k])
+            assert got[-1] == pytest.approx(was[29 - k:].sum(), rel=1e-15)
+
+    @pytest.mark.parametrize("c_max", [0.8, 1.0, 10.0])
     def test_advection_total_variation_diminishing(self, c_max):
-        # up to |c| = 1 one step keeps W nonnegative and each column's mass;
-        # zero-flux walls can raise the total variation, so it is not checked
+        # one step keeps W nonnegative and each column's mass, up to |c| = 1
+        # and, the whole cells shifted, up to |c| = 10; zero-flux walls can
+        # raise the total variation, so it is not checked
         rng = np.random.default_rng(11)
         for _ in range(50):
             vals = rng.random((33, 17)) ** 4
@@ -402,12 +432,30 @@ class TestFokkerPlanck:
         assert np.array_equal(buf.values, vals)
 
     def test_default_dt_converged(self):
-        # the bound's step agrees with steps a quarter as long
+        # steps a quarter as long as the bound's bring the run no closer to
+        # the exact kernel: 6.41e-3 from it, against the bound's 4.09e-3,
+        # since the lattice's error outweighs the time error at dt 0.1
         w0 = ps.gaussian_wigner(-18, 18, 160, -6, 6, 96, var_q=0.25, var_p=0.5)
         w_default = pr.evolve_fokker_planck(w0, 2.0, UNIT)
         n_steps, dt = pr._step_plan(2.0, _fp_bound(w0, UNIT) / 4)
         w_fine = pr._integrate_fokker_planck(w0, dt, n_steps, UNIT)
-        assert ps.l1_distance(w_default, w_fine) < 2e-3
+        exact = pr.propagate_analytic(w0, 2.0, UNIT)
+        assert (ps.l1_distance(w_default, exact)
+                <= ps.l1_distance(w_fine, exact))
+
+    def test_time_error_on_the_oracle_grid(self):
+        # on oracle-compare's grid, from the bound's 10 steps to t = 1, the
+        # L1 distance from a run of steps 64 times shorter falls as dt
+        # halves three times: 1.32e-3, 8.36e-4, 5.08e-4, 2.63e-4.  The
+        # distance from the exact kernel does not: 1.25e-3, 6.35e-4,
+        # 6.47e-4, 8.12e-4, as the van Leer step's error on the lattice
+        # grows when its Courant numbers fall
+        w0 = ps.gaussian_wigner(-14, 14, 225, -6, 6, 97, var_q=1.0,
+                                var_p=0.5)
+        ref = pr._integrate_fokker_planck(w0, 1.0 / 640, 640, UNIT)
+        errors = [ps.l1_distance(ref, pr._integrate_fokker_planck(
+            w0, 1.0 / n, n, UNIT)) for n in (10, 20, 40, 80)]
+        assert all(a > 1.3 * b for a, b in zip(errors, errors[1:])), errors
 
     def test_step_beyond_explicit_diffusion_limit(self):
         # three times the bound 0.4 dp^2 / (2 M gamma kT) of an explicit
@@ -419,27 +467,21 @@ class TestFokkerPlanck:
         assert np.all(np.isfinite(wt.values))
         assert wt.integral() == pytest.approx(w0.integral(), abs=1e-8)
 
-    def test_dt_bound_terms(self):
-        w0 = ps.gaussian_wigner(-18, 18, 160, -6, 6, 96, var_q=0.25, var_p=0.5)
+    def test_dt_bound_is_the_damping_term(self):
+        # the plan is the fewest equal steps within 0.1 / gamma; the grid
+        # does not enter it
         params = pr.QbmParams(M=2.0, gamma=0.5, kT=1.0)
-        courant = w0.dq * params.M / 6.0
-        assert _fp_bound(w0, params) == pytest.approx(courant)
-        n_steps, dt, limit = pr.fokker_planck_step_plan(w0, 1.0, params)
-        assert (n_steps, limit) == (int(np.ceil(1.0 / courant)), "courant")
-        assert dt == pytest.approx(1.0 / n_steps)
-        assert pr.fokker_planck_step_plan(w0, 0.0, params)[:2] == (0, 0.0)
+        assert pr.fokker_planck_step_plan(1.0, params) == (5, 0.2)
+        assert pr.fokker_planck_step_plan(0.0, params) == (0, 0.0)
         params = pr.QbmParams(M=2.0, gamma=20.0, kT=1.0)
-        assert _fp_bound(w0, params) == pytest.approx(0.005)
-        n_steps, dt, limit = pr.fokker_planck_step_plan(w0, 1.0, params)
-        assert (n_steps, limit) == (200, "damping")
+        assert pr.fokker_planck_step_plan(1.0, params) == (200, 0.005)
 
-    def test_courant_number_within_one(self):
+    def test_courant_number_splits_exactly(self):
         # random grids, parameters and times, half of them a whole number
         # of step bounds: the coefficients set for the full and the half
-        # advection keep |c| <= 1 and kappa >= 0, and a |c| <= 1 is set as
-        # it is.  Without the clip in set_courant, 45 of these 2000 draws
-        # give |c| a few ulps above 1 and a negative kappa; at the former
-        # Courant factor 0.8, none
+        # advection split c into whole cells and a fraction below 1 in
+        # size, which sum to c exactly, with kappa >= 0; the runs cover the
+        # columns in order, each of one shift and one sign of c
         rng = np.random.default_rng(20261019)
         for i in range(2000):
             n_q, n_p = rng.integers(8, 400), rng.integers(8, 120)
@@ -451,15 +493,21 @@ class TestFokkerPlanck:
             bound = _fp_bound(w, params)
             t = (bound * rng.integers(1, 400) if i % 2
                  else rng.uniform(0, 20))
-            _, dt, _ = pr.fokker_planck_step_plan(w, t, params)
+            _, dt = pr.fokker_planck_step_plan(t, params)
             c = w.p * dt / (params.M * w.dq)
-            buf = pr._FokkerPlanckBuffers(np.zeros((1, n_p)))
+            buf = pr._FokkerPlanckBuffers(np.zeros((n_q, n_p)))
             for courant in (c, 0.5 * c):
                 buf.set_courant(courant)
-                assert np.max(np.abs(buf.c)) <= 1.0
+                frac = buf.c[:, 0]
+                assert np.max(np.abs(frac)) < 1.0
                 assert buf.kappa.min() >= 0.0
-                inside = np.abs(courant) <= 1.0
-                assert np.array_equal(buf.c[0, inside], courant[inside])
+                assert np.array_equal(np.trunc(courant) + frac, courant)
+                assert [lo for lo, *_ in buf.runs] == [
+                    0, *(hi for _, hi, *_ in buf.runs[:-1])]
+                for lo, hi, k, down in buf.runs:
+                    assert np.all(np.clip(np.trunc(courant[lo:hi]),
+                                          1 - n_q, n_q - 1) == k)
+                    assert np.all((courant[lo:hi] < 0) == down)
 
     def test_steps_allocate_nothing(self):
         # the traced peak does not grow with the step count: every step
@@ -514,11 +562,31 @@ class TestFokkerPlanck:
                                 var_p=0.005)
         dt = _fp_bound(w0, params)
         assert dt == pytest.approx(0.1 / params.gamma)   # the damping term
-        assert pr.fokker_planck_step_plan(w0, 0.5, params)[2] == "damping"
         assert dt * 2.0 * params.gamma / w0.dp ** 2 > 9.5
         for t in (dt, 5 * dt, 0.5):
             wt = pr.evolve_fokker_planck(w0, t, params)
             assert wt.values.min() >= -1e-10 * wt.values.max()
+
+
+    @pytest.mark.parametrize("scenario, override", [
+        ("maxwellization", {"grid": {"q_max": 7, "n_p": 24}}),
+        ("oracle-compare", {"params": {"t_kernel": 18, "t_master": 1}}),
+    ])
+    def test_mass_on_the_q_walls_is_kept(self, scenario, override):
+        # two fuzz draws whose integrations carry mass into the q-wall
+        # rows: with whole wall cells the advection kept sum_i W_i, and the
+        # integral moved by 6.9e-4 and 3.9e-4; the half wall cells keep
+        # the trapezoid sum that integral() reads
+        config = sc.validate_config({"schema_version": 1,
+                                     "scenario": scenario, **override})
+        c = {**config.params, **config.grid}
+        plan = sc.SCENARIOS[scenario]["plan"](c)
+        w0 = plan["state"]
+        for t in ((c["t"],) if scenario == "maxwellization"
+                  else (c["t_master"], c["t_kernel"])):
+            wt = pr.evolve_fokker_planck(w0, t, plan["params"])
+            assert wt.values.min() >= 0.0
+            assert abs(wt.integral() - w0.integral()) < 1e-12
 
 
 class TestStepPlan:
@@ -553,11 +621,8 @@ class TestStepPlan:
             pr._step_plan(t, bound)
 
     def test_vast_rate_has_no_fokker_planck_plan(self):
-        w0 = ps.gaussian_wigner(-30, 30, 241, -6, 6, 97, var_q=1.0,
-                                var_p=0.25)
         with pytest.raises(ValueError, match="no finite step count"):
-            pr.fokker_planck_step_plan(w0, 5.0,
-                                       pr.QbmParams(1.0, 1e308, 1.0))
+            pr.fokker_planck_step_plan(5.0, pr.QbmParams(1.0, 1e308, 1.0))
 
 
 class TestMomentumPropagator:
@@ -586,7 +651,7 @@ class TestMomentumPropagator:
             mat = pr._momentum_propagator(p, p[1] - p[0], dt, params)
             assert mat.min() >= 0.0
             # the conserved mass is the trapezoid sum that integral() reads
-            assert np.max(np.abs(mat @ w - w)) < 1e-12 * np.max(w)
+            assert np.max(np.abs(w @ mat - w)) < 1e-12 * np.max(w)
 
     def test_mass_on_the_p_walls_is_kept(self):
         # a maxwellization run on 9 p points that puts mass on the p walls:
@@ -603,26 +668,35 @@ class TestMomentumPropagator:
 
 
 def _reference_advect(vals, c):
-    """Van Leer upwind step in q, between zero-flux walls, built from
-    zero-filled shifted copies of the array."""
-    def shift(a, k):  # out[i] = a[i - k]
-        out = np.zeros_like(a)
-        if k > 0:
-            out[k:] = a[:-k]
-        else:
-            out[:k] = a[-k:]
-        return out
-
+    """Flux-form step in q between zero-flux walls at any Courant number,
+    face by face: the flux through each face is the trunc(c) whole cells
+    upwind of it plus the van Leer flux of the fraction out of the next
+    cell, and cells past a wall are 0."""
     def limited(num, den):  # phi(num / den) * den, van Leer phi
-        r = np.divide(num, den, out=np.zeros_like(num), where=den != 0)
-        return (r + np.abs(r)) / (1.0 + np.abs(r)) * den
+        r = num / den if den != 0 else 0.0
+        return (r + abs(r)) / (1.0 + abs(r)) * den
 
-    wm, wp, wpp = shift(vals, 1), shift(vals, -1), shift(vals, -2)
-    f_pos = vals + 0.5 * (1.0 - c) * limited(vals - wm, wp - vals)
-    f_neg = wp - 0.5 * (1.0 + c) * limited(wpp - wp, wp - vals)
-    face = c * np.where(c >= 0, f_pos, f_neg)   # dt/dq * flux at i+1/2
-    face[-1] = 0.0
-    return vals - (face - shift(face, 1))
+    n = vals.shape[0]
+    out = np.empty_like(vals)
+    for j, cj in enumerate(c):
+        k, frac = int(np.trunc(cj)), cj - np.trunc(cj)
+        col = np.concatenate([np.zeros(n + 2), vals[:, j], np.zeros(n + 2)])
+        w = lambda i: col[i + n + 2]   # noqa: E731  cell i, 0 past a wall
+        face = np.zeros(n + 1)         # face[i]: between cells i - 1 and i
+        for i in range(1, n):
+            if cj >= 0:
+                whole = sum(w(i - m) for m in range(1, k + 1))
+                d = i - 1 - k
+                part = w(d) + 0.5 * (1.0 - frac) * limited(
+                    w(d) - w(d - 1), w(d + 1) - w(d))
+            else:
+                whole = -sum(w(i + m) for m in range(-k))
+                d = i - k
+                part = w(d) - 0.5 * (1.0 + frac) * limited(
+                    w(d + 1) - w(d), w(d) - w(d - 1))
+            face[i] = whole + frac * part
+        out[:, j] = vals[:, j] - (face[1:] - face[:-1])
+    return out
 
 
 def _reference_master(kernel, x, dx, dt, n_steps, params):

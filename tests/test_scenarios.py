@@ -164,18 +164,15 @@ class TestLoadConfig:
         # report notes are read by people: plain numbers, no numpy reprs
         notes = sc.run_scenario(cfg, tmp_path).notes
         assert not [note for note in notes if "np." in note]
-        # the Fokker-Planck runs name their step count and binding limit
-        steps = {"diffusion": 240, "maxwellization": 120,
-                 "oracle-compare": 288}.get(cfg.scenario)
+        # the Fokker-Planck runs name their step count and largest dt
+        steps = {"diffusion": 100, "maxwellization": 50,
+                 "oracle-compare": 60}.get(cfg.scenario)
         fp_notes = [note for note in notes if note.startswith("Fokker-Planck")]
         if steps is None:
             assert not fp_notes
         else:
-            assert len(fp_notes) == 1
-            assert fp_notes[0].startswith(f"Fokker-Planck: {steps} steps of "
-                                          "dt up to ")
-            assert fp_notes[0].endswith("limited by the courant term of the "
-                                        "step bound")
+            assert fp_notes == [f"Fokker-Planck: {steps} steps of dt up to "
+                                "0.1"]
 
     def test_duplicate_key_rejected(self, tmp_path):
         body = '{"schema_version": 1, "scenario": "diffusion", ' \
@@ -766,8 +763,7 @@ class TestCli:
         notes = [n for n in report.notes if n.startswith("Fokker-Planck")]
         assert notes == [
             f"Fokker-Planck: {sum(n for n, _ in fokker_planck)} steps of dt "
-            f"up to {max(dt for _, dt in fokker_planck):.6g}, limited by the "
-            "courant term of the step bound"]
+            f"up to {max(dt for _, dt in fokker_planck):.6g}"]
         notes = [n for n in report.notes if n.startswith("Master equation")]
         if steps is None:
             assert taken == [] and notes == []
@@ -1150,8 +1146,8 @@ class TestConcurrentRoutes:
 
     def test_oracle_compare_routes_share_the_threads(self, tmp_path,
                                                      monkeypatch):
-        # the calling thread runs the master route and the Fokker-Planck
-        # integration to t_master, the worker the one to t_kernel and the
+        # the calling thread runs the master route, the worker the
+        # Fokker-Planck integrations to t_master and to t_kernel and the
         # kernel
         ran = []
 
@@ -1169,7 +1165,7 @@ class TestConcurrentRoutes:
             on_thread(name)
         sc.run_scenario(sc.validate_config(minimal("oracle-compare")),
                         tmp_path)
-        assert sorted(ran) == [("evolve_fokker_planck", 1.0, True),
+        assert sorted(ran) == [("evolve_fokker_planck", 1.0, False),
                                ("evolve_fokker_planck", 5.0, False),
                                ("evolve_master_equation", 1.0, True),
                                ("propagate_analytic", 5.0, False)]
