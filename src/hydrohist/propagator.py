@@ -9,15 +9,15 @@ kT).  Three mutually consistent descriptions are implemented:
       dW/dt = -(p/M) dW/dq + 2*gamma d(p W)/dp + 2*M*gamma*kT d^2W/dp^2
 
   solved either analytically (Gaussian transition kernel) or numerically
-  (Strang splitting of dt within 0.1 / gamma: flux-form advection in q at
-  any Courant number, whole cells shifted exactly and the fraction by a
-  flux-limited upwind step, between zero-flux walls whose cells are half
-  cells; and the Ornstein-Uhlenbeck momentum sector in the Chang-Cooper
-  flux discretization, stepped with its exact propagator exp(dt L), which
-  is nonnegative and mass-conserving for any dt).  Each q column of W is
-  one contiguous row; each step's output goes to a second array that
-  swaps with the state; and the far tails of the initial W, which would
-  be subnormal numbers, start at 0;
+  (Strang splitting of dt within 0.1 / gamma and Courant number
+  COURANT_CAP: flux-form advection in q, whole cells shifted exactly and
+  the fraction by a flux-limited upwind step, between zero-flux walls
+  whose cells are half cells; and the Ornstein-Uhlenbeck momentum sector
+  in the Chang-Cooper flux discretization, stepped with its exact
+  propagator exp(dt L), which is nonnegative and mass-conserving for any
+  dt).  Each q column of W is one contiguous row; each step's output goes
+  to a second array that swaps with the state; and the far tails of the
+  initial W, which would be subnormal numbers, start at 0;
 
 - the position-basis master equation with kinetic, dissipation
   (-gamma (x-y)(d_x - d_y) rho) and decoherence (-2 M gamma kT (x-y)^2 rho)
@@ -92,6 +92,10 @@ SERIES_GAMMA_T = 0.5
 #: the diffusion grid holds none at t = 0.1 to 5, where it held about 500;
 #: a cut at every step costs more than it saves.
 START_FLOOR = 1e-200
+#: largest Courant number |p| dt / (M dq) of a Fokker-Planck step plan: on
+#: oracle-compare's grid to t = 1, 12 steps at this cap lie 7.9e-4 (L1) from
+#: the run at Courant numbers up to 1, and 10 steps with no cap 1.05e-3.
+COURANT_CAP = 4
 
 
 @dataclass(frozen=True)
@@ -269,30 +273,29 @@ def _step_plan(t, bound):
 # --- Fokker-Planck integrator ----------------------------------------------
 
 
-def fokker_planck_step_plan(t, params: QbmParams):
+def fokker_planck_step_plan(w: WignerGrid, t, params: QbmParams):
     """(n_steps, dt_eff) of ``evolve_fokker_planck(w, t, params)``: the
-    fewest equal steps within 0.1 / gamma, which keeps the damping
-    exp(-2 gamma dt) resolved within one splitting step; the advection
-    takes any Courant number and the momentum step is exact.  A ValueError
-    is raised when the plan has no finite step count.
-    """
-    return _step_plan(t, 0.1 / params.gamma)
+    fewest equal steps within 0.1 / gamma, which resolves the damping
+    exp(-2 gamma dt) in one step, and COURANT_CAP dq M / p_max.  Only
+    ``p_min``, ``p_max`` and ``dq`` of w are read; a ValueError is raised
+    when the plan has no finite step count."""
+    p_max = max(abs(w.p_min), abs(w.p_max))
+    courant = COURANT_CAP * w.dq * params.M / p_max if p_max > 0 else math.inf
+    return _step_plan(t, min(courant, 0.1 / params.gamma))
 
 
 class _FokkerPlanckBuffers:
-    """State, scratch and flux-coefficient arrays of one Fokker-Planck
-    integration.
+    """State, scratch and flux-coefficient arrays of a Fokker-Planck run.
 
     Column j of W is row j of a padded (n_p, n_q + 4) array, between two
     zero ghost entries at each end, so the q advection runs over one
     contiguous array; ``values`` is the (n_q, n_p) view.  Each step writes
     a second such array, and ``swap`` exchanges the two.  ``set_courant``
     splits the Courant numbers c into k = trunc(c), held within
-    +/-(n_q - 1), and c - k: each row's fraction and
-    |c - k| (1 - |c - k|) / 2 fill ``c`` and ``kappa``, and ``runs`` holds
-    the (lo, hi, k, c < 0) of each run of rows with one k and one sign of
-    c.  diff, flux and slope are flat scratch arrays, flux with a zero at
-    each end.
+    +/-(n_q - 1), and c - k: the (n_p, 1) columns ``c`` and ``kappa`` hold
+    each row's fraction and |c - k| (1 - |c - k|) / 2, and ``runs`` the
+    (lo, hi, k, c < 0) of each run of rows with one k and one sign of c.
+    diff, flux (with a zero at each end) and slope are flat scratch.
     """
 
     def __init__(self, values):
@@ -302,7 +305,7 @@ class _FokkerPlanckBuffers:
         self.values[...] = values
         self.diff, self.slope = np.zeros(m * (n + 4)), np.zeros(m * (n + 4))
         self.flux = np.zeros(m * (n + 4) + 2)
-        self.c, self.kappa = np.empty((m, n + 4)), np.empty((m, n + 4))
+        self.c, self.kappa = np.empty((m, 1)), np.empty((m, 1))
         self.runs = []
 
     def set_courant(self, c):
@@ -310,8 +313,8 @@ class _FokkerPlanckBuffers:
         n = self.values.shape[0]
         whole = np.trunc(c)
         frac = np.abs(c - whole)                  # exact, and below 1
-        self.c[...] = np.copysign(frac, c)[:, None]
-        self.kappa[...] = (0.5 * frac * (1.0 - frac))[:, None]
+        self.c[:, 0] = np.copysign(frac, c)
+        self.kappa[:, 0] = 0.5 * frac * (1.0 - frac)
         whole = np.clip(whole, 1 - n, n - 1).astype(int)
         edges = np.flatnonzero(np.diff(2 * whole - (c < 0))) + 1
         self.runs = [(lo, hi, int(whole[lo]), bool(c[lo] < 0)) for lo, hi
@@ -330,12 +333,11 @@ def _advect_q(buf: _FokkerPlanckBuffers):
     ``buf.set_courant``.  The flux through a face is the k = trunc(c) whole
     cells upwind of it plus the van Leer flux of the fraction c - k out of
     the next cell, g_i = (c - k) W_i + kappa s_i with s_i the limited
-    slope; none passes a q wall.  The whole cells' divergence telescopes to
-    an exact shift by k, so the van Leer step of the fraction, which
-    |c - k| < 1 keeps nonnegative, is written k cells on, and the cells
-    shifted past a wall sum into the wall cell: no rounded difference of
-    whole-cell sums can turn a cell negative.  The output goes to the
-    spare array, which then swaps with the state.
+    slope; none passes a q wall.  The whole cells' divergence is an exact
+    shift by k, so the fraction's van Leer step, nonnegative at
+    |c - k| < 1, is written k cells on, and the cells shifted past a wall
+    sum into the wall cell: no rounded difference of whole-cell sums can
+    turn a cell negative.  The output swaps in from the spare array.
     """
     n, (m, width) = buf.values.shape[0], buf.padded.shape
     pad = buf.padded.reshape(-1)
@@ -351,9 +353,8 @@ def _advect_q(buf: _FokkerPlanckBuffers):
     d[1:] += 1e-300                              # s = 0 where both vanish
     s[:-1] /= d[1:]
     # g = (c - k) W + kappa s, 0 on the ghosts, in f[1:-1]: f[i + 1] = g_i
-    g = np.multiply(pad, buf.c.reshape(-1), out=ad).reshape(m, width)
-    s *= buf.kappa.reshape(-1)
-    g += s.reshape(m, width)
+    g = np.multiply(buf.padded, buf.c, out=ad.reshape(m, width))
+    g += np.multiply(sv := s.reshape(m, width), buf.kappa, out=sv)
     for lo, hi, k, down in buf.runs:
         # W_i - g_i + g_i-1 written k cells on; a run moving down moves up
         # in the mirrored arrays, where g changes sign
@@ -386,7 +387,8 @@ def _momentum_propagator(p, dp, dt, params: QbmParams):
     discrete Maxwellian.  The two wall cells are half cells, of width dp/2,
     so their rows of L are doubled: with the trapezoid weights w_j, sum_j
     w_j L_jk = 0, and exp(dt L) conserves the trapezoid sum sum_j w_j W_j
-    that ``WignerGrid.integral`` reads.  The off-diagonal weights of L,
+    that ``WignerGrid.integral`` reads, to rounding once its columns are
+    rescaled (squaring left it 5e-15 high).  The off-diagonal weights of L,
     (diff/dp^2) w e^w / (e^w - 1) and (diff/dp^2) w / (e^w - 1), doubled in
     the wall rows, are positive for every w, so exp(dt L) is nonnegative for
     any dt: W stays nonnegative and the discrete Maxwellian stays fixed.
@@ -411,7 +413,9 @@ def _momentum_propagator(p, dp, dt, params: QbmParams):
     gen[j, j] += lower
     gen[j + 1, j + 1] -= upper
     gen[[0, -1]] *= 2.0
-    return _nonnegative_expm(dt * gen)
+    prop, weights = _nonnegative_expm(dt * gen), np.ones(p.size)
+    weights[[0, -1]] = 0.5
+    return prop * (weights / (weights @ prop))
 
 
 def _nonnegative_expm(gen):
@@ -442,16 +446,14 @@ def _nonnegative_expm(gen):
 def _integrate_fokker_planck(w: WignerGrid, dt, n_steps,
                              params: QbmParams) -> WignerGrid:
     """n_steps >= 1 Strang steps A(dt/2) C(dt) A(dt/2) of w, adjacent
-    half-advections merged.
+    half-advections merged: A(dt/2) [C(dt) A(dt)]^(n-1) C(dt) A(dt/2), with
+    A the q advection and C the momentum sector.
 
-    A is the q advection and C the momentum sector, so the product is
-    A(dt/2) [C(dt) A(dt)]^(n-1) C(dt) A(dt/2).  The flux coefficients are
-    set for the first half-advection, the full ones and the last
-    half-advection.  The advection moves cell masses: the two q-wall rows
-    are half cells, which hold W dq / 2, so the steps conserve the
-    trapezoid sum that ``WignerGrid.integral`` reads.  Entries below
-    START_FLOOR times max |W| start at exactly 0.  NaN and inf survive
-    every step, so the grid is checked for them once, at the end.
+    The advection moves cell masses: the two q-wall rows are half cells,
+    which hold W dq / 2, so the steps conserve the trapezoid sum that
+    ``WignerGrid.integral`` reads.  Entries below START_FLOOR times max |W|
+    start at exactly 0.  NaN and inf survive every step, so the grid is
+    checked for them once, at the end.
     """
     buf = _FokkerPlanckBuffers(w.values)
     scale = np.max(np.abs(buf.values))
@@ -475,11 +477,9 @@ def _integrate_fokker_planck(w: WignerGrid, dt, n_steps,
 
 
 def evolve_fokker_planck(w0: WignerGrid, t, params: QbmParams) -> WignerGrid:
-    """Compose the fewest equal steps within the step bound to time t.
-
-    t = 0 takes no step and gives a copy of w0.
-    """
-    n_steps, dt_eff = fokker_planck_step_plan(t, params)
+    """Compose the fewest equal steps within the step bound to time t;
+    t = 0 takes no step and gives a copy of w0."""
+    n_steps, dt_eff = fokker_planck_step_plan(w0, t, params)
     if n_steps == 0:
         return w0.with_values(w0.values)
     return _integrate_fokker_planck(w0, dt_eff, n_steps, params)

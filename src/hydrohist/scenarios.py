@@ -109,8 +109,8 @@ def _phase_space_plan(c, var_p, t, spans, kernel=True):
                                     c["p_min"], c["p_max"], c["n_p"],
                                     var_q=1.0, var_p=var_p),
                  pr.QbmParams(c["M"], c["gamma"], c["kT"])))
-    _require("params must give the Fokker-Planck step plan a "
-             "finite step count", pr.fokker_planck_step_plan, t, params)
+    _require("params and grid must give the Fokker-Planck step plan a "
+             "finite step count", pr.fokker_planck_step_plan, w0, t, params)
     spacing = (f"grid spacing must be at most 1/{pr.MIN_SPACINGS_PER_SIGMA} "
                "of the initial state's standard deviation on each axis")
     q_domain = ("the q domain grid.q_min to grid.q_max must hold the mean "
@@ -128,7 +128,7 @@ def _phase_space_plan(c, var_p, t, spans, kernel=True):
              lambda: not _refuses(at_0 + at_t if kernel else at_0,
                                   "domain", "p"))
     return {"state": w0, "params": params,
-            "fokker_planck": [pr.fokker_planck_step_plan(s, params)
+            "fokker_planck": [pr.fokker_planck_step_plan(w0, s, params)
                               for s in spans]}
 
 

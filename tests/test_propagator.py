@@ -19,8 +19,9 @@ NAN = float("nan")
 
 
 def _fp_bound(w, params):
-    """The Fokker-Planck step bound, 0.1 / gamma, whatever w's grid."""
-    return 0.1 / params.gamma
+    """The Fokker-Planck step bound: the smaller of its two terms."""
+    p_max = max(abs(w.p_min), abs(w.p_max))
+    return min(pr.COURANT_CAP * w.dq * params.M / p_max, 0.1 / params.gamma)
 
 
 class TestKernelCovariance:
@@ -262,18 +263,16 @@ class TestRefinementOrder:
     measures 1.96 here."""
 
     def test_fokker_planck(self):
-        # dt is halved with the lattice, from the step bound 0.1 on the
-        # oracle-compare grid, whose Courant numbers reach 4.8 there:
-        # measures 1.25e-3 / 3.15e-4 = 3.98 (at Courant numbers up to 1,
-        # 6.88e-4 / 1.54e-4 = 4.47)
+        # the plans take 12 and 24 steps, at Courant numbers up to
+        # COURANT_CAP: measures 9.86e-4 / 2.47e-4 = 4.00 (at Courant
+        # numbers up to 1, 6.88e-4 / 1.54e-4 = 4.47)
         errors = []
-        for n_q, n_p, n_steps in ((225, 97, 10), (449, 193, 20)):
+        for n_q, n_p in ((225, 97), (449, 193)):
             w0 = ps.gaussian_wigner(-14, 14, n_q, -6, 6, n_p, var_q=1.0,
                                     var_p=0.5)
-            errors.append(ps.l1_distance(
-                pr.propagate_analytic(w0, 1.0, UNIT),
-                pr._integrate_fokker_planck(w0, 1.0 / n_steps, n_steps,
-                                            UNIT)))
+            errors.append(ps.l1_distance(pr.propagate_analytic(w0, 1.0, UNIT),
+                                         pr.evolve_fokker_planck(w0, 1.0,
+                                                                 UNIT)))
         assert errors[0] / errors[1] >= 3.5
 
     def test_master_equation(self):
@@ -294,8 +293,8 @@ class TestRefinementOrder:
     def test_fokker_planck_time_error(self):
         # the time error on one lattice, the L1 distance of the runs at dt
         # and at dt/2 from a dt/8 run there, falls at second order when the
-        # lattice and dt are halved together, from the bound's dt 0.1 at
-        # Courant numbers up to 2.4: it measures 4.21 and 3.97 (3.92 and
+        # lattice and dt are halved together, from dt 0.1 at Courant
+        # numbers up to 2.4: it measures 4.21 and 3.97 (3.92 and
         # 3.85 at Courant numbers up to 1).  On one lattice it falls by
         # 1.96 and 1.85 from dt to dt/2: the van Leer step's
         # kappa = |c - k| (1 - |c - k|) / 2 ties its dt error to the
@@ -364,13 +363,17 @@ class TestFokkerPlanck:
         assert wt.integral() == pytest.approx(1.0, abs=1e-8)
 
     def test_advection_matches_reference(self):
-        # Courant numbers in both directions, up to 0.8 and up to 9.7, an
-        # odd column count with a column at rest, integers, and columns in
-        # no order
-        for c in (np.linspace(-0.4, 0.4, 25), np.linspace(-0.8, 0.8, 25),
-                  np.arange(-8, 7) / 10, np.linspace(-9.7, 9.7, 25),
-                  np.arange(-6, 7, 0.5),
-                  np.random.default_rng(3).uniform(-10, 10, 17)):
+        # Courant numbers in both directions, up to 0.8, and an odd column
+        # count with a column at rest, to 1e-14; then up to 9.7, integers
+        # and columns in no order, whose wall cells sum up to 10 cells, to
+        # 1e-14 of the largest cell
+        for c, scaled in ((np.linspace(-0.4, 0.4, 25), False),
+                          (np.linspace(-0.8, 0.8, 25), False),
+                          (np.arange(-8, 7) / 10, False),
+                          (np.linspace(-9.7, 9.7, 25), True),
+                          (np.arange(-6, 7, 0.5), True),
+                          (np.random.default_rng(3).uniform(-10, 10, 17),
+                           True)):
             rng = np.random.default_rng(7)
             vals = rng.random((40, c.size))
             vals[:5] = 0.0                  # flat region: zero slopes
@@ -379,8 +382,8 @@ class TestFokkerPlanck:
             buf.set_courant(c)
             pr._advect_q(buf)
             want = _reference_advect(vals, c)
-            assert np.max(np.abs(buf.values - want)) < 1e-14 * max(
-                1.0, np.max(want))
+            scale = np.max(want) if scaled else 1.0
+            assert np.max(np.abs(buf.values - want)) < 1e-14 * scale
 
     def test_integer_courant_number_is_an_exact_shift(self):
         # k whole cells up (k > 0) or down: away from the walls every cell
@@ -432,29 +435,37 @@ class TestFokkerPlanck:
         assert np.array_equal(buf.values, vals)
 
     def test_default_dt_converged(self):
-        # steps a quarter as long as the bound's bring the run no closer to
-        # the exact kernel: 6.41e-3 from it, against the bound's 4.09e-3,
-        # since the lattice's error outweighs the time error at dt 0.1
+        # at Courant numbers up to 1 the step agrees with steps a quarter as
+        # long (1.86e-3).  The plan's dt 0.1, where the damping term binds,
+        # lies 2.83e-3 from its quarter-step run, and no Courant cap above
+        # 1 meets 2e-3 here (1.5: 2.38e-3): the van Leer step's lattice
+        # error grows as its Courant fractions fall.  The plan's run lies
+        # closer to the exact kernel than the Courant-1 run, 4.09e-3
+        # against 5.77e-3
         w0 = ps.gaussian_wigner(-18, 18, 160, -6, 6, 96, var_q=0.25, var_p=0.5)
-        w_default = pr.evolve_fokker_planck(w0, 2.0, UNIT)
-        n_steps, dt = pr._step_plan(2.0, _fp_bound(w0, UNIT) / 4)
-        w_fine = pr._integrate_fokker_planck(w0, dt, n_steps, UNIT)
+        runs = []
+        for bound in (w0.dq / 6.0, w0.dq / 24.0):   # Courant numbers 1, 1/4
+            n_steps, dt = pr._step_plan(2.0, bound)
+            runs.append(pr._integrate_fokker_planck(w0, dt, n_steps, UNIT))
+        assert ps.l1_distance(*runs) < 2e-3
         exact = pr.propagate_analytic(w0, 2.0, UNIT)
-        assert (ps.l1_distance(w_default, exact)
-                <= ps.l1_distance(w_fine, exact))
+        assert (ps.l1_distance(pr.evolve_fokker_planck(w0, 2.0, UNIT), exact)
+                < ps.l1_distance(runs[0], exact))
 
     def test_time_error_on_the_oracle_grid(self):
-        # on oracle-compare's grid, from the bound's 10 steps to t = 1, the
+        # on oracle-compare's grid, from the plan's 12 steps to t = 1, the
         # L1 distance from a run of steps 64 times shorter falls as dt
-        # halves three times: 1.32e-3, 8.36e-4, 5.08e-4, 2.63e-4.  The
-        # distance from the exact kernel does not: 1.25e-3, 6.35e-4,
-        # 6.47e-4, 8.12e-4, as the van Leer step's error on the lattice
+        # halves three times: 1.13e-3, 7.55e-4, 4.39e-4, 2.23e-4.  The
+        # distance from the exact kernel does not: 9.86e-4, 6.04e-4,
+        # 6.88e-4, 8.51e-4, as the van Leer step's error on the lattice
         # grows when its Courant numbers fall
         w0 = ps.gaussian_wigner(-14, 14, 225, -6, 6, 97, var_q=1.0,
                                 var_p=0.5)
-        ref = pr._integrate_fokker_planck(w0, 1.0 / 640, 640, UNIT)
+        n_steps, _ = pr.fokker_planck_step_plan(w0, 1.0, UNIT)
+        assert n_steps == 12
+        ref = pr._integrate_fokker_planck(w0, 1.0 / 768, 768, UNIT)
         errors = [ps.l1_distance(ref, pr._integrate_fokker_planck(
-            w0, 1.0 / n, n, UNIT)) for n in (10, 20, 40, 80)]
+            w0, 1.0 / n, n, UNIT)) for n in (12, 24, 48, 96)]
         assert all(a > 1.3 * b for a, b in zip(errors, errors[1:])), errors
 
     def test_step_beyond_explicit_diffusion_limit(self):
@@ -467,21 +478,29 @@ class TestFokkerPlanck:
         assert np.all(np.isfinite(wt.values))
         assert wt.integral() == pytest.approx(w0.integral(), abs=1e-8)
 
-    def test_dt_bound_is_the_damping_term(self):
-        # the plan is the fewest equal steps within 0.1 / gamma; the grid
-        # does not enter it
+    def test_dt_bound_terms(self):
+        # the plan is the fewest equal steps within the Courant cap's
+        # COURANT_CAP dq M / p_max and 0.1 / gamma
+        w0 = ps.gaussian_wigner(-18, 18, 160, -6, 6, 96, var_q=0.25, var_p=0.5)
+        params = pr.QbmParams(M=0.5, gamma=0.5, kT=1.0)
+        courant = pr.COURANT_CAP * w0.dq * params.M / 6.0
+        assert _fp_bound(w0, params) == pytest.approx(courant)
+        n_steps, dt = pr.fokker_planck_step_plan(w0, 1.0, params)
+        assert n_steps == int(np.ceil(1.0 / courant))
+        assert dt == pytest.approx(1.0 / n_steps)
+        assert pr.fokker_planck_step_plan(w0, 0.0, params) == (0, 0.0)
         params = pr.QbmParams(M=2.0, gamma=0.5, kT=1.0)
-        assert pr.fokker_planck_step_plan(1.0, params) == (5, 0.2)
-        assert pr.fokker_planck_step_plan(0.0, params) == (0, 0.0)
+        assert pr.fokker_planck_step_plan(w0, 1.0, params) == (5, 0.2)
         params = pr.QbmParams(M=2.0, gamma=20.0, kT=1.0)
-        assert pr.fokker_planck_step_plan(1.0, params) == (200, 0.005)
+        assert pr.fokker_planck_step_plan(w0, 1.0, params) == (200, 0.005)
 
     def test_courant_number_splits_exactly(self):
         # random grids, parameters and times, half of them a whole number
-        # of step bounds: the coefficients set for the full and the half
-        # advection split c into whole cells and a fraction below 1 in
-        # size, which sum to c exactly, with kappa >= 0; the runs cover the
-        # columns in order, each of one shift and one sign of c
+        # of step bounds: the plan keeps |c| within COURANT_CAP to rounding,
+        # and the coefficients set for the full and the half advection
+        # split c into whole cells and a fraction below 1 in size, which
+        # sum to c exactly, with kappa >= 0; the runs cover the columns in
+        # order, each of one shift and one sign of c
         rng = np.random.default_rng(20261019)
         for i in range(2000):
             n_q, n_p = rng.integers(8, 400), rng.integers(8, 120)
@@ -493,8 +512,9 @@ class TestFokkerPlanck:
             bound = _fp_bound(w, params)
             t = (bound * rng.integers(1, 400) if i % 2
                  else rng.uniform(0, 20))
-            _, dt = pr.fokker_planck_step_plan(t, params)
+            _, dt = pr.fokker_planck_step_plan(w, t, params)
             c = w.p * dt / (params.M * w.dq)
+            assert np.max(np.abs(c)) <= pr.COURANT_CAP * (1.0 + 1e-12)
             buf = pr._FokkerPlanckBuffers(np.zeros((n_q, n_p)))
             for courant in (c, 0.5 * c):
                 buf.set_courant(courant)
@@ -621,8 +641,11 @@ class TestStepPlan:
             pr._step_plan(t, bound)
 
     def test_vast_rate_has_no_fokker_planck_plan(self):
+        w0 = ps.gaussian_wigner(-30, 30, 241, -6, 6, 97, var_q=1.0,
+                                var_p=0.25)
         with pytest.raises(ValueError, match="no finite step count"):
-            pr.fokker_planck_step_plan(5.0, pr.QbmParams(1.0, 1e308, 1.0))
+            pr.fokker_planck_step_plan(w0, 5.0,
+                                       pr.QbmParams(1.0, 1e308, 1.0))
 
 
 class TestMomentumPropagator:
