@@ -26,7 +26,7 @@ import numpy as np
 from .errors import DimensionCapError, UndefinedFluctuationError
 from .histories import _compositions
 from .local_equilibrium import hydro_averages
-from .phase_space import WignerGrid, write_csv
+from .phase_space import SmearingWindow, WignerGrid, _held, write_csv
 from .propagator import QbmParams, _constitutive_relation
 
 __all__ = [
@@ -65,35 +65,6 @@ class ProductEnsemble:
 
 
 @dataclass(frozen=True)
-class SmearingWindow:
-    """Disjoint ordered top-hat position bins."""
-
-    edges: np.ndarray
-
-    def __post_init__(self):
-        e = np.asarray(self.edges, dtype=float)
-        if e.ndim != 1 or len(e) < 2:
-            raise ValueError("need at least two bin edges")
-        if np.any(np.diff(e) <= 0):
-            raise ValueError("bin edges must be strictly increasing")
-        e = e.copy()
-        e.flags.writeable = False
-        object.__setattr__(self, "edges", e)
-
-    @property
-    def n_bins(self):
-        return len(self.edges) - 1
-
-    @property
-    def centers(self):
-        return 0.5 * (self.edges[1:] + self.edges[:-1])
-
-    @property
-    def widths(self):
-        return np.diff(self.edges)
-
-
-@dataclass(frozen=True)
 class DensityField:
     """Per-bin values of a coarse-grained density (counts or count-weighted)."""
 
@@ -104,11 +75,10 @@ class DensityField:
 
     def __post_init__(self):
         for name in ("centers", "widths", "values", "variances"):
-            a = getattr(self, name)
-            if a is not None:
-                a = np.asarray(a, dtype=float)
-                a.flags.writeable = False
-                object.__setattr__(self, name, a)
+            given = getattr(self, name)
+            if given is not None:
+                object.__setattr__(self, name, _held(
+                    np.asarray(given, dtype=float), given))
 
 
 @dataclass(frozen=True)

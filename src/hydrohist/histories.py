@@ -47,7 +47,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionCapError
-from .phase_space import _checked_times, position_dephasing
+from .phase_space import (_TILE, _checked_times, _held, _skew_and_scale,
+                          position_dephasing)
 
 __all__ = [
     "ToyHilbert",
@@ -138,9 +139,7 @@ class StateVector:
         norm = np.linalg.norm(a)
         if not abs(norm - 1.0) <= 1e-8:  # False for a NaN norm too
             raise ValueError(f"state norm is {norm:.2e}, expected 1")
-        a = a.copy()
-        a.flags.writeable = False
-        object.__setattr__(self, "amplitudes", a)
+        object.__setattr__(self, "amplitudes", _held(a, self.amplitudes))
 
 
 @dataclass(frozen=True)
@@ -149,8 +148,7 @@ class DensityOperator:
     of unit trace, and positive by ||rho - L L^dag||_F <= 1e-8 for the L of
     ``_density_factor``, kept for the engines; that rejects lambda_min < -1e-8,
     some lambda_min in the band [-1e-8, -3e-10], and a skew part of norm over
-    1e-8.  A read-only complex array that owns its data is kept; any other
-    input is copied once it passes."""
+    1e-8.  Once it passes, the matrix is held by ``phase_space._held``."""
 
     space: ToyHilbert
     matrix: np.ndarray = field(repr=False)
@@ -175,10 +173,7 @@ class DensityOperator:
         if not res <= 1e-8:
             raise ValueError("density matrix has a negative eigenvalue or a "
                              f"skew part: ||rho - L L^dag||_F = {res:.2e}")
-        if m.flags.writeable or not m.flags.owndata:
-            m = m.copy()
-        m.flags.writeable = l_fac.flags.writeable = False
-        object.__setattr__(self, "matrix", m)
+        object.__setattr__(self, "matrix", _held(m, self.matrix))
         object.__setattr__(self, "_factor", l_fac)
 
 
@@ -340,23 +335,6 @@ def _checked_family(family, dim, time):
     return ProjectorFamily(tuple(members))
 
 
-def _skew_and_scale(m):
-    """(max|m - m^dag|, max|m|) of a square complex array, over tiles of
-    t = ``_TILE`` rows, m[i:i+t, j:j+t] against m[j:j+t, i:i+t]^dag, j >= i.
-    A NaN entry makes both NaN, an infinite one max|m| inf and the skew inf
-    or NaN (inf - inf), so a test ``not skew <= tol`` rejects either."""
-    def pair(i, j, t=_TILE):
-        a, b = m[i:i + t, j:j + t], m[j:j + t, i:i + t]
-        return (np.max(np.abs(a - b.conj().T)), np.max(np.abs(a)),
-                np.max(np.abs(b)) if j > i else 0.0)
-
-    with np.errstate(invalid="ignore"):  # inf - inf
-        skew, upper, lower = np.max([
-            pair(i, j) for i in range(0, len(m), _TILE)
-            for j in range(i, len(m), _TILE)], axis=0)
-    return skew, np.maximum(upper, lower)
-
-
 def _checked_hamiltonian(h, dim, name="Hamiltonian"):
     """``h`` as a complex array, required to be a finite Hermitian dim x dim
     matrix, by ``_skew_and_scale``; an observable passes the same rule, and
@@ -453,25 +431,20 @@ class DecoherenceMatrix:
     blocks: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        c = np.array(self.blocks, dtype=complex)
+        # held before the one-block view of a matrix, which _held would copy
+        c = _held(np.asarray(self.blocks, dtype=complex), self.blocks)
         if c.ndim == 2:
             c = c[:, :, None]
         if (c.ndim != 3 or c.shape[0] != c.shape[1]
                 or c.shape[0] * c.shape[2] != len(self.labels)):
             raise ValueError("matrix shape must match the label catalog")
-        # block by block: the temporaries are one block, not all of D.  A
-        # NaN or infinite entry fails its block's "scale < inf", and the
-        # skew is formed of finite entries only
-        blocks = c.transpose(2, 0, 1)
-        scales = [np.max(np.abs(b)) for b in blocks]
-        if not all(scale < np.inf for scale in scales):
+        skew, scale = _skew_and_scale(c.transpose(2, 0, 1))
+        if not scale < np.inf:
             raise ValueError("decoherence matrix entries must be finite")
-        skew = max(np.max(np.abs(b - b.conj().T)) for b in blocks)
-        if not skew <= 1e-8 * max(*scales, 1e-300):
+        if not skew <= 1e-8 * max(scale, 1e-300):
             raise ValueError("decoherence matrix must be Hermitian")
         if not np.min(np.real(np.einsum("iig->ig", c))) >= -1e-10:
             raise ValueError("diagonal entries must be nonnegative")
-        c.flags.writeable = False
         object.__setattr__(self, "blocks", c)
         object.__setattr__(self, "labels", tuple(self.labels))
 
@@ -507,15 +480,14 @@ class OccupationFunctional:
     decoherence: DecoherenceMatrix = field(init=False, repr=False)
 
     def __post_init__(self):
-        d1 = np.array(self.d1, dtype=complex)
+        d1 = np.asarray(self.d1, dtype=complex)
         b = len(d1)
         if b < 2 or d1.shape != (b,) * 3 or self.n < 1:
             raise ValueError("need a (B, B, B) d1, B >= 2, and N >= 1")
         _capped_table_bytes(b, self.n)
         comps = tuple(_compositions(self.n, b))
         coef = _occupation_coefficients(d1, self.n)
-        d1.flags.writeable = False
-        object.__setattr__(self, "d1", d1)
+        object.__setattr__(self, "d1", _held(d1, self.d1))
         object.__setattr__(self, "comps", comps)
         object.__setattr__(self, "decoherence", DecoherenceMatrix(
             tuple(itertools.product(comps, repeat=2)), coef))
@@ -607,8 +579,8 @@ _FACTOR_CUT = 1e-14
 
 
 def _density_factor(rho_m):
-    """L with rho = L L^dag, up to the columns _FACTOR_CUT leaves out, by
-    diagonally pivoted Cholesky.
+    """L, read-only, with rho = L L^dag, up to the columns _FACTOR_CUT leaves
+    out, by diagonally pivoted Cholesky.
 
     Each step takes the largest residual diagonal d_j as the pivot, appends
     the column (rho[:, j] - L L[j]^dag) / sqrt(d_j) and takes its squared
@@ -630,7 +602,9 @@ def _density_factor(rho_m):
         cols[r] = col
         resid -= col.real ** 2 + col.imag ** 2
         r += 1
-    return cols[:r].T
+    l_fac = cols[:r].T
+    l_fac.flags.writeable = False
+    return l_fac
 
 
 def _factor_of(rho):
@@ -843,7 +817,6 @@ def _capped_table_bytes(b, n):
 
 #: bytes of one row block of the product in ``_occupation_coefficients``
 _ROW_BLOCK_BYTES = 2 ** 20
-_TILE = 64  #: rows of the square tiles the checks compare, 64 KiB each
 
 
 def _occupation_coefficients(d1, n):

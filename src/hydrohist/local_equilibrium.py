@@ -31,8 +31,9 @@ import numpy as np
 
 from . import histories as hist
 from .errors import ResolutionError
-from .phase_space import (WignerGrid, _trapezoid_weights, bin_integrals,
-                          normalize, write_csv)
+from .phase_space import (SmearingWindow, WignerGrid, _held,
+                          _trapezoid_weights, bin_integrals, normalize,
+                          write_csv)
 
 __all__ = [
     "LocalEquilibriumProfile",
@@ -81,9 +82,7 @@ class LocalEquilibriumProfile:
                         f"profile {name} changes by {jump:.0%} per bin; the "
                         "slowly-varying assumption is strained", stacklevel=2)
         for name, arr in (("q", q), ("f", f), ("u", u), ("kT", kt)):
-            arr = arr.copy()
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
+            object.__setattr__(self, name, _held(arr, getattr(self, name)))
 
 
 @dataclass(frozen=True)
@@ -99,11 +98,11 @@ class HydroFields:
 
     def __post_init__(self):
         for name in ("centers", "widths", "n", "g", "h", "energy_flux"):
-            a = np.asarray(getattr(self, name), dtype=float)
+            given = getattr(self, name)
+            a = np.asarray(given, dtype=float)
             if not np.isfinite(a).all():
                 raise ValueError(f"{name} has non-finite entries")
-            a.flags.writeable = False
-            object.__setattr__(self, name, a)
+            object.__setattr__(self, name, _held(a, given))
         if np.min(self.n) < -1e-9 * max(np.max(np.abs(self.n)), 1e-300):
             raise ValueError("number field has significantly negative entries")
 
@@ -171,18 +170,15 @@ def hydro_averages(w1: WignerGrid, n_particles, edges) -> HydroFields:
     with the (n_p, 4) matrix of trapezoid weight times 1, p, p^2/2 and
     p^3/2; each column is then integrated over the q-bins.
     """
-    edges = np.asarray(edges, dtype=float)
-    if np.any(np.diff(edges) <= 0):
-        raise ValueError("bin edges must be strictly increasing")
+    window = SmearingWindow(edges)
     p = w1.p
     trap = _trapezoid_weights(len(p), w1.dp)
     moments = trap[:, None] * np.stack(
         [np.ones_like(p), p, p ** 2 / 2.0, p ** 3 / 2.0], axis=1)
     lines = w1.values @ moments
-    n, g, h, flux = (n_particles * bin_integrals(line, w1.q, edges)
+    n, g, h, flux = (n_particles * bin_integrals(line, w1.q, window.edges)
                      for line in lines.T)
-    centers = 0.5 * (edges[1:] + edges[:-1])
-    return HydroFields(centers, np.diff(edges), n, g, h, flux)
+    return HydroFields(window.centers, window.widths, n, g, h, flux)
 
 
 def _shift_phases(k, s):

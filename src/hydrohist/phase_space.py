@@ -4,7 +4,8 @@ Wigner quasi-distributions on rectangular (q, p) lattices, position-basis
 density matrices rho(x, y), the Fourier map between the two (hbar = 1), the
 position-dephasing factor shared by the master equation and the histories,
 the check of a list of times shared by the histories and the scenario
-rules, and the marginals / moments used everywhere else in the package.
+rules, top-hat position bins, and the marginals / moments used everywhere
+else in the package.
 
 Conventions: values[i, j] samples W at (q_i, p_j); all integrals are
 trapezoidal; the density matrix is related to the Wigner function by
@@ -40,6 +41,7 @@ __all__ = [
     "density_to_wigner",
     "conjugate_momentum_axis",
     "l1_distance",
+    "SmearingWindow",
     "bin_integrals",
     "atomic_write",
     "write_csv",
@@ -50,6 +52,43 @@ DEFAULT_TOL = 1e-6
 #: boundary mass above which check_domain_coverage warns and l1_distance
 #: refuses to resample a grid
 COVERAGE_THRESHOLD = 1e-3
+_TILE = 64  #: rows of the square tiles the Hermiticity checks compare
+
+
+def _held(a, given):
+    """``a``, the checked ``np.asarray(given, dtype)``, read-only: kept when
+    it is a conversion or a read-only array that owns its data, copied when
+    it is writeable or a view, which the caller can still change.  Every
+    frozen type holds its arrays by this rule."""
+    if not a.flags.owndata or (a is given and a.flags.writeable):
+        a = a.copy()
+    a.flags.writeable = False
+    return a
+
+
+def _skew_and_scale(m):
+    """(max|m - m^dag|, max|m|) of a square complex array, or of a (g, n, n)
+    stack of them, over tiles of t = min(n, ``_TILE``) rows, m[i:i+t, j:j+t]
+    against m[j:j+t, i:i+t]^dag, j >= i, of _TILE^2 // t^2 blocks at a time:
+    no temporary exceeds 64 KiB.  A NaN entry makes both NaN, an infinite
+    one max|m| inf and the skew inf or NaN (inf - inf), so a test
+    ``not skew <= tol`` rejects either."""
+    stack = m[None] if m.ndim == 2 else m
+    t = max(1, min(stack.shape[-1], _TILE))
+    step = _TILE ** 2 // t ** 2
+
+    def pair(g, i, j):
+        a = stack[g:g + step, i:i + t, j:j + t]
+        b = stack[g:g + step, j:j + t, i:i + t]
+        return (np.max(np.abs(a - b.conj().swapaxes(1, 2))),
+                np.max(np.abs(a)), np.max(np.abs(b)) if j > i else 0.0)
+
+    with np.errstate(invalid="ignore"):  # inf - inf
+        skew, upper, lower = np.max([
+            pair(g, i, j) for g in range(0, len(stack), step)
+            for i in range(0, stack.shape[-1], t)
+            for j in range(i, stack.shape[-1], t)], axis=0)
+    return skew, np.maximum(upper, lower)
 
 
 def _trapz2(values, dq, dp):
@@ -101,9 +140,7 @@ class WignerGrid:
             raise ValueError(
                 f"values shape {vals.shape} does not match ({self.n_q}, {self.n_p})"
             )
-        vals = vals.copy()
-        vals.flags.writeable = False
-        object.__setattr__(self, "values", vals)
+        object.__setattr__(self, "values", _held(vals, self.values))
 
     @property
     def q(self):
@@ -155,18 +192,15 @@ class DensityMatrix:
         ker = np.asarray(self.kernel, dtype=complex)
         if ker.shape != (self.n_x, self.n_x):
             raise ValueError("kernel must be square of shape (n_x, n_x)")
-        scale = np.max(np.abs(ker))
+        herm, scale = _skew_and_scale(ker)
         if not scale < np.inf:
             raise ValueError("kernel entries must be finite")
-        herm = np.max(np.abs(ker - ker.conj().T))
         if not herm <= 100 * DEFAULT_TOL * max(scale, 1e-300):
             raise ValueError(f"kernel is not Hermitian (deviation {herm:.3e})")
         tr = float(np.real(np.sum(np.diag(ker))) * self.dx)
         if not abs(tr - 1.0) <= 1e-3:
             raise ValueError(f"kernel trace {tr:.6f} is not 1")
-        ker = ker.copy()
-        ker.flags.writeable = False
-        object.__setattr__(self, "kernel", ker)
+        object.__setattr__(self, "kernel", _held(ker, self.kernel))
 
     @property
     def x(self):
@@ -228,9 +262,7 @@ class Marginal:
         total = float(np.trapezoid(s, dx=self.spacing))
         if not abs(total - 1.0) <= 1e-3:
             raise ValueError(f"marginal integrates to {total:.6f}, expected 1")
-        s = s.copy()
-        s.flags.writeable = False
-        object.__setattr__(self, "samples", s)
+        object.__setattr__(self, "samples", _held(s, self.samples))
 
     @property
     def grid(self):
@@ -412,6 +444,33 @@ def l1_distance(a: WignerGrid, b: WignerGrid) -> float:
         bv = (_resample_matrix(b.q_min, b.q_max, b.n_q, a.q) @ b.values
               @ _resample_matrix(b.p_min, b.p_max, b.n_p, a.p).T)
     return _trapz2(np.abs(a.values - bv), a.dq, a.dp)
+
+
+@dataclass(frozen=True)
+class SmearingWindow:
+    """Disjoint ordered top-hat position bins between finite edges."""
+
+    edges: np.ndarray
+
+    def __post_init__(self):
+        e = np.asarray(self.edges, dtype=float)
+        if e.ndim != 1 or len(e) < 2:
+            raise ValueError("need a 1-D array of at least two bin edges")
+        if not (np.all(np.isfinite(e)) and np.all(np.diff(e) > 0)):
+            raise ValueError("bin edges must be finite and strictly increasing")
+        object.__setattr__(self, "edges", _held(e, self.edges))
+
+    @property
+    def n_bins(self):
+        return len(self.edges) - 1
+
+    @property
+    def centers(self):
+        return 0.5 * (self.edges[1:] + self.edges[:-1])
+
+    @property
+    def widths(self):
+        return np.diff(self.edges)
 
 
 def bin_integrals(line, x, edges):

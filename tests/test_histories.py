@@ -1357,6 +1357,26 @@ class TestProductOccupationFunctional:
         assert coef.nbytes == hi.occupation_table_bytes(b, n)
         assert peak <= ratio * coef.nbytes
 
+    @pytest.mark.parametrize("b, n, ratio", [(3, 12, 2.08), (4, 8, 2.04)])
+    def test_functional_peak_bytes(self, b, n, ratio):
+        # the functional, its Hermiticity check of the table included, peaks
+        # within the ratios given here, in tables: 2.067 and 2.028 with the
+        # check in chunks of blocks; 2.076 and 2.037 with a check per block,
+        # and 3.04 at B = 3, N = 12 with one check on the whole table
+        rho1 = le.one_particle_gibbs(np.ones(b), np.linspace(0.0, 0.5, b),
+                                     np.zeros(b))
+        p1 = hi.one_particle_momentum(rho1.space)
+        d1 = hi.product_occupation_functional(rho1, p1 @ p1 / 2, 1,
+                                              (0.2, 0.7), 0.3).d1
+        hi.OccupationFunctional(d1, 2)                  # warm-up
+        tracemalloc.start()
+        try:
+            hi.OccupationFunctional(d1, n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= ratio * hi.occupation_table_bytes(b, n)
+
     def test_input_checks(self):
         rho1, h1 = product_setup("gibbs3")
         with pytest.raises(ValueError, match="two times"):

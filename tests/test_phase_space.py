@@ -1,5 +1,7 @@
 import csv
 import dataclasses
+import functools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -84,6 +86,138 @@ class TestGridValidation:
     def test_ordered_extents(self):
         with pytest.raises(ValueError):
             ps.WignerGrid(1, 0, 16, 0, 1, 16, np.ones((16, 16)))
+
+
+HELD_TYPES = ("WignerGrid", "DensityMatrix", "Marginal", "SmearingWindow",
+              "StateVector", "DensityOperator", "DecoherenceMatrix",
+              "OccupationFunctional", "LocalEquilibriumProfile",
+              "DensityField", "HydroFields")
+
+
+def _held_cases():
+    """Each frozen array type, as (build, arrays): ``build(**arrays)`` makes
+    it, and each of ``arrays`` is a valid input of the dtype it is held in."""
+    w = ps.gaussian_wigner(-8, 8, 16, *ps.conjugate_momentum_axis(-8, 8, 16))
+    q = np.linspace(-8.0, 8.0, 16)
+    space = hi.ToyHilbert(B=2, N=2)
+    state = hi.product_state(space, np.array([0.6, 0.8]))
+    rho1 = le.one_particle_gibbs(np.ones(2), np.array([0.0, 0.3]),
+                                 np.zeros(2))
+    p1 = hi.one_particle_momentum(rho1.space)
+    d1 = hi.product_occupation_functional(rho1, p1 @ p1 / 2, 1,
+                                          (0.2, 0.7), 0.3).d1
+    blocks = np.zeros((2, 2, 1), dtype=complex)
+    blocks[:, :, 0] = np.diag([0.7, 0.3])
+    fields = le.hydro_averages(w, 3, np.linspace(-6.0, 6.0, 5))
+    return {
+        "WignerGrid": (functools.partial(ps.WignerGrid, w.q_min, w.q_max,
+                                         w.n_q, w.p_min, w.p_max, w.n_p),
+                       {"values": w.values}),
+        "DensityMatrix": (functools.partial(ps.DensityMatrix, -8.0, 8.0, 16),
+                          {"kernel": ps.wigner_to_density(w).kernel}),
+        "Marginal": (functools.partial(ps.Marginal, "position",
+                                       spacing=w.dq, origin=w.q_min),
+                     {"samples": ps.position_marginal(w).samples}),
+        "SmearingWindow": (ps.SmearingWindow,
+                           {"edges": np.linspace(-6.0, 6.0, 5)}),
+        "StateVector": (functools.partial(hi.StateVector, space),
+                        {"amplitudes": state.amplitudes}),
+        "DensityOperator": (functools.partial(hi.DensityOperator, space),
+                            {"matrix": hi.to_density(state).matrix}),
+        "DecoherenceMatrix": (functools.partial(hi.DecoherenceMatrix,
+                                                ("a", "b")),
+                              {"blocks": blocks}),
+        "OccupationFunctional": (functools.partial(hi.OccupationFunctional,
+                                                   n=2),
+                                 {"d1": d1}),
+        "LocalEquilibriumProfile": (le.LocalEquilibriumProfile,
+                                    {"q": q, "f": np.exp(-q ** 2 / 50),
+                                     "u": np.full(16, 0.1),
+                                     "kT": np.full(16, 1.0)}),
+        "DensityField": (en.DensityField,
+                         {"centers": fields.centers, "widths": fields.widths,
+                          "values": fields.n, "variances": fields.h}),
+        "HydroFields": (le.HydroFields, vars(fields)),
+    }
+
+
+class TestHeldArrays:
+    """Every frozen type holds its arrays by ``phase_space._held``."""
+
+    @pytest.mark.parametrize("name", HELD_TYPES)
+    @pytest.mark.parametrize("kind", ["writeable", "read-only view"])
+    def test_later_writes_leave_the_held_arrays(self, name, kind):
+        # the caller's writeable array stays writeable; a write to it, or
+        # to the base of a read-only view passed in, leaves the held field
+        build, arrays = _held_cases()[name]
+        bases = {k: np.array(a) for k, a in arrays.items()}
+        given = {k: b if kind == "writeable" else b[...]
+                 for k, b in bases.items()}
+        for a in given.values():
+            a.flags.writeable = kind == "writeable"
+        obj = build(**given)
+        for k, base in bases.items():
+            held = getattr(obj, k)
+            assert not held.flags.writeable
+            assert given[k].flags.writeable == (kind == "writeable")
+            want = held.copy()
+            base += 1.0
+            assert np.array_equal(getattr(obj, k), want)
+
+    @pytest.mark.parametrize("name", HELD_TYPES)
+    def test_read_only_owned_arrays_are_kept(self, name):
+        build, arrays = _held_cases()[name]
+        given = {k: np.array(a) for k, a in arrays.items()}
+        for a in given.values():
+            a.flags.writeable = False
+        obj = build(**given)
+        assert all(getattr(obj, k) is a for k, a in given.items())
+
+    def test_checked_n_stays_nonnegative(self):
+        # n is checked nonnegative; a write to the base of a read-only view
+        # passed in once reached the held n after the check
+        fields = dict(_held_cases()["HydroFields"][1])
+        base = np.array(fields["n"])
+        fields["n"] = base[...]
+        fields["n"].flags.writeable = False
+        held = le.HydroFields(**fields)
+        base[0] = -5.0
+        assert np.min(held.n) >= 0.0
+
+    def test_read_only_kernel_checked_without_a_copy(self):
+        # the Hermiticity check compares 64 KiB tiles: building from a
+        # read-only kernel at n_x 1024 (16 MiB) peaks at about 0.02 kernels
+        # above it; the whole-matrix check and the copy peaked at 2.01
+        x = np.linspace(-10.0, 10.0, 1024)
+        g = np.exp(-x ** 2 / 4)
+        ker = np.outer(g, g / (g @ g * (x[1] - x[0]))).astype(complex)
+        ker.flags.writeable = False
+        tracemalloc.start()
+        try:
+            rho = ps.DensityMatrix(-10.0, 10.0, 1024, ker)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rho.kernel is ker
+        assert peak < 0.1 * ker.nbytes
+
+
+class TestSmearingWindow:
+    @pytest.mark.parametrize("edges", [
+        [-10.0, np.nan, 10.0], [-np.inf, 0.0, 10.0], [[0.0, 1.0], [2.0, 3.0]],
+        [0.0]], ids=["nan", "inf", "2-d", "one-edge"])
+    def test_edges_refused(self, edges):
+        # NaN passed the increasing test and failed later, in HydroFields;
+        # a 2-D array gave hydro_averages a (2, 1) field; one edge failed
+        # in a numpy reduction
+        with pytest.raises(ValueError, match="bin edges"):
+            ps.SmearingWindow(edges)
+        w = ps.gaussian_wigner(-8, 8, 16, -4, 4, 16)
+        with pytest.raises(ValueError, match="bin edges"):
+            le.hydro_averages(w, 1, edges)
+
+    def test_one_window_object(self):
+        assert en.SmearingWindow is ps.SmearingWindow
 
 
 class TestQSpectrum:
