@@ -254,8 +254,8 @@ def lift_one_body(space: ToyHilbert, op1) -> np.ndarray:
 def _gaussian_weights(x, center, sigma):
     """(2 pi sigma^2)^(-1/2) exp(-(x - center)^2 / 2 sigma^2), elementwise,
     formed without sigma^2, which overflows first."""
-    if not sigma > 0:
-        raise ValueError("sigma must be positive")
+    if not (math.isfinite(sigma) and sigma > 0 and np.isfinite(center).all()):
+        raise ValueError("sigma must be positive and finite, center finite")
     g = np.exp(-0.5 * ((x - center) / sigma) ** 2)
     return g / (math.sqrt(2.0 * np.pi) * sigma)
 

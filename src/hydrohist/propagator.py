@@ -108,8 +108,9 @@ class QbmParams:
 
     def __post_init__(self):
         for name in ("M", "gamma", "kT"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be strictly positive")
+            x = getattr(self, name)
+            if not (math.isfinite(x) and x > 0):
+                raise ValueError(f"{name} must be finite and strictly positive")
 
 
 @dataclass(frozen=True)
@@ -137,6 +138,8 @@ class ConstitutiveResidual:
 
 def kernel_mean_map(params: QbmParams, t):
     """Linear map z -> A z taking (q0, p0) to the kernel mean (q_cl, p_cl)."""
+    if not (math.isfinite(t) and t >= 0):
+        raise ValueError("t must be finite and nonnegative")
     decay = math.exp(-2.0 * params.gamma * t)
     c = (1.0 - decay) / (2.0 * params.M * params.gamma)
     return np.array([[1.0, c], [0.0, decay]])
@@ -154,6 +157,8 @@ def kernel_covariance(params: QbmParams, t):
     kT t^2 / M sum_{k >= 3} ((-2)^k - (-4)^k / 4) x^(k-2) / k!, whose
     leading terms are kT / M ((4/3) g t^3 - 2 g^2 t^4).
     """
+    if not (math.isfinite(t) and t >= 0):
+        raise ValueError("t must be finite and nonnegative")
     g, M, kT = params.gamma, params.M, params.kT
     x = g * t
     one_e2 = -math.expm1(-2.0 * x)           # 1 - e^-2x
@@ -204,8 +209,6 @@ def propagate_analytic(w0: WignerGrid, t, params: QbmParams) -> WignerGrid:
     and transformed back.  The output lives on the input lattice; for t > 0
     a ResolutionError gives the first refusal of ``_kernel_check``.
     """
-    if not t >= 0:
-        raise ValueError("t must be nonnegative")
     if t == 0.0:
         return w0.with_values(w0.values)
     _, refusals = _kernel_check(w0, t, params)

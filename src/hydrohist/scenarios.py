@@ -12,11 +12,9 @@ wrapper around ``load_config`` / ``run_scenario``.
 
 from __future__ import annotations
 
-import contextvars
 import json
 import math
 import operator
-import threading
 import time
 import warnings
 from dataclasses import asdict, dataclass
@@ -237,39 +235,6 @@ def _step_notes(plan):
     return notes
 
 
-def _concurrently(first, second):
-    """The results of the zero-argument callables ``first`` and ``second``.
-
-    ``second`` runs on a thread of its own, in a copy of the caller's
-    context, while ``first`` runs on the calling thread; numpy's error
-    states and other context variables set by the caller thus apply to
-    both.  Warning filters are process-global, not context variables, so a
-    ``warnings.catch_warnings`` around the call records the warnings of
-    both routes, but two such calls at once would mix their records.  The
-    worker is joined before an exception is re-raised, as the same
-    object: ``first``'s, else ``second``'s.  The routes must share no
-    state that they write, a ``cached_property`` included.
-    """
-    outcome = {}
-
-    def run_second():
-        try:
-            outcome["result"] = second()
-        except BaseException as exc:   # re-raised on the calling thread
-            outcome["error"] = exc
-
-    worker = threading.Thread(target=contextvars.copy_context().run,
-                              args=(run_second,))
-    worker.start()
-    try:
-        result = first()
-    finally:
-        worker.join()
-    if "error" in outcome:
-        raise outcome["error"]
-    return result, outcome["result"]
-
-
 #: inner edges of the variance-scaling bins: the quartiles of a unit normal
 _QUARTILE = 0.6744897501960817
 
@@ -439,18 +404,12 @@ def _run_diffusion(config):
     plan = _diffusion_plan({**config.params, **config.grid})
     w0, params, times = plan["state"], plan["params"], plan["times"]
 
-    def fokker_planck_marginals():
-        marginals, cur = [], w0
-        for span in plan["spans"]:
-            cur = pr.evolve_fokker_planck(cur, span, params)
-            marginals.append(ps.position_marginal(cur))
-        return marginals
-
-    # the kernel route alone reads w0's cached q spectrum
-    marg_fp, marg_an = _concurrently(
-        fokker_planck_marginals,
-        lambda: [ps.position_marginal(pr.propagate_analytic(w0, t, params))
-                 for t in times])
+    marg_fp, cur = [], w0
+    for span in plan["spans"]:
+        cur = pr.evolve_fokker_planck(cur, span, params)
+        marg_fp.append(ps.position_marginal(cur))
+    marg_an = [ps.position_marginal(pr.propagate_analytic(w0, t, params))
+               for t in times]
     fit_fp = pr.fit_diffusion(times, marg_fp, params)
     fit_an = pr.fit_diffusion(times, marg_an, params)
     metrics = {"fokker_planck_relative_error": fit_fp.relative_error,
@@ -485,19 +444,12 @@ def _run_oracle_compare(config):
     plan = _oracle_plan({**p, **config.grid})
     w0, params = plan["state"], plan["params"]
 
-    def master_route():
-        rho0 = ps.wigner_to_density(plan["master_state"])
-        return ps.density_to_wigner(
-            pr.evolve_master_equation(rho0, p["t_master"], params))
-
-    # the calling thread runs the master route, the longer share on the
-    # default config; the worker runs the Fokker-Planck integrations to
-    # t_kernel and to t_master, and the kernel
-    w_me, (w_fp, w_fp1, w_an) = _concurrently(
-        master_route,
-        lambda: (pr.evolve_fokker_planck(w0, p["t_kernel"], params),
-                 pr.evolve_fokker_planck(w0, p["t_master"], params),
-                 pr.propagate_analytic(w0, p["t_kernel"], params)))
+    rho0 = ps.wigner_to_density(plan["master_state"])
+    w_me = ps.density_to_wigner(
+        pr.evolve_master_equation(rho0, p["t_master"], params))
+    w_fp = pr.evolve_fokker_planck(w0, p["t_kernel"], params)
+    w_fp1 = pr.evolve_fokker_planck(w0, p["t_master"], params)
+    w_an = pr.propagate_analytic(w0, p["t_kernel"], params)
     l1_kernel = ps.l1_distance(w_an, w_fp)
     l1_master = ps.l1_distance(w_fp1, w_me)
 

@@ -1627,6 +1627,17 @@ class TestEhrenfestSingleTime:
         assert total == pytest.approx(1.0, abs=1e-6)
 
 
+    @pytest.mark.parametrize("center, sigma", [
+        (np.nan, 1.0), (np.array([0.0, np.inf]), 1.0), (0.0, np.inf)],
+        ids=["nan_center", "inf_in_centers", "inf_sigma"])
+    def test_exact_refuses_a_nonfinite_center_or_sigma(self, center, sigma):
+        # a NaN center gave NaN and sigma = inf gave 0.0
+        rho = density(np.eye(3) / 3)
+        with pytest.raises(ValueError, match="finite"):
+            hi.single_time_prob_exact(rho, np.diag([0.0, 2.0, 5.0]), center,
+                                      sigma)
+
+
 class TestEhrenfestMultiTime:
     def setup_method(self):
         rng = np.random.default_rng(5)

@@ -73,6 +73,14 @@ class TestKernelCovariance:
             lead = 4.0 / 3.0 * gamma * 125.0 - 2.0 * gamma ** 2 * 625.0
             assert s_qq == pytest.approx(lead, rel=1e-6)
 
+    @pytest.mark.parametrize("t", [-1.0, NAN, np.inf])
+    def test_kernel_refuses_a_time_not_finite_and_nonnegative(self, t):
+        # at t = -1 the covariance was [[-8.0, 20.4], [20.4, -53.6]], no
+        # covariance, and the mean map ran backwards
+        for kernel in (pr.kernel_mean_map, pr.kernel_covariance):
+            with pytest.raises(ValueError, match="finite and nonnegative"):
+                kernel(UNIT, t)
+
     def test_mean_map_columns(self):
         a = pr.kernel_mean_map(UNIT, 10.0)
         assert a[0, 1] == pytest.approx(0.5, abs=1e-8)
@@ -1121,6 +1129,13 @@ class TestParams:
         with pytest.raises(ValueError):
             pr.QbmParams(M=1.0, gamma=-1.0, kT=1.0)
 
+    @pytest.mark.parametrize("field", ["M", "gamma", "kT"])
+    def test_infinite_field_rejected(self, field):
+        # "not inf > 0" is False: a positivity check alone lets inf through
+        fields = {"M": 1.0, "gamma": 1.0, "kT": 1.0, field: np.inf}
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            pr.QbmParams(**fields)
+
 
 TWO_BINS = hist.ToyHilbert(B=2, N=1)
 LATTICE = np.linspace(-4.0, 4.0, 8)
@@ -1146,8 +1161,8 @@ LATTICE = np.linspace(-4.0, 4.0, 8)
         "quasi_projector_sigma", "spec_dephasing",
         "product_dephasing", "gibbs_beta", "profile_kT"])
 def test_nan_parameter_rejected(call):
-    # every positivity check is written "not x > 0", which NaN fails; the
-    # check raises, not a later failure such as LinAlgError on NaN entries
+    # every positivity check refuses NaN, which fails "x > 0"; the check
+    # raises, not a later failure such as LinAlgError on NaN entries
     with pytest.raises(ValueError) as info:
         call()
     assert info.type is ValueError

@@ -1,7 +1,5 @@
-import contextvars
 import json
 import threading
-import time
 import warnings
 from pathlib import Path
 
@@ -314,14 +312,20 @@ class TestRunScenario:
         assert by_name["epsilon"].comparator == "<"
         assert by_name["on_trajectory_fraction"].comparator == ">="
 
-    def test_ehrenfest_reproducible_csv(self, tmp_path):
-        a = tmp_path / "a"
-        b = tmp_path / "b"
-        for out in (a, b):
-            cfg = sc.validate_config(minimal("ehrenfest", seed=11))
-            sc.run_scenario(cfg, output_dir=out)
-        assert (a / "ehrenfest.csv").read_bytes() == \
-            (b / "ehrenfest.csv").read_bytes()
+    @pytest.mark.parametrize("scenario, extra", [
+        ("ehrenfest", {"seed": 11}), ("diffusion", {}),
+        ("oracle-compare", {})], ids=["ehrenfest", "diffusion",
+                                      "oracle-compare"])
+    def test_reproducible_artifacts(self, tmp_path, scenario, extra):
+        # every artifact and the report, its wall time aside, repeat
+        written = []
+        for out in (tmp_path / "a", tmp_path / "b"):
+            report, _ = self.run(out, scenario, **extra)
+            data = json.loads((out / f"{scenario}-report.json").read_text())
+            del data["wall_time_s"]
+            written.append((data, {name: (out / name).read_bytes()
+                                   for name in report.artifacts}))
+        assert written[0] == written[1]
 
     def test_ehrenfest_takes_one_eigh_per_seed(self, monkeypatch):
         # the 17 centers and the 81-point scan grid share one eigh of A
@@ -1059,58 +1063,13 @@ class TestCli:
         assert data["seed"] == 11
 
 
-class TestConcurrentRoutes:
-    def test_routes_run_on_two_threads(self):
-        var = contextvars.ContextVar("var")
-        var.set("caller")
-        seen = {}
-
-        def route(name):
-            seen[name] = (threading.current_thread(), var.get())
-            return name
-
-        assert sc._concurrently(lambda: route("first"),
-                                lambda: route("second")) == ("first",
-                                                             "second")
-        assert seen["first"][0] is threading.current_thread()
-        assert seen["second"][0] is not threading.current_thread()
-        assert {value for _, value in seen.values()} == {"caller"}
-
-    def test_an_error_is_raised_after_both_routes_end(self):
-        error = DivergenceError("non-finite")
-        done = threading.Event()
-
-        def fail():
-            raise error
-
-        def slow():
-            time.sleep(0.05)
-            done.set()
-
-        with pytest.raises(DivergenceError) as info:
-            sc._concurrently(fail, slow)
-        assert info.value is error and done.is_set()
-        done.clear()
-        with pytest.raises(DivergenceError) as info:
-            sc._concurrently(slow, fail)
-        assert info.value is error and done.is_set()
-
-    def test_the_first_routes_error_wins(self):
-        first, second = ValueError("first"), ValueError("second")
-
-        def raise_(exc):
-            raise exc
-
-        with pytest.raises(ValueError) as info:
-            sc._concurrently(lambda: raise_(first), lambda: raise_(second))
-        assert info.value is first
-
+class TestRoutes:
     @pytest.mark.parametrize("name", ["evolve_master_equation",
                                       "evolve_fokker_planck"])
     def test_a_route_error_is_the_cause(self, tmp_path, capsys, monkeypatch,
                                         name):
-        # oracle-compare runs the master route and the Fokker-Planck route
-        # on two threads: an error of either is the ScenarioError's cause
+        # an error of oracle-compare's master route or Fokker-Planck route
+        # is the ScenarioError's cause
         error = DivergenceError("step produced non-finite values")
 
         def diverge(*args):
@@ -1144,14 +1103,14 @@ class TestConcurrentRoutes:
             minimal("oracle-compare")), tmp_path)
         assert report.notes.count(f"UserWarning: {name} is coarse") == calls
 
-    def test_oracle_compare_routes_share_the_threads(self, tmp_path,
-                                                     monkeypatch):
-        # the calling thread runs the master route, the worker the
-        # Fokker-Planck integrations to t_master and to t_kernel and the
-        # kernel
+    def test_routes_run_in_order_on_the_calling_thread(self, tmp_path,
+                                                       monkeypatch):
+        # oracle-compare runs its master route, then the Fokker-Planck
+        # integrations to t_kernel and to t_master, then the kernel;
+        # diffusion runs its chained Fokker-Planck spans, then the kernel
         ran = []
 
-        def on_thread(name):
+        def record(name):
             function = getattr(sc.pr, name)
 
             def recorded(w, t, params):
@@ -1162,13 +1121,18 @@ class TestConcurrentRoutes:
 
         for name in ("evolve_master_equation", "evolve_fokker_planck",
                      "propagate_analytic"):
-            on_thread(name)
-        sc.run_scenario(sc.validate_config(minimal("oracle-compare")),
-                        tmp_path)
-        assert sorted(ran) == [("evolve_fokker_planck", 1.0, False),
-                               ("evolve_fokker_planck", 5.0, False),
-                               ("evolve_master_equation", 1.0, True),
-                               ("propagate_analytic", 5.0, False)]
+            record(name)
+        for scenario in ("oracle-compare", "diffusion"):
+            sc.run_scenario(sc.validate_config(minimal(scenario)),
+                            tmp_path / scenario)
+        assert ran == [("evolve_master_equation", 1.0, True),
+                       ("evolve_fokker_planck", 5.0, True),
+                       ("evolve_fokker_planck", 1.0, True),
+                       ("propagate_analytic", 5.0, True),
+                       *[("evolve_fokker_planck", span, True)
+                         for span in (3.0, *[1.0] * 7)],
+                       *[("propagate_analytic", t, True)
+                         for t in range(3, 11)]]
 
     def test_one_fokker_planck_integration_per_time(self, tmp_path,
                                                     monkeypatch):
@@ -1184,26 +1148,6 @@ class TestConcurrentRoutes:
         sc.run_scenario(sc.validate_config(minimal("oracle-compare")),
                         tmp_path)
         assert len(built) == 2
-
-    @pytest.mark.parametrize("scenario", ["diffusion", "oracle-compare"])
-    def test_threads_do_not_change_the_artifacts(self, tmp_path, monkeypatch,
-                                                 scenario):
-        def one_after_another(first, second):
-            return first(), second()
-
-        written = []
-        for serial in (False, True):
-            if serial:
-                monkeypatch.setattr(sc, "_concurrently", one_after_another)
-            out = tmp_path / str(serial)
-            report = sc.run_scenario(sc.validate_config(minimal(scenario)),
-                                     out)
-            data = json.loads(
-                (out / f"{scenario}-report.json").read_text())
-            del data["wall_time_s"]
-            written.append((data, {name: (out / name).read_bytes()
-                                   for name in report.artifacts}))
-        assert written[0] == written[1]
 
 
 def _fuzz_value(rng, default):
